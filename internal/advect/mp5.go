@@ -91,6 +91,9 @@ func (m *MP5) rhsMP5(f []float64, c float64, rhs []float64) {
 	}
 }
 
+// periodicAt indexes f periodically.
+func periodicAt(f []float64, i int) float64 { return f[mod(i, len(f))] }
+
 // reconstructMP5 returns the fifth-order upwind interface value from the
 // stencil (f_{j−2},…,f_{j+2}) of the donor cell j, limited by the
 // Suresh–Huynh MP constraint.

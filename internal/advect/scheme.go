@@ -16,8 +16,9 @@
 //     per step, CFL ≤ 1).
 //   - Upwind1, LaxWendroff2 — first- and second-order baselines.
 //
-// All schemes advance periodic lines in place; the Vlasov solver feeds them
-// ghost-padded lines through the same flux kernels.
+// All schemes advance periodic lines in place. SL-MPP5 also advances open
+// (vacuum-bounded) and ghosted lines, and batches of lines sharing one CFL
+// number, all through one kernel.
 package advect
 
 import "fmt"
@@ -53,6 +54,28 @@ func New(name string) (Scheme, error) {
 		return NewLaxWendroff2(), nil
 	}
 	return nil, fmt.Errorf("advect: unknown scheme %q", name)
+}
+
+// StepLines advances len(lines)/n periodic lines of n cells, stored back to
+// back, by the same CFL number c — the shape of a sweep, where every line
+// sharing a velocity index shares c. A scheme with a batched form (SL-MPP5
+// derives its coefficients once per call) takes the whole batch; the
+// comparison schemes step line by line.
+func StepLines(s Scheme, lines []float64, n int, c float64) error {
+	if b, ok := s.(interface {
+		StepLines(lines []float64, n int, c float64) error
+	}); ok {
+		return b.StepLines(lines, n, c)
+	}
+	if n < 1 || len(lines)%n != 0 {
+		return fmt.Errorf("advect: batch of %d values is not whole lines of %d", len(lines), n)
+	}
+	for ; len(lines) > 0; lines = lines[n:] {
+		if err := s.Step(lines[:n], c); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Names lists the registered scheme names.

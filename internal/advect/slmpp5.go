@@ -29,8 +29,21 @@ import (
 // Positivity: the fractional flux is clipped to the donor cell's available
 // mass, which (for the constant-velocity lines produced by directional
 // splitting) guarantees f ≥ 0 exactly while conserving mass to round-off.
+//
+// Every entry point runs the same kernel (advance) over a ghost-padded copy
+// of the line held in the scheme's scratch. The whole-cell part of the flux
+// telescopes, so the kernel reads the donor cell s places upstream and
+// applies only the two fractional fluxes:
+//
+//	f_i^{n+1} = f_{i−s} − (φ_{i−s} − φ_{i−s−1}),   0 ≤ φ_k ≤ f_k,
+//
+// which is an exact shift for integer c and keeps f ≥ 0 exactly at any c.
+// Leftward transport (c < 0) mirrors the line into the pad, so only the
+// rightward form exists. Everything that depends on c alone — s, ξ, the five
+// swept-average weights, the limiter steepness — is derived once per call,
+// i.e. once per line in Step/StepOpen and once per batch in StepLines.
 type SLMPP5 struct {
-	flux []float64
+	pad []float64 // ghost-padded line, upwind-ordered
 	// Limiting can be disabled for order-of-accuracy studies.
 	DisableMP bool
 	DisablePP bool
@@ -56,165 +69,268 @@ func (s *SLMPP5) Clone() Scheme {
 
 // Step advances a periodic line by CFL number c (any magnitude, any sign).
 func (s *SLMPP5) Step(f []float64, c float64) error {
-	n := len(f)
-	if n < 6 {
-		return fmt.Errorf("slmpp5: line length %d < 6", n)
-	}
-	if math.IsNaN(c) || math.IsInf(c, 0) {
-		return fmt.Errorf("slmpp5: invalid CFL %v", c)
-	}
-	if cap(s.flux) < n+1 {
-		s.flux = make([]float64, n+1)
-	}
-	fl := s.flux[:n+1]
-	s.Fluxes(f, c, fl, periodicAt)
-	for i := 0; i < n; i++ {
-		f[i] -= fl[i+1] - fl[i]
-	}
-	return nil
-}
-
-// periodicAt indexes f periodically.
-func periodicAt(f []float64, i int) float64 { return f[mod(i, len(f))] }
-
-// zeroAt indexes f with zero (vacuum) boundary values, used for the open
-// velocity-space boundaries where the distribution function has compact
-// support.
-func zeroAt(f []float64, i int) float64 {
-	if i < 0 || i >= len(f) {
-		return 0
-	}
-	return f[i]
+	return s.StepLines(f, len(f), c)
 }
 
 // StepOpen advances a line with vacuum (zero-inflow) boundaries, as used
 // along the velocity axes: f has compact support and mass leaving the grid
 // through the boundary is lost (and accounted by the caller).
 func (s *SLMPP5) StepOpen(f []float64, c float64) error {
-	n := len(f)
-	if n < 6 {
-		return fmt.Errorf("slmpp5: line length %d < 6", n)
+	return s.StepLinesOpen(f, len(f), c)
+}
+
+// StepLines advances len(lines)/n periodic lines of n cells, stored back to
+// back, by the same CFL number c: the batched form the sweeps use for lines
+// that share a velocity index. Each line's result is bit-identical to Step.
+func (s *SLMPP5) StepLines(lines []float64, n int, c float64) error {
+	return s.stepLines(lines, n, c, periodic)
+}
+
+// StepLinesOpen is StepLines with vacuum boundaries (see StepOpen): the
+// batched form for the lines of one velocity cube, which share the cell's
+// acceleration.
+func (s *SLMPP5) StepLinesOpen(lines []float64, n int, c float64) error {
+	return s.stepLines(lines, n, c, vacuum)
+}
+
+func (s *SLMPP5) stepLines(lines []float64, n int, c float64, b boundary) error {
+	k, err := s.prepare(n, c, b)
+	if err != nil {
+		return err
 	}
-	if cap(s.flux) < n+1 {
-		s.flux = make([]float64, n+1)
+	if len(lines)%n != 0 {
+		return fmt.Errorf("slmpp5: batch of %d values is not whole lines of %d", len(lines), n)
 	}
-	fl := s.flux[:n+1]
-	s.Fluxes(f, c, fl, zeroAt)
-	for i := 0; i < n; i++ {
-		f[i] -= fl[i+1] - fl[i]
+	if k.sh == 0 && k.xi == 0 {
+		return nil
+	}
+	q := s.pad[:n+k.sh+5]
+	lo := k.sh + 3
+	if b == vacuum { // zero ghosts are shared by every line of the batch
+		clear(q[:lo])
+		clear(q[lo+n:])
+	}
+	for ; len(lines) >= n; lines = lines[n:] {
+		f := lines[:n:n]
+		in := q[lo : lo+n]
+		if k.neg {
+			for i, v := range f {
+				in[n-1-i] = v
+			}
+		} else {
+			copy(in, f)
+		}
+		if b == periodic {
+			wrapGhosts(q, lo, n)
+		}
+		k.advance(q, f)
 	}
 	return nil
 }
 
-// Fluxes fills fl[0..n] with the interface fluxes Φ_{i−1/2} for i = 0..n,
-// using at(f, j) to fetch (possibly out-of-range) cell values. fl[i] is the
-// mass crossing the left interface of cell i, positive rightward.
-func (s *SLMPP5) Fluxes(f []float64, c float64, fl []float64, at func([]float64, int) float64) {
-	n := len(f)
-	if c >= 0 {
-		sh := int(math.Floor(c))
-		xi := c - float64(sh)
-		for i := 0; i <= n; i++ {
-			// Interface i−1/2: whole upstream cells i−sh … i−1.
-			sum := 0.0
-			for j := i - sh; j <= i-1; j++ {
-				sum += at(f, j)
-			}
-			k := i - sh - 1 // partially swept donor cell
-			sum += s.fracRight(f, k, xi, at)
-			fl[i] = sum
+// StepGhosted advances the interior of a line that carries ghost cells of its
+// neighbours on both sides — the block-decomposed sweep, whose ghosts come
+// from a halo exchange. Only the n = len(p) − 2·ghost interior cells are
+// updated. The ghosts must cover the upwind stencil: ⌊|c|⌋+3 cells, or
+// ⌊|c|⌋ for integer c.
+func (s *SLMPP5) StepGhosted(p []float64, ghost int, c float64) error {
+	n := len(p) - 2*ghost
+	if ghost < 0 || n < 1 {
+		return fmt.Errorf("slmpp5: %d ghosts a side leave no interior in %d cells", ghost, len(p))
+	}
+	if math.Abs(c) > float64(ghost) { // also bounds the pad; NaN fails in prepare
+		return fmt.Errorf("slmpp5: CFL %v exceeds the %d ghost cells", c, ghost)
+	}
+	k, err := s.prepare(n, c, ghosted)
+	if err != nil {
+		return err
+	}
+	if k.xi != 0 && ghost < k.sh+3 {
+		return fmt.Errorf("slmpp5: CFL %v needs %d ghost cells, line has %d", c, k.sh+3, ghost)
+	}
+	// q[j] is upwind-ordered cell j−(sh+3) of the interior. The kernel reads
+	// at most two cells downstream of it, which the ghosts cover whenever
+	// they cover the upstream stencil; a pure shift reads neither.
+	q := s.pad[:n+k.sh+5]
+	off := ghost - (k.sh + 3)
+	for j := range q {
+		src := j + off
+		if k.neg {
+			src = len(p) - 1 - src
 		}
-		return
-	}
-	cc := -c
-	sh := int(math.Floor(cc))
-	eta := cc - float64(sh)
-	for i := 0; i <= n; i++ {
-		// Interface i−1/2 with leftward transport: whole cells i … i+sh−1
-		// cross to the left, plus the left fraction of cell i+sh.
-		sum := 0.0
-		for j := i; j <= i+sh-1; j++ {
-			sum += at(f, j)
+		if src >= 0 && src < len(p) {
+			q[j] = p[src]
 		}
-		k := i + sh
-		sum += s.fracLeft(f, k, eta, at)
-		fl[i] = -sum
+	}
+	k.advance(q, p[ghost:ghost+n])
+	return nil
+}
+
+// wrapGhosts fills the ghosts of the padded line q, whose n interior cells
+// start at q[lo], by periodic continuation (the pad may exceed one period).
+func wrapGhosts(q []float64, lo, n int) {
+	in := q[lo : lo+n]
+	for j, src := lo-1, n-1; j >= 0; j-- {
+		q[j] = in[src]
+		if src--; src < 0 {
+			src = n - 1
+		}
+	}
+	for j, src := lo+n, 0; j < len(q); j++ {
+		q[j] = in[src]
+		if src++; src == n {
+			src = 0
+		}
 	}
 }
 
-// fracRight returns the mass in the rightmost fraction ξ of cell k,
-// reconstructed at fifth order and limited.
-func (s *SLMPP5) fracRight(f []float64, k int, xi float64, at func([]float64, int) float64) float64 {
-	if xi <= 0 {
-		return 0
-	}
-	fk := at(f, k)
-	if xi >= 1 {
-		return fk
-	}
-	// Primitive-function nodes: W_m = Σ of cells k−2 … k−3+m (W_0 = 0).
-	var w [6]float64
-	acc := 0.0
-	for m := 1; m <= 5; m++ {
-		acc += at(f, k-3+m)
-		w[m] = acc
-	}
-	// Interface k+1/2 is node m = 3; departure point is t = 3 − ξ.
-	raw := w[3] - quintic(&w, 3-xi)
-	return s.limitFrac(raw, xi, fk,
-		at(f, k-2), at(f, k-1), fk, at(f, k+1), at(f, k+2))
+// boundary says where a line's ghost cells come from.
+type boundary int
+
+const (
+	periodic boundary = iota // the line's own cells, wrapped
+	vacuum                   // zeros: nothing flows in
+	ghosted                  // supplied by the caller
+)
+
+// sweep holds everything the kernel derives from the CFL number alone.
+type sweep struct {
+	sh     int        // whole-cell shift ⌊|c|⌋, bounded by the line length
+	xi     float64    // fractional shift |c| − ⌊|c|⌋
+	neg    bool       // leftward transport: the line is mirrored into the pad
+	w      [5]float64 // swept-average weights SweptWeights(xi)
+	alpha  float64    // CFL-adaptive Suresh–Huynh steepness
+	mp, pp bool
 }
 
-// fracLeft returns the mass in the leftmost fraction η of cell k.
-func (s *SLMPP5) fracLeft(f []float64, k int, eta float64, at func([]float64, int) float64) float64 {
-	if eta <= 0 {
-		return 0
+// prepare is the one validating entry of every step: it rejects lines
+// shorter than the stencil and non-finite CFL numbers, bounds the whole-cell
+// shift by the line length (a periodic line drops whole rotations; a vacuum
+// line is empty once it has moved n+3 cells; a ghosted line is bounded by its
+// caller) so that the pad is O(n) for any finite c, derives the per-CFL
+// constants and sizes the pad.
+func (s *SLMPP5) prepare(n int, c float64, b boundary) (sweep, error) {
+	if n < 6 && b != ghosted {
+		return sweep{}, fmt.Errorf("slmpp5: line length %d < 6", n)
 	}
-	fk := at(f, k)
-	if eta >= 1 {
-		return fk
+	if math.IsNaN(c) || math.IsInf(c, 0) {
+		return sweep{}, fmt.Errorf("slmpp5: invalid CFL %v", c)
 	}
-	var w [6]float64
-	acc := 0.0
-	for m := 1; m <= 5; m++ {
-		acc += at(f, k-3+m)
-		w[m] = acc
+	a := math.Abs(c)
+	whole := math.Floor(a)
+	k := sweep{xi: a - whole, neg: c < 0, mp: !s.DisableMP, pp: !s.DisablePP}
+	switch b {
+	case periodic:
+		whole = math.Mod(whole, float64(n))
+	case vacuum:
+		if limit := float64(n + 3); whole >= limit {
+			whole, k.xi = limit, 0
+		}
 	}
-	// Interface k−1/2 is node m = 2; integrate rightward a distance η.
-	raw := quintic(&w, 2+eta) - w[2]
-	return s.limitFrac(raw, eta, fk,
-		at(f, k+2), at(f, k+1), fk, at(f, k-1), at(f, k-2))
-}
-
-// limitFrac applies the MP constraint to the swept average raw/xi and the
-// positivity clip to the resulting flux. The stencil (m2,m1,c0,p1,p2) is
-// ordered in the upwind sense: m* lie on the side the information comes
-// from (for a left-edge fraction the physical stencil is reflected).
-func (s *SLMPP5) limitFrac(raw, xi, avail, m2, m1, c0, p1, p2 float64) float64 {
-	fbar := raw / xi
-	if !s.DisableMP {
+	k.sh = int(whole)
+	if k.xi != 0 {
+		k.w = SweptWeights(k.xi)
 		// Fully-discrete monotonicity requires the Suresh–Huynh steepness
 		// parameter to honour α·ξ ≤ 1−ξ (for RK method-of-lines SH use the
 		// equivalent CFL ≤ 1/(1+α)); with the fixed α = 4 a single-stage
 		// update overshoots by O(1%) on steps. This CFL-adaptive α is the
 		// single-stage modification of Tanaka et al. (2017).
-		alpha := (1 - xi) / math.Max(xi, 1e-12)
-		if alpha > 4 {
-			alpha = 4
-		}
-		fbar = mpLimitAlpha(fbar, m2, m1, c0, p1, p2, alpha)
-	}
-	flx := fbar * xi
-	if !s.DisablePP {
-		if flx < 0 {
-			flx = 0
-		}
-		if flx > avail {
-			flx = avail
+		k.alpha = (1 - k.xi) / math.Max(k.xi, 1e-12)
+		if k.alpha > 4 {
+			k.alpha = 4
 		}
 	}
-	return flx
+	// Sized for the largest bounded shift, so a later, larger c on lines of
+	// this length does not reallocate.
+	need := 2*n + 8
+	if b == ghosted {
+		need = n + k.sh + 5
+	}
+	if cap(s.pad) < need {
+		s.pad = make([]float64, need)
+	}
+	return k, nil
 }
+
+// SweptWeights returns the five weights b_r(ξ) of the fifth-order conservative
+// semi-Lagrangian reconstruction: the average of f over the downstream
+// fraction ξ ∈ (0, 1] of donor cell k is Σ_r b_r·f_{k−2+r}, r = 0..4, and the
+// mass swept across the interface is ξ times that. They are the closed form
+// of a_r(ξ)/ξ with a_r = [r ≤ 2] − Σ_{m>r} ℓ_m(3−ξ), ℓ_m the quintic Lagrange
+// basis on the primitive function's six interface nodes; at ξ → 0 they reduce
+// to the upwind-biased interface value (2, −13, 47, 27, −3)/60.
+func SweptWeights(xi float64) [5]float64 {
+	x2 := xi * xi
+	down := (1 - xi) * (2 - xi) * (3 - xi)
+	return [5]float64{
+		(1 - x2) * (4 - x2) / 120,
+		(1 - x2) * (2 + xi) * (4*xi - 13) / 120,
+		(94 + xi*(75+xi*(-40+xi*(-15+6*xi)))) / 120,
+		down * (9 + 4*xi) / 120,
+		-down * (1 + xi) / 120,
+	}
+}
+
+// advance is the SL-MPP5 kernel. q is the ghost-padded line in upwind order
+// (transport towards increasing index): q[sh+3+j] is cell j of the line, so
+// q[i..i+4] is the stencil of the donor cell whose fractional flux crosses
+// interface i−1/2 of the shifted line. The n = len(out) updated cells are
+// written to out, mirrored back when the line was mirrored in.
+func (k *sweep) advance(q, out []float64) {
+	n := len(out)
+	o, step := 0, 1
+	if k.neg {
+		o, step = n-1, -1
+	}
+	if k.xi == 0 { // integer CFL: an exact shift
+		for _, v := range q[3 : 3+n] {
+			out[o] = v
+			o += step
+		}
+		return
+	}
+	xi, alpha, mp, pp := k.xi, k.alpha, k.mp, k.pp
+	w0, w1, w2, w3, w4 := k.w[0], k.w[1], k.w[2], k.w[3], k.w[4]
+	m1, c0, p1, p2 := q[0], q[1], q[2], q[3]
+	var m2, prev float64
+	for i, next := range q[4 : n+5] {
+		m2, m1, c0, p1, p2 = m1, c0, p1, p2, next
+		v := w0*m2 + w1*m1 + w2*c0 + w3*p1 + w4*p2
+		if mp {
+			// Inlined head of mpLimitAlpha: v inside [f0, fMP] passes.
+			mm, x, y := 0.0, p1-c0, alpha*(c0-m1)
+			if x*y > 0 {
+				mm = x
+				if (x > 0) == (y < x) {
+					mm = y
+				}
+			}
+			if (v-c0)*(v-(c0+mm)) > mpEps {
+				v = mpBound(v, m2, m1, c0, p1, p2, alpha)
+			}
+		}
+		flx := v * xi
+		if pp {
+			if flx < 0 {
+				flx = 0
+			}
+			if flx > c0 {
+				flx = c0
+			}
+		}
+		if i > 0 {
+			// The donor of interface i−1/2 is also the cell that lands on
+			// out cell i−1: it keeps what it does not pass on and gains the
+			// previous donor's flux.
+			out[o] = c0 - (flx - prev)
+			o += step
+		}
+		prev = flx
+	}
+}
+
+// mpEps is the slack of the limiter's accept test (v−f0)(v−fMP) ≤ mpEps.
+const mpEps = 1e-20
 
 // mpLimit applies the Suresh–Huynh monotonicity-preserving constraint to the
 // candidate interface/swept value v given the upwind-ordered stencil
@@ -226,11 +342,16 @@ func mpLimit(v, fm2, fm1, f0, fp1, fp2 float64) float64 {
 
 // mpLimitAlpha is mpLimit with an explicit steepness parameter α.
 func mpLimitAlpha(v, fm2, fm1, f0, fp1, fp2, alpha float64) float64 {
-	const eps = 1e-20
 	fMP := f0 + minmod2(fp1-f0, alpha*(f0-fm1))
-	if (v-f0)*(v-fMP) <= eps {
+	if (v-f0)*(v-fMP) <= mpEps {
 		return v
 	}
+	return mpBound(v, fm2, fm1, f0, fp1, fp2, alpha)
+}
+
+// mpBound is the limiter proper, reached when v lies outside [f0, fMP]: the
+// median of v and the Suresh–Huynh bounds that still admit smooth extrema.
+func mpBound(v, fm2, fm1, f0, fp1, fp2, alpha float64) float64 {
 	dm1 := fm2 - 2*fm1 + f0
 	d0 := fm1 - 2*f0 + fp1
 	dp1 := f0 - 2*fp1 + fp2
@@ -240,38 +361,7 @@ func mpLimitAlpha(v, fm2, fm1, f0, fp1, fp2, alpha float64) float64 {
 	fAV := 0.5 * (f0 + fp1)
 	fMD := fAV - 0.5*dMp
 	fLC := f0 + 0.5*(f0-fm1) + (4.0/3.0)*dMm
-	fmin := math.Max(math.Min(math.Min(f0, fp1), fMD), math.Min(math.Min(f0, fUL), fLC))
-	fmax := math.Min(math.Max(math.Max(f0, fp1), fMD), math.Max(math.Max(f0, fUL), fLC))
+	fmin := max(min(f0, fp1, fMD), min(f0, fUL, fLC))
+	fmax := min(max(f0, fp1, fMD), max(f0, fUL, fLC))
 	return median(v, fmin, fmax)
-}
-
-// quintic evaluates the degree-5 Lagrange polynomial through the nodes
-// (m, w[m]) for m = 0..5 at position t.
-func quintic(w *[6]float64, t float64) float64 {
-	// Precomputed denominators Π_{j≠m}(m−j): for m=0..5 they are
-	// −120, 24, −12, 12, −24, 120.
-	var den = [6]float64{-120, 24, -12, 12, -24, 120}
-	// Products (t−j).
-	var d [6]float64
-	for j := 0; j < 6; j++ {
-		d[j] = t - float64(j)
-	}
-	full := 1.0
-	exactNode := -1
-	for j := 0; j < 6; j++ {
-		if d[j] == 0 {
-			exactNode = j
-		}
-	}
-	if exactNode >= 0 {
-		return w[exactNode]
-	}
-	for j := 0; j < 6; j++ {
-		full *= d[j]
-	}
-	out := 0.0
-	for m := 0; m < 6; m++ {
-		out += w[m] * (full / d[m]) / den[m]
-	}
-	return out
 }

@@ -33,7 +33,7 @@ type Block struct {
 	Global [3]int // global spatial extents
 	Coords [3]int // this rank's process coordinates
 
-	open *advect.SLMPP5
+	scheme *advect.SLMPP5
 }
 
 // NewBlock builds the local block for this rank. globalN must be divisible
@@ -64,7 +64,7 @@ func NewBlock(comm *mpisim.Comm, cart *mpisim.Cart, globalN [3]int, nu [3]int,
 		G:      g,
 		Global: globalN,
 		Coords: cart.Coords(comm.Rank()),
-		open:   advect.NewSLMPP5(),
+		scheme: advect.NewSLMPP5(),
 	}, nil
 }
 
@@ -180,9 +180,8 @@ func (b *Block) DriftAxis(axis int, dt, a float64) error {
 		cfl[j] = g.U(axis, j) * dt / (a * a * dx)
 	}
 	// For each perpendicular cell column p (index within a plane) and cube
-	// element e, assemble the padded line and update in place.
+	// element e, assemble the padded line and update its interior in place.
 	padded := make([]float64, n+2*GhostWidth)
-	flux := make([]float64, n+1)
 	// Cell offsets along the line for column p: need the flat cell index at
 	// (line position i, column p). Build a lookup per column.
 	colCells := make([][]int, planeCells)
@@ -198,10 +197,6 @@ func (b *Block) DriftAxis(axis int, dt, a float64) error {
 			p++
 		})
 	}
-	at := func(f []float64, j int) float64 {
-		return padded[j+GhostWidth]
-	}
-	interior := padded[GhostWidth : GhostWidth+n]
 	for p := 0; p < planeCells; p++ {
 		cells := colCells[p]
 		for e := 0; e < nc; e++ {
@@ -217,10 +212,11 @@ func (b *Block) DriftAxis(axis int, dt, a float64) error {
 				padded[k] = float64(lo[(k*planeCells+p)*nc+e])
 				padded[GhostWidth+n+k] = float64(hi[(k*planeCells+p)*nc+e])
 			}
-			b.open.Fluxes(interior, c, flux, at)
+			if err := b.scheme.StepGhosted(padded, GhostWidth, c); err != nil {
+				return err
+			}
 			for i := 0; i < n; i++ {
-				v := padded[GhostWidth+i] - (flux[i+1] - flux[i])
-				g.Data[cells[i]*nc+e] = float32(v)
+				g.Data[cells[i]*nc+e] = float32(padded[GhostWidth+i])
 			}
 		}
 	}

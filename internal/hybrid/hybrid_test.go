@@ -584,3 +584,86 @@ func TestRestoreSkipsICGeneration(t *testing.T) {
 		t.Fatal("solver plumbing missing after skeleton restore")
 	}
 }
+
+// TestPhysicsGates runs the benchmark's hybrid_step checks at a shape Tier-1
+// can afford, so that a regression in the sweep kernel fails `go test ./...`
+// and not only the nested benchmark module: five steps through the runner
+// must conserve ν mass (boundary loss included) to 1e-6, keep f ≥ 0 exactly,
+// give the same grid bit for bit with one and two workers, and continue bit
+// for bit from a checkpoint.
+func TestPhysicsGates(t *testing.T) {
+	const aInit, steps = 0.0909, 5
+	run := func(workers int) *Simulation {
+		t.Helper()
+		s, err := New(smallConfig(), aInit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetWorkers(workers)
+		rep, err := runner.Run(context.Background(), s, 1, runner.WithMaxSteps(steps))
+		if err != nil || rep.Steps != steps {
+			t.Fatalf("run with %d workers: %d steps, err %v", workers, rep.Steps, err)
+		}
+		return s
+	}
+	fresh, err := New(smallConfig(), aInit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nu0, _ := fresh.TotalMass()
+
+	s := run(1)
+	nu1, _ := s.TotalMass()
+	if drift := math.Abs(nu1+s.VSol.BoundaryLoss-nu0) / nu0; drift > 1e-6 {
+		t.Fatalf("ν mass + boundary loss drifted by %.3g over %d steps", drift, steps)
+	}
+	if mn := s.Grid.MinValue(); mn < 0 {
+		t.Fatalf("negative distribution function: min %g", mn)
+	}
+
+	two := run(2)
+	for i, v := range s.Grid.Data {
+		if math.Float32bits(v) != math.Float32bits(two.Grid.Data[i]) {
+			t.Fatalf("grid differs between 1 and 2 workers at %d: %v vs %v", i, v, two.Grid.Data[i])
+		}
+	}
+
+	var buf bytes.Buffer
+	if _, err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapio.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(smallConfig(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetWorkers(1)
+	dt := s.SuggestDT()
+	if rdt := r.SuggestDT(); rdt != dt {
+		t.Fatalf("restored run suggests dt %v, live run %v", rdt, dt)
+	}
+	if err := s.Step(dt); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Step(dt); err != nil {
+		t.Fatal(err)
+	}
+	if r.A != s.A || r.Time != s.Time {
+		t.Fatalf("clock after restore: a %v vs %v, t %v vs %v", r.A, s.A, r.Time, s.Time)
+	}
+	for i, v := range s.Grid.Data {
+		if math.Float32bits(v) != math.Float32bits(r.Grid.Data[i]) {
+			t.Fatalf("step after restore differs from the live run at grid value %d: %v vs %v", i, r.Grid.Data[i], v)
+		}
+	}
+	for d := 0; d < 3; d++ {
+		for i := 0; i < s.Part.N; i++ {
+			if s.Part.Pos[d][i] != r.Part.Pos[d][i] || s.Part.Vel[d][i] != r.Part.Vel[d][i] {
+				t.Fatalf("step after restore differs from the live run at particle %d", i)
+			}
+		}
+	}
+}

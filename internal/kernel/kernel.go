@@ -44,6 +44,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"vlasov6d/internal/advect"
 )
 
 // Mode selects the sweep implementation.
@@ -313,32 +315,12 @@ func (b *Brick) Sweep(axis int, mode Mode, c float32) error {
 // Φ_{i+1/2} = a[0]f_{i−2} + a[1]f_{i−1} + a[2]f_i + a[3]f_{i+1} + a[4]f_{i+2}.
 type coef5 [5]float32
 
-// cslCoefs derives the coefficients from the quintic Lagrange basis on the
-// primitive function: with t = 3−ξ and basis values ℓ_m(t),
-// a_r = [r ≤ 3] − Σ_{m≥r} ℓ_m(t) for r = 1..5.
+// cslCoefs returns the flux coefficients a_r(ξ) = ξ·b_r(ξ) from the scheme's
+// swept-average weights b_r, the one closed form of the CSL5 reconstruction.
 func cslCoefs(xi float64) coef5 {
-	t := 3 - xi
-	var ell [6]float64
-	for m := 0; m < 6; m++ {
-		num, den := 1.0, 1.0
-		for j := 0; j < 6; j++ {
-			if j == m {
-				continue
-			}
-			num *= t - float64(j)
-			den *= float64(m - j)
-		}
-		ell[m] = num / den
-	}
 	var a coef5
-	suffix := 0.0
-	for r := 5; r >= 1; r-- {
-		suffix += ell[r]
-		v := -suffix
-		if r <= 3 {
-			v += 1
-		}
-		a[r-1] = float32(v)
+	for r, b := range advect.SweptWeights(xi) {
+		a[r] = float32(xi * b)
 	}
 	return a
 }

@@ -195,18 +195,24 @@ func measureDampingRate(t *testing.T, s *Solver, dt float64, steps int) float64 
 }
 
 func TestLandauDampingMeasured(t *testing.T) {
-	// The flagship validation: the measured field-energy decay rate must
-	// match the kinetic-theory Landau rate within ~15%.
+	// The flagship validation, at the benchmark's landau_batch shape and with
+	// its gates, so that a kernel regression fails Tier-1: the measured
+	// field-energy decay rate must match the kinetic-theory Landau rate
+	// within 2 %, and mass must be conserved to 1e-9.
 	k := 0.5
 	s, err := New(64, 256, 2*math.Pi/k, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.LandauInit(0.01, k, 1.0)
+	m0 := s.TotalMass()
 	got := measureDampingRate(t, s, 0.05, 500)
 	want := LandauDampingRate(k, 1.0)
-	if math.Abs(got-want) > 0.15*math.Abs(want) {
-		t.Fatalf("measured γ = %v, theory %v", got, want)
+	if rel := math.Abs(got-want) / math.Abs(want); rel > 0.02 {
+		t.Fatalf("measured γ = %v, theory %v (off by %.2g)", got, want, rel)
+	}
+	if drift := math.Abs(s.TotalMass()-m0) / m0; drift > 1e-9 {
+		t.Fatalf("mass drifted by %.3g over the run", drift)
 	}
 }
 

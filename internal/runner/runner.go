@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -276,7 +277,10 @@ func WithFixedDT(dt float64) Option {
 // Run drives s until its Clock reaches until, or a step/wall-clock budget
 // runs out, or ctx is cancelled. Cancellation returns a partial-progress
 // error wrapping ctx.Err(); budget exhaustion is a normal stop recorded in
-// Report.Reason. The returned Report is never nil.
+// Report.Reason. The returned Report is never nil. A solver already at the
+// target is a finished run: Run takes no step, reports ReasonUntil and, under
+// WithCheckpoint, writes one snapshot of the state it found; a target behind
+// the clock is an error.
 func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report, error) {
 	rep := &Report{}
 	if s == nil {
@@ -287,8 +291,12 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if until <= rep.Clock {
-		return rep, fmt.Errorf("runner: target clock %v ≤ current clock %v", until, rep.Clock)
+	// A clock at the target — or past it by the round-off a clamped last
+	// step leaves — is a finished run; one further back is a request to run
+	// backwards.
+	finished := rep.Clock >= until
+	if finished && rep.Clock-until > 1e-9*math.Abs(until) {
+		return rep, fmt.Errorf("runner: target clock %v < current clock %v", until, rep.Clock)
 	}
 	if o.fixedDTSet && o.fixedDT <= 0 {
 		return rep, fmt.Errorf("runner: fixed dt %v must be positive", o.fixedDT)
@@ -326,6 +334,17 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 		if err := os.MkdirAll(o.ckptDir, 0o755); err != nil {
 			return rep, MarkRetryable(fmt.Errorf("runner: checkpoint dir: %w", err))
 		}
+	}
+	if finished {
+		// Nothing to step. The caller who asked for checkpoints still gets
+		// the state as found: no later step would ever write it.
+		rep.Reason = ReasonUntil
+		if ckpt != nil {
+			if err := o.checkpointNow(rep, ckpt); err != nil {
+				return rep, err
+			}
+		}
+		return rep, nil
 	}
 	// Async pipeline: started after validation so every early return above
 	// leaves no goroutine behind. Checkpoints ride the pipeline only when
@@ -447,30 +466,38 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 				if err := pipe.enqueue(event{step: step, clock: rep.Clock, ckpt: write}); err != nil {
 					return finish(err)
 				}
-			} else {
-				writeStart := time.Now()
-				path, n, err := writeCheckpointFile(o.ckptDir, rep.Clock, ckpt.Checkpoint)
-				if err != nil {
-					return finish(MarkRetryable(fmt.Errorf("runner: checkpoint at step %d: %w", rep.Steps, err)))
-				}
-				if o.ckptTimer != nil {
-					o.ckptTimer(rep.Clock, time.Since(writeStart))
-				}
-				rep.Checkpoints = append(rep.Checkpoints, path)
-				rep.CheckpointBytes += n
-				if o.ckptNotify != nil {
-					o.ckptNotify(path, rep.Clock)
-				}
-				if o.ckptKeep > 0 {
-					rep.Checkpoints, err = pruneCheckpoints(o.ckptDir, o.ckptKeep, rep.Checkpoints)
-					if err != nil {
-						return finish(MarkRetryable(fmt.Errorf("runner: checkpoint retention at step %d: %w", rep.Steps, err)))
-					}
-				}
+			} else if err := o.checkpointNow(rep, ckpt); err != nil {
+				return finish(err)
 			}
 		}
 	}
 	return finish(nil)
+}
+
+// checkpointNow writes one snapshot of the solver at rep.Clock on the calling
+// goroutine, records it in rep, and applies the timer, notify and retention
+// options.
+func (o *options) checkpointNow(rep *Report, ckpt Checkpointer) error {
+	writeStart := time.Now()
+	path, n, err := writeCheckpointFile(o.ckptDir, rep.Clock, ckpt.Checkpoint)
+	if err != nil {
+		return MarkRetryable(fmt.Errorf("runner: checkpoint at step %d: %w", rep.Steps, err))
+	}
+	if o.ckptTimer != nil {
+		o.ckptTimer(rep.Clock, time.Since(writeStart))
+	}
+	rep.Checkpoints = append(rep.Checkpoints, path)
+	rep.CheckpointBytes += n
+	if o.ckptNotify != nil {
+		o.ckptNotify(path, rep.Clock)
+	}
+	if o.ckptKeep > 0 {
+		rep.Checkpoints, err = pruneCheckpoints(o.ckptDir, o.ckptKeep, rep.Checkpoints)
+		if err != nil {
+			return MarkRetryable(fmt.Errorf("runner: checkpoint retention at step %d: %w", rep.Steps, err))
+		}
+	}
+	return nil
 }
 
 // writeCheckpointFile atomically writes one snapshot file ckpt_<clock>.v6d,

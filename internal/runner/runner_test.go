@@ -152,8 +152,8 @@ func TestRunFixedDT(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	f := &fake{t: 5, dt: 0.1}
-	if _, err := Run(context.Background(), f, 5); err == nil {
-		t.Fatal("target ≤ clock accepted")
+	if _, err := Run(context.Background(), f, 4.9); err == nil {
+		t.Fatal("target behind the clock accepted")
 	}
 	if _, err := Run(context.Background(), f, 6, WithFixedDT(-1)); err == nil {
 		t.Fatal("negative fixed dt accepted")
@@ -169,6 +169,47 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), nil, 6); err == nil {
 		t.Fatal("nil solver accepted")
+	}
+}
+
+// TestRunOnFinishedSolver: a solver already at the target — exactly, or past
+// it by the round-off a clamped last step leaves — is a finished run, not an
+// error: no step, ReasonUntil, and the snapshot the caller asked for.
+func TestRunOnFinishedSolver(t *testing.T) {
+	for _, clock := range []float64{5, 5 * (1 + 4e-13)} {
+		f := &ckptFake{fake{t: clock, dt: 0.1}}
+		rep, err := Run(context.Background(), f, 5)
+		if err != nil || rep.Steps != 0 || f.steps != 0 || rep.Reason != ReasonUntil || rep.Clock != clock {
+			t.Fatalf("clock %v: report %+v, err %v", clock, rep, err)
+		}
+		if len(rep.Checkpoints) != 0 {
+			t.Fatalf("clock %v: checkpoints %v without WithCheckpoint", clock, rep.Checkpoints)
+		}
+		dir := t.TempDir()
+		var notified []string
+		rep, err = Run(context.Background(), f, 5, WithMaxSteps(1), WithCheckpoint(dir, 3),
+			WithCheckpointNotify(func(path string, c float64) {
+				if c != clock {
+					t.Errorf("notified clock %v, want %v", c, clock)
+				}
+				notified = append(notified, path)
+			}))
+		if err != nil || rep.Steps != 0 || rep.Reason != ReasonUntil {
+			t.Fatalf("clock %v with checkpoints: report %+v, err %v", clock, rep, err)
+		}
+		onDisk, _ := ListCheckpoints(dir)
+		if len(rep.Checkpoints) != 1 || len(onDisk) != 1 || len(notified) != 1 || onDisk[0] != rep.Checkpoints[0] {
+			t.Fatalf("clock %v: reported %v, on disk %v, notified %v; want one snapshot of the final state",
+				clock, rep.Checkpoints, onDisk, notified)
+		}
+		got, err := os.ReadFile(onDisk[0])
+		if want := fmt.Sprintf("%8.5f", clock); err != nil || string(got) != want {
+			t.Fatalf("clock %v: snapshot holds %q (err %v), want %q", clock, got, err, want)
+		}
+	}
+	// Round-off is not a licence to run backwards.
+	if _, err := Run(context.Background(), &fake{t: 5 * (1 + 1e-6), dt: 0.1}, 5); err == nil {
+		t.Fatal("target behind the clock by 1e-6 accepted")
 	}
 }
 

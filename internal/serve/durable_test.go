@@ -99,10 +99,14 @@ func TestRestartRecovery(t *testing.T) {
 	}
 	srv, ts := newTestServer(t, cfg)
 
-	// 1000 fixed-dt steps to until=10; a checkpoint every 20 steps.
+	// 1000 fixed-dt steps to until=10; a checkpoint every 20 steps. The test
+	// needs the job alive at the kill, 980 steps after its first checkpoint:
+	// the grid is sized for that (16× the catalog default, the better part
+	// of a second of stepping), not the default job that a fast solver can
+	// finish inside the polling loop below.
 	const until, dt = 10.0, 0.01
 	code, body := postJSON(t, ts.URL+"/v1/jobs",
-		fmt.Sprintf(`{"scenario":"landau","name":"phoenix","until":%g,"fixed_dt":%g}`, until, dt))
+		fmt.Sprintf(`{"scenario":"landau","name":"phoenix","params":{"nx":64,"nv":256},"until":%g,"fixed_dt":%g}`, until, dt))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %v", code, body)
 	}
@@ -119,6 +123,9 @@ func TestRestartRecovery(t *testing.T) {
 			t.Fatal("no checkpoint appeared")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if _, st := getJSON(t, fmt.Sprintf("%s/v1/jobs/%d", ts.URL, id)); st["status"] != "running" {
+		t.Fatalf("job is %v at the kill, want it still running: it outran the test — give it a larger grid", st["status"])
 	}
 	ts.Close()
 	srv.Close()
@@ -145,7 +152,10 @@ func TestRestartRecovery(t *testing.T) {
 	if final["status"] != "done" {
 		t.Fatalf("recovered job: %v", final)
 	}
-	rep := final["report"].(map[string]any)
+	rep, ok := final["report"].(map[string]any)
+	if !ok {
+		t.Fatalf("recovered job finished without a report: %v", final)
+	}
 	if clock := rep["clock"].(float64); clock < until-1e-6 {
 		t.Fatalf("recovered run stopped at clock %v, want the uninterrupted target %v", clock, until)
 	}

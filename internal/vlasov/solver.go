@@ -12,8 +12,11 @@
 //
 // Lines are gathered from the List-1 layout into per-worker float64 buffers
 // (the arithmetic runs in double precision, storage is float32 as in the
-// paper's mixed-precision design) and scattered back. Work is parallelised
-// over independent lines with one scheme clone per worker.
+// paper's mixed-precision design) and scattered back. They go to the scheme
+// in batches that share one CFL number — the lines of a velocity cube in a
+// kick, the lines of one velocity index in a drift — so that what the scheme
+// derives from the CFL number is computed once per batch. Work is
+// parallelised over independent batches with one scheme clone per worker.
 package vlasov
 
 import (
@@ -45,6 +48,9 @@ type Solver struct {
 	pool []*worker
 	// cfl is the reusable per-velocity-index CFL table of driftAxis.
 	cfl []float64
+	// axes is the cube geometry around each velocity axis (the grid's
+	// extents are fixed for the life of the solver).
+	axes [3]cubeAxis
 	// kg/dg carry the geometry of the sweep in flight: written before the
 	// serial or parallel range calls of one axis, read-only during them
 	// (axes advance strictly one at a time).
@@ -54,10 +60,9 @@ type Solver struct {
 
 // kickGeom is the line geometry of one velocity-axis kick sweep.
 type kickGeom struct {
-	dt, du               float64
-	acc                  []float64
-	nLine, stride, nPerp int
-	d                    int
+	dt, du float64
+	acc    []float64
+	d      int
 }
 
 // driftGeom is the line geometry of one spatial-axis drift sweep.
@@ -67,6 +72,33 @@ type driftGeom struct {
 	cellStride int
 	ncube      int
 	d          int
+}
+
+// cubeAxis is the geometry of a velocity cube around one velocity axis d:
+// the cube offsets of the elements with index 0 along d, and the stride
+// between consecutive indices. Each offset starts one line along d (a kick
+// batch is all of them); adding j·stride gives the elements that share the
+// velocity index j, whose CFL number a drift along spatial axis d shares.
+type cubeAxis struct {
+	offs   []int
+	stride int
+}
+
+func newCubeAxis(nu [3]int, d int) cubeAxis {
+	outer, inner := 1, 1
+	for k := 0; k < d; k++ {
+		outer *= nu[k]
+	}
+	for k := d + 1; k < 3; k++ {
+		inner *= nu[k]
+	}
+	offs := make([]int, 0, outer*inner)
+	for o := 0; o < outer; o++ {
+		for in := 0; in < inner; in++ {
+			offs = append(offs, o*nu[d]*inner+in)
+		}
+	}
+	return cubeAxis{offs: offs, stride: inner}
 }
 
 // New creates a solver using the named advection scheme ("slmpp5" for the
@@ -79,7 +111,11 @@ func New(g *phase.Grid, scheme string) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Solver{g: g, proto: s, workers: runtime.GOMAXPROCS(0)}, nil
+	sol := &Solver{g: g, proto: s, workers: runtime.GOMAXPROCS(0)}
+	for d := range sol.axes {
+		sol.axes[d] = newCubeAxis(g.NU, d)
+	}
+	return sol, nil
 }
 
 // Grid returns the underlying phase-space grid.
@@ -200,18 +236,7 @@ func (s *Solver) Drift(dt, a float64) error {
 // the advection velocity being −∂φ/∂x = acc).
 func (s *Solver) kickAxis(d int, dt float64, accD []float64) error {
 	g := s.g
-	nu := g.NU
-	// Line geometry within a cube for axis d.
-	var nLine, stride, nPerp int
-	switch d {
-	case 0:
-		nLine, stride, nPerp = nu[0], nu[1]*nu[2], nu[1]*nu[2]
-	case 1:
-		nLine, stride, nPerp = nu[1], nu[2], nu[0]*nu[2]
-	default:
-		nLine, stride, nPerp = nu[2], 1, nu[0]*nu[1]
-	}
-	s.kg = kickGeom{dt: dt, du: g.DU(d), acc: accD, nLine: nLine, stride: stride, nPerp: nPerp, d: d}
+	s.kg = kickGeom{dt: dt, du: g.DU(d), acc: accD, d: d}
 	ncell := g.NCells()
 	nw := s.clampWorkers(ncell)
 	if nw <= 1 {
@@ -224,59 +249,44 @@ func (s *Solver) kickAxis(d int, dt float64, accD []float64) error {
 }
 
 // kickRange advects the velocity cubes of spatial cells [lo, hi) along the
-// axis described by s.kg.
+// axis described by s.kg. All lines of a cube share the cell's acceleration
+// and go through the scheme as one batch.
 func (s *Solver) kickRange(w *worker, lo, hi int) error {
 	g := s.g
 	kg := &s.kg
-	nu := g.NU
+	offs, stride := s.axes[kg.d].offs, s.axes[kg.d].stride
+	n := g.NU[kg.d]
+	lines := w.lines[:g.NCube()]
 	for cell := lo; cell < hi; cell++ {
 		c := kg.acc[cell] * kg.dt / kg.du
 		if c == 0 {
 			continue
 		}
 		cube := g.CubeAt(cell)
-		loss := 0.0
-		for p := 0; p < kg.nPerp; p++ {
-			off := perpOffset(kg.d, p, nu)
-			line := w.line[:kg.nLine]
-			for i := 0; i < kg.nLine; i++ {
-				line[i] = float64(cube[off+i*kg.stride])
-			}
-			var before float64
-			for _, v := range line {
+		// Transpose the cube to line-major order, summing it on the way.
+		var before, after float64
+		for i := 0; i < n; i++ {
+			plane := cube[i*stride:]
+			for l, off := range offs {
+				v := float64(plane[off])
+				lines[l*n+i] = v
 				before += v
 			}
-			if err := w.open.StepOpen(line, c); err != nil {
-				return err
-			}
-			var after float64
-			for _, v := range line {
+		}
+		if err := w.open.StepLinesOpen(lines, n, c); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			plane := cube[i*stride:]
+			for l, off := range offs {
+				v := lines[l*n+i]
+				plane[off] = float32(v)
 				after += v
 			}
-			loss += before - after
-			for i := 0; i < kg.nLine; i++ {
-				cube[off+i*kg.stride] = float32(line[i])
-			}
 		}
-		if loss != 0 {
-			w.loss += loss // raw Σf; converted to mass units in addLoss
-		}
+		w.loss += before - after // raw Σf; converted to mass units in addLoss
 	}
 	return nil
-}
-
-// perpOffset returns the cube offset of the p-th perpendicular line for
-// velocity axis d.
-func perpOffset(d, p int, nu [3]int) int {
-	switch d {
-	case 0: // lines vary jx; perp = (jy, jz)
-		return p // jy*nu2 + jz, stride nu1*nu2 applied per element
-	case 1: // lines vary jy; perp = (jx, jz)
-		jx, jz := p/nu[2], p%nu[2]
-		return jx*nu[1]*nu[2] + jz
-	default: // lines vary jz; perp = (jx, jy)
-		return p * nu[2]
-	}
 }
 
 // driftAxis advects along spatial axis d with per-velocity-index CFL
@@ -323,30 +333,36 @@ func (s *Solver) driftAxis(d int, dt, a float64) error {
 }
 
 // driftRange advects perpendicular spatial columns [lo, hi) along the axis
-// described by s.dg.
+// described by s.dg. Within a column, the cube elements that share the
+// velocity index along the axis share the CFL number; their lines go through
+// the scheme as one batch.
 func (s *Solver) driftRange(w *worker, lo, hi int) error {
 	g := s.g
 	dg := &s.dg
-	nu := g.NU
+	offs, stride := s.axes[dg.d].offs, s.axes[dg.d].stride
+	n := dg.nLine
 	str := dg.cellStride * dg.ncube
+	lines := w.lines[:len(offs)*n]
 	for p := lo; p < hi; p++ {
-		base := spatialPerpOffset(dg.d, p, g)
-		line := w.line[:dg.nLine]
-		for e := 0; e < dg.ncube; e++ {
-			j := velIndexAlong(dg.d, e, nu)
-			c := dg.cfl[j]
+		col := g.Data[spatialPerpOffset(dg.d, p, g)*dg.ncube:]
+		for j, c := range dg.cfl {
 			if c == 0 {
 				continue
 			}
-			off := base*dg.ncube + e
-			for i := 0; i < dg.nLine; i++ {
-				line[i] = float64(g.Data[off+i*str])
+			for i := 0; i < n; i++ {
+				elems := col[i*str+j*stride:]
+				for l, off := range offs {
+					lines[l*n+i] = float64(elems[off])
+				}
 			}
-			if err := w.per.Step(line, c); err != nil {
+			if err := advect.StepLines(w.per, lines, n, c); err != nil {
 				return err
 			}
-			for i := 0; i < dg.nLine; i++ {
-				g.Data[off+i*str] = float32(line[i])
+			for i := 0; i < n; i++ {
+				elems := col[i*str+j*stride:]
+				for l, off := range offs {
+					elems[off] = float32(lines[l*n+i])
+				}
 			}
 		}
 	}
@@ -367,39 +383,28 @@ func spatialPerpOffset(d, p int, g *phase.Grid) int {
 	}
 }
 
-// velIndexAlong extracts the velocity index along axis d from a flat cube
-// element index.
-func velIndexAlong(d, e int, nu [3]int) int {
-	switch d {
-	case 0:
-		return e / (nu[1] * nu[2])
-	case 1:
-		return (e / nu[2]) % nu[1]
-	default:
-		return e % nu[2]
-	}
-}
-
 // worker carries per-goroutine scratch.
 type worker struct {
-	line []float64
-	per  advect.Scheme // periodic stepper
-	open *advect.SLMPP5
-	loss float64
+	lines []float64     // one batch of gathered lines, back to back
+	per   advect.Scheme // periodic stepper
+	open  *advect.SLMPP5
+	loss  float64
 }
 
 func (s *Solver) newWorker() *worker {
 	g := s.g
-	maxLen := g.NX
-	for _, n := range []int{g.NY, g.NZ, g.NU[0], g.NU[1], g.NU[2]} {
-		if n > maxLen {
-			maxLen = n
+	// The largest batch: a whole cube in a kick, or along spatial axis d the
+	// lines of the cube elements sharing one velocity index.
+	size := g.NCube()
+	for d, n := range [3]int{g.NX, g.NY, g.NZ} {
+		if b := g.NCube() / g.NU[d] * n; b > size {
+			size = b
 		}
 	}
 	return &worker{
-		line: make([]float64, maxLen),
-		per:  s.proto.Clone(),
-		open: advect.NewSLMPP5(),
+		lines: make([]float64, size),
+		per:   s.proto.Clone(),
+		open:  advect.NewSLMPP5(),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"vlasov6d/internal/advect"
 	"vlasov6d/internal/phase"
 )
 
@@ -334,5 +335,125 @@ func TestDiagnosticsInvariants(t *testing.T) {
 	// global max by a few percent. Guard against runaway only.
 	if d1.MaxF > d0.MaxF*1.10 {
 		t.Fatalf("global max grew beyond the splitting allowance: %v -> %v", d0.MaxF, d1.MaxF)
+	}
+}
+
+// TestSweepsMatchPerLineReference pins the batched gather/scatter geometry on
+// a grid with six different extents: every sweep must equal, bit for bit,
+// stepping each of its lines on its own through the per-line scheme entry.
+func TestSweepsMatchPerLineReference(t *testing.T) {
+	g, err := phase.New(6, 7, 8, [3]int{9, 6, 7}, [3]float64{60, 70, 80}, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+		return (1 + 0.3*math.Sin(2*math.Pi*(x/60+2*y/70+z/80))) *
+			math.Exp(-((ux-300)*(ux-300)+uy*uy+(uz+500)*(uz+500))/(2*1200*1200))
+	})
+	ref := g.Clone()
+	acc := zeroAcc(g.NCells())
+	for d := range acc {
+		for c := range acc[d] {
+			acc[d][c] = 900 * math.Sin(float64(3*c+d)) // |CFL| up to ~1.4 per half kick
+		}
+	}
+	const dt, a = 2.0, 0.9
+	s, _ := New(g, "slmpp5")
+	s.SetWorkers(3)
+	if err := s.Step(dt, a, acc); err != nil {
+		t.Fatal(err)
+	}
+
+	sch := advect.NewSLMPP5()
+	nu, ns := ref.NU, [3]int{ref.NX, ref.NY, ref.NZ}
+	ncube := ref.NCube()
+	uStride := [3]int{nu[1] * nu[2], nu[2], 1}
+	xStride := [3]int{ns[1] * ns[2], ns[2], 1}
+	kick := func() {
+		for d := 0; d < 3; d++ {
+			for cell := 0; cell < ref.NCells(); cell++ {
+				c := acc[d][cell] * (dt / 2) / ref.DU(d)
+				cube := ref.CubeAt(cell)
+				for e := 0; e < ncube; e++ {
+					if (e/uStride[d])%nu[d] != 0 {
+						continue // not the first element of a line along d
+					}
+					line := make([]float64, nu[d])
+					for i := range line {
+						line[i] = float64(cube[e+i*uStride[d]])
+					}
+					if err := sch.StepOpen(line, c); err != nil {
+						t.Fatal(err)
+					}
+					for i := range line {
+						cube[e+i*uStride[d]] = float32(line[i])
+					}
+				}
+			}
+		}
+	}
+	kick()
+	for d := 0; d < 3; d++ {
+		for cell := 0; cell < ref.NCells(); cell++ {
+			if (cell/xStride[d])%ns[d] != 0 {
+				continue
+			}
+			for e := 0; e < ncube; e++ {
+				c := ref.U(d, (e/uStride[d])%nu[d]) * dt / (a * a * ref.DX(d))
+				line := make([]float64, ns[d])
+				for i := range line {
+					line[i] = float64(ref.Data[(cell+i*xStride[d])*ncube+e])
+				}
+				if err := sch.Step(line, c); err != nil {
+					t.Fatal(err)
+				}
+				for i := range line {
+					ref.Data[(cell+i*xStride[d])*ncube+e] = float32(line[i])
+				}
+			}
+		}
+	}
+	kick()
+	for i := range ref.Data {
+		if g.Data[i] != ref.Data[i] {
+			t.Fatalf("batched sweeps diverge from per-line stepping at %d: %v vs %v", i, g.Data[i], ref.Data[i])
+		}
+	}
+}
+
+// TestKickRejectsNonFiniteAcceleration: a NaN or infinite acceleration must
+// fail the step (it used to spin for 2⁶³ iterations), whatever the worker
+// count, and a huge finite one must cost no more than emptying the cube.
+func TestKickRejectsNonFiniteAcceleration(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, workers := range []int{1, 2} {
+			g := testGrid(t)
+			g.Fill(func(x, y, z, ux, uy, uz float64) float64 { return 1 })
+			s, _ := New(g, "slmpp5")
+			s.SetWorkers(workers)
+			acc := zeroAcc(g.NCells())
+			acc[1][g.NCells()-3] = bad
+			if err := s.KickHalf(0.01, acc); err == nil {
+				t.Fatalf("acceleration %v accepted with %d workers", bad, workers)
+			}
+		}
+	}
+	g := testGrid(t)
+	g.Fill(func(x, y, z, ux, uy, uz float64) float64 { return 1 })
+	m0 := g.TotalMass()
+	s, _ := New(g, "slmpp5")
+	s.SetWorkers(1)
+	acc := zeroAcc(g.NCells())
+	acc[2][5] = -1e300
+	if err := s.KickHalf(0.01, acc); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range g.CubeAt(5) {
+		if v != 0 {
+			t.Fatalf("cube under |CFL| ≫ n kept %v, want it emptied", v)
+		}
+	}
+	if rel := math.Abs(m0-g.TotalMass()-s.BoundaryLoss) / m0; rel > 1e-6 {
+		t.Fatalf("emptied cube not accounted: escaped %v, recorded %v", m0-g.TotalMass(), s.BoundaryLoss)
 	}
 }

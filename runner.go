@@ -75,7 +75,9 @@ const (
 // Run drives solver until its clock reaches `until` (a target scale factor
 // for cosmological runs, a target time for plasma runs), a step or
 // wall-clock budget runs out, or ctx is cancelled. Cancellation returns a
-// partial-progress error wrapping ctx.Err().
+// partial-progress error wrapping ctx.Err(). A solver already at `until` is a
+// finished run: no step is taken, the report says ReasonUntil, and
+// WithCheckpoint still writes one snapshot of the final state.
 func Run(ctx context.Context, solver Solver, until float64, opts ...RunOption) (*RunReport, error) {
 	return runner.Run(ctx, solver, until, opts...)
 }
