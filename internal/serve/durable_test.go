@@ -14,6 +14,7 @@ import (
 
 	"vlasov6d/internal/runner"
 	"vlasov6d/internal/sched"
+	"vlasov6d/internal/store"
 	"vlasov6d/internal/tenant"
 )
 
@@ -340,5 +341,97 @@ func TestPlainMetricsStillGreppable(t *testing.T) {
 		if !strings.Contains(m, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, m)
 		}
+	}
+}
+
+// TestCloseClosesIndex: Close finalises all three logs, the artifact index
+// included — a Put after it is refused, while reads of what the index
+// already holds keep answering from memory.
+func TestCloseClosesIndex(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, StoreDir: t.TempDir()})
+	code, body := postJSON(t, ts.URL+"/v1/jobs",
+		`{"scenario":"landau","name":"kept","until":0.02,"fixed_dt":0.01}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", code, body)
+	}
+	id := int(body["id"].(float64))
+	pollStatus(t, ts.URL, id, "done")
+	ts.Close()
+	srv.Close()
+
+	err := srv.index.Put(store.IndexEntry{ID: id + 1, Name: "late", Status: "done"})
+	if err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("index.Put after Close: %v, want a closed error", err)
+	}
+	if e, ok := srv.index.Get(id); !ok || e.Name != "kept" || e.Status != "done" {
+		t.Fatalf("index.Get after Close: %+v ok=%v", e, ok)
+	}
+}
+
+// TestSubmitFailsClosedOnJournalError: a 202 promises the job survives a
+// restart, so a submission the journal refuses gets a 503 with Retry-After
+// and leaves nothing behind — no job, no queued stream work, no counter.
+func TestSubmitFailsClosedOnJournalError(t *testing.T) {
+	storeDir := t.TempDir()
+	srv, ts := newTestServer(t, Config{Workers: 1, StoreDir: storeDir})
+	defer srv.Close()
+	srv.store.Close() // every journal append now fails
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"scenario":"landau","name":"lost","until":0.02,"fixed_dt":0.01}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("submit with a failing journal: %d, Retry-After %q, body %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), blob)
+	}
+	code, list := getJSON(t, ts.URL+"/v1/jobs")
+	if jobs, _ := list["jobs"].([]any); code != http.StatusOK || len(jobs) != 0 {
+		t.Fatalf("job list after the refusal: %d %v", code, list)
+	}
+	if v := metricValue(t, ts.URL, "vlasovd_jobs_submitted_total"); v != 0 {
+		t.Fatalf("vlasovd_jobs_submitted_total = %v, want 0", v)
+	}
+	if n := srv.stream.Submitted(); n != 0 {
+		t.Fatalf("stream holds %d submissions, want 0", n)
+	}
+	srv.mu.Lock()
+	residue := len(srv.jobs) + len(srv.byStream) + srv.queued[""]
+	srv.mu.Unlock()
+	if residue != 0 {
+		t.Fatalf("refused submission left %d registry entries", residue)
+	}
+	recs, err := store.ReadAuditLog(storeDir)
+	if err != nil || len(recs) != 1 || recs[0].Outcome != "503" || recs[0].SpecHash == "" {
+		t.Fatalf("audit after the refusal: %+v, %v", recs, err)
+	}
+}
+
+// TestRejectedSubmissionNotReplayed: the journal is written before the
+// stream sees a job, so a submission the stream then turns down (here a
+// live duplicate name, 409) is retracted — a restart recovers the job
+// that was accepted and nothing else.
+func TestRejectedSubmissionNotReplayed(t *testing.T) {
+	cfg := Config{Workers: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 10, StoreDir: t.TempDir()}
+	srv, ts := newTestServer(t, cfg)
+	const spec = `{"scenario":"landau","name":"twice","until":1000,"fixed_dt":0.01}`
+	code, body := postJSON(t, ts.URL+"/v1/jobs", spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", code, body)
+	}
+	pollStatus(t, ts.URL, int(body["id"].(float64)), "running")
+	if code, body := postJSON(t, ts.URL+"/v1/jobs", spec); code != http.StatusConflict {
+		t.Fatalf("duplicate submit: %d %v", code, body)
+	}
+	ts.Close()
+	srv.Close()
+
+	srv2, ts2 := newTestServer(t, cfg)
+	defer srv2.Close()
+	if got := metricValue(t, ts2.URL, "vlasovd_jobs_recovered_total"); got != 1 {
+		t.Fatalf("recovered %v jobs, want 1 (the 409'd duplicate must stay refused)", got)
 	}
 }

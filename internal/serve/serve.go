@@ -395,16 +395,19 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// closeStore finalises the journal exactly once (Close and Drain may both
-// run, in either order).
+// closeStore finalises the journal, the artifact index and the audit log
+// exactly once (Close and Drain may both run, in either order).
 func (s *Server) closeStore() {
 	s.storeOnce.Do(func() {
 		if s.store != nil {
 			s.store.Close()
 		}
-		if s.audit != nil {
+		if s.index != nil {
 			// In-memory reads (index.Get) stay valid after Close; only
 			// appends are fenced, and a post-drain append is a bug anyway.
+			s.index.Close()
+		}
+		if s.audit != nil {
 			s.audit.Close()
 		}
 	})
@@ -1075,8 +1078,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := s.allocIDLocked()
+	if s.store != nil {
+		// Journal before the stream sees the job, and fail closed: a 202 is
+		// a promise that the job survives a restart, so a submission the
+		// journal refused is turned away with nothing to undo. Canonical
+		// bytes, so the journal round-trips the spec byte-stably across
+		// write/replay/compact cycles.
+		raw, err := spec.Canonical()
+		if err == nil {
+			err = s.store.Submitted(id, entry.tenant, raw, entry.submitted)
+		}
+		if err != nil {
+			s.mu.Unlock()
+			s.recordAdmission(tenantName, "503", err.Error(), hash, 0)
+			writeRetryErr(w, http.StatusServiceUnavailable, drainRetryAfter,
+				fmt.Errorf("serve: job not journaled: %w", err))
+			return
+		}
+	}
 	sid, err := s.stream.SubmitID(job)
 	if err != nil {
+		if s.store != nil {
+			// The stream turned down a job the journal already holds:
+			// retract it, or the next boot replays work its client was
+			// told was refused.
+			s.store.Terminal(id, "cancelled", "submission rejected: "+err.Error())
+		}
 		s.mu.Unlock()
 		// A closed or cancelled stream is the service shutting down — the
 		// same 503 as the draining gate. Only the duplicate-checkpoint-key
@@ -1095,15 +1122,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.byStream[sid] = id
 	s.queued[entry.tenant]++
 	s.submitted++
-	if s.store != nil {
-		// Canonical bytes, so the journal round-trips the spec byte-stably
-		// across write/replay/compact cycles. Canonical cannot fail on a
-		// spec that json-decoded above; a failure here would be a journal
-		// bug, not a client error, so the submission proceeds regardless.
-		if raw, err := spec.Canonical(); err == nil {
-			s.store.Submitted(id, entry.tenant, raw, entry.submitted)
-		}
-	}
 	s.mu.Unlock()
 	// The admission span brackets spec decode, catalog resolution, quota
 	// checks and journaling — the control-plane overhead a client pays

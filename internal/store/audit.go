@@ -20,7 +20,6 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -56,54 +55,21 @@ func (r AuditRecord) At() time.Time { return time.Unix(0, r.UnixNano) }
 
 // Audit is an open audit log. All methods are safe for concurrent use.
 type Audit struct {
-	dir string
-
-	mu sync.Mutex
-	f  *os.File
+	mu  sync.Mutex
+	log *framedLog
 }
 
 // OpenAudit opens (creating if absent) the audit log under dir. A torn
 // tail — the half-written record a SIGKILL can leave — is truncated at
-// the last whole record. Unlike the journal, nothing is dropped:
+// the last whole record. Unlike the journal, nothing is dropped or folded:
 // replay here only finds the end of the valid prefix.
 func OpenAudit(dir string) (*Audit, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("store: empty directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	a := &Audit{dir: dir}
-	f, err := os.OpenFile(a.path(), os.O_RDWR|os.O_CREATE, 0o644)
+	l, err := openLog(dir, auditName, func([]byte) {})
 	if err != nil {
-		return nil, fmt.Errorf("store: audit: %w", err)
+		return nil, err
 	}
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: audit: %w", err)
-	}
-	good := int64(0)
-	r := &countingReader{r: f}
-	for {
-		if _, err := readFrame(r); err != nil {
-			break // io.EOF: clean end; anything else: torn tail
-		}
-		good = r.n
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: audit truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: audit: %w", err)
-	}
-	a.f = f
-	return a, nil
+	return &Audit{log: l}, nil
 }
-
-// path is the audit log file path.
-func (a *Audit) path() string { return filepath.Join(a.dir, auditName) }
 
 // Append records one decision and fsyncs it. An audit entry that could be
 // lost to a crash is not an audit entry.
@@ -114,16 +80,7 @@ func (a *Audit) Append(rec AuditRecord) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.f == nil {
-		return fmt.Errorf("store: audit closed")
-	}
-	if _, err := writeFrame(a.f, payload); err != nil {
-		return fmt.Errorf("store: audit append: %w", err)
-	}
-	if err := a.f.Sync(); err != nil {
-		return fmt.Errorf("store: audit sync: %w", err)
-	}
-	return nil
+	return a.log.append(payload)
 }
 
 // ReadAuditLog reads every whole record from an audit log file, stopping
@@ -140,28 +97,19 @@ func ReadAuditLog(dir string) ([]AuditRecord, error) {
 	}
 	defer f.Close()
 	var out []AuditRecord
-	r := &countingReader{r: f}
-	for {
-		payload, err := readFrame(r)
-		if err != nil {
-			return out, nil
-		}
+	scanFrames(f, func(payload []byte) {
 		var rec AuditRecord
-		if json.Unmarshal(payload, &rec) != nil {
-			continue // unknown shape from a newer daemon: skip, keep reading
+		// An unknown shape from a newer daemon is skipped, not fatal.
+		if json.Unmarshal(payload, &rec) == nil {
+			out = append(out, rec)
 		}
-		out = append(out, rec)
-	}
+	})
+	return out, nil
 }
 
 // Close closes the audit log. Appends after Close fail.
 func (a *Audit) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.f == nil {
-		return nil
-	}
-	err := a.f.Close()
-	a.f = nil
-	return err
+	return a.log.close()
 }

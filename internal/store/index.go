@@ -20,9 +20,6 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -97,81 +94,35 @@ func (e IndexEntry) FinishedAt() time.Time  { return time.Unix(0, e.FinishedUnix
 // Index is an open artifact index. All methods are safe for concurrent
 // use.
 type Index struct {
-	dir string
-
 	mu   sync.Mutex
-	f    *os.File
+	log  *framedLog
 	byID map[int]*IndexEntry
 }
 
 // OpenIndex replays (and compacts) the artifact index under dir, creating
 // the directory and an empty index when none exists. A torn tail is
 // truncated at the last whole entry; duplicate ids keep the newest entry.
-// A stale index.v6di.tmp from a compaction killed mid-rewrite is removed
-// unread — the rename never happened, so the real index is authoritative.
+// A stale index.v6di.tmp from a compaction killed mid-rewrite is never
+// replayed — the rename never happened, so the real index is authoritative
+// — and the compaction here overwrites it.
 func OpenIndex(dir string) (*Index, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("store: empty directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	ix := &Index{dir: dir, byID: make(map[int]*IndexEntry)}
-	os.Remove(ix.path() + ".tmp")
-	if err := ix.replay(); err != nil {
+	ix := &Index{byID: make(map[int]*IndexEntry)}
+	l, err := openLog(dir, indexName, func(payload []byte) {
+		var e IndexEntry
+		// An unknown shape from a newer daemon is skipped, not fatal.
+		if json.Unmarshal(payload, &e) == nil {
+			ix.byID[e.ID] = &e
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	ix.mu.Lock()
-	err := ix.compactLocked()
-	ix.mu.Unlock()
-	if err != nil {
+	ix.log = l
+	if err := ix.compactLocked(); err != nil {
+		l.close()
 		return nil, err
 	}
 	return ix, nil
-}
-
-// path is the index file path.
-func (ix *Index) path() string { return filepath.Join(ix.dir, indexName) }
-
-// replay reads every whole entry, truncating a torn or corrupt tail.
-func (ix *Index) replay() error {
-	f, err := os.OpenFile(ix.path(), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	// First-create durability: the file's directory entry must survive a
-	// power loss, same as the journal's.
-	if err := syncDir(ix.dir); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	good := int64(0)
-	r := &countingReader{r: f}
-	for {
-		payload, err := readFrame(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			break // torn tail: keep everything up to the last whole entry
-		}
-		good = r.n
-		var e IndexEntry
-		if json.Unmarshal(payload, &e) != nil {
-			continue // unknown shape from a newer daemon: skip, keep reading
-		}
-		ix.byID[e.ID] = &e
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return fmt.Errorf("store: truncate torn index tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	ix.f = f
-	return nil
 }
 
 // Compact rewrites the index to one entry per id (the newest),
@@ -187,52 +138,20 @@ func (ix *Index) Compact() error {
 // atomically. A daemon that re-runs a recovered job terminal-journals it
 // twice across lives; compaction keeps the file proportional to the
 // distinct finished set. Callers hold ix.mu (or, during OpenIndex,
-// exclusive access). The parent directory is fsynced after the rename —
-// see compactLocked on Store for why.
+// exclusive access).
 func (ix *Index) compactLocked() error {
-	if ix.f == nil {
-		return fmt.Errorf("store: index closed")
-	}
-	tmp := ix.path() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: index compact: %w", err)
-	}
-	for _, e := range ix.entriesLocked() {
-		payload, merr := json.Marshal(e)
-		if merr != nil {
-			err = merr
-			break
+	return ix.log.rewrite(func(write func([]byte) error) error {
+		for _, e := range ix.entriesLocked() {
+			payload, err := json.Marshal(e)
+			if err != nil {
+				return err
+			}
+			if err := write(payload); err != nil {
+				return err
+			}
 		}
-		if _, werr := writeFrame(f, payload); werr != nil {
-			err = werr
-			break
-		}
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: index compact: %w", err)
-	}
-	if err := os.Rename(tmp, ix.path()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: index compact: %w", err)
-	}
-	if err := syncDir(ix.dir); err != nil {
-		return fmt.Errorf("store: index compact: %w", err)
-	}
-	ix.f.Close()
-	f, err = os.OpenFile(ix.path(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: reopen index after compact: %w", err)
-	}
-	ix.f = f
-	return nil
+		return nil
+	})
 }
 
 // entriesLocked returns the entries in id order. Callers hold ix.mu (or,
@@ -256,14 +175,8 @@ func (ix *Index) Put(e IndexEntry) error {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.f == nil {
-		return fmt.Errorf("store: index closed")
-	}
-	if _, err := writeFrame(ix.f, payload); err != nil {
-		return fmt.Errorf("store: index append: %w", err)
-	}
-	if err := ix.f.Sync(); err != nil {
-		return fmt.Errorf("store: index sync: %w", err)
+	if err := ix.log.append(payload); err != nil {
+		return err
 	}
 	ix.byID[e.ID] = &e
 	return nil
@@ -317,10 +230,5 @@ func (ix *Index) Len() int {
 func (ix *Index) Close() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.f == nil {
-		return nil
-	}
-	err := ix.f.Close()
-	ix.f = nil
-	return err
+	return ix.log.close()
 }

@@ -1,10 +1,28 @@
-// Package store is the durable half of the control plane: an append-only
-// journal of job lifecycle events that survives a daemon kill. The HTTP
-// layer (internal/serve) keeps its queue in memory — the stream scheduler
-// is deliberately volatile — so without this package a restart forgets
-// every queued and running job, which disqualifies the service for the
-// ROADMAP's always-on exemplar (SK-Gd's real-time monitor: a campaign that
-// must survive process restarts without losing state).
+// Package store is the durable half of the control plane: three
+// append-only files under one directory that survive a daemon kill. The
+// HTTP layer (internal/serve) keeps its queue in memory — the stream
+// scheduler is deliberately volatile — so without this package a restart
+// forgets every queued and running job, which disqualifies the service for
+// the ROADMAP's always-on exemplar (SK-Gd's real-time monitor: a campaign
+// that must survive process restarts without losing state).
+//
+// One frame format and one file protocol serve all three (framedlog.go).
+// A frame is u32-LE payload length | u32-LE CRC32-IEEE of the payload |
+// JSON payload. Open creates the file if absent and fsyncs the directory,
+// replays every whole frame, and truncates the torn tail a SIGKILL
+// mid-append can leave; a CRC-valid payload the reader cannot decode is
+// skipped, never a reason to drop what follows it. Append fsyncs before it
+// returns. Rewrite goes temp file → fsync → rename → directory fsync, so a
+// kill leaves the old file or the new one, plus at worst a stale .tmp that
+// is never read. What differs per log is policy:
+//
+//	file          holds                rewritten                   drops
+//	journal.v6dj  unfinished jobs      at Open, on Compact and     terminal jobs
+//	              (store.go)           SetAutoCompact thresholds
+//	index.v6di    finished jobs        at OpenIndex, on Compact    all but the newest
+//	              (index.go)                                       entry per id
+//	audit.v6da    admission decisions  never                       nothing; opening
+//	              (audit.go)                                       it deletes no file
 //
 // The journal records five event kinds per job, keyed by a persistent job
 // id that outlives any single process:
@@ -17,39 +35,28 @@
 //	            event)
 //	terminal    the job finished: done, failed, or user-cancelled
 //
-// Records are CRC-framed (length + CRC32 + JSON payload) and fsynced, so a
-// SIGKILL mid-write leaves at worst a torn tail, which Open truncates at
-// the last whole record. Shutdown-driven cancellation is deliberately NOT
-// journaled as terminal — a job cancelled because the daemon died is
-// unfinished work, and replaying it is the whole point.
+// Shutdown-driven cancellation is deliberately NOT journaled as terminal —
+// a job cancelled because the daemon died is unfinished work, and
+// replaying it is the whole point.
 //
 // Open replays the journal, then compacts: terminal jobs' records are
-// dropped and the survivors rewritten (atomically, temp + rename), so the
-// file stays proportional to the unfinished set, not the service's entire
-// history. Pending returns the unfinished jobs oldest-first; the control
-// plane re-queues them into the stream and the existing checkpoint-resume
-// machinery (sched's WithJobCheckpoints + the catalog Restore hooks)
-// continues each one from its newest snapshot.
+// dropped and the survivors rewritten, so the file stays proportional to
+// the unfinished set, not the service's entire history. Pending returns
+// the unfinished jobs oldest-first; the control plane re-queues them into
+// the stream and the existing checkpoint-resume machinery (sched's
+// WithJobCheckpoints + the catalog Restore hooks) continues each one from
+// its newest snapshot.
 //
 // Compaction is also available online: Compact is safe to call while
-// appends are in flight (it runs under the store mutex, temp + rename,
-// and the directory is fsynced after the rename so a power loss cannot
-// roll the rename back and resurrect terminal jobs), and SetAutoCompact
-// arms size/record thresholds that trigger it from the append path — a
-// long-running daemon's journal stays proportional to its live work
-// instead of growing until the next boot. A compaction interrupted by a
-// kill leaves at worst a stale journal.v6dj.tmp, which the next Open
-// removes without ever replaying it.
+// appends are in flight (it runs under the store mutex), and
+// SetAutoCompact arms size/record thresholds that trigger it from the
+// append path — a long-running daemon's journal stays proportional to its
+// live work instead of growing until the next boot.
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -57,10 +64,6 @@ import (
 
 // journalName is the journal file inside the store directory.
 const journalName = "journal.v6dj"
-
-// maxRecordLen bounds a single record frame. A length prefix past it means
-// the frame is garbage (a torn or corrupt header), not a real record.
-const maxRecordLen = 16 << 20
 
 // record is the on-disk payload of one journal frame.
 type record struct {
@@ -121,18 +124,15 @@ type JobState struct {
 
 // Store is an open journal. All methods are safe for concurrent use.
 type Store struct {
-	dir string
-
 	mu   sync.Mutex
-	f    *os.File
+	log  *framedLog
 	jobs map[int]*JobState
 	next int
 
-	// size/records track the journal file so auto-compaction can keep it
-	// bounded; terminals counts jobs whose records compaction would drop
-	// (compacting with nothing to drop would just rewrite the same bytes).
-	size      int64
-	records   int
+	// terminals counts jobs whose records compaction would drop (compacting
+	// with nothing to drop would just rewrite the same bytes); the file's
+	// size and record count, which the thresholds below bound, are the
+	// log's.
 	terminals int
 	// autoBytes/autoRecords arm online auto-compaction (0 = off).
 	autoBytes   int64
@@ -143,25 +143,23 @@ type Store struct {
 // directory and an empty journal when none exists. A torn tail — the
 // half-written record a SIGKILL can leave — is truncated at the last whole
 // record; everything before it replays normally. A stale journal.v6dj.tmp
-// left by a compaction that was killed mid-rewrite is removed unread: the
-// rename never happened, so the real journal is authoritative and the tmp
-// must never be replayed.
+// left by a compaction that was killed mid-rewrite is never replayed — the
+// rename never happened, so the real journal is authoritative — and the
+// compaction here overwrites it.
 func Open(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("store: empty directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s := &Store{dir: dir, jobs: make(map[int]*JobState)}
-	os.Remove(s.path() + ".tmp")
-	if err := s.replay(); err != nil {
+	s := &Store{jobs: make(map[int]*JobState)}
+	l, err := openLog(dir, journalName, func(payload []byte) {
+		var rec record
+		if json.Unmarshal(payload, &rec) == nil {
+			s.apply(rec)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	err := s.compactLocked()
-	s.mu.Unlock()
-	if err != nil {
+	s.log = l
+	if err := s.compactLocked(); err != nil {
+		l.close()
 		return nil, err
 	}
 	return s, nil
@@ -183,60 +181,14 @@ func (s *Store) SetAutoCompact(maxBytes int64, maxRecords int) {
 func (s *Store) Size() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.size
+	return s.log.size
 }
 
 // Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.log.dir }
 
-// path is the journal file path.
-func (s *Store) path() string { return filepath.Join(s.dir, journalName) }
-
-// replay reads every whole record, truncating a torn or corrupt tail.
-func (s *Store) replay() error {
-	f, err := os.OpenFile(s.path(), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	// Make the journal's directory entry durable: a file created just
-	// before a power loss otherwise vanishes with the unfsynced directory,
-	// taking the first appended records with it.
-	if err := syncDir(s.dir); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	good := int64(0)
-	r := &countingReader{r: f}
-	for {
-		rec, err := readRecord(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// A torn tail (SIGKILL mid-append) or a corrupt frame: keep
-			// everything up to the last whole record, drop the rest. The
-			// journal is an intent log — a half-written event never
-			// happened.
-			break
-		}
-		good = r.n
-		s.records++
-		s.apply(rec)
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return fmt.Errorf("store: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	s.f = f
-	s.size = good
-	return nil
-}
-
-// apply folds one record into the replay state.
+// apply folds one record into the in-memory state: on replay, and again
+// for every record journalLocked appends.
 func (s *Store) apply(rec record) {
 	switch rec.Type {
 	case "seq":
@@ -278,8 +230,9 @@ func (s *Store) apply(rec record) {
 			j.EventSeqReserved = rec.Seq
 		}
 	}
-	// Unknown types are skipped: an older daemon replaying a newer journal
-	// must not lose the records it does understand.
+	// Unknown types are skipped, like the payloads Open could not decode: an
+	// older daemon replaying a newer journal must not lose the records it
+	// does understand.
 }
 
 // Compact rewrites the journal to just the unfinished jobs (plus the id
@@ -295,73 +248,39 @@ func (s *Store) Compact() error {
 
 // compactLocked is Compact's body. Callers hold s.mu (or, during Open,
 // exclusive access). The journal's size afterwards is proportional to the
-// live campaign, not the daemon's whole history.
-//
-// Durability: the temp file is fsynced before the rename, and the parent
-// directory is fsynced after it — without the second fsync a power loss
-// can roll the rename back to the pre-compaction journal, resurrecting
-// jobs whose terminal records were only in the window the rewrite dropped
-// folds away. (Post-compaction appends land in the new file; if the
-// rename un-happened they would be lost with it.)
+// live campaign, not the daemon's whole history; framedLog.rewrite makes
+// the swap atomic and durable.
 func (s *Store) compactLocked() error {
-	if s.f == nil {
-		return fmt.Errorf("store: closed")
-	}
-	tmp := s.path() + ".tmp"
-	f, err := os.Create(tmp)
+	err := s.log.rewrite(func(write func([]byte) error) error {
+		put := func(rec record) error {
+			payload, err := json.Marshal(rec)
+			if err != nil {
+				return err
+			}
+			return write(payload)
+		}
+		err := put(record{Type: "seq", Next: s.next})
+		for _, j := range s.pendingLocked() {
+			if err != nil {
+				break
+			}
+			err = put(record{Type: "submitted", ID: j.ID, Tenant: j.Tenant,
+				Spec: j.Spec, UnixNano: j.Submitted.UnixNano()})
+			if err == nil && j.Attempts > 0 {
+				err = put(record{Type: "started", ID: j.ID, Attempt: j.Attempts})
+			}
+			if err == nil && j.Checkpoints > 0 {
+				err = put(record{Type: "checkpoint", ID: j.ID, Clock: j.LastCheckpointClock})
+			}
+			if err == nil && j.EventSeqReserved > 0 {
+				err = put(record{Type: "events", ID: j.ID, Seq: j.EventSeqReserved})
+			}
+		}
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	var size int64
-	records := 0
-	write := func(rec record) error {
-		n, err := writeRecord(f, rec)
-		size += int64(n)
-		records++
 		return err
 	}
-	err = write(record{Type: "seq", Next: s.next})
-	for _, j := range s.pendingLocked() {
-		if err != nil {
-			break
-		}
-		err = write(record{Type: "submitted", ID: j.ID, Tenant: j.Tenant,
-			Spec: j.Spec, UnixNano: j.Submitted.UnixNano()})
-		if err == nil && j.Attempts > 0 {
-			err = write(record{Type: "started", ID: j.ID, Attempt: j.Attempts})
-		}
-		if err == nil && j.Checkpoints > 0 {
-			err = write(record{Type: "checkpoint", ID: j.ID, Clock: j.LastCheckpointClock})
-		}
-		if err == nil && j.EventSeqReserved > 0 {
-			err = write(record{Type: "events", ID: j.ID, Seq: j.EventSeqReserved})
-		}
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := os.Rename(tmp, s.path()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	s.f.Close()
-	f, err = os.OpenFile(s.path(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: reopen after compact: %w", err)
-	}
-	s.f = f
-	s.size = size
-	s.records = records
 	s.terminals = 0
 	for id, j := range s.jobs {
 		if j.Terminal {
@@ -422,48 +341,22 @@ func (s *Store) NextID() int {
 func (s *Store) Submitted(id int, tenantName string, spec json.RawMessage, at time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id >= s.next {
-		s.next = id + 1
-	}
-	if err := s.appendLocked(record{Type: "submitted", ID: id, Tenant: tenantName,
-		Spec: spec, UnixNano: at.UnixNano()}); err != nil {
-		return err
-	}
-	s.jobs[id] = &JobState{ID: id, Tenant: tenantName,
-		Spec: append(json.RawMessage(nil), spec...), Submitted: at}
-	s.maybeAutoCompactLocked()
-	return nil
+	return s.journalLocked(record{Type: "submitted", ID: id, Tenant: tenantName,
+		Spec: append(json.RawMessage(nil), spec...), UnixNano: at.UnixNano()})
 }
 
 // Started journals the beginning of an attempt.
 func (s *Store) Started(id, attempt int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(record{Type: "started", ID: id, Attempt: attempt}); err != nil {
-		return err
-	}
-	if j := s.jobs[id]; j != nil && attempt > j.Attempts {
-		j.Attempts = attempt
-	}
-	s.maybeAutoCompactLocked()
-	return nil
+	return s.journalLocked(record{Type: "started", ID: id, Attempt: attempt})
 }
 
 // CheckpointWritten journals a snapshot reaching disk at the given clock.
 func (s *Store) CheckpointWritten(id int, clock float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(record{Type: "checkpoint", ID: id, Clock: clock}); err != nil {
-		return err
-	}
-	if j := s.jobs[id]; j != nil {
-		j.Checkpoints++
-		if clock > j.LastCheckpointClock {
-			j.LastCheckpointClock = clock
-		}
-	}
-	s.maybeAutoCompactLocked()
-	return nil
+	return s.journalLocked(record{Type: "checkpoint", ID: id, Clock: clock})
 }
 
 // EventSeqReserve journals that event sequence numbers up to and including
@@ -474,14 +367,7 @@ func (s *Store) CheckpointWritten(id int, clock float64) error {
 func (s *Store) EventSeqReserve(id int, upTo int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(record{Type: "events", ID: id, Seq: upTo}); err != nil {
-		return err
-	}
-	if j := s.jobs[id]; j != nil && upTo > j.EventSeqReserved {
-		j.EventSeqReserved = upTo
-	}
-	s.maybeAutoCompactLocked()
-	return nil
+	return s.journalLocked(record{Type: "events", ID: id, Seq: upTo})
 }
 
 // Terminal journals a job's final state ("done", "failed" or "cancelled").
@@ -490,35 +376,25 @@ func (s *Store) EventSeqReserve(id int, upTo int64) error {
 func (s *Store) Terminal(id int, status, errMsg string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(record{Type: "terminal", ID: id, Status: status, Error: errMsg}); err != nil {
-		return err
-	}
-	if j := s.jobs[id]; j != nil {
-		if !j.Terminal {
-			s.terminals++
-		}
-		j.Terminal = true
-		j.Status = status
-		j.Error = errMsg
-	}
-	s.maybeAutoCompactLocked()
-	return nil
+	return s.journalLocked(record{Type: "terminal", ID: id, Status: status, Error: errMsg})
 }
 
-// appendLocked frames, writes and fsyncs one record. Callers hold s.mu.
-func (s *Store) appendLocked(rec record) error {
-	if s.f == nil {
-		return fmt.Errorf("store: closed")
-	}
-	n, err := writeRecord(s.f, rec)
-	s.size += int64(n)
+// journalLocked appends one record — fsynced before it is acknowledged —
+// and then folds it into memory with the same apply that replays it, so
+// the live state and the state a restart rebuilds cannot drift apart.
+// Auto-compaction is checked last: compacting between a terminal record's
+// append and its fold would rewrite the job as still pending. Callers hold
+// s.mu.
+func (s *Store) journalLocked(rec record) error {
+	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("store: append: %w", err)
+		return fmt.Errorf("store: journal record: %w", err)
 	}
-	s.records++
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("store: sync: %w", err)
+	if err := s.log.append(payload); err != nil {
+		return err
 	}
+	s.apply(rec)
+	s.maybeAutoCompactLocked()
 	return nil
 }
 
@@ -526,18 +402,15 @@ func (s *Store) appendLocked(rec record) error {
 // compaction would actually shrink the journal (at least one terminal
 // job's records to drop — without that guard a journal sitting over the
 // threshold on live work alone would be rewritten on every append).
-// Called by the mutators AFTER their in-memory state update, never from
-// appendLocked itself: compacting between a terminal record's append and
-// its state update would rewrite the job as still pending. Compaction
-// failure is deliberately swallowed — the append that triggered it
-// already succeeded and fsynced, and a journal that has merely grown past
-// its soft bound is a working journal.
+// Compaction failure is deliberately swallowed — the append that triggered
+// it already succeeded and fsynced, and a journal that has merely grown
+// past its soft bound is a working journal.
 func (s *Store) maybeAutoCompactLocked() {
 	if s.terminals == 0 {
 		return
 	}
-	if (s.autoBytes > 0 && s.size >= s.autoBytes) ||
-		(s.autoRecords > 0 && s.records >= s.autoRecords) {
+	if (s.autoBytes > 0 && s.log.size >= s.autoBytes) ||
+		(s.autoRecords > 0 && s.log.frames >= s.autoRecords) {
 		s.compactLocked()
 	}
 }
@@ -546,101 +419,5 @@ func (s *Store) maybeAutoCompactLocked() {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
-}
-
-// syncDir fsyncs a directory: the durability step for metadata operations
-// (file creation, rename). An fsynced file inside an unfsynced directory
-// is not crash-durable — the rename that installed a compacted journal
-// can roll back on power loss, resurrecting the jobs it dropped.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeFrame writes one CRC frame: u32-LE payload length, u32-LE CRC32
-// (IEEE) of the payload, payload bytes. Shared by the journal and the
-// artifact index, so both survive a SIGKILL mid-append the same way.
-func writeFrame(w io.Writer, payload []byte) (int, error) {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	n, err := w.Write(payload)
-	return 8 + n, err
-}
-
-// readFrame reads one CRC frame's payload. io.EOF means a clean end; any
-// other error means a torn or corrupt frame starting at the current offset.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("store: torn frame header")
-		}
-		return nil, err // io.EOF: clean end
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > maxRecordLen {
-		return nil, fmt.Errorf("store: frame length %d exceeds limit", length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("store: torn frame payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("store: frame CRC mismatch")
-	}
-	return payload, nil
-}
-
-// writeRecord frames one journal record as JSON.
-func writeRecord(w io.Writer, rec record) (int, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return 0, err
-	}
-	return writeFrame(w, payload)
-}
-
-// readRecord reads one journal frame. io.EOF means a clean end; any other
-// error means a torn or corrupt frame starting at the current offset.
-func readRecord(r io.Reader) (record, error) {
-	var rec record
-	payload, err := readFrame(r)
-	if err != nil {
-		return rec, err
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("store: frame payload: %w", err)
-	}
-	return rec, nil
-}
-
-// countingReader tracks how many bytes have been consumed, so replay knows
-// where the last whole record ended.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+	return s.log.close()
 }

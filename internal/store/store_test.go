@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -372,6 +373,16 @@ func TestOpenIndexIgnoresLeftoverTmp(t *testing.T) {
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("leftover index tmp not removed: %v", err)
 	}
+}
+
+// writeRecord frames one journal record as JSON (fabricated files only; the
+// store itself marshals in appendLocked and compactLocked).
+func writeRecord(w io.Writer, rec record) (int, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return 0, err
+	}
+	return writeFrame(w, payload)
 }
 
 func journalSize(t *testing.T, dir string) int64 {
