@@ -28,8 +28,6 @@ import (
 	"vlasov6d/internal/plasma"
 	"vlasov6d/internal/poisson"
 	"vlasov6d/internal/tree"
-	"vlasov6d/internal/treepm"
-	"vlasov6d/internal/units"
 	"vlasov6d/internal/vlasov"
 )
 
@@ -365,12 +363,13 @@ func phantomParticles(b *testing.B, n int) *nbody.Particles {
 	return p
 }
 
-// BenchmarkPhantomGRAPEBatched times the tabulated branch-light force
-// kernel (the paper's 1.2×10⁹ interactions/s path).
+// BenchmarkPhantomGRAPEBatched times the group walk with the tabulated
+// branch-free force kernel (the paper's 1.2×10⁹ interactions/s path): one
+// interaction list per group of targets, streamed once per target.
 func BenchmarkPhantomGRAPEBatched(b *testing.B) { benchTreeKernel(b, false) }
 
-// BenchmarkPhantomGRAPEScalar times the erfc-per-pair baseline (the paper's
-// 2.4×10⁷ interactions/s path).
+// BenchmarkPhantomGRAPEScalar times the same walk with the erfc-per-pair
+// baseline kernel (the paper's 2.4×10⁷ interactions/s path).
 func BenchmarkPhantomGRAPEScalar(b *testing.B) { benchTreeKernel(b, true) }
 
 func benchTreeKernel(b *testing.B, scalar bool) {
@@ -379,26 +378,14 @@ func benchTreeKernel(b *testing.B, scalar bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tr.Accel([3]float64{50, 50, 50})
-	}
-}
-
-// BenchmarkTreePMForce times the full force evaluation (PM + tree).
-func BenchmarkTreePMForce(b *testing.B) {
-	p := phantomParticles(b, 4096)
-	s, err := treepm.New(treepm.Config{Mesh: [3]int{32, 32, 32}, Box: [3]float64{100, 100, 100}})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr.SetWorkers(1)
 	var acc [3][]float64
-	for d := 0; d < 3; d++ {
+	for d := range acc {
 		acc[d] = make([]float64, p.N)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Accel(p, nil, 4*math.Pi*units.G, 1, acc); err != nil {
+		if err := tr.AccelAll(acc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,10 +9,15 @@ import (
 // FFT3 performs in-place 3D complex transforms on a dense row-major array
 // with index (ix·ny + iy)·nz + iz. Lines along each axis are transformed by a
 // pool of workers, each with its own Plan, mirroring the thread-parallel
-// per-CMG FFT of the paper's PM solver.
+// per-CMG FFT of the paper's PM solver. The plans and line buffers are built
+// on first use and kept, so a warmed transform allocates nothing with one
+// worker — and an FFT3 is not safe for concurrent transforms.
 type FFT3 struct {
 	nx, ny, nz int
 	workers    int
+	// Per axis (x, y, z), one plan and one gather buffer per worker.
+	plans [3][]*Plan
+	bufs  [3][][]complex128
 }
 
 // NewFFT3 creates a 3D transform descriptor for an nx×ny×nz array.
@@ -45,118 +50,74 @@ func (f *FFT3) transform(data []complex128, fwd bool) error {
 	if len(data) != f.nx*f.ny*f.nz {
 		return fmt.Errorf("fft: data length %d != %d", len(data), f.nx*f.ny*f.nz)
 	}
-	// z-lines are contiguous; x and y lines are gathered into per-worker
-	// scratch (the software analogue of the paper's load-and-transpose).
-	f.axisZ(data, fwd)
-	f.axisY(data, fwd)
-	f.axisX(data, fwd)
+	for _, axis := range [3]int{2, 1, 0} {
+		f.sweep(axis, data, fwd)
+	}
 	return nil
 }
 
-// parallelLines runs fn(worker, line) for line in [0, lines).
-func (f *FFT3) parallelLines(lines int, fn func(w, line int)) {
-	nw := f.workers
-	if nw > lines {
-		nw = lines
-	}
-	if nw <= 1 {
-		for l := 0; l < lines; l++ {
-			fn(0, l)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (lines + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > lines {
-			hi = lines
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for l := lo; l < hi; l++ {
-				fn(w, l)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
-func (f *FFT3) axisZ(data []complex128, fwd bool) {
-	lines := f.nx * f.ny
-	plans := f.makePlans(f.nz)
-	f.parallelLines(lines, func(w, l int) {
-		seg := data[l*f.nz : (l+1)*f.nz]
-		if fwd {
-			plans[w].Forward(seg)
-		} else {
-			plans[w].Inverse(seg)
-		}
-	})
-}
-
-func (f *FFT3) axisY(data []complex128, fwd bool) {
-	lines := f.nx * f.nz
-	plans := f.makePlans(f.ny)
-	bufs := make([][]complex128, f.workers)
-	for i := range bufs {
-		bufs[i] = make([]complex128, f.ny)
-	}
-	f.parallelLines(lines, func(w, l int) {
-		ix, iz := l/f.nz, l%f.nz
-		base := ix*f.ny*f.nz + iz
-		buf := bufs[w]
-		for iy := 0; iy < f.ny; iy++ {
-			buf[iy] = data[base+iy*f.nz]
-		}
-		if fwd {
-			plans[w].Forward(buf)
-		} else {
-			plans[w].Inverse(buf)
-		}
-		for iy := 0; iy < f.ny; iy++ {
-			data[base+iy*f.nz] = buf[iy]
-		}
-	})
-}
-
-func (f *FFT3) axisX(data []complex128, fwd bool) {
-	lines := f.ny * f.nz
-	plans := f.makePlans(f.nx)
-	bufs := make([][]complex128, f.workers)
-	for i := range bufs {
-		bufs[i] = make([]complex128, f.nx)
-	}
-	stride := f.ny * f.nz
-	f.parallelLines(lines, func(w, l int) {
-		buf := bufs[w]
-		for ix := 0; ix < f.nx; ix++ {
-			buf[ix] = data[l+ix*stride]
-		}
-		if fwd {
-			plans[w].Forward(buf)
-		} else {
-			plans[w].Inverse(buf)
-		}
-		for ix := 0; ix < f.nx; ix++ {
-			data[l+ix*stride] = buf[ix]
-		}
-	})
-}
-
-func (f *FFT3) makePlans(n int) []*Plan {
-	plans := make([]*Plan, f.workers)
-	for i := range plans {
+// sweep transforms every line along axis, split into contiguous runs of
+// lines over the workers.
+func (f *FFT3) sweep(axis int, data []complex128, fwd bool) {
+	n := [3]int{f.nx, f.ny, f.nz}[axis]
+	lines := len(data) / n
+	for len(f.plans[axis]) < f.workers {
 		p, err := NewPlan(n)
 		if err != nil {
 			// NewFFT3 validated dims > 0, so this cannot happen.
 			panic(err)
 		}
-		plans[i] = p
+		f.plans[axis] = append(f.plans[axis], p)
+		f.bufs[axis] = append(f.bufs[axis], make([]complex128, n))
 	}
-	return plans
+	nw := min(f.workers, lines)
+	if nw <= 1 {
+		f.lines(axis, data, fwd, 0, 0, lines)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (lines + nw - 1) / nw
+	for w := 0; w*chunk < lines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			f.lines(axis, data, fwd, w, w*chunk, min((w+1)*chunk, lines))
+		}(w)
+	}
+	wg.Wait()
+}
+
+// lines transforms lines [lo,hi) along axis with worker w's plan. z-lines
+// are contiguous; x and y lines are gathered into the worker's buffer (the
+// software analogue of the paper's load-and-transpose).
+func (f *FFT3) lines(axis int, data []complex128, fwd bool, w, lo, hi int) {
+	plan, buf := f.plans[axis][w], f.bufs[axis][w]
+	run := plan.Inverse
+	if fwd {
+		run = plan.Forward
+	}
+	n, stride := f.nz, 1
+	switch axis {
+	case 0:
+		n, stride = f.nx, f.ny*f.nz
+	case 1:
+		n, stride = f.ny, f.nz
+	}
+	for l := lo; l < hi; l++ {
+		if stride == 1 {
+			run(data[l*n : (l+1)*n])
+			continue
+		}
+		base := l // axis 0: line l starts at (iy, iz) = l
+		if axis == 1 {
+			base = (l/f.nz)*f.ny*f.nz + l%f.nz
+		}
+		for i := range buf {
+			buf[i] = data[base+i*stride]
+		}
+		run(buf)
+		for i, v := range buf {
+			data[base+i*stride] = v
+		}
+	}
 }

@@ -211,10 +211,16 @@ type Simulation struct {
 	mom       *phase.Moments // reused neutrino moment buffer (one reduction per step)
 	nuPM      []float64      // reused neutrino-density resample on the PM mesh
 	meshAcc   [3][]float64   // reused PM-mesh acceleration components
-	accShort  [3][]float64   // reused tree short-range force scratch
+	accShort  [3][]float64   // tree short-range force, before the 1/a
+	tree      *tree.Tree     // built once over Part, rebuilt in place per drift
 	uT        float64
 	gen       *ic.Generator
-	primed    bool // forces valid for the current state
+	// The force arrays describe the current state when both halves are
+	// valid: the PM half (density → potential → mesh acceleration → accCell,
+	// accNuPart and the interpolated part of accPart) and the tree half
+	// (accShort). Whatever moves a particle invalidates both; a kick moves
+	// none, so the forces a step ends on are the ones the next begins with.
+	pmValid, treeValid bool
 	// workers pins the intra-step parallelism of every component (0 =
 	// each component's GOMAXPROCS default); set through SetWorkers.
 	workers int
@@ -248,6 +254,9 @@ func (s *Simulation) SetWorkers(n int) {
 // New builds a simulation and generates initial conditions at scale factor
 // aInit.
 func New(cfg Config, aInit float64) (*Simulation, error) {
+	if aInit > 1 {
+		return nil, fmt.Errorf("hybrid: initial scale factor %v lies in the future (a > 1)", aInit)
+	}
 	return build(cfg, aInit, true)
 }
 
@@ -261,8 +270,10 @@ func build(cfg Config, aInit float64, fill bool) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if aInit <= 0 || aInit > 1 {
-		return nil, fmt.Errorf("hybrid: invalid initial scale factor %v", aInit)
+	// No upper bound here: a run that reached a = 1 ends a rounding error
+	// past it, and its checkpoint must restore.
+	if !(aInit > 0) {
+		return nil, fmt.Errorf("hybrid: invalid scale factor %v", aInit)
 	}
 	gen, err := ic.NewGenerator(cfg.Par, cfg.Box, cfg.Seed)
 	if err != nil {
@@ -350,7 +361,10 @@ func (s *Simulation) installParticles(part *nbody.Particles) {
 	s.Part = part
 	for d := 0; d < 3; d++ {
 		s.accPart[d] = make([]float64, part.N)
+		s.accShort[d] = make([]float64, part.N)
 	}
+	s.tree = nil // built over the previous set
+	s.pmValid, s.treeValid = false, false
 }
 
 // installNuParticles adopts the ν-particle set and sizes its force arrays.
@@ -359,6 +373,7 @@ func (s *Simulation) installNuParticles(nuP *nbody.Particles) {
 	for d := 0; d < 3; d++ {
 		s.accNuPart[d] = make([]float64, nuP.N)
 	}
+	s.pmValid = false
 }
 
 // installGrid adopts the phase-space grid, builds its Vlasov solver, and
@@ -370,6 +385,7 @@ func (s *Simulation) installGrid(g *phase.Grid) error {
 	}
 	s.Grid = g
 	s.VSol = vs
+	s.pmValid = false
 	if s.workers > 0 {
 		// A pinned worker count survives component (re)installation, e.g. a
 		// checkpoint restore into an already-budgeted simulation.
@@ -419,13 +435,42 @@ func (s *Simulation) NeutrinoDensityPM() []float64 {
 	return out
 }
 
-// computeForces fills accCell (Vlasov-grid acceleration from the full
-// potential) and accPart (particle acceleration: filtered PM + tree).
-func (s *Simulation) computeForces() error {
-	a := s.A
-	coeff := s.Cfg.Par.PoissonCoeff(a)
+// ensureForces brings accCell (Vlasov-grid acceleration from the full
+// potential), accNuPart and accPart (particle acceleration: filtered PM +
+// tree/a) up to date with the current state, evaluating only the halves
+// that are stale.
+func (s *Simulation) ensureForces() error {
+	if s.pmValid && s.treeValid {
+		return nil
+	}
+	// What invalidates the tree half (a particle moved) invalidates the PM
+	// half too, so from here on the PM half is always recomputed.
+	if !s.treeValid {
+		if err := s.computeTree(); err != nil {
+			return err
+		}
+	}
+	if err := s.computePM(); err != nil {
+		return err
+	}
+	s.pmValid, s.treeValid = true, true
+	if !s.Cfg.NoTree {
+		inva := 1 / s.A
+		for d := 0; d < 3; d++ {
+			av, sv := s.accPart[d], s.accShort[d]
+			for i := range av {
+				av[i] += inva * sv[i]
+			}
+		}
+	}
+	return nil
+}
 
-	// Shared density mesh.
+// computePM is the mesh half of the force: the shared density, the full
+// potential for the Vlasov grid and the ν particles, and the filtered one
+// interpolated to the CDM particles (into accPart, overwriting it).
+func (s *Simulation) computePM() error {
+	coeff := s.Cfg.Par.PoissonCoeff(s.A)
 	t0 := time.Now()
 	for i := range s.rhoPM {
 		s.rhoPM[i] = 0
@@ -453,13 +498,12 @@ func (s *Simulation) computeForces() error {
 		if err := s.PM.AccelInto(s.phiFull, &s.meshAcc); err != nil {
 			return err
 		}
-		meshAcc := s.meshAcc
 		if s.Grid != nil {
-			s.downsampleAccel(meshAcc)
+			s.downsampleAccel(s.meshAcc)
 		}
 		if s.NuPart != nil {
 			for d := 0; d < 3; d++ {
-				if err := s.NuPart.CICInterp(meshAcc[d], s.pmMesh, s.accNuPart[d]); err != nil {
+				if err := s.NuPart.CICInterp(s.meshAcc[d], s.pmMesh, s.accNuPart[d]); err != nil {
 					return err
 				}
 			}
@@ -485,49 +529,35 @@ func (s *Simulation) computeForces() error {
 		}
 	}
 	s.Tim.PM += time.Since(t0)
+	return nil
+}
 
-	// Tree short-range for particles.
-	if !s.Cfg.NoTree {
-		t1 := time.Now()
+// computeTree is the short-range half: the octree over the CDM particles,
+// rebuilt in place, and one group walk into accShort.
+func (s *Simulation) computeTree() error {
+	if s.Cfg.NoTree {
+		return nil
+	}
+	t0 := time.Now()
+	if s.tree == nil {
 		tr, err := tree.Build(s.Part, tree.Options{
 			Theta: s.Cfg.Theta, RSplit: s.rs, Soft: s.soft,
 		})
 		if err != nil {
 			return err
 		}
-		if s.workers > 0 {
-			tr.SetWorkers(s.workers)
-		}
-		short := s.accShort
-		for d := 0; d < 3; d++ {
-			if len(short[d]) != s.Part.N {
-				short[d] = make([]float64, s.Part.N)
-			}
-		}
-		s.accShort = short
-		if err := tr.AccelAll(short); err != nil {
-			return err
-		}
-		inva := 1 / a
-		for d := 0; d < 3; d++ {
-			av, sv := s.accPart[d], short[d]
-			for i := range av {
-				av[i] += inva * sv[i]
-			}
-		}
-		s.Tim.Tree += time.Since(t1)
+		s.tree = tr
+	} else {
+		s.tree.Rebuild()
 	}
-	s.primed = true
+	if s.workers > 0 {
+		s.tree.SetWorkers(s.workers)
+	}
+	if err := s.tree.AccelAll(s.accShort); err != nil {
+		return err
+	}
+	s.Tim.Tree += time.Since(t0)
 	return nil
-}
-
-// ensureForces computes forces once for the current state so SuggestDT has
-// valid accelerations before the first Step (and after a Restore).
-func (s *Simulation) ensureForces() error {
-	if s.primed {
-		return nil
-	}
-	return s.computeForces()
 }
 
 // downsampleAccel block-averages the PM-mesh acceleration onto the Vlasov
@@ -605,10 +635,20 @@ func (s *Simulation) SuggestDT() float64 {
 }
 
 // Step advances the whole coupled system by dt using kick-drift-kick with a
-// force refresh at the end of the drift (standard leapfrog).
+// force refresh at the end of the drift (standard leapfrog). That refresh
+// is the step's one force evaluation: the opening kick uses the forces the
+// previous step (or SuggestDT) left, recomputing only what went stale.
 func (s *Simulation) Step(dt float64) error {
 	t0 := time.Now()
-	if err := s.computeForces(); err != nil {
+	if s.Grid != nil {
+		// The previous step's closing kick re-rounded the float32 f, so the
+		// ν density is not bit-for-bit the one the forces were solved from;
+		// a run restored from a checkpoint solves from the rounded f, and
+		// to stay identical to it so must this one. The tree half, which
+		// sees only particles, carries over.
+		s.pmValid = false
+	}
+	if err := s.ensureForces(); err != nil {
 		return err
 	}
 	// Half kicks.
@@ -629,10 +669,11 @@ func (s *Simulation) Step(dt float64) error {
 	if s.NuPart != nil {
 		s.NuPart.Drift(dt, aMid)
 	}
+	s.pmValid, s.treeValid = false, false
 	// Advance time, refresh forces, second half kick.
 	s.Time += dt
 	s.A = s.Cfg.Par.ScaleFactorAt(s.Time)
-	if err := s.computeForces(); err != nil {
+	if err := s.ensureForces(); err != nil {
 		return err
 	}
 	if err := s.kickAll(dt); err != nil {
@@ -799,6 +840,5 @@ func Restore(cfg Config, snap *snapio.Snapshot) (*Simulation, error) {
 	} else {
 		s.Time = s.Cfg.Par.CosmicTime(snap.A)
 	}
-	s.primed = false // no forces describe the installed state yet
 	return s, nil
 }

@@ -129,7 +129,7 @@ func TestStepConservesMass(t *testing.T) {
 		t.Fatal(err)
 	}
 	nu0, _ := s.TotalMass()
-	if err := s.computeForces(); err != nil {
+	if err := s.ensureForces(); err != nil {
 		t.Fatal(err)
 	}
 	dt := s.SuggestDT()
@@ -152,7 +152,7 @@ func TestStepPreservesPositivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.computeForces(); err != nil {
+	if err := s.ensureForces(); err != nil {
 		t.Fatal(err)
 	}
 	dt := s.SuggestDT()
@@ -175,7 +175,7 @@ func TestMomentumConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.computeForces(); err != nil {
+	if err := s.ensureForces(); err != nil {
 		t.Fatal(err)
 	}
 	dt := s.SuggestDT()
@@ -401,7 +401,7 @@ func TestNuParticlesBaselineMode(t *testing.T) {
 	if math.Abs(fnu-s.Cfg.Par.FNu())/s.Cfg.Par.FNu() > 0.02 {
 		t.Fatalf("ν mass fraction %v", fnu)
 	}
-	if err := s.computeForces(); err != nil {
+	if err := s.ensureForces(); err != nil {
 		t.Fatal(err)
 	}
 	dt := s.SuggestDT()
@@ -477,7 +477,7 @@ func TestRestoreContinuesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.computeForces(); err != nil {
+	if err := ref.ensureForces(); err != nil {
 		t.Fatal(err)
 	}
 	dt := ref.SuggestDT()
@@ -560,6 +560,31 @@ func TestRestoreValidation(t *testing.T) {
 	}
 }
 
+func TestRestoreAtTargetScaleFactor(t *testing.T) {
+	// A run driven to a = 1 lands where ScaleFactorAt(CosmicTime(1)) does,
+	// a few ulps past it; that is a state like any other to restore, though
+	// New would refuse to start there.
+	cfg := gateConfigs()["nbody"]
+	s, err := New(cfg, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const past = 1.0000000000003835
+	r, err := Restore(cfg, &snapio.Snapshot{A: past, Time: cfg.Par.CosmicTime(1), Part: s.Part})
+	if err != nil {
+		t.Fatalf("checkpoint of a finished run does not restore: %v", err)
+	}
+	if r.A != past {
+		t.Fatalf("restored a = %v", r.A)
+	}
+	if _, err := New(cfg, past); err == nil {
+		t.Fatal("New accepted an initial scale factor beyond 1")
+	}
+	if _, err := Restore(cfg, &snapio.Snapshot{A: 0, Part: s.Part}); err == nil {
+		t.Fatal("snapshot at a = 0 accepted")
+	}
+}
+
 func TestRestoreSkipsICGeneration(t *testing.T) {
 	// The fast-restore contract: a skeleton build installs snapshot state
 	// without filling initial conditions, so the restored fields are the
@@ -585,85 +610,191 @@ func TestRestoreSkipsICGeneration(t *testing.T) {
 	}
 }
 
-// TestPhysicsGates runs the benchmark's hybrid_step checks at a shape Tier-1
-// can afford, so that a regression in the sweep kernel fails `go test ./...`
-// and not only the nested benchmark module: five steps through the runner
-// must conserve ν mass (boundary loss included) to 1e-6, keep f ≥ 0 exactly,
-// give the same grid bit for bit with one and two workers, and continue bit
-// for bit from a checkpoint.
-func TestPhysicsGates(t *testing.T) {
-	const aInit, steps = 0.0909, 5
-	run := func(workers int) *Simulation {
-		t.Helper()
-		s, err := New(smallConfig(), aInit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetWorkers(workers)
-		rep, err := runner.Run(context.Background(), s, 1, runner.WithMaxSteps(steps))
-		if err != nil || rep.Steps != steps {
-			t.Fatalf("run with %d workers: %d steps, err %v", workers, rep.Steps, err)
-		}
-		return s
-	}
-	fresh, err := New(smallConfig(), aInit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nu0, _ := fresh.TotalMass()
+// gateConfigs are the three force paths of a step: the ν grid (PM half
+// recomputed at the top of every step, tree half reused), and the two
+// particle-only modes, where a step opens on the forces the last one closed
+// with and evaluates nothing.
+func gateConfigs() map[string]Config {
+	nbody := smallConfig()
+	nbody.NoNeutrino = true
+	nbody.PMMesh = 16 // the default NPartSide/3 mesh is too coarse for the tree
+	nuPart := smallConfig()
+	nuPart.NuParticles = true
+	return map[string]Config{"nu-grid": smallConfig(), "nbody": nbody, "nu-particles": nuPart}
+}
 
-	s := run(1)
-	nu1, _ := s.TotalMass()
-	if drift := math.Abs(nu1+s.VSol.BoundaryLoss-nu0) / nu0; drift > 1e-6 {
-		t.Fatalf("ν mass + boundary loss drifted by %.3g over %d steps", drift, steps)
+// requireSameState fails unless a and b hold the same clock, grid and
+// particles, bit for bit.
+func requireSameState(t *testing.T, what string, a, b *Simulation) {
+	t.Helper()
+	if a.A != b.A || a.Time != b.Time {
+		t.Fatalf("%s: clocks differ: a %v vs %v, t %v vs %v", what, a.A, b.A, a.Time, b.Time)
 	}
-	if mn := s.Grid.MinValue(); mn < 0 {
-		t.Fatalf("negative distribution function: min %g", mn)
-	}
-
-	two := run(2)
-	for i, v := range s.Grid.Data {
-		if math.Float32bits(v) != math.Float32bits(two.Grid.Data[i]) {
-			t.Fatalf("grid differs between 1 and 2 workers at %d: %v vs %v", i, v, two.Grid.Data[i])
-		}
-	}
-
-	var buf bytes.Buffer
-	if _, err := s.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := snapio.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Restore(smallConfig(), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.SetWorkers(1)
-	dt := s.SuggestDT()
-	if rdt := r.SuggestDT(); rdt != dt {
-		t.Fatalf("restored run suggests dt %v, live run %v", rdt, dt)
-	}
-	if err := s.Step(dt); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Step(dt); err != nil {
-		t.Fatal(err)
-	}
-	if r.A != s.A || r.Time != s.Time {
-		t.Fatalf("clock after restore: a %v vs %v, t %v vs %v", r.A, s.A, r.Time, s.Time)
-	}
-	for i, v := range s.Grid.Data {
-		if math.Float32bits(v) != math.Float32bits(r.Grid.Data[i]) {
-			t.Fatalf("step after restore differs from the live run at grid value %d: %v vs %v", i, r.Grid.Data[i], v)
-		}
-	}
-	for d := 0; d < 3; d++ {
-		for i := 0; i < s.Part.N; i++ {
-			if s.Part.Pos[d][i] != r.Part.Pos[d][i] || s.Part.Vel[d][i] != r.Part.Vel[d][i] {
-				t.Fatalf("step after restore differs from the live run at particle %d", i)
+	if a.Grid != nil {
+		for i, v := range a.Grid.Data {
+			if math.Float32bits(v) != math.Float32bits(b.Grid.Data[i]) {
+				t.Fatalf("%s: grid value %d differs: %v vs %v", what, i, v, b.Grid.Data[i])
 			}
 		}
+	}
+	for _, set := range [][2]*nbody.Particles{{a.Part, b.Part}, {a.NuPart, b.NuPart}} {
+		if set[0] == nil {
+			continue
+		}
+		for d := 0; d < 3; d++ {
+			for i := 0; i < set[0].N; i++ {
+				if set[0].Pos[d][i] != set[1].Pos[d][i] || set[0].Vel[d][i] != set[1].Vel[d][i] {
+					t.Fatalf("%s: particle %d differs in dimension %d", what, i, d)
+				}
+			}
+		}
+	}
+}
+
+// TestPhysicsGates runs the benchmark's cosmology checks at a shape Tier-1
+// can afford, in every mode, so that a regression in the sweep kernel or the
+// force path fails `go test ./...` and not only the nested benchmark module:
+// five steps through the runner must conserve ν mass (boundary loss
+// included) to 1e-6 and keep f ≥ 0 exactly, give the same state bit for bit
+// with one and two workers, and continue bit for bit from a checkpoint. A
+// restored run has no forces and evaluates them afresh where the live run
+// reuses what its last step left, so the last gate is also the proof that
+// reuse equals recomputation.
+func TestPhysicsGates(t *testing.T) {
+	const aInit, steps = 0.0909, 5
+	for name, cfg := range gateConfigs() {
+		t.Run(name, func(t *testing.T) {
+			run := func(workers int) *Simulation {
+				t.Helper()
+				s, err := New(cfg, aInit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetWorkers(workers)
+				rep, err := runner.Run(context.Background(), s, 1, runner.WithMaxSteps(steps))
+				if err != nil || rep.Steps != steps {
+					t.Fatalf("run with %d workers: %d steps, err %v", workers, rep.Steps, err)
+				}
+				return s
+			}
+			s := run(1)
+			if s.Cfg.NoTree {
+				t.Fatal("tree silently disabled: the gates would not cover it")
+			}
+			if s.Grid != nil {
+				fresh, err := New(cfg, aInit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nu0, _ := fresh.TotalMass()
+				nu1, _ := s.TotalMass()
+				if drift := math.Abs(nu1+s.VSol.BoundaryLoss-nu0) / nu0; drift > 1e-6 {
+					t.Fatalf("ν mass + boundary loss drifted by %.3g over %d steps", drift, steps)
+				}
+				if mn := s.Grid.MinValue(); mn < 0 {
+					t.Fatalf("negative distribution function: min %g", mn)
+				}
+			}
+			requireSameState(t, "1 vs 2 workers", s, run(2))
+
+			var buf bytes.Buffer
+			if _, err := s.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := snapio.Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := Restore(cfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.SetWorkers(1)
+			for i := 0; i < 2; i++ {
+				dt := s.SuggestDT()
+				if rdt := r.SuggestDT(); rdt != dt {
+					t.Fatalf("restored run suggests dt %v, live run %v", rdt, dt)
+				}
+				if err := s.Step(dt); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Step(dt); err != nil {
+					t.Fatal(err)
+				}
+				requireSameState(t, "live vs restored", s, r)
+			}
+		})
+	}
+}
+
+// TestOneForceEvaluationPerStep reads the phase timers for what a step
+// evaluates, with no counter in the way: forces left by a step are the ones
+// SuggestDT and the next step's opening kick use. Without a ν grid nothing
+// is evaluated until the drift; with one, only the PM half is.
+func TestOneForceEvaluationPerStep(t *testing.T) {
+	for name, cfg := range gateConfigs() {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(cfg, 0.0909)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Step(s.SuggestDT()); err != nil { // warm-up
+				t.Fatal(err)
+			}
+			before := s.Tim
+			dt := s.SuggestDT()
+			if s.Tim.Tree != before.Tree || s.Tim.PM != before.PM {
+				t.Fatal("SuggestDT re-evaluated forces the last step had left valid")
+			}
+			if !s.pmValid || !s.treeValid {
+				t.Fatal("a finished step left its forces marked stale")
+			}
+			if err := s.Step(dt); err != nil {
+				t.Fatal(err)
+			}
+			if s.Tim.Tree == before.Tree || s.Tim.PM == before.PM {
+				t.Fatal("a step did not evaluate the forces after its drift")
+			}
+			// The step's opening is ensureForces: with no grid it must be
+			// free; with one it may touch the PM timer only.
+			before = s.Tim
+			if s.Grid != nil {
+				s.pmValid = false
+			}
+			if err := s.ensureForces(); err != nil {
+				t.Fatal(err)
+			}
+			if s.Tim.Tree != before.Tree {
+				t.Fatal("the opening evaluation walked the tree again")
+			}
+			if s.Grid == nil && s.Tim.PM != before.PM {
+				t.Fatal("the opening evaluation solved the mesh again without a ν grid")
+			}
+		})
+	}
+}
+
+// TestForcesSteadyStateZeroAlloc: with one worker a warmed N-body step — the
+// in-place tree rebuild, the group walk, the PM solve, gradient and
+// interpolation — allocates nothing.
+func TestForcesSteadyStateZeroAlloc(t *testing.T) {
+	s, err := New(gateConfigs()["nbody"], 0.0909)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetWorkers(1)
+	dt := s.SuggestDT()
+	for i := 0; i < 2; i++ {
+		if err := s.Step(dt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := s.Step(dt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state N-body step allocates %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -26,6 +26,7 @@ type Solver struct {
 	Box  [3]float64
 	f3   *fft.FFT3
 	kfac [3][]float64 // squared wavenumbers per axis
+	filt [3][]float64 // per-axis factors of the TreePM filter, refilled per solve
 	work []complex128
 }
 
@@ -47,6 +48,7 @@ func NewSolver(n [3]int, box [3]float64) (*Solver, error) {
 	s := &Solver{N: n, Box: box, f3: f3}
 	for d := 0; d < 3; d++ {
 		s.kfac[d] = make([]float64, n[d])
+		s.filt[d] = make([]float64, n[d])
 		for i := 0; i < n[d]; i++ {
 			m := i
 			if m > n[d]/2 {
@@ -97,21 +99,19 @@ func (s *Solver) SolveFiltered(src []float64, coeff, rs float64, phi []float64) 
 	if err := s.f3.Forward(w); err != nil {
 		return nil, err
 	}
+	s.fillFilter(rs)
 	idx := 0
 	for ix := 0; ix < s.N[0]; ix++ {
 		kx2 := s.kfac[0][ix]
 		for iy := 0; iy < s.N[1]; iy++ {
 			ky2 := s.kfac[1][iy]
+			fxy := s.filt[0][ix] * s.filt[1][iy]
 			for iz := 0; iz < s.N[2]; iz++ {
 				k2 := kx2 + ky2 + s.kfac[2][iz]
 				if k2 == 0 {
 					w[idx] = 0 // remove the mean: φ is defined up to a constant
 				} else {
-					g := -coeff / k2
-					if rs > 0 {
-						g *= math.Exp(-k2 * rs * rs)
-					}
-					w[idx] *= complex(g, 0)
+					w[idx] *= complex(-coeff/k2*(fxy*s.filt[2][iz]), 0)
 				}
 				idx++
 			}
@@ -124,6 +124,17 @@ func (s *Solver) SolveFiltered(src []float64, coeff, rs float64, phi []float64) 
 		phi[i] = real(w[i])
 	}
 	return phi, nil
+}
+
+// fillFilter tabulates the long-range filter per axis: exp(−k²·rs²) is the
+// product of one factor per component of k, so a solve takes N[0]+N[1]+N[2]
+// exponentials, not one per cell. rs = 0 gives all ones (no filter).
+func (s *Solver) fillFilter(rs float64) {
+	for d := 0; d < 3; d++ {
+		for i, k2 := range s.kfac[d] {
+			s.filt[d][i] = math.Exp(-k2 * rs * rs)
+		}
+	}
 }
 
 // idx3 returns the flat index of (ix, iy, iz) with periodic wrapping.
@@ -182,18 +193,50 @@ func (s *Solver) Accel(phi []float64) ([3][]float64, error) {
 
 // AccelInto computes −∇φ into acc, reusing each component slice when it
 // already has the mesh size (missing or mis-sized components are allocated).
+// It is Gradient's stencil for all three components in one pass over φ, the
+// sign folded into the weight: the x and y neighbours of a z-row are whole
+// rows at wrapped offsets, so only the two cells at either end of a row ever
+// wrap an index.
 func (s *Solver) AccelInto(phi []float64, acc *[3][]float64) error {
 	n := s.Size()
+	if len(phi) != n {
+		return fmt.Errorf("poisson: gradient length mismatch")
+	}
+	var c [3]float64
 	for d := 0; d < 3; d++ {
 		if len(acc[d]) != n {
 			acc[d] = make([]float64, n)
 		}
-		if err := s.Gradient(phi, d, acc[d]); err != nil {
-			return err
-		}
-		g := acc[d]
-		for i := range g {
-			g[i] = -g[i]
+		c[d] = -1 / (12 * (s.Box[d] / float64(s.N[d])))
+	}
+	nx, ny, nz := s.N[0], s.N[1], s.N[2]
+	zEnd := func(r []float64, iz int) float64 {
+		return 8*(r[wrap(iz+1, nz)]-r[wrap(iz-1, nz)]) - (r[wrap(iz+2, nz)] - r[wrap(iz-2, nz)])
+	}
+	row := func(ix, iy int) []float64 {
+		o := (wrap(ix, nx)*ny + wrap(iy, ny)) * nz
+		return phi[o : o+nz]
+	}
+	for ix := 0; ix < nx; ix++ {
+		for iy := 0; iy < ny; iy++ {
+			o := (ix*ny + iy) * nz
+			ax, ay, az := acc[0][o:o+nz], acc[1][o:o+nz], acc[2][o:o+nz]
+			xm2, xm1, xp1, xp2 := row(ix-2, iy), row(ix-1, iy), row(ix+1, iy), row(ix+2, iy)
+			ym2, ym1, yp1, yp2 := row(ix, iy-2), row(ix, iy-1), row(ix, iy+1), row(ix, iy+2)
+			r := phi[o : o+nz]
+			for iz := range r {
+				ax[iz] = (8*(xp1[iz]-xm1[iz]) - (xp2[iz] - xm2[iz])) * c[0]
+				ay[iz] = (8*(yp1[iz]-ym1[iz]) - (yp2[iz] - ym2[iz])) * c[1]
+			}
+			for iz := 2; iz < nz-2; iz++ {
+				az[iz] = (8*(r[iz+1]-r[iz-1]) - (r[iz+2] - r[iz-2])) * c[2]
+			}
+			for iz := 0; iz < min(2, nz); iz++ {
+				az[iz] = zEnd(r, iz) * c[2]
+			}
+			for iz := max(2, nz-2); iz < nz; iz++ {
+				az[iz] = zEnd(r, iz) * c[2]
+			}
 		}
 	}
 	return nil

@@ -214,3 +214,93 @@ func TestSolveReusesPhiBuffer(t *testing.T) {
 		t.Fatal("short source accepted")
 	}
 }
+
+// TestAccelIntoMatchesGradient: the fused one-pass −∇φ is Gradient's stencil
+// bit for bit, on non-cubic meshes and down to N = 2, 3, 4, where every
+// plane wraps and the interior loops are empty.
+func TestAccelIntoMatchesGradient(t *testing.T) {
+	for _, n := range [][3]int{{2, 2, 2}, {3, 3, 3}, {4, 4, 4}, {2, 3, 4}, {4, 5, 3}, {5, 2, 6}, {6, 9, 7}, {16, 8, 12}} {
+		s, err := NewSolver(n, [3]float64{50, 70, 110})
+		if err != nil {
+			t.Fatal(err)
+		}
+		phi := make([]float64, s.Size())
+		for i := range phi {
+			phi[i] = math.Sin(float64(3*i)) + 1e-3*float64(i%7)
+		}
+		var acc [3][]float64
+		if err := s.AccelInto(phi, &acc); err != nil {
+			t.Fatal(err)
+		}
+		g := make([]float64, s.Size())
+		for d := 0; d < 3; d++ {
+			if err := s.Gradient(phi, d, g); err != nil {
+				t.Fatal(err)
+			}
+			for i := range g {
+				if acc[d][i] != -g[i] {
+					t.Fatalf("mesh %v dim %d cell %d: AccelInto %v, −Gradient %v", n, d, i, acc[d][i], -g[i])
+				}
+			}
+		}
+	}
+	s, _ := NewSolver([3]int{4, 4, 4}, [3]float64{1, 1, 1})
+	var acc [3][]float64
+	if err := s.AccelInto(make([]float64, 5), &acc); err == nil {
+		t.Fatal("mis-sized phi accepted")
+	}
+}
+
+// TestFilterTableMatchesExp: the per-axis filter factors multiply to the
+// direct exp(−k²·rs²) of every cell to rounding (1e-15 relative per unit of
+// the exponent), and a filtered solve applies exactly that product.
+func TestFilterTableMatchesExp(t *testing.T) {
+	s, err := NewSolver([3]int{16, 12, 20}, [3]float64{100, 80, 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rs = 1.25 * 100.0 / 16
+	s.fillFilter(rs)
+	for ix, kx2 := range s.kfac[0] {
+		for iy, ky2 := range s.kfac[1] {
+			for iz, kz2 := range s.kfac[2] {
+				got := s.filt[0][ix] * s.filt[1][iy] * s.filt[2][iz]
+				arg := (kx2 + ky2 + kz2) * rs * rs
+				want := math.Exp(-arg)
+				// exp turns the half-ulp rounding of its argument into a
+				// relative error of arg·2⁻⁵³ in either form, so that is the
+				// scale on which the two can be asked to agree.
+				if math.Abs(got-want) > 1e-15*(1+arg)*want {
+					t.Fatalf("filter at (%d,%d,%d): %v vs exp %v (rel %.3g)", ix, iy, iz, got, want, math.Abs(got-want)/want)
+				}
+			}
+		}
+	}
+	// One Fourier mode through the solve picks up exactly its filter factor.
+	mode := [3]int{2, 1, 3}
+	src := make([]float64, s.Size())
+	idx := 0
+	for ix := 0; ix < s.N[0]; ix++ {
+		for iy := 0; iy < s.N[1]; iy++ {
+			for iz := 0; iz < s.N[2]; iz++ {
+				src[idx] = math.Cos(2 * math.Pi * (float64(mode[0]*ix)/float64(s.N[0]) +
+					float64(mode[1]*iy)/float64(s.N[1]) + float64(mode[2]*iz)/float64(s.N[2])))
+				idx++
+			}
+		}
+	}
+	plain, err := s.SolveFiltered(src, 3, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := s.SolveFiltered(src, 3, rs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := math.Exp(-(s.kfac[0][mode[0]] + s.kfac[1][mode[1]] + s.kfac[2][mode[2]]) * rs * rs)
+	for i := range plain {
+		if math.Abs(long[i]-f*plain[i]) > 1e-12*math.Abs(plain[0]) {
+			t.Fatalf("cell %d: filtered %v, want %v·%v", i, long[i], f, plain[i])
+		}
+	}
+}

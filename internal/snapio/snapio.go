@@ -71,16 +71,71 @@ func Probe(r io.Reader) (version int, a float64, ok bool) {
 	return version, math.Float64frombits(le.Uint64(b[8:16])), true
 }
 
-// countingWriter tracks bytes written.
-type countingWriter struct {
-	w io.Writer
-	n int64
+// encoder lays values out little-endian in a chunk and hands each full chunk
+// to the section checksum and to the writer in one call apiece. The first
+// write error sticks and turns every later call into a no-op.
+type encoder struct {
+	w   io.Writer
+	buf []byte // the current chunk, cap chunkSize
+	crc uint32 // IEEE CRC-32 of the current section, up to the last flush
+	n   int64  // bytes handed to w without error
+	err error
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+const chunkSize = 64 << 10
+
+func (e *encoder) flush() {
+	e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
+	if e.err == nil {
+		var n int
+		n, e.err = e.w.Write(e.buf)
+		e.n += int64(n)
+	}
+	e.buf = e.buf[:0]
+}
+
+func (e *encoder) u64(v uint64) {
+	if len(e.buf)+8 > cap(e.buf) {
+		e.flush()
+	}
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
+
+func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+func (e *encoder) f64s(vals []float64) {
+	for _, v := range vals {
+		e.f64(v)
+	}
+}
+
+func (e *encoder) f32s(vals []float32) {
+	for _, v := range vals {
+		if len(e.buf)+4 > cap(e.buf) {
+			e.flush()
+		}
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(v))
+	}
+}
+
+// endSection closes a checksummed section: its CRC-32 follows it as an
+// 8-byte word that belongs to no section's checksum.
+func (e *encoder) endSection() {
+	e.flush()
+	e.u64(uint64(e.crc))
+	e.flush()
+	e.crc = 0
+}
+
+// particles writes one particle section: positions, then velocities.
+func (e *encoder) particles(p *nbody.Particles) {
+	for d := 0; d < 3; d++ {
+		e.f64s(p.Pos[d])
+	}
+	for d := 0; d < 3; d++ {
+		e.f64s(p.Vel[d])
+	}
+	e.endSection()
 }
 
 // Write serialises the snapshot and returns the number of bytes written.
@@ -88,22 +143,7 @@ func Write(w io.Writer, s *Snapshot) (int64, error) {
 	if s == nil || s.Part == nil {
 		return 0, fmt.Errorf("snapio: nil snapshot or particles")
 	}
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriterSize(cw, 1<<20)
-	le := binary.LittleEndian
-
-	writeU64 := func(h hash.Hash32, v uint64) error {
-		var b [8]byte
-		le.PutUint64(b[:], v)
-		if h != nil {
-			h.Write(b[:])
-		}
-		_, err := bw.Write(b[:])
-		return err
-	}
-	writeF64 := func(h hash.Hash32, v float64) error {
-		return writeU64(h, math.Float64bits(v))
-	}
+	e := &encoder{w: w, buf: make([]byte, 0, chunkSize)}
 
 	// Header. The magic doubles as the version: v2 only when the optional
 	// ν-particle section is present, so v1-shaped snapshots stay
@@ -112,130 +152,47 @@ func Write(w io.Writer, s *Snapshot) (int64, error) {
 	if s.NuPart != nil {
 		magic = MagicV2
 	}
-	hdr := crc32.NewIEEE()
-	if err := writeU64(hdr, magic); err != nil {
-		return cw.n, err
-	}
-	if err := writeF64(hdr, s.A); err != nil {
-		return cw.n, err
-	}
-	if err := writeF64(hdr, s.Time); err != nil {
-		return cw.n, err
-	}
-	if err := writeU64(hdr, uint64(s.Part.N)); err != nil {
-		return cw.n, err
-	}
-	if err := writeF64(hdr, s.Part.Mass); err != nil {
-		return cw.n, err
-	}
+	e.u64(magic)
+	e.f64(s.A)
+	e.f64(s.Time)
+	e.u64(uint64(s.Part.N))
+	e.f64(s.Part.Mass)
 	for d := 0; d < 3; d++ {
-		if err := writeF64(hdr, s.Part.Box[d]); err != nil {
-			return cw.n, err
-		}
+		e.f64(s.Part.Box[d])
 	}
-	// Grid shape (zeros when absent).
+	// Grid shape and box (zeros when absent).
 	var gdims [7]uint64
+	var gbox [3]float64
 	if s.Grid != nil {
 		gdims = [7]uint64{
 			uint64(s.Grid.NX), uint64(s.Grid.NY), uint64(s.Grid.NZ),
 			uint64(s.Grid.NU[0]), uint64(s.Grid.NU[1]), uint64(s.Grid.NU[2]),
 			math.Float64bits(s.Grid.UMax),
 		}
+		gbox = s.Grid.Box
 	}
 	for _, v := range gdims {
-		if err := writeU64(hdr, v); err != nil {
-			return cw.n, err
-		}
-	}
-	if s.Grid != nil {
-		for d := 0; d < 3; d++ {
-			if err := writeF64(hdr, s.Grid.Box[d]); err != nil {
-				return cw.n, err
-			}
-		}
-	} else {
-		for d := 0; d < 3; d++ {
-			if err := writeF64(hdr, 0); err != nil {
-				return cw.n, err
-			}
-		}
-	}
-	if s.NuPart != nil {
-		if err := writeU64(hdr, uint64(s.NuPart.N)); err != nil {
-			return cw.n, err
-		}
-		if err := writeF64(hdr, s.NuPart.Mass); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := writeU64(nil, uint64(hdr.Sum32())); err != nil {
-		return cw.n, err
-	}
-
-	// Particle section.
-	ps := crc32.NewIEEE()
-	buf := make([]byte, 8)
-	writeFloats := func(h hash.Hash32, vals []float64) error {
-		for _, v := range vals {
-			le.PutUint64(buf, math.Float64bits(v))
-			h.Write(buf)
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-		}
-		return nil
+		e.u64(v)
 	}
 	for d := 0; d < 3; d++ {
-		if err := writeFloats(ps, s.Part.Pos[d]); err != nil {
-			return cw.n, err
-		}
+		e.f64(gbox[d])
 	}
-	for d := 0; d < 3; d++ {
-		if err := writeFloats(ps, s.Part.Vel[d]); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := writeU64(nil, uint64(ps.Sum32())); err != nil {
-		return cw.n, err
-	}
-
-	// ν-particle section (v2 only), same layout as the CDM section.
 	if s.NuPart != nil {
-		ns := crc32.NewIEEE()
-		for d := 0; d < 3; d++ {
-			if err := writeFloats(ns, s.NuPart.Pos[d]); err != nil {
-				return cw.n, err
-			}
-		}
-		for d := 0; d < 3; d++ {
-			if err := writeFloats(ns, s.NuPart.Vel[d]); err != nil {
-				return cw.n, err
-			}
-		}
-		if err := writeU64(nil, uint64(ns.Sum32())); err != nil {
-			return cw.n, err
-		}
+		e.u64(uint64(s.NuPart.N))
+		e.f64(s.NuPart.Mass)
 	}
+	e.endSection()
 
-	// Phase-space section.
+	e.particles(s.Part)
+	if s.NuPart != nil {
+		// v2 only, same layout as the CDM section.
+		e.particles(s.NuPart)
+	}
 	if s.Grid != nil {
-		gs := crc32.NewIEEE()
-		b4 := make([]byte, 4)
-		for _, v := range s.Grid.Data {
-			le.PutUint32(b4, math.Float32bits(v))
-			gs.Write(b4)
-			if _, err := bw.Write(b4); err != nil {
-				return cw.n, err
-			}
-		}
-		if err := writeU64(nil, uint64(gs.Sum32())); err != nil {
-			return cw.n, err
-		}
+		e.f32s(s.Grid.Data)
+		e.endSection()
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	return e.n, e.err
 }
 
 // Read deserialises a snapshot, verifying every checksum.

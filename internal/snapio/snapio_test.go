@@ -2,6 +2,8 @@ package snapio
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -250,5 +252,90 @@ func TestProbe(t *testing.T) {
 	// A file shorter than the header prefix is not ok rather than an error.
 	if _, _, ok := Probe(bytes.NewReader(buf.Bytes()[:7])); ok {
 		t.Fatal("Probe accepted a truncated prefix")
+	}
+}
+
+// goldenSnapshot is a deterministic snapshot big enough that every section
+// spans several of the writer's 64 KiB chunks, at sizes that leave values
+// straddling the chunk edges.
+func goldenSnapshot(t *testing.T, withGrid, withNu bool) *Snapshot {
+	t.Helper()
+	rng := rand.New(rand.NewSource(17))
+	fill := func(n int, mass float64) *nbody.Particles {
+		p, err := nbody.NewParticles(n, mass, [3]float64{50, 50, 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < p.N; i++ {
+			for d := 0; d < 3; d++ {
+				p.Pos[d][i] = rng.Float64() * 50
+				p.Vel[d][i] = rng.NormFloat64() * 100
+			}
+		}
+		return p
+	}
+	s := &Snapshot{A: 0.25, Time: 0.0017, Part: fill(3001, 2.5)}
+	if withGrid {
+		g, err := phase.New(5, 6, 7, [3]int{6, 7, 8}, [3]float64{50, 50, 50}, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.Data {
+			g.Data[i] = rng.Float32()
+		}
+		s.Grid = g
+	}
+	if withNu {
+		s.NuPart = fill(2503, 0.125)
+	}
+	return s
+}
+
+// TestFilesByteIdenticalToPerValueWriter pins the bytes on disk: the digests
+// below were taken from the writer this one replaced, which encoded, hashed
+// and wrote one value at a time. v1 (particles, particles + grid) and v2
+// (ν particles, with and without a grid) must not move by a bit.
+func TestFilesByteIdenticalToPerValueWriter(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		grid, nu     bool
+		size         int64
+		sha256Digest string
+	}{
+		{"v1 particles", false, false, 144208, "341d8db25e63cfff59871c78c9af15560c2fda0f01baffd01b2c0e0a251de4c0"},
+		{"v1 particles+grid", true, false, 426456, "fe92f7881b5fc9457f3648f37deac78d00d65392979c14f6f021cae90571d87b"},
+		{"v2 particles+nu", false, true, 264376, "9c51a6f5491848e3a18bad22e02720c54b8bb2de1c76147249d2d971237d8a50"},
+		{"v2 particles+nu+grid", true, true, 546624, "0e2c9d4eb16e0ec316b1a25d9f44d6a7b8d29bf109e8ee7ebfeede6cfe520e5a"},
+	} {
+		var buf bytes.Buffer
+		n, err := Write(&buf, goldenSnapshot(t, tc.grid, tc.nu))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+		if n != tc.size || int64(buf.Len()) != tc.size || sum != tc.sha256Digest {
+			t.Errorf("%s: %d bytes (reported %d), sha256 %s; want %d bytes, %s", tc.name, buf.Len(), n, sum, tc.size, tc.sha256Digest)
+		}
+	}
+}
+
+// failAfter accepts limit bytes, then fails every write.
+type failAfter struct{ limit, n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.n+len(p) > f.limit {
+		return 0, fmt.Errorf("disk full")
+	}
+	f.n += len(p)
+	return len(p), nil
+}
+
+func TestWriteReportsWriterError(t *testing.T) {
+	// The first failed chunk write is the error Write returns, with the
+	// count of bytes that did reach the writer.
+	w := &failAfter{limit: 100 << 10}
+	n, err := Write(w, goldenSnapshot(t, true, true))
+	if err == nil || n != int64(w.n) || n == 0 {
+		t.Fatalf("Write to a failing writer: n = %d (writer took %d), err = %v", n, w.n, err)
 	}
 }

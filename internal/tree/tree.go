@@ -7,14 +7,18 @@
 //	g(x) = erfc(x/2) + (x/√π)·exp(−x²/4),
 //
 // with the complementary long-range filter exp(−k²·r_s²) applied in the PM
-// Green's function. Interactions are cut off at r_cut = 4.5·r_s where g has
-// decayed below 10⁻⁴.
+// Green's function. Interactions are cut off at r_cut = 4.5·r_s, where
+// g = 1.75·10⁻²: a pair just beyond the cutoff loses 1.75 % of its Newtonian
+// force, 8.7·10⁻⁴·G m/r_s² — 0.09 % of the force of a pair one r_s apart —
+// and the loss falls like a Gaussian from there (g(6) = 4.4·10⁻⁴). The PM
+// half is unaffected, so that is the whole truncation error per pair, and
+// over an isotropic neighbourhood the dropped tails cancel.
 //
 // The inner force loop follows the Phantom-GRAPE design the paper ported to
-// SVE: the tree walk produces a flat interaction list, and a branch-free
-// batched kernel with a tabulated g(x) profile evaluates it; the scalar
-// erfc-per-pair kernel is retained as the "w/o SIMD" baseline for the
-// ablation benchmarks.
+// SVE: one tree walk per group of nearby targets produces a flat interaction
+// list, and a branch-free batched kernel with a tabulated force profile
+// streams it once per target; the scalar erfc-per-pair kernel is retained as
+// the "w/o SIMD" baseline for the ablation benchmarks.
 package tree
 
 import (
@@ -67,11 +71,26 @@ type node struct {
 	half   float64    // half-width
 	com    [3]float64
 	mass   float64
-	// children indices into Tree.nodes (−1 when absent); leaf when count>=0.
+	// children indices into Tree.nodes (−1 when absent).
 	children [8]int32
 	leaf     bool
-	lo, hi   int32 // particle index range [lo,hi) for leaves
+	lo, hi   int32 // particle range [lo,hi) in tree order
 }
+
+// groupSize caps the particles of one target group: AccelAll walks the tree
+// once per group and every member streams the shared interaction list. A
+// larger group amortises the walk over more targets but lengthens the list
+// each of them streams (it covers the group's bounding box padded by the
+// cutoff). Subtree sizes come in steps of ~8, so what matters is which step
+// the cap lands on: measured over near-uniform 12³–32³ sets at r_s = 1.25 PM
+// cells, 32 is best or within 10 % of best on each (groups of 8 at 32³, of
+// 27 at 12³), while 8 and 64 each lose 30–40 % somewhere.
+const groupSize = 32
+
+// minGroupsPerWorker is the least work AccelAll hands a goroutine (a group
+// is ~50 µs); with less per worker the second goroutine's wake-up eats the
+// gain, so the walk runs on fewer workers, down to the calling goroutine.
+const minGroupsPerWorker = 16
 
 // Tree is the built octree plus the particle reference.
 type Tree struct {
@@ -79,22 +98,27 @@ type Tree struct {
 	p     *nbody.Particles
 	nodes []node
 	// perm is the particle permutation applied during the build; px/py/pz
-	// are the permuted coordinate arrays for cache-friendly leaf scans.
+	// are the permuted coordinate arrays, so a subtree's particles are one
+	// contiguous range.
 	perm       []int32
 	px, py, pz []float64
-	rcut       float64
-	gtab       *gTable
+	// groups lists the target groups in tree order: the topmost nodes
+	// holding at most groupSize particles (or a leaf that holds more).
+	groups []int32
+	rcut   float64
+	gtab   *gTable
 	// workers pins the AccelAll parallelism (0 = GOMAXPROCS at call time,
 	// the historical default). Set through SetWorkers so a scheduler-owned
 	// core budget can see — and bound — the walk's goroutines.
 	workers int
+	walkers []walker // AccelAll's per-worker scratch, kept across calls
 }
 
 // SetWorkers pins the number of goroutines AccelAll parallelises the walk
 // over (minimum 1). Without it the walk reads GOMAXPROCS at call time,
 // which is invisible to any core budget. The worker count never changes
-// the computed accelerations: particles are partitioned into disjoint
-// ranges, each evaluated identically.
+// the computed accelerations: whole target groups are dealt to workers and
+// a particle's force depends on its group alone.
 func (t *Tree) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -123,6 +147,16 @@ func Build(p *nbody.Particles, opt Options) (*Tree, error) {
 	if t.rcut > p.Box[0]/2 {
 		return nil, fmt.Errorf("tree: cutoff %v exceeds half box %v", t.rcut, p.Box[0]/2)
 	}
+	t.Rebuild()
+	return t, nil
+}
+
+// Rebuild re-reads the positions of the particle set the tree was built
+// over and rebuilds the octree into the existing node, permutation and
+// coordinate storage: a step loop builds once and rebuilds after every
+// drift without allocating.
+func (t *Tree) Rebuild() {
+	p := t.p
 	for i := range t.perm {
 		t.perm[i] = int32(i)
 		t.px[i] = p.Pos[0][i]
@@ -130,38 +164,37 @@ func Build(p *nbody.Particles, opt Options) (*Tree, error) {
 		t.pz[i] = p.Pos[2][i]
 	}
 	l := p.Box[0]
-	root := node{centre: [3]float64{l / 2, l / 2, l / 2}, half: l / 2}
-	t.nodes = append(t.nodes, root)
-	t.build(0, 0, int32(p.N), 0)
-	return t, nil
+	t.nodes = append(t.nodes[:0], node{centre: [3]float64{l / 2, l / 2, l / 2}, half: l / 2})
+	t.groups = t.groups[:0]
+	t.build(0, 0, int32(p.N), 0, false)
 }
 
 const maxDepth = 48
 
-// build recursively partitions particle range [lo,hi) under node ni.
-func (t *Tree) build(ni int32, lo, hi int32, depth int) {
+// build recursively partitions particle range [lo,hi) under node ni;
+// grouped says an ancestor already is a target group.
+func (t *Tree) build(ni int32, lo, hi int32, depth int, grouped bool) {
 	n := &t.nodes[ni]
 	// Compute mass and centre of mass.
-	var m, cx, cy, cz float64
+	var cx, cy, cz float64
 	for i := lo; i < hi; i++ {
 		cx += t.px[i]
 		cy += t.py[i]
 		cz += t.pz[i]
 	}
 	cnt := float64(hi - lo)
-	m = cnt * t.p.Mass
-	n.mass = m
-	if cnt > 0 {
-		n.com = [3]float64{cx / cnt, cy / cnt, cz / cnt}
-	} else {
-		n.com = n.centre
+	n.mass = cnt * t.p.Mass
+	n.com = [3]float64{cx / cnt, cy / cnt, cz / cnt}
+	n.lo, n.hi = lo, hi
+	for c := range n.children {
+		n.children[c] = -1
 	}
-	if hi-lo <= int32(t.opt.LeafSize) || depth >= maxDepth {
-		n.leaf = true
-		n.lo, n.hi = lo, hi
-		for c := range n.children {
-			n.children[c] = -1
-		}
+	n.leaf = hi-lo <= int32(t.opt.LeafSize) || depth >= maxDepth
+	if !grouped && (n.leaf || hi-lo <= groupSize) {
+		t.groups = append(t.groups, ni)
+		grouped = true
+	}
+	if n.leaf {
 		return
 	}
 	// Partition the range into octants about the cell centre (in-place
@@ -181,7 +214,6 @@ func (t *Tree) build(ni int32, lo, hi int32, depth int) {
 	for oct := 0; oct < 8; oct++ {
 		clo, chi := bounds[oct], bounds[oct+1]
 		if clo >= chi {
-			t.nodes[ni].children[oct] = -1
 			continue
 		}
 		var cc [3]float64
@@ -204,9 +236,8 @@ func (t *Tree) build(ni int32, lo, hi int32, depth int) {
 		ci := int32(len(t.nodes))
 		t.nodes = append(t.nodes, node{centre: cc, half: half})
 		t.nodes[ni].children[oct] = ci
-		t.build(ci, clo, chi, depth+1)
+		t.build(ci, clo, chi, depth+1, grouped)
 	}
-	t.nodes[ni].leaf = false
 }
 
 // partition reorders [lo,hi) so that coords[dim] < pivot come first and
@@ -242,88 +273,177 @@ func (t *Tree) swap(a, b int32) {
 	t.perm[a], t.perm[b] = t.perm[b], t.perm[a]
 }
 
-// interaction is one entry of the Phantom-GRAPE interaction list.
-type interaction struct {
-	dx, dy, dz float64 // minimum-image displacement source − target
-	mass       float64
+// sources is the Phantom-GRAPE interaction list, structure of arrays: the
+// positions of the accepted particles and cell monopoles, each in the
+// periodic image nearest the targets, and their masses.
+type sources struct {
+	x, y, z, m []float64
 }
 
-// Accel returns the short-range acceleration (du/dt contribution before the
-// 1/a gravity normalisation applied by the caller) on target position pos,
-// excluding any particle closer than exclRadius... self-interaction is
-// excluded by skipping zero-distance pairs.
-func (t *Tree) Accel(pos [3]float64) [3]float64 {
-	list := t.walk(pos, nil)
-	if t.opt.Scalar {
-		return kernelScalar(list, t.opt.Soft, t.opt.RSplit)
-	}
-	return kernelBatched(list, t.opt.Soft, t.opt.RSplit, t.gtab)
+func (s *sources) reset() {
+	s.x, s.y, s.z, s.m = s.x[:0], s.y[:0], s.z[:0], s.m[:0]
 }
 
-// walk gathers the interaction list for a target position.
-func (t *Tree) walk(pos [3]float64, list []interaction) []interaction {
+func (s *sources) add(x, y, z, m float64) {
+	s.x = append(s.x, x)
+	s.y = append(s.y, y)
+	s.z = append(s.z, z)
+	s.m = append(s.m, m)
+}
+
+// walker is one goroutine's walk state, reused from group to group.
+type walker struct {
+	stack []int32
+	list  sources
+	// apart is the per-target copy of list without the sources at zero
+	// distance; only an unsoftened tree needs it (see accel).
+	apart sources
+}
+
+// gather fills w.list with every source that can act on a target inside the
+// box of centre c and half-widths h: one walk per periodic image of the box
+// that the cutoff reaches. The list is a superset for any single target; the
+// kernels drop what lies beyond that target's own cutoff.
+func (t *Tree) gather(w *walker, c, h [3]float64) {
+	w.list.reset()
 	l := t.p.Box[0]
-	rc2 := t.rcut * t.rcut
-	stack := make([]int32, 1, 512)
-	stack[0] = 0
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := &t.nodes[ni]
-		if n.mass == 0 {
-			continue
+	// Image offsets per axis: 0 always, +l when the padded box sticks out
+	// above the domain (sources near 0 act from beyond l), −l below.
+	var off [3][3]float64
+	n := [3]int{1, 1, 1}
+	for k := 0; k < 3; k++ {
+		if c[k]+h[k]+t.rcut > l {
+			off[k][n[k]] = l
+			n[k]++
 		}
-		dx := minImage(n.com[0]-pos[0], l)
-		dy := minImage(n.com[1]-pos[1], l)
-		dz := minImage(n.com[2]-pos[2], l)
-		r2 := dx*dx + dy*dy + dz*dz
-		// Cull nodes entirely outside the cutoff sphere (conservatively via
-		// the bounding-sphere radius √3·half).
-		br := math.Sqrt(3) * n.half
-		rmin := math.Sqrt(r2) - br
-		if rmin > t.rcut {
-			continue
+		if c[k]-h[k]-t.rcut < 0 {
+			off[k][n[k]] = -l
+			n[k]++
 		}
-		if !n.leaf {
-			// Monopole acceptance: s/r < θ and the node is fully inside the
-			// cutoff-safe region.
-			if t.opt.Theta > 0 && 2*n.half < t.opt.Theta*math.Sqrt(r2) {
-				list = append(list, interaction{dx, dy, dz, n.mass})
-				continue
+	}
+	for _, ox := range off[0][:n[0]] {
+		for _, oy := range off[1][:n[1]] {
+			for _, oz := range off[2][:n[2]] {
+				t.walk(w, c, h, [3]float64{ox, oy, oz})
 			}
-			for _, c := range n.children {
-				if c >= 0 {
-					stack = append(stack, c)
+		}
+	}
+}
+
+// gap2 returns twice the distance from coordinate a to the interval of
+// centre c and half-width h, 2·max(|a−c|−h, 0), in arithmetic the compiler
+// leaves free of branches and spills (its float max is neither).
+func gap2(a, c, h float64) float64 {
+	d := math.Abs(a-c) - h
+	return d + math.Abs(d)
+}
+
+// walk appends the sources of the tree translated by o. A cell is culled
+// when the minimum distance between it and the target box exceeds the
+// cutoff, and accepted as a monopole when it subtends less than θ from the
+// nearest point of the box; both tests compare squared (doubled) distances.
+// The cull measures from the cell's geometric bounds, not its centre of
+// mass, which can sit anywhere inside them.
+func (t *Tree) walk(w *walker, c, h, o [3]float64) {
+	rc2 := 4 * t.rcut * t.rcut // against gap2's doubled distances
+	th2 := t.opt.Theta * t.opt.Theta
+	cx, cy, cz := c[0]-o[0], c[1]-o[1], c[2]-o[2]
+	hx, hy, hz := h[0], h[1], h[2]
+	mass := t.p.Mass
+	stack := append(w.stack[:0], 0)
+	for len(stack) > 0 {
+		n := &t.nodes[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		dx := gap2(n.centre[0], cx, hx+n.half)
+		dy := gap2(n.centre[1], cy, hy+n.half)
+		dz := gap2(n.centre[2], cz, hz+n.half)
+		if dx*dx+dy*dy+dz*dz > rc2 {
+			continue
+		}
+		if n.leaf {
+			for i := n.lo; i < n.hi; i++ {
+				x, y, z := t.px[i], t.py[i], t.pz[i]
+				dx, dy, dz := gap2(x, cx, hx), gap2(y, cy, hy), gap2(z, cz, hz)
+				if dx*dx+dy*dy+dz*dz <= rc2 {
+					w.list.add(x+o[0], y+o[1], z+o[2], mass)
 				}
 			}
 			continue
 		}
-		for i := n.lo; i < n.hi; i++ {
-			ddx := minImage(t.px[i]-pos[0], l)
-			ddy := minImage(t.py[i]-pos[1], l)
-			ddz := minImage(t.pz[i]-pos[2], l)
-			pr2 := ddx*ddx + ddy*ddy + ddz*ddz
-			if pr2 == 0 || pr2 > rc2 {
+		if th2 > 0 {
+			dx, dy, dz := gap2(n.com[0], cx, hx), gap2(n.com[1], cy, hy), gap2(n.com[2], cz, hz)
+			if 16*n.half*n.half < th2*(dx*dx+dy*dy+dz*dz) {
+				w.list.add(n.com[0]+o[0], n.com[1]+o[1], n.com[2]+o[2], n.mass)
 				continue
 			}
-			list = append(list, interaction{ddx, ddy, ddz, t.p.Mass})
+		}
+		for _, ch := range n.children {
+			if ch >= 0 {
+				stack = append(stack, ch)
+			}
 		}
 	}
-	return list
+	w.stack = stack
 }
 
-func minImage(dx, l float64) float64 {
-	if dx > l/2 {
-		return dx - l
+// accel evaluates w.list on one target. With softening a source at zero
+// distance — the target itself, when it is a tree particle — contributes
+// f·0 = 0 and the kernels need no test for it; without, it is 0/0, so the
+// list is first copied without such sources.
+func (t *Tree) accel(w *walker, x, y, z float64) [3]float64 {
+	list := &w.list
+	if t.opt.Soft == 0 {
+		w.apart.reset()
+		for k := range list.x {
+			dx, dy, dz := list.x[k]-x, list.y[k]-y, list.z[k]-z
+			if dx*dx+dy*dy+dz*dz != 0 {
+				w.apart.add(list.x[k], list.y[k], list.z[k], list.m[k])
+			}
+		}
+		list = &w.apart
 	}
-	if dx < -l/2 {
-		return dx + l
+	if t.opt.Scalar {
+		return kernelScalar(list, x, y, z, t.opt.Soft, t.opt.RSplit)
 	}
-	return dx
+	return kernelBatched(list, x, y, z, t.opt.Soft, t.opt.RSplit, t.gtab)
 }
 
-// AccelAll computes short-range accelerations for every particle in
-// parallel, writing into acc (three arrays of length N).
+// Accel returns the short-range acceleration (du/dt contribution before the
+// 1/a gravity normalisation applied by the caller) on target position pos:
+// the group walk for a box that is the single point. A particle at pos
+// itself exerts no force.
+func (t *Tree) Accel(pos [3]float64) [3]float64 {
+	var w walker
+	t.gather(&w, pos, [3]float64{})
+	return t.accel(&w, pos[0], pos[1], pos[2])
+}
+
+// accelGroups evaluates target groups [glo,ghi): one gather about the
+// bounding box of a group's particles, then every member in tree order.
+func (t *Tree) accelGroups(w *walker, glo, ghi int, acc [3][]float64) {
+	for _, ni := range t.groups[glo:ghi] {
+		lo, hi := t.nodes[ni].lo, t.nodes[ni].hi
+		var c, h [3]float64
+		for k, coord := range [3][]float64{t.px, t.py, t.pz} {
+			mn, mx := coord[lo], coord[lo]
+			for _, v := range coord[lo+1 : hi] {
+				mn, mx = min(mn, v), max(mx, v)
+			}
+			c[k], h[k] = (mn+mx)/2, (mx-mn)/2
+		}
+		t.gather(w, c, h)
+		for i := lo; i < hi; i++ {
+			a := t.accel(w, t.px[i], t.py[i], t.pz[i])
+			j := t.perm[i]
+			acc[0][j], acc[1][j], acc[2][j] = a[0], a[1], a[2]
+		}
+	}
+}
+
+// AccelAll computes short-range accelerations for every particle, writing
+// into acc (three arrays of length N). Target groups are dealt to the
+// workers in contiguous runs; with one worker, or too few groups to give
+// each worker minGroupsPerWorker, the walk runs on the calling goroutine.
 func (t *Tree) AccelAll(acc [3][]float64) error {
 	for d := 0; d < 3; d++ {
 		if len(acc[d]) != t.p.N {
@@ -334,34 +454,23 @@ func (t *Tree) AccelAll(acc [3][]float64) error {
 	if nw == 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
+	ng := len(t.groups)
+	nw = max(min(nw, ng/minGroupsPerWorker), 1)
+	if len(t.walkers) < nw {
+		t.walkers = append(t.walkers, make([]walker, nw-len(t.walkers))...)
+	}
+	if nw == 1 {
+		t.accelGroups(&t.walkers[0], 0, ng, acc)
+		return nil
+	}
 	var wg sync.WaitGroup
-	chunk := (t.p.N + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > t.p.N {
-			hi = t.p.N
-		}
-		if lo >= hi {
-			break
-		}
+	chunk := (ng + nw - 1) / nw
+	for w := 0; w*chunk < ng; w++ {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			var list []interaction
-			for i := lo; i < hi; i++ {
-				pos := [3]float64{t.p.Pos[0][i], t.p.Pos[1][i], t.p.Pos[2][i]}
-				list = t.walk(pos, list[:0])
-				var a [3]float64
-				if t.opt.Scalar {
-					a = kernelScalar(list, t.opt.Soft, t.opt.RSplit)
-				} else {
-					a = kernelBatched(list, t.opt.Soft, t.opt.RSplit, t.gtab)
-				}
-				acc[0][i] = a[0]
-				acc[1][i] = a[1]
-				acc[2][i] = a[2]
-			}
-		}(lo, hi)
+			t.accelGroups(&t.walkers[w], w*chunk, min((w+1)*chunk, ng), acc)
+		}(w)
 	}
 	wg.Wait()
 	return nil
@@ -374,30 +483,51 @@ func SplitG(x float64) float64 {
 }
 
 // kernelScalar is the per-pair baseline: one erfc and one exp per
-// interaction (the paper's 2.4×10⁷ interactions/s analogue).
-func kernelScalar(list []interaction, soft, rs float64) [3]float64 {
+// interaction (the paper's 2.4×10⁷ interactions/s analogue), with the
+// cutoff as a branch.
+func kernelScalar(s *sources, x, y, z, soft, rs float64) [3]float64 {
 	var ax, ay, az float64
 	e2 := soft * soft
-	for _, it := range list {
-		r2 := it.dx*it.dx + it.dy*it.dy + it.dz*it.dz + e2
+	rcut := CutoffFactor * rs
+	rc2 := rcut * rcut
+	for k := range s.x {
+		dx, dy, dz := s.x[k]-x, s.y[k]-y, s.z[k]-z
+		r2 := dx*dx + dy*dy + dz*dz
+		if r2 > rc2 {
+			continue
+		}
+		r2 += e2
 		r := math.Sqrt(r2)
 		g := SplitG(r / rs)
-		f := units.G * it.mass / (r2 * r) * g
-		ax += f * it.dx
-		ay += f * it.dy
-		az += f * it.dz
+		f := units.G * s.m[k] / (r2 * r) * g
+		ax += f * dx
+		ay += f * dy
+		az += f * dz
 	}
 	return [3]float64{ax, ay, az}
 }
 
-// gTable tabulates g(x)/x³·(…) — specifically the combined factor
-// g(x)/x³ — on x ∈ (0, CutoffFactor], the Phantom-GRAPE profile table.
+// gTable tabulates the force profile g(x)/x³ against s = x², so the kernel
+// needs no square root: the Phantom-GRAPE profile table. It is piecewise
+// linear with 2^gTabBits intervals per binade of s — the interval index is
+// the top bits of the float — which keeps the relative interpolation error
+// uniform (≲ 2·10⁻⁶) down to the x⁻³ divergence. tab[i] holds the value at
+// the interval's left edge and the slope in s; the last entry is the zero
+// interval every s at or beyond the cutoff maps to.
 type gTable struct {
-	dxInv float64
-	vals  []float64
+	tab [][2]float64
 }
 
-const gTableSize = 4096
+const (
+	gTabBits   = 10
+	gTabMinExp = -12 // tabulated from s = 2^gTabMinExp, i.e. x = 1/64
+	gTabShift  = 52 - gTabBits
+	gTabBase   = (1023 + gTabMinExp) << gTabBits
+)
+
+// gTabCut is the index of the interval starting at the cutoff s = 4.5² =
+// 20.25 = 2⁴·(1 + 17/64), an interval edge for any gTabBits ≥ 6.
+const gTabCut = (4-gTabMinExp)<<gTabBits + 17<<(gTabBits-6)
 
 var (
 	gtabOnce sync.Once
@@ -406,57 +536,58 @@ var (
 
 func sharedGTable() *gTable {
 	gtabOnce.Do(func() {
-		gt := &gTable{vals: make([]float64, gTableSize+2)}
-		dx := CutoffFactor / gTableSize
-		gt.dxInv = 1 / dx
-		for i := 1; i < len(gt.vals); i++ {
-			x := float64(i) * dx
-			gt.vals[i] = SplitG(x) / (x * x * x)
+		gt := &gTable{tab: make([][2]float64, gTabCut+1)}
+		edge := func(i int) float64 { return math.Float64frombits(uint64(i+gTabBase) << gTabShift) }
+		for i := 0; i < gTabCut; i++ {
+			s0, s1 := edge(i), edge(i+1)
+			v0, v1 := profile(s0), profile(s1)
+			gt.tab[i] = [2]float64{v0, (v1 - v0) / (s1 - s0)}
 		}
-		// x → 0: g → 1, so g/x³ diverges like 1/x³; the kernel handles the
-		// first bin analytically. Store a sentinel equal to bin 1.
-		gt.vals[0] = gt.vals[1]
 		gtabVal = gt
 	})
 	return gtabVal
 }
 
-// gTableMinX bounds the tabulated region from below: g(x)/x³ ~ 1/x³ diverges
-// as x → 0, where linear interpolation loses accuracy, so very close pairs
-// (rare — they sit inside the softening anyway) fall back to the exact form.
-const gTableMinX = 0.25
-
-// lookup returns g(x)/x³ by linear interpolation, exact below gTableMinX.
-func (g *gTable) lookup(x float64) float64 {
-	if x < gTableMinX {
-		return SplitG(x) / (x * x * x)
-	}
-	s := x * g.dxInv
-	i := int(s)
-	if i >= gTableSize {
-		return 0
-	}
-	fr := s - float64(i)
-	return g.vals[i]*(1-fr) + g.vals[i+1]*fr
+// profile is the exact g(x)/x³ at s = x².
+func profile(s float64) float64 {
+	x := math.Sqrt(s)
+	return SplitG(x) / (s * x)
 }
 
-// kernelBatched is the Phantom-GRAPE analogue: a branch-light loop over the
-// interaction list using the tabulated profile. Acceleration factor:
-// G·m·g(r/rs)/r³ = G·m/rs³ · [g(x)/x³] with x = r/rs.
-func kernelBatched(list []interaction, soft, rs float64, gt *gTable) [3]float64 {
+// kernelBatched is the Phantom-GRAPE analogue: a branch-free loop streaming
+// the interaction list through the tabulated profile, which vanishes from
+// the cutoff on. Acceleration factor: G·m·g(r/rs)/r³ = G·m/rs³ · [g(x)/x³]
+// with x = r/rs. The one branch is for sources below the tabulated range
+// (closer than r_s/64 — rarer still than the softening allows), which take
+// the exact profile.
+func kernelBatched(src *sources, x, y, z, soft, rs float64, gt *gTable) [3]float64 {
 	var ax, ay, az float64
 	e2 := soft * soft
-	invRs := 1 / rs
-	norm := units.G / (rs * rs * rs)
-	for _, it := range list {
-		r2 := it.dx*it.dx + it.dy*it.dy + it.dz*it.dz + e2
-		x := math.Sqrt(r2) * invRs
-		f := norm * it.mass * gt.lookup(x)
-		ax += f * it.dx
-		ay += f * it.dy
-		az += f * it.dz
+	invRs2 := 1 / (rs * rs)
+	sx := src.x
+	sy, sz, m := src.y[:len(sx)], src.z[:len(sx)], src.m[:len(sx)]
+	tab := gt.tab[:gTabCut+1]
+	for k := range sx {
+		dx, dy, dz := sx[k]-x, sy[k]-y, sz[k]-z
+		s := (dx*dx + dy*dy + dz*dz + e2) * invRs2
+		bits := math.Float64bits(s)
+		i := int(bits>>gTabShift) - gTabBase
+		var f float64
+		if i >= 0 {
+			// min(i, gTabCut) without the branch the compiler makes of it:
+			// which side of the cutoff a source lies is a coin toss.
+			over := i - gTabCut
+			e := &tab[gTabCut+over&(over>>63)]
+			f = m[k] * (e[0] + e[1]*(s-math.Float64frombits(bits&^(1<<gTabShift-1))))
+		} else {
+			f = m[k] * profile(s)
+		}
+		ax += f * dx
+		ay += f * dy
+		az += f * dz
 	}
-	return [3]float64{ax, ay, az}
+	norm := units.G / (rs * rs * rs)
+	return [3]float64{norm * ax, norm * ay, norm * az}
 }
 
 // DirectShortRange evaluates the exact short-range acceleration on particle
@@ -465,7 +596,7 @@ func kernelBatched(list []interaction, soft, rs float64, gt *gTable) [3]float64 
 func DirectShortRange(p *nbody.Particles, i int, soft, rs float64) [3]float64 {
 	l := p.Box[0]
 	rcut := CutoffFactor * rs
-	var list []interaction
+	var list sources
 	for j := 0; j < p.N; j++ {
 		if j == i {
 			continue
@@ -476,7 +607,17 @@ func DirectShortRange(p *nbody.Particles, i int, soft, rs float64) [3]float64 {
 		if dx*dx+dy*dy+dz*dz > rcut*rcut {
 			continue
 		}
-		list = append(list, interaction{dx, dy, dz, p.Mass})
+		list.add(dx, dy, dz, p.Mass)
 	}
-	return kernelScalar(list, soft, rs)
+	return kernelScalar(&list, 0, 0, 0, soft, rs)
+}
+
+func minImage(dx, l float64) float64 {
+	if dx > l/2 {
+		return dx - l
+	}
+	if dx < -l/2 {
+		return dx + l
+	}
+	return dx
 }

@@ -3,6 +3,7 @@ package tree
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -63,16 +64,26 @@ func TestSplitGLimits(t *testing.T) {
 }
 
 func TestGTableMatchesExact(t *testing.T) {
+	// One unit source at distance x·r_s through the batched kernel: the
+	// acceleration is G/r_s² · x · [g(x)/x³], so this reads the table the
+	// way the kernel does, exact branch below the tabulated range included.
 	gt := sharedGTable()
-	for _, x := range []float64{0.05, 0.26, 0.5, 1.0, 2.0, 3.3, 4.4} {
+	const rs = 2.0
+	profileAt := func(x float64) float64 {
+		src := &sources{}
+		src.add(x*rs, 0, 0, 1)
+		return kernelBatched(src, 0, 0, 0, 0, rs, gt)[0] / (units.G / (rs * rs) * x)
+	}
+	for _, x := range []float64{0.001, 1.0 / 64, 0.05, 0.26, 0.5, 1.0, 2.0, 3.3, 4.4, 4.4999} {
 		want := SplitG(x) / (x * x * x)
-		got := gt.lookup(x)
-		if math.Abs(got-want)/want > 2e-4 {
+		if got := profileAt(x); math.Abs(got-want)/want > 2e-6 {
 			t.Fatalf("g-table at x=%v: %v vs %v", x, got, want)
 		}
 	}
-	if gt.lookup(4.6) != 0 {
-		t.Fatal("lookup beyond cutoff should vanish")
+	for _, x := range []float64{4.5, 4.6, 5.5, 6, 40} {
+		if got := profileAt(x); got != 0 {
+			t.Fatalf("profile %v at x=%v: should vanish from the cutoff on", got, x)
+		}
 	}
 }
 
@@ -170,6 +181,19 @@ func TestIsolatedPairNewton(t *testing.T) {
 	if math.Abs(a[1]) > 1e-10 || math.Abs(a[2]) > 1e-10 {
 		t.Fatalf("transverse force should vanish: %v", a)
 	}
+	// Soft: 0 through the group walk, where both particles share one list
+	// that holds each of them at zero distance from itself: the self term
+	// must be dropped, not evaluated as 0/0.
+	var acc [3][]float64
+	for d := range acc {
+		acc[d] = make([]float64, 2)
+	}
+	if err := tr.AccelAll(acc); err != nil {
+		t.Fatal(err)
+	}
+	if acc[0][0] != a[0] || acc[0][1] != -a[0] {
+		t.Fatalf("group walk pair force %v, %v; want ±%v", acc[0][0], acc[0][1], a[0])
+	}
 }
 
 func TestNewtonThirdLawAntisymmetry(t *testing.T) {
@@ -205,25 +229,41 @@ func TestPeriodicMinimumImageForce(t *testing.T) {
 }
 
 func TestAccelAllMatchesAccel(t *testing.T) {
-	p := randomParticles(t, 150, 100, 11)
-	tr, err := Build(p, Options{Theta: 0.5, RSplit: 5, Soft: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Accel is the group walk for a point: at θ = 0 its list holds the same
+	// in-range sources in the same order as the particle's group list (the
+	// group's extras lie beyond the particle's cutoff and add exact zeros),
+	// so the two agree bit for bit. With θ > 0 the group accepts a cell from
+	// its bounding box, the point from itself, and they agree to the
+	// monopole error.
+	p := randomParticles(t, 1500, 100, 11)
 	var acc [3][]float64
 	for d := 0; d < 3; d++ {
 		acc[d] = make([]float64, p.N)
 	}
-	if err := tr.AccelAll(acc); err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, 42, 149} {
-		want := tr.Accel([3]float64{p.Pos[0][i], p.Pos[1][i], p.Pos[2][i]})
-		for d := 0; d < 3; d++ {
-			if acc[d][i] != want[d] {
-				t.Fatalf("AccelAll differs at %d dim %d", i, d)
+	for _, theta := range []float64{0, 0.5} {
+		tr, err := Build(p, Options{Theta: theta, RSplit: 4, Soft: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.AccelAll(acc); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{0, 42, 149, 1499} {
+			want := tr.Accel([3]float64{p.Pos[0][i], p.Pos[1][i], p.Pos[2][i]})
+			norm := math.Abs(want[0]) + math.Abs(want[1]) + math.Abs(want[2])
+			for d := 0; d < 3; d++ {
+				if theta == 0 && acc[d][i] != want[d] {
+					t.Fatalf("θ=0: AccelAll differs from Accel at %d dim %d: %v vs %v", i, d, acc[d][i], want[d])
+				}
+				if math.Abs(acc[d][i]-want[d]) > 1e-3*norm {
+					t.Fatalf("θ=%v: AccelAll %v vs Accel %v at %d dim %d", theta, acc[d][i], want[d], i, d)
+				}
 			}
 		}
+	}
+	tr, err := Build(p, Options{Theta: 0.5, RSplit: 4, Soft: 0.1})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var short [3][]float64
 	short[0] = make([]float64, 3)
@@ -278,19 +318,24 @@ func TestClusteredParticlesDeepTree(t *testing.T) {
 	}
 }
 
-// TestAccelAllWorkerInvariance: the parallel walk partitions particles into
-// disjoint ranges, so a pinned worker count returns bit-identical
-// accelerations — the property a scheduler-owned core budget relies on.
+// TestAccelAllWorkerInvariance: the parallel walk deals whole target groups
+// to workers and a particle's force depends on its group alone, so any
+// worker count returns bit-identical accelerations — the property a
+// scheduler-owned core budget relies on.
 func TestAccelAllWorkerInvariance(t *testing.T) {
-	p := randomParticles(t, 400, 100, 11)
-	tr, err := Build(p, Options{Theta: 0.5, RSplit: 5, Soft: 0.1})
+	p := randomParticles(t, 3000, 100, 11)
+	tr, err := Build(p, Options{Theta: 0.5, RSplit: 4, Soft: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var def, one [3][]float64
+	if len(tr.groups) < 3*minGroupsPerWorker {
+		t.Fatalf("%d groups: too few for three workers to run", len(tr.groups))
+	}
+	var def, one, three [3][]float64
 	for d := 0; d < 3; d++ {
 		def[d] = make([]float64, p.N)
 		one[d] = make([]float64, p.N)
+		three[d] = make([]float64, p.N)
 	}
 	if err := tr.AccelAll(def); err != nil { // GOMAXPROCS default
 		t.Fatal(err)
@@ -299,15 +344,180 @@ func TestAccelAllWorkerInvariance(t *testing.T) {
 	if err := tr.AccelAll(one); err != nil {
 		t.Fatal(err)
 	}
+	tr.SetWorkers(3)
+	if err := tr.AccelAll(three); err != nil {
+		t.Fatal(err)
+	}
 	for d := 0; d < 3; d++ {
 		for i := 0; i < p.N; i++ {
-			if def[d][i] != one[d][i] {
-				t.Fatalf("acc[%d][%d]: default %v != pinned %v", d, i, def[d][i], one[d][i])
+			if def[d][i] != one[d][i] || three[d][i] != one[d][i] {
+				t.Fatalf("acc[%d][%d]: default %v, one worker %v, three %v", d, i, def[d][i], one[d][i], three[d][i])
 			}
 		}
 	}
 	tr.SetWorkers(0)
 	if tr.workers != 1 {
 		t.Fatalf("workers %d after SetWorkers(0), want floor 1", tr.workers)
+	}
+}
+
+// TestCutoffCullOffCentreCell: a cell's particles can lie up to 2√3·half
+// from its centre of mass, so a cull by |com − target| − √3·half dropped a
+// far-off-centre cell while one of its particles sat well inside the cutoff.
+// The cull goes by the cell's geometric bounds.
+func TestCutoffCullOffCentreCell(t *testing.T) {
+	const box, rs, soft = 64.0, 2.0, 0.01
+	var pts [][3]float64
+	a := [3]float64{32.1, 32.1, 32.1}
+	pts = append(pts, a)
+	for k := 0; k < 7; k++ { // drag the octant's centre of mass to its far corner
+		pts = append(pts, [3]float64{63 + 0.01*float64(k), 63.1, 63.2})
+	}
+	off := 6 / math.Sqrt(3)
+	target := len(pts)
+	pts = append(pts, [3]float64{a[0] - off, a[1] - off, a[2] - off}) // 6 < r_cut = 9 from a
+	for k := 0; k < 20; k++ {
+		pts = append(pts, [3]float64{50 + 0.3*float64(k%10), 10 + 0.2*float64(k), 5 + 0.1*float64(k)})
+	}
+	p, err := nbody.NewParticles(len(pts), 2.0, [3]float64{box, box, box})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range pts {
+		p.Pos[0][i], p.Pos[1][i], p.Pos[2][i] = x[0], x[1], x[2]
+	}
+	want := DirectShortRange(p, target, soft, rs)
+	if want[0] < 0.1 {
+		t.Fatalf("reproducer lost its in-range neighbour: direct force %v", want)
+	}
+	for _, theta := range []float64{0, 0.5} {
+		tr, err := Build(p, Options{Theta: theta, RSplit: rs, Soft: soft, Scalar: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tr.Accel(pts[target])
+		for d := 0; d < 3; d++ {
+			if math.Abs(got[d]-want[d]) > 1e-9*want[d] {
+				t.Fatalf("θ=%v: Accel %v, direct %v", theta, got, want)
+			}
+		}
+	}
+}
+
+// clusteredParticles draws half the set from a few tight Gaussian clumps
+// (one straddling the periodic boundary) and half uniformly.
+func clusteredParticles(t *testing.T, n int, box float64, seed int64) *nbody.Particles {
+	t.Helper()
+	p := randomParticles(t, n, box, seed)
+	rng := rand.New(rand.NewSource(seed + 1))
+	centres := [][3]float64{{0.3, 0.5, box - 0.2}, {0.4 * box, 0.6 * box, 0.5 * box}, {0.8 * box, 0.2 * box, 0.7 * box}}
+	for i := 0; i < n/2; i++ {
+		c := centres[i%len(centres)]
+		for d := 0; d < 3; d++ {
+			p.Pos[d][i] = p.Wrap(d, c[d]+rng.NormFloat64()*0.02*box)
+		}
+	}
+	return p
+}
+
+// TestGroupWalkMatchesDirect holds the group walk against direct summation
+// on uniform and clustered sets: at θ = 0 with the scalar kernel every pair
+// inside the cutoff is summed exactly once (1e-12), and at θ = 0.5 with the
+// batched kernel the median relative error stays ≤ 1e-5.
+func TestGroupWalkMatchesDirect(t *testing.T) {
+	const box, rs, soft = 100.0, 4.0, 0.05
+	sets := map[string]*nbody.Particles{
+		"uniform":   randomParticles(t, 2000, box, 21),
+		"clustered": clusteredParticles(t, 2000, box, 22),
+	}
+	for name, p := range sets {
+		var acc [3][]float64
+		for d := range acc {
+			acc[d] = make([]float64, p.N)
+		}
+		relErrs := func(opt Options) []float64 {
+			tr, err := Build(p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.AccelAll(acc); err != nil {
+				t.Fatal(err)
+			}
+			var errs []float64
+			for i := 0; i < p.N; i += 7 {
+				want := DirectShortRange(p, i, soft, rs)
+				var diff, norm float64
+				for d := 0; d < 3; d++ {
+					diff += (acc[d][i] - want[d]) * (acc[d][i] - want[d])
+					norm += want[d] * want[d]
+				}
+				if norm > 0 {
+					errs = append(errs, math.Sqrt(diff/norm))
+				}
+			}
+			sort.Float64s(errs)
+			return errs
+		}
+		exact := relErrs(Options{Theta: 0, RSplit: rs, Soft: soft, Scalar: true})
+		if worst := exact[len(exact)-1]; worst > 1e-12 {
+			t.Errorf("%s: θ=0 scalar group walk off direct summation by %.3g", name, worst)
+		}
+		batched := relErrs(Options{Theta: 0.5, RSplit: rs, Soft: soft})
+		if med := batched[len(batched)/2]; med > 1e-5 {
+			t.Errorf("%s: θ=0.5 batched median relative error %.3g > 1e-5", name, med)
+		}
+	}
+}
+
+// TestRebuildInPlace: after the particles move, Rebuild gives the tree a
+// fresh Build would, and a warmed build-and-walk cycle allocates nothing.
+func TestRebuildInPlace(t *testing.T) {
+	p := clusteredParticles(t, 1200, 100, 31)
+	opt := Options{Theta: 0.5, RSplit: 4, Soft: 0.1}
+	tr, err := Build(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetWorkers(1)
+	var got, want [3][]float64
+	for d := range got {
+		got[d] = make([]float64, p.N)
+		want[d] = make([]float64, p.N)
+	}
+	if err := tr.AccelAll(got); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < p.N; i++ {
+		for d := 0; d < 3; d++ {
+			p.Pos[d][i] = p.Wrap(d, p.Pos[d][i]+rng.NormFloat64())
+		}
+	}
+	tr.Rebuild()
+	if err := tr.AccelAll(got); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Build(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.AccelAll(want); err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 3; d++ {
+		for i := range got[d] {
+			if got[d][i] != want[d][i] {
+				t.Fatalf("rebuilt tree differs from a fresh build at acc[%d][%d]: %v vs %v", d, i, got[d][i], want[d][i])
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		tr.Rebuild()
+		if err := tr.AccelAll(got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed Rebuild + AccelAll allocates %.1f allocs/op, want 0", allocs)
 	}
 }
