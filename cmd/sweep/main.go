@@ -1,15 +1,14 @@
 // Command sweep runs a parameter-sweep campaign — the batch-scheduler
 // counterpart of the single-run vlasov6d binary. The default sweep is a
 // scheme × resolution grid of Landau-damping validation runs: every
-// advection scheme at every phase-space resolution is driven through the
-// streaming scheduler's shared worker pool, each job measures its own
+// advection scheme at every phase-space resolution is driven through one
+// RunBatch call over the scheduler's shared worker pool, each job measures its own
 // damping rate from the field-energy peaks (delivered through the async
 // observer pipeline, off the job's step loop), and the final table compares
 // every cell of the grid against the kinetic-theory rate from the plasma
 // dispersion function.
 //
-// The grid feeds a Stream: small grids carry higher priority so the table
-// fills coarse-to-fine, transient failures retry with backoff (-retries),
+// Small grids carry higher priority so the table fills coarse-to-fine, transient failures retry with backoff (-retries),
 // and with -resume-dir every job checkpoints into its own directory and a
 // re-invoked sweep resumes each job from its newest snapshot — kill a
 // campaign with Ctrl-C and run the same command again to continue it
@@ -116,10 +115,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var stream *vlasov6d.Stream
-	streamOpts := []vlasov6d.BatchOption{
+	// depth counts the jobs no worker has picked up yet: a job leaves the
+	// queue on its first update (attempt 1 starting, or cancelled at attempt
+	// 0 without ever running). The notify callback is serialised, so the
+	// counter needs no locking.
+	depth := len(grid)
+	opts := []vlasov6d.BatchOption{
 		vlasov6d.WithBatchNotify(func(u vlasov6d.BatchUpdate) {
-			depth := stream.Pending()
+			if u.Status == vlasov6d.JobRunning && u.Attempt == 1 ||
+				u.Status == vlasov6d.JobCancelled && u.Attempt == 0 {
+				depth--
+			}
 			switch u.Status {
 			case vlasov6d.JobRunning:
 				log.Printf("%-18s running   (attempt %d, %d queued)", u.Name, u.Attempt, depth)
@@ -137,28 +143,22 @@ func main() {
 		vlasov6d.WithBatchRetries(*retries),
 	}
 	if *workers > 0 {
-		streamOpts = append(streamOpts, vlasov6d.WithBatchWorkers(*workers))
+		opts = append(opts, vlasov6d.WithBatchWorkers(*workers))
 	}
 	if *budget > 0 {
-		streamOpts = append(streamOpts, vlasov6d.WithBatchCoreBudget(*budget))
+		opts = append(opts, vlasov6d.WithBatchCoreBudget(*budget))
 	}
 	if *wall > 0 {
-		streamOpts = append(streamOpts, vlasov6d.WithBatchWallClock(*wall))
+		opts = append(opts, vlasov6d.WithBatchWallClock(*wall))
 	}
 	if *resumeDir != "" {
-		streamOpts = append(streamOpts,
+		opts = append(opts,
 			vlasov6d.WithJobCheckpoints(*resumeDir),
 			vlasov6d.WithJobCheckpointEvery(*ckptEvery))
 	}
 
-	stream, err := vlasov6d.NewStream(ctx, streamOpts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	start := time.Now()
-	for _, c := range grid {
-		c := c
+	jobs := make([]vlasov6d.BatchJob, len(grid))
+	for i, c := range grid {
 		job := vlasov6d.BatchJob{
 			Name:  c.name(),
 			Until: *until,
@@ -204,21 +204,20 @@ func main() {
 				return s, nil
 			}
 		}
-		if err := stream.Submit(job); err != nil {
-			log.Fatal(err)
-		}
+		jobs[i] = job
 	}
-	stream.Close()
-
-	byName := make(map[string]vlasov6d.BatchResult, len(grid))
-	for r := range stream.Results() {
-		byName[r.Name] = r
+	start := time.Now()
+	results, err := vlasov6d.RunBatch(ctx, jobs, opts...)
+	if results == nil {
+		// Invalid options or jobs; an interrupted sweep still returns every
+		// result and prints its partial table below.
+		log.Fatal(err)
 	}
 
 	fmt.Printf("\n%-12s %9s %10s %10s %8s %8s  %s\n",
 		"scheme", "NX×NV", "γ fit", "γ theory", "err %", "attempt", "status")
-	for _, c := range grid {
-		r := byName[c.name()]
+	for i, c := range grid {
+		r := results[i]
 		label := fmt.Sprintf("%d×%d", c.nx, c.nv)
 		if r.Status != vlasov6d.JobDone || c.fit.Peaks() < 3 {
 			fmt.Printf("%-12s %9s %10s %10.4f %8s %8d  %s\n",

@@ -64,6 +64,15 @@ import (
 	"vlasov6d/internal/tenant"
 )
 
+// Edge timeouts. A client that opens a connection and never finishes its
+// request headers (slowloris) is dropped, and keep-alive connections are
+// reaped when idle. No write timeout: the SSE diagnostics stream and the
+// 30 s pprof profile are long-lived responses by design.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vlasovd: ")
@@ -116,7 +125,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	log.Printf("listening on %s (budget %d cores, checkpoint dir %q, store dir %q)",
 		ln.Addr(), *budget, *ckptDir, *storeDir)
 

@@ -386,7 +386,7 @@ func TestBudgetRetryReleasesCores(t *testing.T) {
 
 // TestCoreBudgetOptionValidation rejects a negative budget.
 func TestCoreBudgetOptionValidation(t *testing.T) {
-	if _, err := New(WithCoreBudget(-1)); err == nil {
+	if _, err := NewStream(context.Background(), WithCoreBudget(-1)); err == nil {
 		t.Fatal("negative core budget accepted")
 	}
 }

@@ -1,7 +1,7 @@
 package sched
 
-// Tests for the control-plane surface of the scheduler: per-job status
-// snapshots, per-submission cancellation, bounded core shares and budgeted
+// Tests for the control-plane surface of the scheduler: per-submission
+// cancellation, bounded core shares and budgeted
 // construction — the hooks the HTTP service layer (internal/serve) is built
 // on. Everything here runs in milliseconds and under -race in CI.
 
@@ -189,85 +189,6 @@ func TestStreamSubmitIDAndResultID(t *testing.T) {
 	}
 }
 
-func TestStreamSnapshot(t *testing.T) {
-	// One worker; the first job blocks mid-run so the rest stay queued,
-	// giving Snapshot a mixed live set to report. Concurrent Snapshot
-	// calls while the worker churns keep the locking honest under -race.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s, err := NewStream(context.Background(), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocker := Job{
-		Name:  "blocker",
-		Until: 1,
-		New: func() (runner.Solver, error) {
-			return &fake{dt: 1, onStep: func() {
-				once.Do(func() { close(started) })
-				<-release
-			}}, nil
-		},
-	}
-	id0, err := s.SubmitID(blocker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	id1, _ := s.SubmitID(quickJob("queued-lo", 0))
-	id2, _ := s.SubmitID(quickJob("queued-hi", 7))
-
-	stopPoll := make(chan struct{})
-	var poll sync.WaitGroup
-	poll.Add(1)
-	go func() { // hammer Snapshot concurrently with the running worker
-		defer poll.Done()
-		for {
-			select {
-			case <-stopPoll:
-				return
-			default:
-				s.Snapshot()
-			}
-		}
-	}()
-
-	snaps := s.Snapshot()
-	if len(snaps) != 3 {
-		t.Fatalf("%d snapshots, want 3", len(snaps))
-	}
-	byID := map[int]JobSnapshot{}
-	for _, js := range snaps {
-		byID[js.ID] = js
-	}
-	if js := byID[id0]; js.Status != Running || js.Attempt != 1 || js.Name != "blocker" {
-		t.Fatalf("blocker snapshot %+v", js)
-	}
-	if js := byID[id1]; js.Status != Queued || js.Attempt != 0 {
-		t.Fatalf("queued snapshot %+v", js)
-	}
-	if js := byID[id2]; js.Status != Queued || js.Priority != 7 {
-		t.Fatalf("priority snapshot %+v", js)
-	}
-	if _, ok := s.Job(99); ok {
-		t.Fatal("Job(99) found a record for an id never issued")
-	}
-
-	close(release)
-	s.Close()
-	drainAll(s)
-	close(stopPoll)
-	poll.Wait()
-
-	for _, id := range []int{id0, id1, id2} {
-		js, ok := s.Job(id)
-		if !ok || js.Status != Done {
-			t.Fatalf("job %d after drain: %+v ok=%v", id, js, ok)
-		}
-	}
-}
-
 func TestStreamCancelQueued(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -304,11 +225,6 @@ func TestStreamCancelQueued(t *testing.T) {
 	}
 	if !s.Cancel(victim) {
 		t.Fatal("Cancel(queued) reported no effect")
-	}
-	// The snapshot reports the decided cancellation before the worker pops
-	// the job and delivers its Result.
-	if js, ok := s.Job(victim); !ok || js.Status != Cancelled {
-		t.Fatalf("cancelled-while-queued snapshot %+v ok=%v", js, ok)
 	}
 	if s.Cancel(victim) {
 		t.Fatal("second Cancel on a decided cancellation reported effect")
@@ -441,7 +357,13 @@ func TestStreamCancelDoesNotTouchSiblings(t *testing.T) {
 		once    sync.Once
 	}
 	gates := []*gate{{started: make(chan struct{})}, {started: make(chan struct{})}}
-	s, err := NewStream(context.Background(), WithWorkers(2))
+	var mu sync.Mutex
+	last := map[int]Status{}
+	s, err := NewStream(context.Background(), WithWorkers(2), WithNotify(func(u Update) {
+		mu.Lock()
+		last[u.Index] = u.Status
+		mu.Unlock()
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,8 +390,11 @@ func TestStreamCancelDoesNotTouchSiblings(t *testing.T) {
 	}
 	// The sibling keeps running until its own cancellation.
 	time.Sleep(5 * time.Millisecond)
-	if js, _ := s.Job(ids[1]); js.Status != Running {
-		t.Fatalf("sibling status %v after cancelling job 0", js.Status)
+	mu.Lock()
+	sibling := last[ids[1]]
+	mu.Unlock()
+	if sibling != Running {
+		t.Fatalf("sibling status %v after cancelling job 0", sibling)
 	}
 	s.Cancel(ids[1])
 	s.Close()
@@ -477,39 +402,6 @@ func TestStreamCancelDoesNotTouchSiblings(t *testing.T) {
 		if r.Status != Cancelled {
 			t.Fatalf("result %+v, want cancelled", r)
 		}
-	}
-}
-
-func TestStreamJobHistoryBound(t *testing.T) {
-	// Terminal records beyond the WithJobHistory bound are evicted oldest
-	// first — the status surface of an always-on stream must not grow
-	// without bound.
-	s, err := NewStream(context.Background(), WithWorkers(1), WithJobHistory(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 5
-	for i := 0; i < n; i++ {
-		if _, err := s.SubmitID(quickJob(fmt.Sprintf("h%d", i), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-	drainAll(s)
-	snaps := s.Snapshot()
-	if len(snaps) != 2 {
-		t.Fatalf("%d records retained, want 2", len(snaps))
-	}
-	// One worker → completion order is submission order: the newest two
-	// ids survive.
-	if snaps[0].ID != n-2 || snaps[1].ID != n-1 {
-		t.Fatalf("retained ids %d, %d; want %d, %d", snaps[0].ID, snaps[1].ID, n-2, n-1)
-	}
-	if _, ok := s.Job(0); ok {
-		t.Fatal("evicted record still resolvable")
-	}
-	if s.Cancel(0) {
-		t.Fatal("Cancel of an evicted record reported effect")
 	}
 }
 

@@ -1,73 +1,71 @@
 // Package sched multiplexes many runner.Run calls over a bounded worker
-// pool. It is the middle and top of the three-layer execution model the
-// facade exposes:
+// pool. It is the middle of the execution model the facade exposes:
 //
 //	Run       — one solver, one driver loop (internal/runner);
-//	RunBatch  — a fixed slice of named jobs over a worker pool, results in
-//	            job order (this package's batch layer);
 //	Stream    — a long-lived, channel-fed scheduler: jobs are submitted
 //	            while earlier ones run, dispatched by priority, retried on
 //	            transient failure, and drained gracefully on Close or
-//	            context cancellation (this package's service layer).
+//	            context cancellation. Its pool (stream.go) is the only
+//	            dispatch loop in the package;
+//	RunBatch  — a fixed slice of named jobs, results in job order: a client
+//	            of a Stream it opens, fills in slice order, closes and
+//	            collects.
 //
 // The paper's production campaign is not one simulation but a matrix of
 // them — scheme comparisons, resolution scalings, control runs — and the
 // ROADMAP's north star is a service that accepts work continuously rather
-// than one hand-launched binary at a time. A batch is a slice of named
-// Jobs, each a solver *factory* plus run options; a stream accepts the same
-// Jobs one Submit at a time. Both execute on a bounded worker pool
-// (default GOMAXPROCS) under one shared context and, optionally, one shared
-// wall-clock budget.
-//
-// Batch semantics:
+// than one hand-launched binary at a time. A Job is a solver *factory* plus
+// run options; a stream accepts Jobs one Submit at a time, a batch is a
+// slice of them. Either way they execute on a bounded worker pool (default
+// GOMAXPROCS) under one shared context and, optionally, one shared
+// wall-clock budget, with one set of semantics:
 //
 //   - Solvers are constructed by the job's factory on the worker that runs
 //     it, never up front, so a 100-job sweep holds at most `workers` live
 //     simulations in memory.
-//   - Results come back in job order, regardless of completion order, with
-//     a per-job Status (Queued → Running → Done/Failed/Cancelled) and the
-//     runner.Report of every job that ran.
+//   - Dispatch is by priority: higher Job.Priority first, submission (for a
+//     batch: slice) order within a priority.
+//   - Every job reaches a final Status (Queued → Running → Done / Failed /
+//     Cancelled, through Retrying between attempts) and carries the
+//     runner.Report of every attempt that ran. A stream delivers Results on
+//     a channel in completion order; a batch returns them in job order.
 //   - Cancelling the context stops running jobs through the runner's own
-//     cancellation path and marks still-queued jobs Cancelled without
-//     constructing their solvers.
-//   - A shared wall-clock budget (WithWallClock) is a batch deadline: each
-//     job starts with the remaining budget as its runner wall-clock limit.
-//     Because the runner always takes at least one step under a positive
-//     budget, late jobs still make forward progress after the deadline —
-//     an exhausted budget degrades the batch to one-step-per-job fairness
-//     instead of starving the tail of the queue.
-//   - One job failing does not abort the batch (a sweep where one
+//     cancellation path and reports still-queued jobs Cancelled without
+//     constructing their solvers. Close stops a stream's intake and lets
+//     the pool drain everything already queued.
+//   - A shared wall-clock budget (WithWallClock) is a deadline for the
+//     whole pool: each job starts with the remaining budget as its runner
+//     wall-clock limit. Because the runner always takes at least one step
+//     under a positive budget, late jobs still make forward progress after
+//     the deadline — an exhausted budget degrades to one-step-per-job
+//     fairness instead of starving the tail of the queue.
+//   - One job failing does not abort the others (a sweep where one
 //     configuration diverges should still deliver the rest); inspect each
-//     Result. The batch-level error reports only scheduler-level problems:
+//     Result. RunBatch's own error reports only scheduler-level problems:
 //     an empty or invalid job list, or context cancellation.
 //
-// Stream semantics (see Stream for the full contract): Submit enqueues onto
-// a priority heap (higher Job.Priority dispatches first, FIFO within a
-// priority), Close stops intake and lets the pool drain everything already
-// queued, and cancelling the context stops running jobs and reports queued
-// ones Cancelled. Results are delivered on a channel in completion order.
-//
-// Retries (both layers): a job whose factory or Run call fails with an
-// error marked retryable (runner.MarkRetryable, or any error implementing
+// Retries: a job whose factory or Run call fails with an error marked
+// retryable (runner.MarkRetryable, or any error implementing
 // `Retryable() bool`) is re-run up to WithRetries times with doubling
 // backoff (WithRetryBackoff), transitioning through Retrying between
 // attempts. Deterministic failures — a diverging configuration fails
 // identically every time — are never retried, and neither is cancellation.
 //
-// Checkpoint-aware resume (both layers): WithJobCheckpoints(dir) gives
-// every job its own checkpoint directory dir/<sanitised job name> and wires
-// the runner's checkpoint cadence and retention into each Run call. A job
-// that also carries a Restore hook is auto-resumed: before calling New, the
-// scheduler looks for the newest snapshot in the job's directory and hands
+// Checkpoint-aware resume: WithJobCheckpoints(dir) gives every job its own
+// checkpoint directory dir/[<tenant>/]<job name> (both sanitised; see
+// JobCheckpointDir) and wires the runner's checkpoint cadence and retention
+// into each Run call. A job that also carries a Restore hook is
+// auto-resumed: before calling New, the scheduler looks for the newest snapshot in the job's directory and hands
 // it to Restore, so re-submitting a killed job (or re-running a killed
 // batch) continues from its last checkpoint instead of recomputing. A
 // corrupt newest snapshot is quarantined (renamed *.corrupt) and the next
 // newest tried; only when no snapshot restores does the job fall back to a
-// cold start through New. Job names must be unique after sanitisation —
-// the name *is* the resume key.
+// cold start through New. (Tenant, Name) must be unique after sanitisation
+// among live jobs — the pair *is* the resume key, so one tenant can neither
+// block nor resume from another's job of the same name.
 //
-// CPU budgets (both layers): WithCoreBudget makes the scheduler the owner
-// of intra-step parallelism. A CoreBudget divides a fixed core count among
+// CPU budgets: WithCoreBudget makes the scheduler the owner of intra-step
+// parallelism. A CoreBudget divides a fixed core count among
 // the live jobs (integer shares, floor one, remainder to higher-priority /
 // earlier jobs) and rebalances as the live set churns — jobs starting,
 // finishing, failing, retrying. Each job's share is plumbed into its Run
@@ -93,20 +91,20 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"vlasov6d/internal/runner"
 )
 
 // Job is one named unit of work: a solver factory, the clock target to
-// drive it to, and the runner options for its Run call. The same Job type
-// feeds both the batch layer (RunBatch) and the stream layer (Submit).
+// drive it to, and the runner options for its Run call — what Submit takes
+// one at a time and RunBatch as a slice.
 type Job struct {
 	// Name identifies the job in Results and progress updates. Under
-	// WithJobCheckpoints it also keys the job's checkpoint directory, so it
-	// must be unique (after sanitisation) among the jobs sharing that root:
-	// re-submitting a Job with the same Name is how a killed job resumes.
+	// WithJobCheckpoints it also keys the job's checkpoint directory
+	// (together with Tenant), so it must be unique (after sanitisation)
+	// among the tenant's live jobs sharing that root: re-submitting a Job
+	// with the same Name is how a killed job resumes.
 	Name string
 	// New constructs the solver. It runs on the worker goroutine executing
 	// the job (not at submission), so per-job memory is bounded by the
@@ -129,9 +127,8 @@ type Job struct {
 	Restore func(path string) (runner.Solver, error)
 	// Until is the clock target handed to runner.Run.
 	Until float64
-	// Priority orders dispatch in the stream layer: higher runs first,
-	// equal priorities run in submission order. The batch layer ignores it
-	// (a slice is already an explicit order).
+	// Priority orders dispatch: higher runs first, equal priorities run in
+	// submission (for a batch: slice) order.
 	Priority int
 	// MinWorkers / MaxWorkers bound this job's share of a scheduler core
 	// budget (0 = unbounded): a memory-bandwidth-bound 6D job sets
@@ -142,10 +139,11 @@ type Job struct {
 	// semantics. Ignored without WithCoreBudget.
 	MinWorkers int
 	MaxWorkers int
-	// Tenant tags this job's core lease with a fair-share group: the
-	// budget divides cores fairly across tenants before Priority orders
-	// jobs within one (see CoreBudget's package comment). Empty joins the
-	// implicit default group. Ignored without WithCoreBudget.
+	// Tenant names the job's owner. It scopes the checkpoint key (see
+	// JobCheckpointDir) and, under WithCoreBudget, tags the job's core lease
+	// with a fair-share group: the budget divides cores fairly across
+	// tenants before Priority orders jobs within one (see CoreBudget's
+	// package comment). Empty joins the implicit default group.
 	Tenant string
 	// TenantCores caps the collective core share of all live jobs carrying
 	// the same Tenant tag (0 = uncapped). Ignored without WithCoreBudget.
@@ -277,18 +275,13 @@ type options struct {
 	ckptKeepSet bool
 	budget      int
 	budgetSet   bool
-	history     int
 }
 
-// DefaultJobHistory is the number of terminal job records a stream retains
-// for Snapshot/Job when WithJobHistory does not override it.
-const DefaultJobHistory = 4096
-
-// Option configures a Scheduler, a RunBatch call or a Stream.
+// Option configures a RunBatch call or a Stream.
 type Option func(*options)
 
-// WithWorkers bounds the worker pool (default GOMAXPROCS; the batch layer
-// further caps it at the job count).
+// WithWorkers bounds the worker pool (default GOMAXPROCS; RunBatch further
+// caps it at the job count).
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
@@ -318,7 +311,7 @@ func WithNotify(fn func(Update)) Option {
 //
 // Phases:
 //
-//	"queue"    — submission to dispatch (stream layer only; Attempt 0)
+//	"queue"    — submission to dispatch (Attempt 0)
 //	"dispatch" — worker pickup to first solver step: core-lease acquisition
 //	             plus solver construction or checkpoint restore, per attempt
 //	"backoff"  — the retry delay between two attempts, tagged with the
@@ -368,9 +361,9 @@ func WithRetryBackoff(d time.Duration) Option {
 // runner.WithWorkerBudget lease, so a solver implementing
 // runner.WorkerBudgeted resizes its intra-step worker pool between steps;
 // solvers without the capability run unpinned but still hold their share in
-// the accounting. A batch creates one budget per Run call; a stream creates
-// one for its whole lifetime, so the division tracks the continuously
-// churning live-job set. Without this option every job defaults to
+// the accounting. The budget lives as long as its stream (for a batch: the
+// RunBatch call), so the division tracks the continuously churning live-job
+// set. Without this option every job defaults to
 // GOMAXPROCS intra-step workers and an N-job pool oversubscribes the
 // machine N-fold.
 func WithCoreBudget(total int) Option {
@@ -380,20 +373,8 @@ func WithCoreBudget(total int) Option {
 	}
 }
 
-// WithJobHistory bounds how many *terminal* job records a stream retains
-// for its Snapshot/Job status surface (0 selects DefaultJobHistory). A
-// long-lived service submits indefinitely; without a bound every finished
-// job's record — and the O(history) Snapshot walk — grows forever. Once
-// the bound is exceeded the oldest terminal records are evicted: Job
-// returns false for them, exactly like an id never issued. Live (queued,
-// running, retrying) records are never evicted. The batch layer ignores
-// this option.
-func WithJobHistory(n int) Option {
-	return func(o *options) { o.history = n }
-}
-
 // WithJobCheckpoints gives every job a private checkpoint directory
-// dir/<sanitised job name> and appends the runner's WithCheckpoint (cadence
+// JobCheckpointDir(dir, job.Tenant, job.Name) and appends the runner's WithCheckpoint (cadence
 // from WithJobCheckpointEvery, default every 10 steps) and
 // WithCheckpointKeep (retention from WithJobCheckpointKeep, default 3) to
 // each job's run options. Jobs whose solver cannot checkpoint fail at step
@@ -431,6 +412,9 @@ func buildOptions(opts []Option) (options, error) {
 	if o.workers < 0 {
 		return o, fmt.Errorf("sched: worker count %d must be non-negative", o.workers)
 	}
+	if o.workers == 0 {
+		o.workers = runtime.GOMAXPROCS(0)
+	}
 	if o.wall < 0 {
 		return o, fmt.Errorf("sched: wall-clock budget %v must be non-negative", o.wall)
 	}
@@ -449,46 +433,23 @@ func buildOptions(opts []Option) (options, error) {
 	if o.budgetSet && o.budget < 0 {
 		return o, fmt.Errorf("sched: core budget %d must be non-negative (0 selects GOMAXPROCS)", o.budget)
 	}
-	if o.history < 0 {
-		return o, fmt.Errorf("sched: job history %d must be non-negative (0 selects the default %d)",
-			o.history, DefaultJobHistory)
-	}
-	if o.history == 0 {
-		o.history = DefaultJobHistory
-	}
 	return o, nil
 }
 
-// Scheduler executes batches of jobs over a bounded worker pool. The zero
-// value is not usable; construct with New. A Scheduler is stateless across
-// batches and safe for concurrent Run calls.
-type Scheduler struct {
-	opts options
-}
-
-// New builds a scheduler with the given defaults.
-func New(opts ...Option) (*Scheduler, error) {
+// RunBatch executes a fixed slice of jobs and returns one Result per job, in
+// job order. It is a client of the stream: after validating the whole slice
+// up front it opens a Stream (workers capped at the job count), submits the
+// jobs in slice order — so Result.ID and Update.Index are batch positions —
+// closes it and collects. Workers start on the first jobs while later ones
+// are still being submitted; Priority orders whatever is queued at each
+// pop, as for any stream client. The returned error is non-nil only for
+// scheduler-level problems (invalid options or jobs, context cancellation);
+// per-job failures are reported in Results.
+func RunBatch(ctx context.Context, jobs []Job, opts ...Option) ([]Result, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Scheduler{opts: o}, nil
-}
-
-// RunBatch executes jobs over a bounded worker pool — the one-call form of
-// New(opts...).Run(ctx, jobs).
-func RunBatch(ctx context.Context, jobs []Job, opts ...Option) ([]Result, error) {
-	s, err := New(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(ctx, jobs)
-}
-
-// Run executes the batch and returns one Result per job, in job order. The
-// returned error is non-nil only for scheduler-level problems (invalid
-// jobs, context cancellation); per-job failures are reported in Results.
-func (s *Scheduler) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("sched: empty batch")
 	}
@@ -497,10 +458,10 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		if err := j.validate(); err != nil {
 			return nil, fmt.Errorf("sched: job %d: %w", i, err)
 		}
-		if s.opts.ckptDir != "" {
-			// The sanitised name keys the checkpoint directory; a collision
-			// would silently cross-resume two jobs.
-			key := sanitizeJobName(j.Name)
+		if o.ckptDir != "" {
+			// Reject a key collision before anything runs: the stream would
+			// refuse the second job only after the first had started.
+			key := checkpointKey(j.Tenant, j.Name)
 			if prev, dup := seen[key]; dup {
 				return nil, fmt.Errorf("sched: jobs %d (%q) and %d (%q) share checkpoint key %q",
 					prev, jobs[prev].Name, i, j.Name, key)
@@ -508,109 +469,37 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 			seen[key] = i
 		}
 	}
-	workers := s.opts.workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	var deadline time.Time
-	if s.opts.wall > 0 {
-		deadline = time.Now().Add(s.opts.wall)
-	}
-	// One core budget per batch: the live-job set is this batch's running
-	// jobs, and the budget dies with the Run call.
-	var budget *CoreBudget
-	if s.opts.budgetSet {
-		budget = NewCoreBudget(s.opts.budget)
-	}
-
+	o.workers = min(o.workers, len(jobs))
+	s := newStream(ctx, o)
 	results := make([]Result, len(jobs))
 	for i, j := range jobs {
-		results[i] = Result{ID: i, Name: j.Name, Status: Queued}
-	}
-
-	var mu sync.Mutex // guards results transitions and serialises notify
-	transition := func(i int, st Status, attempt int, rep *runner.Report, err error) {
-		mu.Lock()
-		results[i].Status = st
-		results[i].Attempt = attempt
-		results[i].Report = rep
-		results[i].Err = err
-		fn := s.opts.notify
-		if fn != nil {
-			fn(Update{Index: i, Name: jobs[i].Name, Status: st, Attempt: attempt, Err: err, Report: rep})
+		// The stream refuses a validated job only once ctx is dead, and from
+		// then on refuses every later one (so ids stay batch positions). Such
+		// a job is reported exactly like one flushed from the queue.
+		results[i] = Result{ID: i, Name: j.Name, Status: Cancelled}
+		if _, err := s.SubmitID(j); err != nil {
+			s.notify(Update{Index: i, Name: j.Name, Status: Cancelled})
 		}
-		mu.Unlock()
 	}
-
-	// Work distribution: a closed channel of job indices. Workers stop
-	// pulling as soon as the context dies; the post-wait sweep below marks
-	// whatever they never picked up.
-	idx := make(chan int)
-	go func() {
-		defer close(idx)
-		for i := range jobs {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				i := i
-				var emit phaseEmitter
-				if s.opts.phaseNotify != nil {
-					emit = func(phase string, attempt int, start, end time.Time) {
-						s.opts.phaseNotify(PhaseEvent{Index: i, Name: jobs[i].Name,
-							Phase: phase, Attempt: attempt, Start: start, End: end})
-					}
-				}
-				executeJob(ctx, &s.opts, budget, jobs[i], deadline,
-					func(st Status, attempt int, rep *runner.Report, err error) {
-						transition(i, st, attempt, rep, err)
-					}, emit)
-			}
-		}()
+	s.Close()
+	for r := range s.Results() {
+		results[r.ID] = r
 	}
-	wg.Wait()
-
-	// Jobs the dispatcher never handed out (context cancelled) are still
-	// Queued: mark them Cancelled so every Result reaches a final state.
 	if err := ctx.Err(); err != nil {
-		for i := range results {
-			mu.Lock()
-			queued := results[i].Status == Queued
-			mu.Unlock()
-			if queued {
-				transition(i, Cancelled, 0, nil, nil)
-			}
-		}
 		return results, fmt.Errorf("sched: batch cancelled: %w", err)
 	}
 	return results, nil
 }
 
-// phaseEmitter receives completed phases from the shared executor. A nil
-// emitter disables the accounting; the layers build one from
-// options.phaseNotify plus their own job identity (submission id or batch
-// index).
+// phaseEmitter receives completed phases from the executor. A nil emitter
+// disables the accounting; the stream builds one from options.phaseNotify
+// plus the job's submission id.
 type phaseEmitter func(phase string, attempt int, start, end time.Time)
 
 // executeJob runs one job on the calling worker goroutine: checkpoint
-// resume, the attempt, and the retry-with-backoff loop around it. It is
-// shared by the batch and stream layers; transition receives every status
-// change with the attempt it belongs to, emit (may be nil) every completed
-// dispatch/backoff phase. A non-nil budget scopes each attempt with a core
+// resume, the attempt, and the retry-with-backoff loop around it.
+// transition receives every status change with the attempt it belongs to,
+// emit (may be nil) every completed dispatch/backoff phase. A non-nil budget scopes each attempt with a core
 // lease: acquired before the solver is built, released when the attempt
 // ends, so a job backing off between retries holds no cores.
 func executeJob(ctx context.Context, o *options, budget *CoreBudget, job Job, deadline time.Time,
@@ -700,7 +589,7 @@ func attemptJob(ctx context.Context, o *options, budget *CoreBudget, job Job, de
 		opts = append(opts, runner.WithWorkerBudget(lease))
 	}
 	if o.ckptDir != "" {
-		opts = append(opts, runner.WithCheckpoint(jobCheckpointDir(o.ckptDir, job.Name), o.ckptEvery))
+		opts = append(opts, runner.WithCheckpoint(JobCheckpointDir(o.ckptDir, job.Tenant, job.Name), o.ckptEvery))
 		if o.ckptKeep > 0 {
 			opts = append(opts, runner.WithCheckpointKeep(o.ckptKeep))
 		}
@@ -734,7 +623,7 @@ func attemptJob(ctx context.Context, o *options, budget *CoreBudget, job Job, de
 // start constructs within the job's budget.
 func buildSolver(o *options, job Job, lease *Lease) (s runner.Solver, resumed bool, err error) {
 	if o.ckptDir != "" && job.Restore != nil {
-		ckpts, err := runner.ListCheckpoints(jobCheckpointDir(o.ckptDir, job.Name))
+		ckpts, err := runner.ListCheckpoints(JobCheckpointDir(o.ckptDir, job.Tenant, job.Name))
 		if err == nil {
 			for i := len(ckpts) - 1; i >= 0; i-- {
 				if err := probeReadable(ckpts[i]); err != nil {
@@ -780,20 +669,28 @@ func probeReadable(path string) error {
 	return nil
 }
 
-// jobCheckpointDir derives the per-job checkpoint directory under root.
-func jobCheckpointDir(root, name string) string {
-	return filepath.Join(root, sanitizeJobName(name))
+// checkpointKey is a job's resume key: its checkpoint directory relative to
+// the WithJobCheckpoints root, [<tenant>/]<name> with both elements
+// sanitised. The tenant scopes the name so two tenants' jobs of one name
+// neither collide while live nor resume from each other's snapshots; an
+// untenanted job keeps the flat layout.
+func checkpointKey(tenant, name string) string {
+	key := sanitizeJobName(name)
+	if tenant != "" {
+		key = filepath.Join(sanitizeJobName(tenant), key)
+	}
+	return key
 }
 
 // JobCheckpointDir returns the per-job checkpoint directory the scheduler
-// derives under root for the given job name — the public form of the
-// WithJobCheckpoints layout, so a service can list and serve a job's
-// snapshot artifacts without re-implementing the name sanitisation.
-func JobCheckpointDir(root, name string) string {
-	return jobCheckpointDir(root, name)
+// derives under root for a job's (Tenant, Name) — the WithJobCheckpoints
+// layout, so a service can list and serve a job's snapshot artifacts
+// without re-implementing the key.
+func JobCheckpointDir(root, tenant, name string) string {
+	return filepath.Join(root, checkpointKey(tenant, name))
 }
 
-// sanitizeJobName maps a job name to a safe single path element: anything
+// sanitizeJobName maps a job (or tenant) name to a safe single path element: anything
 // outside [A-Za-z0-9._-] becomes '_', and an empty name becomes "job".
 func sanitizeJobName(name string) string {
 	if name == "" {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,6 +167,107 @@ func TestCancellationMidBatchStopsQueuedJobs(t *testing.T) {
 	}
 }
 
+func TestBatchDispatchesByPriorityThenSliceOrder(t *testing.T) {
+	// One worker. Job 0 carries the top priority, so it is first whether the
+	// worker pops it alone or after the whole slice is queued; its Result is
+	// not taken until RunBatch has submitted everything, so from then on the
+	// heap alone decides: priority, then slice order.
+	var order []int
+	var jobs []Job
+	for i, p := range []int{9, 0, 5, 0, 5} {
+		jobs = append(jobs, quickJob(fmt.Sprintf("p%d-%d", p, i), p))
+	}
+	results, err := RunBatch(context.Background(), jobs, WithWorkers(1),
+		WithNotify(func(u Update) {
+			if u.Status == Running {
+				order = append(order, u.Index)
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 2, 4, 1, 3}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("dispatch order %v, want %v", order, want)
+	}
+	for i, r := range results {
+		if r.ID != i || r.Name != jobs[i].Name || r.Status != Done {
+			t.Fatalf("result %d: %+v", i, r)
+		}
+	}
+}
+
+func TestBatchLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var jobs []Job
+	for i := 0; i < 6; i++ {
+		jobs = append(jobs, quickJob(fmt.Sprintf("j%d", i), i))
+	}
+	if _, err := RunBatch(context.Background(), jobs, WithWorkers(3)); err != nil {
+		t.Fatal(err)
+	}
+	waitNoGoroutinesSince(t, before)
+
+	// Mid-batch cancellation: two never-finishing jobs hold both workers,
+	// the rest are flushed from the queue (or refused at submission).
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stepped atomic.Int64
+	for i := range jobs {
+		jobs[i].Until = 1e9
+		jobs[i].New = func() (runner.Solver, error) {
+			return &fake{dt: 0.1, sleep: time.Millisecond, onStep: func() {
+				if stepped.Add(1) == 4 {
+					cancel()
+				}
+			}}, nil
+		}
+	}
+	results, err := RunBatch(ctx, jobs, WithWorkers(2))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch error %v, want wrapped context.Canceled", err)
+	}
+	for i, r := range results {
+		if r.Status != Cancelled {
+			t.Fatalf("job %d: %v after cancellation", i, r.Status)
+		}
+	}
+	waitNoGoroutinesSince(t, before)
+}
+
+func TestBatchContextCancelledBeforeCall(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var built atomic.Int64
+	var notified []Update
+	var jobs []Job
+	for i := 0; i < 3; i++ {
+		jobs = append(jobs, Job{Name: fmt.Sprintf("dead-%d", i), Until: 1,
+			New: func() (runner.Solver, error) {
+				built.Add(1)
+				return &fake{dt: 0.5}, nil
+			}})
+	}
+	results, err := RunBatch(ctx, jobs, WithWorkers(2),
+		WithNotify(func(u Update) { notified = append(notified, u) }))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch error %v, want wrapped context.Canceled", err)
+	}
+	if len(results) != len(jobs) || len(notified) != len(jobs) {
+		t.Fatalf("%d results, %d updates for %d jobs", len(results), len(notified), len(jobs))
+	}
+	for i, r := range results {
+		if r.ID != i || r.Name != jobs[i].Name || r.Status != Cancelled || r.Report != nil || r.Err != nil {
+			t.Fatalf("result %d: %+v", i, r)
+		}
+		if u := notified[i]; u.Index != i || u.Status != Cancelled {
+			t.Fatalf("update %d: %+v", i, u)
+		}
+	}
+	if built.Load() != 0 {
+		t.Fatalf("%d solvers built under a dead context", built.Load())
+	}
+}
+
 func TestSharedWallClockFansOutFairly(t *testing.T) {
 	// One worker, four jobs whose steps sleep, and a budget one job could
 	// exhaust alone: every job must still take at least one step (the
@@ -265,10 +367,11 @@ func TestBatchValidation(t *testing.T) {
 	if _, err := RunBatch(context.Background(), []Job{{Name: "x", Until: 1}}); err == nil {
 		t.Fatal("nil factory accepted")
 	}
-	if _, err := New(WithWorkers(-1)); err == nil {
+	one := []Job{quickJob("x", 0)}
+	if _, err := RunBatch(context.Background(), one, WithWorkers(-1)); err == nil {
 		t.Fatal("negative workers accepted")
 	}
-	if _, err := New(WithWallClock(-time.Second)); err == nil {
+	if _, err := RunBatch(context.Background(), one, WithWallClock(-time.Second)); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 }

@@ -1,8 +1,8 @@
-// The stream layer: a long-lived, channel-fed scheduler over the same
-// worker pool and job executor as the batch layer. Where RunBatch takes a
-// fixed slice and returns when it is done, a Stream accepts Submit calls
-// for as long as it is open — the shape of a service that feeds simulation
-// work to a pool continuously, the ROADMAP's "scheduler job streams" item.
+// The stream: a long-lived, channel-fed scheduler, and the package's one
+// worker pool. A Stream accepts Submit calls for as long as it is open — the
+// shape of a service that feeds simulation work to a pool continuously —
+// and RunBatch (sched.go) is the client that submits a fixed slice and
+// closes it.
 package sched
 
 import (
@@ -10,8 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -40,7 +38,7 @@ var ErrStreamClosed = errors.New("sched: stream closed")
 // Results must be consumed: workers deliver to the Results channel and
 // will block (a natural back-pressure) if nobody reads it. Retries,
 // per-job checkpoint directories and auto-resume follow the scheduler
-// options exactly as in the batch layer (see the package comment).
+// options (see the package comment).
 type Stream struct {
 	opts options
 	ctx  context.Context
@@ -54,19 +52,17 @@ type Stream struct {
 	pending jobHeap
 	closed  bool
 	seq     int
-	// active holds the sanitised checkpoint keys of queued + running jobs
-	// (only under WithJobCheckpoints): two live jobs sharing a key would
-	// silently cross-resume, so Submit rejects the second. Re-submitting a
-	// key after its job finishes is allowed — that is the resume path.
+	// active holds the checkpoint keys of queued + running jobs (only under
+	// WithJobCheckpoints): two live jobs sharing a key would silently
+	// cross-resume, so Submit rejects the second. Re-submitting a key after
+	// its job finishes is allowed — that is the resume path.
 	active map[string]bool
-	// jobs records every submission by id for Snapshot/Job/Cancel — the
-	// status surface a control plane polls. Terminal records are kept as
-	// history (a service reports the recent past, not just the live set)
-	// up to the WithJobHistory bound; beyond it the oldest terminal
-	// records are evicted so an always-on stream's memory stays bounded.
-	jobs map[int]*jobRecord
-	// terminal lists terminal record ids oldest-first — the eviction queue.
-	terminal []int
+	// live holds every queued, running or retrying submission by id — what
+	// Cancel needs. An entry is dropped the moment its job turns terminal:
+	// the stream keeps no history (every transition reaches WithNotify,
+	// every outcome Results), so an always-on stream's memory is bounded by
+	// its live set.
+	live map[int]*streamJob
 
 	notifyMu sync.Mutex
 
@@ -74,58 +70,26 @@ type Stream struct {
 	done    chan struct{} // closed after all workers exit and results closes
 }
 
-// streamJob is one queued submission: the job, its submission sequence
-// number (the FIFO tiebreak within a priority and the Update index), and
-// the wall time it entered the queue (the start of its "queue" phase).
+// streamJob is one live submission: the job, its submission sequence number
+// (the FIFO tiebreak within a priority and the Update index), and the wall
+// time it entered the queue (the start of its "queue" phase). The per-job
+// context is derived from the stream's at Submit time; Cancel fires it,
+// which stops the job wherever it is — still queued (the worker that
+// eventually pops it reports Cancelled without running it) or mid-run (the
+// runner's own cancellation path unwinds it between steps).
 type streamJob struct {
-	job Job
-	seq int
-	at  time.Time
-}
-
-// jobRecord tracks one submission's lifecycle for the status surface. The
-// per-job context is derived from the stream's at Submit time; Cancel fires
-// it, which stops the job wherever it is — still queued (the worker that
-// eventually pops it reports Cancelled without running it) or mid-run
-// (the runner's own cancellation path unwinds it between steps).
-type jobRecord struct {
-	name     string
-	priority int
-	until    float64
-	status   Status
-	attempt  int
-	err      error
-	cancel   context.CancelFunc
-	ctx      context.Context
-	// keyFreed marks the checkpoint key released. Cancelling a queued job
+	job    Job
+	seq    int
+	at     time.Time
+	ctx    context.Context
+	cancel context.CancelFunc
+	queued bool // not yet popped by a worker
+	// key is the checkpoint key this job holds in active ("" without
+	// WithJobCheckpoints, and again once released). Cancelling a queued job
 	// frees its key immediately (so the name is resubmittable before a
-	// worker pops the stale entry), and the flag keeps the eventual pop
-	// from releasing the key a *resubmitted* job now holds.
-	keyFreed bool
-}
-
-// JobSnapshot is one submission's point-in-time state, as reported by
-// Snapshot and Job.
-type JobSnapshot struct {
-	// ID is the submission id (SubmitID's return, Update.Index, Result.ID).
-	ID int
-	// Name echoes the job name.
-	Name string
-	// Priority echoes the job's dispatch priority.
-	Priority int
-	// Until echoes the job's clock target — the denominator a monitoring
-	// plane needs to turn observed clock progress into an ETA.
-	Until float64
-	// Status is the lifecycle state. A cancelled-while-queued job reports
-	// Cancelled as soon as Cancel is called, even though its Result is
-	// delivered only when a worker pops it from the queue.
-	Status Status
-	// Attempt is the 1-based attempt the status belongs to (0 while
-	// queued).
-	Attempt int
-	// Err is the most recent failure (Failed, Retrying) or cancellation
-	// error, nil otherwise.
-	Err error
+	// worker pops the stale entry); clearing it keeps the eventual pop from
+	// releasing the key a *resubmitted* job now holds.
+	key string
 }
 
 // jobHeap is a max-heap on Priority with FIFO order within a priority.
@@ -158,10 +122,11 @@ func NewStream(ctx context.Context, opts ...Option) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := o.workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	return newStream(ctx, o), nil
+}
+
+// newStream starts the pool over already-validated options.
+func newStream(ctx context.Context, o options) *Stream {
 	var deadline time.Time
 	if o.wall > 0 {
 		deadline = time.Now().Add(o.wall)
@@ -169,7 +134,7 @@ func NewStream(ctx context.Context, opts ...Option) (*Stream, error) {
 	s := &Stream{
 		opts:    o,
 		ctx:     ctx,
-		jobs:    make(map[int]*jobRecord),
+		live:    make(map[int]*streamJob),
 		results: make(chan Result),
 		done:    make(chan struct{}),
 	}
@@ -182,7 +147,7 @@ func NewStream(ctx context.Context, opts ...Option) (*Stream, error) {
 	s.cond = sync.NewCond(&s.mu)
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < o.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -206,7 +171,7 @@ func NewStream(ctx context.Context, opts ...Option) (*Stream, error) {
 		case <-s.done:
 		}
 	}()
-	return s, nil
+	return s
 }
 
 // Submit enqueues a job for dispatch. It returns ErrStreamClosed after
@@ -219,8 +184,8 @@ func (s *Stream) Submit(job Job) error {
 	return err
 }
 
-// SubmitID is Submit returning the submission id: the handle Cancel, Job
-// and Result.ID identify this submission by. Ids are assigned in
+// SubmitID is Submit returning the submission id: the handle Cancel,
+// Update.Index and Result.ID identify this submission by. Ids are assigned in
 // submission order starting at zero and are never reused.
 func (s *Stream) SubmitID(job Job) (int, error) {
 	if err := job.validate(); err != nil {
@@ -234,118 +199,61 @@ func (s *Stream) SubmitID(job Job) (int, error) {
 	if err := s.ctx.Err(); err != nil {
 		return 0, fmt.Errorf("sched: stream context cancelled: %w", err)
 	}
+	sj := &streamJob{job: job, seq: s.seq, at: time.Now(), queued: true}
 	if s.active != nil {
-		key := sanitizeJobName(job.Name)
-		if s.active[key] {
-			return 0, fmt.Errorf("sched: job %q: checkpoint key %q already queued or running", job.Name, key)
+		sj.key = checkpointKey(job.Tenant, job.Name)
+		if s.active[sj.key] {
+			return 0, fmt.Errorf("sched: job %q: checkpoint key %q already queued or running", job.Name, sj.key)
 		}
-		s.active[key] = true
+		s.active[sj.key] = true
 	}
-	id := s.seq
-	jctx, jcancel := context.WithCancel(s.ctx)
-	s.jobs[id] = &jobRecord{
-		name:     job.Name,
-		priority: job.Priority,
-		until:    job.Until,
-		status:   Queued,
-		ctx:      jctx,
-		cancel:   jcancel,
-	}
-	heap.Push(&s.pending, &streamJob{job: job, seq: id, at: time.Now()})
+	sj.ctx, sj.cancel = context.WithCancel(s.ctx)
+	s.live[sj.seq] = sj
+	heap.Push(&s.pending, sj)
 	s.seq++
 	s.cond.Signal()
-	return id, nil
+	return sj.seq, nil
 }
 
 // Cancel stops one submission by id: a queued job is reported Cancelled
 // without ever constructing its solver (its Result is delivered when a
 // worker pops it from the queue), a running job is stopped through the
 // runner's own cancellation path at its next step boundary. Cancel reports
-// whether it took effect — false for an unknown id or a job already in a
-// terminal state. Cancelling a job during retry backoff cancels the retry.
+// whether it took effect — false for an unknown id, a job already in a
+// terminal state, or one already cancelled. Cancelling a job during retry
+// backoff cancels the retry.
 func (s *Stream) Cancel(id int) bool {
 	s.mu.Lock()
-	rec, ok := s.jobs[id]
-	if !ok || isTerminal(rec.status) || rec.ctx.Err() != nil {
+	sj, ok := s.live[id]
+	if !ok || sj.ctx.Err() != nil {
 		s.mu.Unlock()
 		return false
 	}
 	// A still-queued job's checkpoint key frees now, not when a worker
 	// eventually pops the stale heap entry: the cancellation is decided,
 	// so the name must be immediately resubmittable.
-	if rec.status == Queued {
-		s.freeKeyLocked(rec)
+	if sj.queued {
+		s.freeKeyLocked(sj)
 	}
-	cancel := rec.cancel
 	s.mu.Unlock()
 	// Fire outside the lock: the watcher goroutines context cancellation
 	// wakes may themselves take s.mu.
-	cancel()
+	sj.cancel()
 	return true
 }
 
-// freeKeyLocked releases a record's checkpoint key exactly once. Callers
-// hold s.mu.
-func (s *Stream) freeKeyLocked(rec *jobRecord) {
-	if s.active == nil || rec.keyFreed {
-		return
-	}
-	rec.keyFreed = true
-	delete(s.active, sanitizeJobName(rec.name))
-}
-
-// retireLocked enrols a now-terminal record in the history queue and
-// evicts the oldest terminal records past the WithJobHistory bound.
-// Callers hold s.mu.
-func (s *Stream) retireLocked(id int) {
-	s.terminal = append(s.terminal, id)
-	for len(s.terminal) > s.opts.history {
-		delete(s.jobs, s.terminal[0])
-		s.terminal = s.terminal[1:]
+// freeKeyLocked releases a job's checkpoint key exactly once. Callers hold
+// s.mu.
+func (s *Stream) freeKeyLocked(sj *streamJob) {
+	if sj.key != "" {
+		delete(s.active, sj.key)
+		sj.key = ""
 	}
 }
 
 // isTerminal reports whether a status is final.
 func isTerminal(st Status) bool {
 	return st == Done || st == Failed || st == Cancelled
-}
-
-// snapshotLocked builds the external view of one record. A still-queued
-// job whose per-job context is already cancelled reports Cancelled: the
-// cancellation is decided, only its Result delivery waits for a worker.
-func (r *jobRecord) snapshotLocked(id int) JobSnapshot {
-	st := r.status
-	if st == Queued && r.ctx.Err() != nil {
-		st = Cancelled
-	}
-	return JobSnapshot{ID: id, Name: r.name, Priority: r.priority, Until: r.until,
-		Status: st, Attempt: r.attempt, Err: r.err}
-}
-
-// Snapshot returns the point-in-time state of every retained submission
-// (every live job plus up to WithJobHistory terminal ones), ordered by id —
-// the per-job view a control plane serves from. Safe for concurrent use
-// with Submit, Cancel and running workers.
-func (s *Stream) Snapshot() []JobSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobSnapshot, 0, len(s.jobs))
-	for id, rec := range s.jobs {
-		out = append(out, rec.snapshotLocked(id))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Job returns the point-in-time state of one submission by id.
-func (s *Stream) Job(id int) (JobSnapshot, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.jobs[id]
-	if !ok {
-		return JobSnapshot{}, false
-	}
-	return rec.snapshotLocked(id), true
 }
 
 // Budget returns the stream's core budget (nil without WithCoreBudget) —
@@ -402,12 +310,9 @@ func (s *Stream) work(deadline time.Time) {
 			flush := s.pending
 			s.pending = nil
 			for _, sj := range flush {
-				if rec, ok := s.jobs[sj.seq]; ok {
-					rec.status = Cancelled
-					rec.cancel()
-					s.freeKeyLocked(rec)
-					s.retireLocked(sj.seq)
-				}
+				sj.cancel()
+				s.freeKeyLocked(sj)
+				delete(s.live, sj.seq)
 			}
 			s.mu.Unlock()
 			for _, sj := range flush {
@@ -421,6 +326,7 @@ func (s *Stream) work(deadline time.Time) {
 			return
 		}
 		sj := heap.Pop(&s.pending).(*streamJob)
+		sj.queued = false
 		s.mu.Unlock()
 		s.runOne(sj, deadline)
 	}
@@ -431,13 +337,10 @@ func (s *Stream) work(deadline time.Time) {
 // Cancel(id) stops exactly this submission: before dispatch it short-cuts
 // executeJob's entry check, mid-run it unwinds the runner between steps.
 func (s *Stream) runOne(sj *streamJob, deadline time.Time) {
-	s.mu.Lock()
-	rec := s.jobs[sj.seq]
-	s.mu.Unlock()
 	// Release the per-job context's resources once the job is terminal; a
 	// long-lived service submits indefinitely and each WithCancel context
 	// otherwise stays parented to the stream context until shutdown.
-	defer rec.cancel()
+	defer sj.cancel()
 	var emit phaseEmitter
 	if s.opts.phaseNotify != nil {
 		emit = func(phase string, attempt int, start, end time.Time) {
@@ -448,19 +351,16 @@ func (s *Stream) runOne(sj *streamJob, deadline time.Time) {
 		// the heap (runOne is entered immediately after).
 		emit("queue", 0, sj.at, time.Now())
 	}
-	executeJob(rec.ctx, &s.opts, s.budget, sj.job, deadline,
+	executeJob(sj.ctx, &s.opts, s.budget, sj.job, deadline,
 		func(st Status, attempt int, rep *runner.Report, err error) {
-			s.mu.Lock()
-			rec.status = st
-			rec.attempt = attempt
-			rec.err = err
 			if isTerminal(st) {
 				// Release the checkpoint key before delivery, so a consumer
 				// reacting to the result can immediately re-submit the job.
-				s.freeKeyLocked(rec)
-				s.retireLocked(sj.seq)
+				s.mu.Lock()
+				s.freeKeyLocked(sj)
+				delete(s.live, sj.seq)
+				s.mu.Unlock()
 			}
-			s.mu.Unlock()
 			s.notify(Update{Index: sj.seq, Name: sj.job.Name, Status: st,
 				Attempt: attempt, Err: err, Report: rep})
 			if isTerminal(st) {
@@ -470,8 +370,8 @@ func (s *Stream) runOne(sj *streamJob, deadline time.Time) {
 		}, emit)
 }
 
-// notify serialises the WithNotify callback across workers, matching the
-// batch layer's contract (the callback needs no locking of its own).
+// notify serialises the WithNotify callback across workers (the callback
+// needs no locking of its own).
 func (s *Stream) notify(u Update) {
 	fn := s.opts.notify
 	if fn == nil {

@@ -37,6 +37,23 @@ func drainAll(s *Stream) []Result {
 	return out
 }
 
+// waitNoGoroutinesSince fails the test unless the goroutine count returns to
+// `before`: every stream goroutine (workers, closer, cancellation watcher)
+// must be gone, with a moment allowed for the runtime to reap them.
+func waitNoGoroutinesSince(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		if g := runtime.NumGoroutine(); g <= before {
+			return
+		} else if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still alive, started with %d", g, before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestStreamRunsSubmittedJobs(t *testing.T) {
 	s, err := NewStream(context.Background(), WithWorkers(3))
 	if err != nil {
@@ -295,18 +312,7 @@ func TestStreamDrainOnCancelLeavesNoGoroutines(t *testing.T) {
 	}
 	<-s.done
 
-	// Every stream goroutine (workers, closer, cancellation watcher) must
-	// be gone; allow the runtime a moment to reap them.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		if g := runtime.NumGoroutine(); g <= before {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines still alive, started with %d", g, before)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitNoGoroutinesSince(t, before)
 }
 
 func TestStreamCloseLeavesNoGoroutines(t *testing.T) {
@@ -327,16 +333,7 @@ func TestStreamCloseLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("%d results", n)
 	}
 	<-s.done
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		if g := runtime.NumGoroutine(); g <= before {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines still alive, started with %d", g, before)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitNoGoroutinesSince(t, before)
 }
 
 // landauStreamJob builds the plasma job the checkpoint-resume tests share:
@@ -578,6 +575,68 @@ func TestStreamDuplicateActiveCheckpointKeyRejected(t *testing.T) {
 	}
 	s.Close()
 	drainAll(s)
+}
+
+func TestCheckpointKeyScopedByTenant(t *testing.T) {
+	// The resume key is (Tenant, Name): two tenants' live jobs of one name
+	// must not reject each other, and the second tenant must cold-start
+	// rather than resume from the first tenant's snapshots.
+	root := t.TempDir()
+	if got, want := JobCheckpointDir(root, "", "a b"), filepath.Join(root, "a_b"); got != want {
+		t.Fatalf("untenanted dir %q, want the flat layout %q", got, want)
+	}
+	if got, want := JobCheckpointDir(root, "al/ice", "a b"), filepath.Join(root, "al_ice", "a_b"); got != want {
+		t.Fatalf("tenanted dir %q, want %q", got, want)
+	}
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var once sync.Once
+	s, err := NewStream(context.Background(), WithWorkers(1),
+		WithJobCheckpoints(root), WithJobCheckpointEvery(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored atomic.Int64
+	job := func(tenant string, onStep func()) Job {
+		return Job{
+			Name:   "same",
+			Tenant: tenant,
+			Until:  2,
+			New:    func() (runner.Solver, error) { return &ckptFake{fake{dt: 1, onStep: onStep}}, nil },
+			Restore: func(string) (runner.Solver, error) {
+				restored.Add(1)
+				return &ckptFake{fake{t: 2, dt: 1}}, nil
+			},
+		}
+	}
+	if err := s.Submit(job("alice", func() {
+		once.Do(func() { close(started) })
+		<-release
+	})); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := s.Submit(job("bob", nil)); err != nil {
+		t.Fatalf("another tenant's job of the same name rejected while live: %v", err)
+	}
+	if err := s.Submit(job("alice", nil)); err == nil {
+		t.Fatal("the same tenant's duplicate key accepted while live")
+	}
+	close(release)
+	s.Close()
+	for _, r := range drainAll(s) {
+		if r.Status != Done || r.Report.Steps != 2 {
+			t.Fatalf("%+v: want a full cold-start run of 2 steps (report %+v)", r, r.Report)
+		}
+	}
+	if restored.Load() != 0 {
+		t.Fatal("a job resumed from another tenant's snapshots")
+	}
+	for _, tenant := range []string{"alice", "bob"} {
+		if ckpts, _ := runner.ListCheckpoints(JobCheckpointDir(root, tenant, "same")); len(ckpts) == 0 {
+			t.Fatalf("tenant %s has no snapshots of its own", tenant)
+		}
+	}
 }
 
 func TestBatchDuplicateCheckpointKeysRejected(t *testing.T) {

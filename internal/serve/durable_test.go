@@ -114,7 +114,7 @@ func TestRestartRecovery(t *testing.T) {
 	id := int(body["id"].(float64))
 
 	// Wait for the first durable snapshot, then kill the server mid-run.
-	jobDir := sched.JobCheckpointDir(ckptDir, "phoenix")
+	jobDir := sched.JobCheckpointDir(ckptDir, "", "phoenix")
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if paths, err := runner.ListCheckpoints(jobDir); err == nil && len(paths) > 0 {

@@ -135,10 +135,11 @@ type Config struct {
 	// before hitting an explicit gap. Terminal jobs keep only the newest
 	// ringTerminalTail events, so retained history stays cheap.
 	RingSize int
-	// History bounds how many terminal job records the server (and its
-	// stream) retain for the status endpoints (0 = sched.DefaultJobHistory).
-	// An always-on daemon accepts work indefinitely; evicting the oldest
-	// finished jobs keeps memory and GET /v1/jobs bounded.
+	// History bounds how many terminal job records the server retains for
+	// the status endpoints (0 = 4096) — the only history bound there is: the
+	// stream underneath keeps live jobs only. An always-on daemon accepts
+	// work indefinitely; evicting the oldest finished jobs keeps memory and
+	// GET /v1/jobs bounded.
 	History int
 	// StoreDir enables the durable job journal (empty = in-memory only).
 	// On start the server replays it and re-queues unfinished jobs; see
@@ -175,18 +176,29 @@ const (
 	DefaultJournalCompactRecords = 4096
 )
 
-// jobEntry is the server-side record of one submission: the spec it came
-// from, its replayable event ring, the SSE subscribers watching it, and
+// jobEntry is the server-side record of one submission — the one job table
+// the status endpoints answer from: the spec it came from, its scheduler
+// state, its replayable event ring, the SSE subscribers watching it, and
 // its terminal result. The id is the external (and journal) id — stable
 // across restarts — while sid is the stream's session-local submission id.
 type jobEntry struct {
 	id        int
 	sid       int
 	spec      catalog.JobSpec
+	name      string  // resolved job name (with tenant, the checkpoint key)
 	tenant    string  // owning tenant name ("" in open mode)
 	until     float64 // resolved clock target (catalog default applied)
 	submitted time.Time
-	queuedNow bool // currently counted in the tenant queue-depth gauge
+	// status, attempt and lastErr mirror the scheduler's last transition
+	// (onUpdate writes them under s.mu); a job no worker has picked up yet
+	// reads Queued, attempt 0.
+	status  sched.Status
+	attempt int
+	lastErr error
+	// queuedNow: counted in the tenant queue-depth gauge. Set at
+	// registration, cleared by the job's first update (the scheduler never
+	// reports a transition back to Queued).
+	queuedNow bool
 	cancelled bool // client DELETE observed (terminal already journaled)
 	// ring retains the job's events for Last-Event-ID replay; subscribers
 	// are wake-up channels, each SSE handler reading the ring through its
@@ -300,7 +312,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		cfg.RingSize = 512
 	}
 	if cfg.History == 0 {
-		cfg.History = sched.DefaultJobHistory
+		cfg.History = 4096
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Server{
@@ -367,7 +379,6 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		sched.WithNotify(s.onUpdate),
 		sched.WithPhaseNotify(s.onPhase),
 		sched.WithRetries(cfg.Retries),
-		sched.WithJobHistory(cfg.History),
 	}
 	if cfg.Workers > 0 {
 		opts = append(opts, sched.WithWorkers(cfg.Workers))
@@ -473,46 +484,29 @@ func (s *Server) recoverJobs() {
 			continue
 		}
 		job := res[i].job
-		job.Tenant = j.Tenant
+		var maxCores int
 		if reg := s.registry(); reg != nil {
 			// Quotas are re-read from the current registry: the key file is
 			// the live source of truth, the journal only remembers ownership.
 			if tn, ok := reg.ByName(j.Tenant); ok {
-				job.TenantCores = tn.MaxCores
+				maxCores = tn.MaxCores
 			}
 		}
-		entry := &jobEntry{
-			spec:      specs[i],
-			tenant:    j.Tenant,
-			until:     job.Until,
-			submitted: j.Submitted,
-			// The ring continues past the journaled reservation instead of
-			// resetting to 1, so a client resuming across the restart gets a
-			// bounded, explicit gap — never a silently restarted sequence.
-			ring:        newEventRingFrom(s.cfg.RingSize, j.EventSeqReserved+1),
-			seqReserved: j.EventSeqReserved,
-			subs:        make(map[chan struct{}]struct{}),
-			eta:         machine.NewETAEstimator(job.Until),
-			trace:       obs.NewTrace(s.cfg.TraceSpans),
-		}
-		if s.cfg.CheckpointDir != "" {
+		// The ring continues past the journaled reservation instead of
+		// resetting to 1, so a client resuming across the restart gets a
+		// bounded, explicit gap — never a silently restarted sequence.
+		entry := s.newEntry(&job, specs[i], j.Tenant, maxCores, j.Submitted, j.EventSeqReserved)
+		if entry.ckptDir != "" {
 			// Prime the storage accounting with what the previous life left
 			// on disk, so a recovered tenant starts its quota from reality.
-			entry.ckptDir = sched.JobCheckpointDir(s.cfg.CheckpointDir, job.Name)
 			entry.ckptBytes = scanCheckpointBytes(entry.ckptDir)
 		}
-		s.attach(&job, entry)
 		s.mu.Lock()
-		sid, err := s.stream.SubmitID(job)
-		if err != nil {
+		if err := s.registerLocked(j.ID, job, entry); err != nil {
 			s.mu.Unlock()
 			s.store.Terminal(j.ID, "failed", "recovery resubmission rejected: "+err.Error())
 			continue
 		}
-		entry.id, entry.sid, entry.queuedNow = j.ID, sid, true
-		s.jobs[j.ID] = entry
-		s.byStream[sid] = j.ID
-		s.queued[j.Tenant]++
 		s.storage[j.Tenant] += entry.ckptBytes
 		s.recovered++
 		s.mu.Unlock()
@@ -523,6 +517,50 @@ func (s *Server) recoverJobs() {
 	}
 }
 
+// newEntry builds the server-side record of one submission (new or
+// recovered) and wires job for it: the tenant tag and core quota that ride
+// into the scheduler's two-level fair share (cores divide across tenants
+// before priority divides within one) and into the checkpoint key, and the
+// per-submission runner options of attach. The ring numbers its first event
+// seqReserved+1. The entry joins the table in registerLocked.
+func (s *Server) newEntry(job *sched.Job, spec catalog.JobSpec, tenantName string, tenantCores int,
+	submitted time.Time, seqReserved int64) *jobEntry {
+	job.Tenant, job.TenantCores = tenantName, tenantCores
+	e := &jobEntry{
+		spec:        spec,
+		name:        job.Name,
+		tenant:      tenantName,
+		until:       job.Until,
+		submitted:   submitted,
+		ring:        newEventRingFrom(s.cfg.RingSize, seqReserved+1),
+		seqReserved: seqReserved,
+		subs:        make(map[chan struct{}]struct{}),
+		eta:         machine.NewETAEstimator(job.Until),
+		trace:       obs.NewTrace(s.cfg.TraceSpans),
+	}
+	if s.cfg.CheckpointDir != "" {
+		e.ckptDir = sched.JobCheckpointDir(s.cfg.CheckpointDir, tenantName, job.Name)
+	}
+	s.attach(job, e)
+	return e
+}
+
+// registerLocked submits job to the stream and enters e in the job table
+// under external id `id`. Callers hold s.mu across it, so the notify
+// callback — which also takes s.mu — cannot observe the job before its
+// entry exists, even though a worker may pick it up immediately.
+func (s *Server) registerLocked(id int, job sched.Job, e *jobEntry) error {
+	sid, err := s.stream.SubmitID(job)
+	if err != nil {
+		return err
+	}
+	e.id, e.sid, e.queuedNow = id, sid, true
+	s.jobs[id] = e
+	s.byStream[sid] = id
+	s.queued[e.tenant]++
+	return nil
+}
+
 // consumeResults drains the stream's Results channel for the server's
 // lifetime, recording terminal outcomes and waking SSE watchers. The
 // channel closes when the stream is fully drained (after Close or
@@ -530,20 +568,23 @@ func (s *Server) recoverJobs() {
 func (s *Server) consumeResults() {
 	for r := range s.stream.Results() {
 		r := r
-		// Scan the job's checkpoint directory before taking the lock: the
-		// artifact listing is pure file I/O and must not serialise the
-		// notify callbacks and handlers behind it.
+		s.mu.Lock()
+		eid, tracked := s.byStream[r.ID]
+		e := s.jobs[eid]
+		s.mu.Unlock()
+		// Scan the job's checkpoint directory off the lock: the artifact
+		// listing is pure file I/O and must not serialise the notify
+		// callbacks and handlers behind it.
 		var artifacts []store.Artifact
-		if s.index != nil && s.cfg.CheckpointDir != "" && r.Name != "" {
-			artifacts, _ = collectArtifacts(sched.JobCheckpointDir(s.cfg.CheckpointDir, r.Name))
+		if tracked && s.index != nil && e.ckptDir != "" {
+			artifacts, _ = collectArtifacts(e.ckptDir)
 		}
 		var ixEntry *store.IndexEntry
 		s.mu.Lock()
-		eid, tracked := s.byStream[r.ID]
 		// A storage-quota kill arrives from the scheduler as a cancellation,
 		// but the server's truth — already journaled at enforcement time —
 		// is a failure. Count and report it as one.
-		quotaFailed := tracked && s.jobs[eid] != nil && s.jobs[eid].quotaErr != ""
+		quotaFailed := tracked && e.quotaErr != ""
 		switch {
 		case quotaFailed:
 			s.failed++
@@ -555,13 +596,8 @@ func (s *Server) consumeResults() {
 			s.cancelled++
 		}
 		if tracked {
-			e := s.jobs[eid]
 			e.result = &r
 			delete(s.byStream, r.ID)
-			if e.queuedNow {
-				e.queuedNow = false
-				s.queued[e.tenant]--
-			}
 			if s.store != nil && !quotaFailed {
 				// Done and Failed are journaled terminal; a user DELETE was
 				// journaled at cancel time, a quota kill at enforcement time.
@@ -586,7 +622,7 @@ func (s *Server) consumeResults() {
 				e.trace.End(e.runSpan, nil)
 				e.runSpan = 0
 			}
-			s.appendEventLocked(e, "done", statusBody(e, s.snapshotFor(r.ID)))
+			s.appendEventLocked(e, "done", statusBody(e))
 			// Terminal rings keep only a short tail: enough for a briefly
 			// disconnected watcher to catch the ending, cheap enough that
 			// thousands of retained terminal jobs don't dominate memory.
@@ -598,10 +634,10 @@ func (s *Server) consumeResults() {
 				// trace endpoint with "archived": true.
 				ixEntry.Trace, ixEntry.TraceDropped = e.trace.Snapshot()
 			}
-			// Mirror the stream's history bound: evict the oldest terminal
-			// entries so an always-on daemon's memory stays bounded.
-			// Evicted entries disappear from the map only — attached SSE
-			// handlers keep their pointer and still see the result.
+			// Evict the oldest terminal entries past Config.History so an
+			// always-on daemon's memory stays bounded. Evicted entries
+			// disappear from the map only — attached SSE handlers keep
+			// their pointer and still see the result.
 			s.terminal = append(s.terminal, eid)
 			for len(s.terminal) > s.cfg.History {
 				// An evicted entry leaves the quota accounting too: its
@@ -631,7 +667,7 @@ func indexEntryLocked(e *jobEntry, r *sched.Result, artifacts []store.Artifact) 
 	ie := &store.IndexEntry{
 		ID:                e.id,
 		Tenant:            e.tenant,
-		Name:              r.Name,
+		Name:              e.name,
 		Scenario:          e.spec.Scenario,
 		Status:            r.Status.String(),
 		SubmittedUnixNano: e.submitted.UnixNano(),
@@ -661,18 +697,10 @@ func indexEntryLocked(e *jobEntry, r *sched.Result, artifacts []store.Artifact) 
 	return ie
 }
 
-// snapshotFor reads the scheduler's view of one submission by stream id
-// (zero-value snapshot if the id is unknown — callers pair it with their
-// own entry).
-func (s *Server) snapshotFor(sid int) sched.JobSnapshot {
-	js, _ := s.stream.Job(sid)
-	return js
-}
-
 // onUpdate receives every scheduler status transition (serialised by the
-// stream), maintains the journal's attempt markers and the tenant
-// queue-depth bookkeeping, and forwards the transition to the job's SSE
-// subscribers.
+// stream), records it in the job table, maintains the journal's attempt
+// markers and the tenant queue-depth bookkeeping, and forwards the
+// transition to the job's SSE subscribers.
 func (s *Server) onUpdate(u sched.Update) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -684,11 +712,11 @@ func (s *Server) onUpdate(u sched.Update) {
 		return
 	}
 	e := s.jobs[eid]
-	switch {
-	case u.Status == sched.Queued && !e.queuedNow:
-		e.queuedNow = true
-		s.queued[e.tenant]++
-	case u.Status != sched.Queued && e.queuedNow:
+	e.status, e.attempt, e.lastErr = u.Status, u.Attempt, u.Err
+	// The scheduler emits no Queued update (Submit does not notify, a worker
+	// starts at Running or Cancelled), so queuedNow — set at registration —
+	// is cleared by whichever update comes first.
+	if e.queuedNow {
 		e.queuedNow = false
 		s.queued[e.tenant]--
 	}
@@ -1002,6 +1030,10 @@ func writeRetryErr(w http.ResponseWriter, code int, wait time.Duration, err erro
 	writeErr(w, code, err)
 }
 
+// maxSpecBytes bounds a POST /v1/jobs body: a JobSpec is a scenario name
+// and a few parameters, so anything near this is not a spec (413).
+const maxSpecBytes = 1 << 20
+
 // drainRetryAfter is the Retry-After on draining 503s: long enough to
 // cover a typical restart, short enough that clients notice the new
 // process promptly. The drain deadline itself is the caller's (it lives in
@@ -1012,9 +1044,9 @@ const drainRetryAfter = 10 * time.Second
 // the tenant's rate limit and queue quota, journals it, and submits it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tn, _ := tenant.FromContext(r.Context())
-	tenantName := ""
+	tenantName, maxCores := "", 0
 	if tn != nil {
-		tenantName = tn.Name
+		tenantName, maxCores = tn.Name, tn.MaxCores
 		// The rate limit gates the request, not just the acceptance — a
 		// flood of malformed specs is still a flood.
 		if ok, wait := tn.Allow(time.Now()); !ok {
@@ -1025,10 +1057,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var spec catalog.JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: bad spec: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Errorf("serve: bad spec: %w", err))
 		return
 	}
 	job, err := s.cfg.Catalog.Job(spec)
@@ -1036,31 +1073,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	entry := &jobEntry{
-		spec:      spec,
-		until:     job.Until,
-		submitted: time.Now(),
-		ring:      newEventRing(s.cfg.RingSize),
-		subs:      make(map[chan struct{}]struct{}),
-		eta:       machine.NewETAEstimator(job.Until),
-		trace:     obs.NewTrace(s.cfg.TraceSpans),
-	}
-	if tn != nil {
-		entry.tenant = tn.Name
-		// The tenant tag and core quota ride into the scheduler's two-level
-		// fair share: cores divide across tenants before priority divides
-		// within one.
-		job.Tenant = tn.Name
-		job.TenantCores = tn.MaxCores
-	}
-	if s.cfg.CheckpointDir != "" {
-		entry.ckptDir = sched.JobCheckpointDir(s.cfg.CheckpointDir, job.Name)
-	}
+	entry := s.newEntry(&job, spec, tenantName, maxCores, time.Now(), 0)
 	hash := specHashOf(spec)
-	s.attach(&job, entry)
-	// Registration holds s.mu across SubmitID so the notify callback —
-	// which also takes s.mu — cannot observe the job before its entry
-	// exists, even though a worker may pick it up immediately.
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -1096,8 +1110,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sid, err := s.stream.SubmitID(job)
-	if err != nil {
+	if err := s.registerLocked(id, job, entry); err != nil {
 		if s.store != nil {
 			// The stream turned down a job the journal already holds:
 			// retract it, or the next boot replays work its client was
@@ -1117,10 +1130,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, err)
 		return
 	}
-	entry.id, entry.sid, entry.queuedNow = id, sid, true
-	s.jobs[id] = entry
-	s.byStream[sid] = id
-	s.queued[entry.tenant]++
 	s.submitted++
 	s.mu.Unlock()
 	// The admission span brackets spec decode, catalog resolution, quota
@@ -1151,22 +1160,23 @@ func (s *Server) allocIDLocked() int {
 	return id
 }
 
-// statusBody renders one submission's status document. A recorded terminal
-// result is authoritative over the scheduler snapshot: the stream's
-// bounded history may already have evicted the record (js then reads as a
-// zero value), but the result the server holds is the job's true outcome.
-// Callers hold s.mu (the ETA estimator is mutated under it).
-func statusBody(e *jobEntry, js sched.JobSnapshot) map[string]any {
-	name, status, attempt := js.Name, js.Status.String(), js.Attempt
-	errMsg := ""
-	if js.Err != nil {
-		errMsg = js.Err.Error()
+// shownStatus is the entry's externally visible scheduler state. A DELETE'd
+// job still in the queue reads cancelled: the cancellation is decided, only
+// its Result waits for a worker to pop it. Callers hold s.mu.
+func (e *jobEntry) shownStatus() sched.Status {
+	if e.status == sched.Queued && e.cancelled {
+		return sched.Cancelled
 	}
-	if r := e.result; r != nil {
-		name, status, attempt = r.Name, r.Status.String(), r.Attempt
-		if r.Err != nil {
-			errMsg = r.Err.Error()
-		}
+	return e.status
+}
+
+// statusBody renders one submission's status document. Callers hold s.mu
+// (onUpdate writes the entry, and the ETA estimator is mutated, under it).
+func statusBody(e *jobEntry) map[string]any {
+	status := e.shownStatus().String()
+	errMsg := ""
+	if e.lastErr != nil {
+		errMsg = e.lastErr.Error()
 	}
 	if e.quotaErr != "" {
 		// A storage-quota kill travels through the scheduler as a
@@ -1176,10 +1186,10 @@ func statusBody(e *jobEntry, js sched.JobSnapshot) map[string]any {
 	}
 	body := map[string]any{
 		"id":        e.id,
-		"name":      name,
+		"name":      e.name,
 		"scenario":  e.spec.Scenario,
 		"status":    status,
-		"attempt":   attempt,
+		"attempt":   e.attempt,
 		"priority":  e.spec.Priority,
 		"submitted": e.submitted.UTC().Format(time.RFC3339Nano),
 	}
@@ -1216,18 +1226,17 @@ func statusBody(e *jobEntry, js sched.JobSnapshot) map[string]any {
 	return body
 }
 
-// lookup resolves the {id} path value to the live entry and scheduler
-// snapshot — or, when the bounded history has already evicted the job, to
-// its record in the durable artifact index (ie non-nil, entry nil). Tenant
-// scoping is enforced on both paths: another tenant's job is 403, not
-// invisible — ids are dense integers, so a 404 would leak nothing an
-// enumeration does not already reveal, and the explicit status is the more
-// debuggable contract.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*jobEntry, sched.JobSnapshot, *store.IndexEntry, bool) {
+// lookup resolves the {id} path value to the job's entry — or, when the
+// bounded history has already evicted the job, to its record in the durable
+// artifact index (ie non-nil, entry nil). Tenant scoping is enforced on both
+// paths: another tenant's job is 403, not invisible — ids are dense
+// integers, so a 404 would leak nothing an enumeration does not already
+// reveal, and the explicit status is the more debuggable contract.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*jobEntry, *store.IndexEntry, bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: bad job id %q", r.PathValue("id")))
-		return nil, sched.JobSnapshot{}, nil, false
+		return nil, nil, false
 	}
 	s.mu.Lock()
 	e, ok := s.jobs[id]
@@ -1239,21 +1248,21 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*jobEntry, sche
 					s.recordAdmission(tn.Name, "403",
 						fmt.Sprintf("job %d belongs to another tenant", id), "", id)
 					writeErr(w, http.StatusForbidden, fmt.Errorf("serve: job %d belongs to another tenant", id))
-					return nil, sched.JobSnapshot{}, nil, false
+					return nil, nil, false
 				}
-				return nil, sched.JobSnapshot{}, &ie, true
+				return nil, &ie, true
 			}
 		}
 		writeErr(w, http.StatusNotFound, fmt.Errorf("serve: no job %d", id))
-		return nil, sched.JobSnapshot{}, nil, false
+		return nil, nil, false
 	}
 	if tn, authed := tenant.FromContext(r.Context()); authed && e.tenant != tn.Name {
 		s.recordAdmission(tn.Name, "403",
 			fmt.Sprintf("job %d belongs to another tenant", id), "", id)
 		writeErr(w, http.StatusForbidden, fmt.Errorf("serve: job %d belongs to another tenant", id))
-		return nil, sched.JobSnapshot{}, nil, false
+		return nil, nil, false
 	}
-	return e, s.snapshotFor(e.sid), nil, true
+	return e, nil, true
 }
 
 // statusBodyIndex renders an evicted job's status document from its
@@ -1294,19 +1303,13 @@ func statusBodyIndex(ie *store.IndexEntry) map[string]any {
 }
 
 // handleList reports every retained submission, newest last, scoped to the
-// authenticated tenant when tenancy is on. The server's own records drive
-// the listing (they, not the stream's bounded history, decide what is
-// still reportable); the scheduler snapshot fills in the live statuses.
+// authenticated tenant when tenancy is on.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("archived") == "1" {
 		s.handleListArchived(w, r)
 		return
 	}
 	tn, authed := tenant.FromContext(r.Context())
-	bySid := make(map[int]sched.JobSnapshot)
-	for _, js := range s.stream.Snapshot() {
-		bySid[js.ID] = js
-	}
 	s.mu.Lock()
 	ids := make([]int, 0, len(s.jobs))
 	for id, e := range s.jobs {
@@ -1318,8 +1321,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	sort.Ints(ids)
 	out := make([]map[string]any, 0, len(ids))
 	for _, id := range ids {
-		e := s.jobs[id]
-		out = append(out, statusBody(e, bySid[e.sid]))
+		out = append(out, statusBody(s.jobs[id]))
 	}
 	depth := s.stream.Pending()
 	if authed {
@@ -1332,7 +1334,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // handleGet reports one submission — from live state, or from the artifact
 // index once the bounded history has evicted it.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	e, js, ie, ok := s.lookup(w, r)
+	e, ie, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
@@ -1341,7 +1343,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	body := statusBody(e, js)
+	body := statusBody(e)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, body)
 }
@@ -1351,7 +1353,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // time: the user's decision must survive a crash, not be undone by a
 // recovery replay.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	e, js, ie, ok := s.lookup(w, r)
+	e, ie, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
@@ -1361,8 +1363,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.stream.Cancel(e.sid) {
+		s.mu.Lock()
+		status := e.shownStatus()
+		s.mu.Unlock()
 		writeErr(w, http.StatusConflict,
-			fmt.Errorf("serve: job %d already %s", e.id, js.Status))
+			fmt.Errorf("serve: job %d already %s", e.id, status))
 		return
 	}
 	s.mu.Lock()
@@ -1575,7 +1580,7 @@ func resumeCursor(r *http.Request) (int64, bool) {
 // explicit "gap" with the missed count, never silently skipped. A job
 // already terminal replays its retained tail and closes after "done".
 func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
-	e, _, ie, ok := s.lookup(w, r)
+	e, ie, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
@@ -1647,7 +1652,7 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 			// Terminal with nothing left to replay: the client already saw
 			// (at least) the done event — re-send it so the stream still
 			// closes with the terminal document.
-			synth = statusBody(e, s.snapshotFor(e.sid))
+			synth = statusBody(e)
 		}
 		s.mu.Unlock()
 		firstFlush = false
@@ -1745,33 +1750,12 @@ func collectArtifacts(dir string) ([]store.Artifact, error) {
 	return out, nil
 }
 
-// jobCheckpointDir resolves a job's checkpoint directory, or "" when the
-// server does not checkpoint. The name comes from the recorded terminal
-// result when the stream's bounded history has already evicted its record
-// (the snapshot then reads as a zero value, whose empty name would
-// silently resolve to the wrong directory).
-func (s *Server) jobCheckpointDir(e *jobEntry, js sched.JobSnapshot) string {
-	if s.cfg.CheckpointDir == "" {
-		return ""
-	}
-	name := js.Name
-	s.mu.Lock()
-	if e.result != nil {
-		name = e.result.Name
-	}
-	s.mu.Unlock()
-	if name == "" {
-		return ""
-	}
-	return sched.JobCheckpointDir(s.cfg.CheckpointDir, name)
-}
-
 // handleCheckpoints lists a job's snapshot artifacts, oldest first. For an
 // evicted job the listing answers from the artifact index — the record of
 // what the run left behind at terminal time — without touching the
 // filesystem.
 func (s *Server) handleCheckpoints(w http.ResponseWriter, r *http.Request) {
-	e, js, ie, ok := s.lookup(w, r)
+	e, ie, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
@@ -1785,42 +1769,35 @@ func (s *Server) handleCheckpoints(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	dir := s.jobCheckpointDir(e, js)
-	if dir == "" {
+	if e.ckptDir == "" {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("serve: checkpointing disabled"))
 		return
 	}
-	infos, err := collectArtifacts(dir)
+	infos, err := collectArtifacts(e.ckptDir)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	name := js.Name
-	s.mu.Lock()
-	if e.result != nil {
-		name = e.result.Name
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"job": name, "checkpoints": infos})
+	writeJSON(w, http.StatusOK, map[string]any{"job": e.name, "checkpoints": infos})
 }
 
 // handleCheckpointFile downloads one artifact. The file name is validated
 // against the checkpoint naming scheme — this endpoint serves snapshots,
 // not the filesystem.
 func (s *Server) handleCheckpointFile(w http.ResponseWriter, r *http.Request) {
-	e, js, ie, ok := s.lookup(w, r)
+	e, ie, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
 	var dir string
 	if ie != nil {
-		// Evicted job: the index remembers the name that keys the
+		// Evicted job: the index remembers the tenant and name that key the
 		// checkpoint directory, and the files themselves outlive eviction.
 		if s.cfg.CheckpointDir != "" && ie.Name != "" {
-			dir = sched.JobCheckpointDir(s.cfg.CheckpointDir, ie.Name)
+			dir = sched.JobCheckpointDir(s.cfg.CheckpointDir, ie.Tenant, ie.Name)
 		}
 	} else {
-		dir = s.jobCheckpointDir(e, js)
+		dir = e.ckptDir
 	}
 	if dir == "" {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("serve: checkpointing disabled"))

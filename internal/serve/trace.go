@@ -27,7 +27,7 @@ import (
 // spans (end_unix_nano absent, "open": true); an evicted job serves the
 // terminal snapshot from the artifact index with "archived": true.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	e, _, ie, ok := s.lookup(w, r)
+	e, ie, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}

@@ -1,7 +1,7 @@
 // The artifact index: the durable memory of *finished* work. The journal
 // (store.go) deliberately forgets terminal jobs — boot compaction drops
 // them so the file stays proportional to the unfinished set — and the
-// control plane's in-memory history is bounded (sched.WithJobHistory), so
+// control plane's in-memory history is bounded (serve.Config.History), so
 // without this file a job that finished an hour ago on a busy daemon is
 // unreachable: its status 404s and its checkpoints, still sitting on disk,
 // are unlisted. Long-running physics monitors keep exactly this record —

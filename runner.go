@@ -5,29 +5,31 @@
 // call with uniform cancellation, wall-clock budgets, per-step observers
 // and checkpoint cadence. See internal/runner for the driver itself.
 //
-// Execution scales through three layers, each built on the one below:
+// Execution scales through three layers, each a client of the one below:
 //
 //   - Run drives one solver: one driver loop with cancellation, budgets,
 //     observers and a checkpoint cadence.
-//   - RunBatch / Scheduler (internal/sched) multiplex a fixed slice of
-//     named jobs — parameter sweeps, scheme comparisons, control runs —
-//     over a bounded worker pool with a shared context and a shared
-//     wall-clock budget, returning results in job order.
-//   - Stream (NewStream / Submit / Close / Results) is the long-lived
-//     form: a channel-fed scheduler that accepts jobs continuously,
-//     dispatches them by priority (higher first, FIFO within a priority),
-//     retries transient failures with doubling backoff, and drains
-//     gracefully on Close or context cancellation.
+//   - Stream (NewStream / Submit / Close / Results; internal/sched) is the
+//     scheduler: a bounded worker pool under a shared context and a shared
+//     wall-clock budget that accepts named jobs continuously, dispatches
+//     them by priority (higher first, FIFO within a priority), retries
+//     transient failures with doubling backoff, and drains gracefully on
+//     Close or context cancellation.
+//   - RunBatch is the fixed-slice form — parameter sweeps, scheme
+//     comparisons, control runs: it opens a Stream, submits the slice in
+//     order, closes it and returns the results in job order. One dispatch
+//     loop, one set of semantics.
 //
-// Checkpoint-resume contract (batch and stream): WithJobCheckpoints(dir)
-// keys a private checkpoint directory under dir by each job's sanitised
-// Name and wires the runner's checkpoint cadence and retention into every
+// Checkpoint-resume contract: WithJobCheckpoints(dir) keys a private
+// checkpoint directory under dir by each job's sanitised (Tenant, Name)
+// and wires the runner's checkpoint cadence and retention into every
 // run. A job carrying a Restore hook auto-resumes from the newest snapshot
 // in its directory — killing a campaign and re-submitting the same job
 // names continues from the last checkpoints instead of recomputing. A
 // corrupt newest snapshot is quarantined (renamed *.corrupt) and the next
 // newest tried; a cold start through the factory is the last resort. The
-// job name is the resume key, so names must be unique per checkpoint root.
+// job name is the resume key, so names must be unique per checkpoint root
+// (per tenant, for jobs that carry one).
 //
 // Orthogonally, WithAsyncObserver (internal/runner) moves diagnostics
 // delivery and checkpoint I/O off the hot step loop onto a buffered
@@ -197,16 +199,13 @@ func ResumeLatest(dir string) (*Snapshot, string, error) {
 	return snap, path, nil
 }
 
-// Scheduler executes batches of named jobs over a bounded worker pool; see
-// RunBatch for the one-call form and internal/sched for the semantics.
-type Scheduler = sched.Scheduler
-
-// BatchJob is one named unit of batch work: a solver factory, a clock
+// BatchJob is one named unit of scheduler work: a solver factory, a clock
 // target, and per-job run options. The factory runs on the worker that
 // executes the job, so at most `workers` solvers are live at once.
 type BatchJob = sched.Job
 
-// BatchResult is the outcome of one batch job, in job order.
+// BatchResult is the outcome of one job: in job order from RunBatch, in
+// completion order from a Stream.
 type BatchResult = sched.Result
 
 // BatchUpdate is one job status transition, delivered to WithBatchNotify.
@@ -225,15 +224,13 @@ const (
 	JobRetrying  = sched.Retrying
 )
 
-// BatchOption configures a Scheduler or RunBatch call.
+// BatchOption configures a RunBatch call or a Stream.
 type BatchOption = sched.Option
 
-// NewScheduler builds a scheduler with the given defaults.
-func NewScheduler(opts ...BatchOption) (*Scheduler, error) { return sched.New(opts...) }
-
-// RunBatch executes jobs over a bounded worker pool (default GOMAXPROCS
-// workers) under one shared context, returning one result per job in job
-// order. Per-job failures are reported in the results, not as the batch
+// RunBatch executes jobs through a Stream of its own (default GOMAXPROCS
+// workers, capped at the job count) under one shared context, dispatching
+// by BatchJob.Priority then slice order and returning one result per job in
+// job order. Per-job failures are reported in the results, not as the batch
 // error.
 func RunBatch(ctx context.Context, jobs []BatchJob, opts ...BatchOption) ([]BatchResult, error) {
 	return sched.RunBatch(ctx, jobs, opts...)
@@ -260,7 +257,7 @@ func WithBatchRetries(n int) BatchOption { return sched.WithRetries(n) }
 // 100 ms; doubling per further retry, cancellable).
 func WithBatchRetryBackoff(d time.Duration) BatchOption { return sched.WithRetryBackoff(d) }
 
-// WithBatchCoreBudget hands the scheduler (batch or stream) ownership of
+// WithBatchCoreBudget hands the scheduler ownership of
 // intra-step parallelism: total cores (0 = GOMAXPROCS) are divided among
 // the live jobs and rebalanced as jobs start, finish, fail or retry, each
 // job's share plumbed into its Run call as a worker-budget lease. This is
@@ -269,7 +266,7 @@ func WithBatchRetryBackoff(d time.Duration) BatchOption { return sched.WithRetry
 func WithBatchCoreBudget(total int) BatchOption { return sched.WithCoreBudget(total) }
 
 // WithJobCheckpoints gives every job a private checkpoint directory under
-// dir keyed by its sanitised name and wires checkpoint cadence + retention
+// dir keyed by its sanitised (tenant and) name and wires checkpoint cadence + retention
 // into each run; jobs with a Restore hook auto-resume from their newest
 // snapshot. See the package comment for the full contract.
 func WithJobCheckpoints(dir string) BatchOption { return sched.WithJobCheckpoints(dir) }
