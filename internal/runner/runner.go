@@ -217,6 +217,8 @@ func WithObserver(obs Observer) Option {
 // the same directory (a per-run step counter would restart at zero and
 // overwrite the earlier segment's files). Writes are atomic (temp file +
 // rename): the newest complete checkpoint is always safe to resume from.
+// dir is created by the first snapshot written into it; a run that stops
+// short of its cadence leaves no directory.
 func WithCheckpoint(dir string, everyN int) Option {
 	return func(o *options) {
 		o.ckptDir = dir
@@ -326,13 +328,6 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 			if err := p.CanCheckpoint(); err != nil {
 				return rep, fmt.Errorf("runner: checkpointing unsupported: %w", err)
 			}
-		}
-		// Checkpoint I/O failures are marked retryable throughout: they are
-		// the canonical transient fault (a full disk being cleared, a
-		// briefly unmounted volume), and a scheduler-level retry re-runs
-		// the job from its newest good snapshot.
-		if err := os.MkdirAll(o.ckptDir, 0o755); err != nil {
-			return rep, MarkRetryable(fmt.Errorf("runner: checkpoint dir: %w", err))
 		}
 	}
 	if finished {
@@ -501,11 +496,21 @@ func (o *options) checkpointNow(rep *Report, ckpt Checkpointer) error {
 }
 
 // writeCheckpointFile atomically writes one snapshot file ckpt_<clock>.v6d,
-// zero-padded so lexicographic order is clock order.
+// zero-padded so lexicographic order is clock order. It creates dir when
+// the first snapshot finds it missing, so a run that never reaches its
+// cadence leaves nothing behind. Callers mark its errors, like every
+// checkpoint I/O failure, retryable: they are the canonical transient fault
+// (a full disk being cleared, a briefly unmounted volume), and a
+// scheduler-level retry re-runs the job from its newest good snapshot.
 func writeCheckpointFile(dir string, clock float64, write func(io.Writer) (int64, error)) (string, int64, error) {
 	final := filepath.Join(dir, fmt.Sprintf("ckpt_%014.8f.v6d", clock))
 	tmp := final + ".tmp"
 	f, err := os.Create(tmp)
+	if os.IsNotExist(err) {
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			f, err = os.Create(tmp)
+		}
+	}
 	if err != nil {
 		return "", 0, err
 	}

@@ -120,7 +120,7 @@ func (s *Server) auditAppend(rec store.AuditRecord) {
 		return
 	}
 	rec.UnixNano = time.Now().UnixNano()
-	s.audit.Append(rec)
+	s.storeErr("audit", s.audit.Append(rec))
 }
 
 // recordAdmission counts one admission decision for /metrics and appends
@@ -285,7 +285,7 @@ func (s *Server) enforceStorageQuota(trigger *jobEntry, tn *tenant.Tenant) {
 			tn.Name, tn.MaxStorageBytes)
 		sid = trigger.sid
 		if s.store != nil {
-			s.store.Terminal(trigger.id, "failed", trigger.quotaErr)
+			s.storeErr("terminal", s.store.Terminal(trigger.id, "failed", trigger.quotaErr))
 		}
 	}
 	s.mu.Unlock()

@@ -226,16 +226,10 @@ type jobEntry struct {
 	runSpan int64
 	// seqReserved is the highest event sequence number journaled as
 	// reserved for this job's ring (0 without a store). Reservation runs in
-	// blocks so the journal sees one append per eventSeqReserveBlock
-	// events, not one per event.
+	// blocks of store.EventSeqBlock — the first rides the job's submitted
+	// record — so the journal sees one append per block, not one per event.
 	seqReserved int64
 }
-
-// eventSeqReserveBlock is the reservation granularity for durable event
-// numbering: each journal append claims this many sequence numbers ahead,
-// so a restart resumes past the reservation (a bounded, reported gap)
-// instead of resetting every resuming client's cursor to 1.
-const eventSeqReserveBlock = 4096
 
 // ringTerminalTail is how many ring events a terminal job keeps: enough
 // for a briefly-disconnected client to catch the ending (the last few
@@ -286,6 +280,12 @@ type Server struct {
 	drained   chan struct{} // closed when the stream's results are flushed
 	storeOnce sync.Once     // Close/Drain both finalise the journal
 
+	// storeErrs counts, by operation, the durable-layer calls that failed
+	// after their job was accepted (see storeErr). One counter per storeOps
+	// entry, made in New and atomic because the calls happen both under
+	// s.mu and off it.
+	storeErrs map[string]*atomic.Int64
+
 	// Latency histograms, fed from the scheduler's phase notifications and
 	// the runner's timer hooks. Entirely atomic — Observe never takes s.mu,
 	// so the runner's hot step loop and the scheduler's workers record
@@ -325,6 +325,10 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		storage:   make(map[string]int64),
 		admission: make(map[admKey]int64),
 		drained:   make(chan struct{}),
+		storeErrs: make(map[string]*atomic.Int64, len(storeOps)),
+	}
+	for _, op := range storeOps {
+		s.storeErrs[op] = new(atomic.Int64)
 	}
 	s.thrStart = s.start
 	s.histQueueWait = obs.NewHistogram("vlasovd_queue_wait_seconds",
@@ -424,6 +428,23 @@ func (s *Server) closeStore() {
 	})
 }
 
+// storeOps are the durable-layer operations storeErr counts, in /metrics
+// order.
+var storeOps = []string{"audit", "checkpoint", "events", "index", "started", "terminal"}
+
+// storeErr counts a failed durable-layer call in
+// vlasovd_store_errors_total{op=...}. Only the submitted record fails
+// closed (a 202 promises the job survives a restart, so handleSubmit
+// answers 503 instead); once a job is accepted, a journal, index or audit
+// append that fails must not fail the job with it — the server degrades to
+// what it holds in memory, and the counter is how an operator sees that it
+// did.
+func (s *Server) storeErr(op string, err error) {
+	if err != nil {
+		s.storeErrs[op].Add(1)
+	}
+}
+
 // recoverJobs re-queues every journaled unfinished job into the stream
 // under its original external id. This is resumption, not re-execution:
 // the recovered job's name (and so its checkpoint directory) derives from
@@ -480,7 +501,7 @@ func (s *Server) recoverJobs() {
 	wg.Wait()
 	for i, j := range pending {
 		if res[i].err != nil {
-			s.store.Terminal(j.ID, "failed", res[i].err.Error())
+			s.storeErr("terminal", s.store.Terminal(j.ID, "failed", res[i].err.Error()))
 			continue
 		}
 		job := res[i].job
@@ -504,7 +525,7 @@ func (s *Server) recoverJobs() {
 		s.mu.Lock()
 		if err := s.registerLocked(j.ID, job, entry); err != nil {
 			s.mu.Unlock()
-			s.store.Terminal(j.ID, "failed", "recovery resubmission rejected: "+err.Error())
+			s.storeErr("terminal", s.store.Terminal(j.ID, "failed", "recovery resubmission rejected: "+err.Error()))
 			continue
 		}
 		s.storage[j.Tenant] += entry.ckptBytes
@@ -606,13 +627,13 @@ func (s *Server) consumeResults() {
 				// replaying it on the next start IS the recovery path.
 				switch r.Status {
 				case sched.Done:
-					s.store.Terminal(eid, "done", "")
+					s.storeErr("terminal", s.store.Terminal(eid, "done", ""))
 				case sched.Failed:
 					msg := ""
 					if r.Err != nil {
 						msg = r.Err.Error()
 					}
-					s.store.Terminal(eid, "failed", msg)
+					s.storeErr("terminal", s.store.Terminal(eid, "failed", msg))
 				}
 			}
 			// Backstop for the run span: the scheduler's terminal Update
@@ -655,7 +676,7 @@ func (s *Server) consumeResults() {
 		if ixEntry != nil {
 			// The index append (and its fsync) happens off s.mu; the index
 			// has its own lock.
-			s.index.Put(*ixEntry)
+			s.storeErr("index", s.index.Put(*ixEntry))
 		}
 	}
 	close(s.drained)
@@ -729,7 +750,7 @@ func (s *Server) onUpdate(u sched.Update) {
 		}
 		e.runSpan = e.trace.Start("run", map[string]string{"attempt": strconv.Itoa(u.Attempt)})
 		if s.store != nil {
-			s.store.Started(eid, u.Attempt)
+			s.storeErr("started", s.store.Started(eid, u.Attempt))
 		}
 	} else if e.runSpan != 0 {
 		// Any transition away from Running closes the running segment; a
@@ -831,7 +852,7 @@ func (s *Server) attach(job *sched.Job, entry *jobEntry) {
 				s.mu.Lock()
 				id := entry.id
 				s.mu.Unlock()
-				s.store.CheckpointWritten(id, clock)
+				s.storeErr("checkpoint", s.store.CheckpointWritten(id, clock))
 				// Storage accounting and quota enforcement ride the same
 				// notification — it runs off the step loop, so the directory
 				// re-measure (and any eviction) never stalls the solver.
@@ -851,12 +872,14 @@ func (s *Server) appendEventLocked(e *jobEntry, typ string, body any) {
 	seq := e.ring.append(t, data)
 	if s.store != nil && seq > e.seqReserved {
 		// Sequence durability is block-granular: one journal append claims
-		// the next eventSeqReserveBlock numbers, so the per-event cost is
+		// the next store.EventSeqBlock numbers, so the per-event cost is
 		// amortised to ~zero and a restart resumes numbering past the
 		// reservation. The append rides s.mu like the journal's other
-		// bookkeeping writes; it happens once per 4096 events.
-		e.seqReserved = seq + eventSeqReserveBlock
-		s.store.EventSeqReserve(e.id, e.seqReserved)
+		// bookkeeping writes; a fresh job's first block came with its
+		// submitted record, so this runs for a recovered job's first event
+		// and then once per block.
+		e.seqReserved = seq + store.EventSeqBlock
+		s.storeErr("events", s.store.EventSeqReserve(e.id, e.seqReserved))
 	}
 	for ch := range e.subs {
 		select {
@@ -1109,13 +1132,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("serve: job not journaled: %w", err))
 			return
 		}
+		// The submitted record reserved the job's first block of event
+		// sequence numbers: its first event costs no append of its own.
+		entry.seqReserved = store.EventSeqBlock
 	}
 	if err := s.registerLocked(id, job, entry); err != nil {
 		if s.store != nil {
 			// The stream turned down a job the journal already holds:
 			// retract it, or the next boot replays work its client was
 			// told was refused.
-			s.store.Terminal(id, "cancelled", "submission rejected: "+err.Error())
+			s.storeErr("terminal", s.store.Terminal(id, "cancelled", "submission rejected: "+err.Error()))
 		}
 		s.mu.Unlock()
 		// A closed or cancelled stream is the service shutting down — the
@@ -1374,7 +1400,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !e.cancelled {
 		e.cancelled = true
 		if s.store != nil {
-			s.store.Terminal(e.id, "cancelled", "")
+			s.storeErr("terminal", s.store.Terminal(e.id, "cancelled", ""))
 		}
 	}
 	s.mu.Unlock()
@@ -1458,6 +1484,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.store != nil {
 		fmt.Fprintf(w, "# HELP vlasovd_journal_bytes On-disk size of the job journal (online compaction keeps it bounded).\n# TYPE vlasovd_journal_bytes gauge\nvlasovd_journal_bytes %d\n", s.store.Size())
+		// Every operation is emitted, zeros included, so an alert on the
+		// series exists before the first failure.
+		fmt.Fprintf(w, "# HELP vlasovd_store_errors_total Journal, index and audit appends that failed after their job was accepted (the job carried on without them).\n# TYPE vlasovd_store_errors_total counter\n")
+		for _, op := range storeOps {
+			fmt.Fprintf(w, "vlasovd_store_errors_total{op=\"%s\"} %d\n", op, s.storeErrs[op].Load())
+		}
 	}
 	counter("vlasovd_sse_dropped_total", "Diagnostics events lost before SSE delivery (observer back-pressure plus ring evictions seen by connected clients).", sseDropped)
 	counter("vlasovd_sse_replayed_total", "Events re-served from per-job rings on Last-Event-ID resumes.", sseReplayed)

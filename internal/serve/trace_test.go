@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vlasov6d/internal/store"
 )
 
 // traceSpanNames fetches a job's trace and returns the span-name multiset
@@ -389,7 +391,7 @@ func TestRingSequenceContinuesAcrossRestart(t *testing.T) {
 	if firstID <= cursor {
 		t.Fatalf("post-restart event id %d not past pre-restart cursor %d", firstID, cursor)
 	}
-	if firstID <= eventSeqReserveBlock {
+	if firstID <= store.EventSeqBlock {
 		t.Fatalf("post-restart id %d inside the first reservation block; ring did not continue from the journal", firstID)
 	}
 }

@@ -13,6 +13,15 @@ import (
 // means the frame is garbage (a torn or corrupt header), not a real record.
 const maxRecordLen = 16 << 20
 
+// logFile is what framedLog asks of the *os.File it appends to; tests wrap
+// it to fail a write part-way or to count fsyncs.
+type logFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // framedLog is one append-only file of CRC frames and the only code in the
 // package that opens, truncates, fsyncs or renames a store file: the
 // journal, the artifact index and the audit log are each a mutex, a
@@ -20,11 +29,22 @@ const maxRecordLen = 16 << 20
 // its own — the owning log's mutex serialises every call.
 type framedLog struct {
 	dir, name string
-	f         *os.File // nil once closed
+	f         logFile // nil once closed; opened O_APPEND, so writes land at the end
 	// size and frames describe the file: whole frames only, which is what
 	// the journal's auto-compaction thresholds read.
 	size   int64
 	frames int
+	// synced is the byte offset known durable: equal to size after every
+	// append, rewrite and close, behind it only while appendUnsynced frames
+	// wait for the next fsync. A crash may cut the file anywhere in
+	// [synced, size].
+	synced int64
+	// buf is the frame being written, kept between appends.
+	buf []byte
+	// broken is set when a failed write could not be rolled back: the file
+	// may end in a torn frame, and anything appended behind one is lost to
+	// replay, so the log refuses further appends.
+	broken error
 }
 
 // openLog opens dir/name, creating the directory and an empty file when
@@ -49,7 +69,7 @@ func openLog(dir, name string, apply func(payload []byte)) (*framedLog, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	l := &framedLog{dir: dir, name: name}
-	f, err := os.OpenFile(l.path(), os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(l.path(), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, l.errorf("open", err)
 	}
@@ -65,10 +85,9 @@ func openLog(dir, name string, apply func(payload []byte)) (*framedLog, error) {
 		f.Close()
 		return nil, l.errorf("truncate torn tail", err)
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, l.errorf("open", err)
-	}
+	// Frames a killed process wrote without an fsync replay like any other;
+	// only the journal writes such frames, and Open rewrites it next.
+	l.synced = l.size
 	l.f = f
 	return l, nil
 }
@@ -85,20 +104,51 @@ func (l *framedLog) errorf(op string, err error) error {
 func (l *framedLog) errClosed() error { return fmt.Errorf("store: %s: closed", l.name) }
 
 // append frames one payload, writes it and fsyncs before returning: a
-// record that could be lost to a crash was never acknowledged.
+// record that could be lost to a crash was never acknowledged. The fsync
+// covers every appendUnsynced frame before it too.
 func (l *framedLog) append(payload []byte) error {
+	if err := l.appendUnsynced(payload); err != nil {
+		return err
+	}
+	return l.sync()
+}
+
+// appendUnsynced frames one payload and writes it without an fsync: the
+// frame is in the file for any later open of it, and durable against power
+// loss with the next append, rewrite or close. The frame goes out in one
+// write. A failed write may have landed part of it, so the file is cut back
+// to the last whole frame and size and frames stay as they were — the next
+// append lands behind a whole frame, not a torn one.
+func (l *framedLog) appendUnsynced(payload []byte) error {
 	if l.f == nil {
 		return l.errClosed()
 	}
-	n, err := writeFrame(l.f, payload)
-	l.size += int64(n)
+	if l.broken != nil {
+		return l.broken
+	}
+	frame, err := appendFrame(l.buf[:0], payload)
 	if err != nil {
 		return l.errorf("append", err)
 	}
+	l.buf = frame
+	if _, err := l.f.Write(frame); err != nil {
+		if terr := l.f.Truncate(l.size); terr != nil {
+			l.broken = l.errorf("append", fmt.Errorf("%w; undoing the failed write: %v", err, terr))
+			return l.broken
+		}
+		return l.errorf("append", err)
+	}
+	l.size += int64(len(frame))
 	l.frames++
+	return nil
+}
+
+// sync fsyncs the file: every frame written so far is durable.
+func (l *framedLog) sync() error {
 	if err := l.f.Sync(); err != nil {
 		return l.errorf("sync", err)
 	}
+	l.synced = l.size
 	return nil
 }
 
@@ -123,9 +173,14 @@ func (l *framedLog) rewrite(emit func(write func(payload []byte) error) error) e
 	var size int64
 	frames := 0
 	err = emit(func(payload []byte) error {
-		n, err := writeFrame(f, payload)
-		size += int64(n)
+		frame, err := appendFrame(l.buf[:0], payload)
+		if err != nil {
+			return err
+		}
+		l.buf = frame
+		size += int64(len(frame))
 		frames++
+		_, err = f.Write(frame)
 		return err
 	})
 	if err == nil {
@@ -149,17 +204,24 @@ func (l *framedLog) rewrite(emit func(write func(payload []byte) error) error) e
 	if err != nil {
 		return l.errorf("reopen after rewrite", err)
 	}
-	l.f, l.size, l.frames = f, size, frames
+	l.f, l.size, l.frames, l.synced = f, size, frames, size
 	return nil
 }
 
-// close closes the file. append and rewrite fail afterwards; size and
-// frames keep their last values.
+// close fsyncs any appendUnsynced frames still waiting for one and closes
+// the file. append and rewrite fail afterwards; size and frames keep their
+// last values.
 func (l *framedLog) close() error {
 	if l.f == nil {
 		return nil
 	}
-	err := l.f.Close()
+	var err error
+	if l.synced < l.size {
+		err = l.sync()
+	}
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
 	l.f = nil
 	return err
 }
@@ -195,22 +257,17 @@ func scanFrames(r io.Reader, apply func(payload []byte)) (size int64, frames int
 	}
 }
 
-// writeFrame writes one CRC frame: u32-LE payload length, u32-LE CRC32
-// (IEEE) of the payload, payload bytes. One codec for all three logs, so
-// each survives a SIGKILL mid-append the same way.
-func writeFrame(w io.Writer, payload []byte) (int, error) {
+// appendFrame appends one CRC frame to dst: u32-LE payload length, u32-LE
+// CRC32 (IEEE) of the payload, payload bytes. One codec for all three logs,
+// so each survives a SIGKILL mid-append the same way.
+func appendFrame(dst, payload []byte) ([]byte, error) {
 	if len(payload) > maxRecordLen {
 		// readFrame would take it for garbage and end the valid prefix there.
-		return 0, fmt.Errorf("store: frame payload of %d bytes exceeds limit", len(payload))
+		return dst, fmt.Errorf("store: frame payload of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	n, err := w.Write(payload)
-	return 8 + n, err
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...), nil
 }
 
 // readFrame reads one CRC frame's payload. io.EOF means a clean end; any

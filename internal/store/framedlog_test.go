@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -21,6 +22,11 @@ func handFrame(payload []byte) []byte {
 		byte(sum), byte(sum >> 8), byte(sum >> 16), byte(sum >> 24),
 	}
 	return append(hdr, payload...)
+}
+
+// writeFrame writes one hand-built frame: how tests fabricate files.
+func writeFrame(w io.Writer, payload []byte) (int, error) {
+	return w.Write(handFrame(payload))
 }
 
 // logUnderTest drives one of the three logs through its exported surface,
@@ -50,7 +56,7 @@ func logsUnderTest() []logUnderTest {
 		{
 			file: journalName, rewrites: true,
 			payload: func(i int) []byte {
-				p, _ := json.Marshal(record{Type: "submitted", ID: i, Tenant: "t", Spec: protocolSpec, UnixNano: 1})
+				p, _ := json.Marshal(record{Type: "submitted", ID: i, Tenant: "t", Spec: protocolSpec, UnixNano: 1, Seq: EventSeqBlock})
 				return p
 			},
 			open: func(t *testing.T, dir string) openedLog {
@@ -290,9 +296,8 @@ func TestGoldenBytes(t *testing.T) {
 	if got := handFrame([]byte("123456789")); !bytes.Equal(got, check) {
 		t.Fatalf("handFrame = % x, want % x", got, check)
 	}
-	var buf bytes.Buffer
-	if n, err := writeFrame(&buf, []byte("123456789")); err != nil || n != len(check) || !bytes.Equal(buf.Bytes(), check) {
-		t.Fatalf("writeFrame = % x (%d, %v), want % x", buf.Bytes(), n, err, check)
+	if got, err := appendFrame(nil, []byte("123456789")); err != nil || !bytes.Equal(got, check) {
+		t.Fatalf("appendFrame = % x (%v), want % x", got, err, check)
 	}
 	if p, err := readFrame(bytes.NewReader(check)); err != nil || string(p) != "123456789" {
 		t.Fatalf("readFrame = %q, %v", p, err)
@@ -300,13 +305,17 @@ func TestGoldenBytes(t *testing.T) {
 
 	const (
 		seq       = `{"type":"seq","next":6}`
-		submitted = `{"type":"submitted","id":5,"tenant":"alice","spec":{"scenario":"landau"},"unix_nano":1700000000000000001}`
-		entry     = `{"id":5,"tenant":"alice","name":"landau-x","status":"done","report":{"steps":2,"clock":0.5,"wall_seconds":1.5,"reason":"until","checkpoints":0,"checkpoint_bytes":0,"dropped_obs":0}}`
-		audit1    = `{"unix_nano":1700000000000000001,"tenant":"alice","outcome":"accept","spec_hash":"abc","job_id":5}`
-		audit2    = `{"unix_nano":1700000000000000002,"outcome":"401","reason":"unknown bearer token"}`
+		submitted = `{"type":"submitted","id":5,"tenant":"alice","spec":{"scenario":"landau"},"unix_nano":1700000000000000001,"seq":4096}`
+		// What a daemon from before the submitted record carried the first
+		// event block wrote: it must keep replaying, to a job with nothing
+		// reserved, and boot compaction must hand back the same bytes.
+		oldSubmitted = `{"type":"submitted","id":4,"tenant":"bob","spec":{"scenario":"landau"},"unix_nano":1700000000000000000}`
+		entry        = `{"id":5,"tenant":"alice","name":"landau-x","status":"done","report":{"steps":2,"clock":0.5,"wall_seconds":1.5,"reason":"until","checkpoints":0,"checkpoint_bytes":0,"dropped_obs":0}}`
+		audit1       = `{"unix_nano":1700000000000000001,"tenant":"alice","outcome":"accept","spec_hash":"abc","job_id":5}`
+		audit2       = `{"unix_nano":1700000000000000002,"outcome":"401","reason":"unknown bearer token"}`
 	)
 	at := time.Unix(0, 1700000000000000001)
-	journalFile := append(handFrame([]byte(seq)), handFrame([]byte(submitted))...)
+	journalFile := bytes.Join([][]byte{handFrame([]byte(seq)), handFrame([]byte(oldSubmitted)), handFrame([]byte(submitted))}, nil)
 	indexFile := handFrame([]byte(entry))
 	auditFile := append(handFrame([]byte(audit1)), handFrame([]byte(audit2))...)
 	wantEntry := IndexEntry{ID: 5, Tenant: "alice", Name: "landau-x", Status: "done",
@@ -324,9 +333,13 @@ func TestGoldenBytes(t *testing.T) {
 		}
 	}
 	s := openStore(t, dir)
-	if p := s.Pending(); len(p) != 1 || p[0].ID != 5 || p[0].Tenant != "alice" ||
-		string(p[0].Spec) != `{"scenario":"landau"}` || !p[0].Submitted.Equal(at) {
+	p := s.Pending()
+	if len(p) != 2 || p[1].ID != 5 || p[1].Tenant != "alice" || string(p[1].Spec) != `{"scenario":"landau"}` ||
+		!p[1].Submitted.Equal(at) || p[1].EventSeqReserved != EventSeqBlock {
 		t.Fatalf("journal read back as %+v", p)
+	}
+	if p[0].ID != 4 || p[0].Tenant != "bob" || !p[0].Submitted.Equal(at.Add(-1)) || p[0].EventSeqReserved != 0 {
+		t.Fatalf("pre-block submitted record read back as %+v", p[0])
 	}
 	if next := s.NextID(); next != 6 {
 		t.Fatalf("NextID = %d, want 6", next)
@@ -356,6 +369,7 @@ func TestGoldenBytes(t *testing.T) {
 	if err := s.Submitted(5, "alice", json.RawMessage(`{"scenario":"landau"}`), at); err != nil {
 		t.Fatal(err)
 	}
+	journalFile = append(handFrame([]byte(seq)), handFrame([]byte(submitted))...)
 	if err := s.Compact(); err != nil { // folds the boot seq record (next 0) into next 6
 		t.Fatal(err)
 	}

@@ -12,9 +12,10 @@
 // replays every whole frame, and truncates the torn tail a SIGKILL
 // mid-append can leave; a CRC-valid payload the reader cannot decode is
 // skipped, never a reason to drop what follows it. Append fsyncs before it
-// returns. Rewrite goes temp file → fsync → rename → directory fsync, so a
-// kill leaves the old file or the new one, plus at worst a stale .tmp that
-// is never read. What differs per log is policy:
+// returns (but see the journal's hints below). Rewrite goes temp file →
+// fsync → rename → directory fsync, so a kill leaves the old file or the new
+// one, plus at worst a stale .tmp that is never read. What differs per log
+// is policy:
 //
 //	file          holds                rewritten                   drops
 //	journal.v6dj  unfinished jobs      at Open, on Compact and     terminal jobs
@@ -25,15 +26,36 @@
 //	              (audit.go)                                       it deletes no file
 //
 // The journal records five event kinds per job, keyed by a persistent job
-// id that outlives any single process:
+// id that outlives any single process. Each kind has one of two durability
+// classes, fixed here (record.hint), not configurable. An acknowledged
+// record is fsynced before the call that journals it returns, because
+// somebody is then told it happened. A hint is written and folded at once
+// but not fsynced: it becomes durable with the next acknowledged append to
+// the journal (so always before its job's terminal record is
+// acknowledged), with every rewrite (compaction emits the folded state)
+// and with Close, and a power loss before that may drop it. Nothing is
+// told a hint happened, and nothing outside this package reads what hints
+// feed — JobState.Attempts, Checkpoints and LastCheckpointClock have no
+// reader in internal/serve: recovery re-queues a job from its id, tenant,
+// spec, submission time and event reservation, and resumes it from the
+// newest snapshot file it finds on disk, not from the journal's say-so
+// (the snapshot a checkpoint record vouches for is not itself fsynced).
 //
-//	submitted   the tenant and the canonical spec JSON (catalog.JobSpec)
-//	started     an attempt began (1-based attempt number)
-//	checkpoint  a snapshot reached disk, with its clock
-//	events      SSE event sequence numbers reserved for the job's ring, so
-//	            numbering survives restarts (reserved in blocks, not per
-//	            event)
-//	terminal    the job finished: done, failed, or user-cancelled
+//	record      class         carries                      who is told          a crash may lose
+//	submitted   acknowledged  tenant, canonical spec JSON  the client's 202     nothing
+//	                          (catalog.JobSpec), and the
+//	                          job's first EventSeqBlock
+//	                          event sequence numbers
+//	started     hint          1-based attempt number       nobody               the attempt count
+//	checkpoint  hint          the snapshot's clock         nobody               the count and clock
+//	events      acknowledged  the next block of SSE event  SSE clients, by ids  nothing
+//	                          sequence numbers reserved    inside the block
+//	terminal    acknowledged  done, failed or              SSE done event, the  nothing
+//	                          user-cancelled               DELETE's 202
+//	(every index and audit append is acknowledged)
+//
+// A lost hint changes no decision: the job it belongs to is still pending
+// in the journal, which is what makes a restart run it again.
 //
 // Shutdown-driven cancellation is deliberately NOT journaled as terminal —
 // a job cancelled because the daemon died is unfinished work, and
@@ -86,11 +108,23 @@ type record struct {
 	// Status and Error accompany "terminal".
 	Status string `json:"status,omitempty"`
 	Error  string `json:"error,omitempty"`
-	// Seq accompanies "events": the highest SSE event sequence reserved for
-	// the job, so a restarted daemon continues numbering instead of
-	// resetting every resuming client's cursor.
+	// Seq accompanies "submitted" and "events": the highest SSE event
+	// sequence reserved for the job, so a restarted daemon continues
+	// numbering instead of resetting every resuming client's cursor.
 	Seq int64 `json:"seq,omitempty"`
 }
+
+// hint reports the record's durability class (the package comment's table):
+// a hint rides the next fsync, every other kind is acknowledged — fsynced
+// before the call that journals it returns.
+func (r record) hint() bool { return r.Type == "started" || r.Type == "checkpoint" }
+
+// EventSeqBlock is how many SSE event sequence numbers one reservation
+// claims. A job's submitted record carries its first block, so the journal
+// sees one more append per EventSeqBlock events, not one per event, and a
+// restart resumes numbering past the reservation (a bounded, reported gap)
+// instead of resetting every resuming client's cursor to 1.
+const EventSeqBlock = 4096
 
 // JobState is the replayed state of one journaled job.
 type JobState struct {
@@ -147,6 +181,20 @@ type Store struct {
 // rename never happened, so the real journal is authoritative — and the
 // compaction here overwrites it.
 func Open(dir string) (*Store, error) {
+	s, err := replayJournal(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.compactLocked(); err != nil {
+		s.log.close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// replayJournal is Open before its compaction: the journal under dir folded
+// record by record, terminal jobs still in the table.
+func replayJournal(dir string) (*Store, error) {
 	s := &Store{jobs: make(map[int]*JobState)}
 	l, err := openLog(dir, journalName, func(payload []byte) {
 		var rec record
@@ -158,10 +206,6 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	s.log = l
-	if err := s.compactLocked(); err != nil {
-		l.close()
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -197,10 +241,11 @@ func (s *Store) apply(rec record) {
 		}
 	case "submitted":
 		s.jobs[rec.ID] = &JobState{
-			ID:        rec.ID,
-			Tenant:    rec.Tenant,
-			Spec:      rec.Spec,
-			Submitted: time.Unix(0, rec.UnixNano),
+			ID:               rec.ID,
+			Tenant:           rec.Tenant,
+			Spec:             rec.Spec,
+			Submitted:        time.Unix(0, rec.UnixNano),
+			EventSeqReserved: rec.Seq,
 		}
 		if rec.ID >= s.next {
 			s.next = rec.ID + 1
@@ -265,15 +310,12 @@ func (s *Store) compactLocked() error {
 				break
 			}
 			err = put(record{Type: "submitted", ID: j.ID, Tenant: j.Tenant,
-				Spec: j.Spec, UnixNano: j.Submitted.UnixNano()})
+				Spec: j.Spec, UnixNano: j.Submitted.UnixNano(), Seq: j.EventSeqReserved})
 			if err == nil && j.Attempts > 0 {
 				err = put(record{Type: "started", ID: j.ID, Attempt: j.Attempts})
 			}
 			if err == nil && j.Checkpoints > 0 {
 				err = put(record{Type: "checkpoint", ID: j.ID, Clock: j.LastCheckpointClock})
-			}
-			if err == nil && j.EventSeqReserved > 0 {
-				err = put(record{Type: "events", ID: j.ID, Seq: j.EventSeqReserved})
 			}
 		}
 		return err
@@ -335,24 +377,27 @@ func (s *Store) NextID() int {
 	return id
 }
 
-// Submitted journals a new job: its id, tenant and canonical spec bytes.
-// The spec is stored verbatim — replay hands back the same bytes, so a
-// spec round-trips the journal byte-stably.
+// Submitted journals a new job: its id, tenant and canonical spec bytes,
+// and the job's first EventSeqBlock event sequence numbers, so a fresh
+// job's first event costs no append of its own. The spec is stored
+// verbatim — replay hands back the same bytes, so a spec round-trips the
+// journal byte-stably.
 func (s *Store) Submitted(id int, tenantName string, spec json.RawMessage, at time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.journalLocked(record{Type: "submitted", ID: id, Tenant: tenantName,
-		Spec: append(json.RawMessage(nil), spec...), UnixNano: at.UnixNano()})
+		Spec: append(json.RawMessage(nil), spec...), UnixNano: at.UnixNano(), Seq: EventSeqBlock})
 }
 
-// Started journals the beginning of an attempt.
+// Started journals the beginning of an attempt (a hint: see record.hint).
 func (s *Store) Started(id, attempt int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.journalLocked(record{Type: "started", ID: id, Attempt: attempt})
 }
 
-// CheckpointWritten journals a snapshot reaching disk at the given clock.
+// CheckpointWritten journals a snapshot reaching disk at the given clock (a
+// hint: see record.hint).
 func (s *Store) CheckpointWritten(id int, clock float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -361,9 +406,10 @@ func (s *Store) CheckpointWritten(id int, clock float64) error {
 
 // EventSeqReserve journals that event sequence numbers up to and including
 // upTo are spoken for on the job's SSE ring. The serve layer reserves in
-// blocks (one fsync per block, not per event); after a restart it resumes
-// numbering at the reservation's end + 1, which keeps sequence ids unique
-// across daemon generations at the cost of a bounded gap.
+// blocks of EventSeqBlock (one fsync per block, not per event; the first
+// block rides the submitted record); after a restart it resumes numbering
+// at the reservation's end + 1, which keeps sequence ids unique across
+// daemon generations at the cost of a bounded gap.
 func (s *Store) EventSeqReserve(id int, upTo int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -379,18 +425,22 @@ func (s *Store) Terminal(id int, status, errMsg string) error {
 	return s.journalLocked(record{Type: "terminal", ID: id, Status: status, Error: errMsg})
 }
 
-// journalLocked appends one record — fsynced before it is acknowledged —
-// and then folds it into memory with the same apply that replays it, so
-// the live state and the state a restart rebuilds cannot drift apart.
-// Auto-compaction is checked last: compacting between a terminal record's
-// append and its fold would rewrite the job as still pending. Callers hold
-// s.mu.
+// journalLocked appends one record — fsynced before it is acknowledged,
+// unless it is a hint — and then folds it into memory with the same apply
+// that replays it, so the live state and the state a restart rebuilds
+// cannot drift apart. Auto-compaction is checked last: compacting between a
+// terminal record's append and its fold would rewrite the job as still
+// pending. Callers hold s.mu.
 func (s *Store) journalLocked(rec record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("store: journal record: %w", err)
 	}
-	if err := s.log.append(payload); err != nil {
+	write := s.log.append
+	if rec.hint() {
+		write = s.log.appendUnsynced
+	}
+	if err := write(payload); err != nil {
 		return err
 	}
 	s.apply(rec)
@@ -403,8 +453,8 @@ func (s *Store) journalLocked(rec record) error {
 // job's records to drop — without that guard a journal sitting over the
 // threshold on live work alone would be rewritten on every append).
 // Compaction failure is deliberately swallowed — the append that triggered
-// it already succeeded and fsynced, and a journal that has merely grown
-// past its soft bound is a working journal.
+// it already succeeded, and a journal that has merely grown past its soft
+// bound is a working journal.
 func (s *Store) maybeAutoCompactLocked() {
 	if s.terminals == 0 {
 		return
@@ -415,7 +465,8 @@ func (s *Store) maybeAutoCompactLocked() {
 	}
 }
 
-// Close closes the journal file. Appends after Close fail.
+// Close makes any trailing hint records durable and closes the journal
+// file. Appends after Close fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
