@@ -309,42 +309,57 @@ func BenchmarkMoments(b *testing.B) {
 	}
 }
 
-// BenchmarkFFT3 times the 3D transform at PM-mesh scale.
+// BenchmarkFFT3 times the real 3D transform pair the PM solver runs, at a
+// power-of-two mesh (radix-4 stages only) and at the paper's 96 = 2⁵·3
+// (mixed radix).
 func BenchmarkFFT3(b *testing.B) {
-	n := 64
-	f3, err := fft.NewFFT3(n, n, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]complex128, n*n*n)
-	for i := range data {
-		data[i] = complex(float64(i%17), 0)
-	}
-	b.SetBytes(int64(16 * len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f3.Forward(data); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{64, 96} {
+		b.Run(fmt.Sprintf("real-%d", n), func(b *testing.B) {
+			f3, err := fft.NewFFT3(n, n, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			field := make([]float64, n*n*n)
+			for i := range field {
+				field[i] = float64(i % 17)
+			}
+			half := make([]complex128, f3.HalfLen())
+			b.SetBytes(int64(8 * len(field)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f3.ForwardReal(field, half); err != nil {
+					b.Fatal(err)
+				}
+				if err := f3.InverseReal(half, field); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkPoissonSolve times the PM potential solve.
+// BenchmarkPoissonSolve times the PM potential solve (one real forward, the
+// Green's function on the half spectrum, one real inverse) at the same two
+// meshes.
 func BenchmarkPoissonSolve(b *testing.B) {
-	s, err := poisson.NewSolver([3]int{64, 64, 64}, [3]float64{200, 200, 200})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := make([]float64, s.Size())
-	for i := range src {
-		src[i] = math.Sin(float64(i))
-	}
-	phi := make([]float64, s.Size())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(src, 1, phi); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{64, 96} {
+		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
+			s, err := poisson.NewSolver([3]int{n, n, n}, [3]float64{200, 200, 200})
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := make([]float64, s.Size())
+			for i := range src {
+				src[i] = math.Sin(float64(i))
+			}
+			phi := make([]float64, s.Size())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Solve(src, 1, phi); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -276,18 +276,18 @@ func (b *Block) GlobalMass() (float64, error) {
 }
 
 // GatherDensity assembles the GLOBAL density moment field on every rank:
-// each rank computes its local moments and contributes them into its slots
-// of a global mesh, combined with an all-reduce. This is the shared-mesh
-// step feeding the PM solve.
+// each rank computes its local density moment and contributes it into its
+// slots of a global mesh, combined with an all-reduce. This is the
+// shared-mesh step feeding the PM solve.
 func (b *Block) GatherDensity() ([]float64, error) {
-	m := b.G.ComputeMoments()
+	dens := b.G.DensityInto(nil)
 	nx, ny, nz := b.Global[0], b.Global[1], b.Global[2]
 	mesh := make([]float64, nx*ny*nz)
 	ox, oy, oz := b.GlobalOrigin(0), b.GlobalOrigin(1), b.GlobalOrigin(2)
 	for ix := 0; ix < b.G.NX; ix++ {
 		for iy := 0; iy < b.G.NY; iy++ {
 			for iz := 0; iz < b.G.NZ; iz++ {
-				mesh[((ox+ix)*ny+oy+iy)*nz+oz+iz] = m.Density[b.G.CellIndex(ix, iy, iz)]
+				mesh[((ox+ix)*ny+oy+iy)*nz+oz+iz] = dens[b.G.CellIndex(ix, iy, iz)]
 			}
 		}
 	}

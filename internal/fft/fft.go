@@ -1,36 +1,62 @@
 // Package fft provides the fast Fourier transforms required by the particle-
-// mesh gravity solver: an iterative radix-2 complex FFT, a Bluestein fallback
-// for arbitrary lengths (the paper's grids are 96·2ᵏ per side, which are not
-// powers of two), and cache-friendly parallel 3D transforms.
+// mesh gravity solver. The paper's PM meshes are 3³·N_x cells on grids of
+// 96·2ᵏ per side, so every production length is 2ᵃ·3ᵇ: Plan is one autosort
+// (Stockham) mixed-radix kernel with hard-coded radix-4, 2, 3 and 5
+// butterflies, chosen by factoring the length. A length with a prime factor
+// above 5 is evaluated as a Bluestein chirp convolution whose inner transform
+// is the same kernel on the next 2ᵃ3ᵇ5ᶜ length ≥ 2n−1. FFT3 builds the 3D
+// complex transform and the real-input / real-output pair over the Hermitian
+// half spectrum (what the Poisson solver uses) from lines of Plans.
 //
 // The paper offloads this to the Fujitsu SSL II 2D-decomposed FFT; here the
-// transform is our own, and the distributed-memory version in package decomp
-// reproduces the 3D→2D data-layout exchange the paper describes.
+// transform is our own. Package decomp's SlabFFT is a slab-decomposed wrapper
+// over the same Plan and FFT3.
 package fft
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"math/cmplx"
 )
 
 // Plan caches the twiddle factors and scratch buffers for complex transforms
 // of a fixed length n. A Plan is not safe for concurrent use; callers that
 // transform lines in parallel create one Plan per worker.
 type Plan struct {
-	n       int
-	pow2    bool
-	twiddle []complex128 // radix-2 twiddles, size n/2 (pow2 only)
-	rev     []int        // bit-reversal permutation (pow2 only)
+	n      int
+	stages []stage      // empty for n == 1 and for Bluestein lengths
+	work   []complex128 // the autosort kernel's second buffer, length n
 
-	// Bluestein machinery (non-power-of-two lengths).
-	m     int          // power-of-two length ≥ 2n-1
+	// Bluestein machinery (lengths with a prime factor > 5).
 	chirp []complex128 // e^{-iπk²/n}, length n
-	bfft  *Plan        // inner power-of-two plan of length m
-	bKern []complex128 // FFT of the chirp kernel, length m
-	scrA  []complex128
-	scrB  []complex128
+	inner *Plan        // 2ᵃ3ᵇ5ᶜ plan of length m ≥ 2n-1
+	kern  []complex128 // spectrum of the conjugate-chirp kernel over m, times 1/m
+	conv  []complex128 // convolution buffer, length m
+}
+
+// stage is one radix-r pass of the decimation-in-frequency Stockham
+// recursion at sub-length r·m and stride s (r·m·s = n): butterfly (p, q)
+// reads src[q + s·(p + j·m)], j < r, and writes its k-th output, times
+// w^{pk} with w = e^{∓2πi/(r·m)}, to dst[q + s·(r·p + k)].
+type stage struct {
+	r, m, s int
+	// tw[0] holds the forward twiddles w^{pk} at [(r-1)·p + k-1], tw[1]
+	// their conjugates for the inverse; nil when m == 1 (all ones).
+	tw [2][]complex128
+}
+
+func newStage(r, m, s int) stage {
+	st := stage{r: r, m: m, s: s}
+	if m == 1 {
+		return st
+	}
+	for p := 0; p < m; p++ {
+		for k := 1; k < r; k++ {
+			w := unitRoot(p*k, r*m)
+			st.tw[0] = append(st.tw[0], w)
+			st.tw[1] = append(st.tw[1], complex(real(w), -imag(w)))
+		}
+	}
+	return st
 }
 
 // NewPlan creates a transform plan for length n ≥ 1.
@@ -39,43 +65,81 @@ func NewPlan(n int) (*Plan, error) {
 		return nil, fmt.Errorf("fft: invalid length %d", n)
 	}
 	p := &Plan{n: n}
-	if n&(n-1) == 0 {
-		p.pow2 = true
-		p.twiddle = make([]complex128, n/2)
-		for k := range p.twiddle {
-			ang := -2 * math.Pi * float64(k) / float64(n)
-			p.twiddle[k] = cmplx.Exp(complex(0, ang))
+	if radices, ok := factor(n); ok {
+		p.work = make([]complex128, n)
+		m, s := n, 1
+		for _, r := range radices {
+			m /= r
+			p.stages = append(p.stages, newStage(r, m, s))
+			s *= r
 		}
-		p.rev = bitRevTable(n)
 		return p, nil
 	}
-	// Bluestein: convolve with a chirp on a power-of-two length m ≥ 2n-1.
-	m := 1 << bits.Len(uint(2*n-2))
+	// Bluestein: X[k] = c[k]·Σ_j (x[j]·c[j])·conj(c[k−j]) with the chirp
+	// c[k] = e^{-iπk²/n}, a cyclic convolution on any length m ≥ 2n−1.
+	m := 2*n - 1
+	for !smooth(m) {
+		m++
+	}
 	inner, err := NewPlan(m)
 	if err != nil {
 		return nil, err
 	}
-	p.m = m
-	p.bfft = inner
+	p.inner = inner
 	p.chirp = make([]complex128, n)
+	p.kern = make([]complex128, m)
+	p.conv = make([]complex128, m)
 	for k := 0; k < n; k++ {
 		// k² mod 2n avoids precision loss for large k.
-		k2 := (int64(k) * int64(k)) % int64(2*n)
-		ang := -math.Pi * float64(k2) / float64(n)
-		p.chirp[k] = cmplx.Exp(complex(0, ang))
+		k2 := int(int64(k) * int64(k) % int64(2*n))
+		p.chirp[k] = unitRoot(k2, 2*n)
+		c := complex(real(p.chirp[k]), -imag(p.chirp[k]))
+		p.kern[k] = c
+		if k > 0 {
+			p.kern[m-k] = c
+		}
 	}
-	kern := make([]complex128, m)
-	kern[0] = cmplx.Conj(p.chirp[0])
-	for k := 1; k < n; k++ {
-		c := cmplx.Conj(p.chirp[k])
-		kern[k] = c
-		kern[m-k] = c
+	inner.run(p.kern, false)
+	// The inner inverse is unnormalised; its 1/m rides on the kernel.
+	for i, v := range p.kern {
+		p.kern[i] = complex(real(v)/float64(m), imag(v)/float64(m))
 	}
-	inner.forwardPow2(kern)
-	p.bKern = kern
-	p.scrA = make([]complex128, m)
-	p.scrB = make([]complex128, m)
 	return p, nil
+}
+
+// factor splits n into the radix sequence of its stages — fours first, then
+// at most one two, then threes and fives — and reports whether n has no
+// other prime factor.
+func factor(n int) (radices []int, ok bool) {
+	for _, r := range [...]int{4, 2, 3, 5} {
+		for n%r == 0 {
+			radices = append(radices, r)
+			n /= r
+		}
+	}
+	return radices, n == 1
+}
+
+func smooth(n int) bool {
+	_, ok := factor(n)
+	return ok
+}
+
+// unitRoot returns e^{-2πi·j/n}, exact on the axes.
+func unitRoot(j, n int) complex128 {
+	j %= n
+	switch {
+	case j == 0:
+		return 1
+	case 4*j == n:
+		return complex(0, -1)
+	case 2*j == n:
+		return -1
+	case 4*j == 3*n:
+		return complex(0, 1)
+	}
+	sin, cos := math.Sincos(-2 * math.Pi * float64(j) / float64(n))
+	return complex(cos, sin)
 }
 
 // Len returns the transform length.
@@ -84,87 +148,96 @@ func (p *Plan) Len() int { return p.n }
 // Forward computes the in-place forward DFT
 // X[k] = Σ_j x[j]·e^{-2πi jk/n}. len(x) must equal Len().
 func (p *Plan) Forward(x []complex128) {
-	if len(x) != p.n {
-		panic(fmt.Sprintf("fft: length mismatch %d != %d", len(x), p.n))
-	}
-	if p.pow2 {
-		p.forwardPow2(x)
-		return
-	}
-	p.bluestein(x)
+	p.checkLen(x)
+	p.run(x, false)
 }
 
 // Inverse computes the in-place inverse DFT including the 1/n normalisation.
 func (p *Plan) Inverse(x []complex128) {
+	p.checkLen(x)
+	p.run(x, true)
+	scale(x, 1/float64(p.n))
+}
+
+func (p *Plan) checkLen(x []complex128) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: length mismatch %d != %d", len(x), p.n))
 	}
-	// IFFT(x) = conj(FFT(conj(x)))/n.
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	p.Forward(x)
-	inv := 1 / float64(p.n)
-	for i := range x {
-		x[i] = complex(real(x[i])*inv, -imag(x[i])*inv)
+}
+
+func scale(x []complex128, f float64) {
+	for i, v := range x {
+		x[i] = complex(real(v)*f, imag(v)*f)
 	}
 }
 
-// forwardPow2 is the iterative Cooley-Tukey radix-2 DIT transform.
-func (p *Plan) forwardPow2(x []complex128) {
-	n := len(x)
-	for i, j := range p.rev {
-		if i < j {
-			x[i], x[j] = x[j], x[i]
+// run transforms x in place, forward or (unnormalised) inverse. The stages
+// alternate between x and the work buffer; the last one has m == 1, where a
+// butterfly reads and writes the same r cells, so it can always land in x.
+func (p *Plan) run(x []complex128, inverse bool) {
+	if p.inner != nil {
+		p.bluestein(x, inverse)
+		return
+	}
+	src := x
+	for i := range p.stages {
+		dst := p.work
+		if i&1 == 1 || i == len(p.stages)-1 {
+			dst = x
 		}
+		p.stages[i].pass(src, dst, inverse)
+		src = dst
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			tw := 0
-			for k := start; k < start+half; k++ {
-				w := p.twiddle[tw]
-				t := w * x[k+half]
-				x[k+half] = x[k] - t
-				x[k] = x[k] + t
-				tw += step
-			}
+}
+
+// bluestein evaluates an arbitrary-length DFT as a chirp-z convolution. The
+// conjugate chirp is even, so its spectrum serves the inverse conjugated.
+func (p *Plan) bluestein(x []complex128, inverse bool) {
+	sign := 1.0
+	if inverse {
+		sign = -1
+	}
+	a := p.conv
+	for k, c := range p.chirp {
+		a[k] = x[k] * complex(real(c), sign*imag(c))
+	}
+	clear(a[p.n:])
+	p.inner.run(a, false)
+	for i, k := range p.kern {
+		a[i] *= complex(real(k), sign*imag(k))
+	}
+	p.inner.run(a, true)
+	for k, c := range p.chirp {
+		x[k] = a[k] * complex(real(c), sign*imag(c))
+	}
+}
+
+// pass runs one stage from src into dst. The inverse r-point butterfly is
+// the forward one with inputs j and r−j exchanged, so the direction costs
+// nothing inside the loops: it picks the input order and the twiddle table.
+func (st *stage) pass(src, dst []complex128, inverse bool) {
+	r, m, s := st.r, st.m, st.s
+	h := m * s // distance between a butterfly's inputs
+	var in [5][]complex128
+	for j := 0; j < r; j++ {
+		jj := j
+		if inverse && j > 0 {
+			jj = r - j
 		}
+		in[j] = src[jj*h : (jj+1)*h]
 	}
-}
-
-// bluestein evaluates an arbitrary-length DFT as a chirp-z convolution.
-func (p *Plan) bluestein(x []complex128) {
-	n, m := p.n, p.m
-	a, b := p.scrA, p.scrB
-	for i := range a {
-		a[i] = 0
+	tw := st.tw[0]
+	if inverse {
+		tw = st.tw[1]
 	}
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * p.chirp[k]
+	switch r {
+	case 2:
+		pass2(in[0], in[1], dst, tw, m, s)
+	case 3:
+		pass3(in[0], in[1], in[2], dst, tw, m, s)
+	case 4:
+		pass4(in[0], in[1], in[2], in[3], dst, tw, m, s)
+	case 5:
+		pass5(in[0], in[1], in[2], in[3], in[4], dst, tw, m, s)
 	}
-	p.bfft.forwardPow2(a)
-	for i := 0; i < m; i++ {
-		b[i] = a[i] * p.bKern[i]
-	}
-	// Inverse of the inner pow2 transform.
-	for i := range b {
-		b[i] = cmplx.Conj(b[i])
-	}
-	p.bfft.forwardPow2(b)
-	inv := 1 / float64(m)
-	for k := 0; k < n; k++ {
-		v := complex(real(b[k])*inv, -imag(b[k])*inv)
-		x[k] = v * p.chirp[k]
-	}
-}
-
-func bitRevTable(n int) []int {
-	logn := bits.TrailingZeros(uint(n))
-	rev := make([]int, n)
-	for i := range rev {
-		rev[i] = int(bits.Reverse(uint(i)) >> (bits.UintSize - logn))
-	}
-	return rev
 }

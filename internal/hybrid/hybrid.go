@@ -205,21 +205,22 @@ type Simulation struct {
 	rhoPM     []float64 // scratch: total density on PM mesh
 	phiLong   []float64
 	phiFull   []float64
-	accCell   [3][]float64   // Vlasov-grid accelerations
-	accPart   [3][]float64   // particle accelerations
-	accNuPart [3][]float64   // neutrino-particle accelerations (baseline mode)
-	mom       *phase.Moments // reused neutrino moment buffer (one reduction per step)
-	nuPM      []float64      // reused neutrino-density resample on the PM mesh
-	meshAcc   [3][]float64   // reused PM-mesh acceleration components
-	accShort  [3][]float64   // tree short-range force, before the 1/a
-	tree      *tree.Tree     // built once over Part, rebuilt in place per drift
+	accCell   [3][]float64 // Vlasov-grid accelerations
+	accPart   [3][]float64 // particle accelerations
+	accNuPart [3][]float64 // neutrino-particle accelerations (baseline mode)
+	nuDens    []float64    // reused neutrino density on the Vlasov grid
+	nuPM      []float64    // reused neutrino-density resample on the PM mesh
+	meshAcc   [3][]float64 // reused PM-mesh acceleration components
+	accShort  [3][]float64 // tree short-range force, before the 1/a
+	tree      *tree.Tree   // built once over Part, rebuilt in place per drift
 	uT        float64
 	gen       *ic.Generator
 	// The force arrays describe the current state when both halves are
 	// valid: the PM half (density → potential → mesh acceleration → accCell,
 	// accNuPart and the interpolated part of accPart) and the tree half
-	// (accShort). Whatever moves a particle invalidates both; a kick moves
-	// none, so the forces a step ends on are the ones the next begins with.
+	// (accShort). Whatever moves a particle invalidates both. A kick moves
+	// none, so the tree half a step ends on is the one the next begins with;
+	// with a ν grid the PM half is not (see Step).
 	pmValid, treeValid bool
 	// workers pins the intra-step parallelism of every component (0 =
 	// each component's GOMAXPROCS default); set through SetWorkers.
@@ -401,14 +402,13 @@ func (s *Simulation) installGrid(g *phase.Grid) error {
 
 // NeutrinoDensityPM returns the neutrino density moment resampled onto the
 // PM mesh (replication: density is intensive), or nil without neutrinos.
-// The moment computation is charged to the Moments timer.
+// The velocity-space reduction is charged to the Moments timer.
 func (s *Simulation) NeutrinoDensityPM() []float64 {
 	if s.Grid == nil {
 		return nil
 	}
 	t0 := time.Now()
-	s.mom = s.Grid.ComputeMomentsInto(s.mom)
-	m := s.mom
+	s.nuDens = s.Grid.DensityInto(s.nuDens)
 	s.Tim.Moments += time.Since(t0)
 	r := s.pmMesh[0] / s.Grid.NX
 	if len(s.nuPM) != s.PM.Size() {
@@ -420,7 +420,7 @@ func (s *Simulation) NeutrinoDensityPM() []float64 {
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
 			for iz := 0; iz < nz; iz++ {
-				v := m.Density[(ix*ny+iy)*nz+iz]
+				v := s.nuDens[(ix*ny+iy)*nz+iz]
 				for a := 0; a < r; a++ {
 					for b := 0; b < r; b++ {
 						base := ((ix*r+a)*npmY + iy*r + b) * npmZ
@@ -466,9 +466,10 @@ func (s *Simulation) ensureForces() error {
 	return nil
 }
 
-// computePM is the mesh half of the force: the shared density, the full
-// potential for the Vlasov grid and the ν particles, and the filtered one
-// interpolated to the CDM particles (into accPart, overwriting it).
+// computePM is the mesh half of the force: the shared density, transformed
+// once; from that spectrum the full potential for the Vlasov grid and the ν
+// particles, and the filtered one interpolated to the CDM particles (into
+// accPart, overwriting it).
 func (s *Simulation) computePM() error {
 	coeff := s.Cfg.Par.PoissonCoeff(s.A)
 	t0 := time.Now()
@@ -488,11 +489,14 @@ func (s *Simulation) computePM() error {
 			s.rhoPM[i] += v
 		}
 	}
+	if err := s.PM.Transform(s.rhoPM); err != nil {
+		return err
+	}
 
 	// Full (unfiltered) potential → Vlasov-grid acceleration and (in the
 	// baseline mode) the PM-only neutrino-particle acceleration.
 	if s.Grid != nil || s.NuPart != nil {
-		if _, err := s.PM.SolveFiltered(s.rhoPM, coeff, 0, s.phiFull); err != nil {
+		if _, err := s.PM.Potential(coeff, 0, s.phiFull); err != nil {
 			return err
 		}
 		if err := s.PM.AccelInto(s.phiFull, &s.meshAcc); err != nil {
@@ -515,7 +519,7 @@ func (s *Simulation) computePM() error {
 	if s.Cfg.NoTree {
 		rsUse = 0
 	}
-	if _, err := s.PM.SolveFiltered(s.rhoPM, coeff, rsUse, s.phiLong); err != nil {
+	if _, err := s.PM.Potential(coeff, rsUse, s.phiLong); err != nil {
 		return err
 	}
 	// The full-potential interpolations above are complete, so the mesh
@@ -636,18 +640,10 @@ func (s *Simulation) SuggestDT() float64 {
 
 // Step advances the whole coupled system by dt using kick-drift-kick with a
 // force refresh at the end of the drift (standard leapfrog). That refresh
-// is the step's one force evaluation: the opening kick uses the forces the
-// previous step (or SuggestDT) left, recomputing only what went stale.
+// is the step's one full force evaluation: the opening kick uses the forces
+// the previous step (or SuggestDT) left, recomputing only what went stale.
 func (s *Simulation) Step(dt float64) error {
 	t0 := time.Now()
-	if s.Grid != nil {
-		// The previous step's closing kick re-rounded the float32 f, so the
-		// ν density is not bit-for-bit the one the forces were solved from;
-		// a run restored from a checkpoint solves from the rounded f, and
-		// to stay identical to it so must this one. The tree half, which
-		// sees only particles, carries over.
-		s.pmValid = false
-	}
 	if err := s.ensureForces(); err != nil {
 		return err
 	}
@@ -678,6 +674,15 @@ func (s *Simulation) Step(dt float64) error {
 	}
 	if err := s.kickAll(dt); err != nil {
 		return err
+	}
+	if s.Grid != nil {
+		// The closing kick re-rounded the float32 f, so the ν density is not
+		// bit-for-bit the one the PM half was solved from. A run restored
+		// from this state can only solve from the rounded f; marking the PM
+		// half stale here makes whatever reads forces next — SuggestDT or
+		// the next opening kick — do the same in the live run. The tree
+		// half, which sees only particles, carries over.
+		s.pmValid = false
 	}
 	s.Tim.Steps++
 	s.Tim.Total += time.Since(t0)

@@ -611,9 +611,9 @@ func TestRestoreSkipsICGeneration(t *testing.T) {
 }
 
 // gateConfigs are the three force paths of a step: the ν grid (PM half
-// recomputed at the top of every step, tree half reused), and the two
-// particle-only modes, where a step opens on the forces the last one closed
-// with and evaluates nothing.
+// stale after every closing kick and redone by whatever reads forces next,
+// tree half reused), and the two particle-only modes, where a step opens on
+// the forces the last one closed with and evaluates nothing.
 func gateConfigs() map[string]Config {
 	nbody := smallConfig()
 	nbody.NoNeutrino = true
@@ -728,9 +728,11 @@ func TestPhysicsGates(t *testing.T) {
 }
 
 // TestOneForceEvaluationPerStep reads the phase timers for what a step
-// evaluates, with no counter in the way: forces left by a step are the ones
-// SuggestDT and the next step's opening kick use. Without a ν grid nothing
-// is evaluated until the drift; with one, only the PM half is.
+// evaluates, with no counter in the way. Without a ν grid the forces a step
+// leaves are the ones SuggestDT and the next opening kick use: nothing is
+// evaluated until the drift. With one, the closing kick leaves the PM half
+// stale (it re-rounded f) and the tree half valid: SuggestDT redoes the PM
+// half only, and the step that follows opens on that evaluation.
 func TestOneForceEvaluationPerStep(t *testing.T) {
 	for name, cfg := range gateConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -741,13 +743,24 @@ func TestOneForceEvaluationPerStep(t *testing.T) {
 			if err := s.Step(s.SuggestDT()); err != nil { // warm-up
 				t.Fatal(err)
 			}
+			if !s.treeValid || s.pmValid != (s.Grid == nil) {
+				t.Fatalf("a finished step left pmValid %v, treeValid %v", s.pmValid, s.treeValid)
+			}
 			before := s.Tim
 			dt := s.SuggestDT()
-			if s.Tim.Tree != before.Tree || s.Tim.PM != before.PM {
-				t.Fatal("SuggestDT re-evaluated forces the last step had left valid")
+			if s.Tim.Tree != before.Tree {
+				t.Fatal("SuggestDT walked the tree the last step had left valid")
 			}
-			if !s.pmValid || !s.treeValid {
-				t.Fatal("a finished step left its forces marked stale")
+			if (s.Tim.PM != before.PM) != (s.Grid != nil) {
+				t.Fatal("SuggestDT must solve the mesh again with a ν grid, and only then")
+			}
+			// The step's opening is ensureForces: after SuggestDT it is free.
+			before = s.Tim
+			if err := s.ensureForces(); err != nil {
+				t.Fatal(err)
+			}
+			if s.Tim.Tree != before.Tree || s.Tim.PM != before.PM {
+				t.Fatal("the opening evaluation redid forces SuggestDT had left valid")
 			}
 			if err := s.Step(dt); err != nil {
 				t.Fatal(err)
@@ -755,46 +768,84 @@ func TestOneForceEvaluationPerStep(t *testing.T) {
 			if s.Tim.Tree == before.Tree || s.Tim.PM == before.PM {
 				t.Fatal("a step did not evaluate the forces after its drift")
 			}
-			// The step's opening is ensureForces: with no grid it must be
-			// free; with one it may touch the PM timer only.
-			before = s.Tim
-			if s.Grid != nil {
-				s.pmValid = false
-			}
-			if err := s.ensureForces(); err != nil {
-				t.Fatal(err)
-			}
-			if s.Tim.Tree != before.Tree {
-				t.Fatal("the opening evaluation walked the tree again")
-			}
-			if s.Grid == nil && s.Tim.PM != before.PM {
-				t.Fatal("the opening evaluation solved the mesh again without a ν grid")
-			}
 		})
 	}
 }
 
-// TestForcesSteadyStateZeroAlloc: with one worker a warmed N-body step — the
-// in-place tree rebuild, the group walk, the PM solve, gradient and
-// interpolation — allocates nothing.
-func TestForcesSteadyStateZeroAlloc(t *testing.T) {
-	s, err := New(gateConfigs()["nbody"], 0.0909)
+// TestRestoredRunSuggestsLiveDT: where the velocity CFL is the binding limit
+// the suggested step is a function of the mesh acceleration, so a restored
+// run and the live one agree on it only if both solved the PM half from the
+// same, re-rounded f. (At the shapes of TestPhysicsGates another limit binds
+// and hides a difference.) Bit for bit, dt and state, over four steps.
+func TestRestoredRunSuggestsLiveDT(t *testing.T) {
+	cfg := smallConfig()
+	cfg.CFLU = 1e-4
+	s, err := New(cfg, 0.0909)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetWorkers(1)
-	dt := s.SuggestDT()
 	for i := 0; i < 2; i++ {
-		if err := s.Step(dt); err != nil {
+		if err := s.Step(s.SuggestDT()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	var buf bytes.Buffer
+	if _, err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapio.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetWorkers(1)
+	for i := 0; i < 4; i++ {
+		dt := s.SuggestDT()
+		if with, without := s.VSol.SuggestDT(s.A, s.accCell, s.Cfg.CFLX, s.Cfg.CFLU),
+			s.VSol.SuggestDT(s.A, s.accCell, s.Cfg.CFLX, math.Inf(1)); dt != with || without <= dt {
+			t.Fatalf("step %d: the velocity CFL does not bind (dt %v, Vlasov limit %v, without CFLU %v)", i, dt, with, without)
+		}
+		if rdt := r.SuggestDT(); rdt != dt {
+			t.Fatalf("step %d: restored run suggests dt %v, live run %v", i, rdt, dt)
+		}
 		if err := s.Step(dt); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state N-body step allocates %.1f allocs/op, want 0", allocs)
+		if err := r.Step(dt); err != nil {
+			t.Fatal(err)
+		}
+		requireSameState(t, "live vs restored", s, r)
+	}
+}
+
+// TestForcesSteadyStateZeroAlloc: with one worker a warmed step allocates
+// nothing — the in-place tree rebuild, the group walk, the PM transforms,
+// gradient and interpolation of an N-body step, and with a ν grid also the
+// density reduction, the resample and the Vlasov sweeps.
+func TestForcesSteadyStateZeroAlloc(t *testing.T) {
+	for _, name := range []string{"nbody", "nu-grid"} {
+		s, err := New(gateConfigs()[name], 0.0909)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetWorkers(1)
+		dt := s.SuggestDT()
+		for i := 0; i < 2; i++ {
+			if err := s.Step(dt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := s.Step(dt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state %s step allocates %.1f allocs/op, want 0", name, allocs)
+		}
 	}
 }

@@ -275,3 +275,42 @@ func TestParallelCellsWorkerInvariance(t *testing.T) {
 		t.Fatalf("fresh grid workers %d, want 0 (GOMAXPROCS default)", g.workers)
 	}
 }
+
+// TestDensityIntoMatchesMoments: the density-only reduction is the Density
+// field of the full moment reduction bit for bit, at any worker count, on a
+// grid whose cubes hold exact zeros (which the moment pass skips and the
+// density pass adds), negative zeros and whole empty cells; the buffer is
+// reused and a warmed one-worker call allocates nothing.
+func TestDensityIntoMatchesMoments(t *testing.T) {
+	g := smallGrid(t)
+	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+		if ux > 500 || uy < -1000 {
+			return 0
+		}
+		return 1e-11 * (1 + 0.3*math.Sin(x*uz) + 0.1*math.Cos(y-uy))
+	})
+	clear(g.CubeAt(7)) // an empty cell
+	negZero := float32(math.Copysign(0, -1))
+	g.CubeAt(3)[0], g.CubeAt(3)[5] = negZero, negZero
+	var dst []float64
+	for _, w := range []int{1, 3} {
+		g.SetWorkers(w)
+		want := g.ComputeMoments().Density
+		dst = g.DensityInto(dst)
+		if len(dst) != g.NCells() {
+			t.Fatalf("density has %d cells, want %d", len(dst), g.NCells())
+		}
+		for i, v := range dst {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("%d workers, cell %d: DensityInto %v, moments %v", w, i, v, want[i])
+			}
+		}
+	}
+	if dst[7] != 0 {
+		t.Fatalf("empty cell has density %v", dst[7])
+	}
+	g.SetWorkers(1)
+	if a := testing.AllocsPerRun(5, func() { dst = g.DensityInto(dst) }); a != 0 {
+		t.Fatalf("warmed DensityInto allocates %.1f", a)
+	}
+}

@@ -9,6 +9,14 @@
 // by BOTH matter components — the CIC-deposited N-body particles and the
 // velocity-space integral of the neutrino distribution function.
 //
+// The density is real, so the solver works on the Hermitian half of its
+// spectrum (fft.FFT3's real transforms: half the flops and half the complex
+// working set), and the solve is two calls: Transform takes the density to
+// its spectrum, which the solver keeps; Potential applies a Green's function
+// (times the TreePM long-range filter) to a copy and inverts. A TreePM step
+// wants the filtered and the unfiltered potential of one density — one
+// Transform, two Potentials. SolveFiltered is the one-shot form.
+//
 // The mesh-space gravitational acceleration −∇φ is obtained with
 // fourth-order central differences, the standard PM choice.
 package poisson
@@ -26,8 +34,9 @@ type Solver struct {
 	Box  [3]float64
 	f3   *fft.FFT3
 	kfac [3][]float64 // squared wavenumbers per axis
-	filt [3][]float64 // per-axis factors of the TreePM filter, refilled per solve
-	work []complex128
+	filt [3][]float64 // per-axis factors of the TreePM filter, refilled per Potential
+	rhoK []complex128 // half spectrum of the last Transform's source
+	work []complex128 // Green's function × rhoK, consumed by the inverse
 }
 
 // NewSolver creates a Poisson solver for an n[0]×n[1]×n[2] periodic mesh
@@ -58,7 +67,8 @@ func NewSolver(n [3]int, box [3]float64) (*Solver, error) {
 			s.kfac[d][i] = k * k
 		}
 	}
-	s.work = make([]complex128, n[0]*n[1]*n[2])
+	s.rhoK = make([]complex128, f3.HalfLen())
+	s.work = make([]complex128, f3.HalfLen())
 	return s, nil
 }
 
@@ -81,47 +91,56 @@ func (s *Solver) Solve(src []float64, coeff float64, phi []float64) ([]float64, 
 // Fourier space: φ_k = −coeff·exp(−k²·rs²)·δρ_k/k². With rs = 0 it reduces
 // to the plain periodic solution; with rs > 0 it returns the long-range
 // potential whose complement is supplied by the tree's erfc short-range
-// force (package tree).
+// force (package tree). It is Transform followed by Potential.
 func (s *Solver) SolveFiltered(src []float64, coeff, rs float64, phi []float64) ([]float64, error) {
-	n := s.Size()
-	if len(src) != n {
-		return nil, fmt.Errorf("poisson: source length %d != %d", len(src), n)
-	}
-	if phi == nil {
-		phi = make([]float64, n)
-	} else if len(phi) != n {
-		return nil, fmt.Errorf("poisson: phi length %d != %d", len(phi), n)
-	}
-	w := s.work
-	for i, v := range src {
-		w[i] = complex(v, 0)
-	}
-	if err := s.f3.Forward(w); err != nil {
+	if err := s.Transform(src); err != nil {
 		return nil, err
 	}
+	return s.Potential(coeff, rs, phi)
+}
+
+// Transform takes the source field (real, length Size()) to its spectrum and
+// keeps it for the Potential calls that follow; src is left untouched.
+func (s *Solver) Transform(src []float64) error {
+	if len(src) != s.Size() {
+		return fmt.Errorf("poisson: source length %d != %d", len(src), s.Size())
+	}
+	return s.f3.ForwardReal(src, s.rhoK)
+}
+
+// Potential returns the potential of the last transformed source, filtered
+// at rs as in SolveFiltered, in phi (allocated when nil). The stored
+// spectrum is not modified, so any number of potentials can be taken from
+// one Transform.
+func (s *Solver) Potential(coeff, rs float64, phi []float64) ([]float64, error) {
+	if phi == nil {
+		phi = make([]float64, s.Size())
+	} else if len(phi) != s.Size() {
+		return nil, fmt.Errorf("poisson: phi length %d != %d", len(phi), s.Size())
+	}
 	s.fillFilter(rs)
-	idx := 0
+	w := s.work
+	nzh := s.N[2]/2 + 1
+	kz2, fz := s.kfac[2][:nzh], s.filt[2][:nzh]
 	for ix := 0; ix < s.N[0]; ix++ {
-		kx2 := s.kfac[0][ix]
 		for iy := 0; iy < s.N[1]; iy++ {
-			ky2 := s.kfac[1][iy]
+			kxy2 := s.kfac[0][ix] + s.kfac[1][iy]
 			fxy := s.filt[0][ix] * s.filt[1][iy]
-			for iz := 0; iz < s.N[2]; iz++ {
-				k2 := kx2 + ky2 + s.kfac[2][iz]
+			o := (ix*s.N[1] + iy) * nzh
+			row, out := s.rhoK[o:o+nzh], w[o:o+nzh]
+			for iz, v := range row {
+				k2 := kxy2 + kz2[iz]
 				if k2 == 0 {
-					w[idx] = 0 // remove the mean: φ is defined up to a constant
-				} else {
-					w[idx] *= complex(-coeff/k2*(fxy*s.filt[2][iz]), 0)
+					out[iz] = 0 // remove the mean: φ is defined up to a constant
+					continue
 				}
-				idx++
+				g := -coeff / k2 * (fxy * fz[iz])
+				out[iz] = complex(real(v)*g, imag(v)*g)
 			}
 		}
 	}
-	if err := s.f3.Inverse(w); err != nil {
+	if err := s.f3.InverseReal(w, phi); err != nil {
 		return nil, err
-	}
-	for i := range phi {
-		phi[i] = real(w[i])
 	}
 	return phi, nil
 }

@@ -59,6 +59,11 @@ func TestPlaneWaveSolutions(t *testing.T) {
 	planeWaveTest(t, [3]int{16, 16, 16}, [3]float64{100, 100, 100}, [3]int{1, 0, 0}, 1)
 	planeWaveTest(t, [3]int{16, 16, 16}, [3]float64{100, 100, 100}, [3]int{2, 3, 1}, 5.5)
 	planeWaveTest(t, [3]int{12, 8, 16}, [3]float64{50, 80, 120}, [3]int{1, 2, 3}, 0.7)
+	// The hybrid benchmark's mesh, a mixed 3·5 / 4·5 / 4·3 one, and a
+	// Bluestein one with odd (no Nyquist plane) extents.
+	planeWaveTest(t, [3]int{20, 20, 20}, [3]float64{200, 200, 200}, [3]int{3, 1, 2}, 2.5)
+	planeWaveTest(t, [3]int{15, 20, 12}, [3]float64{50, 80, 120}, [3]int{2, 1, 3}, 0.7)
+	planeWaveTest(t, [3]int{7, 7, 7}, [3]float64{10, 10, 10}, [3]int{1, 2, 3}, 1)
 }
 
 func TestMeanRemoved(t *testing.T) {
@@ -82,36 +87,86 @@ func TestMeanRemoved(t *testing.T) {
 
 func TestSuperpositionProperty(t *testing.T) {
 	// Poisson is linear: Solve(a·s1 + b·s2) = a·Solve(s1) + b·Solve(s2).
-	s, _ := NewSolver([3]int{8, 8, 8}, [3]float64{10, 10, 10})
-	n := s.Size()
-	s1 := make([]float64, n)
-	s2 := make([]float64, n)
-	for i := range s1 {
-		s1[i] = math.Sin(float64(i))
-		s2[i] = math.Cos(float64(3 * i))
-	}
-	p1, _ := s.Solve(s1, 1, nil)
-	p2, _ := s.Solve(s2, 1, nil)
-	f := func(ar, br float64) bool {
-		a := math.Mod(ar, 10)
-		b := math.Mod(br, 10)
-		mix := make([]float64, n)
-		for i := range mix {
-			mix[i] = a*s1[i] + b*s2[i]
+	for _, mesh := range [][3]int{{8, 8, 8}, {20, 20, 20}, {15, 20, 12}, {7, 7, 7}} {
+		s, _ := NewSolver(mesh, [3]float64{10, 10, 10})
+		n := s.Size()
+		s1 := make([]float64, n)
+		s2 := make([]float64, n)
+		for i := range s1 {
+			s1[i] = math.Sin(float64(i))
+			s2[i] = math.Cos(float64(3 * i))
 		}
-		pm, err := s.Solve(mix, 1, nil)
-		if err != nil {
-			return false
-		}
-		for i := range pm {
-			if math.Abs(pm[i]-(a*p1[i]+b*p2[i])) > 1e-9*(1+math.Abs(a)+math.Abs(b)) {
+		p1, _ := s.Solve(s1, 1, nil)
+		p2, _ := s.Solve(s2, 1, nil)
+		f := func(ar, br float64) bool {
+			a := math.Mod(ar, 10)
+			b := math.Mod(br, 10)
+			mix := make([]float64, n)
+			for i := range mix {
+				mix[i] = a*s1[i] + b*s2[i]
+			}
+			pm, err := s.Solve(mix, 1, nil)
+			if err != nil {
 				return false
 			}
+			for i := range pm {
+				if math.Abs(pm[i]-(a*p1[i]+b*p2[i])) > 1e-9*(1+math.Abs(a)+math.Abs(b)) {
+					return false
+				}
+			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Fatalf("mesh %v: %v", mesh, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
+}
+
+// TestSharedTransform: the two potentials a TreePM step takes from one
+// Transform are, bit for bit, the ones two one-shot solves give — Potential
+// leaves the stored spectrum alone, in either order.
+func TestSharedTransform(t *testing.T) {
+	for _, mesh := range [][3]int{{20, 20, 20}, {15, 20, 12}, {7, 7, 7}} {
+		box := [3]float64{100, 80, 120}
+		src := make([]float64, mesh[0]*mesh[1]*mesh[2])
+		for i := range src {
+			src[i] = math.Sin(float64(7*i)) + 0.3*math.Cos(float64(i*i%97))
+		}
+		const coeff, rs = 1.7, 4.5
+		ref, _ := NewSolver(mesh, box)
+		full, err := ref.SolveFiltered(src, coeff, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		long, err := ref.SolveFiltered(src, coeff, rs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _ := NewSolver(mesh, box)
+		if err := s.Transform(src); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			rs   float64
+			want []float64
+		}{{0, full}, {rs, long}, {0, full}} {
+			got, err := s.Potential(coeff, c.rs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(c.want[i]) {
+					t.Fatalf("mesh %v rs %v: shared-transform potential differs at %d: %v vs %v", mesh, c.rs, i, v, c.want[i])
+				}
+			}
+		}
+	}
+	s, _ := NewSolver([3]int{4, 4, 4}, [3]float64{1, 1, 1})
+	if err := s.Transform(make([]float64, 5)); err == nil {
+		t.Fatal("short source accepted")
+	}
+	if _, err := s.Potential(1, 0, make([]float64, 5)); err == nil {
+		t.Fatal("short phi accepted")
 	}
 }
 
