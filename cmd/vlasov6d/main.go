@@ -157,9 +157,11 @@ func main() {
 		fmt.Printf("  ν mass          : %.6e (drift %+.1e)\n", nu1, (nu1-nu0)/nu0)
 	}
 	fmt.Printf("  step time       : %.1f s over %d steps\n", sim.Tim.Total.Seconds(), sim.Tim.Steps)
-	fmt.Printf("  part breakdown  : Vlasov %.1fs | tree %.1fs | PM %.1fs | moments %.1fs\n",
-		sim.Tim.Vlasov.Seconds(), sim.Tim.Tree.Seconds(), sim.Tim.PM.Seconds(),
-		sim.Tim.Moments.Seconds())
+	fmt.Printf("  part breakdown  : Vlasov %.1fs (kick %.1fs, drift %.1fs) | tree %.1fs | PM %.1fs | moments %.1fs\n",
+		sim.Tim.Vlasov.Seconds(), sim.Tim.Kick.Seconds(), sim.Tim.Drift.Seconds(),
+		sim.Tim.Tree.Seconds(), sim.Tim.PM.Seconds(), sim.Tim.Moments.Seconds())
+	fmt.Printf("  work counts     : %d kick + %d drift sweeps | %d PM | %d tree evaluations\n",
+		sim.Tim.KickSweeps, sim.Tim.DriftSweeps, sim.Tim.PMEvals, sim.Tim.TreeEvals)
 
 	if *snap != "" {
 		f, err := os.Create(*snap)

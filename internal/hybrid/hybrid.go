@@ -6,6 +6,25 @@
 // cycle in cosmic time with comoving coordinates and canonical velocities
 // u = a²ẋ.
 //
+// The cycle runs in its leapfrog form. A kick moves no density, so the
+// closing half kick of step n and the opening half kick of step n+1 use the
+// same acceleration, and kicks along the velocity axes commute: the two are
+// one kick of (dtₙ + dtₙ₊₁)/2. Step therefore ends after the force
+// evaluation that follows its drift and records the half kick it owes; the
+// next Step opens with one kick of owed + dt/2 — six Vlasov sweeps and one
+// PM solve per step where the literal sequence pays nine and two — and
+// Synchronize pays the debt on demand. While a half kick is owed, positions,
+// the ν density, masses and the boundary-loss total are those of the step's
+// end; velocities and the velocity structure of f lag by the owed kick.
+// Every snapshot is taken of a synchronised state (Checkpoint and
+// CaptureCheckpoint call Synchronize first, which also leaves the live state
+// synchronised with the file), and runner.Run synchronises on every exit, so
+// the state a caller finds after Run, and the state any checkpoint restores,
+// is the kick-drift-kick state. The last bits of a run depend on where it
+// was synchronised — each synchronisation rounds the float32 f once more —
+// while a run restored from any checkpoint continues bit for bit like the
+// live run that wrote it.
+//
 // Per-step wall-clock time is accounted separately for the Vlasov, tree, PM
 // and moment phases, mirroring the decomposition of the paper's Fig. 7, and
 // feeds the machine model that reproduces Tables 3–4.
@@ -175,14 +194,21 @@ func (c *Config) Validate() error {
 }
 
 // Timings accumulates wall-clock time per simulation part (the paper's
-// Fig. 7 decomposition).
+// Fig. 7 decomposition) and exact counts of the work behind it. Total is
+// the time inside Step and inside a Synchronize that had a kick to pay.
 type Timings struct {
-	Vlasov  time.Duration
+	Vlasov  time.Duration // Kick + Drift
 	Tree    time.Duration
-	PM      time.Duration
+	PM      time.Duration // contains Moments
 	Moments time.Duration
 	Total   time.Duration
 	Steps   int
+	// Kick and Drift split Vlasov into its velocity and position sweeps.
+	Kick, Drift time.Duration
+	// KickSweeps and DriftSweeps count one-dimensional sweeps over the ν
+	// grid (three per kick, three per drift); PMEvals and TreeEvals count
+	// evaluations of the mesh and tree halves of the force.
+	KickSweeps, DriftSweeps, PMEvals, TreeEvals int
 }
 
 // Simulation is a live hybrid run.
@@ -202,14 +228,12 @@ type Simulation struct {
 	pmMesh    [3]int
 	rs        float64 // TreePM split scale
 	soft      float64
-	rhoPM     []float64 // scratch: total density on PM mesh
-	phiLong   []float64
-	phiFull   []float64
+	rhoPM     []float64    // scratch: total density on PM mesh
+	phi       []float64    // scratch: the full, then the filtered potential
 	accCell   [3][]float64 // Vlasov-grid accelerations
 	accPart   [3][]float64 // particle accelerations
 	accNuPart [3][]float64 // neutrino-particle accelerations (baseline mode)
 	nuDens    []float64    // reused neutrino density on the Vlasov grid
-	nuPM      []float64    // reused neutrino-density resample on the PM mesh
 	meshAcc   [3][]float64 // reused PM-mesh acceleration components
 	accShort  [3][]float64 // tree short-range force, before the 1/a
 	tree      *tree.Tree   // built once over Part, rebuilt in place per drift
@@ -219,9 +243,12 @@ type Simulation struct {
 	// valid: the PM half (density → potential → mesh acceleration → accCell,
 	// accNuPart and the interpolated part of accPart) and the tree half
 	// (accShort). Whatever moves a particle invalidates both. A kick moves
-	// none, so the tree half a step ends on is the one the next begins with;
-	// with a ν grid the PM half is not (see Step).
+	// none, so the forces a step ends on are the ones the next begins with;
+	// only Synchronize, which re-rounds a ν grid, leaves the PM half stale.
 	pmValid, treeValid bool
+	// owed is the kick interval the last Step left unapplied (half its dt;
+	// zero for a fresh, restored or synchronised simulation).
+	owed float64
 	// workers pins the intra-step parallelism of every component (0 =
 	// each component's GOMAXPROCS default); set through SetWorkers.
 	workers int
@@ -316,8 +343,7 @@ func build(cfg Config, aInit float64, fill bool) (*Simulation, error) {
 		s.Cfg.NoTree = true
 	}
 	s.rhoPM = make([]float64, pm.Size())
-	s.phiLong = make([]float64, pm.Size())
-	s.phiFull = make([]float64, pm.Size())
+	s.phi = make([]float64, pm.Size())
 	if !fill {
 		return s, nil
 	}
@@ -402,19 +428,22 @@ func (s *Simulation) installGrid(g *phase.Grid) error {
 
 // NeutrinoDensityPM returns the neutrino density moment resampled onto the
 // PM mesh (replication: density is intensive), or nil without neutrinos.
-// The velocity-space reduction is charged to the Moments timer.
 func (s *Simulation) NeutrinoDensityPM() []float64 {
 	if s.Grid == nil {
 		return nil
 	}
+	out := make([]float64, s.PM.Size())
+	s.addNuDensityPM(out)
+	return out
+}
+
+// addNuDensityPM adds the ν density moment, replicated onto the PM mesh, to
+// dst. The velocity-space reduction is charged to the Moments timer.
+func (s *Simulation) addNuDensityPM(dst []float64) {
 	t0 := time.Now()
 	s.nuDens = s.Grid.DensityInto(s.nuDens)
 	s.Tim.Moments += time.Since(t0)
 	r := s.pmMesh[0] / s.Grid.NX
-	if len(s.nuPM) != s.PM.Size() {
-		s.nuPM = make([]float64, s.PM.Size())
-	}
-	out := s.nuPM
 	nx, ny, nz := s.Grid.NX, s.Grid.NY, s.Grid.NZ
 	npmY, npmZ := s.pmMesh[1], s.pmMesh[2]
 	for ix := 0; ix < nx; ix++ {
@@ -425,14 +454,13 @@ func (s *Simulation) NeutrinoDensityPM() []float64 {
 					for b := 0; b < r; b++ {
 						base := ((ix*r+a)*npmY + iy*r + b) * npmZ
 						for c := 0; c < r; c++ {
-							out[base+iz*r+c] = v
+							dst[base+iz*r+c] += v
 						}
 					}
 				}
 			}
 		}
 	}
-	return out
 }
 
 // ensureForces brings accCell (Vlasov-grid acceleration from the full
@@ -484,10 +512,8 @@ func (s *Simulation) computePM() error {
 			return err
 		}
 	}
-	if nu := s.NeutrinoDensityPM(); nu != nil {
-		for i, v := range nu {
-			s.rhoPM[i] += v
-		}
+	if s.Grid != nil {
+		s.addNuDensityPM(s.rhoPM)
 	}
 	if err := s.PM.Transform(s.rhoPM); err != nil {
 		return err
@@ -496,10 +522,10 @@ func (s *Simulation) computePM() error {
 	// Full (unfiltered) potential → Vlasov-grid acceleration and (in the
 	// baseline mode) the PM-only neutrino-particle acceleration.
 	if s.Grid != nil || s.NuPart != nil {
-		if _, err := s.PM.Potential(coeff, 0, s.phiFull); err != nil {
+		if _, err := s.PM.Potential(coeff, 0, s.phi); err != nil {
 			return err
 		}
-		if err := s.PM.AccelInto(s.phiFull, &s.meshAcc); err != nil {
+		if err := s.PM.AccelInto(s.phi, &s.meshAcc); err != nil {
 			return err
 		}
 		if s.Grid != nil {
@@ -519,12 +545,12 @@ func (s *Simulation) computePM() error {
 	if s.Cfg.NoTree {
 		rsUse = 0
 	}
-	if _, err := s.PM.Potential(coeff, rsUse, s.phiLong); err != nil {
+	// The full-potential interpolations above are complete, so the potential
+	// and mesh acceleration scratch are reused for the filtered potential.
+	if _, err := s.PM.Potential(coeff, rsUse, s.phi); err != nil {
 		return err
 	}
-	// The full-potential interpolations above are complete, so the mesh
-	// acceleration scratch can be reused for the filtered potential.
-	if err := s.PM.AccelInto(s.phiLong, &s.meshAcc); err != nil {
+	if err := s.PM.AccelInto(s.phi, &s.meshAcc); err != nil {
 		return err
 	}
 	for d := 0; d < 3; d++ {
@@ -533,6 +559,7 @@ func (s *Simulation) computePM() error {
 		}
 	}
 	s.Tim.PM += time.Since(t0)
+	s.Tim.PMEvals++
 	return nil
 }
 
@@ -561,6 +588,7 @@ func (s *Simulation) computeTree() error {
 		return err
 	}
 	s.Tim.Tree += time.Since(t0)
+	s.Tim.TreeEvals++
 	return nil
 }
 
@@ -638,72 +666,94 @@ func (s *Simulation) SuggestDT() float64 {
 	return dt
 }
 
-// Step advances the whole coupled system by dt using kick-drift-kick with a
-// force refresh at the end of the drift (standard leapfrog). That refresh
-// is the step's one full force evaluation: the opening kick uses the forces
-// the previous step (or SuggestDT) left, recomputing only what went stale.
+// Step advances the whole coupled system by dt: one kick of the half the
+// previous step left owed plus dt/2, the drifts at the midpoint scale
+// factor, and the step's one force evaluation, at the new positions. The
+// closing half kick is left owed to the next Step or to Synchronize (see the
+// package comment), and the forces stay valid, so a SuggestDT that follows
+// costs nothing.
 func (s *Simulation) Step(dt float64) error {
 	t0 := time.Now()
 	if err := s.ensureForces(); err != nil {
 		return err
 	}
-	// Half kicks.
-	if err := s.kickAll(dt); err != nil {
+	if err := s.kickAll(s.owed + dt/2); err != nil {
 		return err
 	}
-	// Drifts at the midpoint scale factor.
+	s.owed = 0
 	tMid := s.Time + dt/2
 	aMid := s.Cfg.Par.ScaleFactorAt(tMid)
-	tv := time.Now()
 	if s.VSol != nil {
+		tv := time.Now()
 		if err := s.VSol.Drift(dt, aMid); err != nil {
 			return err
 		}
-		s.Tim.Vlasov += time.Since(tv)
+		d := time.Since(tv)
+		s.Tim.Vlasov += d
+		s.Tim.Drift += d
+		s.Tim.DriftSweeps += 3
 	}
 	s.Part.Drift(dt, aMid)
 	if s.NuPart != nil {
 		s.NuPart.Drift(dt, aMid)
 	}
 	s.pmValid, s.treeValid = false, false
-	// Advance time, refresh forces, second half kick.
 	s.Time += dt
 	s.A = s.Cfg.Par.ScaleFactorAt(s.Time)
 	if err := s.ensureForces(); err != nil {
 		return err
 	}
-	if err := s.kickAll(dt); err != nil {
-		return err
-	}
-	if s.Grid != nil {
-		// The closing kick re-rounded the float32 f, so the ν density is not
-		// bit-for-bit the one the PM half was solved from. A run restored
-		// from this state can only solve from the rounded f; marking the PM
-		// half stale here makes whatever reads forces next — SuggestDT or
-		// the next opening kick — do the same in the live run. The tree
-		// half, which sees only particles, carries over.
-		s.pmValid = false
-	}
+	s.owed = dt / 2
 	s.Tim.Steps++
 	s.Tim.Total += time.Since(t0)
 	return nil
 }
 
-// kickAll applies half-kicks (dt/2) to both components with current forces.
-func (s *Simulation) kickAll(dt float64) error {
+// Synchronize applies the half kick the last Step left owed, bringing
+// velocities and f to the time of the clock (runner.Synchronizer). It is
+// idempotent, and free on a fresh, restored or already synchronised
+// simulation. A kick is owed only by a completed Step, whose closing force
+// evaluation nothing has invalidated since.
+func (s *Simulation) Synchronize() error {
+	if s.owed == 0 {
+		return nil
+	}
+	t0 := time.Now()
+	if err := s.kickAll(s.owed); err != nil {
+		return err
+	}
+	s.owed = 0
+	if s.Grid != nil {
+		// The kick re-rounded the float32 f, so the ν density is not bit for
+		// bit the one the PM half was solved from. A run restored from this
+		// state can only solve from the rounded f; marking the PM half stale
+		// makes whatever reads forces next — SuggestDT or the next opening
+		// kick — do the same in the live run. The tree half, which sees only
+		// particles, carries over.
+		s.pmValid = false
+	}
+	s.Tim.Total += time.Since(t0)
+	return nil
+}
+
+// kickAll kicks every component by the interval h with the current forces.
+func (s *Simulation) kickAll(h float64) error {
 	if s.VSol != nil {
 		tv := time.Now()
-		if err := s.VSol.KickHalf(dt, s.accCell); err != nil {
+		if err := s.VSol.Kick(h, s.accCell); err != nil {
 			return err
 		}
-		s.Tim.Vlasov += time.Since(tv)
+		d := time.Since(tv)
+		s.Tim.Vlasov += d
+		s.Tim.Kick += d
+		s.Tim.KickSweeps += 3
 	}
 	if s.NuPart != nil {
-		if err := s.NuPart.Kick(dt/2, s.accNuPart); err != nil {
+		if err := s.NuPart.Kick(h, s.accNuPart); err != nil {
 			return err
 		}
 	}
-	return s.Part.Kick(dt/2, s.accPart)
+	return s.Part.Kick(h, s.accPart)
 }
 
 // Clock returns the run coordinate driven by the runner: the scale factor.
@@ -722,9 +772,10 @@ func (s *Simulation) ClampDT(dt, until float64) float64 {
 
 // Diagnostics reports the uniform per-step summary: scale factor, cosmic
 // time, total mass, plus redshift, per-component masses and the Vlasov
-// boundary loss under Extra. The result is a value snapshot with a fresh
-// Extra map — the runner's contract for off-thread (async observer)
-// delivery.
+// boundary loss under Extra — all of them unchanged by a kick up to what it
+// moves from ν mass into boundary loss, so they read the same whether or not
+// a half kick is owed. The result is a value snapshot with a fresh Extra map
+// — the runner's contract for off-thread (async observer) delivery.
 func (s *Simulation) Diagnostics() runner.Diagnostics {
 	nu, cdm := s.TotalMass()
 	extra := map[string]float64{
@@ -738,20 +789,26 @@ func (s *Simulation) Diagnostics() runner.Diagnostics {
 	return runner.Diagnostics{Clock: s.A, Time: s.Time, Mass: nu + cdm, Extra: extra}
 }
 
-// Checkpoint writes a restorable snapshot through snapio (the runner's
-// Checkpointer capability). Restore rebuilds a Simulation from it. Every
-// mode can snapshot: the ν-particle baseline rides the second particle
-// section of snapio format v2.
+// Checkpoint synchronises the simulation and writes a restorable snapshot
+// through snapio (the runner's Checkpointer capability). Restore rebuilds a
+// Simulation from it. Every mode can snapshot: the ν-particle baseline rides
+// the second particle section of snapio format v2.
 func (s *Simulation) Checkpoint(w io.Writer) (int64, error) {
+	if err := s.Synchronize(); err != nil {
+		return 0, err
+	}
 	return snapio.Write(w, s.snapshot(false))
 }
 
 // CaptureCheckpoint is the runner's async-checkpointing capability: it
-// deep-copies the evolving state (an O(state) memcpy) on the calling
-// goroutine and returns a write function the I/O pipeline can run
-// concurrently with the next Steps, so the expensive encode + checksum +
-// write overlaps compute.
+// synchronises the simulation, deep-copies the evolving state (an O(state)
+// memcpy) on the calling goroutine and returns a write function the I/O
+// pipeline can run concurrently with the next Steps, so the expensive encode
+// + checksum + write overlaps compute.
 func (s *Simulation) CaptureCheckpoint() (func(w io.Writer) (int64, error), error) {
+	if err := s.Synchronize(); err != nil {
+		return nil, err
+	}
 	snap := s.snapshot(true)
 	return func(w io.Writer) (int64, error) {
 		return snapio.Write(w, snap)

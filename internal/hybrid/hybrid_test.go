@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"os"
 	"testing"
 
 	"vlasov6d/internal/analysis"
@@ -481,26 +482,30 @@ func TestRestoreContinuesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	dt := ref.SuggestDT()
-	for i := 0; i < 2; i++ {
-		if err := ref.Step(dt); err != nil {
+	// A snapshot holds a synchronised state, so every run here synchronises
+	// after each step: the fields read below are then all at the clock.
+	step := func(s *Simulation) {
+		t.Helper()
+		if err := s.Step(dt); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Synchronize(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	step(ref)
+	step(ref)
 	// Checkpointed: one step, save, restore, one step.
 	s1, err := New(cfg, 0.0909)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Step(dt); err != nil {
-		t.Fatal(err)
-	}
+	step(s1)
 	s2, err := Restore(cfg, &snapio.Snapshot{A: s1.A, Time: s1.Time, Part: s1.Part, Grid: s1.Grid})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Step(dt); err != nil {
-		t.Fatal(err)
-	}
+	step(s2)
 	// The restored run should track the continuous one closely (time
 	// origins differ at round-off through ScaleFactorAt inversion).
 	if math.Abs(s2.A-ref.A) > 1e-6 {
@@ -610,10 +615,10 @@ func TestRestoreSkipsICGeneration(t *testing.T) {
 	}
 }
 
-// gateConfigs are the three force paths of a step: the ν grid (PM half
-// stale after every closing kick and redone by whatever reads forces next,
-// tree half reused), and the two particle-only modes, where a step opens on
-// the forces the last one closed with and evaluates nothing.
+// gateConfigs are the three force paths of a step: the ν grid (a
+// Synchronize re-rounds f and leaves the PM half stale, to be redone by
+// whatever reads forces next; the tree half is reused), and the two
+// particle-only modes, where nothing but a drift ever invalidates a force.
 func gateConfigs() map[string]Config {
 	nbody := smallConfig()
 	nbody.NoNeutrino = true
@@ -654,39 +659,44 @@ func requireSameState(t *testing.T, what string, a, b *Simulation) {
 // TestPhysicsGates runs the benchmark's cosmology checks at a shape Tier-1
 // can afford, in every mode, so that a regression in the sweep kernel or the
 // force path fails `go test ./...` and not only the nested benchmark module:
-// five steps through the runner must conserve ν mass (boundary loss
-// included) to 1e-6 and keep f ≥ 0 exactly, give the same state bit for bit
-// with one and two workers, and continue bit for bit from a checkpoint. A
-// restored run has no forces and evaluates them afresh where the live run
-// reuses what its last step left, so the last gate is also the proof that
-// reuse equals recomputation.
+// five steps through the runner, checkpointed at the third, must conserve ν
+// mass (boundary loss included) to 1e-6 and keep f ≥ 0 exactly, give the same
+// state bit for bit with one and two workers, and be reproduced bit for bit
+// by a run restored from the step-3 snapshot and continued through the
+// runner. A restored run has no forces and evaluates them afresh where the
+// live run reuses what its last step left, so the last gates are also the
+// proof that reuse equals recomputation.
 func TestPhysicsGates(t *testing.T) {
-	const aInit, steps = 0.0909, 5
+	const aInit, steps, ckptAt = 0.0909, 5, 3
 	for name, cfg := range gateConfigs() {
 		t.Run(name, func(t *testing.T) {
-			run := func(workers int) *Simulation {
+			// Every run takes the same cadence: where a run synchronises is
+			// part of what it computes.
+			run := func(s *Simulation, workers, steps int) *runner.Report {
+				t.Helper()
+				s.SetWorkers(workers)
+				rep, err := runner.Run(context.Background(), s, 1,
+					runner.WithMaxSteps(steps), runner.WithCheckpoint(t.TempDir(), ckptAt))
+				if err != nil || rep.Steps != steps {
+					t.Fatalf("run with %d workers: %d steps, err %v", workers, rep.Steps, err)
+				}
+				return rep
+			}
+			fresh := func() *Simulation {
 				t.Helper()
 				s, err := New(cfg, aInit)
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.SetWorkers(workers)
-				rep, err := runner.Run(context.Background(), s, 1, runner.WithMaxSteps(steps))
-				if err != nil || rep.Steps != steps {
-					t.Fatalf("run with %d workers: %d steps, err %v", workers, rep.Steps, err)
-				}
 				return s
 			}
-			s := run(1)
+			s := fresh()
+			rep := run(s, 1, steps)
 			if s.Cfg.NoTree {
 				t.Fatal("tree silently disabled: the gates would not cover it")
 			}
 			if s.Grid != nil {
-				fresh, err := New(cfg, aInit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nu0, _ := fresh.TotalMass()
+				nu0, _ := fresh().TotalMass()
 				nu1, _ := s.TotalMass()
 				if drift := math.Abs(nu1+s.VSol.BoundaryLoss-nu0) / nu0; drift > 1e-6 {
 					t.Fatalf("ν mass + boundary loss drifted by %.3g over %d steps", drift, steps)
@@ -695,14 +705,34 @@ func TestPhysicsGates(t *testing.T) {
 					t.Fatalf("negative distribution function: min %g", mn)
 				}
 			}
-			requireSameState(t, "1 vs 2 workers", s, run(2))
+			two := fresh()
+			run(two, 2, steps)
+			requireSameState(t, "1 vs 2 workers", s, two)
 
+			// Restore the step-3 snapshot and run the remaining steps: the
+			// live run continued from exactly that state.
+			f, err := os.Open(rep.Checkpoints[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			snap, err := snapio.Read(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := Restore(cfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(resumed, 2, steps-ckptAt)
+			requireSameState(t, "live vs resumed from step 3", s, resumed)
+
+			// And step by step outside the runner, suggested dt included.
 			var buf bytes.Buffer
 			if _, err := s.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			snap, err := snapio.Read(&buf)
-			if err != nil {
+			if snap, err = snapio.Read(&buf); err != nil {
 				t.Fatal(err)
 			}
 			r, err := Restore(cfg, snap)
@@ -727,12 +757,26 @@ func TestPhysicsGates(t *testing.T) {
 	}
 }
 
-// TestOneForceEvaluationPerStep reads the phase timers for what a step
-// evaluates, with no counter in the way. Without a ν grid the forces a step
-// leaves are the ones SuggestDT and the next opening kick use: nothing is
-// evaluated until the drift. With one, the closing kick leaves the PM half
-// stale (it re-rounded f) and the tree half valid: SuggestDT redoes the PM
-// half only, and the step that follows opens on that evaluation.
+// stepCounts is what a step is made of, read off the exact counters.
+type stepCounts struct{ kick, drift, pm, tree int }
+
+func countsSince(s *Simulation, before Timings) stepCounts {
+	return stepCounts{
+		kick:  s.Tim.KickSweeps - before.KickSweeps,
+		drift: s.Tim.DriftSweeps - before.DriftSweeps,
+		pm:    s.Tim.PMEvals - before.PMEvals,
+		tree:  s.Tim.TreeEvals - before.TreeEvals,
+	}
+}
+
+// TestOneForceEvaluationPerStep counts what a step pays for. In steady state
+// a ν-grid step is three kick sweeps, three drift sweeps, one PM and one tree
+// evaluation, and the SuggestDT before it is free: the forces a step ends on
+// are the ones the next opens with, and the closing half kick rides the next
+// opening one. A Synchronize is one more kick; with a ν grid it re-rounds f,
+// so the next reader of the forces — SuggestDT here — redoes the PM half,
+// and only that. The step after it, like the first of a run, opens with a
+// plain half kick: same counts, no debt carried in.
 func TestOneForceEvaluationPerStep(t *testing.T) {
 	for name, cfg := range gateConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -740,34 +784,215 @@ func TestOneForceEvaluationPerStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Step(s.SuggestDT()); err != nil { // warm-up
-				t.Fatal(err)
+			sweeps := 0 // Vlasov sweeps per kick or drift
+			if s.Grid != nil {
+				sweeps = 3
 			}
-			if !s.treeValid || s.pmValid != (s.Grid == nil) {
-				t.Fatalf("a finished step left pmValid %v, treeValid %v", s.pmValid, s.treeValid)
+			// step is SuggestDT and Step; evals is how often they evaluate each
+			// half of the force between them.
+			step := func(what string, wantOwedIn float64, evals int) float64 {
+				t.Helper()
+				if s.owed != wantOwedIn {
+					t.Fatalf("%s: opens owing %v, want %v", what, s.owed, wantOwedIn)
+				}
+				before := s.Tim
+				dt := s.SuggestDT()
+				if err := s.Step(dt); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := countsSince(s, before), (stepCounts{sweeps, sweeps, evals, evals}); got != want {
+					t.Fatalf("%s with its SuggestDT: %+v, want %+v", what, got, want)
+				}
+				if s.owed != dt/2 || !s.pmValid || !s.treeValid {
+					t.Fatalf("%s: left owing %v of dt %v, pmValid %v, treeValid %v", what, s.owed, dt, s.pmValid, s.treeValid)
+				}
+				return dt
 			}
+			dt := step("first step", 0, 2) // the initial evaluation and the step's own
+			for i := 0; i < 3; i++ {
+				dt = step("steady-state step", dt/2, 1)
+			}
+
 			before := s.Tim
-			dt := s.SuggestDT()
-			if s.Tim.Tree != before.Tree {
-				t.Fatal("SuggestDT walked the tree the last step had left valid")
+			for i := 0; i < 2; i++ { // the second call has nothing to pay
+				if err := s.Synchronize(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if (s.Tim.PM != before.PM) != (s.Grid != nil) {
-				t.Fatal("SuggestDT must solve the mesh again with a ν grid, and only then")
+			if got, want := countsSince(s, before), (stepCounts{kick: sweeps}); got != want {
+				t.Fatalf("Synchronize twice: %+v, want %+v", got, want)
 			}
-			// The step's opening is ensureForces: after SuggestDT it is free.
+			if s.owed != 0 || !s.treeValid || s.pmValid != (s.Grid == nil) {
+				t.Fatalf("Synchronize left owing %v, pmValid %v, treeValid %v", s.owed, s.pmValid, s.treeValid)
+			}
 			before = s.Tim
-			if err := s.ensureForces(); err != nil {
+			s.SuggestDT()
+			if got, want := countsSince(s, before), (stepCounts{pm: sweeps / 3}); got != want { // one PM half iff a ν grid
+				t.Fatalf("SuggestDT after Synchronize: %+v, want %+v", got, want)
+			}
+			step("step after Synchronize", 0, 1)
+		})
+	}
+}
+
+// TestSynchronizeIsIdempotent: Synchronize is free on a fresh simulation,
+// pays once after a step, leaves the live state equal to the snapshot that
+// called it, and is free again on the simulation restored from it.
+func TestSynchronizeIsIdempotent(t *testing.T) {
+	for name, cfg := range gateConfigs() {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(cfg, 0.0909)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Tim.Tree != before.Tree || s.Tim.PM != before.PM {
-				t.Fatal("the opening evaluation redid forces SuggestDT had left valid")
+			noOp := func(what string, s *Simulation) {
+				t.Helper()
+				before := s.Tim
+				if err := s.Synchronize(); err != nil {
+					t.Fatal(err)
+				}
+				if s.Tim != before {
+					t.Fatalf("Synchronize on a %s simulation did work: %+v → %+v", what, before, s.Tim)
+				}
 			}
-			if err := s.Step(dt); err != nil {
+			noOp("fresh", s)
+			for i := 0; i < 2; i++ {
+				if err := s.Step(s.SuggestDT()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			vel := s.Part.Vel[0][0]
+			var buf bytes.Buffer
+			if _, err := s.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if s.Tim.Tree == before.Tree || s.Tim.PM == before.PM {
-				t.Fatal("a step did not evaluate the forces after its drift")
+			if s.Part.Vel[0][0] == vel {
+				t.Fatal("a checkpoint after a step did not apply the owed half kick")
 			}
+			noOp("checkpointed", s)
+			snap, err := snapio.Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := Restore(cfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameState(t, "snapshot vs the live state it synchronised", s, r)
+			noOp("restored", r)
+		})
+	}
+}
+
+// TestFusedStepsMatchSynchronizedSteps: a run that fuses adjacent half kicks
+// and one that synchronises after every step integrate the same splitting.
+// They differ by roundings and, with a ν grid, by one interpolation per step
+// at a velocity CFL of order 1e-3 or less and by a PM half solved from f
+// rounded at other times: positions agree to 1e-9 of the box (measured
+// 7e-13), velocities to 1e-7 of the largest (2e-9), f to 1e-5 of its maximum
+// (7e-7). With no acceleration at all a kick is the identity and the two runs
+// agree bit for bit.
+func TestFusedStepsMatchSynchronizedSteps(t *testing.T) {
+	const steps = 6
+	pair := func(t *testing.T, cfg Config, prepare func(*Simulation)) (fused, split *Simulation) {
+		t.Helper()
+		sims := [2]*Simulation{}
+		for i := range sims {
+			s, err := New(cfg, 0.0909)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prepare != nil {
+				prepare(s)
+			}
+			sims[i] = s
+		}
+		fused, split = sims[0], sims[1]
+		for i := 0; i < steps; i++ {
+			dt := split.SuggestDT() * (1 - 0.1*float64(i%3)) // adjacent steps differ
+			if err := fused.Step(dt); err != nil {
+				t.Fatal(err)
+			}
+			if err := split.Step(dt); err != nil {
+				t.Fatal(err)
+			}
+			if err := split.Synchronize(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fused.Synchronize(); err != nil {
+			t.Fatal(err)
+		}
+		if fused.Tim.KickSweeps >= split.Tim.KickSweeps && fused.Grid != nil {
+			t.Fatalf("fused run swept %d kicks, synchronised run %d", fused.Tim.KickSweeps, split.Tim.KickSweeps)
+		}
+		return fused, split
+	}
+	for name, cfg := range gateConfigs() {
+		t.Run(name, func(t *testing.T) {
+			fused, split := pair(t, cfg, nil)
+			if fused.A != split.A || fused.Time != split.Time {
+				t.Fatalf("clocks differ: a %v vs %v", fused.A, split.A)
+			}
+			for _, set := range [][2]*nbody.Particles{{fused.Part, split.Part}, {fused.NuPart, split.NuPart}} {
+				if set[0] == nil {
+					continue
+				}
+				for d := 0; d < 3; d++ {
+					vmax := 0.0
+					for _, v := range set[1].Vel[d] {
+						vmax = math.Max(vmax, math.Abs(v))
+					}
+					for i := range set[0].Pos[d] {
+						if dx := math.Abs(set[0].Pos[d][i] - set[1].Pos[d][i]); dx > 1e-9*cfg.Box {
+							t.Fatalf("particle %d dim %d: positions differ by %.3g of the box", i, d, dx/cfg.Box)
+						}
+						if dv := math.Abs(set[0].Vel[d][i] - set[1].Vel[d][i]); dv > 1e-7*vmax {
+							t.Fatalf("particle %d dim %d: velocities differ by %.3g of the largest", i, d, dv/vmax)
+						}
+					}
+				}
+			}
+			if fused.Grid != nil {
+				maxF, maxDiff := 0.0, 0.0
+				for i, v := range split.Grid.Data {
+					maxF = math.Max(maxF, float64(v))
+					maxDiff = math.Max(maxDiff, math.Abs(float64(v-fused.Grid.Data[i])))
+				}
+				if maxDiff > 1e-5*maxF {
+					t.Fatalf("f differs by %.3g of its maximum", maxDiff/maxF)
+				}
+			}
+
+			// No acceleration: massless particles (no tree — its nodes would
+			// have no centre of mass) and a ν grid uniform in space source a
+			// uniform density, whose potential is exactly flat.
+			still := cfg
+			still.NoTree = true
+			fused, split = pair(t, still, func(s *Simulation) {
+				s.Part.Mass = 0
+				if s.NuPart != nil {
+					s.NuPart.Mass = 0
+				}
+				if s.Grid != nil {
+					for cell := 1; cell < s.Grid.NCells(); cell++ {
+						copy(s.Grid.CubeAt(cell), s.Grid.CubeAt(0))
+					}
+				}
+				if err := s.ensureForces(); err != nil {
+					t.Fatal(err)
+				}
+				for d := 0; d < 3; d++ {
+					for _, acc := range [][]float64{s.accPart[d], s.accNuPart[d], s.accCell[d]} {
+						for i, a := range acc {
+							if a != 0 {
+								t.Fatalf("acceleration %v at %d in dimension %d: the construction is not force-free", a, i, d)
+							}
+						}
+					}
+				}
+			})
+			requireSameState(t, "force-free fused vs synchronised", fused, split)
 		})
 	}
 }

@@ -41,18 +41,25 @@ func (s *Solver) captureState() snapState {
 	}
 }
 
-// Checkpoint writes a restorable snapshot of the solver state, implementing
-// runner.Checkpointer. It returns the number of bytes written.
+// Checkpoint synchronises the solver and writes a restorable snapshot of its
+// state, implementing runner.Checkpointer. It returns the number of bytes
+// written.
 func (s *Solver) Checkpoint(w io.Writer) (int64, error) {
+	if err := s.Synchronize(); err != nil {
+		return 0, err
+	}
 	return writeState(w, s.captureState())
 }
 
-// CaptureCheckpoint deep-copies the state and returns a write closure over
-// the copy, implementing runner.CheckpointCapturer: the async observer
-// pipeline calls the closure while the solver keeps stepping, so the encode
-// + checksum + write overlaps compute and only the O(state) copy stays on
-// the step path.
+// CaptureCheckpoint synchronises the solver, deep-copies the state and
+// returns a write closure over the copy, implementing
+// runner.CheckpointCapturer: the async observer pipeline calls the closure
+// while the solver keeps stepping, so the encode + checksum + write overlaps
+// compute and only the O(state) copy stays on the step path.
 func (s *Solver) CaptureCheckpoint() (func(w io.Writer) (int64, error), error) {
+	if err := s.Synchronize(); err != nil {
+		return nil, err
+	}
 	st := s.captureState()
 	return func(w io.Writer) (int64, error) { return writeState(w, st) }, nil
 }
@@ -191,8 +198,6 @@ func Restore(r io.Reader) (*Solver, error) {
 	}
 	s.Time = tm
 	s.CFL = cfl
-	// Rebuild the field cache: currentField assumes the last kick left a
-	// valid E(x) whenever Time > 0, and a restored solver has taken no kick.
 	s.ElectricField()
 	return s, nil
 }

@@ -2,9 +2,13 @@ package plasma
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
+	"os"
 	"testing"
+
+	"vlasov6d/internal/runner"
 )
 
 func landauSolver(t *testing.T, scheme string) *Solver {
@@ -129,29 +133,45 @@ func TestCaptureCheckpointIsolatesState(t *testing.T) {
 
 func TestCheckpointResumeContinuesBitIdentically(t *testing.T) {
 	// Stop/restore/continue must land bit-identically on an uninterrupted
-	// run: resume correctness is exactness, not approximation.
-	const dt = 0.05
-	ref := landauSolver(t, "slmpp5")
-	stepN(t, ref, 20, dt)
-
-	half := landauSolver(t, "slmpp5")
-	stepN(t, half, 10, dt)
-	var buf bytes.Buffer
-	if _, err := half.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
+	// run: resume correctness is exactness, not approximation. Both runs go
+	// through the runner with one checkpoint cadence, so both synchronise at
+	// the same steps (8, 16 and the exit); the resumed one starts from the
+	// live run's first snapshot, and with another worker count.
+	const dt, until = 0.05, 1.0
+	run := func(s *Solver) *runner.Report {
+		t.Helper()
+		rep, err := runner.Run(context.Background(), s, until,
+			runner.WithFixedDT(dt), runner.WithCheckpoint(t.TempDir(), 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	resumed, err := Restore(&buf)
+	live := landauSolver(t, "slmpp5")
+	live.SetWorkers(1)
+	rep := run(live)
+	if rep.Steps < 20 || len(rep.Checkpoints) != 2 {
+		t.Fatalf("live run: %d steps, checkpoints %v", rep.Steps, rep.Checkpoints)
+	}
+	f, err := os.Open(rep.Checkpoints[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepN(t, resumed, 10, dt)
-
-	if resumed.Time != ref.Time {
-		t.Fatalf("clock %v vs %v", resumed.Time, ref.Time)
+	defer f.Close()
+	resumed, err := Restore(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range ref.F {
-		if resumed.F[i] != ref.F[i] {
-			t.Fatalf("resumed F differs at %d: %v vs %v", i, resumed.F[i], ref.F[i])
+	resumed.SetWorkers(2)
+	if got := run(resumed).Steps; got != rep.Steps-8 {
+		t.Fatalf("resumed run took %d steps, want %d", got, rep.Steps-8)
+	}
+	if resumed.Time != live.Time {
+		t.Fatalf("clock %v vs %v", resumed.Time, live.Time)
+	}
+	for i := range live.F {
+		if resumed.F[i] != live.F[i] {
+			t.Fatalf("resumed F differs at %d: %v vs %v", i, resumed.F[i], live.F[i])
 		}
 	}
 }

@@ -11,6 +11,17 @@
 //
 //	∂f/∂t + v·∂f/∂x − E(x)·∂f/∂v = 0,
 //	∂E/∂x = ρ(x) − 1,   ρ = ∫ f dv.
+//
+// Time stepping is the Strang splitting v-kick(dt/2), x-drift(dt),
+// v-kick(dt/2) in its leapfrog form: a kick leaves ρ and hence E unchanged,
+// so the closing kick of one step and the opening kick of the next are one
+// kick of (dtₙ + dtₙ₊₁)/2 under one field. Step ends after the field solve
+// that follows its drift — the step's only one, cached for SuggestDT,
+// Diagnostics and the next kick — and leaves the closing half kick owed;
+// Synchronize pays it. Mass, density and field energy are unchanged by the
+// owed kick (to the rounding of a conservative sweep); the velocity
+// structure of F lags by it. Checkpoint and CaptureCheckpoint synchronise
+// first, and so does runner.Run on every exit.
 package plasma
 
 import (
@@ -47,6 +58,12 @@ type Solver struct {
 	e      []float64
 	buf    []float64
 	fieldC []complex128
+	// fieldValid says that e is the field of the current F: set by the field
+	// solve, cleared by whatever changes the density.
+	fieldValid bool
+	// owed is the kick interval the last Step left unapplied (half its dt;
+	// zero for a fresh, restored, refilled or synchronised solver).
+	owed float64
 	// workers is the intra-step parallelism of the drift and kick sweeps
 	// (default GOMAXPROCS, pinned with SetWorkers). Lines are independent,
 	// so the worker count never changes the computed physics.
@@ -195,8 +212,10 @@ func (s *Solver) X(i int) float64 { return (float64(i) + 0.5) * s.DX() }
 // V returns the cell-centre velocity of index j.
 func (s *Solver) V(j int) float64 { return -s.VMax + (float64(j)+0.5)*s.DV() }
 
-// Fill evaluates f(x, v) at every cell centre.
+// Fill evaluates f(x, v) at every cell centre. The new state is a
+// synchronised one: nothing of the old field or of an owed kick carries over.
 func (s *Solver) Fill(f func(x, v float64) float64) {
+	s.fieldValid, s.owed = false, 0
 	for i := 0; i < s.NX; i++ {
 		x := s.X(i)
 		for j := 0; j < s.NV; j++ {
@@ -254,6 +273,7 @@ func (s *Solver) ElectricField() []float64 {
 	for i := range s.e {
 		s.e[i] = real(data[i])
 	}
+	s.fieldValid = true
 	return s.e
 }
 
@@ -268,13 +288,12 @@ func (s *Solver) FieldEnergy() float64 {
 }
 
 // currentField returns E(x) for the current state without a redundant
-// Poisson solve: the field cached by the last kick is still exact after a
-// completed Step (kicks advect in v only, leaving ρ and hence E
-// unchanged). Before the first step there is no cached field yet and it is
-// computed. Every hot-path consumer (SuggestDT, Diagnostics) goes through
-// here so the invariant lives in exactly one place.
+// Poisson solve: the field a Step solves after its drift stays exact until
+// the density next changes (kicks advect in v only). Every consumer on the
+// step path (the kick, SuggestDT, Diagnostics) goes through here so the
+// invariant lives in exactly one place.
 func (s *Solver) currentField() []float64 {
-	if s.Time == 0 {
+	if !s.fieldValid {
 		return s.ElectricField()
 	}
 	return s.e
@@ -299,19 +318,39 @@ func (s *Solver) TotalMass() float64 {
 	return sum * s.DX() * s.DV()
 }
 
-// Step advances one splitting step: v-kick(dt/2), x-drift(dt), v-kick(dt/2),
-// with the field refreshed before each kick.
+// Step advances one splitting step: one v-kick of the half the previous step
+// left owed plus dt/2, the x-drift(dt), and the field solve at the new
+// density. The closing v-kick(dt/2) is left owed to the next Step or to
+// Synchronize (see the package comment).
 func (s *Solver) Step(dt float64) error {
-	if err := s.kick(dt / 2); err != nil {
+	if err := s.kick(s.owed+dt/2, s.currentField()); err != nil {
 		return err
 	}
+	s.owed = 0
 	if err := s.drift(dt); err != nil {
 		return err
 	}
-	if err := s.kick(dt / 2); err != nil {
+	s.Time += dt
+	s.ElectricField()
+	s.owed = dt / 2
+	return nil
+}
+
+// Synchronize applies the half kick the last Step left owed, bringing the
+// velocity structure of F to the time of the clock (runner.Synchronizer). It
+// is idempotent, and free on a fresh, restored, refilled or already
+// synchronised solver.
+func (s *Solver) Synchronize() error {
+	if s.owed == 0 {
+		return nil
+	}
+	if err := s.kick(s.owed, s.currentField()); err != nil {
 		return err
 	}
-	s.Time += dt
+	s.owed = 0
+	// The sweep conserves each row's sum only to rounding, and a restored
+	// solver can only solve from the F it reads: the live one must too.
+	s.fieldValid = false
 	return nil
 }
 
@@ -347,8 +386,9 @@ func (s *Solver) SuggestDT() float64 {
 // Diagnostics reports time, total mass and the field energy (the standard
 // Landau-damping / two-stream observable). The result is a value snapshot
 // with a fresh Extra map — the runner's contract for off-thread (async
-// observer) delivery — and the field energy comes from the cached field of
-// the last kick, so the step-path diagnostics cost no Poisson solve.
+// observer) delivery — and the field energy comes from the field the step
+// solved after its drift, so the step-path diagnostics cost no Poisson solve.
+// All three read the same whether or not a half kick is owed.
 func (s *Solver) Diagnostics() runner.Diagnostics {
 	return runner.Diagnostics{
 		Clock: s.Time,
@@ -362,6 +402,7 @@ func (s *Solver) Diagnostics() runner.Diagnostics {
 // periodic with CFL v·dt/Δx. Lines (velocity indices) are independent and
 // sweep in parallel over the solver's workers.
 func (s *Solver) drift(dt float64) error {
+	s.fieldValid = false
 	dx := s.DX()
 	nw := s.clampWorkers(s.NV)
 	if nw <= 1 {
@@ -393,11 +434,10 @@ func (s *Solver) driftRange(w *pworker, lo, hi int, dt, dx float64) error {
 	return nil
 }
 
-// kick advances ∂f/∂t − E ∂f/∂v = 0: each spatial row is an open v-line with
-// CFL −E·dt/Δv. The field solve stays serial (one small FFT); the rows are
-// disjoint in-place slices and sweep in parallel.
-func (s *Solver) kick(dt float64) error {
-	e := s.ElectricField()
+// kick advances ∂f/∂t − E ∂f/∂v = 0 under the field e: each spatial row is
+// an open v-line with CFL −E·dt/Δv. The rows are disjoint in-place slices
+// and sweep in parallel.
+func (s *Solver) kick(dt float64, e []float64) error {
 	dv := s.DV()
 	nw := s.clampWorkers(s.NX)
 	if nw <= 1 {
@@ -429,7 +469,7 @@ func (s *Solver) kickRange(w *pworker, lo, hi int, dt, dv float64, e []float64) 
 func (s *Solver) DriftStep(dt float64) error { return s.drift(dt) }
 
 // KickStep applies one v-kick sweep with a fresh field solve; see DriftStep.
-func (s *Solver) KickStep(dt float64) error { return s.kick(dt) }
+func (s *Solver) KickStep(dt float64) error { return s.kick(dt, s.ElectricField()) }
 
 // LandauInit sets the standard Landau-damping initial condition
 // f = (1 + α·cos(kx))·Maxwellian(v; vth).

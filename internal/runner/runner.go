@@ -12,6 +12,14 @@
 // towards the caller's target. Capabilities beyond that — clamping dt in a
 // clock that is not the stepping coordinate, writing restorable snapshots —
 // are optional interfaces the driver discovers at run time.
+//
+// One of them changes what an observer sees. A split-operator solver may
+// leave the closing half kick of a step owed to the opening kick of the next
+// (Synchronizer): between steps its positions, densities, masses and field
+// energies are those of the clock, its velocities half a kick behind. Run
+// settles the debt on every exit, and such a solver settles it itself before
+// every snapshot, so callers of Run and readers of checkpoints never see the
+// difference; an Observer does (see there).
 package runner
 
 import (
@@ -88,8 +96,28 @@ type CheckpointPreflight interface {
 	CanCheckpoint() error
 }
 
+// Synchronizer is implemented by solvers whose Step leaves part of its update
+// owed to the next Step — the leapfrog form of a kick-drift-kick splitting,
+// where the closing half kick rides the next opening one. Synchronize applies
+// what is owed, so that every part of the state is at the time of Clock; it
+// is idempotent and costs nothing when nothing is owed. Run calls it once on
+// every exit that follows a valid call, so the solver a caller gets back is
+// synchronised. A Checkpointer that is a Synchronizer synchronises itself
+// before it captures a snapshot: wrapping it without forwarding Synchronize
+// costs the exit-time call, never a checkpoint's integrity.
+type Synchronizer interface {
+	Synchronize() error
+}
+
 // Observer is a per-step diagnostics callback. It runs after each completed
 // step; returning a non-nil error aborts the run with that error.
+//
+// With a Synchronizer solver the observer runs while a half kick is owed.
+// The solver's Diagnostics report quantities a kick does not change — mass
+// plus boundary loss, density, field energy — and read the same either way;
+// an observer that needs velocity moments (momentum, kinetic energy, the
+// velocity structure of f) calls Synchronize first, at the price of the
+// sweep the fusion saves and of a run whose last bits depend on it.
 type Observer func(step int, s Solver) error
 
 // WorkerBudgeted is implemented by solvers whose intra-step parallelism can
@@ -330,16 +358,26 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 			}
 		}
 	}
+	// synchronize settles what the solver's last Step left owed; an earlier
+	// error outranks its own.
+	synchronize := func(err error) error {
+		if sy, ok := s.(Synchronizer); ok {
+			if serr := sy.Synchronize(); serr != nil && err == nil {
+				err = fmt.Errorf("runner: synchronize after %d steps: %w", rep.Steps, serr)
+				rep.Reason = ReasonNone
+			}
+		}
+		return err
+	}
 	if finished {
 		// Nothing to step. The caller who asked for checkpoints still gets
 		// the state as found: no later step would ever write it.
 		rep.Reason = ReasonUntil
-		if ckpt != nil {
-			if err := o.checkpointNow(rep, ckpt); err != nil {
-				return rep, err
-			}
+		err := synchronize(nil)
+		if err == nil && ckpt != nil {
+			err = o.checkpointNow(rep, ckpt)
 		}
-		return rep, nil
+		return rep, err
 	}
 	// Async pipeline: started after validation so every early return above
 	// leaves no goroutine behind. Checkpoints ride the pipeline only when
@@ -364,6 +402,7 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 
 	start := time.Now()
 	finish := func(err error) (*Report, error) {
+		err = synchronize(err)
 		if pipe != nil {
 			// Drain on every exit path: each enqueued observation is
 			// delivered and each enqueued checkpoint is on disk before Run

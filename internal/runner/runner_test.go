@@ -266,3 +266,133 @@ func TestStopReasonString(t *testing.T) {
 		}
 	}
 }
+
+// syncFake is a fake that owes a half kick after every step, as the
+// leapfrog-form solvers do, and counts the calls that settle it.
+type syncFake struct {
+	ckptFake
+	owed    bool
+	syncs   int // Synchronize calls
+	paid    int // of which had something to pay
+	syncErr error
+}
+
+func (f *syncFake) Step(dt float64) error {
+	err := f.fake.Step(dt)
+	f.owed = err == nil
+	return err
+}
+
+func (f *syncFake) Synchronize() error {
+	f.syncs++
+	if f.syncErr != nil {
+		return f.syncErr
+	}
+	if f.owed {
+		f.paid++
+		f.owed = false
+	}
+	return nil
+}
+
+func (f *syncFake) Checkpoint(w io.Writer) (int64, error) {
+	if err := f.Synchronize(); err != nil {
+		return 0, err
+	}
+	return f.ckptFake.Checkpoint(w)
+}
+
+// TestRunSynchronizesOnEveryExit: whatever ends a run, the runner itself
+// calls Synchronize exactly once, and the solver it hands back owes nothing.
+func TestRunSynchronizesOnEveryExit(t *testing.T) {
+	sentinel := errors.New("observer says stop")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name    string
+		f       *syncFake
+		ctx     context.Context
+		until   float64
+		opts    []Option
+		steps   int
+		reason  StopReason
+		wantErr error
+	}{
+		{name: "until", f: &syncFake{}, until: 0.35, steps: 4, reason: ReasonUntil},
+		{name: "max steps", f: &syncFake{}, until: 100, opts: []Option{WithMaxSteps(3)}, steps: 3, reason: ReasonMaxSteps},
+		{name: "wall clock", f: &syncFake{}, until: 100, opts: []Option{WithWallClock(time.Nanosecond)}, steps: 1, reason: ReasonWallClock},
+		{name: "cancelled context", f: &syncFake{}, ctx: cancelled, until: 100, wantErr: context.Canceled},
+		{name: "step error", f: &syncFake{ckptFake: ckptFake{fake{fail: 3}}}, until: 100, steps: 2},
+		{name: "observer error", f: &syncFake{}, until: 100, steps: 1, wantErr: sentinel,
+			opts: []Option{WithObserver(func(int, Solver) error { return sentinel })}},
+		{name: "already finished", f: &syncFake{ckptFake: ckptFake{fake{t: 5}}, owed: true}, until: 5, reason: ReasonUntil},
+		{name: "async pipeline", f: &syncFake{}, until: 100, steps: 3, reason: ReasonMaxSteps,
+			opts: []Option{WithMaxSteps(3), WithAsyncObserver(func(int, Diagnostics) error { return nil })}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.f.dt = 0.1
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			rep, err := Run(ctx, tc.f, tc.until, tc.opts...)
+			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err %v, want %v", err, tc.wantErr)
+			}
+			if (err == nil) != (tc.reason != ReasonNone) || rep.Reason != tc.reason || rep.Steps != tc.steps {
+				t.Fatalf("report %+v, err %v; want %d steps, reason %v", rep, err, tc.steps, tc.reason)
+			}
+			if tc.f.syncs != 1 || tc.f.owed {
+				t.Fatalf("%d Synchronize calls, half kick still owed: %v; want exactly one call and none owed",
+					tc.f.syncs, tc.f.owed)
+			}
+		})
+	}
+}
+
+// TestRunSynchronizesThroughCheckpoints: a solver's own synchronisation at a
+// snapshot and the runner's at the exit compose — every cadence hit pays one
+// half kick, the exit pays the last if one is owed, and the already-finished
+// path synchronises before it snapshots.
+func TestRunSynchronizesThroughCheckpoints(t *testing.T) {
+	f := &syncFake{}
+	f.dt = 0.1
+	rep, err := Run(context.Background(), f, 100, WithMaxSteps(5), WithCheckpoint(t.TempDir(), 2))
+	if err != nil || len(rep.Checkpoints) != 2 {
+		t.Fatalf("report %+v, err %v", rep, err)
+	}
+	if f.syncs != 3 || f.paid != 3 || f.owed { // steps 2 and 4, then the exit after step 5
+		t.Fatalf("%d Synchronize calls paid %d kicks, owed %v; want 3, 3, false", f.syncs, f.paid, f.owed)
+	}
+	done := &syncFake{ckptFake: ckptFake{fake{t: 5}}, owed: true}
+	if _, err := Run(context.Background(), done, 5, WithCheckpoint(t.TempDir(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	if done.syncs != 2 || done.paid != 1 || done.owed { // the runner's, then the snapshot's own no-op
+		t.Fatalf("finished run: %d Synchronize calls paid %d kicks, owed %v", done.syncs, done.paid, done.owed)
+	}
+}
+
+// TestRunSynchronizeErrorSurfaces: a failed Synchronize fails a run that had
+// succeeded so far, and never masks the error that ended one.
+func TestRunSynchronizeErrorSurfaces(t *testing.T) {
+	boom := errors.New("kick failed")
+	f := &syncFake{syncErr: boom}
+	f.dt = 0.1
+	rep, err := Run(context.Background(), f, 100, WithMaxSteps(2))
+	if !errors.Is(err, boom) || rep.Steps != 2 || rep.Reason != ReasonNone {
+		t.Fatalf("report %+v, err %v; want the Synchronize error after 2 steps", rep, err)
+	}
+	done := &syncFake{ckptFake: ckptFake{fake{t: 5}}, syncErr: boom}
+	if rep, err := Run(context.Background(), done, 5); !errors.Is(err, boom) || rep.Reason != ReasonNone {
+		t.Fatalf("finished run: report %+v, err %v", rep, err)
+	}
+	sentinel := errors.New("observer says stop")
+	f = &syncFake{syncErr: boom}
+	f.dt = 0.1
+	_, err = Run(context.Background(), f, 100, WithObserver(func(int, Solver) error { return sentinel }))
+	if !errors.Is(err, sentinel) || errors.Is(err, boom) {
+		t.Fatalf("err %v; want the observer's error, not Synchronize's", err)
+	}
+}

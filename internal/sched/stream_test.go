@@ -387,9 +387,12 @@ func TestStreamCheckpointResumeBitIdentical(t *testing.T) {
 	const until = 2.0
 	dir := t.TempDir()
 
-	// Uninterrupted reference.
+	// Uninterrupted reference, under the same checkpoint cadence: a snapshot
+	// synchronises the solver (it pays the half kick the last step owed), so
+	// where a run checkpoints is part of what it computes.
 	var ref *plasma.Solver
-	refStream, err := NewStream(context.Background(), WithWorkers(1))
+	refStream, err := NewStream(context.Background(), WithWorkers(1),
+		WithJobCheckpoints(t.TempDir()), WithJobCheckpointEvery(5))
 	if err != nil {
 		t.Fatal(err)
 	}

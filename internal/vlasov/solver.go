@@ -2,7 +2,11 @@
 // the directional-splitting sequence of eq. (5): three velocity-space
 // half-steps, three position-space full steps, and the mirrored velocity
 // half-steps, each a set of one-dimensional advections handled by the
-// SL-MPP5 scheme of package advect.
+// SL-MPP5 scheme of package advect. Step is that sequence for one isolated
+// step; Kick and Drift are its pieces. Over a run the closing half kick of
+// one step and the opening one of the next see the same acceleration, so a
+// driver (package hybrid) applies them as one Kick of the summed interval:
+// six sweeps a step, not nine.
 //
 //   - Position sweeps: ∂f/∂t + (u_i/a²)·∂f/∂x_i = 0, CFL depends only on the
 //     velocity index; lines are periodic across the box.
@@ -134,7 +138,9 @@ func (s *Solver) SchemeName() string { return s.proto.Name() }
 
 // CFLNumbers returns the maximum position-space and velocity-space CFL
 // numbers for time step dt at scale factor a with acceleration fields acc
-// (three arrays over spatial cells).
+// (three arrays over spatial cells). The velocity number is that of a half
+// kick, dt/2; a driver that fuses the closing half kick of one step with the
+// opening one of the next (package hybrid) applies up to twice it.
 func (s *Solver) CFLNumbers(dt, a float64, acc [3][]float64) (cx, cu float64) {
 	g := s.g
 	uMax := g.UMax
@@ -162,7 +168,9 @@ func (s *Solver) CFLNumbers(dt, a float64, acc [3][]float64) (cx, cu float64) {
 // SuggestDT returns a time step that keeps the position-space CFL at
 // cflX (the semi-Lagrangian scheme has no stability limit, but accuracy and
 // the ghost-exchange width favour CFL ≲ 1) and the velocity-space half-kick
-// CFL at cflU.
+// CFL at cflU. A driver that applies two adjacent half kicks as one Kick
+// sweeps at up to 2·cflU, which the default 0.4 keeps below one cell; the
+// open-line scheme is exact in mass and sign at any CFL.
 func (s *Solver) SuggestDT(a float64, acc [3][]float64, cflX, cflU float64) float64 {
 	g := s.g
 	dt := math.Inf(1)
@@ -207,6 +215,14 @@ func (s *Solver) Step(dt, a float64, acc [3][]float64) error {
 
 // KickHalf applies the three velocity-space advections for dt/2.
 func (s *Solver) KickHalf(dt float64, acc [3][]float64) error {
+	return s.Kick(dt/2, acc)
+}
+
+// Kick applies the three velocity-space advections for the interval h.
+// Advections along different velocity axes commute and a kick moves no
+// density, so consecutive kicks under one acc are one kick of the summed
+// interval — with one interpolation, and one float32 rounding, not two.
+func (s *Solver) Kick(h float64, acc [3][]float64) error {
 	ncell := s.g.NCells()
 	for d := 0; d < 3; d++ {
 		if len(acc[d]) != ncell {
@@ -214,7 +230,7 @@ func (s *Solver) KickHalf(dt float64, acc [3][]float64) error {
 		}
 	}
 	for d := 0; d < 3; d++ {
-		if err := s.kickAxis(d, dt/2, acc[d]); err != nil {
+		if err := s.kickAxis(d, h, acc[d]); err != nil {
 			return err
 		}
 	}

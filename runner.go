@@ -79,7 +79,10 @@ const (
 // wall-clock budget runs out, or ctx is cancelled. Cancellation returns a
 // partial-progress error wrapping ctx.Err(). A solver already at `until` is a
 // finished run: no step is taken, the report says ReasonUntil, and
-// WithCheckpoint still writes one snapshot of the final state.
+// WithCheckpoint still writes one snapshot of the final state. *Simulation
+// and *PlasmaSolver leave the closing half kick of a step owed to the next
+// one; Run settles it (Synchronize) on every exit, so the state found after
+// Run is the kick-drift-kick state, as is every snapshot.
 func Run(ctx context.Context, solver Solver, until float64, opts ...RunOption) (*RunReport, error) {
 	return runner.Run(ctx, solver, until, opts...)
 }
@@ -92,7 +95,10 @@ func WithMaxSteps(n int) RunOption { return runner.WithMaxSteps(n) }
 func WithWallClock(budget time.Duration) RunOption { return runner.WithWallClock(budget) }
 
 // WithObserver invokes obs after every completed step; a non-nil error
-// aborts the run with that error.
+// aborts the run with that error. Between steps the solver's Diagnostics
+// (masses, boundary loss, field energy) are at the clock while velocities
+// lag by the owed half kick; an observer that reads velocity moments calls
+// the solver's Synchronize first.
 func WithObserver(obs func(step int, s Solver) error) RunOption {
 	return runner.WithObserver(obs)
 }
@@ -304,7 +310,9 @@ func IsRetryable(err error) bool { return runner.IsRetryable(err) }
 // Compile-time checks: every advertised workload drives through Run, and
 // both the hybrid simulation and the plasma solver support the full
 // checkpoint surface (snapshots, async capture) — the latter is what makes
-// scheduler-level resume work for sweep campaigns.
+// scheduler-level resume work for sweep campaigns. Both leave a half kick
+// owed between steps; were Synchronize renamed, Run would silently stop
+// settling it on exit.
 var (
 	_ Solver                    = (*Simulation)(nil)
 	_ Solver                    = (*PlasmaSolver)(nil)
@@ -315,5 +323,7 @@ var (
 	_ runner.CheckpointCapturer = (*PlasmaSolver)(nil)
 	_ runner.WorkerBudgeted     = (*Simulation)(nil)
 	_ runner.WorkerBudgeted     = (*PlasmaSolver)(nil)
+	_ runner.Synchronizer       = (*Simulation)(nil)
+	_ runner.Synchronizer       = (*PlasmaSolver)(nil)
 	_ runner.WorkerLease        = (*CoreLease)(nil)
 )

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"os"
+	"slices"
 	"testing"
 	"time"
+
+	"vlasov6d/internal/runner"
 )
 
 func runnerTestConfig() Config {
@@ -343,5 +347,98 @@ func TestNewSimulationValidatesConfig(t *testing.T) {
 	}
 	if cfg.Scheme != "" {
 		t.Fatal("SimOption mutated the caller's Config")
+	}
+}
+
+// bareWrapper is what an instrumenting caller writes: it embeds the Solver
+// interface, forwards checkpoints, and knows nothing of Synchronize.
+type bareWrapper struct{ Solver }
+
+func (w bareWrapper) Checkpoint(wr io.Writer) (int64, error) {
+	return w.Solver.(runner.Checkpointer).Checkpoint(wr)
+}
+
+// TestRunSynchronizesSolversNotWrappers: Run hands back a solver that owes
+// nothing. Behind a wrapper that hides Synchronize the exit-time kick is the
+// caller's to apply, but every snapshot is still of a synchronised state —
+// the solver sees to that itself — so the run restored from one and
+// continued lands bit for bit on the live run, once that is synchronised.
+func TestRunSynchronizesSolversNotWrappers(t *testing.T) {
+	ctx := context.Background()
+	newPlasma := func() *PlasmaSolver {
+		t.Helper()
+		s, err := NewPlasmaSolver(32, 64, 4*math.Pi, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.LandauInit(0.01, 0.5, 1)
+		return s
+	}
+	direct := newPlasma()
+	if _, err := Run(ctx, direct, 10, WithMaxSteps(3), WithCheckpoint(t.TempDir(), 2)); err != nil {
+		t.Fatal(err)
+	}
+	after := slices.Clone(direct.F)
+	if err := direct.Synchronize(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after, direct.F) {
+		t.Fatal("Run returned a plasma solver that still owed a half kick")
+	}
+
+	wrapped := newPlasma()
+	rep, err := Run(ctx, bareWrapper{wrapped}, 10, WithMaxSteps(3), WithCheckpoint(t.TempDir(), 2))
+	if err != nil || len(rep.Checkpoints) != 1 {
+		t.Fatalf("wrapped run: %+v, err %v", rep, err)
+	}
+	if err := wrapped.Synchronize(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(rep.Checkpoints[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	resumed, err := RestorePlasmaSolver(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(ctx, resumed, 10, WithMaxSteps(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range direct.F {
+		if wrapped.F[i] != v || resumed.F[i] != v {
+			t.Fatalf("F[%d]: direct %v, wrapped %v, resumed from the wrapped run's snapshot %v", i, v, wrapped.F[i], resumed.F[i])
+		}
+	}
+
+	// The hybrid simulation through the same wrapper: the cadence-1 snapshot
+	// is the state the simulation is left in (the benchmark's read-back).
+	sim, err := NewSimulation(runnerTestConfig(), 1.0/11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := Run(ctx, bareWrapper{sim}, 0.5, WithMaxSteps(2), WithCheckpoint(dir, 1)); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := ResumeLatest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.A != sim.A {
+		t.Fatalf("snapshot at a = %v, simulation at %v", snap.A, sim.A)
+	}
+	for i, v := range sim.Grid.Data {
+		if snap.Grid.Data[i] != v {
+			t.Fatalf("grid cell %d: snapshot %v, live %v", i, snap.Grid.Data[i], v)
+		}
+	}
+	for d := 0; d < 3; d++ {
+		for i, v := range sim.Part.Vel[d] {
+			if snap.Part.Vel[d][i] != v {
+				t.Fatalf("particle %d dim %d: snapshot velocity %v, live %v", i, d, snap.Part.Vel[d][i], v)
+			}
+		}
 	}
 }
