@@ -4,8 +4,36 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"os/exec"
+	"strings"
 	"testing"
 )
+
+// TestInternalPackagesHaveProductionImporters holds the repository to its
+// own rule: an internal package reachable only from tests, benchmarks or
+// examples/ has to earn a production caller (the facade or a command) or go.
+func TestInternalPackagesHaveProductionImporters(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	list := func(args ...string) []string {
+		out, err := exec.Command(goTool, append([]string{"list"}, args...)...).Output()
+		if err != nil {
+			t.Fatalf("go list %v: %v", args, err)
+		}
+		return strings.Fields(string(out))
+	}
+	reachable := map[string]bool{}
+	for _, pkg := range list("-deps", ".", "./cmd/...") {
+		reachable[pkg] = true
+	}
+	for _, pkg := range list("./internal/...") {
+		if !reachable[pkg] {
+			t.Errorf("%s is imported by neither the facade nor any command", pkg)
+		}
+	}
+}
 
 // TestPublicAPIQuickstart exercises the documented quick-start path end to
 // end through the facade.

@@ -40,7 +40,7 @@ func main() {
 		mnu       = flag.Float64("mnu", 0.4, "ΣMν (eV)")
 		zinit     = flag.Float64("zinit", 10, "starting redshift")
 		zend      = flag.Float64("zend", 0, "final redshift")
-		scheme    = flag.String("scheme", "slmpp5", "advection scheme: slmpp5|mp5|upwind1|laxwendroff2")
+		scheme    = flag.String("scheme", "slmpp5", "position-drift scheme (the velocity kick is always slmpp5): slmpp5|mp5|upwind1|laxwendroff2")
 		seed      = flag.Int64("seed", 20211114, "IC random seed")
 		baseline  = flag.Bool("nu-particles", false, "use the TianNu-style ν-particle baseline instead of the Vlasov grid")
 		resume    = flag.String("resume", "", "restart from this snapshot file — or the newest checkpoint when given a directory")

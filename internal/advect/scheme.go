@@ -17,8 +17,8 @@
 //   - Upwind1, LaxWendroff2 — first- and second-order baselines.
 //
 // All schemes advance periodic lines in place. SL-MPP5 also advances open
-// (vacuum-bounded) and ghosted lines, and batches of lines sharing one CFL
-// number, all through one kernel.
+// (vacuum-bounded) lines, and batches of lines sharing one CFL number, all
+// through one kernel.
 package advect
 
 import "fmt"

@@ -128,44 +128,6 @@ func (s *SLMPP5) stepLines(lines []float64, n int, c float64, b boundary) error 
 	return nil
 }
 
-// StepGhosted advances the interior of a line that carries ghost cells of its
-// neighbours on both sides — the block-decomposed sweep, whose ghosts come
-// from a halo exchange. Only the n = len(p) − 2·ghost interior cells are
-// updated. The ghosts must cover the upwind stencil: ⌊|c|⌋+3 cells, or
-// ⌊|c|⌋ for integer c.
-func (s *SLMPP5) StepGhosted(p []float64, ghost int, c float64) error {
-	n := len(p) - 2*ghost
-	if ghost < 0 || n < 1 {
-		return fmt.Errorf("slmpp5: %d ghosts a side leave no interior in %d cells", ghost, len(p))
-	}
-	if math.Abs(c) > float64(ghost) { // also bounds the pad; NaN fails in prepare
-		return fmt.Errorf("slmpp5: CFL %v exceeds the %d ghost cells", c, ghost)
-	}
-	k, err := s.prepare(n, c, ghosted)
-	if err != nil {
-		return err
-	}
-	if k.xi != 0 && ghost < k.sh+3 {
-		return fmt.Errorf("slmpp5: CFL %v needs %d ghost cells, line has %d", c, k.sh+3, ghost)
-	}
-	// q[j] is upwind-ordered cell j−(sh+3) of the interior. The kernel reads
-	// at most two cells downstream of it, which the ghosts cover whenever
-	// they cover the upstream stencil; a pure shift reads neither.
-	q := s.pad[:n+k.sh+5]
-	off := ghost - (k.sh + 3)
-	for j := range q {
-		src := j + off
-		if k.neg {
-			src = len(p) - 1 - src
-		}
-		if src >= 0 && src < len(p) {
-			q[j] = p[src]
-		}
-	}
-	k.advance(q, p[ghost:ghost+n])
-	return nil
-}
-
 // wrapGhosts fills the ghosts of the padded line q, whose n interior cells
 // start at q[lo], by periodic continuation (the pad may exceed one period).
 func wrapGhosts(q []float64, lo, n int) {
@@ -190,7 +152,6 @@ type boundary int
 const (
 	periodic boundary = iota // the line's own cells, wrapped
 	vacuum                   // zeros: nothing flows in
-	ghosted                  // supplied by the caller
 )
 
 // sweep holds everything the kernel derives from the CFL number alone.
@@ -206,11 +167,10 @@ type sweep struct {
 // prepare is the one validating entry of every step: it rejects lines
 // shorter than the stencil and non-finite CFL numbers, bounds the whole-cell
 // shift by the line length (a periodic line drops whole rotations; a vacuum
-// line is empty once it has moved n+3 cells; a ghosted line is bounded by its
-// caller) so that the pad is O(n) for any finite c, derives the per-CFL
-// constants and sizes the pad.
+// line is empty once it has moved n+3 cells) so that the pad is O(n) for any
+// finite c, derives the per-CFL constants and sizes the pad.
 func (s *SLMPP5) prepare(n int, c float64, b boundary) (sweep, error) {
-	if n < 6 && b != ghosted {
+	if n < 6 {
 		return sweep{}, fmt.Errorf("slmpp5: line length %d < 6", n)
 	}
 	if math.IsNaN(c) || math.IsInf(c, 0) {
@@ -242,11 +202,7 @@ func (s *SLMPP5) prepare(n int, c float64, b boundary) (sweep, error) {
 	}
 	// Sized for the largest bounded shift, so a later, larger c on lines of
 	// this length does not reallocate.
-	need := 2*n + 8
-	if b == ghosted {
-		need = n + k.sh + 5
-	}
-	if cap(s.pad) < need {
+	if need := 2*n + 8; cap(s.pad) < need {
 		s.pad = make([]float64, need)
 	}
 	return k, nil

@@ -157,56 +157,6 @@ func TestStepLinesBitIdenticalToPerLine(t *testing.T) {
 	}
 }
 
-func TestStepGhostedMatchesPeriodicStep(t *testing.T) {
-	// A line padded with its own periodic images is the one-rank case of the
-	// halo exchange: the ghosted entry must then reproduce Step bit for bit.
-	rng := rand.New(rand.NewSource(11))
-	s := NewSLMPP5()
-	for it := 0; it < 500; it++ {
-		n := 3 + rng.Intn(30) // blocks may be shorter than the stencil
-		ghost := 3 + rng.Intn(3)
-		c := (rng.Float64()*2 - 1) * float64(ghost-3+1)
-		if rng.Intn(5) == 0 {
-			c = float64(rng.Intn(2*ghost+1) - ghost)
-		}
-		f := randomLine(rng, n)
-		p := make([]float64, n+2*ghost)
-		for j := range p {
-			p[j] = f[mod(j-ghost, n)]
-		}
-		if err := s.StepGhosted(p, ghost, c); err != nil {
-			t.Fatalf("n=%d ghost=%d c=%v: %v", n, ghost, c, err)
-		}
-		if n < 6 {
-			// Step refuses lines shorter than the stencil; the oracle does not.
-			s.oracleStep(f, c, periodicAt)
-			for i := range f {
-				if math.Abs(p[ghost+i]-f[i]) > 1e-12 {
-					t.Fatalf("n=%d c=%v: cell %d = %v, oracle %v", n, c, i, p[ghost+i], f[i])
-				}
-			}
-			continue
-		}
-		if err := s.Step(f, c); err != nil {
-			t.Fatal(err)
-		}
-		for i := range f {
-			if p[ghost+i] != f[i] {
-				t.Fatalf("n=%d ghost=%d c=%v: cell %d = %v, Step gives %v", n, ghost, c, i, p[ghost+i], f[i])
-			}
-		}
-	}
-	p := make([]float64, 16)
-	for _, c := range []float64{1.0000000001, -1.5, 4, math.NaN(), math.Inf(1), 1e300} {
-		if err := s.StepGhosted(p, 3, c); err == nil {
-			t.Fatalf("CFL %v accepted with 3 ghost cells", c)
-		}
-	}
-	if err := s.StepGhosted(p, 8, 0.5); err == nil {
-		t.Fatal("a line that is all ghosts was accepted")
-	}
-}
-
 func TestInvalidCFLRejected(t *testing.T) {
 	s := NewSLMPP5()
 	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -289,13 +239,11 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	for l := 0; l < 8; l++ {
 		batch = append(batch, sineLine(32)...)
 	}
-	padded := make([]float64, 32+6)
 	calls := map[string]func() error{
 		"Step":          func() error { return s.Step(line, -1.7) },
 		"StepOpen":      func() error { return s.StepOpen(line, 0.4) },
 		"StepLines":     func() error { return s.StepLines(batch, 32, 2.3) },
 		"StepLinesOpen": func() error { return s.StepLinesOpen(batch, 32, -0.6) },
-		"StepGhosted":   func() error { return s.StepGhosted(padded, 3, 0.9) },
 	}
 	for name, call := range calls {
 		if err := call(); err != nil { // warm-up sizes the pad

@@ -9,8 +9,7 @@
 // half spectrum (what the Poisson solver uses) from lines of Plans.
 //
 // The paper offloads this to the Fujitsu SSL II 2D-decomposed FFT; here the
-// transform is our own. Package decomp's SlabFFT is a slab-decomposed wrapper
-// over the same Plan and FFT3.
+// transform is our own.
 package fft
 
 import (

@@ -69,7 +69,8 @@ type Config struct {
 	// UMaxFactor sets UMax = UMaxFactor·u_T (default 12; the FD tail holds
 	// ~1e-3 of the mass beyond 12 u_T).
 	UMaxFactor float64
-	// Scheme names the Vlasov advection scheme (default "slmpp5").
+	// Scheme names the Vlasov position-drift scheme (default "slmpp5"); the
+	// velocity kick is always SL-MPP5 (see vlasov.New).
 	Scheme string
 	// Theta is the tree opening angle (default 0.5).
 	Theta float64

@@ -229,75 +229,3 @@ func TestEffectiveResolutionEq9(t *testing.T) {
 		t.Fatalf("ΔL = %v", dl)
 	}
 }
-
-func TestTofuShape(t *testing.T) {
-	tofu := FugakuTofu()
-	// 24·23·24·2·3·2 = 158,976 — the full Fugaku node count of §6.1.
-	if tofu.Nodes() != 158976 {
-		t.Fatalf("Tofu nodes = %d, want 158976", tofu.Nodes())
-	}
-	// The paper's H1024/U1024 runs (147,456 nodes) fit inside it.
-	h, _ := FindRun("H1024")
-	if h.Nodes > tofu.Nodes() {
-		t.Fatal("run does not fit the machine")
-	}
-}
-
-func TestTofuCoordsRoundTrip(t *testing.T) {
-	tofu := FugakuTofu()
-	for _, rank := range []int{0, 1, 12345, 158975} {
-		c, err := tofu.Coords(rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Rebuild the rank from coordinates.
-		r := 0
-		for d := 0; d < 6; d++ {
-			r = r*tofu.Shape[d] + c[d]
-		}
-		if r != rank {
-			t.Fatalf("rank %d -> %v -> %d", rank, c, r)
-		}
-	}
-	if _, err := tofu.Coords(-1); err == nil {
-		t.Fatal("negative rank accepted")
-	}
-	if _, err := tofu.Coords(158976); err == nil {
-		t.Fatal("overflow rank accepted")
-	}
-}
-
-func TestTofuHopDistance(t *testing.T) {
-	tofu := FugakuTofu()
-	a := [6]int{0, 0, 0, 0, 0, 0}
-	if d := tofu.HopDistance(a, a); d != 0 {
-		t.Fatalf("self distance %d", d)
-	}
-	b := [6]int{1, 0, 0, 0, 0, 0}
-	if d := tofu.HopDistance(a, b); d != 1 {
-		t.Fatalf("adjacent distance %d", d)
-	}
-	if !tofu.NeighbourSingleHop(a, b) {
-		t.Fatal("adjacent nodes should be single-hop")
-	}
-	// Torus wrap on x: (0,…) to (23,…) is one hop, not 23.
-	c := [6]int{23, 0, 0, 0, 0, 0}
-	if d := tofu.HopDistance(a, c); d != 1 {
-		t.Fatalf("wrap distance %d, want 1", d)
-	}
-	// Mesh axis y does NOT wrap: (0,…) to (0,22,…) is 22 hops.
-	e := [6]int{0, 22, 0, 0, 0, 0}
-	if d := tofu.HopDistance(a, e); d != 22 {
-		t.Fatalf("mesh distance %d, want 22", d)
-	}
-}
-
-func TestTofuBisection(t *testing.T) {
-	tofu := FugakuTofu()
-	links := tofu.BisectionLinks()
-	// Longest axis 24 (torus): bisection = 2 · nodes/24.
-	want := 2 * 158976 / 24
-	if links != want {
-		t.Fatalf("bisection links %d, want %d", links, want)
-	}
-}

@@ -26,10 +26,8 @@
 package runner
 
 import (
-	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // AsyncObserver is the off-thread diagnostics callback of WithAsyncObserver.
@@ -144,17 +142,10 @@ type pipeline struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []event
-	max    int
-	policy Backpressure
 	closed bool
 	err    error // first observer/checkpoint error; set once
 
-	obs        AsyncObserver
-	ckptDir    string
-	ckptKeep   int
-	ckptNotify func(path string, clock float64)
-	ckptTimer  func(clock float64, d time.Duration)
-	dropNotify func(dropped int64)
+	o *options // the run's options, read-only once the consumer starts
 
 	// Consumer-side results, merged into the Report after drain.
 	written  []string
@@ -166,17 +157,7 @@ type pipeline struct {
 }
 
 func newPipeline(o *options) *pipeline {
-	p := &pipeline{
-		max:        o.asyncOpts.buffer,
-		policy:     o.asyncOpts.policy,
-		obs:        o.asyncObs,
-		ckptDir:    o.ckptDir,
-		ckptKeep:   o.ckptKeep,
-		ckptNotify: o.ckptNotify,
-		ckptTimer:  o.ckptTimer,
-		dropNotify: o.asyncOpts.dropNotify,
-		done:       make(chan struct{}),
-	}
+	p := &pipeline{o: o, done: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
 	go p.consume()
 	return p
@@ -201,10 +182,10 @@ func (p *pipeline) enqueue(ev event) error {
 		if p.err != nil {
 			return p.err
 		}
-		if len(p.queue) < p.max {
+		if len(p.queue) < p.o.asyncOpts.buffer {
 			break
 		}
-		if p.policy == DropOldest {
+		if p.o.asyncOpts.policy == DropOldest {
 			// Evict the oldest observation; checkpoints are pinned. Only if
 			// the queue is all checkpoints does the enqueue wait.
 			if i := p.oldestObservation(); i >= 0 {
@@ -267,14 +248,15 @@ func (p *pipeline) consume() {
 		}
 		// Surface evictions before the event that follows them, so a live
 		// consumer can mark the gap at the position it actually occurred.
-		if newDrops > 0 && p.dropNotify != nil {
-			p.dropNotify(newDrops)
+		if newDrops > 0 && p.o.asyncOpts.dropNotify != nil {
+			p.o.asyncOpts.dropNotify(newDrops)
 		}
 		var err error
 		if ev.ckpt != nil {
-			err = p.writeCheckpoint(ev)
-		} else if p.obs != nil {
-			err = p.obs(ev.step, ev.diag)
+			// ev.step counts from 0; the snapshot follows that step.
+			err = p.o.writeCheckpoint(ev.step+1, ev.clock, ev.ckpt, &p.written, &p.bytes)
+		} else if p.o.asyncObs != nil {
+			err = p.o.asyncObs(ev.step, ev.diag)
 		}
 		if err != nil {
 			p.mu.Lock()
@@ -285,32 +267,4 @@ func (p *pipeline) consume() {
 			p.mu.Unlock()
 		}
 	}
-}
-
-// writeCheckpoint performs one captured snapshot write plus retention
-// pruning, recording the file and byte count for the post-drain Report
-// merge.
-func (p *pipeline) writeCheckpoint(ev event) error {
-	// Snapshot I/O failures are marked retryable (see the sync path in
-	// Run): a scheduler retry re-runs the job from its newest good file.
-	writeStart := time.Now()
-	path, n, err := writeCheckpointFile(p.ckptDir, ev.clock, ev.ckpt)
-	if err != nil {
-		return MarkRetryable(fmt.Errorf("runner: async checkpoint after step %d: %w", ev.step, err))
-	}
-	if p.ckptTimer != nil {
-		p.ckptTimer(ev.clock, time.Since(writeStart))
-	}
-	p.written = append(p.written, path)
-	p.bytes += n
-	if p.ckptNotify != nil {
-		p.ckptNotify(path, ev.clock)
-	}
-	if p.ckptKeep > 0 {
-		p.written, err = pruneCheckpoints(p.ckptDir, p.ckptKeep, p.written)
-		if err != nil {
-			return MarkRetryable(fmt.Errorf("runner: async checkpoint retention: %w", err))
-		}
-	}
-	return nil
 }

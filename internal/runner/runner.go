@@ -89,13 +89,6 @@ type Checkpointer interface {
 	Checkpoint(w io.Writer) (int64, error)
 }
 
-// CheckpointPreflight lets a Checkpointer veto checkpointing for its
-// current mode before the run starts, so an incompatibility fails at step 0
-// instead of discarding every step up to the first cadence hit.
-type CheckpointPreflight interface {
-	CanCheckpoint() error
-}
-
 // Synchronizer is implemented by solvers whose Step leaves part of its update
 // owed to the next Step — the leapfrog form of a kick-drift-kick splitting,
 // where the closing half kick rides the next opening one. Synchronize applies
@@ -352,11 +345,6 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 		if ckpt, ok = s.(Checkpointer); !ok {
 			return rep, fmt.Errorf("runner: solver %T does not support checkpointing", s)
 		}
-		if p, ok := s.(CheckpointPreflight); ok {
-			if err := p.CanCheckpoint(); err != nil {
-				return rep, fmt.Errorf("runner: checkpointing unsupported: %w", err)
-			}
-		}
 	}
 	// synchronize settles what the solver's last Step left owed; an earlier
 	// error outranks its own.
@@ -375,7 +363,7 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 		rep.Reason = ReasonUntil
 		err := synchronize(nil)
 		if err == nil && ckpt != nil {
-			err = o.checkpointNow(rep, ckpt)
+			err = o.writeCheckpoint(rep.Steps, rep.Clock, ckpt.Checkpoint, &rep.Checkpoints, &rep.CheckpointBytes)
 		}
 		return rep, err
 	}
@@ -483,7 +471,7 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 				return finish(err)
 			}
 		}
-		if pipe != nil && pipe.obs != nil {
+		if pipe != nil && o.asyncObs != nil {
 			// Value snapshot on the step path, delivery off it. Diagnostics
 			// implementations return freshly built values (see the Solver
 			// contract), so the pipeline goroutine reads them race-free.
@@ -500,7 +488,7 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 				if err := pipe.enqueue(event{step: step, clock: rep.Clock, ckpt: write}); err != nil {
 					return finish(err)
 				}
-			} else if err := o.checkpointNow(rep, ckpt); err != nil {
+			} else if err := o.writeCheckpoint(rep.Steps, rep.Clock, ckpt.Checkpoint, &rep.Checkpoints, &rep.CheckpointBytes); err != nil {
 				return finish(err)
 			}
 		}
@@ -508,27 +496,29 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 	return finish(nil)
 }
 
-// checkpointNow writes one snapshot of the solver at rep.Clock on the calling
-// goroutine, records it in rep, and applies the timer, notify and retention
-// options.
-func (o *options) checkpointNow(rep *Report, ckpt Checkpointer) error {
+// writeCheckpoint writes one snapshot taken after steps steps at clock, on
+// the calling goroutine — the step loop's, or the async pipeline's for a
+// captured snapshot — records it in files and bytes, and applies the timer,
+// notify and retention options. Snapshot I/O failures are marked retryable
+// (see writeCheckpointFile).
+func (o *options) writeCheckpoint(steps int, clock float64, write func(io.Writer) (int64, error), files *[]string, bytes *int64) error {
 	writeStart := time.Now()
-	path, n, err := writeCheckpointFile(o.ckptDir, rep.Clock, ckpt.Checkpoint)
+	path, n, err := writeCheckpointFile(o.ckptDir, clock, write)
 	if err != nil {
-		return MarkRetryable(fmt.Errorf("runner: checkpoint at step %d: %w", rep.Steps, err))
+		return MarkRetryable(fmt.Errorf("runner: checkpoint at step %d: %w", steps, err))
 	}
 	if o.ckptTimer != nil {
-		o.ckptTimer(rep.Clock, time.Since(writeStart))
+		o.ckptTimer(clock, time.Since(writeStart))
 	}
-	rep.Checkpoints = append(rep.Checkpoints, path)
-	rep.CheckpointBytes += n
+	*files = append(*files, path)
+	*bytes += n
 	if o.ckptNotify != nil {
-		o.ckptNotify(path, rep.Clock)
+		o.ckptNotify(path, clock)
 	}
 	if o.ckptKeep > 0 {
-		rep.Checkpoints, err = pruneCheckpoints(o.ckptDir, o.ckptKeep, rep.Checkpoints)
+		*files, err = pruneCheckpoints(o.ckptDir, o.ckptKeep, *files)
 		if err != nil {
-			return MarkRetryable(fmt.Errorf("runner: checkpoint retention at step %d: %w", rep.Steps, err))
+			return MarkRetryable(fmt.Errorf("runner: checkpoint retention at step %d: %w", steps, err))
 		}
 	}
 	return nil

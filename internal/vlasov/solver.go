@@ -105,8 +105,10 @@ func newCubeAxis(nu [3]int, d int) cubeAxis {
 	return cubeAxis{offs: offs, stride: inner}
 }
 
-// New creates a solver using the named advection scheme ("slmpp5" for the
-// paper's method; "mp5", "upwind1", "laxwendroff2" for comparisons).
+// New creates a solver whose periodic position drift uses the named advection
+// scheme ("slmpp5" for the paper's method; "mp5", "upwind1", "laxwendroff2"
+// for comparisons). The open-boundary velocity kick always uses SL-MPP5, the
+// only scheme with an open-line form.
 func New(g *phase.Grid, scheme string) (*Solver, error) {
 	if g == nil {
 		return nil, fmt.Errorf("vlasov: nil grid")
@@ -133,7 +135,7 @@ func (s *Solver) SetWorkers(n int) {
 	s.workers = n
 }
 
-// SchemeName reports the advection scheme in use.
+// SchemeName reports the position-drift scheme in use.
 func (s *Solver) SchemeName() string { return s.proto.Name() }
 
 // CFLNumbers returns the maximum position-space and velocity-space CFL
@@ -306,9 +308,7 @@ func (s *Solver) kickRange(w *worker, lo, hi int) error {
 }
 
 // driftAxis advects along spatial axis d with per-velocity-index CFL
-// c = u_d·dt/(a²·Δx). Lines are periodic across the (single-block) box; the
-// decomposed version exchanges ghosts in package decomp before calling the
-// same kernels.
+// c = u_d·dt/(a²·Δx). Lines are periodic across the box.
 func (s *Solver) driftAxis(d int, dt, a float64) error {
 	g := s.g
 	dx := g.DX(d)

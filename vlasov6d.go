@@ -94,8 +94,8 @@ type Simulation = hybrid.Simulation
 // Config.ApplyDefaults with the paper's value.
 type SimOption func(*Config)
 
-// WithScheme selects the Vlasov advection scheme by name (default
-// "slmpp5"; see SchemeNames).
+// WithScheme selects the Vlasov position-drift scheme by name (default
+// "slmpp5"; see SchemeNames). The velocity kick is always SL-MPP5.
 func WithScheme(name string) SimOption { return func(c *Config) { c.Scheme = name } }
 
 // WithPMFactor sets the PM-mesh refinement over the Vlasov grid per side
