@@ -3,7 +3,8 @@ package fft
 import (
 	"fmt"
 	"runtime"
-	"sync"
+
+	"vlasov6d/internal/par"
 )
 
 // FFT3 performs 3D transforms on dense row-major arrays with index
@@ -141,16 +142,10 @@ func (f *FFT3) sweep(p pass) {
 // fanOut is the parallel half of sweep, apart so that the goroutine closure
 // capturing p costs the one-worker path no allocation.
 func (f *FFT3) fanOut(p pass, items, nw int) {
-	var wg sync.WaitGroup
-	chunk := (items + nw - 1) / nw
-	for w := 0; w*chunk < items; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			f.run(p, w, w*chunk, min((w+1)*chunk, items))
-		}(w)
-	}
-	wg.Wait()
+	par.Ranges(items, nw, func(w, lo, hi int) error {
+		f.run(p, w, lo, hi)
+		return nil
+	})
 }
 
 // run does items [lo, hi) of a pass with worker w's plan and buffer.

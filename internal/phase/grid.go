@@ -13,8 +13,8 @@ package phase
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+
+	"vlasov6d/internal/par"
 )
 
 // Grid is a block of 6D phase space: NX×NY×NZ spatial cells, each holding an
@@ -160,73 +160,31 @@ func (g *Grid) Fill(f func(x, y, z, ux, uy, uz float64) float64) {
 	})
 }
 
-// rangeWorkers resolves the effective worker count for items independent
-// work items (0 = GOMAXPROCS at call time, clamped to items).
-func (g *Grid) rangeWorkers(items int) int {
-	nw := g.workers
-	if nw == 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > items {
-		nw = items
-	}
-	return nw
-}
-
 // runCellRanges is the parallel dispatch path of the built-in reductions:
 // [0, ncell) is split into one contiguous range per worker. Callers handle
 // nw ≤ 1 serially first with a direct method call — no closure is created,
 // which keeps steady-state single-worker reductions allocation-free.
 func (g *Grid) runCellRanges(ncell, nw int, run func(lo, hi int)) {
-	var wg sync.WaitGroup
-	chunk := (ncell + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > ncell {
-			hi = ncell
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			run(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.Ranges(ncell, nw, func(_, lo, hi int) error {
+		run(lo, hi)
+		return nil
+	})
 }
 
 // ParallelCells runs fn over every spatial cell, using all CPUs unless
 // SetWorkers pinned the count.
 func (g *Grid) ParallelCells(fn func(ix, iy, iz int)) {
-	ncell := g.NCells()
-	nw := g.rangeWorkers(ncell)
-	if nw <= 1 {
-		for c := 0; c < ncell; c++ {
+	cells := func(lo, hi int) {
+		for c := lo; c < hi; c++ {
 			fn(c/(g.NY*g.NZ), (c/g.NZ)%g.NY, c%g.NZ)
 		}
-		return
 	}
-	var wg sync.WaitGroup
-	chunk := (ncell + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > ncell {
-			hi = ncell
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for c := lo; c < hi; c++ {
-				fn(c/(g.NY*g.NZ), (c/g.NZ)%g.NY, c%g.NZ)
-			}
-		}(lo, hi)
+	ncell := g.NCells()
+	if nw := par.Workers(g.workers, ncell); nw > 1 {
+		g.runCellRanges(ncell, nw, cells)
+	} else {
+		cells(0, ncell)
 	}
-	wg.Wait()
 }
 
 // Moments holds the velocity moments of the distribution function on the
@@ -275,7 +233,7 @@ func (g *Grid) ComputeMomentsInto(m *Moments) *Moments {
 		m.MeanU[d] = ensureF64(m.MeanU[d], ncell)
 	}
 	du3 := g.DU(0) * g.DU(1) * g.DU(2)
-	nw := g.rangeWorkers(ncell)
+	nw := par.Workers(g.workers, ncell)
 	if nw <= 1 {
 		g.momentsRange(m, 0, ncell, du3)
 		return m
@@ -360,7 +318,7 @@ func (g *Grid) TotalMass() float64 {
 // parallel over cells.
 func (g *Grid) cubeSums(out []float64, scale float64) {
 	ncell := g.NCells()
-	if nw := g.rangeWorkers(ncell); nw > 1 {
+	if nw := par.Workers(g.workers, ncell); nw > 1 {
 		g.runCellRanges(ncell, nw, func(lo, hi int) {
 			g.massRange(out, lo, hi, scale)
 		})
@@ -434,7 +392,7 @@ func (g *Grid) ComputeDispersionTensorInto(dt *DispersionTensor) *DispersionTens
 	for i := range dt.S {
 		dt.S[i] = ensureF64(dt.S[i], ncell)
 	}
-	nw := g.rangeWorkers(ncell)
+	nw := par.Workers(g.workers, ncell)
 	if nw <= 1 {
 		g.dispersionRange(dt, 0, ncell)
 		return dt

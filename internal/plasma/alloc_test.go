@@ -48,8 +48,14 @@ func TestParallelWorkerPoolReused(t *testing.T) {
 		return s
 	}
 	ref, par := mk(1), mk(3)
-	if len(par.pool) == 0 {
-		t.Fatal("parallel stepping did not build a worker pool")
+	last := par.pool.Worker(2)
+	for _, s := range []*Solver{ref, par} {
+		if err := s.Step(0.05); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if par.pool.Worker(2) != last {
+		t.Fatal("parallel stepping rebuilt a pooled worker")
 	}
 	for i := range ref.F {
 		if ref.F[i] != par.F[i] {

@@ -16,6 +16,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"vlasov6d/internal/snapio"
 )
 
 // ckptMagic identifies a plasma checkpoint ("V6DP").
@@ -64,57 +66,19 @@ func (s *Solver) CaptureCheckpoint() (func(w io.Writer) (int64, error), error) {
 	return func(w io.Writer) (int64, error) { return writeState(w, st) }, nil
 }
 
+// writeState encodes the layout above, which is exactly one snapio section:
+// little-endian words (and the raw name bytes) followed by their CRC word.
 func writeState(w io.Writer, st snapState) (int64, error) {
-	var n int64
-	bw := bufio.NewWriterSize(w, 1<<16)
-	sum := crc32.NewIEEE()
-	le := binary.LittleEndian
-	put := func(v uint64) error {
-		var b [8]byte
-		le.PutUint64(b[:], v)
-		sum.Write(b[:])
-		k, err := bw.Write(b[:])
-		n += int64(k)
-		return err
-	}
-	putF := func(v float64) error { return put(math.Float64bits(v)) }
-
-	if err := put(ckptMagic); err != nil {
-		return n, err
-	}
-	name := []byte(st.scheme)
-	if err := put(uint64(len(name))); err != nil {
-		return n, err
-	}
-	sum.Write(name)
-	k, err := bw.Write(name)
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	for _, v := range []uint64{uint64(st.nx), uint64(st.nv)} {
-		if err := put(v); err != nil {
-			return n, err
-		}
-	}
-	for _, v := range []float64{st.l, st.vmax, st.time, st.cfl} {
-		if err := putF(v); err != nil {
-			return n, err
-		}
-	}
-	for _, v := range st.f {
-		if err := putF(v); err != nil {
-			return n, err
-		}
-	}
-	var b [8]byte
-	le.PutUint64(b[:], uint64(sum.Sum32()))
-	k, err = bw.Write(b[:])
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
+	e := snapio.NewEncoder(w)
+	e.U64(ckptMagic)
+	e.U64(uint64(len(st.scheme)))
+	e.Bytes([]byte(st.scheme))
+	e.U64(uint64(st.nx))
+	e.U64(uint64(st.nv))
+	e.F64s([]float64{st.l, st.vmax, st.time, st.cfl})
+	e.F64s(st.f)
+	e.EndSection()
+	return e.Result()
 }
 
 // Restore rebuilds a solver from a checkpoint written by Checkpoint (or by

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"testing"
@@ -172,6 +173,77 @@ func TestCheckpointResumeContinuesBitIdentically(t *testing.T) {
 	for i := range live.F {
 		if resumed.F[i] != live.F[i] {
 			t.Fatalf("resumed F differs at %d: %v vs %v", i, resumed.F[i], live.F[i])
+		}
+	}
+}
+
+// wordAtATimeState is the reference encoder of the checkpoint layout: every
+// value through its own 8-byte buffer and CRC update, the way the writer
+// worked before it moved onto snapio's chunked encoder.
+func wordAtATimeState(st snapState) []byte {
+	var out []byte
+	word := func(v uint64) { out = binary.LittleEndian.AppendUint64(out, v) }
+	word(ckptMagic)
+	word(uint64(len(st.scheme)))
+	out = append(out, st.scheme...)
+	word(uint64(st.nx))
+	word(uint64(st.nv))
+	for _, v := range []float64{st.l, st.vmax, st.time, st.cfl} {
+		word(math.Float64bits(v))
+	}
+	for _, v := range st.f {
+		word(math.Float64bits(v))
+	}
+	word(uint64(crc32.ChecksumIEEE(out)))
+	return out
+}
+
+// TestCheckpointBytesAreStable pins the on-disk format through the move onto
+// snapio.Encoder: a file the previous writer produced (testdata, committed
+// from the parent commit) is reproduced byte for byte and still restores, and
+// states that straddle the encoder's 64 KiB chunk — with scheme names that
+// knock the words off 8-byte alignment — match the word-at-a-time reference.
+func TestCheckpointBytesAreStable(t *testing.T) {
+	golden, err := os.ReadFile("testdata/ckpt_6x8_mp5.v6d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewWithScheme(6, 8, 12.5, 6, "mp5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.F {
+		s.F[i] = float64(i)*0.125 - 1
+	}
+	s.Time, s.CFL = 0.375, 0.3
+	var buf bytes.Buffer
+	if n, err := s.Checkpoint(&buf); err != nil || n != int64(len(golden)) {
+		t.Fatalf("wrote %d bytes (%v), golden file has %d", n, err, len(golden))
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatal("checkpoint bytes differ from the file the previous writer produced")
+	}
+	r, err := Restore(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatalf("golden file no longer restores: %v", err)
+	}
+	if r.NX != 6 || r.NV != 8 || r.Scheme() != "mp5" || r.Time != 0.375 || r.CFL != 0.3 || r.F[47] != 4.875 {
+		t.Fatalf("golden file restored as %dx%d %s t=%v cfl=%v F[47]=%v", r.NX, r.NV, r.Scheme(), r.Time, r.CFL, r.F[47])
+	}
+
+	for _, scheme := range []string{"slmpp5", "mp5", "upwind1", "laxwendroff2"} {
+		for _, nx := range []int{6, 127, 128, 130} { // × 64 × 8 B: 3 KiB, then around one chunk
+			st := snapState{nx: nx, nv: 64, l: 4 * math.Pi, vmax: 6, time: 1.25, cfl: 0.4, scheme: scheme,
+				f: make([]float64, nx*64)}
+			for i := range st.f {
+				st.f[i] = math.Sin(float64(i))
+			}
+			var got bytes.Buffer
+			n, err := writeState(&got, st)
+			want := wordAtATimeState(st)
+			if err != nil || n != int64(len(want)) || !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("%s %dx64: %d bytes (%v), reference has %d or differs", scheme, nx, n, err, len(want))
+			}
 		}
 	}
 }

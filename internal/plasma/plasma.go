@@ -28,11 +28,10 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"runtime"
-	"sync"
 
 	"vlasov6d/internal/advect"
 	"vlasov6d/internal/fft"
+	"vlasov6d/internal/par"
 	"vlasov6d/internal/runner"
 )
 
@@ -50,13 +49,11 @@ type Solver struct {
 	// semi-Lagrangian scheme tolerates larger values at reduced accuracy).
 	CFL float64
 
-	per    advect.Scheme
+	per    advect.Scheme // the prototype each pool worker clones
 	scheme string
-	open   *advect.SLMPP5
 	plan   *fft.Plan
 	rho    []float64
 	e      []float64
-	buf    []float64
 	fieldC []complex128
 	// fieldValid says that e is the field of the current F: set by the field
 	// solve, cleared by whatever changes the density.
@@ -64,13 +61,11 @@ type Solver struct {
 	// owed is the kick interval the last Step left unapplied (half its dt;
 	// zero for a fresh, restored, refilled or synchronised solver).
 	owed float64
-	// workers is the intra-step parallelism of the drift and kick sweeps
-	// (default GOMAXPROCS, pinned with SetWorkers). Lines are independent,
-	// so the worker count never changes the computed physics.
-	workers int
-	// pool holds the parallel-path sweep workers, grown on demand and
-	// reused across steps (schemes hold scratch and are cloned per worker).
-	pool []*pworker
+	// pool holds the sweep workers (default GOMAXPROCS of them, pinned with
+	// SetWorkers), grown on demand and reused across steps (schemes hold
+	// scratch and are cloned per worker); worker 0 is the serial path's.
+	// Lines are independent, so the worker count never changes the physics.
+	pool *par.Pool[pworker]
 }
 
 // New allocates a solver with the paper's SL-MPP5 advection. nx and nv
@@ -101,17 +96,17 @@ func NewWithScheme(nx, nv int, boxL, vmax float64, scheme string) (*Solver, erro
 	}
 	return &Solver{
 		NX: nx, NV: nv, L: boxL, VMax: vmax,
-		CFL:     0.4,
-		F:       make([]float64, nx*nv),
-		per:     per,
-		scheme:  scheme,
-		open:    advect.NewSLMPP5(),
-		plan:    plan,
-		rho:     make([]float64, nx),
-		e:       make([]float64, nx),
-		buf:     make([]float64, nx),
-		fieldC:  make([]complex128, nx),
-		workers: runtime.GOMAXPROCS(0),
+		CFL:    0.4,
+		F:      make([]float64, nx*nv),
+		per:    per,
+		scheme: scheme,
+		plan:   plan,
+		rho:    make([]float64, nx),
+		e:      make([]float64, nx),
+		fieldC: make([]complex128, nx),
+		pool: par.NewPool(func() *pworker {
+			return &pworker{line: make([]float64, nx), per: per.Clone(), open: advect.NewSLMPP5()}
+		}),
 	}, nil
 }
 
@@ -123,12 +118,7 @@ func (s *Solver) Scheme() string { return s.scheme }
 // budget can resize a running solver between steps. Every sweep line is
 // independent and computed identically, so the state evolution is
 // bit-identical for any worker count — the budget trades only wall-clock.
-func (s *Solver) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
+func (s *Solver) SetWorkers(n int) { s.pool.SetWorkers(n) }
 
 // pworker carries per-goroutine sweep scratch: a gather buffer and private
 // scheme instances (schemes hold scratch state and are not safe for
@@ -137,67 +127,6 @@ type pworker struct {
 	line []float64
 	per  advect.Scheme
 	open *advect.SLMPP5
-}
-
-// worker returns parallel worker k's scratch, growing the pool on demand.
-// Pool workers persist across steps, so steady-state parallel stepping stops
-// re-cloning schemes and reallocating gather lines every sweep.
-func (s *Solver) worker(k int) *pworker {
-	for len(s.pool) <= k {
-		s.pool = append(s.pool, &pworker{
-			line: make([]float64, s.NX),
-			per:  s.per.Clone(),
-			open: advect.NewSLMPP5(),
-		})
-	}
-	return s.pool[k]
-}
-
-// clampWorkers bounds the sweep parallelism by the number of independent
-// lines.
-func (s *Solver) clampWorkers(n int) int {
-	nw := s.workers
-	if nw > n {
-		nw = n
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	return nw
-}
-
-// runRanges is the parallel dispatch path: [0, n) is split into one
-// contiguous range per worker and the first reported error wins (a failing
-// worker abandons its range). Callers handle nw ≤ 1 serially first with a
-// direct range call on the solver's own scratch — no closures, goroutines or
-// scheme clones — which keeps the steady-state serial step allocation-free.
-func (s *Solver) runRanges(n, nw int, run func(w *pworker, lo, hi int) error) error {
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	chunk := (n + nw - 1) / nw
-	for k := 0; k < nw; k++ {
-		lo, hi := k*chunk, (k+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w *pworker, lo, hi int) {
-			defer wg.Done()
-			if err := run(w, lo, hi); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}(s.worker(k), lo, hi)
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // DX returns the spatial cell width.
@@ -404,12 +333,11 @@ func (s *Solver) Diagnostics() runner.Diagnostics {
 func (s *Solver) drift(dt float64) error {
 	s.fieldValid = false
 	dx := s.DX()
-	nw := s.clampWorkers(s.NV)
+	nw := s.pool.Workers(s.NV)
 	if nw <= 1 {
-		w := pworker{line: s.buf, per: s.per, open: s.open}
-		return s.driftRange(&w, 0, s.NV, dt, dx)
+		return s.driftRange(s.pool.Worker(0), 0, s.NV, dt, dx)
 	}
-	return s.runRanges(s.NV, nw, func(w *pworker, lo, hi int) error {
+	return s.pool.Ranges(s.NV, nw, func(w *pworker, lo, hi int) error {
 		return s.driftRange(w, lo, hi, dt, dx)
 	})
 }
@@ -439,12 +367,11 @@ func (s *Solver) driftRange(w *pworker, lo, hi int, dt, dx float64) error {
 // and sweep in parallel.
 func (s *Solver) kick(dt float64, e []float64) error {
 	dv := s.DV()
-	nw := s.clampWorkers(s.NX)
+	nw := s.pool.Workers(s.NX)
 	if nw <= 1 {
-		w := pworker{line: s.buf, per: s.per, open: s.open}
-		return s.kickRange(&w, 0, s.NX, dt, dv, e)
+		return s.kickRange(s.pool.Worker(0), 0, s.NX, dt, dv, e)
 	}
-	return s.runRanges(s.NX, nw, func(w *pworker, lo, hi int) error {
+	return s.pool.Ranges(s.NX, nw, func(w *pworker, lo, hi int) error {
 		return s.kickRange(w, lo, hi, dt, dv, e)
 	})
 }

@@ -336,11 +336,11 @@ func TestSetWorkersFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetWorkers(0)
-	if s.workers != 1 {
-		t.Fatalf("workers %d after SetWorkers(0), want 1", s.workers)
+	if nw := s.pool.Workers(s.NX); nw != 1 {
+		t.Fatalf("workers %d after SetWorkers(0), want 1", nw)
 	}
 	s.SetWorkers(-3)
-	if s.workers != 1 {
-		t.Fatalf("workers %d after SetWorkers(-3), want 1", s.workers)
+	if nw := s.pool.Workers(s.NX); nw != 1 {
+		t.Fatalf("workers %d after SetWorkers(-3), want 1", nw)
 	}
 }

@@ -342,34 +342,36 @@ func TestBackpressureString(t *testing.T) {
 }
 
 func TestCheckpointNotifyBothPaths(t *testing.T) {
-	// One notification per durable file, carrying the path and the clock
-	// it captures — on the sync step-loop path and on the async pipeline.
+	// One WithCheckpointTimer call per durable file, after the rename — the
+	// file is already listed under its final name — carrying the clock it
+	// captures, on the sync step-loop path and on the async pipeline.
 	type note struct {
 		path  string
 		clock float64
 	}
-	for name, wrap := range map[string]func(dir string, notify func(string, float64)) (*Report, error){
-		"sync": func(dir string, notify func(string, float64)) (*Report, error) {
-			f := &ckptFake{fake{dt: 0.1}}
-			return Run(context.Background(), f, 100, WithMaxSteps(6),
-				WithCheckpoint(dir, 2), WithCheckpointNotify(notify))
+	for name, run := range map[string]func(opts ...Option) (*Report, error){
+		"sync": func(opts ...Option) (*Report, error) {
+			return Run(context.Background(), &ckptFake{fake{dt: 0.1}}, 100, opts...)
 		},
-		"async": func(dir string, notify func(string, float64)) (*Report, error) {
-			f := &capFake{ckptFake{fake{dt: 0.1}}}
-			return Run(context.Background(), f, 100, WithMaxSteps(6),
-				WithCheckpoint(dir, 2), WithCheckpointNotify(notify),
-				WithAsyncObserver(nil))
+		"async": func(opts ...Option) (*Report, error) {
+			return Run(context.Background(), &capFake{ckptFake{fake{dt: 0.1}}}, 100,
+				append(opts, WithAsyncObserver(nil))...)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			var mu sync.Mutex
 			var notes []note
-			rep, err := wrap(dir, func(path string, clock float64) {
-				mu.Lock()
-				notes = append(notes, note{path, clock})
-				mu.Unlock()
-			})
+			rep, err := run(WithMaxSteps(6), WithCheckpoint(dir, 2),
+				WithCheckpointTimer(func(clock float64, d time.Duration) {
+					newest, err := LatestCheckpoint(dir)
+					if err != nil || d < 0 {
+						t.Errorf("timer at clock %v: newest %q (%v), took %v", clock, newest, err, d)
+					}
+					mu.Lock()
+					notes = append(notes, note{newest, clock})
+					mu.Unlock()
+				}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -199,7 +199,6 @@ type options struct {
 	ckptDir    string
 	ckptEvery  int
 	ckptKeep   int
-	ckptNotify func(path string, clock float64)
 	stepTimer  func(d time.Duration)
 	ckptTimer  func(clock float64, d time.Duration)
 	fixedDT    float64
@@ -237,7 +236,12 @@ func WithObserver(obs Observer) Option {
 // lexicographic order is clock order even across a stop/resume cycle into
 // the same directory (a per-run step counter would restart at zero and
 // overwrite the earlier segment's files). Writes are atomic (temp file +
-// rename): the newest complete checkpoint is always safe to resume from.
+// rename) against a crash of the process, and best-effort against power
+// loss: neither file nor directory is fsynced, so after one the newest name
+// may hold an empty or truncated file. The resume path makes that safe — a
+// snapshot that does not restore is set aside and the next newest tried
+// (sched's quarantine-and-fall-back, tested with exactly those two files) —
+// at the cost of one checkpoint interval.
 // dir is created by the first snapshot written into it; a run that stops
 // short of its cadence leaves no directory.
 func WithCheckpoint(dir string, everyN int) Option {
@@ -245,19 +249,6 @@ func WithCheckpoint(dir string, everyN int) Option {
 		o.ckptDir = dir
 		o.ckptEvery = everyN
 	}
-}
-
-// WithCheckpointNotify calls fn after every successfully written snapshot
-// with the file's path and the solver clock it captures. On the synchronous
-// path fn runs on the step loop's goroutine; under WithAsync it runs on the
-// pipeline goroutine — either way, one call per durable file, after the
-// atomic rename. A durable control plane hangs its journal here: the
-// notification is the ground truth that a restart can resume from that
-// clock. fn must not block for long (it stalls stepping or checkpoint
-// draining) and must be safe to call from a different goroutine than Run's
-// caller.
-func WithCheckpointNotify(fn func(path string, clock float64)) Option {
-	return func(o *options) { o.ckptNotify = fn }
 }
 
 // WithStepTimer calls fn with the wall-clock duration of every completed
@@ -269,11 +260,14 @@ func WithStepTimer(fn func(d time.Duration)) Option {
 	return func(o *options) { o.stepTimer = fn }
 }
 
-// WithCheckpointTimer calls fn after every durable snapshot with the solver
-// clock it captures and the wall-clock duration of the write (serialisation
-// through atomic rename). Like WithCheckpointNotify it fires on whichever
-// goroutine performed the write — the step loop synchronously, the pipeline
-// under WithAsync — so fn must be goroutine-safe.
+// WithCheckpointTimer calls fn after every successfully written snapshot —
+// one call per file, after the atomic rename — with the solver clock it
+// captures and the wall-clock duration of the write (serialisation through
+// rename). It fires on whichever goroutine performed the write — the step
+// loop synchronously, the pipeline under WithAsync — so fn must be
+// goroutine-safe and must not block for long (it stalls stepping or
+// checkpoint draining). A durable control plane hangs its journal here: the
+// call is the ground truth that a restart can resume from that clock.
 func WithCheckpointTimer(fn func(clock float64, d time.Duration)) Option {
 	return func(o *options) { o.ckptTimer = fn }
 }
@@ -498,8 +492,8 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 
 // writeCheckpoint writes one snapshot taken after steps steps at clock, on
 // the calling goroutine — the step loop's, or the async pipeline's for a
-// captured snapshot — records it in files and bytes, and applies the timer,
-// notify and retention options. Snapshot I/O failures are marked retryable
+// captured snapshot — records it in files and bytes, and applies the timer
+// and retention options. Snapshot I/O failures are marked retryable
 // (see writeCheckpointFile).
 func (o *options) writeCheckpoint(steps int, clock float64, write func(io.Writer) (int64, error), files *[]string, bytes *int64) error {
 	writeStart := time.Now()
@@ -512,9 +506,6 @@ func (o *options) writeCheckpoint(steps int, clock float64, write func(io.Writer
 	}
 	*files = append(*files, path)
 	*bytes += n
-	if o.ckptNotify != nil {
-		o.ckptNotify(path, clock)
-	}
 	if o.ckptKeep > 0 {
 		*files, err = pruneCheckpoints(o.ckptDir, o.ckptKeep, *files)
 		if err != nil {

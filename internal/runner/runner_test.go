@@ -186,13 +186,13 @@ func TestRunOnFinishedSolver(t *testing.T) {
 			t.Fatalf("clock %v: checkpoints %v without WithCheckpoint", clock, rep.Checkpoints)
 		}
 		dir := t.TempDir()
-		var notified []string
+		var notified []float64
 		rep, err = Run(context.Background(), f, 5, WithMaxSteps(1), WithCheckpoint(dir, 3),
-			WithCheckpointNotify(func(path string, c float64) {
+			WithCheckpointTimer(func(c float64, _ time.Duration) {
 				if c != clock {
 					t.Errorf("notified clock %v, want %v", c, clock)
 				}
-				notified = append(notified, path)
+				notified = append(notified, c)
 			}))
 		if err != nil || rep.Steps != 0 || rep.Reason != ReasonUntil {
 			t.Fatalf("clock %v with checkpoints: report %+v, err %v", clock, rep, err)

@@ -361,7 +361,7 @@ func TestStreamCancelDoesNotTouchSiblings(t *testing.T) {
 	last := map[int]Status{}
 	s, err := NewStream(context.Background(), WithWorkers(2), WithNotify(func(u Update) {
 		mu.Lock()
-		last[u.Index] = u.Status
+		last[u.ID] = u.Status
 		mu.Unlock()
 	}))
 	if err != nil {

@@ -27,8 +27,10 @@
 //     batch: slice) order within a priority.
 //   - Every job reaches a final Status (Queued → Running → Done / Failed /
 //     Cancelled, through Retrying between attempts) and carries the
-//     runner.Report of every attempt that ran. A stream delivers Results on
-//     a channel in completion order; a batch returns them in job order.
+//     runner.Report of every attempt that ran. A job's end is one value: the
+//     terminal Update the WithNotify callback receives is the Result (the
+//     same type) a stream then delivers on its channel in completion order
+//     and a batch returns in job order.
 //   - Cancelling the context stops running jobs through the runner's own
 //     cancellation path and reports still-queued jobs Cancelled without
 //     constructing their solvers. Close stops a stream's intake and lets
@@ -203,6 +205,11 @@ const (
 	Retrying
 )
 
+// Terminal reports whether the status is final: Done, Failed or Cancelled.
+func (s Status) Terminal() bool {
+	return s == Done || s == Failed || s == Cancelled
+}
+
 func (s Status) String() string {
 	switch s {
 	case Queued:
@@ -221,46 +228,33 @@ func (s Status) String() string {
 	return fmt.Sprintf("status(%d)", int(s))
 }
 
-// Result is the outcome of one job. Batch results are returned in job
-// order; stream results are delivered in completion order.
-type Result struct {
+// Update is one job status transition — and, when Status is terminal, the
+// job's Result: the value the WithNotify callback receives last for a job is
+// the very value the stream then sends on Results (and RunBatch returns).
+type Update struct {
 	// ID identifies the job: its position in the batch, or the submission
 	// id SubmitID returned in a stream — the key a service correlates
-	// completion-order results back to its own records with.
+	// transitions and completion-order results back to its own records with.
 	ID int
 	// Name echoes the job name.
 	Name string
-	// Status is the job's final state.
+	// Status is the state just entered; Done, Failed or Cancelled is final.
 	Status Status
-	// Attempt is the 1-based attempt that produced this outcome (> 1 only
-	// when retries fired).
+	// Attempt is the 1-based attempt this transition belongs to (> 1 only
+	// when retries fired; 0 for a job cancelled while still queued).
 	Attempt int
-	// Report is the runner report of a job that ran (nil for jobs
-	// cancelled while still queued or whose factory failed).
+	// Report is the runner report of an attempt that ran: it accompanies
+	// Done and run-level failures (nil for jobs cancelled while still queued
+	// or whose factory failed).
 	Report *runner.Report
-	// Err is the factory/run error of a Failed job, or the cancellation
-	// error of a Cancelled job that was already running.
+	// Err accompanies Failed, Retrying and (when the job was running)
+	// Cancelled: the factory/run error, or the cancellation error.
 	Err error
 }
 
-// Update is one job status transition, delivered to the WithNotify callback
-// as work executes — the hook progress tables hang off.
-type Update struct {
-	// Index is the job's position in the batch, or its submission sequence
-	// number in a stream.
-	Index int
-	// Name echoes the job name.
-	Name string
-	// Status is the state just entered.
-	Status Status
-	// Attempt is the 1-based attempt this transition belongs to.
-	Attempt int
-	// Err accompanies Failed, Retrying and (when the job was running)
-	// Cancelled.
-	Err error
-	// Report accompanies Done and run-level failures.
-	Report *runner.Report
-}
+// Result is the terminal Update of one job. Batch results are returned in
+// job order; stream results are delivered in completion order.
+type Result = Update
 
 type options struct {
 	workers     int
@@ -439,7 +433,7 @@ func buildOptions(opts []Option) (options, error) {
 // RunBatch executes a fixed slice of jobs and returns one Result per job, in
 // job order. It is a client of the stream: after validating the whole slice
 // up front it opens a Stream (workers capped at the job count), submits the
-// jobs in slice order — so Result.ID and Update.Index are batch positions —
+// jobs in slice order — so Update.ID is the batch position —
 // closes it and collects. Workers start on the first jobs while later ones
 // are still being submitted; Priority orders whatever is queued at each
 // pop, as for any stream client. The returned error is non-nil only for
@@ -478,7 +472,7 @@ func RunBatch(ctx context.Context, jobs []Job, opts ...Option) ([]Result, error)
 		// a job is reported exactly like one flushed from the queue.
 		results[i] = Result{ID: i, Name: j.Name, Status: Cancelled}
 		if _, err := s.SubmitID(j); err != nil {
-			s.notify(Update{Index: i, Name: j.Name, Status: Cancelled})
+			s.notify(results[i])
 		}
 	}
 	s.Close()

@@ -180,7 +180,7 @@ func TestBatchDispatchesByPriorityThenSliceOrder(t *testing.T) {
 	results, err := RunBatch(context.Background(), jobs, WithWorkers(1),
 		WithNotify(func(u Update) {
 			if u.Status == Running {
-				order = append(order, u.Index)
+				order = append(order, u.ID)
 			}
 		}))
 	if err != nil {
@@ -259,7 +259,7 @@ func TestBatchContextCancelledBeforeCall(t *testing.T) {
 		if r.ID != i || r.Name != jobs[i].Name || r.Status != Cancelled || r.Report != nil || r.Err != nil {
 			t.Fatalf("result %d: %+v", i, r)
 		}
-		if u := notified[i]; u.Index != i || u.Status != Cancelled {
+		if u := notified[i]; u.ID != i || u.Status != Cancelled {
 			t.Fatalf("update %d: %+v", i, u)
 		}
 	}

@@ -36,7 +36,9 @@ var ErrStreamClosed = errors.New("sched: stream closed")
 //     either case.
 //
 // Results must be consumed: workers deliver to the Results channel and
-// will block (a natural back-pressure) if nobody reads it. Retries,
+// will block (a natural back-pressure) if nobody reads it. What arrives
+// there is the terminal Update the WithNotify callback was just handed: one
+// value, to be applied from either, never from both. Retries,
 // per-job checkpoint directories and auto-resume follow the scheduler
 // options (see the package comment).
 type Stream struct {
@@ -71,7 +73,7 @@ type Stream struct {
 }
 
 // streamJob is one live submission: the job, its submission sequence number
-// (the FIFO tiebreak within a priority and the Update index), and the wall
+// (the FIFO tiebreak within a priority and the Update id), and the wall
 // time it entered the queue (the start of its "queue" phase). The per-job
 // context is derived from the stream's at Submit time; Cancel fires it,
 // which stops the job wherever it is — still queued (the worker that
@@ -184,8 +186,8 @@ func (s *Stream) Submit(job Job) error {
 	return err
 }
 
-// SubmitID is Submit returning the submission id: the handle Cancel,
-// Update.Index and Result.ID identify this submission by. Ids are assigned in
+// SubmitID is Submit returning the submission id: the handle Cancel and
+// Update.ID identify this submission by. Ids are assigned in
 // submission order starting at zero and are never reused.
 func (s *Stream) SubmitID(job Job) (int, error) {
 	if err := job.validate(); err != nil {
@@ -251,11 +253,6 @@ func (s *Stream) freeKeyLocked(sj *streamJob) {
 	}
 }
 
-// isTerminal reports whether a status is final.
-func isTerminal(st Status) bool {
-	return st == Done || st == Failed || st == Cancelled
-}
-
 // Budget returns the stream's core budget (nil without WithCoreBudget) —
 // the live Total/Held/Live counters a service exports as metrics.
 func (s *Stream) Budget() *CoreBudget {
@@ -316,8 +313,7 @@ func (s *Stream) work(deadline time.Time) {
 			}
 			s.mu.Unlock()
 			for _, sj := range flush {
-				s.notify(Update{Index: sj.seq, Name: sj.job.Name, Status: Cancelled})
-				s.results <- Result{ID: sj.seq, Name: sj.job.Name, Status: Cancelled}
+				s.deliver(Update{ID: sj.seq, Name: sj.job.Name, Status: Cancelled})
 			}
 			return
 		}
@@ -353,7 +349,7 @@ func (s *Stream) runOne(sj *streamJob, deadline time.Time) {
 	}
 	executeJob(sj.ctx, &s.opts, s.budget, sj.job, deadline,
 		func(st Status, attempt int, rep *runner.Report, err error) {
-			if isTerminal(st) {
+			if st.Terminal() {
 				// Release the checkpoint key before delivery, so a consumer
 				// reacting to the result can immediately re-submit the job.
 				s.mu.Lock()
@@ -361,13 +357,18 @@ func (s *Stream) runOne(sj *streamJob, deadline time.Time) {
 				delete(s.live, sj.seq)
 				s.mu.Unlock()
 			}
-			s.notify(Update{Index: sj.seq, Name: sj.job.Name, Status: st,
-				Attempt: attempt, Err: err, Report: rep})
-			if isTerminal(st) {
-				s.results <- Result{ID: sj.seq, Name: sj.job.Name, Status: st,
-					Attempt: attempt, Report: rep, Err: err}
-			}
+			s.deliver(Update{ID: sj.seq, Name: sj.job.Name, Status: st,
+				Attempt: attempt, Report: rep, Err: err})
 		}, emit)
+}
+
+// deliver notifies one transition and, when it is terminal, sends the same
+// value on Results.
+func (s *Stream) deliver(u Update) {
+	s.notify(u)
+	if u.Status.Terminal() {
+		s.results <- u
+	}
 }
 
 // notify serialises the WithNotify callback across workers (the callback

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -457,15 +458,12 @@ func TestStreamCheckpointResumeBitIdentical(t *testing.T) {
 }
 
 func TestStreamCorruptNewestSnapshotQuarantined(t *testing.T) {
-	// A corrupt newest snapshot must not wedge the job: it is renamed
-	// *.corrupt and the next-newest (valid) snapshot restores.
+	// A newest snapshot that does not restore must not wedge the job: it is
+	// renamed *.corrupt and the next-newest (valid) snapshot restores. The
+	// runner renames snapshots into place without an fsync, so besides plain
+	// garbage the table holds the two files a power loss can leave under the
+	// newest name: nothing at all, and a valid prefix cut mid-array.
 	const until = 1.0
-	dir := t.TempDir()
-	jobDir := filepath.Join(dir, "landau_32x64")
-	if err := os.MkdirAll(jobDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// A valid early snapshot...
 	good, err := plasma.New(32, 64, 4*math.Pi, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -476,49 +474,63 @@ func TestStreamCorruptNewestSnapshotQuarantined(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gf, err := os.Create(filepath.Join(jobDir, "ckpt_00000000.20000000.v6d"))
-	if err != nil {
+	var valid bytes.Buffer
+	if _, err := good.Checkpoint(&valid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := good.Checkpoint(gf); err != nil {
-		t.Fatal(err)
-	}
-	gf.Close()
-	// ...shadowed by a corrupt later one.
-	corrupt := filepath.Join(jobDir, "ckpt_00000000.90000000.v6d")
-	if err := os.WriteFile(corrupt, []byte("not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for name, newest := range map[string][]byte{
+		"garbage":             []byte("not a checkpoint"),
+		"zero length":         {},
+		"truncated mid-array": valid.Bytes()[:valid.Len()/2],
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			jobDir := filepath.Join(dir, "landau_32x64")
+			if err := os.MkdirAll(jobDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			// A valid early snapshot, shadowed by the bad later one.
+			if err := os.WriteFile(filepath.Join(jobDir, "ckpt_00000000.20000000.v6d"), valid.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			corrupt := filepath.Join(jobDir, "ckpt_00000000.90000000.v6d")
+			if err := os.WriteFile(corrupt, newest, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	var live *plasma.Solver
-	var coldStarts atomic.Int64
-	job := landauStreamJob(t, until, &live, 0, nil)
-	inner := job.New
-	job.New = func() (runner.Solver, error) {
-		coldStarts.Add(1)
-		return inner()
-	}
-	s, err := NewStream(context.Background(), WithWorkers(1),
-		WithJobCheckpoints(dir), WithJobCheckpointEvery(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Submit(job); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	r := drainAll(s)[0]
-	if r.Status != Done {
-		t.Fatalf("job: %v (%v)", r.Status, r.Err)
-	}
-	if coldStarts.Load() != 0 {
-		t.Fatal("fell back to a cold start despite a valid snapshot")
-	}
-	if _, err := os.Stat(corrupt + ".corrupt"); err != nil {
-		t.Fatalf("corrupt snapshot not quarantined: %v", err)
-	}
-	if live.Time != until {
-		t.Fatalf("final clock %v, want %v", live.Time, until)
+			var live *plasma.Solver
+			var coldStarts atomic.Int64
+			job := landauStreamJob(t, until, &live, 0, nil)
+			inner := job.New
+			job.New = func() (runner.Solver, error) {
+				coldStarts.Add(1)
+				return inner()
+			}
+			s, err := NewStream(context.Background(), WithWorkers(1),
+				WithJobCheckpoints(dir), WithJobCheckpointEvery(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Submit(job); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			r := drainAll(s)[0]
+			if r.Status != Done {
+				t.Fatalf("job: %v (%v)", r.Status, r.Err)
+			}
+			if coldStarts.Load() != 0 {
+				t.Fatal("fell back to a cold start despite a valid snapshot")
+			}
+			if _, err := os.Stat(corrupt + ".corrupt"); err != nil {
+				t.Fatalf("bad snapshot not quarantined: %v", err)
+			}
+			// Resumed from the previous snapshot (clock 0.2), not restarted:
+			// 16 steps of 0.05 are left, a cold start would take 20.
+			if r.Report == nil || r.Report.Steps != 16 || live.Time != until {
+				t.Fatalf("report %+v, final clock %v; want 16 steps to %v", r.Report, live.Time, until)
+			}
+		})
 	}
 }
 

@@ -15,7 +15,7 @@
 // refused at 3am" is answerable from disk, not from memory of a process
 // that may have restarted since.
 //
-// Storage quotas ride the checkpoint-notify path: each snapshot write
+// Storage quotas ride the checkpoint timer callback: each snapshot write
 // re-measures the job's checkpoint directory (the runner prunes its own
 // keep-N window, so measuring beats bookkeeping), and a tenant over its
 // max_storage_bytes has its oldest snapshots evicted — never the newest
@@ -167,8 +167,8 @@ func scanCheckpointBytes(dir string) int64 {
 	return total
 }
 
-// noteCheckpoint runs on the runner's checkpoint-notify goroutine after
-// the write is journaled: re-measure the job's directory (the runner
+// noteCheckpoint runs on the goroutine that wrote a checkpoint, after the
+// write is journaled: re-measure the job's directory (the runner
 // prunes its own keep-N window, so measuring self-corrects where delta
 // bookkeeping would drift), fold the change into the tenant's tracked
 // total, and enforce the tenant's storage quota when one is set.
@@ -296,8 +296,8 @@ func (s *Server) enforceStorageQuota(trigger *jobEntry, tn *tenant.Tenant) {
 		"failed":      strconv.FormatBool(failNow),
 	})
 	if failNow {
-		// The scheduler's cancel path stops the run; consumeResults sees
-		// quotaErr and reports the job failed, not cancelled.
+		// The scheduler's cancel path stops the run; finish sees quotaErr
+		// and reports the job failed, not cancelled.
 		s.stream.Cancel(sid)
 	}
 }

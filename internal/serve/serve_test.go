@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,33 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// checkNoGoroutineLeak fails the test unless, once it and its cleanups (the
+// front end's Close among them: call this before newTestServer) are over, the
+// goroutine count returns to what it was: the stream's workers, the result
+// consumer, every SSE handler and observer pipeline must be gone, with a
+// moment allowed for the runtime to reap them.
+func checkNoGoroutineLeak(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			runtime.GC()
+			g := runtime.NumGoroutine()
+			if g <= before {
+				return
+			}
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines still alive, started with %d:\n%s",
+					g, before, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
 }
 
 // postJSON posts a body and decodes the JSON response.
@@ -88,6 +116,7 @@ func pollStatus(t *testing.T, base string, id int, want ...string) map[string]an
 // download the checkpoint the run left → resubmit the same job name and
 // verify it resumes from the snapshot instead of recomputing.
 func TestHTTPLifecycle(t *testing.T) {
+	checkNoGoroutineLeak(t)
 	srv, ts := newTestServer(t, Config{
 		Workers:         2,
 		CheckpointDir:   t.TempDir(),
@@ -259,6 +288,7 @@ func TestScenariosEndpoint(t *testing.T) {
 }
 
 func TestDrainGraceful(t *testing.T) {
+	checkNoGoroutineLeak(t)
 	srv, ts := newTestServer(t, Config{Workers: 1})
 	// A short job that finishes on its own.
 	code, body := postJSON(t, ts.URL+"/v1/jobs",
@@ -284,6 +314,7 @@ func TestDrainGraceful(t *testing.T) {
 }
 
 func TestDrainDeadlineCancels(t *testing.T) {
+	checkNoGoroutineLeak(t)
 	srv, ts := newTestServer(t, Config{Workers: 1})
 	// Effectively endless job.
 	code, body := postJSON(t, ts.URL+"/v1/jobs",

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vlasov6d/internal/catalog"
 	"vlasov6d/internal/runner"
 	"vlasov6d/internal/sched"
 	"vlasov6d/internal/tenant"
@@ -212,5 +213,53 @@ func TestSubmitBodyBounded(t *testing.T) {
 	}
 	if code, body := postJSON(t, ts.URL+"/v1/jobs", `{"scenario":"landau","until":0.02,"fixed_dt":0.01}`); code != http.StatusAccepted {
 		t.Fatalf("normal spec after an oversized one: %d %v", code, body)
+	}
+}
+
+// TestTerminalStatusNeverWithoutReport pins the closed race deterministically:
+// the scheduler tells a job's end through the notify callback and then, as the
+// same value, on Results. Between the two — before the result consumer runs —
+// a status read must not already answer terminal, because the report is not
+// there yet; after it, status and report arrive together.
+func TestTerminalStatusNeverWithoutReport(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	defer srv.Close()
+	// An entry the stream knows nothing about, so the only deliveries are the
+	// ones made below through the scheduler-facing entry points.
+	spec := catalog.JobSpec{Scenario: "landau", Name: "told-once"}
+	job, err := srv.cfg.Catalog.Job(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id, sid = 7, 1 << 20
+	e := srv.newEntry(&job, spec, "", 0, time.Now(), 0)
+	e.id, e.sid = id, sid
+	srv.mu.Lock()
+	srv.jobs[id], srv.byStream[sid] = e, id
+	srv.mu.Unlock()
+	status := func() map[string]any {
+		t.Helper()
+		code, doc := getJSON(t, fmt.Sprintf("%s/v1/jobs/%d", ts.URL, id))
+		if code != http.StatusOK {
+			t.Fatalf("status: %d %v", code, doc)
+		}
+		return doc
+	}
+
+	srv.onUpdate(sched.Update{ID: sid, Name: job.Name, Status: sched.Running, Attempt: 1})
+	if doc := status(); doc["status"] != "running" {
+		t.Fatalf("after Running: %v", doc)
+	}
+	end := sched.Update{ID: sid, Name: job.Name, Status: sched.Done, Attempt: 1,
+		Report: &runner.Report{Steps: 3, Clock: 0.3, Reason: runner.ReasonUntil}}
+	srv.onUpdate(end)
+	if doc := status(); doc["status"] != "running" || doc["report"] != nil {
+		t.Fatalf("told of the end, result not yet consumed: %v", doc)
+	}
+	srv.finish(end)
+	doc := status()
+	rep, _ := doc["report"].(map[string]any)
+	if doc["status"] != "done" || rep == nil || rep["steps"] != 3.0 {
+		t.Fatalf("after the result: %v", doc)
 	}
 }

@@ -7,7 +7,7 @@
 // admission, queue wait, each dispatch attempt, each running segment,
 // each checkpoint write, recovery after a restart. The trace follows the
 // job through its whole afterlife: served from the live entry while the
-// job is retained, and from the artifact index (where consumeResults
+// job is retained, and from the artifact index (where finish
 // snapshots it at terminal time) once the bounded history evicts it.
 package serve
 

@@ -71,10 +71,11 @@ func Probe(r io.Reader) (version int, a float64, ok bool) {
 	return version, math.Float64frombits(le.Uint64(b[8:16])), true
 }
 
-// encoder lays values out little-endian in a chunk and hands each full chunk
+// Encoder lays values out little-endian in a chunk and hands each full chunk
 // to the section checksum and to the writer in one call apiece. The first
-// write error sticks and turns every later call into a no-op.
-type encoder struct {
+// write error sticks and turns every later call into a no-op. Package plasma
+// writes its one-section checkpoint through it too.
+type Encoder struct {
 	w   io.Writer
 	buf []byte // the current chunk, cap chunkSize
 	crc uint32 // IEEE CRC-32 of the current section, up to the last flush
@@ -84,7 +85,15 @@ type encoder struct {
 
 const chunkSize = 64 << 10
 
-func (e *encoder) flush() {
+// NewEncoder returns an encoder writing to w.
+func NewEncoder(w io.Writer) *Encoder {
+	return &Encoder{w: w, buf: make([]byte, 0, chunkSize)}
+}
+
+// Result reports the bytes written without error and the first write error.
+func (e *Encoder) Result() (int64, error) { return e.n, e.err }
+
+func (e *Encoder) flush() {
 	e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
 	if e.err == nil {
 		var n int
@@ -94,22 +103,33 @@ func (e *encoder) flush() {
 	e.buf = e.buf[:0]
 }
 
-func (e *encoder) u64(v uint64) {
+// U64 appends one 8-byte word.
+func (e *Encoder) U64(v uint64) {
 	if len(e.buf)+8 > cap(e.buf) {
 		e.flush()
 	}
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
 
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+// F64 appends one float64 as its IEEE-754 bits.
+func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-func (e *encoder) f64s(vals []float64) {
+// F64s appends every value of vals.
+func (e *Encoder) F64s(vals []float64) {
 	for _, v := range vals {
-		e.f64(v)
+		e.F64(v)
 	}
 }
 
-func (e *encoder) f32s(vals []float32) {
+// Bytes appends raw bytes (a name inside a section).
+func (e *Encoder) Bytes(b []byte) {
+	if len(e.buf)+len(b) > cap(e.buf) {
+		e.flush()
+	}
+	e.buf = append(e.buf, b...)
+}
+
+func (e *Encoder) f32s(vals []float32) {
 	for _, v := range vals {
 		if len(e.buf)+4 > cap(e.buf) {
 			e.flush()
@@ -118,24 +138,24 @@ func (e *encoder) f32s(vals []float32) {
 	}
 }
 
-// endSection closes a checksummed section: its CRC-32 follows it as an
+// EndSection closes a checksummed section: its CRC-32 follows it as an
 // 8-byte word that belongs to no section's checksum.
-func (e *encoder) endSection() {
+func (e *Encoder) EndSection() {
 	e.flush()
-	e.u64(uint64(e.crc))
+	e.U64(uint64(e.crc))
 	e.flush()
 	e.crc = 0
 }
 
 // particles writes one particle section: positions, then velocities.
-func (e *encoder) particles(p *nbody.Particles) {
+func (e *Encoder) particles(p *nbody.Particles) {
 	for d := 0; d < 3; d++ {
-		e.f64s(p.Pos[d])
+		e.F64s(p.Pos[d])
 	}
 	for d := 0; d < 3; d++ {
-		e.f64s(p.Vel[d])
+		e.F64s(p.Vel[d])
 	}
-	e.endSection()
+	e.EndSection()
 }
 
 // Write serialises the snapshot and returns the number of bytes written.
@@ -143,7 +163,7 @@ func Write(w io.Writer, s *Snapshot) (int64, error) {
 	if s == nil || s.Part == nil {
 		return 0, fmt.Errorf("snapio: nil snapshot or particles")
 	}
-	e := &encoder{w: w, buf: make([]byte, 0, chunkSize)}
+	e := NewEncoder(w)
 
 	// Header. The magic doubles as the version: v2 only when the optional
 	// ν-particle section is present, so v1-shaped snapshots stay
@@ -152,13 +172,13 @@ func Write(w io.Writer, s *Snapshot) (int64, error) {
 	if s.NuPart != nil {
 		magic = MagicV2
 	}
-	e.u64(magic)
-	e.f64(s.A)
-	e.f64(s.Time)
-	e.u64(uint64(s.Part.N))
-	e.f64(s.Part.Mass)
+	e.U64(magic)
+	e.F64(s.A)
+	e.F64(s.Time)
+	e.U64(uint64(s.Part.N))
+	e.F64(s.Part.Mass)
 	for d := 0; d < 3; d++ {
-		e.f64(s.Part.Box[d])
+		e.F64(s.Part.Box[d])
 	}
 	// Grid shape and box (zeros when absent).
 	var gdims [7]uint64
@@ -172,16 +192,16 @@ func Write(w io.Writer, s *Snapshot) (int64, error) {
 		gbox = s.Grid.Box
 	}
 	for _, v := range gdims {
-		e.u64(v)
+		e.U64(v)
 	}
 	for d := 0; d < 3; d++ {
-		e.f64(gbox[d])
+		e.F64(gbox[d])
 	}
 	if s.NuPart != nil {
-		e.u64(uint64(s.NuPart.N))
-		e.f64(s.NuPart.Mass)
+		e.U64(uint64(s.NuPart.N))
+		e.F64(s.NuPart.Mass)
 	}
-	e.endSection()
+	e.EndSection()
 
 	e.particles(s.Part)
 	if s.NuPart != nil {
@@ -190,9 +210,9 @@ func Write(w io.Writer, s *Snapshot) (int64, error) {
 	}
 	if s.Grid != nil {
 		e.f32s(s.Grid.Data)
-		e.endSection()
+		e.EndSection()
 	}
-	return e.n, e.err
+	return e.Result()
 }
 
 // Read deserialises a snapshot, verifying every checksum.

@@ -24,10 +24,10 @@ package tree
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"vlasov6d/internal/nbody"
+	"vlasov6d/internal/par"
 	"vlasov6d/internal/units"
 )
 
@@ -450,12 +450,8 @@ func (t *Tree) AccelAll(acc [3][]float64) error {
 			return fmt.Errorf("tree: acc[%d] length %d != %d", d, len(acc[d]), t.p.N)
 		}
 	}
-	nw := t.workers
-	if nw == 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
 	ng := len(t.groups)
-	nw = max(min(nw, ng/minGroupsPerWorker), 1)
+	nw := par.Workers(t.workers, ng/minGroupsPerWorker)
 	if len(t.walkers) < nw {
 		t.walkers = append(t.walkers, make([]walker, nw-len(t.walkers))...)
 	}
@@ -463,17 +459,10 @@ func (t *Tree) AccelAll(acc [3][]float64) error {
 		t.accelGroups(&t.walkers[0], 0, ng, acc)
 		return nil
 	}
-	var wg sync.WaitGroup
-	chunk := (ng + nw - 1) / nw
-	for w := 0; w*chunk < ng; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t.accelGroups(&t.walkers[w], w*chunk, min((w+1)*chunk, ng), acc)
-		}(w)
-	}
-	wg.Wait()
-	return nil
+	return par.Ranges(ng, nw, func(w, lo, hi int) error {
+		t.accelGroups(&t.walkers[w], lo, hi, acc)
+		return nil
+	})
 }
 
 // SplitG returns the short-range force-shape factor g(x); exported for the

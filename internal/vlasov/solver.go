@@ -26,30 +26,26 @@ package vlasov
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"vlasov6d/internal/advect"
+	"vlasov6d/internal/par"
 	"vlasov6d/internal/phase"
 )
 
 // Solver advances a phase-space grid in time.
 type Solver struct {
-	g       *phase.Grid
-	proto   advect.Scheme
-	workers int
+	g     *phase.Grid
+	proto advect.Scheme
 
 	// BoundaryLoss accumulates the mass that has left the velocity grid
 	// through its open boundary (in f·d³x·d³u units), a diagnostic for
 	// choosing UMax.
 	BoundaryLoss float64
 
-	mu sync.Mutex // guards BoundaryLoss accumulation from workers
-
 	// pool holds per-worker sweep scratch (gather line + scheme clones),
 	// grown on demand and reused across steps so steady-state stepping
 	// allocates nothing.
-	pool []*worker
+	pool *par.Pool[worker]
 	// cfl is the reusable per-velocity-index CFL table of driftAxis.
 	cfl []float64
 	// axes is the cube geometry around each velocity axis (the grid's
@@ -117,7 +113,8 @@ func New(g *phase.Grid, scheme string) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solver{g: g, proto: s, workers: runtime.GOMAXPROCS(0)}
+	sol := &Solver{g: g, proto: s}
+	sol.pool = par.NewPool(sol.newWorker)
 	for d := range sol.axes {
 		sol.axes[d] = newCubeAxis(g.NU, d)
 	}
@@ -128,12 +125,7 @@ func New(g *phase.Grid, scheme string) (*Solver, error) {
 func (s *Solver) Grid() *phase.Grid { return s.g }
 
 // SetWorkers pins the worker count (tests use 1 for determinism).
-func (s *Solver) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
+func (s *Solver) SetWorkers(n int) { s.pool.SetWorkers(n) }
 
 // SchemeName reports the position-drift scheme in use.
 func (s *Solver) SchemeName() string { return s.proto.Name() }
@@ -256,14 +248,7 @@ func (s *Solver) kickAxis(d int, dt float64, accD []float64) error {
 	g := s.g
 	s.kg = kickGeom{dt: dt, du: g.DU(d), acc: accD, d: d}
 	ncell := g.NCells()
-	nw := s.clampWorkers(ncell)
-	if nw <= 1 {
-		w := s.worker(0)
-		err := s.kickRange(w, 0, ncell)
-		s.addLoss(w)
-		return err
-	}
-	return s.runRanges(ncell, nw, (*Solver).kickRange)
+	return s.sweep(ncell, (*Solver).kickRange)
 }
 
 // kickRange advects the velocity cubes of spatial cells [lo, hi) along the
@@ -338,14 +323,7 @@ func (s *Solver) driftAxis(d int, dt, a float64) error {
 	s.dg = driftGeom{cfl: cfl, nLine: nLine, cellStride: cellStride, ncube: g.NCube(), d: d}
 	// Parallelise over perpendicular spatial columns; each column sweeps all
 	// velocity elements.
-	nw := s.clampWorkers(nPerpSpace)
-	if nw <= 1 {
-		w := s.worker(0)
-		err := s.driftRange(w, 0, nPerpSpace)
-		s.addLoss(w)
-		return err
-	}
-	return s.runRanges(nPerpSpace, nw, (*Solver).driftRange)
+	return s.sweep(nPerpSpace, (*Solver).driftRange)
 }
 
 // driftRange advects perpendicular spatial columns [lo, hi) along the axis
@@ -424,63 +402,23 @@ func (s *Solver) newWorker() *worker {
 	}
 }
 
-// worker returns worker k's scratch, growing the pool on demand. Workers
-// persist for the life of the solver (the grid's extents are fixed), so
-// steady-state stepping stops re-cloning schemes and reallocating lines.
-func (s *Solver) worker(k int) *worker {
-	for len(s.pool) <= k {
-		s.pool = append(s.pool, s.newWorker())
+// sweep runs one axis sweep over its n independent work items: split into one
+// contiguous range per worker, each running the range method with its pooled
+// scratch; every worker's boundary loss is folded in afterwards, in worker
+// order. One worker is a direct call — no goroutines or closures — which
+// keeps the steady-state single-worker step allocation-free.
+func (s *Solver) sweep(n int, run func(*Solver, *worker, int, int) error) error {
+	nw := s.pool.Workers(n)
+	var err error
+	if nw <= 1 {
+		err = run(s, s.pool.Worker(0), 0, n)
+	} else {
+		err = s.pool.Ranges(n, nw, func(w *worker, lo, hi int) error { return run(s, w, lo, hi) })
 	}
-	return s.pool[k]
-}
-
-// clampWorkers bounds the sweep parallelism by the number of independent
-// work items.
-func (s *Solver) clampWorkers(items int) int {
-	nw := s.workers
-	if nw > items {
-		nw = items
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	return nw
-}
-
-// runRanges is the parallel dispatch path of one axis sweep: [0, n) splits
-// into one contiguous range per worker, each running the range method with
-// its pooled scratch; the first reported error wins and every worker's
-// boundary loss is folded in. Callers handle nw ≤ 1 with a direct serial
-// range call — no goroutines or closures — which keeps the steady-state
-// single-worker step allocation-free.
-func (s *Solver) runRanges(n, nw int, run func(*Solver, *worker, int, int) error) error {
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	chunk := (n + nw - 1) / nw
 	for k := 0; k < nw; k++ {
-		lo, hi := k*chunk, (k+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w *worker, lo, hi int) {
-			defer wg.Done()
-			if err := run(s, w, lo, hi); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-			s.addLoss(w)
-		}(s.worker(k), lo, hi)
+		s.addLoss(s.pool.Worker(k))
 	}
-	wg.Wait()
-	return firstErr
+	return err
 }
 
 func (s *Solver) addLoss(w *worker) {
@@ -492,8 +430,6 @@ func (s *Solver) addLoss(w *worker) {
 	// volume Δx³·Δu³, giving the escaped mass.
 	vol := g.DX(0) * g.DX(1) * g.DX(2)
 	du3 := g.DU(0) * g.DU(1) * g.DU(2)
-	s.mu.Lock()
 	s.BoundaryLoss += w.loss * vol * du3
-	s.mu.Unlock()
 	w.loss = 0
 }

@@ -210,8 +210,8 @@ func ResumeLatest(dir string) (*Snapshot, string, error) {
 // executes the job, so at most `workers` solvers are live at once.
 type BatchJob = sched.Job
 
-// BatchResult is the outcome of one job: in job order from RunBatch, in
-// completion order from a Stream.
+// BatchResult is the outcome of one job — its terminal BatchUpdate, the same
+// type: in job order from RunBatch, in completion order from a Stream.
 type BatchResult = sched.Result
 
 // BatchUpdate is one job status transition, delivered to WithBatchNotify.
