@@ -2,12 +2,78 @@ package vlasov6d
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"testing"
 
 	"vlasov6d/internal/analysis"
 )
+
+// TestGoldenStateFingerprint pins the evolved state bit for bit: a short
+// hybrid run (ν grid + CDM particles) and a short Landau run go through Run,
+// and an FNV-64 of the float bits of f and the particle positions must match
+// the recorded constants. Any change that moves a bit of the kernel, the
+// sweeps or the force fails it; a change that moves bits on purpose updates
+// the constants and says why. amd64 only: other targets may fuse
+// multiply-adds and round differently.
+func TestGoldenStateFingerprint(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("fingerprints are recorded on amd64, not %s", runtime.GOARCH)
+	}
+	const (
+		hybridF    uint64 = 0xa957881d49c7eedc
+		hybridPos  uint64 = 0x18761e032417c621
+		hybridLoss        = 33.650094286745471
+		landauF    uint64 = 0xe9de87e97370d51a
+	)
+	fingerprint := func(floats ...any) uint64 {
+		h := fnv.New64a()
+		for _, f := range floats {
+			if err := binary.Write(h, binary.LittleEndian, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return h.Sum64()
+	}
+	ctx := context.Background()
+
+	sim, err := NewSimulation(Config{
+		Par: Planck2015(0.4), Box: 200, NGrid: 6, NU: 6, NPartSide: 6, Seed: 1,
+	}, 1.0/11, WithPMFactor(2), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(ctx, sim, 1, WithMaxSteps(4)); err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(sim.Grid.Data); got != hybridF {
+		t.Errorf("hybrid f fingerprint %#x, want %#x", got, hybridF)
+	}
+	pos := sim.Part.Pos
+	if got := fingerprint(pos[0], pos[1], pos[2]); got != hybridPos {
+		t.Errorf("hybrid particle fingerprint %#x, want %#x", got, hybridPos)
+	}
+	// The boundary loss is a sum in the sweeps' gather order: held to 1e-9,
+	// not to the bit.
+	if loss := sim.VSol.BoundaryLoss; math.Abs(loss-hybridLoss) > 1e-9*math.Abs(hybridLoss) {
+		t.Errorf("hybrid boundary loss %.17g, want %.17g", loss, hybridLoss)
+	}
+
+	ps, err := NewPlasmaSolver(64, 256, 4*math.Pi, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps.SetWorkers(1)
+	ps.LandauInit(0.01, 0.5, 1)
+	if _, err := Run(ctx, ps, 1e9, WithMaxSteps(300)); err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(ps.F); got != landauF {
+		t.Errorf("Landau f fingerprint %#x, want %#x", got, landauF)
+	}
+}
 
 // TestGoldenLandauDampingRate is the physics regression gate for the
 // runner/scheduler stack: the 1D1V Landau-damping problem, driven through

@@ -403,3 +403,76 @@ func TestMinmodMedian(t *testing.T) {
 		t.Fatal("median wrong")
 	}
 }
+
+// TestMinmod2MatchesOracle holds the branch-free minmod2 to the textbook
+// form bit for bit (up to the sign of a zero) wherever a·b does not
+// underflow, and pins the one place the two differ.
+func TestMinmod2MatchesOracle(t *testing.T) {
+	check := func(a, b float64) {
+		t.Helper()
+		got, want := minmod2(a, b), oracleMinmod2(a, b)
+		if math.IsNaN(a * b) {
+			// ±0 against ±∞: every test of the oracle fails on the NaN and it
+			// answers b; the minmod of a zero is zero.
+			want = 0
+		}
+		// A zero minmod keeps a's sign (−0 where a negative argument meets
+		// −0, which f ≥ 0 data never holds); the oracle's zero is +0.
+		if got == 0 && want == 0 {
+			return
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("minmod2(%g, %g) = %g, oracle %g", a, b, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(25))
+	for it := 0; it < 200000; it++ {
+		// Exponents in [−500, 500]: a·b neither underflows nor overflows.
+		a := math.Ldexp(rng.Float64(), rng.Intn(1001)-500)
+		b := math.Ldexp(rng.Float64(), rng.Intn(1001)-500)
+		if rng.Intn(8) == 0 {
+			b = a
+		}
+		if rng.Intn(2) == 0 {
+			a = -a
+		}
+		if rng.Intn(2) == 0 {
+			b = -b
+		}
+		check(a, b)
+	}
+
+	tiny := math.SmallestNonzeroFloat64
+	edges := []float64{0, math.Copysign(0, -1), tiny, 3 * tiny, 0x1p-1022, 0.5, 1, 2, math.MaxFloat64, math.Inf(1)}
+	for _, x := range edges {
+		for _, y := range edges {
+			for _, sign := range [][2]float64{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
+				a, b := sign[0]*x, sign[1]*y
+				if a*b == 0 && a != 0 && b != 0 {
+					continue // the underflow below
+				}
+				check(a, b)
+			}
+		}
+	}
+
+	// The one intended difference: same signs, both nonzero, a·b underflows
+	// to 0. The oracle's product test answers 0; minmod2 answers the exact
+	// minmod, and so commutes with scaling by powers of two.
+	for _, c := range []struct{ a, b, want float64 }{
+		{1e-200, 3e-200, 1e-200},
+		{-3e-170, -1e-170, -1e-170},
+		{tiny, 3 * tiny, tiny},
+		{-0x1p-1022, -tiny, -tiny},
+	} {
+		if c.a*c.b != 0 || oracleMinmod2(c.a, c.b) != 0 {
+			t.Fatalf("(%g, %g) no longer underflows", c.a, c.b)
+		}
+		for k := 0; k <= 900; k += 50 {
+			a, b, want := math.Ldexp(c.a, k), math.Ldexp(c.b, k), math.Ldexp(c.want, k)
+			if got := minmod2(a, b); got != want {
+				t.Errorf("minmod2(%g, %g) = %g, want %g", a, b, got, want)
+			}
+		}
+	}
+}

@@ -9,6 +9,24 @@ import "math"
 // polynomial — the textbook form of the scheme, with separate code for
 // leftward transport.
 
+// oracleMinmod2 is the textbook minmod — a sign test on the product, then a
+// comparison per sign — that the branch-free minmod2 replaced.
+func oracleMinmod2(a, b float64) float64 {
+	if a*b <= 0 {
+		return 0
+	}
+	if a > 0 {
+		if a < b {
+			return a
+		}
+		return b
+	}
+	if a > b {
+		return a
+	}
+	return b
+}
+
 // oracleStep advances f in place from the oracle's interface fluxes and
 // returns them.
 func (s *SLMPP5) oracleStep(f []float64, c float64, at func([]float64, int) float64) []float64 {

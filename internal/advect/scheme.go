@@ -21,7 +21,10 @@
 // through one kernel.
 package advect
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Scheme advances the 1D linear advection equation on a periodic line.
 // Implementations keep private scratch buffers and are therefore not safe
@@ -81,21 +84,17 @@ func StepLines(s Scheme, lines []float64, n int, c float64) error {
 // Names lists the registered scheme names.
 func Names() []string { return []string{"slmpp5", "mp5", "upwind1", "laxwendroff2"} }
 
-// minmod2 returns the minmod of two arguments.
+// minmod2 returns the minmod of two arguments: the one of smaller magnitude
+// if they share a sign, else zero. It is branch-free on the IEEE-754 bits —
+// the magnitudes of finite floats order like their bits as uint64, so
+// min(|a|, |b|) is an integer min (CMP + CMOV) with a's sign, masked to zero
+// when the sign bits differ — because on spatial lines the two slope tests
+// of the textbook form are close to coin flips.
 func minmod2(a, b float64) float64 {
-	if a*b <= 0 {
-		return 0
-	}
-	if a > 0 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	if a > b {
-		return a
-	}
-	return b
+	const sign = 1 << 63
+	ba, bb := math.Float64bits(a), math.Float64bits(b)
+	m := min(ba&^sign, bb&^sign)
+	return math.Float64frombits((m | ba&sign) & ((ba^bb)>>63 - 1))
 }
 
 // minmod4 returns the minmod of four arguments.

@@ -252,16 +252,8 @@ func (k *sweep) advance(q, out []float64) {
 	for i, next := range q[4 : n+5] {
 		m2, m1, c0, p1, p2 = m1, c0, p1, p2, next
 		v := w0*m2 + w1*m1 + w2*c0 + w3*p1 + w4*p2
-		if mp {
-			// Inlined head of mpLimitAlpha: v inside [f0, fMP] passes.
-			mm, x, y := 0.0, p1-c0, alpha*(c0-m1)
-			if x*y > 0 {
-				mm = x
-				if (x > 0) == (y < x) {
-					mm = y
-				}
-			}
-			if (v-c0)*(v-(c0+mm)) > mpEps {
+		if mp { // the head of mpLimitAlpha: v inside [f0, fMP] passes
+			if fMP := c0 + minmod2(p1-c0, alpha*(c0-m1)); (v-c0)*(v-fMP) > mpEps {
 				v = mpBound(v, m2, m1, c0, p1, p2, alpha)
 			}
 		}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
@@ -228,4 +229,51 @@ func TestCanonicalByteStable(t *testing.T) {
 	if string(a) != string(c) {
 		t.Fatalf("canonical form not a fixed point:\n%s\n%s", a, c)
 	}
+}
+
+// FuzzJobSpec feeds arbitrary bytes through the decode the submit handler
+// uses (unknown fields rejected) and then Validate against the default
+// catalog: neither may panic, and a spec that decodes must reach the
+// canonical fixed point a journal replay relies on.
+func FuzzJobSpec(f *testing.F) {
+	c := Default()
+	for _, sc := range c.Scenarios() {
+		params := make(map[string]any, len(sc.Params))
+		for _, p := range sc.Params {
+			params[p.Name] = p.Default
+		}
+		seed, err := JobSpec{Scenario: sc.Name, Params: params, Until: sc.DefaultUntil}.Canonical()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	decode := func(data []byte) (JobSpec, error) {
+		var s JobSpec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		return s, dec.Decode(&s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := decode(data)
+		if err != nil {
+			return
+		}
+		c.Validate(s) // rejecting is fine; panicking is not
+		a, err := s.Canonical()
+		if err != nil {
+			t.Fatalf("decoded spec does not canonicalise: %v", err)
+		}
+		back, err := decode(a)
+		if err != nil {
+			t.Fatalf("canonical form %s does not decode: %v", a, err)
+		}
+		b, err := back.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("canonical form not a fixed point:\n%s\n%s", a, b)
+		}
+	})
 }

@@ -93,7 +93,7 @@ func TestSSEResumeContiguous(t *testing.T) {
 	// The job emits thousands of events per second; the ring must retain
 	// the whole resume window for the test's lifetime (incl. the eta
 	// polling below) or this flakes into TestSSEEvictionGap's territory.
-	_, ts := newTestServer(t, Config{Workers: 2, RingSize: 1 << 18})
+	srv, ts := newTestServer(t, Config{Workers: 2, RingSize: 1 << 18})
 	code, body := postJSON(t, ts.URL+"/v1/jobs",
 		`{"scenario":"landau","name":"resume","until":1000,"fixed_dt":0.01}`)
 	if code != http.StatusAccepted {
@@ -139,6 +139,22 @@ func TestSSEResumeContiguous(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 		st = pollStatus(t, ts.URL, id, "running")
+	}
+
+	// Resume only once the ring holds an event past the cursor: a resume
+	// into a window with nothing newer replays nothing, and the replay
+	// counter below would rightly stay 0.
+	for deadline = time.Now().Add(10 * time.Second); ; {
+		srv.mu.Lock()
+		head := srv.jobs[id].ring.head()
+		srv.mu.Unlock()
+		if head > lastID {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ring head stuck at %d, the cursor", head)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Reconnect with Last-Event-ID: the replay must pick up at exactly

@@ -266,24 +266,22 @@ func (s *Solver) kickRange(w *worker, lo, hi int) error {
 			continue
 		}
 		cube := g.CubeAt(cell)
-		// Transpose the cube to line-major order, summing it on the way.
+		// Gather the cube line by line, summing it on the way.
 		var before, after float64
-		for i := 0; i < n; i++ {
-			plane := cube[i*stride:]
-			for l, off := range offs {
-				v := float64(plane[off])
-				lines[l*n+i] = v
+		for l, off := range offs {
+			line := lines[l*n : l*n+n]
+			for i := range line {
+				v := float64(cube[off+i*stride])
+				line[i] = v
 				before += v
 			}
 		}
 		if err := w.open.StepLinesOpen(lines, n, c); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			plane := cube[i*stride:]
-			for l, off := range offs {
-				v := lines[l*n+i]
-				plane[off] = float32(v)
+		for l, off := range offs {
+			for i, v := range lines[l*n : l*n+n] {
+				cube[off+i*stride] = float32(v)
 				after += v
 			}
 		}
@@ -343,19 +341,19 @@ func (s *Solver) driftRange(w *worker, lo, hi int) error {
 			if c == 0 {
 				continue
 			}
-			for i := 0; i < n; i++ {
-				elems := col[i*str+j*stride:]
-				for l, off := range offs {
-					lines[l*n+i] = float64(elems[off])
+			elems := col[j*stride:]
+			for l, off := range offs {
+				line := lines[l*n : l*n+n]
+				for i := range line {
+					line[i] = float64(elems[off+i*str])
 				}
 			}
 			if err := advect.StepLines(w.per, lines, n, c); err != nil {
 				return err
 			}
-			for i := 0; i < n; i++ {
-				elems := col[i*str+j*stride:]
-				for l, off := range offs {
-					elems[off] = float32(lines[l*n+i])
+			for l, off := range offs {
+				for i, v := range lines[l*n : l*n+n] {
+					elems[off+i*str] = float32(v)
 				}
 			}
 		}
