@@ -68,27 +68,18 @@ func TestPublicAPICosmology(t *testing.T) {
 	if p.FNu() <= 0 {
 		t.Fatal("fν must be positive with massive neutrinos")
 	}
-	ps := NewLinearPower(p)
-	if ps.Total(0.1) <= 0 {
-		t.Fatal("P(k) must be positive")
-	}
 }
 
+// TestPublicAPISchemes: every drift scheme name the facade documents
+// builds a plasma solver that steps.
 func TestPublicAPISchemes(t *testing.T) {
-	names := SchemeNames()
-	if len(names) < 4 {
-		t.Fatalf("schemes: %v", names)
-	}
-	for _, n := range names {
-		s, err := NewScheme(n)
+	for _, n := range []string{"slmpp5", "mp5", "upwind1", "laxwendroff2"} {
+		s, err := NewPlasmaSolverWithScheme(16, 32, 4*math.Pi, 6, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		line := make([]float64, 32)
-		for i := range line {
-			line[i] = 1 + 0.1*math.Sin(float64(i))
-		}
-		if err := s.Step(line, 0.5); err != nil {
+		s.LandauInit(0.01, 0.5, 1)
+		if err := s.Step(0.1); err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
 	}
@@ -105,24 +96,6 @@ func TestPublicAPIPlasma(t *testing.T) {
 	}
 	if g := LandauDampingRate(0.5, 1); g >= 0 {
 		t.Fatalf("Landau rate %v should be negative", g)
-	}
-}
-
-func TestPublicAPIMachine(t *testing.T) {
-	m, err := NewMachineModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := RunTable()
-	if len(runs) != 18 {
-		t.Fatalf("run table %d", len(runs))
-	}
-	b := m.Step(runs[len(runs)-1])
-	if b.Total <= 0 {
-		t.Fatal("model broken")
-	}
-	if dl := EffectiveResolution(1200, 13824, 100); math.Abs(dl-1200.0/642) > 0.01 {
-		t.Fatalf("eq. 9: %v", dl)
 	}
 }
 

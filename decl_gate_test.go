@@ -1,0 +1,252 @@
+package vlasov6d
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// declarationOracles are the declarations no program reaches that tests of
+// other code compare against; each names the test that uses it.
+var declarationOracles = map[string]string{
+	"internal/nbody.Particles.TotalMomentum": "hybrid.TestMomentumConservation",
+	"internal/nbody.Particles.MinimumImage":  "ic.TestCDMParticlesLattice",
+	"internal/phase.Grid.Scale":              "phase.TestMomentLinearityProperty",
+	"internal/poisson.Solver.Gradient":       "poisson.TestAccelIntoMatchesGradient",
+	"internal/poisson.Solver.idx3":           "poisson.TestAccelIntoMatchesGradient",
+	"internal/vlasov.ComputeDiagnostics":     "vlasov.TestDiagnosticsInvariants",
+	"internal/store.ReadAuditLog":            "serve.TestAdmissionAudit",
+	"internal/sched.WithRetryBackoff":        "sched.TestStreamRetryThenSucceed",
+}
+
+// stdlibMethods are method names a standard-library interface calls; a
+// method so named lives as long as its receiver type does.
+var stdlibMethods = map[string]bool{
+	"String": true, "GoString": true, "Format": true, "Error": true,
+	"Unwrap": true, "Is": true, "As": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Read": true, "Write": true, "Close": true, "Seek": true,
+	"ReadAt": true, "WriteAt": true, "ReadFrom": true, "WriteTo": true,
+	"ServeHTTP": true, "MarshalJSON": true, "UnmarshalJSON": true,
+	"MarshalText": true, "UnmarshalText": true, "Flush": true,
+}
+
+// declUnit is one top-level declaration: a func, a method, a type, or a
+// const/var (a parenthesised const/var group is one unit).
+type declUnit struct {
+	pkg, file, name string
+	recv, method    string // set for methods
+	node            ast.Node
+	imports         map[string]string // file-local package name → package dir
+	blank           bool              // only blank names: a compile-time check
+	live            bool
+}
+
+// TestEveryDeclarationHasAProductionCaller is the declaration-level sibling
+// of TestInternalPackagesHaveProductionImporters: a top-level declaration
+// of any non-test file stays only if a program reaches it. Roots are the
+// main functions of cmd/, examples/ and benchmark/ (read, never reported),
+// init functions, and the test oracles above. From the roots, a live
+// declaration keeps alive every package-level name it mentions, every
+// pkg.Name it selects, and every method of a live type whose name it
+// selects or a standard-library interface calls. Resolution is by name, so
+// the gate errs towards keeping.
+func TestEveryDeclarationHasAProductionCaller(t *testing.T) {
+	fset := token.NewFileSet()
+	var units []*declUnit
+	pkgName := map[string]string{}                // package dir → package name
+	byName := map[string]map[string][]*declUnit{} // package dir → name → units
+	methods := map[string][]*declUnit{}           // method name → units
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		pkgName[dir] = f.Name.Name
+		imports := map[string]string{}
+		for _, spec := range f.Imports {
+			ip, _ := strconv.Unquote(spec.Path.Value)
+			if ip != "vlasov6d" && !strings.HasPrefix(ip, "vlasov6d/") {
+				continue
+			}
+			rel := strings.TrimPrefix(strings.TrimPrefix(ip, "vlasov6d"), "/")
+			if rel == "" {
+				rel = "."
+			}
+			local := path.Base(ip)
+			if spec.Name != nil {
+				local = spec.Name.Name
+			}
+			imports[local] = rel
+		}
+		if byName[dir] == nil {
+			byName[dir] = map[string][]*declUnit{}
+		}
+		add := func(u *declUnit, names ...string) {
+			u.pkg, u.file, u.imports = dir, filepath.ToSlash(p), imports
+			units = append(units, u)
+			for _, n := range names {
+				byName[dir][n] = append(byName[dir][n], u)
+			}
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					add(&declUnit{name: decl.Name.Name, node: decl}, decl.Name.Name)
+					continue
+				}
+				u := &declUnit{recv: recvTypeName(decl.Recv.List[0].Type), method: decl.Name.Name, node: decl}
+				u.name = u.recv + "." + u.method
+				add(u)
+				methods[u.method] = append(methods[u.method], u)
+			case *ast.GenDecl:
+				if decl.Tok == token.IMPORT {
+					continue
+				}
+				if decl.Tok == token.TYPE {
+					for _, s := range decl.Specs {
+						ts := s.(*ast.TypeSpec)
+						add(&declUnit{name: ts.Name.Name, node: ts}, ts.Name.Name)
+					}
+					continue
+				}
+				var names []string
+				for _, s := range decl.Specs {
+					for _, n := range s.(*ast.ValueSpec).Names {
+						if n.Name != "_" {
+							names = append(names, n.Name)
+						}
+					}
+				}
+				u := &declUnit{name: strings.Join(names, ", "), node: decl, blank: len(names) == 0}
+				add(u, names...)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	key := func(u *declUnit) string { return u.pkg + "." + u.name }
+	liveTypes := map[string]bool{} // "dir.Type"
+	selected := map[string]bool{}  // method names selected anywhere live
+	var queue []*declUnit
+	mark := func(u *declUnit) {
+		if !u.live {
+			u.live = true
+			queue = append(queue, u)
+		}
+	}
+	markName := func(dir, name string) {
+		for _, u := range byName[dir][name] {
+			mark(u)
+		}
+	}
+	foundOracles := map[string]bool{}
+	for _, u := range units {
+		isMain := pkgName[u.pkg] == "main" && u.name == "main" && u.recv == "" &&
+			(strings.HasPrefix(u.pkg, "cmd/") || strings.HasPrefix(u.pkg, "examples/") || strings.HasPrefix(u.pkg, "benchmark"))
+		_, oracle := declarationOracles[key(u)]
+		if oracle {
+			foundOracles[key(u)] = true
+		}
+		if isMain || (u.name == "init" && u.recv == "") || oracle {
+			mark(u)
+		}
+	}
+	for k := range declarationOracles {
+		if !foundOracles[k] {
+			t.Errorf("oracle %s names no declaration", k)
+		}
+	}
+	for len(queue) > 0 {
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			if u.recv == "" {
+				if _, ok := u.node.(*ast.TypeSpec); ok {
+					liveTypes[u.pkg+"."+u.name] = true
+				}
+			}
+			var visit func(ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if id, ok := n.X.(*ast.Ident); ok {
+						if dir, ok := u.imports[id.Name]; ok {
+							markName(dir, n.Sel.Name)
+							return false
+						}
+					}
+					selected[n.Sel.Name] = true
+					ast.Inspect(n.X, visit)
+					return false
+				case *ast.Ident:
+					markName(u.pkg, n.Name)
+				}
+				return true
+			}
+			ast.Inspect(u.node, visit)
+		}
+		for name, ms := range methods {
+			for _, m := range ms {
+				if !m.live && liveTypes[m.pkg+"."+m.recv] && (selected[name] || stdlibMethods[name]) {
+					mark(m)
+				}
+			}
+		}
+	}
+
+	var dead []string
+	for _, u := range units {
+		if u.live || u.blank || strings.HasPrefix(u.pkg, "benchmark") {
+			continue
+		}
+		dead = append(dead, u.file+": "+u.name)
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("%d declarations no program reaches (delete them, or give them a production caller):\n\t%s",
+			len(dead), strings.Join(dead, "\n\t"))
+	}
+}
+
+// recvTypeName is the type name of a method receiver: T, *T, T[P] or *T[P].
+func recvTypeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}

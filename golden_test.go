@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"vlasov6d/internal/analysis"
+	"vlasov6d/internal/runner"
+	"vlasov6d/internal/sched"
 )
 
 // TestGoldenStateFingerprint pins the evolved state bit for bit: a short
@@ -41,7 +43,8 @@ func TestGoldenStateFingerprint(t *testing.T) {
 
 	sim, err := NewSimulation(Config{
 		Par: Planck2015(0.4), Box: 200, NGrid: 6, NU: 6, NPartSide: 6, Seed: 1,
-	}, 1.0/11, WithPMFactor(2), WithWorkers(1))
+		Workers: 1,
+	}, 1.0/11, WithPMFactor(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +173,12 @@ func TestGoldenLandauBudgetedDeterminism(t *testing.T) {
 		return fit.Gamma()
 	}
 	base := run() // GOMAXPROCS intra-step workers, unbudgeted
-	budget := NewCoreBudget(1)
-	lease, err := budget.Acquire(context.Background(), 0)
+	lease, err := sched.NewCoreBudget(1).AcquireClaim(context.Background(), sched.Claim{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lease.Release()
-	budgeted := run(WithWorkerBudget(lease)) // pinned to one core
+	budgeted := run(runner.WithWorkerBudget(lease)) // pinned to one core
 	if budgeted != base {
 		t.Fatalf("budgeted γ = %v != GOMAXPROCS(%d) γ = %v: the worker count changed the physics",
 			budgeted, runtime.GOMAXPROCS(0), base)

@@ -50,16 +50,6 @@ func TestNewByName(t *testing.T) {
 	}
 }
 
-func TestStageCounts(t *testing.T) {
-	// The paper's cost argument: SL-MPP5 needs one flux stage, MP5+RK3 three.
-	if got := NewSLMPP5().Stages(); got != 1 {
-		t.Fatalf("SL-MPP5 stages = %d, want 1", got)
-	}
-	if got := NewMP5().Stages(); got != 3 {
-		t.Fatalf("MP5-RK3 stages = %d, want 3", got)
-	}
-}
-
 func TestMassConservationPeriodic(t *testing.T) {
 	for _, s := range allSchemes() {
 		for _, c := range []float64{0.3, -0.3, 0.9, -0.9} {

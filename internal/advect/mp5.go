@@ -20,9 +20,6 @@ func NewMP5() *MP5 { return &MP5{} }
 // Name implements Scheme.
 func (m *MP5) Name() string { return "mp5" }
 
-// Stages implements Scheme: three flux evaluations per step.
-func (m *MP5) Stages() int { return 3 }
-
 // MaxCFL implements Scheme.
 func (m *MP5) MaxCFL() float64 { return 1.0 }
 

@@ -32,9 +32,6 @@ import (
 type Scheme interface {
 	// Name identifies the scheme in tables and benchmarks.
 	Name() string
-	// Stages returns the number of flux evaluations per time step (the
-	// paper's cost argument: SL-MPP5 = 1, MP5-RK3 = 3).
-	Stages() int
 	// MaxCFL returns the largest stable CFL number (0 means unconditional).
 	MaxCFL() float64
 	// Step advances f in place by one step with CFL number c = v·Δt/Δx.

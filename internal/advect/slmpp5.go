@@ -55,9 +55,6 @@ func NewSLMPP5() *SLMPP5 { return &SLMPP5{} }
 // Name implements Scheme.
 func (s *SLMPP5) Name() string { return "slmpp5" }
 
-// Stages implements Scheme: a single flux evaluation per step.
-func (s *SLMPP5) Stages() int { return 1 }
-
 // MaxCFL implements Scheme: the semi-Lagrangian update is unconditionally
 // stable (0 denotes no restriction).
 func (s *SLMPP5) MaxCFL() float64 { return 0 }

@@ -14,9 +14,6 @@ func NewUpwind1() *Upwind1 { return &Upwind1{} }
 // Name implements Scheme.
 func (u *Upwind1) Name() string { return "upwind1" }
 
-// Stages implements Scheme.
-func (u *Upwind1) Stages() int { return 1 }
-
 // MaxCFL implements Scheme.
 func (u *Upwind1) MaxCFL() float64 { return 1.0 }
 
@@ -59,9 +56,6 @@ func NewLaxWendroff2() *LaxWendroff2 { return &LaxWendroff2{} }
 
 // Name implements Scheme.
 func (l *LaxWendroff2) Name() string { return "laxwendroff2" }
-
-// Stages implements Scheme.
-func (l *LaxWendroff2) Stages() int { return 1 }
 
 // MaxCFL implements Scheme.
 func (l *LaxWendroff2) MaxCFL() float64 { return 1.0 }

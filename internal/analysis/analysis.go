@@ -399,85 +399,3 @@ func CompareNoise(vlasov, particles []float64) NoiseComparison {
 		ParticleRMS: Stats(particles).RMSContrast,
 	}
 }
-
-// CrossSpectrum bins the cross power spectrum of two density fields on the
-// same n³ mesh and their correlation coefficient per shell,
-// r(k) = P_ab/sqrt(P_a·P_b) — the standard measure of how faithfully the
-// neutrino field traces the CDM field across scales (the quantitative
-// version of Fig. 4's "roughly traces on large scales").
-func CrossSpectrum(rhoA, rhoB []float64, n int, boxL float64, nbins int) (ks, r []float64, err error) {
-	if n < 2 || len(rhoA) != n*n*n || len(rhoB) != n*n*n {
-		return nil, nil, fmt.Errorf("analysis: bad mesh lengths %d/%d for n=%d", len(rhoA), len(rhoB), n)
-	}
-	if nbins < 1 {
-		return nil, nil, fmt.Errorf("analysis: nbins %d", nbins)
-	}
-	toDelta := func(rho []float64) ([]complex128, error) {
-		mean := 0.0
-		for _, v := range rho {
-			mean += v
-		}
-		mean /= float64(len(rho))
-		if mean == 0 {
-			return nil, fmt.Errorf("analysis: zero mean density")
-		}
-		d := make([]complex128, len(rho))
-		for i, v := range rho {
-			d[i] = complex(v/mean-1, 0)
-		}
-		return d, nil
-	}
-	da, err := toDelta(rhoA)
-	if err != nil {
-		return nil, nil, err
-	}
-	db, err := toDelta(rhoB)
-	if err != nil {
-		return nil, nil, err
-	}
-	f3, err := fft.NewFFT3(n, n, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := f3.Forward(da); err != nil {
-		return nil, nil, err
-	}
-	if err := f3.Forward(db); err != nil {
-		return nil, nil, err
-	}
-	kf := 2 * math.Pi / boxL
-	kNyq := kf * float64(n) / 2
-	lkMin := math.Log(kf)
-	dlk := (math.Log(kNyq) - lkMin) / float64(nbins)
-	pab := make([]float64, nbins)
-	paa := make([]float64, nbins)
-	pbb := make([]float64, nbins)
-	idx := 0
-	for ix := 0; ix < n; ix++ {
-		mx := modeIdx(ix, n)
-		for iy := 0; iy < n; iy++ {
-			my := modeIdx(iy, n)
-			for iz := 0; iz < n; iz++ {
-				mz := modeIdx(iz, n)
-				k := kf * math.Sqrt(float64(mx*mx+my*my+mz*mz))
-				if k > 0 {
-					b := int((math.Log(k) - lkMin) / dlk)
-					if b >= 0 && b < nbins {
-						a, bb := da[idx], db[idx]
-						pab[b] += real(a)*real(bb) + imag(a)*imag(bb)
-						paa[b] += real(a)*real(a) + imag(a)*imag(a)
-						pbb[b] += real(bb)*real(bb) + imag(bb)*imag(bb)
-					}
-				}
-				idx++
-			}
-		}
-	}
-	for b := 0; b < nbins; b++ {
-		if paa[b] > 0 && pbb[b] > 0 {
-			ks = append(ks, math.Exp(lkMin+(float64(b)+0.5)*dlk))
-			r = append(r, pab[b]/math.Sqrt(paa[b]*pbb[b]))
-		}
-	}
-	return ks, r, nil
-}

@@ -91,12 +91,6 @@ func (p Params) Hubble(a float64) float64 {
 	return units.HubbleInternal * p.E(a)
 }
 
-// MeanMatterDensity returns the comoving mean matter density ρ̄_c (all
-// matter) in internal units; it is constant in comoving coordinates.
-func (p Params) MeanMatterDensity() float64 {
-	return p.OmegaM * units.RhoCrit0()
-}
-
 // MeanNuDensity returns the comoving mean neutrino mass density.
 func (p Params) MeanNuDensity() float64 {
 	return p.OmegaNu() * units.RhoCrit0()
@@ -175,21 +169,6 @@ func (p Params) GrowthRate(a float64) float64 {
 	d1 := math.Log(p.growthRaw(a * (1 + eps)))
 	d0 := math.Log(p.growthRaw(a * (1 - eps)))
 	return (d1 - d0) / (2 * eps)
-}
-
-// NuThermalVelocity returns the characteristic thermal velocity in km/s of a
-// single neutrino eigenstate of mass ΣMν/3 at scale factor a, in canonical
-// velocity units u = a²ẋ (so the canonical thermal spread is a·v_th,proper;
-// at the non-relativistic redshifts simulated this equals a × the proper
-// value, which conveniently makes the canonical distribution static).
-func (p Params) NuThermalVelocity(a float64) float64 {
-	m := p.SumMNuEV / 3
-	// The canonical velocity of a fixed comoving momentum is constant in
-	// time: u = a·v_proper(a) = v_proper(a=1). The velocity-grid extent can
-	// therefore be chosen once at start-up; a is accepted for interface
-	// symmetry but does not enter.
-	_ = a
-	return units.NeutrinoThermalVelocity(m, 1.0)
 }
 
 // FreeStreamingWavenumber returns the neutrino free-streaming scale

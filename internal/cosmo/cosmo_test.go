@@ -127,7 +127,7 @@ func TestFreeStreamingWavenumber(t *testing.T) {
 func TestPowerSpectrumNormalisation(t *testing.T) {
 	p := Planck2015(0.0)
 	ps := NewPowerSpectrum(p)
-	got := ps.SigmaR(8)
+	got := ps.sigmaR(8)
 	if math.Abs(got-p.Sigma8)/p.Sigma8 > 1e-6 {
 		t.Fatalf("σ8 = %v, want %v", got, p.Sigma8)
 	}
@@ -180,57 +180,5 @@ func TestPowerPositivityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGrowthScaling(t *testing.T) {
-	ps := NewPowerSpectrum(Planck2015(0.0))
-	d := ps.par.GrowthFactor(0.5)
-	k := 0.1
-	if got, want := ps.At(k, 0.5), d*d*ps.Total(k); math.Abs(got-want)/want > 1e-12 {
-		t.Fatalf("At() growth scaling wrong: %v vs %v", got, want)
-	}
-}
-
-func TestEHTransferShape(t *testing.T) {
-	p := Planck2015(0.0)
-	// T(k→0) → 1, monotone decreasing, strongly suppressed at high k.
-	if d := math.Abs(ehNoWiggle(p, 1e-6) - 1); d > 1e-3 {
-		t.Fatalf("EH T(0) = %v", ehNoWiggle(p, 1e-6))
-	}
-	prev := 1.0
-	for _, k := range []float64{0.001, 0.01, 0.1, 1, 10} {
-		tk := ehNoWiggle(p, k)
-		if tk > prev {
-			t.Fatalf("EH transfer not monotone at k=%v", k)
-		}
-		prev = tk
-	}
-	if ehNoWiggle(p, 10) > 1e-3 {
-		t.Fatalf("EH high-k tail %v", ehNoWiggle(p, 10))
-	}
-}
-
-func TestEHSpectrumNormalisedAndClose(t *testing.T) {
-	p := Planck2015(0.0)
-	eh := NewPowerSpectrumKind(p, TransferEH)
-	bbks := NewPowerSpectrumKind(p, TransferBBKS)
-	if s8 := eh.SigmaR(8); math.Abs(s8-p.Sigma8)/p.Sigma8 > 1e-6 {
-		t.Fatalf("EH σ8 = %v", s8)
-	}
-	// The two σ8-normalised fits agree to tens of percent over the
-	// quasi-linear range — they are alternative fits to the same physics.
-	for _, k := range []float64{0.02, 0.05, 0.1, 0.3} {
-		r := eh.Total(k) / bbks.Total(k)
-		if r < 0.6 || r > 1.6 {
-			t.Fatalf("EH/BBKS ratio %v at k=%v", r, k)
-		}
-	}
-	// EH models the baryon suppression: with baryons the small-scale
-	// transfer is lower than the zero-baryon limit of the same Ωm.
-	noB := p
-	noB.OmegaB = 1e-4
-	if ehNoWiggle(p, 1.0) >= ehNoWiggle(noB, 1.0) {
-		t.Fatal("baryons should suppress the small-scale transfer")
 	}
 }

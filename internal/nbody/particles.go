@@ -107,20 +107,6 @@ func (p *Particles) TotalMomentum() [3]float64 {
 	return mom
 }
 
-// KineticEnergy returns Σ m u²/2 in internal units.
-func (p *Particles) KineticEnergy() float64 {
-	e := 0.0
-	for i := 0; i < p.N; i++ {
-		v2 := 0.0
-		for d := 0; d < 3; d++ {
-			v := p.Vel[d][i]
-			v2 += v * v
-		}
-		e += v2
-	}
-	return 0.5 * p.Mass * e
-}
-
 // CICDeposit adds the particles' mass density onto a periodic mesh of shape
 // n covering the box, using cloud-in-cell weights. The deposited quantity is
 // comoving mass density (mass per mesh-cell volume).

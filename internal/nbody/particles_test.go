@@ -230,7 +230,4 @@ func TestEnergyAndMomentum(t *testing.T) {
 	if math.Abs(mom[0]) > 1e-12 {
 		t.Fatalf("momentum %v", mom)
 	}
-	if ke := p.KineticEnergy(); math.Abs(ke-12) > 1e-12 {
-		t.Fatalf("KE = %v, want 12", ke)
-	}
 }

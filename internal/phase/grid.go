@@ -4,7 +4,7 @@
 // The memory layout follows the paper's List 1: the spatial grid is the
 // slow index and each spatial cell owns a complete, contiguous velocity-space
 // cube. As §5.1.3 explains, this makes every velocity moment (density, mean
-// velocity, velocity-dispersion tensor) a purely local reduction that needs
+// velocity, velocity dispersion) a purely local reduction that needs
 // no communication under spatial domain decomposition. Values are stored in
 // float32 — the paper's Vlasov arrays are single precision — while all
 // reductions accumulate in float64.
@@ -360,105 +360,4 @@ func (g *Grid) Scale(s float64) {
 	for i := range g.Data {
 		g.Data[i] *= fs
 	}
-}
-
-// DispersionTensor holds the full symmetric velocity-dispersion tensor
-// σ²ᵢⱼ = ⟨uᵢuⱼ⟩ − ⟨uᵢ⟩⟨uⱼ⟩ per spatial cell, ordered
-// (xx, yy, zz, xy, xz, yz). The scalar Sigma of Moments is
-// sqrt((σ²xx+σ²yy+σ²zz)/3).
-type DispersionTensor struct {
-	NX, NY, NZ int
-	S          [6][]float64
-}
-
-// ComputeDispersionTensor reduces the cubes to the six independent
-// components of σ²ᵢⱼ — the anisotropy diagnostic of collisionless
-// collapse (isotropic for the initial Fermi-Dirac state, anisotropic once
-// phase mixing starts).
-func (g *Grid) ComputeDispersionTensor() *DispersionTensor {
-	return g.ComputeDispersionTensorInto(nil)
-}
-
-// ComputeDispersionTensorInto is ComputeDispersionTensor writing into dt,
-// reusing its component slices when they fit (dt == nil allocates a new
-// one). Every cell of every component is written, so a recycled tensor never
-// leaks stale values.
-func (g *Grid) ComputeDispersionTensorInto(dt *DispersionTensor) *DispersionTensor {
-	ncell := g.NCells()
-	if dt == nil {
-		dt = &DispersionTensor{}
-	}
-	dt.NX, dt.NY, dt.NZ = g.NX, g.NY, g.NZ
-	for i := range dt.S {
-		dt.S[i] = ensureF64(dt.S[i], ncell)
-	}
-	nw := par.Workers(g.workers, ncell)
-	if nw <= 1 {
-		g.dispersionRange(dt, 0, ncell)
-		return dt
-	}
-	g.runCellRanges(ncell, nw, func(lo, hi int) {
-		g.dispersionRange(dt, lo, hi)
-	})
-	return dt
-}
-
-func (g *Grid) dispersionRange(dt *DispersionTensor, lo, hi int) {
-	du0, du1, du2 := g.DU(0), g.DU(1), g.DU(2)
-	for cell := lo; cell < hi; cell++ {
-		cube := g.CubeAt(cell)
-		var mass float64
-		var m1 [3]float64
-		var m2 [6]float64 // xx, yy, zz, xy, xz, yz
-		idx := 0
-		for jx := 0; jx < g.NU[0]; jx++ {
-			ux := -g.UMax + (float64(jx)+0.5)*du0
-			for jy := 0; jy < g.NU[1]; jy++ {
-				uy := -g.UMax + (float64(jy)+0.5)*du1
-				for jz := 0; jz < g.NU[2]; jz++ {
-					f := float64(cube[idx])
-					idx++
-					if f == 0 {
-						continue
-					}
-					uz := -g.UMax + (float64(jz)+0.5)*du2
-					mass += f
-					m1[0] += f * ux
-					m1[1] += f * uy
-					m1[2] += f * uz
-					m2[0] += f * ux * ux
-					m2[1] += f * uy * uy
-					m2[2] += f * uz * uz
-					m2[3] += f * ux * uy
-					m2[4] += f * ux * uz
-					m2[5] += f * uy * uz
-				}
-			}
-		}
-		if mass <= 0 {
-			for i := range dt.S {
-				dt.S[i][cell] = 0
-			}
-			continue
-		}
-		mx, my, mz := m1[0]/mass, m1[1]/mass, m1[2]/mass
-		dt.S[0][cell] = m2[0]/mass - mx*mx
-		dt.S[1][cell] = m2[1]/mass - my*my
-		dt.S[2][cell] = m2[2]/mass - mz*mz
-		dt.S[3][cell] = m2[3]/mass - mx*my
-		dt.S[4][cell] = m2[4]/mass - mx*mz
-		dt.S[5][cell] = m2[5]/mass - my*mz
-	}
-}
-
-// Anisotropy returns a scalar anisotropy measure per cell: the RMS of the
-// off-diagonal components over the mean diagonal, zero for an isotropic
-// distribution.
-func (dt *DispersionTensor) Anisotropy(cell int) float64 {
-	diag := (dt.S[0][cell] + dt.S[1][cell] + dt.S[2][cell]) / 3
-	if diag <= 0 {
-		return 0
-	}
-	off := dt.S[3][cell]*dt.S[3][cell] + dt.S[4][cell]*dt.S[4][cell] + dt.S[5][cell]*dt.S[5][cell]
-	return math.Sqrt(off/3) / diag
 }

@@ -189,60 +189,6 @@ func TestParallelCellsCoversAll(t *testing.T) {
 	}
 }
 
-func TestDispersionTensorIsotropicGaussian(t *testing.T) {
-	g, err := New(2, 2, 2, [3]int{20, 20, 20}, [3]float64{10, 10, 10}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigma := 1.2
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
-		return math.Exp(-(ux*ux + uy*uy + uz*uz) / (2 * sigma * sigma))
-	})
-	dt := g.ComputeDispersionTensor()
-	for c := 0; c < g.NCells(); c++ {
-		for d := 0; d < 3; d++ {
-			if math.Abs(math.Sqrt(dt.S[d][c])-sigma) > 0.05 {
-				t.Fatalf("diag %d = %v, want σ² of %v", d, dt.S[d][c], sigma)
-			}
-		}
-		for d := 3; d < 6; d++ {
-			if math.Abs(dt.S[d][c]) > 1e-6 {
-				t.Fatalf("off-diagonal %d = %v, want 0", d, dt.S[d][c])
-			}
-		}
-		if a := dt.Anisotropy(c); a > 1e-6 {
-			t.Fatalf("anisotropy %v for isotropic f", a)
-		}
-	}
-}
-
-func TestDispersionTensorCorrelated(t *testing.T) {
-	// A sheared Gaussian f ∝ exp(−(ux−uy)²/2 − …) has σ²xy > 0.
-	g, err := New(2, 2, 2, [3]int{16, 16, 16}, [3]float64{10, 10, 10}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
-		return math.Exp(-(ux*ux+uy*uy-1.2*ux*uy)/2 - uz*uz/2)
-	})
-	dt := g.ComputeDispersionTensor()
-	if dt.S[3][0] <= 0.1 {
-		t.Fatalf("σ²xy = %v, want strongly positive", dt.S[3][0])
-	}
-	if a := dt.Anisotropy(0); a < 0.05 {
-		t.Fatalf("anisotropy %v too small for sheared f", a)
-	}
-	// Trace consistency with the scalar moments.
-	m := g.ComputeMoments()
-	tr := (dt.S[0][0] + dt.S[1][0] + dt.S[2][0]) / 3
-	if math.Abs(math.Sqrt(tr)-m.Sigma[0]) > 1e-6*(1+m.Sigma[0]) {
-		t.Fatalf("tensor trace %v vs scalar σ %v", math.Sqrt(tr), m.Sigma[0])
-	}
-}
-
-// TestParallelCellsWorkerInvariance: moments and fills are identical for
-// any pinned worker count (cells are disjoint), so a core budget resizing
-// the reductions never changes results.
 func TestParallelCellsWorkerInvariance(t *testing.T) {
 	build := func(workers int) *Grid {
 		g := smallGrid(t)

@@ -12,15 +12,12 @@
 // claim/commit protocol designed so the held shares never sum past the
 // budget while the live-job count is within it:
 //
-//   - Acquire registers the job and blocks until it can claim cores: its
-//     target if free, otherwise whatever is free (at least one). Running
-//     jobs surrender cores only between steps, so the wait is bounded by
-//     one step of the slowest running job — provided every holder IS
-//     polled between steps, which runner.WithWorkerBudget guarantees.
-//     Hand-composed holders that never poll must not Acquire one at a
-//     time from a single goroutine (the first lease would hold the whole
-//     budget forever); they acquire their group atomically with
-//     AcquireAll.
+//   - AcquireClaim registers the job and blocks until it can claim cores:
+//     its target if free, otherwise whatever is free (at least one).
+//     Running jobs surrender cores only between steps, so the wait is
+//     bounded by one step of the slowest running job — provided every
+//     holder IS polled between steps, which runner.WithWorkerBudget
+//     guarantees.
 //   - Workers — polled by the runner between steps — commits changes:
 //     a shrunk target takes effect immediately (the job steps with fewer
 //     workers from now on, freeing cores for waiters), a grown target is
@@ -41,8 +38,8 @@
 // priorities are — and only then does priority order the division *within*
 // a group. A tenant cap (Claim.TenantCores) bounds its group's collective
 // share; capped-out surplus flows to the other groups. Untagged leases
-// (plain Acquire) all share one implicit group, which reduces exactly to
-// the single-level arithmetic above.
+// (Claim.Tenant = "") all share one implicit group, which reduces exactly
+// to the single-level arithmetic above.
 package sched
 
 import (
@@ -128,23 +125,24 @@ type Claim struct {
 	TenantCores int
 	// Priority orders the within-group remainder (higher first).
 	Priority int
-	// Min/Max are the per-lease share bounds of AcquireBounded.
+	// Min/Max bound this lease's share (0 leaves a bound unset): the
+	// rebalancer never targets it below Min cores or above Max. Bounds
+	// reshape the division, they do not reserve capacity: a Min larger than
+	// the equal share is met by shrinking the other live leases' targets
+	// (they keep their floor of one), and a Min is only guaranteed while the
+	// budget can cover every live lease's floor — when it cannot (Mins
+	// summing past the budget, or more live jobs than cores) every Min
+	// degrades to the universal floor of one until the live set shrinks
+	// enough to cover the Mins again, so no single Min-heavy lease can
+	// monopolise the budget and stall later acquires. Min is clamped to the
+	// budget total; Max must be 0 or ≥ max(Min, 1).
 	Min, Max int
 }
 
-// Acquire registers a live job with the given dispatch priority and blocks
-// until the lease holds at least one core (see the package comment for the
-// claim rules). It returns the context's error if ctx is cancelled while
-// waiting, with the registration undone. Acquire is the single-lease form
-// of AcquireAll: the grant and cancellation semantics are identical.
-func (b *CoreBudget) Acquire(ctx context.Context, priority int) (*Lease, error) {
-	return b.AcquireBounded(ctx, priority, 0, 0)
-}
-
-// AcquireClaim is the full-surface acquire: tenant tag, tenant cap,
-// priority and share bounds in one Claim. The stream and batch schedulers
-// call this for tenant-tagged jobs; everything else is a convenience
-// wrapper over it.
+// AcquireClaim registers a live job under claim c and blocks until the
+// lease holds at least one core (see the package comment for the claim
+// rules). It returns the context's error if ctx is cancelled while waiting,
+// with the registration undone.
 func (b *CoreBudget) AcquireClaim(ctx context.Context, c Claim) (*Lease, error) {
 	if c.Min < 0 || c.Max < 0 {
 		return nil, fmt.Errorf("sched: negative worker bound min=%d max=%d", c.Min, c.Max)
@@ -155,57 +153,6 @@ func (b *CoreBudget) AcquireClaim(ctx context.Context, c Claim) (*Lease, error) 
 	if c.TenantCores < 0 {
 		return nil, fmt.Errorf("sched: negative tenant core cap %d", c.TenantCores)
 	}
-	leases, err := b.acquire(ctx, 1, c)
-	if err != nil {
-		return nil, err
-	}
-	return leases[0], nil
-}
-
-// AcquireBounded is Acquire with per-lease share bounds: the rebalancer
-// never targets this lease below min cores or above max cores (0 leaves the
-// bound unset). Bounds reshape the division, they do not reserve capacity:
-// a min larger than the equal share is met by shrinking the other live
-// leases' targets (they keep their floor of one), and a min is only
-// guaranteed while the budget can cover every live lease's floor — when it
-// cannot (mins summing past the budget, or more live jobs than cores) every
-// min degrades to the universal floor of one until the live set shrinks
-// enough to cover the mins again, so no single min-heavy lease can
-// monopolise the budget and stall later acquires. min is clamped to the
-// budget total; max must be 0 or ≥ max(min, 1).
-func (b *CoreBudget) AcquireBounded(ctx context.Context, priority, min, max int) (*Lease, error) {
-	if min < 0 || max < 0 {
-		return nil, fmt.Errorf("sched: negative worker bound min=%d max=%d", min, max)
-	}
-	if max > 0 && (max < min || max < 1) {
-		return nil, fmt.Errorf("sched: worker bound max=%d below min=%d", max, min)
-	}
-	leases, err := b.acquire(ctx, 1, Claim{Priority: priority, Min: min, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return leases[0], nil
-}
-
-// AcquireAll registers n equal-priority leases in one atomic step and
-// blocks until every one of them holds at least one core. This is the
-// group form hand-composed process grids need (see examples/distributed):
-// n sequential Acquire calls from one goroutine would deadlock, because the
-// first lease claims the whole budget and — without a runner loop polling
-// Workers between steps — never surrenders it to the waiting second call.
-// Registering the group atomically divides the budget across all n members
-// before anyone claims. Cancelling ctx while waiting undoes the whole
-// registration.
-func (b *CoreBudget) AcquireAll(ctx context.Context, n, priority int) ([]*Lease, error) {
-	return b.acquire(ctx, n, Claim{Priority: priority})
-}
-
-// acquire implements the Acquire* family: register, rebalance, block until
-// granted or cancelled.
-func (b *CoreBudget) acquire(ctx context.Context, n int, c Claim) ([]*Lease, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("sched: group acquire of %d leases", n)
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if c.Min > b.total {
@@ -213,16 +160,13 @@ func (b *CoreBudget) acquire(ctx context.Context, n int, c Claim) ([]*Lease, err
 		// lease simply always holds every core it can get.
 		c.Min = b.total
 	}
-	leases := make([]*Lease, n)
-	for i := range leases {
-		leases[i] = &Lease{
-			b: b, priority: c.Priority, seq: b.seq,
-			min: c.Min, max: c.Max,
-			tenant: c.Tenant, tenantCap: c.TenantCores,
-		}
-		b.seq++
-		b.leases = append(b.leases, leases[i])
+	l := &Lease{
+		b: b, priority: c.Priority, seq: b.seq,
+		min: c.Min, max: c.Max,
+		tenant: c.Tenant, tenantCap: c.TenantCores,
 	}
+	b.seq++
+	b.leases = append(b.leases, l)
 	b.rebalanceLocked()
 	// A cancelled context must wake the condvar wait below; AfterFunc is
 	// unregistered on return so an uncancelled acquire leaks nothing.
@@ -234,32 +178,18 @@ func (b *CoreBudget) acquire(ctx context.Context, n int, c Claim) ([]*Lease, err
 	defer stop()
 	for {
 		if err := ctx.Err(); err != nil {
-			for _, l := range leases {
-				l.released = true
-				b.removeLocked(l)
-			}
+			l.released = true
+			b.removeLocked(l)
 			return nil, err
 		}
 		if len(b.leases) > b.total {
-			// Caller-oversubscribed regime: floor one each, immediately.
-			for _, l := range leases {
-				l.held = 1
-			}
-			return leases, nil
+			// Caller-oversubscribed regime: floor one, immediately.
+			l.held = 1
+			return l, nil
 		}
-		if free := b.total - b.heldLocked(); free >= n {
-			// Enough for a core each: grant targets, capped so every later
-			// member of the group still gets at least one.
-			for i, l := range leases {
-				rest := n - i - 1
-				grant := l.target
-				if grant > free-rest {
-					grant = free - rest
-				}
-				l.held = grant
-				free -= grant
-			}
-			return leases, nil
+		if free := b.total - b.heldLocked(); free >= 1 {
+			l.held = min(l.target, free)
+			return l, nil
 		}
 		b.cond.Wait()
 	}
@@ -380,7 +310,7 @@ func (b *CoreBudget) rebalanceLocked() {
 	// When the floors alone cannot all be covered, min bounds degrade to
 	// the universal floor of one for this division — otherwise a single
 	// min-equal-to-budget lease would keep its full target and every
-	// later Acquire would block for that holder's whole run, breaking the
+	// later acquire would block for that holder's whole run, breaking the
 	// one-step bounded-wait invariant. Mins come back the moment the live
 	// set shrinks enough to cover them again. The degradation is global,
 	// not per-group: floors are a liveness guarantee, and liveness is a
@@ -433,7 +363,7 @@ type Lease struct {
 	b         *CoreBudget
 	priority  int
 	seq       int
-	min, max  int    // per-lease share bounds (0 = unset); see AcquireBounded
+	min, max  int    // per-lease share bounds (0 = unset); see Claim.Min
 	tenant    string // fair-share group tag ("" = implicit default group)
 	tenantCap int    // collective group cap carried by this lease (0 = none)
 	target    int    // allocator's goal share, set by rebalance

@@ -38,7 +38,7 @@ func acquireLeases(t *testing.T, b *CoreBudget, prios []int) []*Lease {
 		}
 	}()
 	for i, p := range prios {
-		l, err := b.Acquire(context.Background(), p)
+		l, err := b.AcquireClaim(context.Background(), Claim{Priority: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestCoreBudgetAcquireCancellable(t *testing.T) {
 	// Hold both cores and never poll: a second acquire (2 live ≤ 2 cores,
 	// nothing free) must block, and cancelling its context must unblock it
 	// with the registration undone.
-	l1, err := b.Acquire(context.Background(), 0)
+	l1, err := b.AcquireClaim(context.Background(), Claim{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCoreBudgetAcquireCancellable(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := b.Acquire(ctx, 0); err == nil {
+	if _, err := b.AcquireClaim(ctx, Claim{}); err == nil {
 		t.Fatal("blocked acquire returned without error under a cancelled context")
 	}
 	if live := b.Live(); live != 1 {
@@ -388,73 +388,5 @@ func TestBudgetRetryReleasesCores(t *testing.T) {
 func TestCoreBudgetOptionValidation(t *testing.T) {
 	if _, err := NewStream(context.Background(), WithCoreBudget(-1)); err == nil {
 		t.Fatal("negative core budget accepted")
-	}
-}
-
-// TestCoreBudgetAcquireAll: a group acquire divides the budget atomically —
-// no member blocks on another, which is what hand-composed process grids
-// (ranks that synchronise with each other) require.
-func TestCoreBudgetAcquireAll(t *testing.T) {
-	b := NewCoreBudget(8)
-	leases, err := b.AcquireAll(context.Background(), 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := shares(leases)
-	want := []int{3, 3, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("group shares %v, want %v", got, want)
-		}
-	}
-	if held := b.Held(); held != 8 {
-		t.Fatalf("held %d, want the full budget", held)
-	}
-	for _, l := range leases {
-		l.Release()
-	}
-	if live := b.Live(); live != 0 {
-		t.Fatalf("live %d after releases, want 0", live)
-	}
-	// Oversubscribed group: floor one each, immediately.
-	many, err := b.AcquireAll(context.Background(), 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range many {
-		if w := l.Workers(); w != 1 {
-			t.Fatalf("lease %d of oversubscribed group holds %d, want 1", i, w)
-		}
-	}
-	if _, err := b.AcquireAll(context.Background(), 0, 0); err == nil {
-		t.Fatal("empty group accepted")
-	}
-}
-
-// TestCoreBudgetAcquireAllBlockedCancellable: a group blocked behind a
-// non-polling holder unblocks on context cancellation with the whole
-// registration undone.
-func TestCoreBudgetAcquireAllBlockedCancellable(t *testing.T) {
-	b := NewCoreBudget(4)
-	l1, err := b.Acquire(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l1.Release()
-	if w := l1.Workers(); w != 4 {
-		t.Fatalf("holder has %d, want 4", w)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	// 3 more leases (4 live ≤ 4 cores) but nothing free and the holder
-	// never polls: must cancel cleanly.
-	if _, err := b.AcquireAll(ctx, 3, 0); err == nil {
-		t.Fatal("blocked group acquire returned without error under a cancelled context")
-	}
-	if live := b.Live(); live != 1 {
-		t.Fatalf("live %d after cancelled group acquire, want 1", live)
-	}
-	if w := l1.Workers(); w != 4 {
-		t.Fatalf("holder has %d after cancelled group acquire, want 4", w)
 	}
 }

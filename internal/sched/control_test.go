@@ -19,7 +19,7 @@ import (
 // acquireBoundedPolled acquires a bounded lease while a background
 // goroutine polls the already-held leases' Workers() — the runner's
 // between-step poll, without which holders never commit shrunk shares and
-// a fresh Acquire would block forever (the documented contract).
+// a fresh acquire would block forever (the documented contract).
 func acquireBoundedPolled(t *testing.T, b *CoreBudget, priority, min, max int, held ...*Lease) *Lease {
 	t.Helper()
 	stop := make(chan struct{})
@@ -39,7 +39,7 @@ func acquireBoundedPolled(t *testing.T, b *CoreBudget, priority, min, max int, h
 			}
 		}
 	}()
-	l, err := b.AcquireBounded(context.Background(), priority, min, max)
+	l, err := b.AcquireClaim(context.Background(), Claim{Priority: priority, Min: min, Max: max})
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -112,7 +112,7 @@ func TestCoreBudgetMinsDegradeWhenUncoverable(t *testing.T) {
 
 func TestCoreBudgetMinClampedToTotal(t *testing.T) {
 	b := NewCoreBudget(4)
-	l, err := b.AcquireBounded(context.Background(), 0, 99, 0)
+	l, err := b.AcquireClaim(context.Background(), Claim{Min: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +125,10 @@ func TestCoreBudgetMinClampedToTotal(t *testing.T) {
 func TestCoreBudgetBoundsValidation(t *testing.T) {
 	b := NewCoreBudget(4)
 	ctx := context.Background()
-	if _, err := b.AcquireBounded(ctx, 0, -1, 0); err == nil {
+	if _, err := b.AcquireClaim(ctx, Claim{Min: -1}); err == nil {
 		t.Fatal("negative min accepted")
 	}
-	if _, err := b.AcquireBounded(ctx, 0, 3, 2); err == nil {
+	if _, err := b.AcquireClaim(ctx, Claim{Min: 3, Max: 2}); err == nil {
 		t.Fatal("max below min accepted")
 	}
 	if b.Live() != 0 {

@@ -137,8 +137,8 @@ type Job struct {
 	// MinWorkers to out-lease the tiny control runs sharing the stream, a
 	// serial-ish diagnostics job sets MaxWorkers 1 so its surplus cores go
 	// to jobs that can use them. Bounds reshape the division, they do not
-	// reserve capacity; see CoreBudget.AcquireBounded for the exact
-	// semantics. Ignored without WithCoreBudget.
+	// reserve capacity; see Claim.Min for the exact semantics. Ignored
+	// without WithCoreBudget.
 	MinWorkers int
 	MaxWorkers int
 	// Tenant names the job's owner. It scopes the checkpoint key (see
@@ -265,8 +265,6 @@ type options struct {
 	backoff     time.Duration
 	ckptDir     string
 	ckptEvery   int
-	ckptKeep    int
-	ckptKeepSet bool
 	budget      int
 	budgetSet   bool
 }
@@ -368,11 +366,11 @@ func WithCoreBudget(total int) Option {
 }
 
 // WithJobCheckpoints gives every job a private checkpoint directory
-// JobCheckpointDir(dir, job.Tenant, job.Name) and appends the runner's WithCheckpoint (cadence
-// from WithJobCheckpointEvery, default every 10 steps) and
-// WithCheckpointKeep (retention from WithJobCheckpointKeep, default 3) to
-// each job's run options. Jobs whose solver cannot checkpoint fail at step
-// 0 — same as calling runner.WithCheckpoint directly. Combined with a Job
+// JobCheckpointDir(dir, job.Tenant, job.Name) and appends the runner's
+// WithCheckpoint (cadence from WithJobCheckpointEvery, default every 10
+// steps) and WithCheckpointKeep(jobCheckpointKeep) to each job's run
+// options. Jobs whose solver cannot checkpoint fail at step 0 — same as
+// calling runner.WithCheckpoint directly. Combined with a Job
 // Restore hook this is the kill-and-resume contract: see the package
 // comment.
 func WithJobCheckpoints(dir string) Option {
@@ -385,23 +383,15 @@ func WithJobCheckpointEvery(n int) Option {
 	return func(o *options) { o.ckptEvery = n }
 }
 
-// WithJobCheckpointKeep sets the per-job checkpoint retention used by
-// WithJobCheckpoints (default 3; 0 keeps everything).
-func WithJobCheckpointKeep(n int) Option {
-	return func(o *options) {
-		o.ckptKeep = n
-		o.ckptKeepSet = true
-	}
-}
+// jobCheckpointKeep is how many of its newest snapshots a job's checkpoint
+// directory retains under WithJobCheckpoints.
+const jobCheckpointKeep = 3
 
 // buildOptions applies opts over defaults and validates the result.
 func buildOptions(opts []Option) (options, error) {
 	o := options{ckptEvery: 10, backoff: 100 * time.Millisecond}
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if !o.ckptKeepSet {
-		o.ckptKeep = 3
 	}
 	if o.workers < 0 {
 		return o, fmt.Errorf("sched: worker count %d must be non-negative", o.workers)
@@ -420,9 +410,6 @@ func buildOptions(opts []Option) (options, error) {
 	}
 	if o.ckptEvery < 1 {
 		return o, fmt.Errorf("sched: checkpoint cadence %d must be ≥ 1 step", o.ckptEvery)
-	}
-	if o.ckptKeep < 0 {
-		return o, fmt.Errorf("sched: checkpoint retention %d must be non-negative", o.ckptKeep)
 	}
 	if o.budgetSet && o.budget < 0 {
 		return o, fmt.Errorf("sched: core budget %d must be non-negative (0 selects GOMAXPROCS)", o.budget)
@@ -584,9 +571,7 @@ func attemptJob(ctx context.Context, o *options, budget *CoreBudget, job Job, de
 	}
 	if o.ckptDir != "" {
 		opts = append(opts, runner.WithCheckpoint(JobCheckpointDir(o.ckptDir, job.Tenant, job.Name), o.ckptEvery))
-		if o.ckptKeep > 0 {
-			opts = append(opts, runner.WithCheckpointKeep(o.ckptKeep))
-		}
+		opts = append(opts, runner.WithCheckpointKeep(jobCheckpointKeep))
 	}
 	if !deadline.IsZero() {
 		remaining := time.Until(deadline)

@@ -704,7 +704,4 @@ func TestStreamOptionValidation(t *testing.T) {
 	if _, err := NewStream(context.Background(), WithJobCheckpointEvery(0)); err == nil {
 		t.Fatal("zero checkpoint cadence accepted")
 	}
-	if _, err := NewStream(context.Background(), WithJobCheckpointKeep(-1)); err == nil {
-		t.Fatal("negative retention accepted")
-	}
 }

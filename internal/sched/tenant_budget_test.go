@@ -117,8 +117,8 @@ func TestCoreBudgetTenantReleaseRebalances(t *testing.T) {
 
 func TestCoreBudgetUntaggedClaimMatchesLegacy(t *testing.T) {
 	// Zero-valued Claims must reproduce the single-level arithmetic
-	// exactly: same division TestCoreBudgetPriorityRemainder proves for
-	// AcquireBounded.
+	// exactly: the division TestCoreBudgetPriorityRemainder proves for
+	// priority-only claims.
 	b := NewCoreBudget(7)
 	leases := acquireClaims(t, b, []Claim{
 		{}, {Priority: 5}, {},

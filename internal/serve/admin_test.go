@@ -146,10 +146,21 @@ func TestAdminReloadGuards(t *testing.T) {
 	if _, err := srv.ReloadKeys(); err == nil {
 		t.Fatal("ReloadKeys accepted an invalid file")
 	}
+	// A null entry is rejected the same way — not a nil dereference in the
+	// signal loop that would take the daemon down with every running job.
+	if err := os.WriteFile(keysPath, []byte(`{"tenants": [null]}`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.ReloadKeys(); err == nil {
+		t.Fatal("ReloadKeys accepted a null tenant entry")
+	}
+	if code, _, _ = authJSON(t, http.MethodGet, ts.URL+"/v1/jobs", "alice-key", ""); code != http.StatusOK {
+		t.Fatalf("old registry not live after null-entry reload: %d", code)
+	}
 
 	metrics := scrapeMetrics(t, ts.URL)
 	for _, want := range []string{
-		"vlasovd_key_reload_failures_total 2",
+		"vlasovd_key_reload_failures_total 3",
 		`vlasovd_admission_total{tenant="alice",outcome="403"} 1`,
 	} {
 		if !strings.Contains(metrics, want) {
@@ -160,17 +171,18 @@ func TestAdminReloadGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var saw403, sawFailed bool
+	var saw403 bool
+	failed := 0
 	for _, r := range recs {
 		if r.Outcome == "403" && r.Tenant == "alice" {
 			saw403 = true
 		}
 		if r.Outcome == "reload_failed" {
-			sawFailed = true
+			failed++
 		}
 	}
-	if !saw403 || !sawFailed {
-		t.Fatalf("audit log missing records (403=%v reload_failed=%v): %+v", saw403, sawFailed, recs)
+	if !saw403 || failed != 3 {
+		t.Fatalf("audit log records: 403=%v, %d reload_failed (want 3): %+v", saw403, failed, recs)
 	}
 }
 

@@ -33,17 +33,12 @@ type eventRing struct {
 	next  int64 // next sequence number to assign
 }
 
-// newEventRing returns a ring retaining up to capacity events (minimum 1:
-// the terminal event must always be retainable).
-func newEventRing(capacity int) *eventRing {
-	return newEventRingFrom(capacity, 1)
-}
-
-// newEventRingFrom returns a ring whose first event will carry sequence
-// number next — how a restarted daemon continues a job's numbering after
-// the journaled reservation instead of resetting to 1. Everything before
-// next is treated as evicted: a resuming client with an older cursor gets
-// a gap, not a reset.
+// newEventRingFrom returns a ring retaining up to capacity events (minimum
+// 1: the terminal event must always be retainable) whose first event will
+// carry sequence number next — 1 for a new job; a restarted daemon passes
+// the end of the journaled reservation to continue a job's numbering
+// instead of resetting to 1. Everything before next is treated as evicted:
+// a resuming client with an older cursor gets a gap, not a reset.
 func newEventRingFrom(capacity int, next int64) *eventRing {
 	if capacity < 1 {
 		capacity = 1

@@ -10,7 +10,7 @@ import (
 // monotonic sequences from 1, oldest-first eviction, and a since() that
 // reports exactly how many events fell off the tail.
 func TestRingSequenceAndEviction(t *testing.T) {
-	r := newEventRing(4)
+	r := newEventRingFrom(4, 1)
 	if got, missed := r.since(0); got != nil || missed != 0 {
 		t.Fatalf("empty ring since(0) = %v, %d", got, missed)
 	}
@@ -47,7 +47,7 @@ func TestRingSequenceAndEviction(t *testing.T) {
 }
 
 func TestRingTrimTo(t *testing.T) {
-	r := newEventRing(8)
+	r := newEventRingFrom(8, 1)
 	for i := 1; i <= 8; i++ {
 		r.append("diag", nil)
 	}

@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // auditName is the audit log file inside the store directory.
@@ -49,9 +48,6 @@ type AuditRecord struct {
 	// JobID is the admitted job's persistent id (accepts only).
 	JobID int `json:"job_id,omitempty"`
 }
-
-// At converts the wire timestamp.
-func (r AuditRecord) At() time.Time { return time.Unix(0, r.UnixNano) }
 
 // Audit is an open audit log. All methods are safe for concurrent use.
 type Audit struct {

@@ -228,9 +228,6 @@ func (s *Store) Size() int64 {
 	return s.log.size
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.log.dir }
-
 // apply folds one record into the in-memory state: on replay, and again
 // for every record journalLocked appends.
 func (s *Store) apply(rec record) {

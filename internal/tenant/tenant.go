@@ -138,8 +138,8 @@ func Load(path string) (*Registry, error) {
 	return r, nil
 }
 
-// Parse decodes a key file. Duplicate names or keys, empty names or keys,
-// and negative quotas are errors — the key file is the service's trust
+// Parse decodes a key file. Null entries, duplicate names or keys, empty
+// names or keys, and negative quotas are errors — the key file is the service's trust
 // anchor and typos in it must fail loudly at startup.
 func Parse(r io.Reader) (*Registry, error) {
 	var doc struct {
@@ -157,6 +157,9 @@ func Parse(r io.Reader) (*Registry, error) {
 	names := make(map[string]bool, len(doc.Tenants))
 	keys := make(map[[sha256.Size]byte]bool, len(doc.Tenants))
 	for i, t := range doc.Tenants {
+		if t == nil {
+			return nil, fmt.Errorf("tenant %d: null entry", i)
+		}
 		if t.Name == "" {
 			return nil, fmt.Errorf("tenant %d: empty name", i)
 		}

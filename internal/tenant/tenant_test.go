@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -39,6 +40,8 @@ func TestParseKeyFile(t *testing.T) {
 func TestParseRejectsBadFiles(t *testing.T) {
 	for name, doc := range map[string]string{
 		"empty set":        `{"tenants": []}`,
+		"null entry":       `{"tenants": [null]}`,
+		"null after valid": `{"tenants": [{"name": "a", "key": "k1"}, null]}`,
 		"empty name":       `{"tenants": [{"name": "", "key": "k1"}]}`,
 		"empty key":        `{"tenants": [{"name": "a", "key": ""}]}`,
 		"dup name":         `{"tenants": [{"name": "a", "key": "k1"}, {"name": "a", "key": "k2"}]}`,
@@ -184,4 +187,46 @@ func TestContextRoundTrip(t *testing.T) {
 	if _, ok := FromContext(context.Background()); ok {
 		t.Fatal("empty context produced a tenant")
 	}
+}
+
+// FuzzKeyFile feeds arbitrary bytes to Parse, the decoder of the file a
+// SIGHUP or POST /v1/admin/reload makes the daemon read: it must never
+// panic, and any registry it returns must resolve every tenant by its key
+// and by its name, hold no negative quota, and give every rate limit a
+// bucket of at least one token.
+func FuzzKeyFile(f *testing.F) {
+	for _, seed := range []string{
+		keyFile,
+		`{"tenants": [{"name": "ops", "key": "an-admin-string", "admin": true},
+		 {"name": "alice", "key": "a-long-random-string", "max_queued": 16, "max_cores": 4,
+		  "rate_per_sec": 2, "burst": 4, "max_storage_bytes": 1073741824},
+		 {"name": "bob", "key": "another-long-random-string"}]}`,
+		`{"tenants": [null]}`,
+		`{"tenants": []}`,
+		`{"tenants": [{"name": "a", "key": "k1"}, {"name": "a", "key": "k2"}]}`,
+		`{"tenants": [{"name": "a", "key": "k"}, {"name": "b", "key": "k"}]}`,
+		`{"tenants": [{"name": "a", "key": "k", "rate_per_sec": 1e-300}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reg, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, tn := range reg.Tenants() {
+			if got, ok := reg.Lookup(tn.Key); !ok || got != tn {
+				t.Fatalf("Lookup(%q) = %v, %v; want tenant %q", tn.Key, got, ok, tn.Name)
+			}
+			if got, ok := reg.ByName(tn.Name); !ok || got != tn {
+				t.Fatalf("ByName(%q) = %v, %v", tn.Name, got, ok)
+			}
+			if tn.MaxQueued < 0 || tn.MaxCores < 0 || tn.RatePerSec < 0 || tn.Burst < 0 || tn.MaxStorageBytes < 0 {
+				t.Fatalf("tenant %q: negative quota %+v", tn.Name, tn)
+			}
+			if tn.RatePerSec > 0 && tn.Burst < 1 {
+				t.Fatalf("tenant %q: rate %v with burst %d", tn.Name, tn.RatePerSec, tn.Burst)
+			}
+		}
+	})
 }

@@ -42,8 +42,6 @@ const (
 	UnitVelocityCMS = KmCM
 	// UnitMassG is the internal mass unit (10¹⁰ M_sun) in g (for h=1).
 	UnitMassG = 1e10 * MSunG
-	// UnitTimeS is the internal time unit in seconds: length/velocity.
-	UnitTimeS = UnitLengthCM / UnitVelocityCMS
 )
 
 // G is Newton's constant in internal units:
@@ -88,6 +86,3 @@ func OmegaNuFromMass(sumMNuEV, h float64) float64 {
 func FermiDirac(y float64) float64 {
 	return 1 / (math.Exp(y) + 1)
 }
-
-// FermiDiracNorm is ∫₀^∞ y² /(e^y+1) dy = 3ζ(3)/2 ≈ 1.803085.
-const FermiDiracNorm = 1.8030853547393952

@@ -127,38 +127,6 @@ func (s *Solver) Grid() *phase.Grid { return s.g }
 // SetWorkers pins the worker count (tests use 1 for determinism).
 func (s *Solver) SetWorkers(n int) { s.pool.SetWorkers(n) }
 
-// SchemeName reports the position-drift scheme in use.
-func (s *Solver) SchemeName() string { return s.proto.Name() }
-
-// CFLNumbers returns the maximum position-space and velocity-space CFL
-// numbers for time step dt at scale factor a with acceleration fields acc
-// (three arrays over spatial cells). The velocity number is that of a half
-// kick, dt/2; a driver that fuses the closing half kick of one step with the
-// opening one of the next (package hybrid) applies up to twice it.
-func (s *Solver) CFLNumbers(dt, a float64, acc [3][]float64) (cx, cu float64) {
-	g := s.g
-	uMax := g.UMax
-	for d := 0; d < 3; d++ {
-		c := uMax * dt / (a * a * g.DX(d))
-		if c > cx {
-			cx = c
-		}
-		if acc[d] == nil {
-			continue
-		}
-		aMax := 0.0
-		for _, v := range acc[d] {
-			if av := math.Abs(v); av > aMax {
-				aMax = av
-			}
-		}
-		if c := aMax * dt / (2 * g.DU(d)); c > cu {
-			cu = c
-		}
-	}
-	return cx, cu
-}
-
 // SuggestDT returns a time step that keeps the position-space CFL at
 // cflX (the semi-Lagrangian scheme has no stability limit, but accuracy and
 // the ghost-exchange width favour CFL ≲ 1) and the velocity-space half-kick

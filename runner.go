@@ -33,8 +33,8 @@
 //
 // Orthogonally, WithAsyncObserver (internal/runner) moves diagnostics
 // delivery and checkpoint I/O off the hot step loop onto a buffered
-// pipeline with a selectable back-pressure policy, so the solver never
-// blocks on a slow observer or a disk write.
+// pipeline, so the solver waits on a slow observer or a disk write only
+// once the buffer is full.
 package vlasov6d
 
 import (
@@ -62,9 +62,6 @@ type RunReport = runner.Report
 
 // RunOption configures a Run call.
 type RunOption = runner.Option
-
-// StopReason records why a run stopped without error.
-type StopReason = runner.StopReason
 
 // The stop reasons a RunReport can carry.
 const (
@@ -117,35 +114,6 @@ func WithCheckpointKeep(n int) RunOption { return runner.WithCheckpointKeep(n) }
 // clamped at the target).
 func WithFixedDT(dt float64) RunOption { return runner.WithFixedDT(dt) }
 
-// WorkerBudgeted is implemented by solvers whose intra-step parallelism can
-// be resized between steps (*Simulation and *PlasmaSolver both do; the
-// worker count never changes the computed physics, only wall-clock).
-type WorkerBudgeted = runner.WorkerBudgeted
-
-// WorkerLease supplies a run's current share of a CoreBudget; the runner
-// polls it between steps (see WithWorkerBudget).
-type WorkerLease = runner.WorkerLease
-
-// CoreBudget divides a fixed number of CPU cores among live jobs: integer
-// shares, floor one, remainder to higher-priority (then earlier) jobs,
-// rebalanced as jobs come and go. The scheduler layers create one
-// internally under WithBatchCoreBudget; NewCoreBudget is the standalone
-// form for composing parallel work by hand (see examples/distributed).
-type CoreBudget = sched.CoreBudget
-
-// CoreLease is one live job's share of a CoreBudget; it implements
-// WorkerLease.
-type CoreLease = sched.Lease
-
-// NewCoreBudget builds a core budget over total cores (0 = GOMAXPROCS).
-func NewCoreBudget(total int) *CoreBudget { return sched.NewCoreBudget(total) }
-
-// WithWorkerBudget ties a Run call's intra-step parallelism to a core
-// lease: the runner polls lease.Workers() between steps and applies changed
-// shares to solvers implementing WorkerBudgeted, so a mid-run rebalance is
-// observed by a running job at its next step boundary.
-func WithWorkerBudget(lease WorkerLease) RunOption { return runner.WithWorkerBudget(lease) }
-
 // AsyncRunObserver is the off-thread diagnostics callback of
 // WithAsyncObserver: it receives a value snapshot of the solver's
 // Diagnostics, never the live solver, so it can run concurrently with the
@@ -154,17 +122,6 @@ type AsyncRunObserver = runner.AsyncObserver
 
 // AsyncOption tunes the async observer pipeline.
 type AsyncOption = runner.AsyncOption
-
-// Backpressure selects what a full async pipeline does to the step loop:
-// BackpressureBlock (lossless) or BackpressureDropOldest (lossy for
-// observations, never for checkpoints).
-type Backpressure = runner.Backpressure
-
-// The back-pressure policies of the async observer pipeline.
-const (
-	BackpressureBlock      = runner.Block
-	BackpressureDropOldest = runner.DropOldest
-)
 
 // WithAsyncObserver delivers per-step diagnostics (and, for solvers that
 // support state capture, checkpoint I/O) through a buffered pipeline off
@@ -176,14 +133,6 @@ func WithAsyncObserver(obs AsyncRunObserver, opts ...AsyncOption) RunOption {
 // WithAsyncBuffer sets the pipeline queue capacity (default
 // runner.DefaultAsyncBuffer).
 func WithAsyncBuffer(n int) AsyncOption { return runner.WithAsyncBuffer(n) }
-
-// WithBackpressure selects the full-queue policy (default
-// BackpressureBlock).
-func WithBackpressure(p Backpressure) AsyncOption { return runner.WithBackpressure(p) }
-
-// LatestCheckpoint returns the newest checkpoint file in dir (checkpoint
-// names embed a fixed-width clock, so lexicographic order is clock order).
-func LatestCheckpoint(dir string) (string, error) { return runner.LatestCheckpoint(dir) }
 
 // ResumeLatest reads the newest checkpoint in dir and returns the snapshot
 // together with the file it came from; rebuild the simulation with
@@ -216,9 +165,6 @@ type BatchResult = sched.Result
 
 // BatchUpdate is one job status transition, delivered to WithBatchNotify.
 type BatchUpdate = sched.Update
-
-// JobStatus is the lifecycle state of a batch job.
-type JobStatus = sched.Status
 
 // The batch job states.
 const (
@@ -256,12 +202,9 @@ func WithBatchWallClock(budget time.Duration) BatchOption { return sched.WithWal
 func WithBatchNotify(fn func(BatchUpdate)) BatchOption { return sched.WithNotify(fn) }
 
 // WithBatchRetries allows each job up to n extra attempts after a failure
-// classified transient by IsRetryable (default 0: fail fast).
+// marked transient (runner.MarkRetryable; default 0: fail fast), the first
+// after 100 ms and each further one after twice the last delay.
 func WithBatchRetries(n int) BatchOption { return sched.WithRetries(n) }
-
-// WithBatchRetryBackoff sets the delay before a job's first retry (default
-// 100 ms; doubling per further retry, cancellable).
-func WithBatchRetryBackoff(d time.Duration) BatchOption { return sched.WithRetryBackoff(d) }
 
 // WithBatchCoreBudget hands the scheduler ownership of
 // intra-step parallelism: total cores (0 = GOMAXPROCS) are divided among
@@ -272,40 +215,26 @@ func WithBatchRetryBackoff(d time.Duration) BatchOption { return sched.WithRetry
 func WithBatchCoreBudget(total int) BatchOption { return sched.WithCoreBudget(total) }
 
 // WithJobCheckpoints gives every job a private checkpoint directory under
-// dir keyed by its sanitised (tenant and) name and wires checkpoint cadence + retention
-// into each run; jobs with a Restore hook auto-resume from their newest
-// snapshot. See the package comment for the full contract.
+// dir keyed by its sanitised (tenant and) name and wires checkpoint cadence
+// and retention (the newest 3 snapshots) into each run; jobs with a Restore
+// hook auto-resume from their newest snapshot. See the package comment for
+// the full contract.
 func WithJobCheckpoints(dir string) BatchOption { return sched.WithJobCheckpoints(dir) }
 
 // WithJobCheckpointEvery sets the per-job checkpoint cadence in steps used
 // by WithJobCheckpoints (default 10).
 func WithJobCheckpointEvery(n int) BatchOption { return sched.WithJobCheckpointEvery(n) }
 
-// WithJobCheckpointKeep sets the per-job checkpoint retention used by
-// WithJobCheckpoints (default 3; 0 keeps everything).
-func WithJobCheckpointKeep(n int) BatchOption { return sched.WithJobCheckpointKeep(n) }
-
 // Stream is the long-lived, channel-fed scheduler: Submit jobs while
 // earlier ones run, dispatched by priority with retries and checkpoint
 // resume; see internal/sched for the full contract.
 type Stream = sched.Stream
-
-// ErrStreamClosed is returned by Stream.Submit after Close.
-var ErrStreamClosed = sched.ErrStreamClosed
 
 // NewStream starts a stream scheduler on a worker pool (default GOMAXPROCS
 // workers); Close it to drain, or cancel ctx to stop.
 func NewStream(ctx context.Context, opts ...BatchOption) (*Stream, error) {
 	return sched.NewStream(ctx, opts...)
 }
-
-// MarkRetryable marks err transient so the scheduler's retry policy will
-// re-run the failing job (see WithBatchRetries).
-func MarkRetryable(err error) error { return runner.MarkRetryable(err) }
-
-// IsRetryable reports whether err is marked transient (MarkRetryable, or
-// any error implementing `Retryable() bool`); cancellation never is.
-func IsRetryable(err error) bool { return runner.IsRetryable(err) }
 
 // Compile-time checks: every advertised workload drives through Run, and
 // both the hybrid simulation and the plasma solver support the full
@@ -325,5 +254,4 @@ var (
 	_ runner.WorkerBudgeted     = (*PlasmaSolver)(nil)
 	_ runner.Synchronizer       = (*Simulation)(nil)
 	_ runner.Synchronizer       = (*PlasmaSolver)(nil)
-	_ runner.WorkerLease        = (*CoreLease)(nil)
 )

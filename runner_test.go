@@ -211,7 +211,8 @@ func TestRunPlasmaLandau(t *testing.T) {
 func TestRunNBodyControl(t *testing.T) {
 	cfg := runnerTestConfig()
 	cfg.NPartSide = 12
-	sim, err := NewSimulation(cfg, 0.1, WithoutNeutrinos(), WithoutTree())
+	cfg.NoTree = true
+	sim, err := NewSimulation(cfg, 0.1, WithoutNeutrinos())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,9 +333,9 @@ func TestNewSimulationValidatesConfig(t *testing.T) {
 		"zero box":            func(c *Config) { c.Box = 0 },
 		"zero NGrid":          func(c *Config) { c.NGrid = 0 },
 		"negative NU":         func(c *Config) { c.NU = -6 },
-		"bad PM mesh":         WithPMMesh(7), // not a multiple of NGrid = 6
-		"negative CFL":        WithCFL(-0.4, 0.4),
-		"negative tree theta": WithTreeOpening(-1),
+		"bad PM mesh":         func(c *Config) { c.PMMesh = 7 }, // not a multiple of NGrid = 6
+		"negative CFL":        func(c *Config) { c.CFLX = -0.4 },
+		"negative tree theta": func(c *Config) { c.Theta = -1 },
 	} {
 		if _, err := NewSimulation(runnerTestConfig(), 0.1, opt); err == nil {
 			t.Errorf("%s accepted", name)
