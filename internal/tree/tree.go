@@ -16,9 +16,16 @@
 //
 // The inner force loop follows the Phantom-GRAPE design the paper ported to
 // SVE: one tree walk per group of nearby targets produces a flat interaction
-// list, and a branch-free batched kernel with a tabulated force profile
-// streams it once per target; the scalar erfc-per-pair kernel is retained as
-// the "w/o SIMD" baseline for the ablation benchmarks.
+// list, and a branch-free kernel with a tabulated force profile streams it
+// past an i-block of four targets held in the lanes of AVX2 registers
+// (kernel_amd64.s), each source loaded once per block. Every lane performs
+// the Go kernel's operations in the Go kernel's order, without FMA, so the
+// accelerations are kernelBatched's to the bit. The block runs where the CPU
+// has AVX2 and the softening keeps every pair inside the table (Soft ≥
+// RSplit/64, which production's RSplit/25 satisfies); elsewhere, and for
+// Accel, kernelBatched streams the list once per target. The erfc-per-pair
+// kernelScalar is the exact reference for DirectShortRange and the "w/o
+// SIMD" row of the kernel ablation.
 package tree
 
 import (
@@ -43,16 +50,9 @@ type Options struct {
 	RSplit float64
 	// Soft is the Plummer softening length (h⁻¹Mpc).
 	Soft float64
-	// LeafSize caps particles per leaf (default 8).
-	LeafSize int
-	// Scalar switches to the erfc-per-pair kernel (the w/o-SIMD baseline).
-	Scalar bool
 }
 
-func (o *Options) setDefaults() error {
-	if o.LeafSize <= 0 {
-		o.LeafSize = 8
-	}
+func (o *Options) validate() error {
 	if o.RSplit <= 0 {
 		return fmt.Errorf("tree: RSplit must be positive")
 	}
@@ -76,6 +76,9 @@ type node struct {
 	leaf     bool
 	lo, hi   int32 // particle range [lo,hi) in tree order
 }
+
+// leafSize caps the particles of one leaf.
+const leafSize = 8
 
 // groupSize caps the particles of one target group: AccelAll walks the tree
 // once per group and every member streams the shared interaction list. A
@@ -107,6 +110,10 @@ type Tree struct {
 	groups []int32
 	rcut   float64
 	gtab   *gTable
+	// vector routes AccelAll through the AVX2 block kernel: the CPU has it
+	// and the softening keeps every pair inside the force table
+	// (Soft ≥ RSplit/64).
+	vector bool
 	// workers pins the AccelAll parallelism (0 = GOMAXPROCS at call time,
 	// the historical default). Set through SetWorkers so a scheduler-owned
 	// core budget can see — and bound — the walk's goroutines.
@@ -128,7 +135,7 @@ func (t *Tree) SetWorkers(n int) {
 
 // Build constructs an octree over the particles.
 func Build(p *nbody.Particles, opt Options) (*Tree, error) {
-	if err := opt.setDefaults(); err != nil {
+	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	if p.Box[0] != p.Box[1] || p.Box[1] != p.Box[2] {
@@ -147,6 +154,10 @@ func Build(p *nbody.Particles, opt Options) (*Tree, error) {
 	if t.rcut > p.Box[0]/2 {
 		return nil, fmt.Errorf("tree: cutoff %v exceeds half box %v", t.rcut, p.Box[0]/2)
 	}
+	// The vector kernel needs every s = (r² + e2)/r_s² inside the table:
+	// e2/r_s² ≥ 2^gTabMinExp bounds s from below, rounding included.
+	e2, invRs2 := opt.Soft*opt.Soft, 1/(opt.RSplit*opt.RSplit)
+	t.vector = haveAVX2 && e2*invRs2 >= math.Ldexp(1, gTabMinExp)
 	t.Rebuild()
 	return t, nil
 }
@@ -189,7 +200,7 @@ func (t *Tree) build(ni int32, lo, hi int32, depth int, grouped bool) {
 	for c := range n.children {
 		n.children[c] = -1
 	}
-	n.leaf = hi-lo <= int32(t.opt.LeafSize) || depth >= maxDepth
+	n.leaf = hi-lo <= leafSize || depth >= maxDepth
 	if !grouped && (n.leaf || hi-lo <= groupSize) {
 		t.groups = append(t.groups, ni)
 		grouped = true
@@ -402,9 +413,6 @@ func (t *Tree) accel(w *walker, x, y, z float64) [3]float64 {
 		}
 		list = &w.apart
 	}
-	if t.opt.Scalar {
-		return kernelScalar(list, x, y, z, t.opt.Soft, t.opt.RSplit)
-	}
 	return kernelBatched(list, x, y, z, t.opt.Soft, t.opt.RSplit, t.gtab)
 }
 
@@ -418,24 +426,79 @@ func (t *Tree) Accel(pos [3]float64) [3]float64 {
 	return t.accel(&w, pos[0], pos[1], pos[2])
 }
 
+// groupBox returns the centre and half-widths of the bounding box of the
+// particles [lo,hi) in tree order.
+func (t *Tree) groupBox(lo, hi int32) (c, h [3]float64) {
+	for k, coord := range [3][]float64{t.px, t.py, t.pz} {
+		mn, mx := coord[lo], coord[lo]
+		for _, v := range coord[lo+1 : hi] {
+			mn, mx = min(mn, v), max(mx, v)
+		}
+		c[k], h[k] = (mn+mx)/2, (mx-mn)/2
+	}
+	return c, h
+}
+
 // accelGroups evaluates target groups [glo,ghi): one gather about the
-// bounding box of a group's particles, then every member in tree order.
+// bounding box of a group's particles, then every member in tree order,
+// four at a time through the vector kernel when the tree allows it.
 func (t *Tree) accelGroups(w *walker, glo, ghi int, acc [3][]float64) {
 	for _, ni := range t.groups[glo:ghi] {
 		lo, hi := t.nodes[ni].lo, t.nodes[ni].hi
-		var c, h [3]float64
-		for k, coord := range [3][]float64{t.px, t.py, t.pz} {
-			mn, mx := coord[lo], coord[lo]
-			for _, v := range coord[lo+1 : hi] {
-				mn, mx = min(mn, v), max(mx, v)
-			}
-			c[k], h[k] = (mn+mx)/2, (mx-mn)/2
-		}
+		c, h := t.groupBox(lo, hi)
 		t.gather(w, c, h)
+		if t.vector {
+			t.accelBlocks(w, lo, hi, acc)
+			continue
+		}
 		for i := lo; i < hi; i++ {
 			a := t.accel(w, t.px[i], t.py[i], t.pz[i])
 			j := t.perm[i]
 			acc[0][j], acc[1][j], acc[2][j] = a[0], a[1], a[2]
+		}
+	}
+}
+
+// block is the vector kernel's frame: four targets, one per lane, the
+// kernel's constants broadcast to the lanes, and the four sums it returns.
+// kernel_amd64.s reads it by offset.
+type block struct {
+	x, y, z    [4]float64
+	e2, invRs2 [4]float64
+	base, cut  [4]int64 // gTabBase, gTabCut
+	ax, ay, az [4]float64
+}
+
+// newBlock returns the frame of a softening and split scale: e2 and invRs2
+// as kernelBatched computes them, and the table constants.
+func newBlock(soft, rs float64) block {
+	e2, invRs2 := soft*soft, 1/(rs*rs)
+	return block{
+		e2:     [4]float64{e2, e2, e2, e2},
+		invRs2: [4]float64{invRs2, invRs2, invRs2, invRs2},
+		base:   [4]int64{gTabBase, gTabBase, gTabBase, gTabBase},
+		cut:    [4]int64{gTabCut, gTabCut, gTabCut, gTabCut},
+	}
+}
+
+// accelBlocks evaluates w.list on the targets [lo,hi) in blocks of four
+// through kernelBlock. A last block of one to three targets fills its spare
+// lanes with its last target and drops their sums. Each lane is one
+// kernelBatched call, operation for operation, so the accelerations are
+// the Go kernel's to the bit.
+func (t *Tree) accelBlocks(w *walker, lo, hi int32, acc [3][]float64) {
+	b := newBlock(t.opt.Soft, t.opt.RSplit)
+	norm := units.G / (t.opt.RSplit * t.opt.RSplit * t.opt.RSplit)
+	src, tab := &w.list, &t.gtab.tab[0]
+	for i := lo; i < hi; i += 4 {
+		for l := range int32(4) {
+			k := min(i+l, hi-1)
+			b.x[l], b.y[l], b.z[l] = t.px[k], t.py[k], t.pz[k]
+		}
+		kernelBlock(src.x, src.y, src.z, src.m, tab, &b)
+		for l := range min(4, hi-i) {
+			j := t.perm[i+l]
+			acc[0][j], acc[1][j], acc[2][j] = norm*b.ax[l], norm*b.ay[l], norm*b.az[l]
 		}
 	}
 }

@@ -137,23 +137,40 @@ func TestTreeMonopoleAccuracy(t *testing.T) {
 	}
 }
 
+// scalarAccel is Accel through the erfc-per-pair kernel: the same walk for
+// the point, summed by kernelScalar. Softened trees only (no self pair).
+func scalarAccel(tr *Tree, pos [3]float64) [3]float64 {
+	var w walker
+	tr.gather(&w, pos, [3]float64{})
+	return kernelScalar(&w.list, pos[0], pos[1], pos[2], tr.opt.Soft, tr.opt.RSplit)
+}
+
+// scalarAccelAll is AccelAll through the erfc-per-pair kernel: the same
+// group walk, each member summed by kernelScalar. Softened trees only.
+func scalarAccelAll(tr *Tree, acc [3][]float64) {
+	var w walker
+	for _, ni := range tr.groups {
+		lo, hi := tr.nodes[ni].lo, tr.nodes[ni].hi
+		c, h := tr.groupBox(lo, hi)
+		tr.gather(&w, c, h)
+		for i := lo; i < hi; i++ {
+			a := kernelScalar(&w.list, tr.px[i], tr.py[i], tr.pz[i], tr.opt.Soft, tr.opt.RSplit)
+			j := tr.perm[i]
+			acc[0][j], acc[1][j], acc[2][j] = a[0], a[1], a[2]
+		}
+	}
+}
+
 func TestScalarAndBatchedKernelsAgree(t *testing.T) {
 	p := randomParticles(t, 200, 100, 9)
-	optS := Options{Theta: 0.5, RSplit: 5, Soft: 0.1, Scalar: true}
-	optB := optS
-	optB.Scalar = false
-	trS, err := Build(p, optS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trB, err := Build(p, optB)
+	tr, err := Build(p, Options{Theta: 0.5, RSplit: 5, Soft: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
 		pos := [3]float64{p.Pos[0][i], p.Pos[1][i], p.Pos[2][i]}
-		a := trS.Accel(pos)
-		b := trB.Accel(pos)
+		a := scalarAccel(tr, pos)
+		b := tr.Accel(pos)
 		norm := math.Abs(a[0]) + math.Abs(a[1]) + math.Abs(a[2]) + 1e-12
 		for d := 0; d < 3; d++ {
 			if math.Abs(a[d]-b[d])/norm > 1e-3 {
@@ -391,11 +408,11 @@ func TestCutoffCullOffCentreCell(t *testing.T) {
 		t.Fatalf("reproducer lost its in-range neighbour: direct force %v", want)
 	}
 	for _, theta := range []float64{0, 0.5} {
-		tr, err := Build(p, Options{Theta: theta, RSplit: rs, Soft: soft, Scalar: true})
+		tr, err := Build(p, Options{Theta: theta, RSplit: rs, Soft: soft})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := tr.Accel(pts[target])
+		got := scalarAccel(tr, pts[target])
 		for d := 0; d < 3; d++ {
 			if math.Abs(got[d]-want[d]) > 1e-9*want[d] {
 				t.Fatalf("θ=%v: Accel %v, direct %v", theta, got, want)
@@ -435,12 +452,14 @@ func TestGroupWalkMatchesDirect(t *testing.T) {
 		for d := range acc {
 			acc[d] = make([]float64, p.N)
 		}
-		relErrs := func(opt Options) []float64 {
+		relErrs := func(opt Options, scalar bool) []float64 {
 			tr, err := Build(p, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.AccelAll(acc); err != nil {
+			if scalar {
+				scalarAccelAll(tr, acc)
+			} else if err := tr.AccelAll(acc); err != nil {
 				t.Fatal(err)
 			}
 			var errs []float64
@@ -458,11 +477,11 @@ func TestGroupWalkMatchesDirect(t *testing.T) {
 			sort.Float64s(errs)
 			return errs
 		}
-		exact := relErrs(Options{Theta: 0, RSplit: rs, Soft: soft, Scalar: true})
+		exact := relErrs(Options{Theta: 0, RSplit: rs, Soft: soft}, true)
 		if worst := exact[len(exact)-1]; worst > 1e-12 {
 			t.Errorf("%s: θ=0 scalar group walk off direct summation by %.3g", name, worst)
 		}
-		batched := relErrs(Options{Theta: 0.5, RSplit: rs, Soft: soft})
+		batched := relErrs(Options{Theta: 0.5, RSplit: rs, Soft: soft}, false)
 		if med := batched[len(batched)/2]; med > 1e-5 {
 			t.Errorf("%s: θ=0.5 batched median relative error %.3g > 1e-5", name, med)
 		}
