@@ -53,8 +53,9 @@ func (g *Grid) SetWorkers(n int) {
 	g.workers = n
 }
 
-// New allocates a phase-space grid. All extents must be positive and the
-// velocity extents at least 6 (the SL-MPP5 stencil width).
+// New allocates a phase-space grid. All extents must be positive, the
+// velocity extents at least 6 (the SL-MPP5 stencil width), and their product
+// (the cell count) must fit in an int.
 func New(nx, ny, nz int, nu [3]int, box [3]float64, umax float64) (*Grid, error) {
 	if nx < 1 || ny < 1 || nz < 1 {
 		return nil, fmt.Errorf("phase: invalid spatial extents %d×%d×%d", nx, ny, nz)
@@ -72,11 +73,16 @@ func New(nx, ny, nz int, nu [3]int, box [3]float64, umax float64) (*Grid, error)
 	if umax <= 0 {
 		return nil, fmt.Errorf("phase: invalid UMax %v", umax)
 	}
-	ncell := nx * ny * nz
-	ncube := nu[0] * nu[1] * nu[2]
+	n := 1
+	for _, e := range [6]int{nx, ny, nz, nu[0], nu[1], nu[2]} {
+		if n > math.MaxInt/e {
+			return nil, fmt.Errorf("phase: %d×%d×%d × %v cells overflow int", nx, ny, nz, nu)
+		}
+		n *= e
+	}
 	return &Grid{
 		NX: nx, NY: ny, NZ: nz, NU: nu, Box: box, UMax: umax,
-		Data: make([]float32, ncell*ncube),
+		Data: make([]float32, n),
 	}, nil
 }
 

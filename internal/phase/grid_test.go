@@ -30,6 +30,17 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+func TestNewRefusesOverflowingCellCount(t *testing.T) {
+	// 2²¹·2²¹·2²¹·2²¹·8·8 = 2⁹⁰ cells wraps an int to 0: without the guard
+	// New returned a Grid claiming NX = 2²¹ with an empty Data.
+	for _, nu := range [][3]int{{1 << 21, 8, 8}, {math.MaxInt, 6, 6}} {
+		g, err := New(1<<21, 1<<21, 1<<21, nu, [3]float64{1, 1, 1}, 1)
+		if err == nil {
+			t.Fatalf("NU %v: accepted with NX = %d and len(Data) = %d", nu, g.NX, len(g.Data))
+		}
+	}
+}
+
 func TestLayoutAndSizes(t *testing.T) {
 	g := smallGrid(t)
 	if g.NCells() != 60 || g.NCube() != 480 {

@@ -1,21 +1,17 @@
-// Checkpoint I/O for the 1D1V solver, in the same spirit as snapio: a
-// checksummed little-endian binary snapshot of the full phase-space state.
-// With it the plasma validation problems gain the same kill-and-resume
-// contract the 6D hybrid run has had since PR 1 — which is what lets a
-// scheme × resolution sweep (cmd/sweep) survive a restart mid-campaign.
+// Checkpoint I/O for the 1D1V solver: a checksummed snapshot of the full
+// phase-space state, which gives the plasma problems the hybrid run's
+// kill-and-resume contract, so a scheme × resolution sweep (cmd/sweep)
+// survives a restart mid-campaign.
 //
-// Layout: magic "V6DP", scheme-name length + bytes, NX, NV as uint64,
-// L, VMax, Time, CFL as float64 bits, the F array as float64 bits, and a
-// trailing CRC-32 (IEEE) over everything before it.
+// Layout: one snapio section (magic "V6DP", scheme-name length + bytes, NX,
+// NV as uint64, then L, VMax, Time, CFL and the F array as float64 bits)
+// and its CRC word. The decoder's byte budget alone bounds the name and the
+// grid a header may claim.
 package plasma
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 
 	"vlasov6d/internal/snapio"
 )
@@ -66,8 +62,7 @@ func (s *Solver) CaptureCheckpoint() (func(w io.Writer) (int64, error), error) {
 	return func(w io.Writer) (int64, error) { return writeState(w, st) }, nil
 }
 
-// writeState encodes the layout above, which is exactly one snapio section:
-// little-endian words (and the raw name bytes) followed by their CRC word.
+// writeState encodes the layout above.
 func writeState(w io.Writer, st snapState) (int64, error) {
 	e := snapio.NewEncoder(w)
 	e.U64(ckptMagic)
@@ -82,86 +77,38 @@ func writeState(w io.Writer, st snapState) (int64, error) {
 }
 
 // Restore rebuilds a solver from a checkpoint written by Checkpoint (or by
-// the runner's WithCheckpoint cadence), verifying the checksum. The restored
-// solver is ready to Step: the field cache is rebuilt from the restored
-// distribution so SuggestDT and Diagnostics are valid before the first step.
+// the runner's WithCheckpoint cadence), verifying the checksum. r is an
+// *os.File, *bytes.Buffer or *bytes.Reader: its size is the snapio.Decoder's
+// budget, so a header claiming more cells or name bytes than the file holds
+// fails before anything is allocated for them. The restored solver is ready
+// to Step: the field cache is rebuilt from the restored distribution so
+// SuggestDT and Diagnostics are valid before the first step.
 func Restore(r io.Reader) (*Solver, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	sum := crc32.NewIEEE()
-	le := binary.LittleEndian
-	get := func(check bool) (uint64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		if check {
-			sum.Write(b[:])
-		}
-		return le.Uint64(b[:]), nil
-	}
-	getF := func() (float64, error) {
-		v, err := get(true)
-		return math.Float64frombits(v), err
-	}
-
-	magic, err := get(true)
+	d, err := snapio.NewDecoder(r)
 	if err != nil {
-		return nil, fmt.Errorf("plasma: checkpoint header: %w", err)
+		return nil, err
 	}
-	if magic != ckptMagic {
+	magic := d.U64()
+	if d.Err() == nil && magic != ckptMagic {
 		return nil, fmt.Errorf("plasma: bad checkpoint magic %#x", magic)
 	}
-	nameLen, err := get(true)
-	if err != nil {
-		return nil, err
+	name := d.Bytes(d.U64())
+	nx, nv := d.U64(), d.U64()
+	var hdr [4]float64 // L, VMax, Time, CFL
+	d.F64s(hdr[:])
+	if !d.Fits(8, nx, nv) {
+		return nil, fmt.Errorf("plasma: checkpoint: %w", d.Err())
 	}
-	if nameLen > 256 {
-		return nil, fmt.Errorf("plasma: implausible scheme-name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, err
-	}
-	sum.Write(name)
-	nx64, err := get(true)
-	if err != nil {
-		return nil, err
-	}
-	nv64, err := get(true)
-	if err != nil {
-		return nil, err
-	}
-	var l, vmax, tm, cfl float64
-	for _, dst := range []*float64{&l, &vmax, &tm, &cfl} {
-		if *dst, err = getF(); err != nil {
-			return nil, err
-		}
-	}
-	// Bound the dimensions AND their product: a corrupt header must fail
-	// here with an error the caller can quarantine on, never reach a
-	// makeslice panic or an OOM allocation inside NewWithScheme.
-	if nx64 > 1<<24 || nv64 > 1<<24 || nx64*nv64 > 1<<28 {
-		return nil, fmt.Errorf("plasma: implausible grid %dx%d", nx64, nv64)
-	}
-	s, err := NewWithScheme(int(nx64), int(nv64), l, vmax, string(name))
+	s, err := NewWithScheme(int(nx), int(nv), hdr[0], hdr[1], string(name))
 	if err != nil {
 		return nil, fmt.Errorf("plasma: checkpoint rebuild: %w", err)
 	}
-	for i := range s.F {
-		if s.F[i], err = getF(); err != nil {
-			return nil, err
-		}
+	d.F64s(s.F)
+	d.EndSection()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("plasma: checkpoint: %w", err)
 	}
-	want := sum.Sum32()
-	got, err := get(false)
-	if err != nil {
-		return nil, err
-	}
-	if uint32(got) != want {
-		return nil, fmt.Errorf("plasma: checkpoint checksum mismatch")
-	}
-	s.Time = tm
-	s.CFL = cfl
+	s.Time, s.CFL = hdr[2], hdr[3]
 	s.ElectricField()
 	return s, nil
 }

@@ -17,6 +17,7 @@ import (
 
 	"vlasov6d/internal/plasma"
 	"vlasov6d/internal/runner"
+	"vlasov6d/internal/snapio"
 )
 
 // quickJob returns a job that finishes in a handful of trivial steps.
@@ -462,7 +463,9 @@ func TestStreamCorruptNewestSnapshotQuarantined(t *testing.T) {
 	// renamed *.corrupt and the next-newest (valid) snapshot restores. The
 	// runner renames snapshots into place without an fsync, so besides plain
 	// garbage the table holds the two files a power loss can leave under the
-	// newest name: nothing at all, and a valid prefix cut mid-array.
+	// newest name: nothing at all, and a valid prefix cut mid-array. The
+	// last row is a 78-byte header with a valid CRC claiming 2¹⁴ × 2¹⁴
+	// cells, which the restore must refuse before allocating 2 GiB for it.
 	const until = 1.0
 	good, err := plasma.New(32, 64, 4*math.Pi, 6)
 	if err != nil {
@@ -478,10 +481,23 @@ func TestStreamCorruptNewestSnapshotQuarantined(t *testing.T) {
 	if _, err := good.Checkpoint(&valid); err != nil {
 		t.Fatal(err)
 	}
+	var overClaim bytes.Buffer
+	e := snapio.NewEncoder(&overClaim)
+	e.U64(0x56364450) // "V6DP", the plasma checkpoint magic
+	e.U64(6)
+	e.Bytes([]byte("slmpp5"))
+	e.U64(1 << 14)
+	e.U64(1 << 14)
+	e.F64s([]float64{4 * math.Pi, 6, 0, 0.4}) // L, VMax, Time, CFL
+	e.EndSection()
+	if overClaim.Len() != 78 {
+		t.Fatalf("over-claiming header is %d bytes, want 78", overClaim.Len())
+	}
 	for name, newest := range map[string][]byte{
-		"garbage":             []byte("not a checkpoint"),
-		"zero length":         {},
-		"truncated mid-array": valid.Bytes()[:valid.Len()/2],
+		"garbage":              []byte("not a checkpoint"),
+		"zero length":          {},
+		"truncated mid-array":  valid.Bytes()[:valid.Len()/2],
+		"over-claiming header": overClaim.Bytes(),
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -15,16 +15,25 @@
 // writer emits v2 only when the snapshot carries neutrino particles, so
 // Vlasov-mode and pure-N-body snapshots stay byte-identical to v1; the
 // reader accepts both versions.
+//
+// Encoder writes both this format and the plasma solver's checkpoint, and
+// Decoder reads both back, checking each section's CRC word. A Decoder's
+// byte budget is the size its source reports, and every count a header
+// claims (particles, all six grid extents, a name) is checked against it,
+// overflow-checked, before anything is allocated: a hostile header fails
+// with an error instead of an out-of-memory crash. Both formats are pinned
+// byte for byte by TestFilesByteIdenticalToPerValueWriter here and
+// TestCheckpointBytesAreStable in package plasma.
 package snapio
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
+	"math/bits"
 
 	"vlasov6d/internal/nbody"
 	"vlasov6d/internal/phase"
@@ -215,171 +224,206 @@ func Write(w io.Writer, s *Snapshot) (int64, error) {
 	return e.Result()
 }
 
-// Read deserialises a snapshot, verifying every checksum.
-func Read(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	le := binary.LittleEndian
-	readU64 := func(h hash.Hash32) (uint64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		if h != nil {
-			h.Write(b[:])
-		}
-		return le.Uint64(b[:]), nil
-	}
-	readF64 := func(h hash.Hash32) (float64, error) {
-		v, err := readU64(h)
-		return math.Float64frombits(v), err
-	}
+// Decoder is Encoder's mirror: it reads a chunk at a time, folds each chunk
+// into the section checksum in one call, and checks every count read from
+// the stream against its byte budget before anything is allocated for it.
+// The first error sticks and turns every later call into a no-op returning
+// zeros.
+type Decoder struct {
+	r      io.Reader
+	buf    []byte // buffered input, cap chunkSize; buf[off:] is unread
+	off    int
+	summed int    // buf[summed:off] is read but not yet in crc
+	crc    uint32 // IEEE CRC-32 of the current section, up to buf[summed]
+	left   int64  // the most the source holds beyond buf
+	err    error
+}
 
-	hdr := crc32.NewIEEE()
-	magic, err := readU64(hdr)
-	if err != nil {
-		return nil, err
-	}
-	if magic != Magic && magic != MagicV2 {
-		return nil, fmt.Errorf("snapio: bad magic %#x", magic)
-	}
-	v2 := magic == MagicV2
-	s := &Snapshot{}
-	if s.A, err = readF64(hdr); err != nil {
-		return nil, err
-	}
-	if s.Time, err = readF64(hdr); err != nil {
-		return nil, err
-	}
-	n64, err := readU64(hdr)
-	if err != nil {
-		return nil, err
-	}
-	mass, err := readF64(hdr)
-	if err != nil {
-		return nil, err
-	}
-	var box [3]float64
-	for d := 0; d < 3; d++ {
-		if box[d], err = readF64(hdr); err != nil {
+// NewDecoder returns a decoder reading r, with the byte budget the source
+// reports: Stat().Size() for a file (an upper bound on what is left however
+// far it has been read) and Len() for an in-memory reader. A reader that
+// reports neither is refused: no count in its stream could be checked.
+func NewDecoder(r io.Reader) (*Decoder, error) {
+	var size int64
+	switch src := r.(type) {
+	case interface{ Len() int }:
+		size = int64(src.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		fi, err := src.Stat()
+		if err != nil {
 			return nil, err
 		}
+		size = fi.Size()
+	default:
+		return nil, fmt.Errorf("snapio: %T reports no size to budget a decode against", r)
 	}
-	var gdims [7]uint64
-	for i := range gdims {
-		if gdims[i], err = readU64(hdr); err != nil {
-			return nil, err
-		}
-	}
-	var gbox [3]float64
-	for d := 0; d < 3; d++ {
-		if gbox[d], err = readF64(hdr); err != nil {
-			return nil, err
-		}
-	}
-	var nuN64 uint64
-	var nuMass float64
-	if v2 {
-		if nuN64, err = readU64(hdr); err != nil {
-			return nil, err
-		}
-		if nuMass, err = readF64(hdr); err != nil {
-			return nil, err
-		}
-	}
-	wantSum := hdr.Sum32()
-	sum, err := readU64(nil)
-	if err != nil {
-		return nil, err
-	}
-	if uint32(sum) != wantSum {
-		return nil, fmt.Errorf("snapio: header checksum mismatch")
-	}
+	return &Decoder{r: r, buf: make([]byte, 0, chunkSize), left: size}, nil
+}
 
-	part, err := nbody.NewParticles(int(n64), mass, box)
-	if err != nil {
-		return nil, err
-	}
-	ps := crc32.NewIEEE()
-	readFloats := func(h hash.Hash32, dst []float64) error {
-		b := make([]byte, 8)
-		for i := range dst {
-			if _, err := io.ReadFull(br, b); err != nil {
-				return err
-			}
-			h.Write(b)
-			dst[i] = math.Float64frombits(le.Uint64(b))
-		}
+// Err reports the first error of any call.
+func (d *Decoder) Err() error { return d.err }
+
+// next consumes the next n ≤ chunkSize bytes, refilling the chunk (and
+// folding what was read of it into the section checksum) when they are not
+// all buffered; nil once an error has stuck.
+func (d *Decoder) next(n int) []byte {
+	if d.err != nil {
 		return nil
 	}
-	for d := 0; d < 3; d++ {
-		if err := readFloats(ps, part.Pos[d]); err != nil {
-			return nil, err
+	if len(d.buf)-d.off < n {
+		d.crc = crc32.Update(d.crc, crc32.IEEETable, d.buf[d.summed:d.off])
+		rest := copy(d.buf[:cap(d.buf)], d.buf[d.off:])
+		k, err := io.ReadAtLeast(d.r, d.buf[rest:cap(d.buf)], n-rest)
+		d.buf, d.off, d.summed, d.left = d.buf[:rest+k], 0, 0, d.left-int64(k)
+		if err != nil {
+			d.err = fmt.Errorf("snapio: read: %w", err)
+			return nil
 		}
 	}
-	for d := 0; d < 3; d++ {
-		if err := readFloats(ps, part.Vel[d]); err != nil {
-			return nil, err
+	d.off += n
+	return d.buf[d.off-n : d.off]
+}
+
+// Fits reports whether width bytes times the product of dims fit in what
+// the source can still deliver: the check before allocating for counts read
+// from the stream. An overflowing product, a claim past the budget or an
+// earlier error records the error and reports false.
+func (d *Decoder) Fits(width uint64, dims ...uint64) bool {
+	if d.err != nil {
+		return false
+	}
+	need, over := width, uint64(0)
+	for _, n := range dims {
+		var hi uint64
+		hi, need = bits.Mul64(need, n)
+		over |= hi
+	}
+	if have := d.left + int64(len(d.buf)-d.off); over != 0 || need > uint64(max(have, 0)) {
+		d.err = fmt.Errorf("snapio: %d-byte elements × %v claimed, at most %d bytes left", width, dims, have)
+		return false
+	}
+	return true
+}
+
+// U64 reads one 8-byte word.
+func (d *Decoder) U64() uint64 {
+	if b := d.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// F64 reads one float64 from its IEEE-754 bits.
+func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
+
+// F64s fills dst.
+func (d *Decoder) F64s(dst []float64) {
+	for i := range dst {
+		dst[i] = d.F64()
+	}
+}
+
+func (d *Decoder) f32s(dst []float32) {
+	for i := range dst {
+		if b := d.next(4); b != nil {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b))
 		}
 	}
-	wantSum = ps.Sum32()
-	if sum, err = readU64(nil); err != nil {
+}
+
+// Bytes reads n raw bytes (a name inside a section), refusing an n past the
+// budget before allocating for it.
+func (d *Decoder) Bytes(n uint64) []byte {
+	if !d.Fits(1, n) {
+		return nil
+	}
+	b := make([]byte, n)
+	for i := range b {
+		if c := d.next(1); c != nil {
+			b[i] = c[0]
+		}
+	}
+	return b
+}
+
+// EndSection reads the CRC word that closes a section and checks all 8
+// bytes of it against the section's bytes.
+func (d *Decoder) EndSection() {
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, d.buf[d.summed:d.off])
+	d.summed = d.off
+	if sum := d.U64(); d.err == nil && sum != uint64(d.crc) {
+		d.err = fmt.Errorf("snapio: section checksum mismatch")
+	}
+	d.summed, d.crc = d.off, 0
+}
+
+// particles reads one particle section of n particles, checking the budget
+// before it allocates them.
+func (d *Decoder) particles(n uint64, mass float64, box [3]float64) *nbody.Particles {
+	if !d.Fits(6*8, n) {
+		return nil
+	}
+	p, err := nbody.NewParticles(int(n), mass, box)
+	if err != nil {
+		d.err = err
+		return nil
+	}
+	for dim := 0; dim < 3; dim++ {
+		d.F64s(p.Pos[dim])
+	}
+	for dim := 0; dim < 3; dim++ {
+		d.F64s(p.Vel[dim])
+	}
+	d.EndSection()
+	return p
+}
+
+// Read deserialises a snapshot of either version from an *os.File,
+// *bytes.Buffer or *bytes.Reader (see NewDecoder), verifying every checksum
+// and refusing any count its source cannot hold before allocating for it.
+func Read(r io.Reader) (*Snapshot, error) {
+	d, err := NewDecoder(r)
+	if err != nil {
 		return nil, err
 	}
-	if uint32(sum) != wantSum {
-		return nil, fmt.Errorf("snapio: particle checksum mismatch")
+	magic := d.U64()
+	if d.err == nil && magic != Magic && magic != MagicV2 {
+		return nil, fmt.Errorf("snapio: bad magic %#x", magic)
 	}
-	s.Part = part
-
-	if v2 && nuN64 > 0 {
-		nuPart, err := nbody.NewParticles(int(nuN64), nuMass, box)
-		if err != nil {
-			return nil, err
-		}
-		ns := crc32.NewIEEE()
-		for d := 0; d < 3; d++ {
-			if err := readFloats(ns, nuPart.Pos[d]); err != nil {
-				return nil, err
-			}
-		}
-		for d := 0; d < 3; d++ {
-			if err := readFloats(ns, nuPart.Vel[d]); err != nil {
-				return nil, err
-			}
-		}
-		wantSum = ns.Sum32()
-		if sum, err = readU64(nil); err != nil {
-			return nil, err
-		}
-		if uint32(sum) != wantSum {
-			return nil, fmt.Errorf("snapio: ν-particle checksum mismatch")
-		}
-		s.NuPart = nuPart
+	s := &Snapshot{A: d.F64(), Time: d.F64()}
+	n, mass := d.U64(), d.F64()
+	var box [3]float64
+	d.F64s(box[:])
+	// Grid extents, UMax and box as words: all zero when there is no grid.
+	var g [10]uint64
+	for i := range g {
+		g[i] = d.U64()
+	}
+	var nuN uint64
+	var nuMass float64
+	if magic == MagicV2 {
+		nuN, nuMass = d.U64(), d.F64()
+	}
+	d.EndSection()
+	if d.err == nil && g[0] == 0 && g != [10]uint64{} {
+		return nil, fmt.Errorf("snapio: grid words without a grid")
 	}
 
-	if gdims[0] > 0 {
-		g, err := phase.New(int(gdims[0]), int(gdims[1]), int(gdims[2]),
-			[3]int{int(gdims[3]), int(gdims[4]), int(gdims[5])},
-			gbox, math.Float64frombits(gdims[6]))
-		if err != nil {
-			return nil, err
+	s.Part = d.particles(n, mass, box)
+	if magic == MagicV2 {
+		s.NuPart = d.particles(nuN, nuMass, box)
+	}
+	if g[0] != 0 && d.Fits(4, g[:6]...) {
+		f := math.Float64frombits
+		s.Grid, d.err = phase.New(int(g[0]), int(g[1]), int(g[2]), [3]int{int(g[3]), int(g[4]), int(g[5])},
+			[3]float64{f(g[7]), f(g[8]), f(g[9])}, f(g[6]))
+		if s.Grid != nil {
+			d.f32s(s.Grid.Data)
+			d.EndSection()
 		}
-		gs := crc32.NewIEEE()
-		b4 := make([]byte, 4)
-		for i := range g.Data {
-			if _, err := io.ReadFull(br, b4); err != nil {
-				return nil, err
-			}
-			gs.Write(b4)
-			g.Data[i] = math.Float32frombits(le.Uint32(b4))
-		}
-		wantSum = gs.Sum32()
-		if sum, err = readU64(nil); err != nil {
-			return nil, err
-		}
-		if uint32(sum) != wantSum {
-			return nil, fmt.Errorf("snapio: phase-space checksum mismatch")
-		}
-		s.Grid = g
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return s, nil
 }

@@ -145,8 +145,8 @@ func NewPlasmaSolverWithScheme(nx, nv int, boxL, vmax float64, scheme string) (*
 
 // RestorePlasmaSolver rebuilds a 1D1V solver from a checkpoint written by
 // its Checkpoint method (for example by Run under WithCheckpoint, or by a
-// scheduler under WithJobCheckpoints), verifying the checksum. The scheme,
-// grid and elapsed time are restored from the file.
+// scheduler under WithJobCheckpoints), verifying the checksum; r is read as
+// by ReadSnapshot. The scheme, grid and elapsed time come from the file.
 func RestorePlasmaSolver(r io.Reader) (*PlasmaSolver, error) {
 	return plasma.Restore(r)
 }
@@ -165,7 +165,8 @@ func MeasurePowerSpectrum(rho []float64, n int, boxL float64, nbins int) (ks, pk
 // Snapshot bundles simulation state for checksummed binary I/O.
 type Snapshot = snapio.Snapshot
 
-// WriteSnapshot and ReadSnapshot serialise state; see internal/snapio.
+// WriteSnapshot and ReadSnapshot serialise state; ReadSnapshot takes an
+// *os.File, *bytes.Buffer or *bytes.Reader (see snapio.NewDecoder).
 var (
 	WriteSnapshot = snapio.Write
 	ReadSnapshot  = snapio.Read
