@@ -38,10 +38,6 @@ func main() {
 	if !(*table1 || *runs || *weak || *strong || *fig7 || *tts) {
 		*all = true
 	}
-	m, err := machine.New(machine.Defaults())
-	if err != nil {
-		log.Fatal(err)
-	}
 	out := os.Stdout
 
 	if *all || *table1 {
@@ -64,22 +60,22 @@ func main() {
 		fmt.Fprintln(out)
 	}
 	if *all || *weak {
-		if err := m.WriteTable3(out); err != nil {
+		if err := machine.WriteTable3(out); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(out)
 	}
 	if *all || *strong {
-		if err := m.WriteTable4(out); err != nil {
+		if err := machine.WriteTable4(out); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(out)
 	}
 	if *all || *fig7 {
-		m.WriteFig7(out)
+		machine.WriteFig7(out)
 		fmt.Fprintln(out)
 	}
 	if *all || *tts {
-		m.WriteTTS(out, machine.DefaultTTS())
+		machine.WriteTTS(out)
 	}
 }

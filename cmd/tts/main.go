@@ -42,12 +42,8 @@ func main() {
 		liveComparison(*ngrid, *nu, *npart, *aEnd, *seed)
 	}
 
-	m, err := machine.New(machine.Defaults())
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println()
-	m.WriteTTS(os.Stdout, machine.DefaultTTS())
+	machine.WriteTTS(os.Stdout)
 }
 
 func liveComparison(ngrid, nu, npart int, aEnd float64, seed int64) {

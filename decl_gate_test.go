@@ -250,3 +250,268 @@ func recvTypeName(e ast.Expr) string {
 		}
 	}
 }
+
+// knobExceptions are the settings no program writes that stay fields; each
+// names its reason.
+var knobExceptions = map[string]string{
+	"internal/hybrid.Config.Theta": "benchmark/cosmo.go reads it to rebuild the run's tree.Options",
+}
+
+// TestEveryKnobHasAWriter is the field-level sibling of
+// TestEveryDeclarationHasAProductionCaller: a setting stays a field only if
+// a program sets it; one that nothing sets is a constant. A setting is an
+// exported field of an exported struct named Config or Options (or ending
+// so), or an untagged exported bool field of any exported struct, declared
+// outside benchmark/. A write is an assignment, an increment, an address
+// taken (&c.X, as a flag binding does) or a composite-literal key in any
+// non-test file: the declaration gate already holds every non-test
+// declaration reachable from a main or init in cmd/, examples/ or
+// benchmark/. Two writes in the field's own package do not count: a
+// zero-fill (if c.X == 0 { c.X = … }) and a self-copy (X: s.X). Literal
+// keys resolve by the literal's type, every other write by field name, so
+// the gate errs towards keeping.
+func TestEveryKnobHasAWriter(t *testing.T) {
+	type source struct {
+		dir, path string
+		f         *ast.File
+		imports   map[string]string // file-local package name → package dir
+	}
+	type setting struct{ pkg, typ, name, file string }
+	var files []source
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		src := source{dir: filepath.ToSlash(filepath.Dir(p)), path: filepath.ToSlash(p), f: f, imports: map[string]string{}}
+		for _, spec := range f.Imports {
+			ip, _ := strconv.Unquote(spec.Path.Value)
+			if ip != "vlasov6d" && !strings.HasPrefix(ip, "vlasov6d/") {
+				continue
+			}
+			rel := strings.TrimPrefix(strings.TrimPrefix(ip, "vlasov6d"), "/")
+			if rel == "" {
+				rel = "."
+			}
+			local := path.Base(ip)
+			if spec.Name != nil {
+				local = spec.Name.Name
+			}
+			src.imports[local] = rel
+		}
+		files = append(files, src)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The settings, and the type aliases a literal may name.
+	var settings []setting
+	alias := map[string]ast.Expr{} // "dir.Alias" → aliased type
+	aliasSrc := map[string]source{}
+	for _, src := range files {
+		for _, decl := range src.f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, s := range gd.Specs {
+				ts := s.(*ast.TypeSpec)
+				key := src.dir + "." + ts.Name.Name
+				if ts.Assign.IsValid() {
+					alias[key], aliasSrc[key] = ts.Type, src
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				knobs := ts.Name.Name == "Config" || ts.Name.Name == "Options" ||
+					strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")
+				for _, fl := range st.Fields.List {
+					typ, _ := fl.Type.(*ast.Ident)
+					isBool := fl.Tag == nil && typ != nil && typ.Name == "bool"
+					for _, n := range fl.Names {
+						if ts.Name.IsExported() && n.IsExported() && (knobs || isBool) && !strings.HasPrefix(src.dir, "benchmark") {
+							settings = append(settings, setting{src.dir, ts.Name.Name, n.Name, src.path})
+						}
+					}
+				}
+			}
+		}
+	}
+	// typeOf names the type a literal of type expression e builds, following
+	// aliases; "" when it is not a named type.
+	var typeOf func(src source, e ast.Expr) string
+	typeOf = func(src source, e ast.Expr) string {
+		key := ""
+		switch e := e.(type) {
+		case *ast.Ident:
+			key = src.dir + "." + e.Name
+		case *ast.StarExpr:
+			return typeOf(src, e.X)
+		case *ast.SelectorExpr:
+			if id, ok := e.X.(*ast.Ident); ok && src.imports[id.Name] != "" {
+				key = src.imports[id.Name] + "." + e.Sel.Name
+			}
+		}
+		if a, ok := alias[key]; ok {
+			return typeOf(aliasSrc[key], a)
+		}
+		return key
+	}
+
+	// The writes. typ is the literal's type for a literal key, "" for a
+	// write resolved by name; own marks a zero-fill or a self-copy.
+	type write struct {
+		dir, typ, name string
+		own            bool
+	}
+	var writes []write
+	sameName := func(name string, v ast.Expr) bool {
+		sel, ok := v.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == name
+	}
+	for _, src := range files {
+		field := func(e ast.Expr) string { // x.F for a value x, not a package
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return ""
+			}
+			if id, ok := sel.X.(*ast.Ident); ok && src.imports[id.Name] != "" {
+				return ""
+			}
+			return sel.Sel.Name
+		}
+		zeroFill := map[ast.Expr]bool{} // left-hand sides inside if c.X == 0
+		litType := map[*ast.CompositeLit]string{}
+		ast.Inspect(src.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IfStmt:
+				tested := map[string]bool{}
+				ast.Inspect(n.Cond, func(c ast.Node) bool {
+					if b, ok := c.(*ast.BinaryExpr); ok && b.Op == token.EQL && isZero(b.Y) {
+						if name := field(b.X); name != "" {
+							tested[name] = true
+						}
+					}
+					return true
+				})
+				for _, st := range n.Body.List {
+					if as, ok := st.(*ast.AssignStmt); ok {
+						for _, lhs := range as.Lhs {
+							if tested[field(lhs)] {
+								zeroFill[lhs] = true
+							}
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.DEFINE {
+					break
+				}
+				for i, lhs := range n.Lhs {
+					if name := field(lhs); name != "" {
+						copied := len(n.Rhs) == len(n.Lhs) && sameName(name, n.Rhs[i])
+						writes = append(writes, write{src.dir, "", name, zeroFill[lhs] || copied})
+					}
+				}
+			case *ast.IncDecStmt:
+				if name := field(n.X); name != "" {
+					writes = append(writes, write{src.dir, "", name, false})
+				}
+			case *ast.UnaryExpr:
+				if name := field(n.X); n.Op == token.AND && name != "" {
+					writes = append(writes, write{src.dir, "", name, false})
+				}
+			case *ast.CompositeLit:
+				typ, elt := litType[n], n.Type
+				if n.Type != nil {
+					typ = typeOf(src, n.Type)
+				}
+				switch lt := elt.(type) {
+				case *ast.ArrayType:
+					elt = lt.Elt
+				case *ast.MapType:
+					elt = lt.Value
+				default:
+					elt = nil
+				}
+				for _, e := range n.Elts {
+					kv, keyed := e.(*ast.KeyValueExpr)
+					if keyed {
+						e = kv.Value
+					}
+					if lit, ok := e.(*ast.CompositeLit); ok && lit.Type == nil && elt != nil {
+						litType[lit] = typeOf(src, elt)
+					}
+					if !keyed || typ == "" {
+						continue
+					}
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						writes = append(writes, write{src.dir, typ, id.Name, sameName(id.Name, kv.Value)})
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	var unset []string
+	found := map[string]bool{}
+	for _, s := range settings {
+		key := s.pkg + "." + s.typ + "." + s.name
+		written := false
+		for _, w := range writes {
+			if w.name == s.name && (w.typ == "" || w.typ == s.pkg+"."+s.typ) && !(w.own && w.dir == s.pkg) {
+				written = true
+				break
+			}
+		}
+		if _, ok := knobExceptions[key]; ok {
+			found[key] = true
+			if written {
+				t.Errorf("exception %s has a writer now: drop it from knobExceptions", key)
+			}
+			continue
+		}
+		if !written {
+			unset = append(unset, s.file+": "+s.typ+"."+s.name)
+		}
+	}
+	for k := range knobExceptions {
+		if !found[k] {
+			t.Errorf("exception %s names no setting", k)
+		}
+	}
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("%d settings no program sets (make them constants, or give them a writer):\n\t%s",
+			len(unset), strings.Join(unset, "\n\t"))
+	}
+}
+
+// isZero reports whether e is a zero literal: 0, "", nil or false.
+func isZero(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return e.Value == "0" || e.Value == `""`
+	case *ast.Ident:
+		return e.Name == "nil" || e.Name == "false"
+	}
+	return false
+}

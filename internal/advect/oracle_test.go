@@ -9,6 +9,14 @@ import "math"
 // polynomial — the textbook form of the scheme, with separate code for
 // leftward transport.
 
+// oracle is the reference scheme; mp and pp switch on the Suresh–Huynh
+// limiter and the positivity clip, which the production kernel always
+// applies (the unlimited oracle serves the order-of-accuracy tests).
+type oracle struct{ mp, pp bool }
+
+// limited is the oracle of the production kernel.
+var limited = oracle{mp: true, pp: true}
+
 // oracleMinmod2 is the textbook minmod — a sign test on the product, then a
 // comparison per sign — that the branch-free minmod2 replaced.
 func oracleMinmod2(a, b float64) float64 {
@@ -27,11 +35,11 @@ func oracleMinmod2(a, b float64) float64 {
 	return b
 }
 
-// oracleStep advances f in place from the oracle's interface fluxes and
-// returns them.
-func (s *SLMPP5) oracleStep(f []float64, c float64, at func([]float64, int) float64) []float64 {
+// step advances f in place from the oracle's interface fluxes and returns
+// them.
+func (o oracle) step(f []float64, c float64, at func([]float64, int) float64) []float64 {
 	fl := make([]float64, len(f)+1)
-	s.Fluxes(f, c, fl, at)
+	o.fluxes(f, c, fl, at)
 	for i := range f {
 		f[i] -= fl[i+1] - fl[i]
 	}
@@ -48,10 +56,17 @@ func zeroAt(f []float64, i int) float64 {
 	return f[i]
 }
 
-// Fluxes fills fl[0..n] with the interface fluxes Φ_{i−1/2} for i = 0..n,
+// Step advances a periodic line, so the oracle can stand in for a Scheme in
+// the convergence studies.
+func (o oracle) Step(f []float64, c float64) error {
+	o.step(f, c, periodicAt)
+	return nil
+}
+
+// fluxes fills fl[0..n] with the interface fluxes Φ_{i−1/2} for i = 0..n,
 // using at(f, j) to fetch (possibly out-of-range) cell values. fl[i] is the
 // mass crossing the left interface of cell i, positive rightward.
-func (s *SLMPP5) Fluxes(f []float64, c float64, fl []float64, at func([]float64, int) float64) {
+func (o oracle) fluxes(f []float64, c float64, fl []float64, at func([]float64, int) float64) {
 	n := len(f)
 	if c >= 0 {
 		sh := int(math.Floor(c))
@@ -63,7 +78,7 @@ func (s *SLMPP5) Fluxes(f []float64, c float64, fl []float64, at func([]float64,
 				sum += at(f, j)
 			}
 			k := i - sh - 1 // partially swept donor cell
-			sum += s.fracRight(f, k, xi, at)
+			sum += o.fracRight(f, k, xi, at)
 			fl[i] = sum
 		}
 		return
@@ -79,14 +94,14 @@ func (s *SLMPP5) Fluxes(f []float64, c float64, fl []float64, at func([]float64,
 			sum += at(f, j)
 		}
 		k := i + sh
-		sum += s.fracLeft(f, k, eta, at)
+		sum += o.fracLeft(f, k, eta, at)
 		fl[i] = -sum
 	}
 }
 
 // fracRight returns the mass in the rightmost fraction ξ of cell k,
 // reconstructed at fifth order and limited.
-func (s *SLMPP5) fracRight(f []float64, k int, xi float64, at func([]float64, int) float64) float64 {
+func (o oracle) fracRight(f []float64, k int, xi float64, at func([]float64, int) float64) float64 {
 	if xi <= 0 {
 		return 0
 	}
@@ -103,12 +118,12 @@ func (s *SLMPP5) fracRight(f []float64, k int, xi float64, at func([]float64, in
 	}
 	// Interface k+1/2 is node m = 3; departure point is t = 3 − ξ.
 	raw := w[3] - quintic(&w, 3-xi)
-	return s.limitFrac(raw, xi, fk,
+	return o.limitFrac(raw, xi, fk,
 		at(f, k-2), at(f, k-1), fk, at(f, k+1), at(f, k+2))
 }
 
 // fracLeft returns the mass in the leftmost fraction η of cell k.
-func (s *SLMPP5) fracLeft(f []float64, k int, eta float64, at func([]float64, int) float64) float64 {
+func (o oracle) fracLeft(f []float64, k int, eta float64, at func([]float64, int) float64) float64 {
 	if eta <= 0 {
 		return 0
 	}
@@ -124,7 +139,7 @@ func (s *SLMPP5) fracLeft(f []float64, k int, eta float64, at func([]float64, in
 	}
 	// Interface k−1/2 is node m = 2; integrate rightward a distance η.
 	raw := quintic(&w, 2+eta) - w[2]
-	return s.limitFrac(raw, eta, fk,
+	return o.limitFrac(raw, eta, fk,
 		at(f, k+2), at(f, k+1), fk, at(f, k-1), at(f, k-2))
 }
 
@@ -132,9 +147,9 @@ func (s *SLMPP5) fracLeft(f []float64, k int, eta float64, at func([]float64, in
 // positivity clip to the resulting flux. The stencil (m2,m1,c0,p1,p2) is
 // ordered in the upwind sense: m* lie on the side the information comes
 // from (for a left-edge fraction the physical stencil is reflected).
-func (s *SLMPP5) limitFrac(raw, xi, avail, m2, m1, c0, p1, p2 float64) float64 {
+func (o oracle) limitFrac(raw, xi, avail, m2, m1, c0, p1, p2 float64) float64 {
 	fbar := raw / xi
-	if !s.DisableMP {
+	if o.mp {
 		// Fully-discrete monotonicity requires the Suresh–Huynh steepness
 		// parameter to honour α·ξ ≤ 1−ξ (for RK method-of-lines SH use the
 		// equivalent CFL ≤ 1/(1+α)); with the fixed α = 4 a single-stage
@@ -147,7 +162,7 @@ func (s *SLMPP5) limitFrac(raw, xi, avail, m2, m1, c0, p1, p2 float64) float64 {
 		fbar = mpLimitAlpha(fbar, m2, m1, c0, p1, p2, alpha)
 	}
 	flx := fbar * xi
-	if !s.DisablePP {
+	if o.pp {
 		if flx < 0 {
 			flx = 0
 		}

@@ -44,12 +44,9 @@ import (
 // i.e. once per line in Step/StepOpen and once per batch in StepLines.
 type SLMPP5 struct {
 	pad []float64 // ghost-padded line, upwind-ordered
-	// Limiting can be disabled for order-of-accuracy studies.
-	DisableMP bool
-	DisablePP bool
 }
 
-// NewSLMPP5 returns the scheme with MP and PP limiting enabled.
+// NewSLMPP5 returns the scheme; it always limits and always clips.
 func NewSLMPP5() *SLMPP5 { return &SLMPP5{} }
 
 // Name implements Scheme.
@@ -60,9 +57,7 @@ func (s *SLMPP5) Name() string { return "slmpp5" }
 func (s *SLMPP5) MaxCFL() float64 { return 0 }
 
 // Clone implements Scheme.
-func (s *SLMPP5) Clone() Scheme {
-	return &SLMPP5{DisableMP: s.DisableMP, DisablePP: s.DisablePP}
-}
+func (s *SLMPP5) Clone() Scheme { return &SLMPP5{} }
 
 // Step advances a periodic line by CFL number c (any magnitude, any sign).
 func (s *SLMPP5) Step(f []float64, c float64) error {
@@ -153,12 +148,11 @@ const (
 
 // sweep holds everything the kernel derives from the CFL number alone.
 type sweep struct {
-	sh     int        // whole-cell shift ⌊|c|⌋, bounded by the line length
-	xi     float64    // fractional shift |c| − ⌊|c|⌋
-	neg    bool       // leftward transport: the line is mirrored into the pad
-	w      [5]float64 // swept-average weights SweptWeights(xi)
-	alpha  float64    // CFL-adaptive Suresh–Huynh steepness
-	mp, pp bool
+	sh    int        // whole-cell shift ⌊|c|⌋, bounded by the line length
+	xi    float64    // fractional shift |c| − ⌊|c|⌋
+	neg   bool       // leftward transport: the line is mirrored into the pad
+	w     [5]float64 // swept-average weights SweptWeights(xi)
+	alpha float64    // CFL-adaptive Suresh–Huynh steepness
 }
 
 // prepare is the one validating entry of every step: it rejects lines
@@ -175,7 +169,7 @@ func (s *SLMPP5) prepare(n int, c float64, b boundary) (sweep, error) {
 	}
 	a := math.Abs(c)
 	whole := math.Floor(a)
-	k := sweep{xi: a - whole, neg: c < 0, mp: !s.DisableMP, pp: !s.DisablePP}
+	k := sweep{xi: a - whole, neg: c < 0}
 	switch b {
 	case periodic:
 		whole = math.Mod(whole, float64(n))
@@ -242,26 +236,23 @@ func (k *sweep) advance(q, out []float64) {
 		}
 		return
 	}
-	xi, alpha, mp, pp := k.xi, k.alpha, k.mp, k.pp
+	xi, alpha := k.xi, k.alpha
 	w0, w1, w2, w3, w4 := k.w[0], k.w[1], k.w[2], k.w[3], k.w[4]
 	m1, c0, p1, p2 := q[0], q[1], q[2], q[3]
 	var m2, prev float64
 	for i, next := range q[4 : n+5] {
 		m2, m1, c0, p1, p2 = m1, c0, p1, p2, next
 		v := w0*m2 + w1*m1 + w2*c0 + w3*p1 + w4*p2
-		if mp { // the head of mpLimitAlpha: v inside [f0, fMP] passes
-			if fMP := c0 + minmod2(p1-c0, alpha*(c0-m1)); (v-c0)*(v-fMP) > mpEps {
-				v = mpBound(v, m2, m1, c0, p1, p2, alpha)
-			}
+		// The head of mpLimitAlpha: v inside [f0, fMP] passes.
+		if fMP := c0 + minmod2(p1-c0, alpha*(c0-m1)); (v-c0)*(v-fMP) > mpEps {
+			v = mpBound(v, m2, m1, c0, p1, p2, alpha)
 		}
 		flx := v * xi
-		if pp {
-			if flx < 0 {
-				flx = 0
-			}
-			if flx > c0 {
-				flx = c0
-			}
+		if flx < 0 {
+			flx = 0
+		}
+		if flx > c0 {
+			flx = c0
 		}
 		if i > 0 {
 			// The donor of interface i−1/2 is also the cell that lands on

@@ -41,25 +41,25 @@ func TestKernelMatchesOracle(t *testing.T) {
 		n := 6 + rng.Intn(59)
 		c := randomCFL(rng)
 		open := rng.Intn(2) == 0
-		s := &SLMPP5{DisableMP: rng.Intn(4) == 0, DisablePP: rng.Intn(4) == 0}
+		s := NewSLMPP5()
 		f := randomLine(rng, n)
 		want := append([]float64(nil), f...)
 		at, step := periodicAt, s.Step
 		if open {
 			at, step = zeroAt, s.StepOpen
 		}
-		fl := s.oracleStep(want, c, at)
+		fl := limited.step(want, c, at)
 		before := sum(f)
 		if err := step(f, c); err != nil {
 			t.Fatal(err)
 		}
-		id := fmt.Sprintf("case %d (n=%d c=%v open=%v noMP=%v noPP=%v)", it, n, c, open, s.DisableMP, s.DisablePP)
+		id := fmt.Sprintf("case %d (n=%d c=%v open=%v)", it, n, c, open)
 		for i := range f {
 			if d := math.Abs(f[i] - want[i]); !(d <= 1e-12) {
 				t.Fatalf("%s: cell %d = %v, oracle %v (diff %g)", id, i, f[i], want[i], d)
 			}
-			// Positivity is exact, not to round-off, wherever the clip is on.
-			if !s.DisablePP && f[i] < 0 {
+			// Positivity is exact, not to round-off.
+			if f[i] < 0 {
 				t.Fatalf("%s: cell %d went negative: %v", id, i, f[i])
 			}
 		}
@@ -220,7 +220,7 @@ func TestHugeCFLIsBoundedByTheLine(t *testing.T) {
 	for _, c := range []float64{18, 18.5, 19, 19.5, -18, -19.5, 25} {
 		g := sineLine(16)
 		want := append([]float64(nil), g...)
-		s.oracleStep(want, c, zeroAt)
+		limited.step(want, c, zeroAt)
 		if err := s.StepOpen(g, c); err != nil {
 			t.Fatal(err)
 		}

@@ -47,10 +47,22 @@ import (
 	"vlasov6d/internal/vlasov"
 )
 
+// The step and grid factors every hybrid run uses.
+const (
+	// umaxFactor sets the velocity grid's extent UMax = umaxFactor·u_T (the
+	// Fermi-Dirac tail holds ~1e-3 of the mass beyond 12 u_T).
+	umaxFactor = 12
+	// cflX and cflU are the Vlasov CFL targets of the position drift and
+	// the velocity kick.
+	cflX, cflU = 0.4, 0.4
+	// maxDLnA caps the expansion per step: dt ≤ maxDLnA / H(a).
+	maxDLnA = 0.02
+)
+
 // Config assembles a hybrid run. The paper's ratios are the defaults: the
 // PM mesh is PMFactor× finer than the Vlasov spatial grid per side
 // (N_PM = 3³·N_x when N_CDM = 9³·N_x and N_PM = N_CDM/3³), and the velocity
-// grid spans UMaxFactor Fermi-Dirac thermal scales.
+// grid spans umaxFactor = 12 Fermi-Dirac thermal scales.
 type Config struct {
 	Par cosmo.Params
 	// Box is the comoving box size (h⁻¹Mpc).
@@ -66,18 +78,11 @@ type Config struct {
 	// PMMesh overrides the PM mesh side directly (0 = derive from
 	// NGrid·PMFactor, or NPartSide/3 in NoNeutrino mode).
 	PMMesh int
-	// UMaxFactor sets UMax = UMaxFactor·u_T (default 12; the FD tail holds
-	// ~1e-3 of the mass beyond 12 u_T).
-	UMaxFactor float64
 	// Scheme names the Vlasov position-drift scheme (default "slmpp5"); the
 	// velocity kick is always SL-MPP5 (see vlasov.New).
 	Scheme string
 	// Theta is the tree opening angle (default 0.5).
 	Theta float64
-	// CFLX, CFLU are the Vlasov CFL targets (default 0.4 each).
-	CFLX, CFLU float64
-	// MaxDLnA caps the expansion per step (default 0.02).
-	MaxDLnA float64
 	// Seed feeds the initial-condition generator.
 	Seed int64
 	// NoTree disables the short-range force (PM-only N-body).
@@ -109,23 +114,11 @@ func (c *Config) ApplyDefaults() {
 	if c.PMFactor == 0 {
 		c.PMFactor = 3
 	}
-	if c.UMaxFactor == 0 {
-		c.UMaxFactor = 12
-	}
 	if c.Scheme == "" {
 		c.Scheme = "slmpp5"
 	}
 	if c.Theta == 0 {
 		c.Theta = 0.5
-	}
-	if c.CFLX == 0 {
-		c.CFLX = 0.4
-	}
-	if c.CFLU == 0 {
-		c.CFLU = 0.4
-	}
-	if c.MaxDLnA == 0 {
-		c.MaxDLnA = 0.02
 	}
 	if c.NuParticles && c.NNuSide == 0 {
 		c.NNuSide = 2 * c.NPartSide
@@ -164,17 +157,8 @@ func (c *Config) Validate() error {
 	if c.PMFactor < 1 {
 		return fmt.Errorf("hybrid: PMFactor = %d; must be ≥ 1 (zero selects the paper's 3)", c.PMFactor)
 	}
-	if c.UMaxFactor <= 0 {
-		return fmt.Errorf("hybrid: UMaxFactor = %g; must be positive (zero selects the paper's 12)", c.UMaxFactor)
-	}
 	if c.Theta <= 0 {
 		return fmt.Errorf("hybrid: tree opening angle Theta = %g; must be positive (zero selects 0.5)", c.Theta)
-	}
-	if c.CFLX <= 0 || c.CFLU <= 0 {
-		return fmt.Errorf("hybrid: CFL targets (%g, %g) must be positive (zero selects 0.4)", c.CFLX, c.CFLU)
-	}
-	if c.MaxDLnA <= 0 {
-		return fmt.Errorf("hybrid: MaxDLnA = %g; the expansion cap must be positive (zero selects 0.02)", c.MaxDLnA)
 	}
 	if c.PMMesh < 0 {
 		return fmt.Errorf("hybrid: PMMesh = %d; must be non-negative (zero derives it from NGrid·PMFactor)", c.PMMesh)
@@ -357,7 +341,7 @@ func build(cfg Config, aInit float64, fill bool) (*Simulation, error) {
 		}
 		s.installNuParticles(nuP)
 	} else if !cfg.NoNeutrino {
-		umax := cfg.UMaxFactor * s.uT
+		umax := umaxFactor * s.uT
 		g, err := phase.New(cfg.NGrid, cfg.NGrid, cfg.NGrid,
 			[3]int{cfg.NU, cfg.NU, cfg.NU},
 			[3]float64{cfg.Box, cfg.Box, cfg.Box}, umax)
@@ -623,17 +607,17 @@ func (s *Simulation) downsampleAccel(meshAcc [3][]float64) {
 }
 
 // SuggestDT picks the global time step: Vlasov CFL targets, a particle
-// displacement cap of one PM cell, and the expansion cap MaxDLnA. Forces
+// displacement cap of one PM cell, and the expansion cap maxDLnA. Forces
 // are computed lazily for the first call; if that fails the expansion cap
 // alone is returned and the underlying error surfaces from the next Step.
 func (s *Simulation) SuggestDT() float64 {
 	if err := s.ensureForces(); err != nil {
-		return s.Cfg.MaxDLnA / s.Cfg.Par.Hubble(s.A)
+		return maxDLnA / s.Cfg.Par.Hubble(s.A)
 	}
 	a := s.A
 	dt := math.Inf(1)
 	if s.VSol != nil {
-		if d := s.VSol.SuggestDT(a, s.accCell, s.Cfg.CFLX, s.Cfg.CFLU); d < dt {
+		if d := s.VSol.SuggestDT(a, s.accCell, cflX, cflU); d < dt {
 			dt = d
 		}
 	}
@@ -660,8 +644,8 @@ func (s *Simulation) SuggestDT() float64 {
 			dt = d
 		}
 	}
-	// Expansion cap: dt ≤ MaxDLnA / H(a).
-	if d := s.Cfg.MaxDLnA / s.Cfg.Par.Hubble(a); d < dt {
+	// Expansion cap: dt ≤ maxDLnA / H(a).
+	if d := maxDLnA / s.Cfg.Par.Hubble(a); d < dt {
 		dt = d
 	}
 	return dt

@@ -43,10 +43,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative NU", func(c *Config) { c.NU = -8 }},
 		{"NPartSide too small", func(c *Config) { c.NPartSide = 1 }},
 		{"negative PMFactor", func(c *Config) { c.PMFactor = -2 }},
-		{"negative UMaxFactor", func(c *Config) { c.UMaxFactor = -1 }},
 		{"negative Theta", func(c *Config) { c.Theta = -0.5 }},
-		{"negative CFLX", func(c *Config) { c.CFLX = -0.4 }},
-		{"negative MaxDLnA", func(c *Config) { c.MaxDLnA = -0.02 }},
 		{"negative PMMesh", func(c *Config) { c.PMMesh = -16 }},
 		{"PMMesh not a refinement", func(c *Config) { c.PMMesh = 12 }}, // NGrid = 8
 	}
@@ -70,8 +67,7 @@ func TestApplyDefaultsFillsPaperValues(t *testing.T) {
 	c := smallConfig()
 	c.PMFactor = 0
 	c.ApplyDefaults()
-	if c.PMFactor != 3 || c.UMaxFactor != 12 || c.Scheme != "slmpp5" ||
-		c.Theta != 0.5 || c.CFLX != 0.4 || c.CFLU != 0.4 || c.MaxDLnA != 0.02 {
+	if c.PMFactor != 3 || c.Scheme != "slmpp5" || c.Theta != 0.5 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 	if err := c.Validate(); err != nil {
@@ -1001,17 +997,23 @@ func TestFusedStepsMatchSynchronizedSteps(t *testing.T) {
 // the suggested step is a function of the mesh acceleration, so a restored
 // run and the live one agree on it only if both solved the PM half from the
 // same, re-rounded f. (At the shapes of TestPhysicsGates another limit binds
-// and hides a difference.) Bit for bit, dt and state, over four steps.
+// and hides a difference, so both runs take the Vlasov limit at a velocity
+// CFL target of 1e-4, once SuggestDT has computed their forces.) Bit for
+// bit, dt and state, over four steps.
 func TestRestoredRunSuggestsLiveDT(t *testing.T) {
+	const tightCFLU = 1e-4
+	suggest := func(s *Simulation) float64 {
+		s.SuggestDT()
+		return s.VSol.SuggestDT(s.A, s.accCell, cflX, tightCFLU)
+	}
 	cfg := smallConfig()
-	cfg.CFLU = 1e-4
 	s, err := New(cfg, 0.0909)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetWorkers(1)
 	for i := 0; i < 2; i++ {
-		if err := s.Step(s.SuggestDT()); err != nil {
+		if err := s.Step(suggest(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1029,12 +1031,11 @@ func TestRestoredRunSuggestsLiveDT(t *testing.T) {
 	}
 	r.SetWorkers(1)
 	for i := 0; i < 4; i++ {
-		dt := s.SuggestDT()
-		if with, without := s.VSol.SuggestDT(s.A, s.accCell, s.Cfg.CFLX, s.Cfg.CFLU),
-			s.VSol.SuggestDT(s.A, s.accCell, s.Cfg.CFLX, math.Inf(1)); dt != with || without <= dt {
-			t.Fatalf("step %d: the velocity CFL does not bind (dt %v, Vlasov limit %v, without CFLU %v)", i, dt, with, without)
+		dt := suggest(s)
+		if full, without := s.SuggestDT(), s.VSol.SuggestDT(s.A, s.accCell, cflX, math.Inf(1)); full <= dt || without <= dt {
+			t.Fatalf("step %d: the velocity CFL does not bind (dt %v, SuggestDT %v, without the velocity CFL %v)", i, dt, full, without)
 		}
-		if rdt := r.SuggestDT(); rdt != dt {
+		if rdt := suggest(r); rdt != dt {
 			t.Fatalf("step %d: restored run suggests dt %v, live run %v", i, rdt, dt)
 		}
 		if err := s.Step(dt); err != nil {

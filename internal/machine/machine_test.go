@@ -1,19 +1,12 @@
 package machine
 
 import (
+	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
-
-func model(t *testing.T) *Model {
-	t.Helper()
-	m, err := New(Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
 
 func TestTable2Consistency(t *testing.T) {
 	if len(Table2) != 18 {
@@ -62,18 +55,9 @@ func TestFindRunAndGroup(t *testing.T) {
 	}
 }
 
-func TestModelValidation(t *testing.T) {
-	p := Defaults()
-	p.FFTEffRate = 0
-	if _, err := New(p); err == nil {
-		t.Fatal("invalid params accepted")
-	}
-}
-
 func TestBreakdownPositive(t *testing.T) {
-	m := model(t)
 	for _, r := range Table2 {
-		b := m.Step(r)
+		b := Step(r)
 		if b.Vlasov <= 0 || b.Tree <= 0 || b.PM <= 0 || b.Total <= 0 {
 			t.Fatalf("%s: non-positive breakdown %+v", r.ID, b)
 		}
@@ -81,7 +65,7 @@ func TestBreakdownPositive(t *testing.T) {
 			t.Fatalf("%s: total inconsistent", r.ID)
 		}
 	}
-	if _, err := m.Step(Table2[0]).PartTime("nope"); err == nil {
+	if _, err := Step(Table2[0]).PartTime("nope"); err == nil {
 		t.Fatal("unknown part accepted")
 	}
 }
@@ -89,9 +73,8 @@ func TestBreakdownPositive(t *testing.T) {
 func TestVlasovDominates(t *testing.T) {
 	// §7.1: the Vlasov part is ≈70% of the step — the model must reproduce
 	// that ordering on the weak-scaling chain.
-	m := model(t)
 	for _, r := range WeakSequence() {
-		b := m.Step(r)
+		b := Step(r)
 		fv := (b.Vlasov + b.CommVlasov) / b.Total
 		if fv < 0.4 || fv > 0.95 {
 			t.Fatalf("%s: Vlasov fraction %v outside plausible range", r.ID, fv)
@@ -103,8 +86,7 @@ func TestVlasovDominates(t *testing.T) {
 }
 
 func TestWeakScalingShape(t *testing.T) {
-	m := model(t)
-	effs, err := m.WeakScaling(WeakSequence())
+	effs, err := WeakScaling(WeakSequence())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +108,14 @@ func TestWeakScalingShape(t *testing.T) {
 	if effs["total"][2] < 0.7 {
 		t.Fatalf("total weak efficiency %v too low", effs["total"][2])
 	}
-	if _, err := m.WeakScaling(Table2[:1]); err == nil {
+	if _, err := WeakScaling(Table2[:1]); err == nil {
 		t.Fatal("short sequence accepted")
 	}
 }
 
 func TestStrongScalingShape(t *testing.T) {
-	m := model(t)
 	for _, g := range []string{"S", "M", "L", "H"} {
-		eff, err := m.StrongScaling(Group(g))
+		eff, err := StrongScaling(Group(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +130,7 @@ func TestStrongScalingShape(t *testing.T) {
 			t.Fatalf("group %s: PM scales better than Vlasov — split model broken", g)
 		}
 	}
-	if _, err := m.StrongScaling(Table2[:1]); err == nil {
+	if _, err := StrongScaling(Table2[:1]); err == nil {
 		t.Fatal("short group accepted")
 	}
 }
@@ -158,8 +139,7 @@ func TestScalingAgreesWithPaperWithinBand(t *testing.T) {
 	// Shape-level agreement: each modelled Table 3 efficiency within ±20
 	// percentage points of the published value (absolute seconds are not
 	// comparable; ratios should be).
-	m := model(t)
-	effs, err := m.WeakScaling(WeakSequence())
+	effs, err := WeakScaling(WeakSequence())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,20 +154,19 @@ func TestScalingAgreesWithPaperWithinBand(t *testing.T) {
 }
 
 func TestFig7SeriesAndWriters(t *testing.T) {
-	m := model(t)
-	rows := m.Fig7Series()
+	rows := Fig7Series()
 	if len(rows) != len(Table2) {
 		t.Fatalf("Fig7 rows %d", len(rows))
 	}
 	var sb strings.Builder
-	if err := m.WriteTable3(&sb); err != nil {
+	if err := WriteTable3(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteTable4(&sb); err != nil {
+	if err := WriteTable4(&sb); err != nil {
 		t.Fatal(err)
 	}
-	m.WriteFig7(&sb)
-	m.WriteTTS(&sb, DefaultTTS())
+	WriteFig7(&sb)
+	WriteTTS(&sb)
 	out := sb.String()
 	for _, want := range []string{"Table 3", "Table 4", "Fig 7", "H1024", "U1024", "S2–H1024"} {
 		if !strings.Contains(out, want) {
@@ -200,11 +179,10 @@ func TestTimeToSolutionOrderOfMagnitude(t *testing.T) {
 	// The headline claim: Vlasov TTS beats TianNu by ~an order of
 	// magnitude. The model must land within a factor ~3 of the paper's
 	// end-to-end hours and preserve H1024 faster than U1024.
-	m := model(t)
 	h, _ := FindRun("H1024")
 	u, _ := FindRun("U1024")
-	rh := m.TimeToSolution(h, DefaultTTS())
-	ru := m.TimeToSolution(u, DefaultTTS())
+	rh := TimeToSolution(h)
+	ru := TimeToSolution(u)
 	if rh.TotalH >= ru.TotalH {
 		t.Fatalf("H1024 (%v h) should be faster than U1024 (%v h)", rh.TotalH, ru.TotalH)
 	}
@@ -227,5 +205,39 @@ func TestEffectiveResolutionEq9(t *testing.T) {
 	}
 	if dl := 1200 / EquivalentGridSide(13824, 100); math.Abs(dl-1200.0/640) > 0.05 {
 		t.Fatalf("ΔL = %v", dl)
+	}
+}
+
+// TestModelGolden pins the paper artefacts byte for byte: the four writers'
+// output, then every Fig. 7 breakdown and time-to-solution at full
+// precision, so that a rewrite of the constants or of the model's
+// arithmetic cannot move a printed digit or a last bit unnoticed.
+func TestModelGolden(t *testing.T) {
+	var sb strings.Builder
+	if err := WriteTable3(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTable4(&sb); err != nil {
+		t.Fatal(err)
+	}
+	WriteFig7(&sb)
+	WriteTTS(&sb)
+	for _, row := range Fig7Series() {
+		fmt.Fprintf(&sb, "%s %v\n", row.Run.ID, row.B)
+	}
+	for _, id := range []string{"H1024", "U1024"} {
+		r, err := FindRun(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := TimeToSolution(r)
+		fmt.Fprintf(&sb, "%s %v %v %v %v\n", id, res.ExecSec, res.IOSec, res.TotalH, res.SpeedupVsTianNu)
+	}
+	want, err := os.ReadFile("testdata/model.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Fatalf("model output differs from testdata/model.golden:\n%s", got)
 	}
 }

@@ -9,7 +9,8 @@
 // bandwidth/latency with the decomposition-derived message sizes. The shape
 // of the scaling curves — near-perfect Vlasov scaling, tree in the middle,
 // the 2D-parallel FFT eroding the PM part at scale — emerges from the
-// structure, not from fitting the answers.
+// structure, not from fitting the answers. The calibration is one const
+// block (model.go); the model has no parameters to set.
 package machine
 
 import "fmt"

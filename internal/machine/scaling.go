@@ -11,12 +11,12 @@ var Parts = []string{"total", "vlasov", "tree", "pm"}
 
 // WeakScaling computes the weak-scaling efficiencies of a constant-per-node
 // sequence: eff(run) = T(first)/T(run) per part (Table 3).
-func (m *Model) WeakScaling(seq []Run) (map[string][]float64, error) {
+func WeakScaling(seq []Run) (map[string][]float64, error) {
 	if len(seq) < 2 {
 		return nil, fmt.Errorf("machine: weak sequence needs ≥ 2 runs")
 	}
 	out := map[string][]float64{}
-	ref := m.Step(seq[0])
+	ref := Step(seq[0])
 	for _, part := range Parts {
 		tRef, err := ref.PartTime(part)
 		if err != nil {
@@ -24,7 +24,7 @@ func (m *Model) WeakScaling(seq []Run) (map[string][]float64, error) {
 		}
 		effs := make([]float64, 0, len(seq)-1)
 		for _, r := range seq[1:] {
-			t, err := m.Step(r).PartTime(part)
+			t, err := Step(r).PartTime(part)
 			if err != nil {
 				return nil, err
 			}
@@ -38,14 +38,14 @@ func (m *Model) WeakScaling(seq []Run) (map[string][]float64, error) {
 // StrongScaling computes per-group strong-scaling efficiencies between the
 // smallest and largest runs of a group:
 // eff = T(n₀)·n₀ / (T(n)·n) (Table 4).
-func (m *Model) StrongScaling(group []Run) (map[string]float64, error) {
+func StrongScaling(group []Run) (map[string]float64, error) {
 	if len(group) < 2 {
 		return nil, fmt.Errorf("machine: strong group needs ≥ 2 runs")
 	}
 	sorted := append([]Run(nil), group...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Nodes < sorted[j].Nodes })
 	first, last := sorted[0], sorted[len(sorted)-1]
-	b0, b1 := m.Step(first), m.Step(last)
+	b0, b1 := Step(first), Step(last)
 	out := map[string]float64{}
 	for _, part := range Parts {
 		t0, err := b0.PartTime(part)
@@ -79,8 +79,8 @@ var PaperTable4 = map[string]map[string]float64{
 }
 
 // WriteTable3 renders the modelled weak scaling next to the paper's values.
-func (m *Model) WriteTable3(w io.Writer) error {
-	effs, err := m.WeakScaling(WeakSequence())
+func WriteTable3(w io.Writer) error {
+	effs, err := WeakScaling(WeakSequence())
 	if err != nil {
 		return err
 	}
@@ -97,7 +97,7 @@ func (m *Model) WriteTable3(w io.Writer) error {
 
 // WriteTable4 renders the modelled strong scaling next to the paper's
 // values.
-func (m *Model) WriteTable4(w io.Writer) error {
+func WriteTable4(w io.Writer) error {
 	fmt.Fprintln(w, "Table 4: strong scaling efficiency per run group (model vs paper)")
 	fmt.Fprintf(w, "%-8s", "part")
 	groups := []string{"S", "M", "L", "H"}
@@ -107,7 +107,7 @@ func (m *Model) WriteTable4(w io.Writer) error {
 	fmt.Fprintln(w)
 	eff := map[string]map[string]float64{}
 	for _, g := range groups {
-		e, err := m.StrongScaling(Group(g))
+		e, err := StrongScaling(Group(g))
 		if err != nil {
 			return err
 		}
@@ -131,20 +131,20 @@ type Fig7Row struct {
 
 // Fig7Series returns the per-run breakdowns for every Table 2 run (the data
 // behind both panels of Fig. 7).
-func (m *Model) Fig7Series() []Fig7Row {
+func Fig7Series() []Fig7Row {
 	rows := make([]Fig7Row, 0, len(Table2))
 	for _, r := range Table2 {
-		rows = append(rows, Fig7Row{Run: r, B: m.Step(r)})
+		rows = append(rows, Fig7Row{Run: r, B: Step(r)})
 	}
 	return rows
 }
 
 // WriteFig7 renders the wall-time-per-step decomposition against node count.
-func (m *Model) WriteFig7(w io.Writer) {
+func WriteFig7(w io.Writer) {
 	fmt.Fprintln(w, "Fig 7: modelled wall time per step [s] vs nodes")
 	fmt.Fprintf(w, "%-8s %8s %9s %9s %9s %9s %9s %9s %9s\n",
 		"run", "nodes", "total", "vlasov", "tree", "pm", "commV", "commN", "s/step")
-	for _, row := range m.Fig7Series() {
+	for _, row := range Fig7Series() {
 		b := row.B
 		fmt.Fprintf(w, "%-8s %8d %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f\n",
 			row.Run.ID, row.Run.Nodes, b.Total, b.Vlasov, b.Tree, b.PM,

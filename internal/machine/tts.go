@@ -6,25 +6,6 @@ import (
 	"math"
 )
 
-// TTSConfig parameterises the §7.2 time-to-solution experiment: the H1024 /
-// U1024 end-to-end runs from z = 10 to z = 0 on a 1200 h⁻¹Mpc box, compared
-// with the TianNu N-body simulation (52 h on Tianhe-2).
-type TTSConfig struct {
-	// Steps is the number of global time steps from z=10 to z=0 (the
-	// expansion cap Δln a ≈ 0.002 used at production accuracy gives ≈1100).
-	Steps int
-	// IOBandwidth is the aggregate filesystem bandwidth (bytes/s); Fugaku's
-	// first-level storage delivers O(1) TB/s to full-system jobs.
-	IOBandwidth float64
-	// Snapshots counts full phase-space dumps.
-	Snapshots int
-}
-
-// DefaultTTS matches the paper's setup.
-func DefaultTTS() TTSConfig {
-	return TTSConfig{Steps: 1100, IOBandwidth: 1.2e12, Snapshots: 2}
-}
-
 // TianNuHours is the published TianNu wall-clock time (52 h, §4).
 const TianNuHours = 52.0
 
@@ -37,15 +18,15 @@ type TTSResult struct {
 	SpeedupVsTianNu float64
 }
 
-// TimeToSolution models the end-to-end wall time of a Table 2 run.
-func (m *Model) TimeToSolution(r Run, cfg TTSConfig) TTSResult {
-	if cfg.Steps <= 0 {
-		cfg = DefaultTTS()
-	}
-	b := m.Step(r)
-	exec := b.Total * float64(cfg.Steps)
-	bytes := r.PhaseCells()*m.P.BytesPerPhaseCell + r.Particles()*m.P.BytesPerParticle
-	io := float64(cfg.Snapshots) * bytes / cfg.IOBandwidth
+// TimeToSolution models the end-to-end wall time of a Table 2 run in the
+// §7.2 experiment: the H1024 / U1024 runs from z = 10 to z = 0 on a
+// 1200 h⁻¹Mpc box, compared with the TianNu N-body simulation (52 h on
+// Tianhe-2).
+func TimeToSolution(r Run) TTSResult {
+	b := Step(r)
+	exec := b.Total * ttsSteps
+	bytes := r.PhaseCells()*bytesPerPhaseCell + r.Particles()*bytesPerParticle
+	io := snapshots * bytes / ioBandwidth
 	tot := (exec + io) / 3600
 	return TTSResult{
 		Run:             r,
@@ -75,7 +56,7 @@ func EquivalentGridSide(nuSide int, snr float64) float64 {
 }
 
 // WriteTTS renders the §7.2 comparison.
-func (m *Model) WriteTTS(w io.Writer, cfg TTSConfig) {
+func WriteTTS(w io.Writer) {
 	fmt.Fprintln(w, "§7.2 time-to-solution (model vs paper), TianNu reference = 52 h")
 	fmt.Fprintf(w, "%-8s %12s %10s %10s %14s\n", "run", "exec [s]", "I/O [s]", "total [h]", "speedup")
 	for _, id := range []string{"H1024", "U1024"} {
@@ -83,7 +64,7 @@ func (m *Model) WriteTTS(w io.Writer, cfg TTSConfig) {
 		if err != nil {
 			continue
 		}
-		res := m.TimeToSolution(r, cfg)
+		res := TimeToSolution(r)
 		p := PaperTTS[id]
 		fmt.Fprintf(w, "%-8s %7.0f (%5.0f) %5.0f (%3.0f) %10.2f %6.1f× (%4.1f×)\n",
 			id, res.ExecSec, p.ExecSec, res.IOSec, p.IOSec, res.TotalH,

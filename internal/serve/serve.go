@@ -113,11 +113,6 @@ type Config struct {
 	// Retries is the default retry policy for transient failures; a spec
 	// may override it per job.
 	Retries int
-	// DiagBuffer is the per-job async diagnostics queue capacity
-	// (0 = 256). The queue is lossy (DropOldest): diagnostics are a
-	// monitoring surface, not the science record. Drops are not silent —
-	// they surface as "gap" events on the job's stream.
-	DiagBuffer int
 	// RingSize bounds each job's diagnostics replay ring (0 = 512): how
 	// far back a disconnected SSE client can resume with Last-Event-ID
 	// before hitting an explicit gap. Terminal jobs keep only the newest
@@ -231,9 +226,6 @@ type Server struct {
 func New(ctx context.Context, cfg Config) (*Server, error) {
 	if cfg.Catalog == nil {
 		return nil, fmt.Errorf("serve: nil catalog")
-	}
-	if cfg.DiagBuffer == 0 {
-		cfg.DiagBuffer = 256
 	}
 	if cfg.RingSize == 0 {
 		cfg.RingSize = 512

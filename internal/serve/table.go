@@ -83,6 +83,12 @@ type jobEntry struct {
 // terminal jobs stay cheap.
 const ringTerminalTail = 64
 
+// diagBuffer is the per-job async diagnostics queue capacity. The queue is
+// lossy (DropOldest): diagnostics are a monitoring surface, not the science
+// record. Drops are not silent — they surface as "gap" events on the job's
+// stream.
+const diagBuffer = 256
+
 // newEntry builds the server-side record of one submission (new or
 // recovered) and wires job for it: the tenant tag and core quota that ride
 // into the scheduler's two-level fair share (cores divide across tenants
@@ -178,7 +184,7 @@ func (s *Server) attach(job *sched.Job, entry *jobEntry) {
 				s.observe(entry, step, d)
 				return nil
 			},
-			runner.WithAsyncBuffer(s.cfg.DiagBuffer),
+			runner.WithAsyncBuffer(diagBuffer),
 			runner.WithBackpressure(runner.DropOldest),
 			runner.WithDropNotify(func(dropped int64) {
 				// Runs on the observer pipeline goroutine, never the step loop.

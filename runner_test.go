@@ -334,7 +334,6 @@ func TestNewSimulationValidatesConfig(t *testing.T) {
 		"zero NGrid":          func(c *Config) { c.NGrid = 0 },
 		"negative NU":         func(c *Config) { c.NU = -6 },
 		"bad PM mesh":         func(c *Config) { c.PMMesh = 7 }, // not a multiple of NGrid = 6
-		"negative CFL":        func(c *Config) { c.CFLX = -0.4 },
 		"negative tree theta": func(c *Config) { c.Theta = -1 },
 	} {
 		if _, err := NewSimulation(runnerTestConfig(), 0.1, opt); err == nil {

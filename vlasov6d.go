@@ -73,9 +73,10 @@ type Config = hybrid.Config
 // Simulation is a live hybrid Vlasov/N-body run.
 type Simulation = hybrid.Simulation
 
-// SimOption adjusts a Config before construction; every other knob is a
-// Config field, set directly. Anything left zero is filled by
-// Config.ApplyDefaults with the paper's value.
+// SimOption adjusts a Config before construction; the other settings are
+// Config fields, set directly, and the CFL targets, the expansion cap and
+// the velocity-grid extent are constants of internal/hybrid. Anything left
+// zero is filled by Config.ApplyDefaults with the paper's value.
 type SimOption func(*Config)
 
 // WithScheme selects the Vlasov position-drift scheme by name (default
