@@ -16,7 +16,12 @@
 //
 // The inner force loop follows the Phantom-GRAPE design the paper ported to
 // SVE: one tree walk per group of nearby targets produces a flat interaction
-// list, and a branch-free kernel with a tabulated force profile streams it
+// list. The walk culls each node by the bounding box of its particles, much
+// tighter than its geometric cell, copies a leaf that lies wholly inside the
+// cutoff without testing its particles, and tests the others without a
+// branch; the list holds exactly the particles a cull by geometric cells
+// keeps, in the same order, and loses only monopoles that add exact zeros.
+// A branch-free kernel with a tabulated force profile streams it
 // past an i-block of four targets held in the lanes of AVX2 registers
 // (kernel_amd64.s), each source loaded once per block. Every lane performs
 // the Go kernel's operations in the Go kernel's order, without FMA, so the
@@ -31,6 +36,8 @@ package tree
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"vlasov6d/internal/nbody"
@@ -65,16 +72,23 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// node is one octree cell.
+// node is one octree cell. The walk culls and copies by pmin–pmax, the
+// exact bounding box of the cell's particles, which is much tighter than
+// the geometric cell; the cell's half-width sets the opening angle. Its
+// centre is passed down the build, not stored: the walk needs it only in
+// the rounding band (see walk), where centre recomputes it.
 type node struct {
-	centre [3]float64 // geometric centre of the cell
-	half   float64    // half-width
-	com    [3]float64
-	mass   float64
-	// children indices into Tree.nodes (−1 when absent).
-	children [8]int32
-	leaf     bool
-	lo, hi   int32 // particle range [lo,hi) in tree order
+	pmin, pmax [3]float64 // corners of the particles' bounding box
+	com        [3]float64
+	mass       float64
+	half       float64 // half-width of the geometric cell
+	// first indexes the children in Tree.nodes: one per bit of octs, in
+	// octant order from first on. Bit k of octs is set when octant k
+	// (bit2 = x-high, bit1 = y-high, bit0 = z-high) holds particles; a leaf
+	// has octs = 0.
+	first  int32
+	lo, hi int32 // particle range [lo,hi) in tree order
+	octs   uint8
 }
 
 // leafSize caps the particles of one leaf.
@@ -91,7 +105,7 @@ const leafSize = 8
 const groupSize = 32
 
 // minGroupsPerWorker is the least work AccelAll hands a goroutine (a group
-// is ~50 µs); with less per worker the second goroutine's wake-up eats the
+// of nbody_step's 32³ set takes 6–16 µs); with less per worker the second goroutine's wake-up eats the
 // gain, so the walk runs on fewer workers, down to the calling goroutine.
 const minGroupsPerWorker = 16
 
@@ -175,16 +189,17 @@ func (t *Tree) Rebuild() {
 		t.pz[i] = p.Pos[2][i]
 	}
 	l := p.Box[0]
-	t.nodes = append(t.nodes[:0], node{centre: [3]float64{l / 2, l / 2, l / 2}, half: l / 2})
+	t.nodes = append(t.nodes[:0], node{half: l / 2})
 	t.groups = t.groups[:0]
-	t.build(0, 0, int32(p.N), 0, false)
+	t.build(0, [3]float64{l / 2, l / 2, l / 2}, 0, int32(p.N), 0, false)
 }
 
 const maxDepth = 48
 
-// build recursively partitions particle range [lo,hi) under node ni;
-// grouped says an ancestor already is a target group.
-func (t *Tree) build(ni int32, lo, hi int32, depth int, grouped bool) {
+// build recursively partitions particle range [lo,hi) under node ni, whose
+// geometric cell is centred on centre; grouped says an ancestor already is
+// a target group.
+func (t *Tree) build(ni int32, centre [3]float64, lo, hi int32, depth int, grouped bool) {
 	n := &t.nodes[ni]
 	// Compute mass and centre of mass.
 	var cx, cy, cz float64
@@ -197,58 +212,74 @@ func (t *Tree) build(ni int32, lo, hi int32, depth int, grouped bool) {
 	n.mass = cnt * t.p.Mass
 	n.com = [3]float64{cx / cnt, cy / cnt, cz / cnt}
 	n.lo, n.hi = lo, hi
-	for c := range n.children {
-		n.children[c] = -1
-	}
-	n.leaf = hi-lo <= leafSize || depth >= maxDepth
-	if !grouped && (n.leaf || hi-lo <= groupSize) {
+	leaf := hi-lo <= leafSize || depth >= maxDepth
+	if !grouped && (leaf || hi-lo <= groupSize) {
 		t.groups = append(t.groups, ni)
 		grouped = true
 	}
-	if n.leaf {
+	if leaf {
+		for k, coord := range [3][]float64{t.px, t.py, t.pz} {
+			mn, mx := coord[lo], coord[lo]
+			for _, v := range coord[lo+1 : hi] {
+				mn, mx = min(mn, v), max(mx, v)
+			}
+			n.pmin[k], n.pmax[k] = mn, mx
+		}
 		return
 	}
 	// Partition the range into octants about the cell centre (in-place
 	// three-level Hoare-style splits).
 	var bounds [9]int32
 	bounds[0], bounds[8] = lo, hi
-	mid := t.partition(lo, hi, 0, n.centre[0])
-	q1 := t.partition(lo, mid, 1, n.centre[1])
-	q2 := t.partition(mid, hi, 1, n.centre[1])
+	mid := t.partition(lo, hi, 0, centre[0])
+	q1 := t.partition(lo, mid, 1, centre[1])
+	q2 := t.partition(mid, hi, 1, centre[1])
 	bounds[2], bounds[4], bounds[6] = q1, mid, q2
-	bounds[1] = t.partition(lo, q1, 2, n.centre[2])
-	bounds[3] = t.partition(q1, mid, 2, n.centre[2])
-	bounds[5] = t.partition(mid, q2, 2, n.centre[2])
-	bounds[7] = t.partition(q2, hi, 2, n.centre[2])
+	bounds[1] = t.partition(lo, q1, 2, centre[2])
+	bounds[3] = t.partition(q1, mid, 2, centre[2])
+	bounds[5] = t.partition(mid, q2, 2, centre[2])
+	bounds[7] = t.partition(q2, hi, 2, centre[2])
+	// The children are appended as one run before any of them recurses.
 	half := n.half / 2
-	centre := n.centre
-	for oct := 0; oct < 8; oct++ {
-		clo, chi := bounds[oct], bounds[oct+1]
-		if clo >= chi {
-			continue
+	first := int32(len(t.nodes))
+	var octs uint8
+	for oct := range 8 {
+		if bounds[oct] < bounds[oct+1] {
+			octs |= 1 << oct
+			t.nodes = append(t.nodes, node{half: half})
 		}
-		var cc [3]float64
-		// Octant encoding: bit2 = x-high, bit1 = y-high, bit0 = z-high.
-		if oct&4 != 0 {
-			cc[0] = centre[0] + half
-		} else {
-			cc[0] = centre[0] - half
-		}
-		if oct&2 != 0 {
-			cc[1] = centre[1] + half
-		} else {
-			cc[1] = centre[1] - half
-		}
-		if oct&1 != 0 {
-			cc[2] = centre[2] + half
-		} else {
-			cc[2] = centre[2] - half
-		}
-		ci := int32(len(t.nodes))
-		t.nodes = append(t.nodes, node{centre: cc, half: half})
-		t.nodes[ni].children[oct] = ci
-		t.build(ci, clo, chi, depth+1, grouped)
 	}
+	n = &t.nodes[ni] // the appends may have moved the nodes
+	n.first, n.octs = first, octs
+	ci := first
+	for m := octs; m != 0; m &= m - 1 {
+		oct := bits.TrailingZeros8(m)
+		t.build(ci, childCentre(centre, half, oct), bounds[oct], bounds[oct+1], depth+1, grouped)
+		ci++
+	}
+	// The particle box is the children's boxes' hull: min and max round
+	// nothing.
+	n = &t.nodes[ni]
+	n.pmin, n.pmax = t.nodes[first].pmin, t.nodes[first].pmax
+	for _, c := range t.nodes[first+1 : ci] {
+		for k := range 3 {
+			n.pmin[k], n.pmax[k] = min(n.pmin[k], c.pmin[k]), max(n.pmax[k], c.pmax[k])
+		}
+	}
+}
+
+// childCentre returns the centre of the cell's octant oct (bit2 = x-high,
+// bit1 = y-high, bit0 = z-high), the child's half-width half away from the
+// cell centre c along each axis.
+func childCentre(c [3]float64, half float64, oct int) [3]float64 {
+	for k := range 3 {
+		if oct&(4>>k) != 0 {
+			c[k] += half
+		} else {
+			c[k] -= half
+		}
+	}
+	return c
 }
 
 // partition reorders [lo,hi) so that coords[dim] < pivot come first and
@@ -295,6 +326,12 @@ func (s *sources) reset() {
 	s.x, s.y, s.z, s.m = s.x[:0], s.y[:0], s.z[:0], s.m[:0]
 }
 
+// grow makes room for n more sources without moving the list's length.
+func (s *sources) grow(n int) {
+	s.x, s.y = slices.Grow(s.x, n), slices.Grow(s.y, n)
+	s.z, s.m = slices.Grow(s.z, n), slices.Grow(s.m, n)
+}
+
 func (s *sources) add(x, y, z, m float64) {
 	s.x = append(s.x, x)
 	s.y = append(s.y, y)
@@ -310,6 +347,10 @@ type walker struct {
 	// distance; only an unsoftened tree needs it (see accel).
 	apart sources
 }
+
+// stackSize bounds the walk stack: each level down leaves at most seven
+// siblings on it, and opening a node writes at most eight.
+const stackSize = 7*maxDepth + 8
 
 // gather fills w.list with every source that can act on a target inside the
 // box of centre c and half-widths h: one walk per periodic image of the box
@@ -349,52 +390,194 @@ func gap2(a, c, h float64) float64 {
 	return d + math.Abs(d)
 }
 
-// walk appends the sources of the tree translated by o. A cell is culled
-// when the minimum distance between it and the target box exceeds the
-// cutoff, and accepted as a monopole when it subtends less than θ from the
-// nearest point of the box; both tests compare squared (doubled) distances.
-// The cull measures from the cell's geometric bounds, not its centre of
-// mass, which can sit anywhere inside them.
+// sep2 returns twice the gap between the intervals [lo,hi] and [blo,bhi]:
+// at most one of the two differences is positive.
+func sep2(lo, hi, blo, bhi float64) float64 {
+	a, b := lo-bhi, blo-hi
+	return a + math.Abs(a) + b + math.Abs(b)
+}
+
+// reach4 returns four times the distance from the interval of centre c and
+// half-width h to the farthest point of [lo,hi].
+func reach4(lo, hi, c, h float64) float64 {
+	d := math.Abs(lo+hi-2*c) + (hi - lo) - 2*h
+	return d + math.Abs(d)
+}
+
+// within returns 1 when d ≤ r2 and 0 otherwise, which the compiler makes
+// a flag set rather than a branch.
+func within(d, r2 float64) int {
+	if d <= r2 {
+		return 1
+	}
+	return 0
+}
+
+// slack is δ, the margin by which the walk's particle-box tests stay clear
+// of the tests they stand in for. The distances they compare are made of
+// coordinates below 2L in magnitude, each a few roundings of ulp(2L) from
+// the exact value; a centre of mass, a sum of up to N coordinates divided
+// by their count, may lie (N−1)·ulp(L) outside its particles' box; and a
+// cell centre, one rounding per level from the root, may sit up to
+// maxDepth/2·ulp(L) off the split planes that placed the cell's particles.
+// 2L·(N+64)·2⁻⁵² covers all of them many times over and is still
+// ~10⁻¹⁰ L at production sizes.
+func (t *Tree) slack() float64 {
+	return 2 * t.p.Box[0] * float64(t.p.N+64) * 0x1p-52
+}
+
+// contained reports that every particle lies in the root cell [0, L]³, as
+// wrapped positions do: then each cell holds its particles, up to the
+// slack.
+func (t *Tree) contained() bool {
+	r, l := &t.nodes[0], t.p.Box[0]
+	return min(r.pmin[0], r.pmin[1], r.pmin[2]) >= 0 && max(r.pmax[0], r.pmax[1], r.pmax[2]) <= l
+}
+
+// centre returns the centre of node ni's geometric cell, to the bits the
+// build computed it with: it descends from the root through the children
+// whose particle ranges hold ni's.
+func (t *Tree) centre(ni int32) [3]float64 {
+	l := t.p.Box[0]
+	c := [3]float64{l / 2, l / 2, l / 2}
+	lo := t.nodes[ni].lo
+	for k := int32(0); k != ni; {
+		n := &t.nodes[k]
+		m, ci := n.octs, n.first
+		for t.nodes[ci].hi <= lo {
+			m &= m - 1
+			ci++
+		}
+		c = childCentre(c, n.half/2, bits.TrailingZeros8(m))
+		k = ci
+	}
+	return c
+}
+
+// cellWithin returns 1 when node ni's geometric cell lies within the cutoff
+// of the box of centre c and half-widths h, and 0 otherwise: the geometric
+// cull, test for test.
+func (t *Tree) cellWithin(ni int32, c, h [3]float64) int {
+	g, half := t.centre(ni), t.nodes[ni].half
+	dx := gap2(g[0], c[0], h[0]+half)
+	dy := gap2(g[1], c[1], h[1]+half)
+	dz := gap2(g[2], c[2], h[2]+half)
+	return within(dx*dx+dy*dy+dz*dz, 4*t.rcut*t.rcut)
+}
+
+// walk appends the sources of the tree translated by o. A node is culled
+// when the gap between its particles' box and the target box exceeds the
+// cutoff by more than the slack δ, and accepted as a monopole when its
+// geometric cell subtends less than θ from the nearest point of the box. A
+// leaf whose particles all lie within rcut − δ of the box is copied whole;
+// any other leaf tests each particle against the box. Every test compares
+// squared (doubled or quadrupled) distances. The cull and the particle
+// tests have no branch: each child is written to the stack and each
+// particle to the list, which then advance by the test.
+//
+// The list is the one a walk that culls by geometric cells gives, less
+// entries that add nothing:
+//   - A node whose particle box lies within rcut − δ of the box has its
+//     geometric cell, which holds those particles, within the cutoff too.
+//     One that reaches nearer than rcut + δ but not rcut − δ (none does on
+//     nbody_step's states) takes the geometric cull as well, cellWithin:
+//     at the rounding edge that cull can drop a cell one of whose
+//     particles the per-particle test would keep. In a tree whose
+//     particles stray outside [0, L]³ a cell need not hold its particles,
+//     so every node takes it.
+//   - The particle entries are the same, in the same order.
+//   - The entries the particle-box cull removes are monopoles of cells
+//     whose particles all lie beyond rcut + δ, which reach every target in
+//     the box at s = r²/r_s² ≥ 4.5²: the kernels' zero table entry
+//     (kernelScalar skips them), which adds ±0 to sums that start at +0.
+//
+// So every acceleration is the same to the bit.
 func (t *Tree) walk(w *walker, c, h, o [3]float64) {
 	rc2 := 4 * t.rcut * t.rcut // against gap2's doubled distances
+	delta := t.slack()
+	cull2 := 4 * (t.rcut + delta) * (t.rcut + delta)   // against sep2's doubled gaps
+	clear2 := 4 * (t.rcut - delta) * (t.rcut - delta)  // the same, short of the cutoff
+	whole2 := 16 * (t.rcut - delta) * (t.rcut - delta) // against reach4's quadrupled reaches
+	if !t.contained() {
+		clear2 = -1
+	}
 	th2 := t.opt.Theta * t.opt.Theta
 	cx, cy, cz := c[0]-o[0], c[1]-o[1], c[2]-o[2]
 	hx, hy, hz := h[0], h[1], h[2]
+	xlo, ylo, zlo := cx-hx, cy-hy, cz-hz
+	xhi, yhi, zhi := cx+hx, cy+hy, cz+hz
 	mass := t.p.Mass
-	stack := append(w.stack[:0], 0)
-	for len(stack) > 0 {
-		n := &t.nodes[stack[len(stack)-1]]
-		stack = stack[:len(stack)-1]
-		dx := gap2(n.centre[0], cx, hx+n.half)
-		dy := gap2(n.centre[1], cy, hy+n.half)
-		dz := gap2(n.centre[2], cz, hz+n.half)
-		if dx*dx+dy*dy+dz*dz > rc2 {
-			continue
+	if len(w.stack) < stackSize {
+		w.stack = make([]int32, stackSize)
+	}
+	stack := w.stack[:stackSize]
+	sp := 0
+	// The root enters as the one child of a node above it, so that it
+	// takes the cull every other node takes.
+	for n := (&node{octs: 1}); ; {
+		// Push the children of n that pass the cull. Pushed in octant
+		// order, they pop from octant 7 down.
+		ci := n.first
+		for m := n.octs; m != 0; m &= m - 1 {
+			ch := &t.nodes[ci]
+			dx := sep2(ch.pmin[0], ch.pmax[0], xlo, xhi)
+			dy := sep2(ch.pmin[1], ch.pmax[1], ylo, yhi)
+			dz := sep2(ch.pmin[2], ch.pmax[2], zlo, zhi)
+			d := dx*dx + dy*dy + dz*dz
+			// A child in the rounding band goes on the stack complemented,
+			// for the pop to take the geometric cull too.
+			stack[sp] = ci ^ int32(within(d, clear2)-1)
+			sp += within(d, cull2)
+			ci++
 		}
-		if n.leaf {
-			for i := n.lo; i < n.hi; i++ {
-				x, y, z := t.px[i], t.py[i], t.pz[i]
-				dx, dy, dz := gap2(x, cx, hx), gap2(y, cy, hy), gap2(z, cz, hz)
-				if dx*dx+dy*dy+dz*dz <= rc2 {
-					w.list.add(x+o[0], y+o[1], z+o[2], mass)
+		// Pop to the next node to open, taking in leaves and monopoles.
+		for {
+			if sp == 0 {
+				return
+			}
+			sp--
+			ni := stack[sp]
+			if ni < 0 {
+				if ni = ^ni; t.cellWithin(ni, [3]float64{cx, cy, cz}, h) == 0 {
+					continue
 				}
 			}
-			continue
-		}
-		if th2 > 0 {
-			dx, dy, dz := gap2(n.com[0], cx, hx), gap2(n.com[1], cy, hy), gap2(n.com[2], cz, hz)
-			if 16*n.half*n.half < th2*(dx*dx+dy*dy+dz*dz) {
-				w.list.add(n.com[0]+o[0], n.com[1]+o[1], n.com[2]+o[2], n.mass)
+			n = &t.nodes[ni]
+			if n.octs == 0 {
+				px, py, pz := t.px[n.lo:n.hi], t.py[n.lo:n.hi], t.pz[n.lo:n.hi]
+				s := &w.list
+				k := len(s.x)
+				s.grow(len(px))
+				xs, ys, zs, ms := s.x[:k+len(px)], s.y[:k+len(px)], s.z[:k+len(px)], s.m[:k+len(px)]
+				dx := reach4(n.pmin[0], n.pmax[0], cx, hx)
+				dy := reach4(n.pmin[1], n.pmax[1], cy, hy)
+				dz := reach4(n.pmin[2], n.pmax[2], cz, hz)
+				if dx*dx+dy*dy+dz*dz <= whole2 {
+					for i, x := range px {
+						xs[k+i], ys[k+i], zs[k+i], ms[k+i] = x+o[0], py[i]+o[1], pz[i]+o[2], mass
+					}
+					k += len(px)
+				} else {
+					for i, x := range px {
+						y, z := py[i], pz[i]
+						dx, dy, dz := gap2(x, cx, hx), gap2(y, cy, hy), gap2(z, cz, hz)
+						xs[k], ys[k], zs[k], ms[k] = x+o[0], y+o[1], z+o[2], mass
+						k += within(dx*dx+dy*dy+dz*dz, rc2)
+					}
+				}
+				s.x, s.y, s.z, s.m = xs[:k], ys[:k], zs[:k], ms[:k]
 				continue
 			}
-		}
-		for _, ch := range n.children {
-			if ch >= 0 {
-				stack = append(stack, ch)
+			if th2 > 0 {
+				dx, dy, dz := gap2(n.com[0], cx, hx), gap2(n.com[1], cy, hy), gap2(n.com[2], cz, hz)
+				if 16*n.half*n.half < th2*(dx*dx+dy*dy+dz*dz) {
+					w.list.add(n.com[0]+o[0], n.com[1]+o[1], n.com[2]+o[2], n.mass)
+					continue
+				}
 			}
+			break
 		}
 	}
-	w.stack = stack
 }
 
 // accel evaluates w.list on one target. With softening a source at zero

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"vlasov6d/internal/nbody"
 	"vlasov6d/internal/units"
@@ -381,7 +382,7 @@ func TestAccelAllWorkerInvariance(t *testing.T) {
 // TestCutoffCullOffCentreCell: a cell's particles can lie up to 2√3·half
 // from its centre of mass, so a cull by |com − target| − √3·half dropped a
 // far-off-centre cell while one of its particles sat well inside the cutoff.
-// The cull goes by the cell's geometric bounds.
+// The cull goes by the bounding box of the cell's particles.
 func TestCutoffCullOffCentreCell(t *testing.T) {
 	const box, rs, soft = 64.0, 2.0, 0.01
 	var pts [][3]float64
@@ -538,5 +539,14 @@ func TestRebuildInPlace(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed Rebuild + AccelAll allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestNodeSize: the walk reads a node per candidate cell, so node stays
+// within 112 bytes with its particle bounds: the geometric centre and eight
+// child slots are not stored beside them.
+func TestNodeSize(t *testing.T) {
+	if s := unsafe.Sizeof(node{}); s > 112 {
+		t.Fatalf("node is %d bytes, want ≤ 112", s)
 	}
 }
