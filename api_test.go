@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"vlasov6d/internal/analysis"
 )
 
 // TestInternalPackagesHaveProductionImporters holds the repository to its
@@ -86,7 +88,7 @@ func TestPublicAPISchemes(t *testing.T) {
 }
 
 func TestPublicAPIPlasma(t *testing.T) {
-	s, err := NewPlasmaSolver(32, 64, 4*math.Pi, 6)
+	s, err := NewPlasmaSolverWithScheme(32, 64, 4*math.Pi, 6, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestPublicAPIPowerSpectrum(t *testing.T) {
 	for i := range rho {
 		rho[i] = 1 + 0.1*math.Sin(float64(i%n))
 	}
-	ks, pk, counts, err := MeasurePowerSpectrum(rho, n, 100, 6)
+	ks, pk, counts, err := analysis.PowerSpectrum(rho, n, 100, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -30,24 +32,36 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the command: it parses args, evolves the runs the requested
+// figures need (each once), writes their files under -out and the
+// summaries to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ExitOnError)
 	var (
-		outDir = flag.String("out", "figures_out", "output directory")
-		fig4   = flag.Bool("fig4", false, "generate Fig. 4 data")
-		fig5   = flag.Bool("fig5", false, "generate Fig. 5 data")
-		fig6   = flag.Bool("fig6", false, "generate Fig. 6 data")
-		fig8   = flag.Bool("fig8", false, "generate Fig. 8 data")
-		ngrid  = flag.Int("ngrid", 12, "Vlasov spatial cells per side")
-		nu     = flag.Int("nu", 10, "velocity cells per side")
-		npart  = flag.Int("npart", 12, "CDM particles per side")
-		aEnd   = flag.Float64("aend", 0.25, "final scale factor (z=3)")
-		seed   = flag.Int64("seed", 20211114, "IC random seed")
+		outDir = fs.String("out", "figures_out", "output directory")
+		fig4   = fs.Bool("fig4", false, "generate Fig. 4 data")
+		fig5   = fs.Bool("fig5", false, "generate Fig. 5 data")
+		fig6   = fs.Bool("fig6", false, "generate Fig. 6 data")
+		fig8   = fs.Bool("fig8", false, "generate Fig. 8 data")
+		ngrid  = fs.Int("ngrid", 12, "Vlasov spatial cells per side")
+		nu     = fs.Int("nu", 10, "velocity cells per side")
+		npart  = fs.Int("npart", 12, "CDM particles per side")
+		aEnd   = fs.Float64("aend", 0.25, "final scale factor (z=3)")
+		seed   = fs.Int64("seed", 20211114, "IC random seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if !(*fig4 || *fig5 || *fig6 || *fig8) {
 		*fig4, *fig5, *fig6, *fig8 = true, true, true, true
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	base := hybrid.Config{
 		Par:       cosmo.Planck2015(0.4),
@@ -58,210 +72,238 @@ func main() {
 		PMFactor:  2,
 		Seed:      *seed,
 	}
-	if *fig4 {
-		runFig4(base, *aEnd, *outDir)
+	// Fig. 4's 0.4 eV run is Figs. 5 and 6's Vlasov run: one evolution.
+	var simV, sim2, simP *hybrid.Simulation
+	var err error
+	if *fig4 || *fig5 || *fig6 {
+		if simV, err = evolve(base, *aEnd, "Mν=0.4eV Vlasov"); err != nil {
+			return err
+		}
 	}
+	// The maps of Figs. 4 and 6: z-projections of 3D fields.
+	n3 := [3]int{*ngrid, *ngrid, *ngrid}
+	type pgm struct {
+		name  string
+		field []float64
+		n     [3]int
+		log   bool
+	}
+	var maps []pgm
+	var dens4 [][]float64 // CDM, ν(0.4 eV), ν(0.2 eV) densities
+	if *fig4 {
+		cfg2 := base
+		cfg2.Par = cosmo.Planck2015(0.2)
+		if sim2, err = evolve(cfg2, *aEnd, "Mν=0.2eV Vlasov"); err != nil {
+			return err
+		}
+		cdm, err := cdmDensity(simV)
+		if err != nil {
+			return err
+		}
+		dens4 = [][]float64{cdm, simV.Grid.ComputeMoments().Density, sim2.Grid.ComputeMoments().Density}
+		maps = append(maps, pgm{"fig4_cdm.pgm", cdm, simV.PM.N, true},
+			pgm{"fig4_nu_0.4eV.pgm", dens4[1], n3, true},
+			pgm{"fig4_nu_0.2eV.pgm", dens4[2], n3, true})
+	}
+	var moms6 []fig6Field
 	if *fig5 || *fig6 {
-		runFig56(base, *aEnd, *outDir, *fig5, *fig6)
+		cfgP := base
+		cfgP.NuParticles, cfgP.NNuSide = true, 2*base.NPartSide
+		if simP, err = evolve(cfgP, *aEnd, "ν-particle baseline"); err != nil {
+			return err
+		}
+	}
+	if *fig6 {
+		if moms6, err = fig6Fields(simV, simP); err != nil {
+			return err
+		}
+		for _, f := range moms6 {
+			maps = append(maps, pgm{"fig6_" + f.name + "_vlasov.pgm", f.vlasov, n3, f.name == "density"},
+				pgm{"fig6_" + f.name + "_nbody.pgm", f.nbody, n3, f.name == "density"})
+		}
+	}
+	for _, m := range maps {
+		proj, w, h, err := analysis.Project(m.field, m.n, 2)
+		if err != nil {
+			return err
+		}
+		if err := writePGM(*outDir, m.name, proj, w, h, m.log); err != nil {
+			return err
+		}
+	}
+	c, noise := summarize(dens4, moms6)
+	if *fig4 {
+		fmt.Fprintf(stdout, "\nFig 4 summary (z=%.2f):\n", 1 / *aEnd - 1)
+		fmt.Fprintf(stdout, "  CDM rms contrast           : %.3f (clustered, wide log range)\n", c[0])
+		fmt.Fprintf(stdout, "  ν rms contrast (Mν=0.4 eV) : %.4f\n", c[1])
+		fmt.Fprintf(stdout, "  ν rms contrast (Mν=0.2 eV) : %.4f\n", c[2])
+		fmt.Fprintf(stdout, "  contrast ratios            : CDM/ν(0.4 eV) %.2f, ν(0.4 eV)/ν(0.2 eV) %.2f\n", c[0]/c[1], c[1]/c[2])
+		fmt.Fprintf(stdout, "  paper expectation: ν maps much smoother than CDM; the heavier\n")
+		fmt.Fprintf(stdout, "  (slower) 0.4 eV neutrinos cluster MORE than 0.2 eV: %.4f > %.4f = %v\n",
+			c[1], c[2], c[1] > c[2])
+	}
+	if *fig5 {
+		if err := runFig5(stdout, *outDir, simV, simP); err != nil {
+			return err
+		}
+	}
+	if *fig6 {
+		fmt.Fprintf(stdout, "\nFig 6 summary (cell-to-cell RMS fluctuation, Vlasov vs N-body):\n")
+		for i, f := range moms6 {
+			nc := noise[i]
+			fmt.Fprintf(stdout, "  %-11s Vlasov %.4f  N-body %.4f  (noise ratio %.1f×)\n",
+				f.name, nc.VlasovRMS, nc.ParticleRMS, nc.ParticleRMS/math.Max(nc.VlasovRMS, 1e-12))
+		}
 	}
 	if *fig8 {
-		runFig8(base, *aEnd, *outDir)
+		cfg8 := base
+		cfg8.Box = 400 // the paper's U1024 covers 1200 h⁻¹Mpc; scale accordingly
+		sim8, err := evolve(cfg8, *aEnd, "fig8")
+		if err != nil {
+			return err
+		}
+		return runFig8(stdout, *outDir, sim8, *aEnd)
 	}
+	return nil
 }
 
 // evolve runs a simulation from z=10 to aEnd under the unified runner.
-func evolve(cfg hybrid.Config, aEnd float64, label string) *hybrid.Simulation {
+func evolve(cfg hybrid.Config, aEnd float64, label string) (*hybrid.Simulation, error) {
 	sim, err := hybrid.New(cfg, 0.0909)
 	if err != nil {
-		log.Fatalf("%s: %v", label, err)
+		return nil, fmt.Errorf("%s: %w", label, err)
 	}
 	log.Printf("%s: evolving z=10 → z=%.2f ...", label, 1/aEnd-1)
 	rep, err := runner.Run(context.Background(), sim, aEnd, runner.WithMaxSteps(100000))
 	if err != nil {
-		log.Fatalf("%s: %v", label, err)
+		return nil, fmt.Errorf("%s: %w", label, err)
 	}
 	log.Printf("%s: done in %d steps (%.1fs wall)", label, rep.Steps, rep.Wall.Seconds())
-	return sim
+	return sim, nil
 }
 
-func writePGMFile(dir, name string, m []float64, w, h int, logScale bool) {
+// writePGM writes an image to dir/name.
+func writePGM(dir, name string, m []float64, w, h int, logScale bool) error {
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
-	if err := analysis.WritePGM(f, m, w, h, logScale); err != nil {
-		log.Fatal(err)
+	if err := errors.Join(analysis.WritePGM(f, m, w, h, logScale), f.Close()); err != nil {
+		return err
 	}
 	log.Printf("wrote %s", f.Name())
+	return nil
 }
 
-// runFig4 produces the three density maps of Fig. 4.
-func runFig4(base hybrid.Config, aEnd float64, outDir string) {
-	// 0.4 eV run.
-	sim4 := evolve(base, aEnd, "fig4 Mν=0.4eV")
-	// 0.2 eV run from the same seed.
-	cfg2 := base
-	cfg2.Par = cosmo.Planck2015(0.2)
-	sim2 := evolve(cfg2, aEnd, "fig4 Mν=0.2eV")
-
-	// CDM map from the 0.4 eV run.
-	mesh := make([]float64, sim4.PM.Size())
-	if err := sim4.Part.CICDeposit(mesh, sim4.PM.N); err != nil {
-		log.Fatal(err)
-	}
-	cdmMap, w, h, err := analysis.Project(mesh, sim4.PM.N, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	writePGMFile(outDir, "fig4_cdm.pgm", cdmMap, w, h, true)
-
-	maps := map[string]*hybrid.Simulation{
-		"fig4_nu_0.4eV.pgm": sim4,
-		"fig4_nu_0.2eV.pgm": sim2,
-	}
-	var c4, c2 float64
-	for name, sim := range maps {
-		m := sim.Grid.ComputeMoments()
-		n3 := [3]int{sim.Grid.NX, sim.Grid.NY, sim.Grid.NZ}
-		numap, w, h, err := analysis.Project(m.Density, n3, 2)
-		if err != nil {
-			log.Fatal(err)
-		}
-		writePGMFile(outDir, name, numap, w, h, true)
-		st := analysis.Stats(m.Density)
-		if sim == sim4 {
-			c4 = st.RMSContrast
-		} else {
-			c2 = st.RMSContrast
-		}
-	}
-	cdmStats := analysis.Stats(mesh)
-	fmt.Printf("\nFig 4 summary (z=%.2f):\n", 1/aEnd-1)
-	fmt.Printf("  CDM rms contrast           : %.3f (clustered, wide log range)\n", cdmStats.RMSContrast)
-	fmt.Printf("  ν rms contrast (Mν=0.4 eV) : %.4f\n", c4)
-	fmt.Printf("  ν rms contrast (Mν=0.2 eV) : %.4f\n", c2)
-	fmt.Printf("  paper expectation: ν maps much smoother than CDM; the heavier\n")
-	fmt.Printf("  (slower) 0.4 eV neutrinos cluster MORE than 0.2 eV: %.4f > %.4f = %v\n",
-		c4, c2, c4 > c2)
-}
-
-// runFig56 produces Fig. 5 (velocity distribution at a cell) and Fig. 6
-// (moment maps Vlasov vs N-body).
-func runFig56(base hybrid.Config, aEnd float64, outDir string, doFig5, doFig6 bool) {
-	simV := evolve(base, aEnd, "fig5/6 Vlasov")
-	cfgP := base
-	cfgP.NuParticles = true
-	cfgP.NNuSide = 2 * base.NPartSide
-	simP := evolve(cfgP, aEnd, "fig5/6 N-body baseline")
-
-	if doFig5 {
-		// Pick the densest cell for an interesting velocity structure.
-		mom := simV.Grid.ComputeMoments()
-		best, bv := 0, 0.0
-		for c, v := range mom.Density {
-			if v > bv {
-				best, bv = c, v
-			}
-		}
-		nz := simV.Grid.NZ
-		ny := simV.Grid.NY
-		ix, iy, iz := best/(ny*nz), (best/nz)%ny, best%nz
-		plane, ux, uy, err := analysis.VelocityPlane(simV.Grid, ix, iy, iz)
-		if err != nil {
-			log.Fatal(err)
-		}
-		writePGMFile(outDir, "fig5_vlasov_fuxuy.pgm", plane, len(uy), len(ux), true)
-		// The N-body samples in the same cell.
-		n3 := [3]int{simV.Grid.NX, simV.Grid.NY, simV.Grid.NZ}
-		pux, puy := analysis.ParticlesInCell(simP.NuPart, n3, ix, iy, iz)
-		f, err := os.Create(filepath.Join(outDir, "fig5_particles.csv"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := analysis.WriteCSV(f, []string{"ux_km_s", "uy_km_s"}, pux, puy); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		fmt.Printf("\nFig 5 summary: cell (%d,%d,%d)\n", ix, iy, iz)
-		fmt.Printf("  Vlasov grid resolves f on %d×%d velocity points\n", len(ux), len(uy))
-		fmt.Printf("  the N-body run has only %d ν particles in the same cell —\n", len(pux))
-		fmt.Printf("  the paper's Fig. 5: the smooth long-tailed distribution vs sparse circles\n")
-	}
-
-	if doFig6 {
-		momV := simV.Grid.ComputeMoments()
-		n3 := [3]int{simV.Grid.NX, simV.Grid.NY, simV.Grid.NZ}
-		momP, err := analysis.MomentsFromParticles(simP.NuPart, n3)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// |⟨u⟩| map for the Vlasov side.
-		meanV := make([]float64, len(momV.Density))
-		for c := range meanV {
-			var m2 float64
-			for d := 0; d < 3; d++ {
-				m2 += momV.MeanU[d][c] * momV.MeanU[d][c]
-			}
-			meanV[c] = math.Sqrt(m2)
-		}
-		fields := []struct {
-			name   string
-			vlasov []float64
-			nbody  []float64
-			logPGM bool
-		}{
-			{"density", momV.Density, momP.Density, true},
-			{"velocity", meanV, momP.MeanV, false},
-			{"dispersion", momV.Sigma, momP.Sigma, false},
-		}
-		fmt.Printf("\nFig 6 summary (cell-to-cell RMS fluctuation, Vlasov vs N-body):\n")
-		for _, fset := range fields {
-			mv, w, h, err := analysis.Project(fset.vlasov, n3, 2)
-			if err != nil {
-				log.Fatal(err)
-			}
-			writePGMFile(outDir, "fig6_"+fset.name+"_vlasov.pgm", mv, w, h, fset.logPGM)
-			mp, _, _, err := analysis.Project(fset.nbody, n3, 2)
-			if err != nil {
-				log.Fatal(err)
-			}
-			writePGMFile(outDir, "fig6_"+fset.name+"_nbody.pgm", mp, w, h, fset.logPGM)
-			nc := analysis.CompareNoise(fset.vlasov, fset.nbody)
-			fmt.Printf("  %-11s Vlasov %.4f  N-body %.4f  (noise ratio %.1f×)\n",
-				fset.name, nc.VlasovRMS, nc.ParticleRMS, nc.ParticleRMS/math.Max(nc.VlasovRMS, 1e-12))
-		}
-	}
-}
-
-// runFig8 produces nested-zoom projections from the largest feasible run.
-func runFig8(base hybrid.Config, aEnd float64, outDir string) {
-	cfg := base
-	cfg.Box = 400 // the paper's U1024 covers 1200 h⁻¹Mpc; scale accordingly
-	sim := evolve(cfg, aEnd, "fig8")
-	m := sim.Grid.ComputeMoments()
-	n3 := [3]int{sim.Grid.NX, sim.Grid.NY, sim.Grid.NZ}
+// cdmDensity deposits a run's CDM particles on its PM mesh.
+func cdmDensity(sim *hybrid.Simulation) ([]float64, error) {
 	mesh := make([]float64, sim.PM.Size())
-	if err := sim.Part.CICDeposit(mesh, sim.PM.N); err != nil {
-		log.Fatal(err)
+	return mesh, sim.Part.CICDeposit(mesh, sim.PM.N)
+}
+
+// summarize computes the numbers the paper's Fig. 4 and Fig. 6 statements
+// rest on: the rms density contrast of Fig. 4's CDM, ν(0.4 eV) and
+// ν(0.2 eV) densities, and the cell-to-cell RMS of each Fig. 6 field on the
+// Vlasov grid and from the ν particles. A figure not asked for leaves its
+// numbers zero.
+func summarize(dens4 [][]float64, moms6 []fig6Field) (contrast [3]float64, noise [3]analysis.NoiseComparison) {
+	for i, f := range dens4 {
+		contrast[i] = analysis.Stats(f).RMSContrast
+	}
+	for i, f := range moms6 {
+		noise[i] = analysis.CompareNoise(f.vlasov, f.nbody)
+	}
+	return contrast, noise
+}
+
+// fig6Field is one ν moment as the Vlasov run and the particle run see it.
+type fig6Field struct {
+	name          string
+	vlasov, nbody []float64
+}
+
+// fig6Fields are the density, |⟨u⟩| and dispersion fields of Fig. 6.
+func fig6Fields(simV, simP *hybrid.Simulation) ([]fig6Field, error) {
+	momV := simV.Grid.ComputeMoments()
+	momP, err := analysis.MomentsFromParticles(simP.NuPart, [3]int{simV.Grid.NX, simV.Grid.NY, simV.Grid.NZ})
+	if err != nil {
+		return nil, err
+	}
+	meanV := make([]float64, len(momV.Density))
+	for c := range meanV {
+		var m2 float64
+		for d := 0; d < 3; d++ {
+			m2 += momV.MeanU[d][c] * momV.MeanU[d][c]
+		}
+		meanV[c] = math.Sqrt(m2)
+	}
+	return []fig6Field{
+		{"density", momV.Density, momP.Density},
+		{"velocity", meanV, momP.MeanV},
+		{"dispersion", momV.Sigma, momP.Sigma},
+	}, nil
+}
+
+// runFig5 writes Fig. 5: the velocity distribution at the densest cell,
+// on the Vlasov grid and as the ν particles sample it.
+func runFig5(stdout io.Writer, outDir string, simV, simP *hybrid.Simulation) error {
+	mom := simV.Grid.ComputeMoments()
+	best, bv := 0, 0.0
+	for c, v := range mom.Density {
+		if v > bv {
+			best, bv = c, v
+		}
+	}
+	ny, nz := simV.Grid.NY, simV.Grid.NZ
+	ix, iy, iz := best/(ny*nz), (best/nz)%ny, best%nz
+	plane, ux, uy, err := analysis.VelocityPlane(simV.Grid, ix, iy, iz)
+	if err != nil {
+		return err
+	}
+	if err := writePGM(outDir, "fig5_vlasov_fuxuy.pgm", plane, len(uy), len(ux), true); err != nil {
+		return err
+	}
+	// The N-body samples in the same cell.
+	pux, puy := analysis.ParticlesInCell(simP.NuPart, [3]int{simV.Grid.NX, ny, nz}, ix, iy, iz)
+	f, err := os.Create(filepath.Join(outDir, "fig5_particles.csv"))
+	if err != nil {
+		return err
+	}
+	if err := errors.Join(analysis.WriteCSV(f, []string{"ux_km_s", "uy_km_s"}, pux, puy), f.Close()); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\nFig 5 summary: cell (%d,%d,%d)\n", ix, iy, iz)
+	fmt.Fprintf(stdout, "  Vlasov grid resolves f on %d×%d velocity points\n", len(ux), len(uy))
+	fmt.Fprintf(stdout, "  the N-body run has only %d ν particles in the same cell —\n", len(pux))
+	fmt.Fprintf(stdout, "  the paper's Fig. 5: the smooth long-tailed distribution vs sparse circles\n")
+	return nil
+}
+
+// runFig8 writes nested-zoom projections from the largest feasible run.
+func runFig8(stdout io.Writer, outDir string, sim *hybrid.Simulation, aEnd float64) error {
+	mesh, err := cdmDensity(sim)
+	if err != nil {
+		return err
 	}
 	// Full box and a 2× zoom of the central region, CDM and ν.
 	full, w, h, err := analysis.Project(mesh, sim.PM.N, 2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	writePGMFile(outDir, "fig8_cdm_full.pgm", full, w, h, true)
-	nuMap, wn, hn, err := analysis.Project(m.Density, n3, 2)
+	nuMap, wn, hn, err := analysis.Project(sim.Grid.ComputeMoments().Density, [3]int{sim.Grid.NX, sim.Grid.NY, sim.Grid.NZ}, 2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	writePGMFile(outDir, "fig8_nu_full.pgm", nuMap, wn, hn, true)
-	zoom := centreCrop(full, w, h, 2)
-	writePGMFile(outDir, "fig8_cdm_zoom.pgm", zoom, w/2, h/2, true)
-	zoomNu := centreCrop(nuMap, wn, hn, 2)
-	writePGMFile(outDir, "fig8_nu_zoom.pgm", zoomNu, wn/2, hn/2, true)
-	fmt.Printf("\nFig 8 summary: %.0f h⁻¹Mpc box at z=%.2f, full + 2× zoom maps written\n",
-		cfg.Box, 1/aEnd-1)
+	err = errors.Join(writePGM(outDir, "fig8_cdm_full.pgm", full, w, h, true),
+		writePGM(outDir, "fig8_nu_full.pgm", nuMap, wn, hn, true),
+		writePGM(outDir, "fig8_cdm_zoom.pgm", centreCrop(full, w, h, 2), w/2, h/2, true),
+		writePGM(outDir, "fig8_nu_zoom.pgm", centreCrop(nuMap, wn, hn, 2), wn/2, hn/2, true))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\nFig 8 summary: %.0f h⁻¹Mpc box at z=%.2f, full + 2× zoom maps written\n",
+		sim.PM.Box[0], 1/aEnd-1)
+	return nil
 }
 
 func centreCrop(m []float64, w, h, factor int) []float64 {

@@ -33,8 +33,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -71,24 +73,33 @@ func (c *cell) observe(step int, d vlasov6d.RunDiagnostics) error {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweep: ")
-	var (
-		schemes    = flag.String("schemes", "slmpp5,mp5,upwind1", "comma-separated x-drift advection schemes")
-		res        = flag.String("res", "32x64,64x128", "comma-separated NXxNV phase-space resolutions")
-		k          = flag.Float64("k", 0.5, "perturbation wavenumber (Debye-length units)")
-		alpha      = flag.Float64("alpha", 0.01, "perturbation amplitude")
-		until      = flag.Float64("until", 25, "integration time ω_p·t")
-		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		budget     = flag.Int("budget", 0, "CPU core budget divided among live jobs, rebalanced as the queue drains; 0 disables (every job then runs GOMAXPROCS intra-step workers and an N-job pool oversubscribes the machine N-fold). -budget with the machine's core count is the paper's fixed-partition accounting.")
-		wall       = flag.Duration("wall", 0, "shared wall-clock budget for the whole sweep (0 = unlimited)")
-		resumeDir  = flag.String("resume-dir", "", "per-job checkpoint root; a re-invoked sweep resumes each job from its newest snapshot")
-		retries    = flag.Int("retries", 0, "extra attempts per job after a transient (retryable) failure")
-		ckptEvery  = flag.Int("ckpt-every", 25, "checkpoint cadence in steps (with -resume-dir)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile at sweep end to this file")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	stopProfiles := startProfiles(*cpuprofile, *memprofile)
+// run is the command: it parses args, runs the sweep and writes the table
+// to stdout (per-job status lines go to the log).
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	var (
+		schemes    = fs.String("schemes", "slmpp5,mp5,upwind1", "comma-separated x-drift advection schemes")
+		res        = fs.String("res", "32x64,64x128", "comma-separated NXxNV phase-space resolutions")
+		k          = fs.Float64("k", 0.5, "perturbation wavenumber (Debye-length units)")
+		alpha      = fs.Float64("alpha", 0.01, "perturbation amplitude")
+		until      = fs.Float64("until", 25, "integration time ω_p·t")
+		workers    = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		budget     = fs.Int("budget", 0, "CPU core budget divided among live jobs, rebalanced as the queue drains; 0 disables (every job then runs GOMAXPROCS intra-step workers and an N-job pool oversubscribes the machine N-fold). -budget with the machine's core count is the paper's fixed-partition accounting.")
+		wall       = fs.Duration("wall", 0, "shared wall-clock budget for the whole sweep (0 = unlimited)")
+		resumeDir  = fs.String("resume-dir", "", "per-job checkpoint root; a re-invoked sweep resumes each job from its newest snapshot")
+		retries    = fs.Int("retries", 0, "extra attempts per job after a transient (retryable) failure")
+		ckptEvery  = fs.Int("ckpt-every", 25, "checkpoint cadence in steps (with -resume-dir)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile at sweep end to this file")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var grid []*cell
 	for _, sc := range strings.Split(*schemes, ",") {
@@ -99,17 +110,17 @@ func main() {
 		for _, rs := range strings.Split(*res, ",") {
 			nx, nv, err := parseRes(rs)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			grid = append(grid, &cell{scheme: sc, nx: nx, nv: nv})
 		}
 	}
 	if len(grid) == 0 {
-		log.Fatal("empty sweep: no schemes or resolutions")
+		return errors.New("empty sweep: no schemes or resolutions")
 	}
 
 	theory := vlasov6d.LandauDampingRate(*k, 1)
-	fmt.Printf("Landau sweep: %d jobs (%s × %s), k·λ_D = %.2f, theory γ = %.4f\n",
+	fmt.Fprintf(stdout, "Landau sweep: %d jobs (%s × %s), k·λ_D = %.2f, theory γ = %.4f\n",
 		len(grid), *schemes, *res, *k, theory)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -206,65 +217,74 @@ func main() {
 		}
 		jobs[i] = job
 	}
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
+	}
 	start := time.Now()
 	results, err := vlasov6d.RunBatch(ctx, jobs, opts...)
+	if perr := stopProfiles(); perr != nil {
+		return perr
+	}
 	if results == nil {
 		// Invalid options or jobs; an interrupted sweep still returns every
 		// result and prints its partial table below.
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\n%-12s %9s %10s %10s %8s %8s  %s\n",
+	fmt.Fprintf(stdout, "\n%-12s %9s %10s %10s %8s %8s  %s\n",
 		"scheme", "NX×NV", "γ fit", "γ theory", "err %", "attempt", "status")
 	for i, c := range grid {
 		r := results[i]
 		label := fmt.Sprintf("%d×%d", c.nx, c.nv)
 		if r.Status != vlasov6d.JobDone || c.fit.Peaks() < 3 {
-			fmt.Printf("%-12s %9s %10s %10.4f %8s %8d  %s\n",
+			fmt.Fprintf(stdout, "%-12s %9s %10s %10.4f %8s %8d  %s\n",
 				c.scheme, label, "—", theory, "—", r.Attempt, r.Status)
 			continue
 		}
 		gamma := c.fit.Gamma()
 		errPct := 100 * math.Abs(gamma-theory) / math.Abs(theory)
-		fmt.Printf("%-12s %9s %10.4f %10.4f %8.1f %8d  %s\n",
+		fmt.Fprintf(stdout, "%-12s %9s %10.4f %10.4f %8.1f %8d  %s\n",
 			c.scheme, label, gamma, theory, errPct, r.Attempt, r.Status)
 	}
-	fmt.Printf("\nsweep finished in %.2fs wall\n", time.Since(start).Seconds())
-	stopProfiles()
-	if ctx.Err() != nil {
-		os.Exit(1)
-	}
+	fmt.Fprintf(stdout, "\nsweep finished in %.2fs wall\n", time.Since(start).Seconds())
+	return ctx.Err()
 }
 
 // startProfiles starts a CPU profile (if requested) and returns a function
-// that stops it and writes the heap profile. The returned function must run
-// before os.Exit, which skips deferred calls.
-func startProfiles(cpuPath, memPath string) func() {
+// that stops it and writes the heap profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
 	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			log.Fatal(err)
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
 		}
 	}
-	return func() {
-		if cpuPath != "" {
+	return func() error {
+		if cpu != nil {
 			pprof.StopCPUProfile()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
+			if err := cpu.Close(); err != nil {
+				return err
 			}
 		}
-	}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // settle the heap so the profile shows retained allocations
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // parseRes parses "NXxNV" (e.g. "64x128").

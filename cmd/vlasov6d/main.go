@@ -18,8 +18,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -31,29 +33,40 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vlasov6d: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the command: it parses args, runs the simulation, writes the
+// summary to stdout (progress goes to the log) and the requested files.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vlasov6d", flag.ExitOnError)
 	var (
-		box       = flag.Float64("box", 200, "comoving box size (h⁻¹Mpc)")
-		ngrid     = flag.Int("ngrid", 12, "Vlasov spatial cells per side")
-		nuCells   = flag.Int("nu", 10, "velocity cells per side")
-		npart     = flag.Int("npart", 12, "CDM particles per side")
-		pmf       = flag.Int("pmfactor", 2, "PM mesh refinement over the Vlasov grid")
-		mnu       = flag.Float64("mnu", 0.4, "ΣMν (eV)")
-		zinit     = flag.Float64("zinit", 10, "starting redshift")
-		zend      = flag.Float64("zend", 0, "final redshift")
-		scheme    = flag.String("scheme", "slmpp5", "position-drift scheme (the velocity kick is always slmpp5): slmpp5|mp5|upwind1|laxwendroff2")
-		seed      = flag.Int64("seed", 20211114, "IC random seed")
-		baseline  = flag.Bool("nu-particles", false, "use the TianNu-style ν-particle baseline instead of the Vlasov grid")
-		resume    = flag.String("resume", "", "restart from this snapshot file — or the newest checkpoint when given a directory")
-		ckptDir   = flag.String("checkpoint", "", "write checkpoints into this directory")
-		ckptEvery = flag.Int("checkpoint-every", 50, "checkpoint cadence in steps")
-		ckptKeep  = flag.Int("checkpoint-keep", 0, "keep only the newest N checkpoints (0 = keep all)")
-		wall      = flag.Duration("wall", 0, "wall-clock budget (0 = unlimited), e.g. 30m")
-		maxSteps  = flag.Int("max-steps", 1000000, "step budget (0 = unlimited)")
-		snap      = flag.String("snapshot", "", "write a final snapshot to this path")
-		spectrum  = flag.String("spectrum", "", "write the final total-matter P(k) CSV to this path")
-		logEvery  = flag.Int("log-every", 10, "progress log cadence in steps")
+		box       = fs.Float64("box", 200, "comoving box size (h⁻¹Mpc)")
+		ngrid     = fs.Int("ngrid", 12, "Vlasov spatial cells per side")
+		nuCells   = fs.Int("nu", 10, "velocity cells per side")
+		npart     = fs.Int("npart", 12, "CDM particles per side")
+		pmf       = fs.Int("pmfactor", 2, "PM mesh refinement over the Vlasov grid")
+		mnu       = fs.Float64("mnu", 0.4, "ΣMν (eV)")
+		zinit     = fs.Float64("zinit", 10, "starting redshift")
+		zend      = fs.Float64("zend", 0, "final redshift")
+		scheme    = fs.String("scheme", "slmpp5", "position-drift scheme (the velocity kick is always slmpp5): slmpp5|mp5|upwind1|laxwendroff2")
+		seed      = fs.Int64("seed", 20211114, "IC random seed")
+		baseline  = fs.Bool("nu-particles", false, "use the TianNu-style ν-particle baseline instead of the Vlasov grid")
+		resume    = fs.String("resume", "", "restart from this snapshot file — or the newest checkpoint when given a directory")
+		ckptDir   = fs.String("checkpoint", "", "write checkpoints into this directory")
+		ckptEvery = fs.Int("checkpoint-every", 50, "checkpoint cadence in steps")
+		ckptKeep  = fs.Int("checkpoint-keep", 0, "keep only the newest N checkpoints (0 = keep all)")
+		wall      = fs.Duration("wall", 0, "wall-clock budget (0 = unlimited), e.g. 30m")
+		maxSteps  = fs.Int("max-steps", 1000000, "step budget (0 = unlimited)")
+		snap      = fs.String("snapshot", "", "write a final snapshot to this path")
+		spectrum  = fs.String("spectrum", "", "write the final total-matter P(k) CSV to this path")
+		logEvery  = fs.Int("log-every", 10, "progress log cadence in steps")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := vlasov6d.Config{
 		Par:       vlasov6d.Planck2015(*mnu),
@@ -90,7 +103,7 @@ func main() {
 			}
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sim, err = vlasov6d.RestoreSimulation(cfg, sp, opts...)
 		if err == nil {
@@ -100,7 +113,7 @@ func main() {
 		sim, err = vlasov6d.NewSimulation(cfg, aInit, opts...)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	nu0, cdm0 := sim.TotalMass()
 	log.Printf("box %.0f h⁻¹Mpc, %d³ Vlasov cells × %d³ velocity cells, %d³ particles, ΣMν = %.2f eV",
@@ -138,7 +151,7 @@ func main() {
 	rep, err := vlasov6d.Run(ctx, sim, aEnd, runOpts...)
 	if err != nil {
 		if ctx.Err() == nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("interrupted: %v", err)
 	} else if rep.Reason != vlasov6d.ReasonUntil {
@@ -150,35 +163,34 @@ func main() {
 	}
 
 	nu1, cdm1 := sim.TotalMass()
-	fmt.Printf("\nrun complete: %d steps to z = %.2f (%.1f s wall)\n",
+	fmt.Fprintf(stdout, "\nrun complete: %d steps to z = %.2f (%.1f s wall)\n",
 		rep.Steps, sim.Redshift(), rep.Wall.Seconds())
-	fmt.Printf("  CDM mass        : %.6e (drift %+.1e)\n", cdm1, (cdm1-cdm0)/cdm0)
+	fmt.Fprintf(stdout, "  CDM mass        : %.6e (drift %+.1e)\n", cdm1, (cdm1-cdm0)/cdm0)
 	if nu0 > 0 {
-		fmt.Printf("  ν mass          : %.6e (drift %+.1e)\n", nu1, (nu1-nu0)/nu0)
+		fmt.Fprintf(stdout, "  ν mass          : %.6e (drift %+.1e)\n", nu1, (nu1-nu0)/nu0)
 	}
-	fmt.Printf("  step time       : %.1f s over %d steps\n", sim.Tim.Total.Seconds(), sim.Tim.Steps)
-	fmt.Printf("  part breakdown  : Vlasov %.1fs (kick %.1fs, drift %.1fs) | tree %.1fs | PM %.1fs | moments %.1fs\n",
+	fmt.Fprintf(stdout, "  step time       : %.1f s over %d steps\n", sim.Tim.Total.Seconds(), sim.Tim.Steps)
+	fmt.Fprintf(stdout, "  part breakdown  : Vlasov %.1fs (kick %.1fs, drift %.1fs) | tree %.1fs | PM %.1fs | moments %.1fs\n",
 		sim.Tim.Vlasov.Seconds(), sim.Tim.Kick.Seconds(), sim.Tim.Drift.Seconds(),
 		sim.Tim.Tree.Seconds(), sim.Tim.PM.Seconds(), sim.Tim.Moments.Seconds())
-	fmt.Printf("  work counts     : %d kick + %d drift sweeps | %d PM | %d tree evaluations\n",
+	fmt.Fprintf(stdout, "  work counts     : %d kick + %d drift sweeps | %d PM | %d tree evaluations\n",
 		sim.Tim.KickSweeps, sim.Tim.DriftSweeps, sim.Tim.PMEvals, sim.Tim.TreeEvals)
 
 	if *snap != "" {
 		f, err := os.Create(*snap)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		n, err := vlasov6d.WriteSnapshot(f, &vlasov6d.Snapshot{A: sim.A, Time: sim.Time, Part: sim.Part, Grid: sim.Grid, NuPart: sim.NuPart})
-		if err != nil {
-			log.Fatal(err)
+		n, err := sim.Checkpoint(f)
+		if err := errors.Join(err, f.Close()); err != nil {
+			return err
 		}
-		f.Close()
 		log.Printf("snapshot: %s (%d bytes)", *snap, n)
 	}
 	if *spectrum != "" {
 		mesh := make([]float64, sim.PM.Size())
 		if err := sim.Part.CICDeposit(mesh, sim.PM.N); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if nuRho := sim.NeutrinoDensityPM(); nuRho != nil {
 			for i, v := range nuRho {
@@ -187,16 +199,17 @@ func main() {
 		}
 		ks, pk, _, err := analysis.PowerSpectrum(mesh, sim.PM.N[0], *box, 16)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		f, err := os.Create(*spectrum)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := analysis.WriteCSV(f, []string{"k_h_Mpc", "Pk_Mpc3_h3"}, ks, pk); err != nil {
-			log.Fatal(err)
+		err = analysis.WriteCSV(f, []string{"k_h_Mpc", "Pk_Mpc3_h3"}, ks, pk)
+		if err := errors.Join(err, f.Close()); err != nil {
+			return err
 		}
-		f.Close()
 		log.Printf("power spectrum: %s (%d bins)", *spectrum, len(ks))
 	}
+	return nil
 }

@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,18 +54,22 @@ type declUnit struct {
 // TestEveryDeclarationHasAProductionCaller is the declaration-level sibling
 // of TestInternalPackagesHaveProductionImporters: a top-level declaration
 // of any non-test file stays only if a program reaches it. Roots are the
-// main functions of cmd/, examples/ and benchmark/ (read, never reported),
-// init functions, and the test oracles above. From the roots, a live
-// declaration keeps alive every package-level name it mentions, every
-// pkg.Name it selects, and every method of a live type whose name it
-// selects or a standard-library interface calls. Resolution is by name, so
-// the gate errs towards keeping.
+// main functions of benchmark/ (read, never reported), the main functions
+// of cmd/ and examples/ that something runs, init functions, and the test
+// oracles above. A program under cmd/ or examples/ is run when its
+// directory has a test file or a CI step names it in `go run ./<dir>` or
+// `go build … ./<dir>`; one that is neither fails the gate by name. From
+// the roots, a live declaration keeps alive every package-level name it
+// mentions, every pkg.Name it selects, and every method of a live type
+// whose name it selects or a standard-library interface calls. Resolution
+// is by name, so the gate errs towards keeping.
 func TestEveryDeclarationHasAProductionCaller(t *testing.T) {
 	fset := token.NewFileSet()
 	var units []*declUnit
 	pkgName := map[string]string{}                // package dir → package name
 	byName := map[string]map[string][]*declUnit{} // package dir → name → units
 	methods := map[string][]*declUnit{}           // method name → units
+	tested := map[string]bool{}                   // package dir → has a _test.go file
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -73,6 +79,9 @@ func TestEveryDeclarationHasAProductionCaller(t *testing.T) {
 				return filepath.SkipDir
 			}
 			return nil
+		}
+		if strings.HasSuffix(p, "_test.go") {
+			tested[filepath.ToSlash(filepath.Dir(p))] = true
 		}
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
@@ -164,10 +173,18 @@ func TestEveryDeclarationHasAProductionCaller(t *testing.T) {
 			mark(u)
 		}
 	}
+	ci := ciPrograms(t)
 	foundOracles := map[string]bool{}
 	for _, u := range units {
-		isMain := pkgName[u.pkg] == "main" && u.name == "main" && u.recv == "" &&
-			(strings.HasPrefix(u.pkg, "cmd/") || strings.HasPrefix(u.pkg, "examples/") || strings.HasPrefix(u.pkg, "benchmark"))
+		isMain := pkgName[u.pkg] == "main" && u.name == "main" && u.recv == ""
+		if isMain && (strings.HasPrefix(u.pkg, "cmd/") || strings.HasPrefix(u.pkg, "examples/")) {
+			if !tested[u.pkg] && !ci[u.pkg] {
+				t.Errorf("%s: no test and no CI step runs this program (give it a test, run it in .github/workflows/ci.yml, or delete it)", u.pkg)
+				isMain = false
+			}
+		} else if !strings.HasPrefix(u.pkg, "benchmark") {
+			isMain = false
+		}
 		_, oracle := declarationOracles[key(u)]
 		if oracle {
 			foundOracles[key(u)] = true
@@ -233,6 +250,21 @@ func TestEveryDeclarationHasAProductionCaller(t *testing.T) {
 	}
 }
 
+// ciPrograms is the set of package directories a CI step runs or builds
+// as a program: the first ./<dir> argument of every `go run` or `go build`
+// in .github/workflows/ci.yml.
+func ciPrograms(t *testing.T) map[string]bool {
+	src, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\bgo (?:run|build)\b[^\n]*?\s\./(\S+)`).FindAllStringSubmatch(string(src), -1) {
+		progs[strings.TrimSuffix(m[1], "/")] = true
+	}
+	return progs
+}
+
 // recvTypeName is the type name of a method receiver: T, *T, T[P] or *T[P].
 func recvTypeName(e ast.Expr) string {
 	for {
@@ -265,9 +297,9 @@ var knobExceptions = map[string]string{
 // outside benchmark/. A write is an assignment, an increment, an address
 // taken (&c.X, as a flag binding does) or a composite-literal key in any
 // non-test file: the declaration gate already holds every non-test
-// declaration reachable from a main or init in cmd/, examples/ or
-// benchmark/. Two writes in the field's own package do not count: a
-// zero-fill (if c.X == 0 { c.X = … }) and a self-copy (X: s.X). Literal
+// declaration reachable from an init or the main of a program that runs.
+// Two writes in the field's own package do not count: a zero-fill
+// (if c.X == 0 { c.X = … }) and a self-copy (X: s.X). Literal
 // keys resolve by the literal's type, every other write by field name, so
 // the gate errs towards keeping.
 func TestEveryKnobHasAWriter(t *testing.T) {

@@ -64,7 +64,7 @@ func TestGoldenStateFingerprint(t *testing.T) {
 		t.Errorf("hybrid boundary loss %.17g, want %.17g", loss, hybridLoss)
 	}
 
-	ps, err := NewPlasmaSolver(64, 256, 4*math.Pi, 8)
+	ps, err := NewPlasmaSolverWithScheme(64, 256, 4*math.Pi, 8, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}

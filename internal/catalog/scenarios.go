@@ -1,10 +1,10 @@
 package catalog
 
-// The built-in scenarios: every workload shape the repository's examples
-// and commands run, declared once with typed parameters so the service
-// layer can instantiate them from JSON. The configurations default to the
-// small, laptop-sized versions the examples use — a control plane accepting
-// remote work should not default to a Fugaku-sized campaign.
+// The built-in scenarios: every workload shape the repository's commands
+// run, declared once with typed parameters so the service layer can
+// instantiate them from JSON. The configurations default to small,
+// laptop-sized versions — a control plane accepting remote work should not
+// default to a Fugaku-sized campaign.
 
 import (
 	"fmt"

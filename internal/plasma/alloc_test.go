@@ -9,7 +9,7 @@ import (
 // worker, a warmed-up solver advances whole split steps (field solve
 // included) without allocating.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
-	s, err := New(64, 64, 4*math.Pi, 8)
+	s, err := NewWithScheme(64, 64, 4*math.Pi, 8, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 // worker pool across steps and stays physically identical to serial.
 func TestParallelWorkerPoolReused(t *testing.T) {
 	mk := func(workers int) *Solver {
-		s, err := New(32, 32, 4*math.Pi, 8)
+		s, err := NewWithScheme(32, 32, 4*math.Pi, 8, "slmpp5")
 		if err != nil {
 			t.Fatal(err)
 		}

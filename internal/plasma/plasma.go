@@ -68,15 +68,10 @@ type Solver struct {
 	pool *par.Pool[pworker]
 }
 
-// New allocates a solver with the paper's SL-MPP5 advection. nx and nv
-// must be at least 6 (stencil width).
-func New(nx, nv int, boxL, vmax float64) (*Solver, error) {
-	return NewWithScheme(nx, nv, boxL, vmax, "slmpp5")
-}
-
 // NewWithScheme allocates a solver whose periodic x-drift uses the named
-// advection scheme (see advect.Names) — the knob scheme-comparison sweeps
-// turn. The open-boundary v-kick always uses SL-MPP5, the only scheme with
+// advection scheme (see advect.Names; "slmpp5" is the paper's) — the knob
+// scheme-comparison sweeps turn. nx and nv must be at least 6 (stencil
+// width). The open-boundary v-kick always uses SL-MPP5, the only scheme with
 // an open-line form; the drift is where the schemes differ in dissipation
 // and phase error, so the comparison isolates exactly that.
 func NewWithScheme(nx, nv int, boxL, vmax float64, scheme string) (*Solver, error) {

@@ -7,16 +7,16 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(4, 32, 10, 6); err == nil {
+	if _, err := NewWithScheme(4, 32, 10, 6, "slmpp5"); err == nil {
 		t.Fatal("nx < 6 accepted")
 	}
-	if _, err := New(32, 4, 10, 6); err == nil {
+	if _, err := NewWithScheme(32, 4, 10, 6, "slmpp5"); err == nil {
 		t.Fatal("nv < 6 accepted")
 	}
-	if _, err := New(32, 32, -1, 6); err == nil {
+	if _, err := NewWithScheme(32, 32, -1, 6, "slmpp5"); err == nil {
 		t.Fatal("bad L accepted")
 	}
-	if _, err := New(32, 32, 10, 0); err == nil {
+	if _, err := NewWithScheme(32, 32, 10, 0, "slmpp5"); err == nil {
 		t.Fatal("bad Vmax accepted")
 	}
 	if _, err := NewWithScheme(32, 32, 10, 6, "no-such-scheme"); err == nil {
@@ -116,7 +116,7 @@ func TestLandauDampingRateTextbookValues(t *testing.T) {
 }
 
 func TestMassConservation(t *testing.T) {
-	s, err := New(32, 64, 4*math.Pi, 6)
+	s, err := NewWithScheme(32, 64, 4*math.Pi, 6, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestMassConservation(t *testing.T) {
 }
 
 func TestNeutralityAndField(t *testing.T) {
-	s, err := New(32, 64, 2*math.Pi, 6)
+	s, err := NewWithScheme(32, 64, 2*math.Pi, 6, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestLandauDampingMeasured(t *testing.T) {
 	// field-energy decay rate must match the kinetic-theory Landau rate
 	// within 2 %, and mass must be conserved to 1e-9.
 	k := 0.5
-	s, err := New(64, 256, 2*math.Pi/k, 8)
+	s, err := NewWithScheme(64, 256, 2*math.Pi/k, 8, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,34 +218,51 @@ func TestLandauDampingMeasured(t *testing.T) {
 
 func TestTwoStreamInstabilityGrows(t *testing.T) {
 	// Counter-streaming beams at v0 = 2.4 with k = 0.2 are unstable: the
-	// field energy must grow by orders of magnitude before saturation.
-	k := 0.2
-	s, err := New(32, 128, 2*math.Pi/k, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.TwoStreamInit(1e-3, k, 2.4, 0.5)
-	e0 := s.FieldEnergy()
-	for i := 0; i < 400; i++ {
-		if err := s.Step(0.1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e1 := s.FieldEnergy()
-	if e1 < 100*e0 {
-		t.Fatalf("two-stream instability did not grow: %v -> %v", e0, e1)
-	}
-	// f must remain non-negative through the nonlinear stage.
-	for i, v := range s.F {
-		if v < 0 {
-			t.Fatalf("negative f at %d: %v", i, v)
-		}
+	// field energy must grow by orders of magnitude before saturation,
+	// whatever the x-drift scheme. Through the nonlinear trapping stage the
+	// paper's SL-MPP5 keeps f non-negative and the mass to round-off
+	// (−8.7e-12 here); the unlimited Lax-Wendroff baseline undershoots
+	// (min f ≈ −0.04 here), which is what the MP/PP limiters are for.
+	for _, tc := range []struct {
+		scheme   string
+		positive bool
+	}{{"slmpp5", true}, {"laxwendroff2", false}} {
+		t.Run(tc.scheme, func(t *testing.T) {
+			k := 0.2
+			s, err := NewWithScheme(32, 128, 2*math.Pi/k, 8, tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.TwoStreamInit(1e-3, k, 2.4, 0.5)
+			e0, m0 := s.FieldEnergy(), s.TotalMass()
+			for i := 0; i < 400; i++ {
+				if err := s.Step(0.1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e1 := s.FieldEnergy(); e1 < 100*e0 {
+				t.Fatalf("two-stream instability did not grow: %v -> %v", e0, e1)
+			}
+			minF := math.Inf(1)
+			for _, v := range s.F {
+				minF = math.Min(minF, v)
+			}
+			drift := (s.TotalMass() - m0) / m0
+			switch {
+			case tc.positive && minF < 0:
+				t.Fatalf("negative f: min %v", minF)
+			case tc.positive && math.Abs(drift) > 1e-9:
+				t.Fatalf("mass drift %v", drift)
+			case !tc.positive && minF > -1e-3:
+				t.Fatalf("the unlimited scheme kept min f = %v: the limiter comparison shows nothing", minF)
+			}
+		})
 	}
 }
 
 func TestLandauStableMaxwellianStaysQuiet(t *testing.T) {
 	// Control: with no perturbation the field energy stays at round-off.
-	s, err := New(32, 64, 4*math.Pi, 6)
+	s, err := NewWithScheme(32, 64, 4*math.Pi, 6, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +280,7 @@ func TestLandauStableMaxwellianStaysQuiet(t *testing.T) {
 func TestSolverContractForRunner(t *testing.T) {
 	// The solver carries its own clock and CFL-based dt suggestion so the
 	// unified runner can drive it like any other workload.
-	s, err := New(32, 64, 4*math.Pi, 6)
+	s, err := NewWithScheme(32, 64, 4*math.Pi, 6, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +313,7 @@ func TestSolverContractForRunner(t *testing.T) {
 // makes a scheduler-owned core budget free to resize a running solver.
 func TestWorkerCountInvariance(t *testing.T) {
 	build := func(workers int) *Solver {
-		s, err := New(32, 64, 4*math.Pi, 8)
+		s, err := NewWithScheme(32, 64, 4*math.Pi, 8, "slmpp5")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +348,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 // TestSetWorkersFloor: the worker count floors at one.
 func TestSetWorkersFloor(t *testing.T) {
-	s, err := New(16, 16, 10, 6)
+	s, err := NewWithScheme(16, 16, 10, 6, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}

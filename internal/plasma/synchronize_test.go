@@ -154,7 +154,7 @@ func TestRefillDropsCachedField(t *testing.T) {
 	s := landauSolver(t, "slmpp5") // α = 0.01
 	stepN(t, s, 5, 0.05)
 	s.LandauInit(0.2, 0.5, 1)
-	fresh, err := New(s.NX, s.NV, s.L, s.VMax)
+	fresh, err := NewWithScheme(s.NX, s.NV, s.L, s.VMax, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -358,7 +358,7 @@ func landauStreamJob(t *testing.T, until float64, live **plasma.Solver, cancelAt
 		Until: until,
 		Opts:  opts,
 		New: func() (runner.Solver, error) {
-			s, err := plasma.New(32, 64, 4*math.Pi, 6)
+			s, err := plasma.NewWithScheme(32, 64, 4*math.Pi, 6, "slmpp5")
 			if err != nil {
 				return nil, err
 			}
@@ -467,7 +467,7 @@ func TestStreamCorruptNewestSnapshotQuarantined(t *testing.T) {
 	// last row is a 78-byte header with a valid CRC claiming 2¹⁴ × 2¹⁴
 	// cells, which the restore must refuse before allocating 2 GiB for it.
 	const until = 1.0
-	good, err := plasma.New(32, 64, 4*math.Pi, 6)
+	good, err := plasma.NewWithScheme(32, 64, 4*math.Pi, 6, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,10 +110,6 @@ func WithCheckpoint(dir string, everyN int) RunOption { return runner.WithCheckp
 // snapshots after every write (0 keeps everything).
 func WithCheckpointKeep(n int) RunOption { return runner.WithCheckpointKeep(n) }
 
-// WithFixedDT disables adaptive stepping and uses dt for every step (still
-// clamped at the target).
-func WithFixedDT(dt float64) RunOption { return runner.WithFixedDT(dt) }
-
 // AsyncRunObserver is the off-thread diagnostics callback of
 // WithAsyncObserver: it receives a value snapshot of the solver's
 // Diagnostics, never the live solver, so it can run concurrently with the

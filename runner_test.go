@@ -174,13 +174,13 @@ func TestRunCheckpointRestore(t *testing.T) {
 // TestRunPlasmaLandau: the 1D1V plasma solver runs under the identical
 // driver, with clock = plasma time and conserved mass.
 func TestRunPlasmaLandau(t *testing.T) {
-	s, err := NewPlasmaSolver(32, 64, 4*math.Pi, 6)
+	s, err := NewPlasmaSolverWithScheme(32, 64, 4*math.Pi, 6, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.LandauInit(0.01, 0.5, 1)
 	m0 := s.TotalMass()
-	rep, err := Run(context.Background(), s, 1.0, WithFixedDT(0.05))
+	rep, err := Run(context.Background(), s, 1.0, runner.WithFixedDT(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +255,13 @@ func TestRunCheckpointNeedsSupport(t *testing.T) {
 // driver's cadence and a snapshot restores to the exact state — the
 // capability scheduler-level sweep resume is built on.
 func TestRunPlasmaCheckpointRestore(t *testing.T) {
-	s, err := NewPlasmaSolver(32, 64, 4*math.Pi, 6)
+	s, err := NewPlasmaSolverWithScheme(32, 64, 4*math.Pi, 6, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.LandauInit(0.01, 0.5, 1)
 	dir := t.TempDir()
-	rep, err := Run(context.Background(), s, 1.0, WithFixedDT(0.05), WithCheckpoint(dir, 10))
+	rep, err := Run(context.Background(), s, 1.0, runner.WithFixedDT(0.05), WithCheckpoint(dir, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestRunSynchronizesSolversNotWrappers(t *testing.T) {
 	ctx := context.Background()
 	newPlasma := func() *PlasmaSolver {
 		t.Helper()
-		s, err := NewPlasmaSolver(32, 64, 4*math.Pi, 6)
+		s, err := NewPlasmaSolverWithScheme(32, 64, 4*math.Pi, 6, "slmpp5")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"io"
 
-	"vlasov6d/internal/analysis"
 	"vlasov6d/internal/cosmo"
 	"vlasov6d/internal/hybrid"
 	"vlasov6d/internal/plasma"
@@ -132,13 +131,9 @@ func RestoreSimulation(cfg Config, snap *Snapshot, opts ...SimOption) (*Simulati
 // same advection machinery (Landau damping, two-stream instability).
 type PlasmaSolver = plasma.Solver
 
-// NewPlasmaSolver allocates a 1D1V solver on x ∈ [0, L), v ∈ [−vmax, vmax).
-func NewPlasmaSolver(nx, nv int, boxL, vmax float64) (*PlasmaSolver, error) {
-	return plasma.New(nx, nv, boxL, vmax)
-}
-
-// NewPlasmaSolverWithScheme is NewPlasmaSolver with the periodic x-drift
-// advection scheme selected by name (as for WithScheme) — the knob
+// NewPlasmaSolverWithScheme allocates a 1D1V solver on x ∈ [0, L),
+// v ∈ [−vmax, vmax) whose periodic x-drift uses the advection scheme
+// selected by name (as for WithScheme; "slmpp5" is the paper's) — the knob
 // scheme-comparison sweeps turn.
 func NewPlasmaSolverWithScheme(nx, nv int, boxL, vmax float64, scheme string) (*PlasmaSolver, error) {
 	return plasma.NewWithScheme(nx, nv, boxL, vmax, scheme)
@@ -155,13 +150,6 @@ func RestorePlasmaSolver(r io.Reader) (*PlasmaSolver, error) {
 // LandauDampingRate returns the kinetic-theory Landau damping rate γ for
 // wavenumber k and thermal speed vth (normalised units).
 func LandauDampingRate(k, vth float64) float64 { return plasma.LandauDampingRate(k, vth) }
-
-// MeasurePowerSpectrum bins the 3D power spectrum of a density mesh
-// (n³ row-major cells over a boxL-sided cube) into nbins logarithmic
-// shells, returning bin-centre k, P(k) and per-shell mode counts.
-func MeasurePowerSpectrum(rho []float64, n int, boxL float64, nbins int) (ks, pk, counts []float64, err error) {
-	return analysis.PowerSpectrum(rho, n, boxL, nbins)
-}
 
 // Snapshot bundles simulation state for checksummed binary I/O.
 type Snapshot = snapio.Snapshot
