@@ -180,10 +180,10 @@ func BenchmarkAblationPMOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dt := cfg.Par.CosmicTime(sim.A) * 0.02
+	const dlna = 2e-4 // a stays below 1 for 10⁴ steps
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sim.Step(dt); err != nil {
+		if err := sim.Step(dlna); err != nil {
 			b.Fatal(err)
 		}
 	}

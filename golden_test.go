@@ -25,9 +25,9 @@ func TestGoldenStateFingerprint(t *testing.T) {
 		t.Skipf("fingerprints are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	const (
-		hybridF    uint64 = 0xa957881d49c7eedc
-		hybridPos  uint64 = 0x18761e032417c621
-		hybridLoss        = 33.650094286745471
+		hybridF    uint64 = 0x6b6880dc4bbd7ffe
+		hybridPos  uint64 = 0x9968eb423f6450d1
+		hybridLoss        = 34.180409840173652
 		landauF    uint64 = 0xe9de87e97370d51a
 	)
 	fingerprint := func(floats ...any) uint64 {

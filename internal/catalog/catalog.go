@@ -216,7 +216,9 @@ type JobSpec struct {
 	MaxWorkers int `json:"max_workers,omitempty"`
 	// MaxSteps caps the run's step count (0 = unlimited).
 	MaxSteps int `json:"max_steps,omitempty"`
-	// FixedDT disables adaptive stepping and uses this dt.
+	// FixedDT disables adaptive stepping and uses this dt, in the solver's
+	// stepping coordinate: Δln a for hybrid, nbody and shotnoise, plasma
+	// time for landau and twostream.
 	FixedDT float64 `json:"fixed_dt,omitempty"`
 }
 

@@ -60,14 +60,38 @@ func TestCosmicTimeAge(t *testing.T) {
 	}
 }
 
-func TestScaleFactorAtInvertsCosmicTime(t *testing.T) {
-	p := Planck2015(0.4)
-	for _, a := range []float64{0.05, 0.0909, 0.25, 0.5, 1.0} {
-		tt := p.CosmicTime(a)
-		got := p.ScaleFactorAt(tt)
-		if math.Abs(got-a)/a > 1e-6 {
-			t.Fatalf("ScaleFactorAt(CosmicTime(%v)) = %v", a, got)
+// TestTimeIntegralsMatchClosedForms holds the ln a rule behind CosmicTime
+// and StepFactors to the Einstein–de Sitter closed forms, t = 2a^{3/2}/(3H₀)
+// and ∫dt/a² = 2a^{-1/2}/H₀ up to a constant, and in flat ΛCDM to the same
+// rule on 2¹⁶ panels. Measured: CosmicTime ≤ 1.2e-11 off in both, the kick
+// factors ≤ 1.9e-12 and the drift factor ≤ 2.2e-12.
+func TestTimeIntegralsMatchClosedForms(t *testing.T) {
+	const dlna = 0.02 // the hybrid simulation's cap on a step
+	check := func(what string, a, got, want, tol float64) {
+		t.Helper()
+		if e := math.Abs(got-want) / math.Abs(want); e > tol {
+			t.Errorf("%s from a = %v off by %.3g", what, a, e)
 		}
+	}
+	eds := Params{H: 0.7, OmegaM: 1}
+	h0 := eds.Hubble(1)
+	tEdS := func(a float64) float64 { return 2 * math.Pow(a, 1.5) / (3 * h0) }
+	p := Planck2015(0.4)
+	const n = 1 << 16
+	for _, a := range []float64{0.01, 1.0 / 11, 0.5, 1} {
+		aMid, a1 := a*math.Exp(dlna/2), a*math.Exp(dlna)
+		check("EdS CosmicTime", a, eds.CosmicTime(a), tEdS(a), 1e-9)
+		kick1, kick2, drift := eds.StepFactors(a, dlna)
+		check("EdS first kick", a, kick1, tEdS(aMid)-tEdS(a), 1e-11)
+		check("EdS second kick", a, kick2, tEdS(a1)-tEdS(aMid), 1e-11)
+		check("EdS drift", a, drift, 2/h0*(1/math.Sqrt(a)-1/math.Sqrt(a1)), 1e-11)
+
+		ref := 2/(3*p.Hubble(1e-8)) + p.timeIntegral(0, 1e-8, math.Log(a/1e-8), n)
+		check("ΛCDM CosmicTime", a, p.CosmicTime(a), ref, 1e-10)
+		kick1, kick2, drift = p.StepFactors(a, dlna)
+		check("ΛCDM first kick", a, kick1, p.timeIntegral(0, a, dlna/2, n), 1e-11)
+		check("ΛCDM second kick", a, kick2, p.timeIntegral(0, aMid, dlna/2, n), 1e-11)
+		check("ΛCDM drift", a, drift, p.timeIntegral(2, a, dlna, n), 1e-11)
 	}
 }
 

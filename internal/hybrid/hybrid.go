@@ -3,20 +3,21 @@
 // simulation (§5.1.2): both components source one gravitational potential —
 // the CIC-deposited particle density plus the velocity-space moment of f on
 // a shared PM mesh — and both are advanced through the same kick-drift-kick
-// cycle in cosmic time with comoving coordinates and canonical velocities
-// u = a²ẋ.
+// cycle with comoving coordinates and canonical velocities u = a²ẋ. The
+// cycle steps in ln a: a step of Δ takes a to a·e^Δ, kicks by the cosmic
+// time ∫dt of each half step and drifts by ∫dt/a² (cosmo.StepFactors).
 //
 // The cycle runs in its leapfrog form. A kick moves no density, so the
 // closing half kick of step n and the opening half kick of step n+1 use the
 // same acceleration, and kicks along the velocity axes commute: the two are
-// one kick of (dtₙ + dtₙ₊₁)/2. Step therefore ends after the force
+// one kick of their summed intervals. Step therefore ends after the force
 // evaluation that follows its drift and records the half kick it owes; the
-// next Step opens with one kick of owed + dt/2 — six Vlasov sweeps and one
-// PM solve per step where the literal sequence pays nine and two — and
-// Synchronize pays the debt on demand. While a half kick is owed, positions,
-// the ν density, masses and the boundary-loss total are those of the step's
-// end; velocities and the velocity structure of f lag by the owed kick.
-// Every snapshot is taken of a synchronised state (Checkpoint and
+// next Step opens with one kick of owed + its own first half — six Vlasov
+// sweeps and one PM solve per step where the literal sequence pays nine and
+// two — and Synchronize pays the debt on demand. While a half kick is owed,
+// positions, the ν density, masses and the boundary-loss total are those of
+// the step's end; velocities and the velocity structure of f lag by the owed
+// kick. Every snapshot is taken of a synchronised state (Checkpoint and
 // CaptureCheckpoint call Synchronize first, which also leaves the live state
 // synchronised with the file), and runner.Run synchronises on every exit, so
 // the state a caller finds after Run, and the state any checkpoint restores,
@@ -55,7 +56,7 @@ const (
 	// cflX and cflU are the Vlasov CFL targets of the position drift and
 	// the velocity kick.
 	cflX, cflU = 0.4, 0.4
-	// maxDLnA caps the expansion per step: dt ≤ maxDLnA / H(a).
+	// maxDLnA caps the step in ln a.
 	maxDLnA = 0.02
 )
 
@@ -207,7 +208,7 @@ type Simulation struct {
 	PM     *poisson.Solver
 
 	A    float64 // current scale factor
-	Time float64 // cosmic time, internal units
+	Time float64 // cosmic time in internal units, a diagnostic: the kicks' sum
 	Tim  Timings
 
 	pmMesh    [3]int
@@ -231,8 +232,8 @@ type Simulation struct {
 	// none, so the forces a step ends on are the ones the next begins with;
 	// only Synchronize, which re-rounds a ν grid, leaves the PM half stale.
 	pmValid, treeValid bool
-	// owed is the kick interval the last Step left unapplied (half its dt;
-	// zero for a fresh, restored or synchronised simulation).
+	// owed is the kick interval the last Step left unapplied (its second
+	// half's cosmic time; zero for a fresh, restored or synchronised one).
 	owed float64
 	// workers pins the intra-step parallelism of every component (0 =
 	// each component's GOMAXPROCS default); set through SetWorkers.
@@ -606,13 +607,14 @@ func (s *Simulation) downsampleAccel(meshAcc [3][]float64) {
 	}
 }
 
-// SuggestDT picks the global time step: Vlasov CFL targets, a particle
-// displacement cap of one PM cell, and the expansion cap maxDLnA. Forces
-// are computed lazily for the first call; if that fails the expansion cap
-// alone is returned and the underlying error surfaces from the next Step.
+// SuggestDT picks the global step in ln a: the Vlasov CFL targets and a
+// particle displacement cap of one PM cell, each a cosmic-time interval dt
+// taken to H(a)·dt, and the expansion cap maxDLnA. Forces are computed
+// lazily for the first call; if that fails the expansion cap alone is
+// returned and the underlying error surfaces from the next Step.
 func (s *Simulation) SuggestDT() float64 {
 	if err := s.ensureForces(); err != nil {
-		return maxDLnA / s.Cfg.Par.Hubble(s.A)
+		return maxDLnA
 	}
 	a := s.A
 	dt := math.Inf(1)
@@ -644,33 +646,30 @@ func (s *Simulation) SuggestDT() float64 {
 			dt = d
 		}
 	}
-	// Expansion cap: dt ≤ maxDLnA / H(a).
-	if d := maxDLnA / s.Cfg.Par.Hubble(a); d < dt {
-		dt = d
-	}
-	return dt
+	return math.Min(s.Cfg.Par.Hubble(a)*dt, maxDLnA)
 }
 
-// Step advances the whole coupled system by dt: one kick of the half the
-// previous step left owed plus dt/2, the drifts at the midpoint scale
-// factor, and the step's one force evaluation, at the new positions. The
-// closing half kick is left owed to the next Step or to Synchronize (see the
-// package comment), and the forces stay valid, so a SuggestDT that follows
-// costs nothing.
-func (s *Simulation) Step(dt float64) error {
+// Step advances the whole coupled system by dlna in ln a, from a to
+// a₁ = a·e^dlna: one kick of the half the previous step left owed plus the
+// cosmic time from a to a·e^{dlna/2}, the drifts by ∫dt/a² from a to a₁, and
+// the step's one force evaluation, at the new positions. The closing half
+// kick, the cosmic time from a·e^{dlna/2} to a₁, is left owed to the next
+// Step or to Synchronize (see the package comment), and the forces stay
+// valid, so a SuggestDT that follows costs nothing.
+func (s *Simulation) Step(dlna float64) error {
 	t0 := time.Now()
 	if err := s.ensureForces(); err != nil {
 		return err
 	}
-	if err := s.kickAll(s.owed + dt/2); err != nil {
+	kick1, kick2, drift := s.Cfg.Par.StepFactors(s.A, dlna)
+	if err := s.kickAll(s.owed + kick1); err != nil {
 		return err
 	}
 	s.owed = 0
-	tMid := s.Time + dt/2
-	aMid := s.Cfg.Par.ScaleFactorAt(tMid)
+	// Drift(dt, a) moves by u·dt/a²: at a = 1 the factor is ∫dt/a² itself.
 	if s.VSol != nil {
 		tv := time.Now()
-		if err := s.VSol.Drift(dt, aMid); err != nil {
+		if err := s.VSol.Drift(drift, 1); err != nil {
 			return err
 		}
 		d := time.Since(tv)
@@ -678,17 +677,18 @@ func (s *Simulation) Step(dt float64) error {
 		s.Tim.Drift += d
 		s.Tim.DriftSweeps += 3
 	}
-	s.Part.Drift(dt, aMid)
+	s.Part.Drift(drift, 1)
 	if s.NuPart != nil {
-		s.NuPart.Drift(dt, aMid)
+		s.NuPart.Drift(drift, 1)
 	}
 	s.pmValid, s.treeValid = false, false
-	s.Time += dt
-	s.A = s.Cfg.Par.ScaleFactorAt(s.Time)
+	s.Time += kick1 + kick2
+	// a·e^dlna, in the form in which ClampDT's step lands on its target.
+	s.A += s.A * math.Expm1(dlna)
 	if err := s.ensureForces(); err != nil {
 		return err
 	}
-	s.owed = dt / 2
+	s.owed = kick2
 	s.Tim.Steps++
 	s.Tim.Total += time.Since(t0)
 	return nil
@@ -744,15 +744,14 @@ func (s *Simulation) kickAll(h float64) error {
 // Clock returns the run coordinate driven by the runner: the scale factor.
 func (s *Simulation) Clock() float64 { return s.A }
 
-// ClampDT shrinks the cosmic-time step dt so the scale factor does not
-// overshoot the target `until` (the runner's DTClamper capability: the
-// simulation steps in cosmic time but clocks in scale factor).
-func (s *Simulation) ClampDT(dt, until float64) float64 {
-	tEnd := s.Cfg.Par.CosmicTime(until)
-	if s.Time+dt > tEnd {
-		dt = tEnd - s.Time
-	}
-	return dt
+// ClampDT shrinks the step dlna so the scale factor does not pass the
+// target until (the runner's DTClamper capability: the simulation steps in
+// ln a but clocks in a). A clamped step lands on until exactly: Step grows a
+// by a·expm1(dlna), and at dlna = log1p((until−a)/a) that sum rounds to
+// until for any step shorter than ≈ 0.2 in ln a, where the plain
+// a·exp(ln(until/a)) falls an ulp short about one time in seven.
+func (s *Simulation) ClampDT(dlna, until float64) float64 {
+	return math.Min(dlna, math.Log1p((until-s.A)/s.A))
 }
 
 // Diagnostics reports the uniform per-step summary: scale factor, cosmic

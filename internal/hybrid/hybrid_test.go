@@ -115,7 +115,7 @@ func TestNoNeutrinoMode(t *testing.T) {
 	if s.pmMesh[0] != 4 { // 12/3
 		t.Fatalf("PM mesh %v", s.pmMesh)
 	}
-	if err := s.Step(s.Cfg.Par.CosmicTime(0.1) * 0.01); err != nil {
+	if err := s.Step(maxDLnA); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -225,6 +225,28 @@ func TestRunnerAdvancesToTarget(t *testing.T) {
 	}
 }
 
+// TestRunLandsOnUntil: under the expansion cap a run from a₀ takes
+// ⌈ln(until/a₀)/maxDLnA⌉ steps and ends on until exactly. The plain clamp
+// a·exp(ln(until/a)) falls an ulp short from a₀ = 0.0909 to 0.1, 0.3 and 0.5,
+// and each of those runs then took a sub-ulp step more: a whole force
+// evaluation for nothing.
+func TestRunLandsOnUntil(t *testing.T) {
+	const a0 = 0.0909
+	for _, until := range []float64{0.095, 0.1, 0.3, 0.5, 1} {
+		s, err := New(gateConfigs()["nbody"], a0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := runner.Run(context.Background(), s, until)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int(math.Ceil(math.Log(until/a0) / maxDLnA)); rep.Steps != want || s.A != until {
+			t.Errorf("run to %v: %d steps to a = %v, want %d steps to a = until", until, rep.Steps, s.A, want)
+		}
+	}
+}
+
 func TestSolverContract(t *testing.T) {
 	s, err := New(smallConfig(), 0.0909)
 	if err != nil {
@@ -233,10 +255,10 @@ func TestSolverContract(t *testing.T) {
 	if got := s.Clock(); got != s.A {
 		t.Fatalf("Clock %v != A %v", got, s.A)
 	}
-	// ClampDT caps the cosmic-time step at the target scale factor.
-	tEnd := s.Cfg.Par.CosmicTime(0.095)
-	if dt := s.ClampDT(1e12, 0.095); math.Abs(dt-(tEnd-s.Time)) > 1e-12*tEnd {
-		t.Fatalf("ClampDT %v, want %v", dt, tEnd-s.Time)
+	// ClampDT caps the step in ln a at the target scale factor.
+	want := math.Log(0.095 / s.A)
+	if dt := s.ClampDT(1e12, 0.095); math.Abs(dt-want) > 1e-12*want {
+		t.Fatalf("ClampDT %v, want %v", dt, want)
 	}
 	if dt := s.ClampDT(1e-12, 0.095); dt != 1e-12 {
 		t.Fatalf("ClampDT shrank an already-safe dt to %v", dt)
@@ -502,24 +524,7 @@ func TestRestoreContinuesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	step(s2)
-	// The restored run should track the continuous one closely (time
-	// origins differ at round-off through ScaleFactorAt inversion).
-	if math.Abs(s2.A-ref.A) > 1e-6 {
-		t.Fatalf("scale factors diverged: %v vs %v", s2.A, ref.A)
-	}
-	nuRef, _ := ref.TotalMass()
-	nu2, _ := s2.TotalMass()
-	if math.Abs(nu2-nuRef)/nuRef > 1e-3 {
-		t.Fatalf("ν mass diverged: %v vs %v", nu2, nuRef)
-	}
-	for i := 0; i < ref.Part.N; i += 97 {
-		for d := 0; d < 3; d++ {
-			if math.Abs(ref.Part.Pos[d][i]-s2.Part.Pos[d][i]) > 1e-6*cfg.Box {
-				t.Fatalf("particle %d dim %d: %v vs %v", i, d,
-					s2.Part.Pos[d][i], ref.Part.Pos[d][i])
-			}
-		}
-	}
+	requireSameState(t, "continuous vs restored run", ref, s2)
 }
 
 func TestRestoreValidation(t *testing.T) {
@@ -562,9 +567,9 @@ func TestRestoreValidation(t *testing.T) {
 }
 
 func TestRestoreAtTargetScaleFactor(t *testing.T) {
-	// A run driven to a = 1 lands where ScaleFactorAt(CosmicTime(1)) does,
-	// a few ulps past it; that is a state like any other to restore, though
-	// New would refuse to start there.
+	// A run driven to a = 1 in cosmic time overshot it by a few ulps, and
+	// its checkpoints hold that scale factor; that is a state like any other
+	// to restore, though New would refuse to start there.
 	cfg := gateConfigs()["nbody"]
 	s, err := New(cfg, 0.5)
 	if err != nil {
@@ -785,28 +790,30 @@ func TestOneForceEvaluationPerStep(t *testing.T) {
 				sweeps = 3
 			}
 			// step is SuggestDT and Step; evals is how often they evaluate each
-			// half of the force between them.
+			// half of the force between them. It returns the kick the step
+			// owes: the cosmic time of its second half.
 			step := func(what string, wantOwedIn float64, evals int) float64 {
 				t.Helper()
 				if s.owed != wantOwedIn {
 					t.Fatalf("%s: opens owing %v, want %v", what, s.owed, wantOwedIn)
 				}
 				before := s.Tim
-				dt := s.SuggestDT()
-				if err := s.Step(dt); err != nil {
+				dlna := s.SuggestDT()
+				_, kick2, _ := s.Cfg.Par.StepFactors(s.A, dlna)
+				if err := s.Step(dlna); err != nil {
 					t.Fatal(err)
 				}
 				if got, want := countsSince(s, before), (stepCounts{sweeps, sweeps, evals, evals}); got != want {
 					t.Fatalf("%s with its SuggestDT: %+v, want %+v", what, got, want)
 				}
-				if s.owed != dt/2 || !s.pmValid || !s.treeValid {
-					t.Fatalf("%s: left owing %v of dt %v, pmValid %v, treeValid %v", what, s.owed, dt, s.pmValid, s.treeValid)
+				if s.owed != kick2 || !s.pmValid || !s.treeValid {
+					t.Fatalf("%s: left owing %v of the closing half's %v, pmValid %v, treeValid %v", what, s.owed, kick2, s.pmValid, s.treeValid)
 				}
-				return dt
+				return kick2
 			}
-			dt := step("first step", 0, 2) // the initial evaluation and the step's own
+			owed := step("first step", 0, 2) // the initial evaluation and the step's own
 			for i := 0; i < 3; i++ {
-				dt = step("steady-state step", dt/2, 1)
+				owed = step("steady-state step", owed, 1)
 			}
 
 			before := s.Tim
@@ -1002,9 +1009,10 @@ func TestFusedStepsMatchSynchronizedSteps(t *testing.T) {
 // bit, dt and state, over four steps.
 func TestRestoredRunSuggestsLiveDT(t *testing.T) {
 	const tightCFLU = 1e-4
+	// The Vlasov limits are cosmic-time intervals; H(a) takes them to ln a.
 	suggest := func(s *Simulation) float64 {
 		s.SuggestDT()
-		return s.VSol.SuggestDT(s.A, s.accCell, cflX, tightCFLU)
+		return s.Cfg.Par.Hubble(s.A) * s.VSol.SuggestDT(s.A, s.accCell, cflX, tightCFLU)
 	}
 	cfg := smallConfig()
 	s, err := New(cfg, 0.0909)
@@ -1032,7 +1040,7 @@ func TestRestoredRunSuggestsLiveDT(t *testing.T) {
 	r.SetWorkers(1)
 	for i := 0; i < 4; i++ {
 		dt := suggest(s)
-		if full, without := s.SuggestDT(), s.VSol.SuggestDT(s.A, s.accCell, cflX, math.Inf(1)); full <= dt || without <= dt {
+		if full, without := s.SuggestDT(), s.Cfg.Par.Hubble(s.A)*s.VSol.SuggestDT(s.A, s.accCell, cflX, math.Inf(1)); full <= dt || without <= dt {
 			t.Fatalf("step %d: the velocity CFL does not bind (dt %v, SuggestDT %v, without the velocity CFL %v)", i, dt, full, without)
 		}
 		if rdt := suggest(r); rdt != dt {

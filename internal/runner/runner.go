@@ -73,10 +73,10 @@ type Solver interface {
 }
 
 // DTClamper is implemented by solvers whose Clock is not the coordinate dt
-// is expressed in (the hybrid simulation steps in cosmic time but clocks in
-// scale factor). ClampDT shrinks dt so the next Step does not carry Clock
-// past until. Solvers without it are clamped directly in the clock
-// coordinate: dt ≤ until − Clock().
+// is expressed in (the hybrid simulation steps in ln a but clocks in scale
+// factor a). ClampDT shrinks dt so the next Step does not carry Clock past
+// until. Solvers without it are clamped directly in the clock coordinate:
+// dt ≤ until − Clock().
 type DTClamper interface {
 	ClampDT(dt, until float64) float64
 }
