@@ -2,11 +2,10 @@
 // counterpart of the single-run vlasov6d binary. The default sweep is a
 // scheme × resolution grid of Landau-damping validation runs: every
 // advection scheme at every phase-space resolution is driven through one
-// RunBatch call over the scheduler's shared worker pool, each job measures its own
-// damping rate from the field-energy peaks (delivered through the async
-// observer pipeline, off the job's step loop), and the final table compares
-// every cell of the grid against the kinetic-theory rate from the plasma
-// dispersion function.
+// RunBatch call over the scheduler's shared worker pool, each job measures
+// its own damping rate from the field-energy peaks of every step, and the
+// final table compares every cell of the grid against the kinetic-theory
+// rate from the plasma dispersion function.
 //
 // Small grids carry higher priority so the table fills coarse-to-fine, transient failures retry with backoff (-retries),
 // and with -resume-dir every job checkpoints into its own directory and a
@@ -53,7 +52,7 @@ import (
 
 // cell is one point of the scheme × resolution grid plus the damping-rate
 // fit its observer accumulates. Each cell's observer runs on its own job's
-// async pipeline goroutine, so the fields need no locking.
+// step loop, so the fields need no locking.
 type cell struct {
 	scheme string
 	nx, nv int
@@ -62,10 +61,11 @@ type cell struct {
 
 func (c *cell) name() string { return fmt.Sprintf("%s@%dx%d", c.scheme, c.nx, c.nv) }
 
-// observe feeds the field energy to the damping-rate fit. It rides the
-// async observer pipeline: the job's step loop only enqueues diagnostics
-// snapshots.
-func (c *cell) observe(step int, d vlasov6d.RunDiagnostics) error {
+// observe feeds the field energy to the damping-rate fit after every step.
+// It is a synchronous observer because the fit must see every step; the
+// async pipeline drops observations when its consumer falls behind.
+func (c *cell) observe(step int, s vlasov6d.Solver) error {
+	d := s.Diagnostics()
 	c.fit.Add(d.Time, d.Extra["field_energy"])
 	return nil
 }
@@ -189,7 +189,7 @@ func run(args []string, stdout io.Writer) error {
 				return s, nil
 			},
 			Opts: []vlasov6d.RunOption{
-				vlasov6d.WithAsyncObserver(c.observe, vlasov6d.WithAsyncBuffer(256)),
+				vlasov6d.WithObserver(c.observe),
 			},
 		}
 		if *resumeDir != "" {

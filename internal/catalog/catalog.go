@@ -111,7 +111,10 @@ type Scenario struct {
 	// Restore rebuilds the solver from a checkpoint file (nil when the
 	// scenario cannot resume). The values are the same validated set Build
 	// saw, so the hook can reject a snapshot that does not match the spec.
-	Restore func(v Values, path string, workers int) (runner.Solver, error) `json:"-"`
+	// It takes no core share: a resume has no IC pass to size, and under a
+	// core budget the run's lease sets the solver's workers before its
+	// first step.
+	Restore func(v Values, path string) (runner.Solver, error) `json:"-"`
 	// Check validates cross-parameter constraints a per-parameter range
 	// cannot express (optional). It runs at spec validation time, so a
 	// spec it rejects fails the submission, never a worker goroutine.
@@ -336,10 +339,7 @@ func (c *Catalog) Job(spec JobSpec) (sched.Job, error) {
 	}
 	if sc.Restore != nil {
 		job.Restore = func(path string) (runner.Solver, error) {
-			// Restore runs before the factory on the same worker, under the
-			// same lease regime; resume is cheap (no IC pass) so the exact
-			// share matters less — unbudgeted restores pass 0.
-			return sc.Restore(vals, path, 0)
+			return sc.Restore(vals, path)
 		}
 	}
 	return job, nil

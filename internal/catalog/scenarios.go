@@ -70,7 +70,7 @@ func buildPlasma(v Values, workers int) (*plasma.Solver, error) {
 // snapshot whose discretisation does not match the spec — the job name
 // keys the checkpoint directory, but a stale directory must not silently
 // resume a different problem.
-func restorePlasma(v Values, path string, workers int) (runner.Solver, error) {
+func restorePlasma(v Values, path string) (runner.Solver, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -93,9 +93,6 @@ func restorePlasma(v Values, path string, workers int) (runner.Solver, error) {
 		return nil, fmt.Errorf("catalog: snapshot %s has domain L=%g vmax=%g, spec wants L=%g vmax=%g",
 			path, s.L, s.VMax, wantL, v.Float("vmax"))
 	}
-	if workers > 0 {
-		s.SetWorkers(workers)
-	}
 	return s, nil
 }
 
@@ -117,32 +114,40 @@ func hybridParams() []Param {
 	}
 }
 
-// hybridConfig assembles the shared cosmological Config from values.
-func hybridConfig(v Values, workers int) hybrid.Config {
-	return hybrid.Config{
-		Par:       cosmo.Planck2015(v.Float("mnu")),
-		Box:       v.Float("box"),
-		NPartSide: v.Int("npartside"),
-		PMFactor:  v.Int("pmfactor"),
-		Seed:      int64(v.Int("seed")),
-		Workers:   workers,
+// cosmological completes a cosmological scenario with its Build and
+// Restore hooks. Both derive the hybrid Config the same way — the fields
+// hybridParams declares, then the scenario's own through set — so a resumed
+// job runs under the configuration a fresh one would; a snapshot of another
+// shape fails hybrid's install checks.
+func cosmological(sc Scenario, set func(v Values, cfg *hybrid.Config)) Scenario {
+	config := func(v Values, workers int) hybrid.Config {
+		cfg := hybrid.Config{
+			Par:       cosmo.Planck2015(v.Float("mnu")),
+			Box:       v.Float("box"),
+			NPartSide: v.Int("npartside"),
+			PMFactor:  v.Int("pmfactor"),
+			Seed:      int64(v.Int("seed")),
+			Workers:   workers,
+		}
+		set(v, &cfg)
+		return cfg
 	}
-}
-
-// restoreHybrid rebuilds a hybrid simulation from a snapio checkpoint with
-// the config the values describe; shape mismatches surface as hybrid
-// install errors.
-func restoreHybrid(cfg hybrid.Config, path string) (runner.Solver, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	sc.Build = func(v Values, workers int) (runner.Solver, error) {
+		return hybrid.New(config(v, workers), v.Float("ainit"))
 	}
-	defer f.Close()
-	snap, err := snapio.Read(f)
-	if err != nil {
-		return nil, err
+	sc.Restore = func(v Values, path string) (runner.Solver, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		snap, err := snapio.Read(f)
+		if err != nil {
+			return nil, err
+		}
+		return hybrid.Restore(config(v, 0), snap)
 	}
-	return hybrid.Restore(cfg, snap)
+	return sc
 }
 
 func builtins() []Scenario {
@@ -193,45 +198,27 @@ func builtins() []Scenario {
 			Help: "Vlasov advection scheme"},
 	}
 
-	hybridSc := Scenario{
+	hybridSc := cosmological(Scenario{
 		Name:         "hybrid",
 		Description:  "hybrid Vlasov/N-body cosmology: neutrinos on the 6D phase-space grid coupled to TreePM CDM (small config)",
 		Params:       append(hybridParams(), gridParams...),
 		DefaultUntil: 0.2,
-		Build: func(v Values, workers int) (runner.Solver, error) {
-			cfg := hybridConfig(v, workers)
-			cfg.NGrid = v.Int("ngrid")
-			cfg.NU = v.Int("nu")
-			cfg.Scheme = v.Str("scheme")
-			return hybrid.New(cfg, v.Float("ainit"))
-		},
-		Restore: func(v Values, path string, workers int) (runner.Solver, error) {
-			cfg := hybridConfig(v, workers)
-			cfg.NGrid = v.Int("ngrid")
-			cfg.NU = v.Int("nu")
-			cfg.Scheme = v.Str("scheme")
-			return restoreHybrid(cfg, path)
-		},
-	}
+	}, func(v Values, cfg *hybrid.Config) {
+		cfg.NGrid = v.Int("ngrid")
+		cfg.NU = v.Int("nu")
+		cfg.Scheme = v.Str("scheme")
+	})
 
-	nbody := Scenario{
+	nbody := cosmological(Scenario{
 		Name:         "nbody",
 		Description:  "pure N-body control run: TreePM CDM only, the neutrino-free baseline",
 		Params:       hybridParams(),
 		DefaultUntil: 0.2,
-		Build: func(v Values, workers int) (runner.Solver, error) {
-			cfg := hybridConfig(v, workers)
-			cfg.NoNeutrino = true
-			return hybrid.New(cfg, v.Float("ainit"))
-		},
-		Restore: func(v Values, path string, workers int) (runner.Solver, error) {
-			cfg := hybridConfig(v, workers)
-			cfg.NoNeutrino = true
-			return restoreHybrid(cfg, path)
-		},
-	}
+	}, func(_ Values, cfg *hybrid.Config) {
+		cfg.NoNeutrino = true
+	})
 
-	shotnoise := Scenario{
+	shotnoise := cosmological(Scenario{
 		Name:        "shotnoise",
 		Description: "ν-particle baseline (§5.4): TianNu-style particle neutrinos whose moments carry the shot noise the Vlasov grid avoids",
 		Params: append(hybridParams(),
@@ -254,23 +241,12 @@ func builtins() []Scenario {
 			}
 			return nil
 		},
-		Build: func(v Values, workers int) (runner.Solver, error) {
-			cfg := hybridConfig(v, workers)
-			cfg.NGrid = v.Int("ngrid")
-			cfg.NU = v.Int("nu")
-			cfg.NuParticles = true
-			cfg.NNuSide = v.Int("nnuside")
-			return hybrid.New(cfg, v.Float("ainit"))
-		},
-		Restore: func(v Values, path string, workers int) (runner.Solver, error) {
-			cfg := hybridConfig(v, workers)
-			cfg.NGrid = v.Int("ngrid")
-			cfg.NU = v.Int("nu")
-			cfg.NuParticles = true
-			cfg.NNuSide = v.Int("nnuside")
-			return restoreHybrid(cfg, path)
-		},
-	}
+	}, func(v Values, cfg *hybrid.Config) {
+		cfg.NGrid = v.Int("ngrid")
+		cfg.NU = v.Int("nu")
+		cfg.NuParticles = true
+		cfg.NNuSide = v.Int("nnuside")
+	})
 
 	return []Scenario{landau, twostream, hybridSc, nbody, shotnoise}
 }

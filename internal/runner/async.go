@@ -9,15 +9,15 @@
 // observer and performs the snapshot I/O while the solver computes the next
 // step.
 //
-// Back-pressure is selectable. With Block (the default) a full queue stalls
-// the step loop until the pipeline catches up — nothing is ever lost, and
-// the run degrades to synchronous speed under a persistently slow consumer.
-// With DropOldest a full queue evicts its oldest *observation* to make room,
-// so the step loop never waits on diagnostics; the number of evicted
-// observations is reported in Report.DroppedObservations. Checkpoint events
-// are never dropped under either policy: a checkpoint enqueue may evict
-// observations (DropOldest) or wait for space, but the snapshot itself is
-// always written.
+// The queue holds asyncBuffer events and has one policy: when it is full,
+// the oldest *observation* is dropped to make room, so the step loop never
+// waits on diagnostics. Each observation carries its step number, so an
+// observer reads a drop off the jump between two deliveries, and
+// Report.DroppedObservations totals the drops of the run, those after the
+// last delivery included. Checkpoint events are never dropped: a
+// checkpoint enqueue evicts an observation for its slot, and waits for the
+// pipeline only when the queue holds nothing but checkpoints — the
+// snapshot itself is always written.
 //
 // On every exit path — target reached, budget exhausted, step error,
 // context cancellation — Run closes the pipeline and waits for it to drain
@@ -38,75 +38,18 @@ import (
 // notices before its next step).
 type AsyncObserver func(step int, d Diagnostics) error
 
-// Backpressure selects what a full async queue does to the step loop.
-type Backpressure int
-
-const (
-	// Block stalls the enqueue (and hence the step loop) until the pipeline
-	// frees a slot. Lossless; a persistently slow observer degrades the run
-	// to synchronous speed but never loses an observation.
-	Block Backpressure = iota
-	// DropOldest evicts the oldest queued observation to make room, so the
-	// step loop never waits on diagnostics. Checkpoints are never evicted.
-	DropOldest
-)
-
-func (b Backpressure) String() string {
-	if b == DropOldest {
-		return "drop-oldest"
-	}
-	return "block"
-}
-
-// DefaultAsyncBuffer is the queue capacity used when WithAsyncBuffer is not
-// given.
-const DefaultAsyncBuffer = 64
-
-type asyncOptions struct {
-	buffer     int
-	policy     Backpressure
-	dropNotify func(dropped int64)
-}
-
-// AsyncOption tunes the async observer pipeline.
-type AsyncOption func(*asyncOptions)
-
-// WithAsyncBuffer sets the pipeline queue capacity (default
-// DefaultAsyncBuffer). Must be ≥ 1.
-func WithAsyncBuffer(n int) AsyncOption {
-	return func(o *asyncOptions) { o.buffer = n }
-}
-
-// WithBackpressure selects the full-queue policy (default Block).
-func WithBackpressure(p Backpressure) AsyncOption {
-	return func(o *asyncOptions) { o.policy = p }
-}
-
-// WithDropNotify reports DropOldest evictions while the run is still live:
-// fn receives the number of observations evicted since its previous call.
-// Report.DroppedObservations only totals the loss after the run — a
-// monitoring plane streaming diagnostics to remote watchers needs to know
-// *during* the run that its view turned lossy, so it can mark the gap
-// instead of presenting a seamless-but-wrong sequence. fn runs on the
-// pipeline goroutine (never the hot step loop), before the delivery that
-// follows the eviction, and is skipped entirely under Block (which never
-// drops).
-func WithDropNotify(fn func(dropped int64)) AsyncOption {
-	return func(o *asyncOptions) { o.dropNotify = fn }
-}
+// asyncBuffer is the pipeline's queue capacity, in events.
+const asyncBuffer = 256
 
 // WithAsyncObserver starts the async pipeline for the run and delivers a
 // Diagnostics snapshot to obs after every completed step, off the step
-// path. obs may be nil: the pipeline still starts, which routes checkpoint
-// I/O through it (see CheckpointCapturer) without any observer traffic.
-func WithAsyncObserver(obs AsyncObserver, aopts ...AsyncOption) Option {
+// path; under a slow obs the oldest queued observations are dropped. obs
+// may be nil: the pipeline still starts, which routes checkpoint I/O
+// through it (see CheckpointCapturer) without any observer traffic.
+func WithAsyncObserver(obs AsyncObserver) Option {
 	return func(o *options) {
 		o.asyncObs = obs
 		o.async = true
-		o.asyncOpts = asyncOptions{buffer: DefaultAsyncBuffer, policy: Block}
-		for _, ao := range aopts {
-			ao(&o.asyncOpts)
-		}
 	}
 }
 
@@ -135,8 +78,8 @@ type event struct {
 }
 
 // pipeline is the bounded queue plus its single consumer goroutine. A
-// mutex/condvar ring rather than a channel, because DropOldest must evict
-// from the head while checkpoint events stay pinned — a channel cannot
+// mutex/condvar ring rather than a channel, because a full queue evicts its
+// oldest observation while checkpoint events stay pinned — a channel cannot
 // re-queue a received element ahead of the rest.
 type pipeline struct {
 	mu     sync.Mutex
@@ -148,10 +91,9 @@ type pipeline struct {
 	o *options // the run's options, read-only once the consumer starts
 
 	// Consumer-side results, merged into the Report after drain.
-	written  []string
-	bytes    int64
-	dropped  int64
-	notified int64 // drops already reported through dropNotify
+	written []string
+	bytes   int64
+	dropped int64
 
 	done chan struct{}
 }
@@ -172,9 +114,9 @@ func (p *pipeline) failed() error {
 	return p.err
 }
 
-// enqueue posts ev, applying the back-pressure policy. It returns the first
-// pipeline error once one is recorded (the event is discarded then — the
-// run is aborting anyway).
+// enqueue posts ev, evicting the oldest observation when the queue is full.
+// It returns the first pipeline error once one is recorded (the event is
+// discarded then — the run is aborting anyway).
 func (p *pipeline) enqueue(ev event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -182,17 +124,15 @@ func (p *pipeline) enqueue(ev event) error {
 		if p.err != nil {
 			return p.err
 		}
-		if len(p.queue) < p.o.asyncOpts.buffer {
+		if len(p.queue) < asyncBuffer {
 			break
 		}
-		if p.o.asyncOpts.policy == DropOldest {
-			// Evict the oldest observation; checkpoints are pinned. Only if
-			// the queue is all checkpoints does the enqueue wait.
-			if i := p.oldestObservation(); i >= 0 {
-				p.queue = append(p.queue[:i], p.queue[i+1:]...)
-				p.dropped++
-				break
-			}
+		// Evict the oldest observation; checkpoints are pinned. Only if the
+		// queue is all checkpoints does the enqueue wait.
+		if i := p.oldestObservation(); i >= 0 {
+			p.queue = append(p.queue[:i], p.queue[i+1:]...)
+			p.dropped++
+			break
 		}
 		p.cond.Wait()
 	}
@@ -238,18 +178,11 @@ func (p *pipeline) consume() {
 		ev := p.queue[0]
 		p.queue = p.queue[1:]
 		failed := p.err != nil
-		newDrops := p.dropped - p.notified
-		p.notified = p.dropped
 		p.cond.Broadcast()
 		p.mu.Unlock()
 
 		if failed {
 			continue
-		}
-		// Surface evictions before the event that follows them, so a live
-		// consumer can mark the gap at the position it actually occurred.
-		if newDrops > 0 && p.o.asyncOpts.dropNotify != nil {
-			p.o.asyncOpts.dropNotify(newDrops)
 		}
 		var err error
 		if ev.ckpt != nil {

@@ -63,7 +63,7 @@ func TestAsyncObserverDrainsOnNormalExit(t *testing.T) {
 		}
 	}
 	if rep.DroppedObservations != 0 {
-		t.Fatalf("dropped %d under Block policy", rep.DroppedObservations)
+		t.Fatalf("dropped %d from a queue that never filled", rep.DroppedObservations)
 	}
 	// The delivered diagnostics are value snapshots of each step's state.
 	log.mu.Lock()
@@ -98,10 +98,21 @@ func TestAsyncObserverDrainsOnCancel(t *testing.T) {
 
 func TestAsyncObserverErrorAbortsRun(t *testing.T) {
 	sentinel := errors.New("async stop")
+	failed := make(chan struct{})
 	f := &fake{dt: 0.1}
-	rep, err := Run(context.Background(), f, 1e9, WithAsyncObserver(
-		func(step int, d Diagnostics) error {
+	rep, err := Run(context.Background(), f, 1e9,
+		// The step loop never waits on the pipeline, so hold it at step 3
+		// until the observer has returned its error, which the pipeline
+		// records at once: the abort then lands within a step or two.
+		WithObserver(func(step int, _ Solver) error {
+			if step == 3 {
+				<-failed
+			}
+			return nil
+		}),
+		WithAsyncObserver(func(step int, d Diagnostics) error {
 			if step == 2 {
+				defer close(failed)
 				return sentinel
 			}
 			return nil
@@ -109,14 +120,16 @@ func TestAsyncObserverErrorAbortsRun(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err %v, want sentinel", err)
 	}
-	if rep.Steps < 3 || rep.Steps > 3+DefaultAsyncBuffer {
+	if rep.Steps < 3 || rep.Steps > 3+asyncBuffer {
 		t.Fatalf("run took %d steps; the abort should land within the queue depth", rep.Steps)
 	}
 }
 
 func TestAsyncDropOldestNeverBlocksStepLoop(t *testing.T) {
-	const steps = 20
-	const delay = 5 * time.Millisecond
+	// Four queues' worth of steps: the drain at exit delivers at most one
+	// queue, so the async run pays at most a quarter of the sync delays.
+	const steps = 4 * asyncBuffer
+	const delay = time.Millisecond
 	slowObs := func(int, Solver) error { time.Sleep(delay); return nil }
 	slowAsync := func(int, Diagnostics) error { time.Sleep(delay); return nil }
 
@@ -132,12 +145,12 @@ func TestAsyncDropOldestNeverBlocksStepLoop(t *testing.T) {
 		t.Fatalf("sync run %v, must block for ≥ %v", repSync.Wall, steps*delay)
 	}
 
-	// Async with DropOldest: the hot loop only enqueues, so the run
-	// completes in a fraction of the synchronous wall time even with the
-	// same slow observer (the drain at exit pays at most buffer×delay).
+	// Async: the hot loop only enqueues, so the run completes in a
+	// fraction of the synchronous wall time even with the same slow
+	// observer (the drain at exit pays at most asyncBuffer×delay).
 	f = &fake{dt: 0.1}
 	repAsync, err := Run(context.Background(), f, 1e9, WithMaxSteps(steps),
-		WithAsyncObserver(slowAsync, WithAsyncBuffer(2), WithBackpressure(DropOldest)))
+		WithAsyncObserver(slowAsync))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +158,7 @@ func TestAsyncDropOldestNeverBlocksStepLoop(t *testing.T) {
 		t.Fatalf("async run %v not faster than half the sync run %v", repAsync.Wall, repSync.Wall)
 	}
 	if repAsync.DroppedObservations == 0 {
-		t.Fatal("a 2-deep queue under a slow consumer must drop observations")
+		t.Fatal("a full queue under a slow consumer must drop observations")
 	}
 	if repAsync.DroppedObservations >= steps {
 		t.Fatalf("dropped %d of %d: nothing was delivered", repAsync.DroppedObservations, steps)
@@ -153,15 +166,16 @@ func TestAsyncDropOldestNeverBlocksStepLoop(t *testing.T) {
 }
 
 func TestAsyncDropOldestKeepsOrder(t *testing.T) {
+	const total = asyncBuffer + 30
 	var log obsLog
 	block := make(chan struct{})
 	first := true
 	f := &fake{dt: 0.1}
-	_, err := Run(context.Background(), f, 1e9, WithMaxSteps(30),
+	_, err := Run(context.Background(), f, 1e9, WithMaxSteps(total),
 		// Release the pipeline from the hot loop at the last step, so the
 		// exit drain (which waits for the observer) cannot deadlock.
 		WithObserver(func(step int, _ Solver) error {
-			if step == 29 {
+			if step == total-1 {
 				close(block)
 			}
 			return nil
@@ -172,7 +186,7 @@ func TestAsyncDropOldestKeepsOrder(t *testing.T) {
 				<-block // hold the pipeline so the queue overflows
 			}
 			return log.observe(step, d)
-		}, WithAsyncBuffer(4), WithBackpressure(DropOldest)))
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +199,7 @@ func TestAsyncDropOldestKeepsOrder(t *testing.T) {
 			t.Fatalf("out-of-order delivery: %v", steps)
 		}
 	}
-	if last := steps[len(steps)-1]; last != 29 {
+	if last := steps[len(steps)-1]; last != total-1 {
 		t.Fatalf("last delivered step %d; drop-oldest must keep the newest", last)
 	}
 }
@@ -223,18 +237,19 @@ func TestAsyncCheckpointRidesPipeline(t *testing.T) {
 }
 
 func TestAsyncCheckpointNeverDropped(t *testing.T) {
+	const steps, every = 2 * asyncBuffer, 8
 	dir := t.TempDir()
 	block := make(chan struct{})
 	var once sync.Once
 	f := &capFake{ckptFake{fake{dt: 0.1}}}
-	rep, err := Run(context.Background(), f, 100, WithMaxSteps(12),
-		WithCheckpoint(dir, 2),
-		// Release the pipeline from the hot loop once the queue has had a
-		// chance to fill with a checkpoint/observation mix; with a 3-deep
-		// buffer at cadence 2 at most two checkpoints are pinned by then,
-		// so the step loop itself cannot stall on an all-checkpoint queue.
+	rep, err := Run(context.Background(), f, 1e9, WithMaxSteps(steps),
+		WithCheckpoint(dir, every),
+		// Release the pipeline from the hot loop once the queue has
+		// overflowed with a checkpoint/observation mix; at cadence 8 at
+		// most 40 checkpoints are pinned by then, so the step loop itself
+		// cannot stall on an all-checkpoint queue.
 		WithObserver(func(step int, _ Solver) error {
-			if step == 5 {
+			if step == asyncBuffer+64 {
 				close(block)
 			}
 			return nil
@@ -242,12 +257,12 @@ func TestAsyncCheckpointNeverDropped(t *testing.T) {
 		WithAsyncObserver(func(int, Diagnostics) error {
 			once.Do(func() { <-block }) // hold the pipeline: queue fills with a mix
 			return nil
-		}, WithAsyncBuffer(3), WithBackpressure(DropOldest)))
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Checkpoints) != 6 {
-		t.Fatalf("%d checkpoints survived, want all 6 (never dropped)", len(rep.Checkpoints))
+	if len(rep.Checkpoints) != steps/every {
+		t.Fatalf("%d checkpoints survived, want all %d (never dropped)", len(rep.Checkpoints), steps/every)
 	}
 	if rep.DroppedObservations == 0 {
 		t.Fatal("expected observation drops while checkpoints were pinned")
@@ -323,21 +338,11 @@ func TestLatestCheckpoint(t *testing.T) {
 
 func TestAsyncValidation(t *testing.T) {
 	f := &fake{dt: 0.1}
-	if _, err := Run(context.Background(), f, 1,
-		WithAsyncObserver(nil, WithAsyncBuffer(0))); err == nil {
-		t.Fatal("zero async buffer accepted")
-	}
 	if _, err := Run(context.Background(), f, 1, WithCheckpointKeep(-1)); err == nil {
 		t.Fatal("negative retention accepted")
 	}
 	if _, err := Run(context.Background(), f, 1, WithCheckpointKeep(2)); err == nil {
 		t.Fatal("retention without checkpointing accepted")
-	}
-}
-
-func TestBackpressureString(t *testing.T) {
-	if Block.String() != "block" || DropOldest.String() != "drop-oldest" {
-		t.Fatal("Backpressure strings")
 	}
 }
 
@@ -390,76 +395,5 @@ func TestCheckpointNotifyBothPaths(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAsyncDropNotify: the consumer-side eviction notifier must account
-// for every DropOldest eviction exactly once, and must see drops as they
-// happen (not only at exit), so a live surface can report the loss.
-func TestAsyncDropNotify(t *testing.T) {
-	var mu sync.Mutex
-	var notified int64
-	var calls int
-	block := make(chan struct{})
-	first := true
-	f := &fake{dt: 0.1}
-	rep, err := Run(context.Background(), f, 1e9, WithMaxSteps(30),
-		WithObserver(func(step int, _ Solver) error {
-			if step == 29 {
-				close(block)
-			}
-			return nil
-		}),
-		WithAsyncObserver(func(step int, d Diagnostics) error {
-			if first {
-				first = false
-				<-block // hold the pipeline so the queue overflows
-			}
-			return nil
-		}, WithAsyncBuffer(4), WithBackpressure(DropOldest),
-			WithDropNotify(func(dropped int64) {
-				mu.Lock()
-				notified += dropped
-				calls++
-				mu.Unlock()
-			})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.DroppedObservations == 0 {
-		t.Fatal("test needs drops to exercise the notifier")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if notified != rep.DroppedObservations {
-		t.Fatalf("notifier saw %d drops, report says %d", notified, rep.DroppedObservations)
-	}
-	if calls == 0 {
-		t.Fatal("notifier never called")
-	}
-}
-
-// TestAsyncDropNotifyQuietWithoutDrops: no evictions → no calls.
-func TestAsyncDropNotifyQuietWithoutDrops(t *testing.T) {
-	var mu sync.Mutex
-	var calls int
-	f := &fake{dt: 0.1}
-	rep, err := Run(context.Background(), f, 1e9, WithMaxSteps(10),
-		WithAsyncObserver(func(int, Diagnostics) error { return nil },
-			WithDropNotify(func(int64) {
-				mu.Lock()
-				calls++
-				mu.Unlock()
-			})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.DroppedObservations != 0 {
-		t.Fatalf("unexpected drops: %d", rep.DroppedObservations)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 0 {
-		t.Fatalf("notifier called %d times with zero drops", calls)
 	}
 }

@@ -187,8 +187,11 @@ type Report struct {
 	// CheckpointBytes is the total snapshot volume written, including
 	// volume later pruned by the retention policy.
 	CheckpointBytes int64
-	// DroppedObservations counts async observations evicted under the
-	// DropOldest back-pressure policy (always zero otherwise).
+	// DroppedObservations counts the observations the async pipeline
+	// dropped from its full queue (always zero without WithAsyncObserver).
+	// A drop before a delivered observation shows as a jump in the step
+	// numbers the observer receives; one after the last delivery shows only
+	// here.
 	DroppedObservations int64
 }
 
@@ -206,7 +209,6 @@ type options struct {
 	lease      WorkerLease
 	async      bool
 	asyncObs   AsyncObserver
-	asyncOpts  asyncOptions
 }
 
 // Option configures a Run call.
@@ -326,9 +328,6 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 	}
 	if o.ckptKeep > 0 && o.ckptDir == "" {
 		return rep, fmt.Errorf("runner: WithCheckpointKeep needs WithCheckpoint")
-	}
-	if o.async && o.asyncOpts.buffer < 1 {
-		return rep, fmt.Errorf("runner: async observer buffer %d must be ≥ 1", o.asyncOpts.buffer)
 	}
 	var ckpt Checkpointer
 	if o.ckptDir != "" {

@@ -20,7 +20,7 @@
 //	GET    /metrics                      counters, gauges and latency histograms
 //
 // Diagnostics ride the runner's async observer pipeline (value snapshots
-// off the hot step loop, DropOldest back-pressure), so a slow or absent
+// off the hot step loop; a full queue drops its oldest), so a slow or absent
 // SSE client never stalls a solver. Delivery is replayable: every event a
 // job emits is stamped with a monotonic sequence number and retained in a
 // bounded per-job ring (Config.RingSize), and the SSE stream carries the
@@ -29,10 +29,10 @@
 // the missed window from the ring before going live, delivering every
 // retained event exactly once. Loss is never silent — when the requested
 // window has been evicted from the ring, or the observer pipeline dropped
-// observations under back-pressure, the stream carries an explicit "gap"
-// event with the missed count. Running jobs also report an eta_seconds
-// projection (internal/machine's online TTS estimator fed by the same
-// diagnostics) in their status documents.
+// observations (read off the jump in the delivered step numbers), the
+// stream carries an explicit "gap" event with the missed count. Running
+// jobs also report an eta_seconds projection (internal/machine's online
+// TTS estimator fed by the same diagnostics) in their status documents.
 //
 // Shutdown is graceful: Drain stops
 // intake (submissions get 503 with Retry-After), lets queued and running

@@ -56,6 +56,12 @@ type jobEntry struct {
 	// runStart anchors its wall axis at the first Running transition.
 	eta      *machine.ETAEstimator
 	runStart time.Time
+	// lastStep is the step of the attempt's last delivered observation (-1
+	// before its first) and gapped the drops its "gap" events have
+	// reported so far. The runner numbers steps from 0 in every attempt, a
+	// resumed one too, so both restart on each Running transition.
+	lastStep int
+	gapped   int64
 	result   *sched.Result // non-nil once terminal; set with status by finish
 	// ckptDir is the job's checkpoint directory ("" when the server does
 	// not checkpoint); ckptBytes is its last measured on-disk size — the
@@ -82,12 +88,6 @@ type jobEntry struct {
 // diags plus the done document), small enough that thousands of retained
 // terminal jobs stay cheap.
 const ringTerminalTail = 64
-
-// diagBuffer is the per-job async diagnostics queue capacity. The queue is
-// lossy (DropOldest): diagnostics are a monitoring surface, not the science
-// record. Drops are not silent — they surface as "gap" events on the job's
-// stream.
-const diagBuffer = 256
 
 // newEntry builds the server-side record of one submission (new or
 // recovered) and wires job for it: the tenant tag and core quota that ride
@@ -146,11 +146,12 @@ func (s *Server) allocIDLocked() int {
 }
 
 // attach wires the per-submission runner options onto a job: the step and
-// checkpoint timers, and the lossy diagnostics pipe every submission gets
-// (with its eviction notifier, so back-pressure drops surface as "gap" events
-// instead of vanishing). When the server is durable the checkpoint timer also
-// journals each snapshot's clock, which is what a restart consults to promise
-// "resumes from the newest checkpoint".
+// checkpoint timers, and the async diagnostics pipeline every submission
+// gets. The pipeline drops its oldest observation when its queue is full —
+// diagnostics are a monitoring surface, not the science record — and
+// observe turns each drop into a "gap" event. When the server is durable
+// the checkpoint timer also journals each snapshot's clock, which is what a
+// restart consults to promise "resumes from the newest checkpoint".
 func (s *Server) attach(job *sched.Job, entry *jobEntry) {
 	job.Opts = append(job.Opts,
 		// The step timer feeds the histogram only — per-step spans would
@@ -179,24 +180,10 @@ func (s *Server) attach(job *sched.Job, entry *jobEntry) {
 			// Storage accounting and quota enforcement ride the same call.
 			s.noteCheckpoint(entry)
 		}),
-		runner.WithAsyncObserver(
-			func(step int, d runner.Diagnostics) error {
-				s.observe(entry, step, d)
-				return nil
-			},
-			runner.WithAsyncBuffer(diagBuffer),
-			runner.WithBackpressure(runner.DropOldest),
-			runner.WithDropNotify(func(dropped int64) {
-				// Runs on the observer pipeline goroutine, never the step loop.
-				s.mu.Lock()
-				s.sseDropped += dropped
-				s.appendEventLocked(entry, "gap", map[string]any{
-					"missed": dropped,
-					"source": "observer",
-				})
-				s.mu.Unlock()
-			}),
-		))
+		runner.WithAsyncObserver(func(step int, d runner.Diagnostics) error {
+			s.observe(entry, step, d)
+			return nil
+		}))
 }
 
 // onUpdate receives every scheduler status transition (serialised by the
@@ -228,11 +215,16 @@ func (s *Server) onUpdate(u sched.Update) {
 			e.runStart = time.Now()
 		}
 		e.runSpan = e.trace.Start("run", map[string]string{"attempt": strconv.Itoa(u.Attempt)})
+		// The scheduler drained the last attempt's pipeline before this
+		// update and starts the next Run only after it returns, so no
+		// delivery straddles the reset.
+		e.lastStep, e.gapped = -1, 0
 		if s.store != nil {
 			s.storeErr("started", s.store.Started(eid, u.Attempt))
 		}
 	} else {
 		e.endRunSpanLocked()
+		s.trailingGapLocked(e, u.Report)
 	}
 	s.appendEventLocked(e, "status", transitionBody(eid, u))
 }
@@ -328,6 +320,7 @@ func (s *Server) finish(u sched.Update) {
 		}
 		s.storeErr("terminal", s.store.Terminal(eid, u.Status.String(), msg))
 	}
+	s.trailingGapLocked(e, u.Report)
 	s.appendEventLocked(e, "status", transitionBody(eid, u))
 	s.appendEventLocked(e, "done", statusBody(e))
 	// Terminal rings keep only a short tail: enough for a briefly
@@ -431,9 +424,11 @@ func (s *Server) appendEventLocked(e *jobEntry, typ string, body any) {
 
 // observe ingests one diagnostics snapshot: counts it for the throughput
 // gauge, feeds the ETA estimator, and appends the "diag" event to the
-// job's ring. It runs on the job's async observer goroutine, off the step
-// loop. Unlike the old push surface this always appends — the ring is the
-// replay buffer a later Last-Event-ID resume reads, subscribers or not.
+// job's ring — after a "gap" event when the step jumped past observations
+// the pipeline dropped. It runs on the job's async observer goroutine, off
+// the step loop. Unlike the old push surface this always appends — the
+// ring is the replay buffer a later Last-Event-ID resume reads,
+// subscribers or not.
 func (s *Server) observe(e *jobEntry, step int, d runner.Diagnostics) {
 	body := map[string]any{
 		"step":  step,
@@ -447,10 +442,33 @@ func (s *Server) observe(e *jobEntry, step int, d runner.Diagnostics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stepsObserved++
+	if missed := step - e.lastStep - 1; missed > 0 {
+		s.gapLocked(e, int64(missed))
+	}
+	e.lastStep = step
 	if e.eta != nil && !e.runStart.IsZero() {
 		e.eta.Observe(time.Since(e.runStart).Seconds(), d.Clock)
 	}
 	s.appendEventLocked(e, "diag", body)
+}
+
+// gapLocked appends an observer "gap" event for missed dropped
+// observations and counts them in vlasovd_sse_dropped_total. Callers hold
+// s.mu.
+func (s *Server) gapLocked(e *jobEntry, missed int64) {
+	s.sseDropped += missed
+	e.gapped += missed
+	s.appendEventLocked(e, "gap", map[string]any{"missed": missed, "source": "observer"})
+}
+
+// trailingGapLocked reports the drops of an attempt's run that no gap has
+// covered — those after its last delivered observation, which the step
+// numbers cannot show. rep may be nil (the attempt never ran). Callers
+// hold s.mu.
+func (s *Server) trailingGapLocked(e *jobEntry, rep *runner.Report) {
+	if rep != nil && rep.DroppedObservations > e.gapped {
+		s.gapLocked(e, rep.DroppedObservations-e.gapped)
+	}
 }
 
 // safeNum makes a float JSON-encodable: encoding/json rejects NaN and ±Inf,

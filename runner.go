@@ -32,9 +32,10 @@
 // (per tenant, for jobs that carry one).
 //
 // Orthogonally, WithAsyncObserver (internal/runner) moves diagnostics
-// delivery and checkpoint I/O off the hot step loop onto a buffered
-// pipeline, so the solver waits on a slow observer or a disk write only
-// once the buffer is full.
+// delivery and checkpoint I/O off the hot step loop onto a bounded
+// pipeline: a slow observer loses its oldest queued observations instead
+// of stalling the solver, and the solver waits on a disk write only once
+// the queue holds nothing but checkpoints.
 package vlasov6d
 
 import (
@@ -116,19 +117,15 @@ func WithCheckpointKeep(n int) RunOption { return runner.WithCheckpointKeep(n) }
 // next steps.
 type AsyncRunObserver = runner.AsyncObserver
 
-// AsyncOption tunes the async observer pipeline.
-type AsyncOption = runner.AsyncOption
-
 // WithAsyncObserver delivers per-step diagnostics (and, for solvers that
-// support state capture, checkpoint I/O) through a buffered pipeline off
-// the hot step loop. obs may be nil to route only checkpoint traffic.
-func WithAsyncObserver(obs AsyncRunObserver, opts ...AsyncOption) RunOption {
-	return runner.WithAsyncObserver(obs, opts...)
+// support state capture, checkpoint I/O) through a bounded pipeline off
+// the hot step loop. The step loop never waits on obs: when the queue is
+// full the oldest observation is dropped, which obs sees as a jump in its
+// step numbers and RunReport.DroppedObservations counts. Checkpoints are
+// never dropped. obs may be nil to route only checkpoint traffic.
+func WithAsyncObserver(obs AsyncRunObserver) RunOption {
+	return runner.WithAsyncObserver(obs)
 }
-
-// WithAsyncBuffer sets the pipeline queue capacity (default
-// runner.DefaultAsyncBuffer).
-func WithAsyncBuffer(n int) AsyncOption { return runner.WithAsyncBuffer(n) }
 
 // ResumeLatest reads the newest checkpoint in dir and returns the snapshot
 // together with the file it came from; rebuild the simulation with
