@@ -12,8 +12,8 @@ import (
 )
 
 // TestInternalPackagesHaveProductionImporters holds the repository to its
-// own rule: an internal package reachable only from tests, benchmarks or
-// examples/ has to earn a production caller (the facade or a command) or go.
+// own rule: an internal package reachable only from tests or benchmarks has
+// to earn a production caller (the facade or a command) or go.
 func TestInternalPackagesHaveProductionImporters(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"vlasov6d/internal/advect"
@@ -20,12 +23,22 @@ func TestTable1RowsInPaperOrder(t *testing.T) {
 	if len(rows) != len(want) {
 		t.Fatalf("%d rows, want %d", len(rows), len(want))
 	}
-	for i, r := range rows {
-		if r.dir != want[i] {
-			t.Errorf("row %d is %q, want %q", i, r.dir, want[i])
-		}
+	for _, r := range rows {
 		if !(r.mcells > 0) || math.IsInf(r.mcells, 0) {
 			t.Errorf("%s: rate %v is not finite and positive", r.dir, r.mcells)
+		}
+	}
+	var buf bytes.Buffer
+	writeTable1(&buf, testExtents, rows)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 2+len(want) ||
+		lines[0] != "Table 1: SL-MPP5 sweep throughput per direction, 6×7×6 × 8×7×9 float32 brick" {
+		t.Fatalf("table:\n%s", buf.String())
+	}
+	for i, line := range lines[2:] {
+		f := strings.Fields(line)
+		if len(f) != 3 || f[0] != want[i] || f[1] != strconv.Itoa(rows[i].stride) {
+			t.Errorf("table row %d is %q, want direction %q, stride %d", i, line, want[i], rows[i].stride)
 		}
 	}
 	if _, err := measureTable1([6]int{6, 6, 6, 6, 6, 5}, 1); err == nil {

@@ -29,8 +29,11 @@ func tableRows(out string) map[string][]string {
 func TestSweepFitsLandauAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-res", "32x64", "-schemes", "slmpp5,upwind1", "-resume-dir", dir, "-workers", "2"}
+	// The first run shares a core budget and a wall-clock budget that is
+	// never reached; the resumed run takes neither.
+	first := append([]string{"-budget", "2", "-wall", "10m"}, args...)
 	var out bytes.Buffer
-	if err := run(args, &out); err != nil {
+	if err := run(first, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(out.String(), "Landau sweep: 2 jobs (slmpp5,upwind1 × 32x64)") {

@@ -55,14 +55,14 @@ type declUnit struct {
 // of TestInternalPackagesHaveProductionImporters: a top-level declaration
 // of any non-test file stays only if a program reaches it. Roots are the
 // main functions of benchmark/ (read, never reported), the main functions
-// of cmd/ and examples/ that something runs, init functions, and the test
-// oracles above. A program under cmd/ or examples/ is run when its
-// directory has a test file or a CI step names it in `go run ./<dir>` or
-// `go build … ./<dir>`; one that is neither fails the gate by name. From
-// the roots, a live declaration keeps alive every package-level name it
-// mentions, every pkg.Name it selects, and every method of a live type
-// whose name it selects or a standard-library interface calls. Resolution
-// is by name, so the gate errs towards keeping.
+// of cmd/ that something runs, init functions, and the test oracles above.
+// A program under cmd/ is run when its directory has a test file or a CI
+// step names it in `go run ./<dir>` or `go build … ./<dir>`; one that is
+// neither fails the gate by name. From the roots, a live declaration keeps
+// alive every package-level name it mentions, every pkg.Name it selects,
+// and every method of a live type whose name it selects or a
+// standard-library interface calls. Resolution is by name, so the gate
+// errs towards keeping.
 func TestEveryDeclarationHasAProductionCaller(t *testing.T) {
 	fset := token.NewFileSet()
 	var units []*declUnit
@@ -177,7 +177,7 @@ func TestEveryDeclarationHasAProductionCaller(t *testing.T) {
 	foundOracles := map[string]bool{}
 	for _, u := range units {
 		isMain := pkgName[u.pkg] == "main" && u.name == "main" && u.recv == ""
-		if isMain && (strings.HasPrefix(u.pkg, "cmd/") || strings.HasPrefix(u.pkg, "examples/")) {
+		if isMain && strings.HasPrefix(u.pkg, "cmd/") {
 			if !tested[u.pkg] && !ci[u.pkg] {
 				t.Errorf("%s: no test and no CI step runs this program (give it a test, run it in .github/workflows/ci.yml, or delete it)", u.pkg)
 				isMain = false

@@ -308,12 +308,18 @@ func TestErrorsOnShortLines(t *testing.T) {
 
 func TestCFLLimitEnforced(t *testing.T) {
 	for _, s := range []Scheme{NewMP5(), NewUpwind1(), NewLaxWendroff2()} {
+		if m := s.MaxCFL(); m != 1 {
+			t.Errorf("%s: MaxCFL %v, want 1", s.Name(), m)
+		}
 		f := sineLine(16)
 		if err := s.Step(f, 1.5); err == nil {
 			t.Fatalf("%s accepted CFL 1.5", s.Name())
 		}
 	}
-	// SL-MPP5 must accept it.
+	// SL-MPP5 has no limit and must accept it.
+	if m := NewSLMPP5().MaxCFL(); m != 0 {
+		t.Errorf("slmpp5: MaxCFL %v, want 0", m)
+	}
 	if err := NewSLMPP5().Step(sineLine(16), 1.5); err != nil {
 		t.Fatalf("SL-MPP5 rejected CFL 1.5: %v", err)
 	}

@@ -37,8 +37,6 @@ const (
 	Int
 	// String accepts a JSON string (optionally restricted by Enum).
 	String
-	// Bool accepts a JSON boolean.
-	Bool
 )
 
 func (k Kind) String() string {
@@ -49,8 +47,6 @@ func (k Kind) String() string {
 		return "int"
 	case String:
 		return "string"
-	case Bool:
-		return "bool"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -65,7 +61,7 @@ type Param struct {
 	// Type is Kind's name, for the JSON scenario listing.
 	Type string `json:"type"`
 	// Default fills a missing parameter (float64 for Float, int for Int,
-	// string for String, bool for Bool).
+	// string for String).
 	Default any `json:"default"`
 	// Min/Max bound a numeric parameter inclusively when HasRange is set.
 	Min      float64 `json:"min,omitempty"`
@@ -89,9 +85,6 @@ func (v Values) Int(name string) int { i, _ := v[name].(int); return i }
 
 // Str returns a String parameter.
 func (v Values) Str(name string) string { s, _ := v[name].(string); return s }
-
-// Bool returns a Bool parameter.
-func (v Values) Bool(name string) bool { b, _ := v[name].(bool); return b }
 
 // Scenario is one registered workload shape.
 type Scenario struct {
@@ -429,12 +422,6 @@ func coerce(p Param, raw any) (any, error) {
 			return nil, fmt.Errorf("%q not one of %s", s, strings.Join(p.Enum, ", "))
 		}
 		return s, nil
-	case Bool:
-		b, ok := raw.(bool)
-		if !ok {
-			return nil, fmt.Errorf("want bool, got %T", raw)
-		}
-		return b, nil
 	}
 	return nil, fmt.Errorf("unknown parameter kind %v", p.Kind)
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
+	"vlasov6d/internal/hybrid"
+	"vlasov6d/internal/nbody"
 	"vlasov6d/internal/runner"
 	"vlasov6d/internal/sched"
 )
@@ -276,4 +279,80 @@ func FuzzJobSpec(f *testing.F) {
 			t.Fatalf("canonical form not a fixed point:\n%s\n%s", a, b)
 		}
 	})
+}
+
+// TestCosmologicalResumeMatchesLive drives the Restore hook sched calls to
+// resume a hybrid, nbody or shotnoise job: a run of four steps with a
+// snapshot every two, and a resume from its step-2 snapshot that takes the
+// last two under the same cadence, must end on the same state bit for bit.
+func TestCosmologicalResumeMatchesLive(t *testing.T) {
+	c := Default()
+	for _, name := range []string{"hybrid", "nbody", "shotnoise"} {
+		t.Run(name, func(t *testing.T) {
+			v, sc, err := c.Validate(JobSpec{Scenario: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(s runner.Solver, steps int) *runner.Report {
+				t.Helper()
+				rep, err := runner.Run(context.Background(), s, sc.DefaultUntil,
+					runner.WithMaxSteps(steps), runner.WithCheckpoint(t.TempDir(), 2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Steps != steps {
+					t.Fatalf("%d steps, want %d", rep.Steps, steps)
+				}
+				return rep
+			}
+			s, err := sc.Build(v, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := run(s, 4)
+			if len(rep.Checkpoints) != 2 {
+				t.Fatalf("checkpoints %v, want steps 2 and 4", rep.Checkpoints)
+			}
+			r, err := sc.Restore(v, rep.Checkpoints[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(r, 2)
+			live, resumed := s.(*hybrid.Simulation), r.(*hybrid.Simulation)
+			if math.Float64bits(resumed.A) != math.Float64bits(live.A) {
+				t.Fatalf("a = %v resumed, %v live", resumed.A, live.A)
+			}
+			if (resumed.Grid == nil) != (live.Grid == nil) {
+				t.Fatal("one run has a ν grid, the other none")
+			}
+			if live.Grid != nil {
+				for i, f := range live.Grid.Data {
+					if math.Float32bits(resumed.Grid.Data[i]) != math.Float32bits(f) {
+						t.Fatalf("f[%d] = %v resumed, %v live", i, resumed.Grid.Data[i], f)
+					}
+				}
+			}
+			sameParticles(t, "CDM", resumed.Part, live.Part)
+			sameParticles(t, "ν", resumed.NuPart, live.NuPart)
+		})
+	}
+}
+
+func sameParticles(t *testing.T, kind string, got, want *nbody.Particles) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s particles in one run only", kind)
+	}
+	if want == nil {
+		return
+	}
+	for d := 0; d < 3; d++ {
+		for _, pair := range [][2][]float64{{got.Pos[d], want.Pos[d]}, {got.Vel[d], want.Vel[d]}} {
+			for i, w := range pair[1] {
+				if math.Float64bits(pair[0][i]) != math.Float64bits(w) {
+					t.Fatalf("%s particle %d, axis %d: %v resumed, %v live", kind, i, d, pair[0][i], w)
+				}
+			}
+		}
+	}
 }

@@ -141,11 +141,8 @@ func unitRoot(j, n int) complex128 {
 	return complex(cos, sin)
 }
 
-// Len returns the transform length.
-func (p *Plan) Len() int { return p.n }
-
 // Forward computes the in-place forward DFT
-// X[k] = Σ_j x[j]·e^{-2πi jk/n}. len(x) must equal Len().
+// X[k] = Σ_j x[j]·e^{-2πi jk/n}. len(x) must equal the plan's length n.
 func (p *Plan) Forward(x []complex128) {
 	p.checkLen(x)
 	p.run(x, false)

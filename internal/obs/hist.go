@@ -66,9 +66,6 @@ func NewHistogram(name, help string, buckets []float64) *Histogram {
 	}
 }
 
-// Name returns the metric family name.
-func (h *Histogram) Name() string { return h.name }
-
 // Observe records one value. Safe for concurrent use from any goroutine;
 // no locks, no allocation.
 func (h *Histogram) Observe(v float64) {

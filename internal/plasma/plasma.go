@@ -201,11 +201,11 @@ func (s *Solver) ElectricField() []float64 {
 	return s.e
 }
 
-// FieldEnergy returns ∫ E²/2 dx, the standard Landau-damping diagnostic.
+// FieldEnergy returns ∫ E²/2 dx, the standard Landau-damping diagnostic,
+// from currentField: on the step path it costs no Poisson solve.
 func (s *Solver) FieldEnergy() float64 {
-	e := s.ElectricField()
 	sum := 0.0
-	for _, v := range e {
+	for _, v := range s.currentField() {
 		sum += v * v
 	}
 	return 0.5 * sum * s.DX()
@@ -221,16 +221,6 @@ func (s *Solver) currentField() []float64 {
 		return s.ElectricField()
 	}
 	return s.e
-}
-
-// fieldEnergyCached evaluates ∫ E²/2 dx from currentField — the per-step
-// diagnostics path, free of Poisson solves.
-func (s *Solver) fieldEnergyCached() float64 {
-	sum := 0.0
-	for _, v := range s.currentField() {
-		sum += v * v
-	}
-	return 0.5 * sum * s.DX()
 }
 
 // TotalMass returns ∫f dx dv.
@@ -318,7 +308,7 @@ func (s *Solver) Diagnostics() runner.Diagnostics {
 		Clock: s.Time,
 		Time:  s.Time,
 		Mass:  s.TotalMass(),
-		Extra: map[string]float64{"field_energy": s.fieldEnergyCached()},
+		Extra: map[string]float64{"field_energy": s.FieldEnergy()},
 	}
 }
 

@@ -121,9 +121,6 @@ func New(g *phase.Grid, scheme string) (*Solver, error) {
 	return sol, nil
 }
 
-// Grid returns the underlying phase-space grid.
-func (s *Solver) Grid() *phase.Grid { return s.g }
-
 // SetWorkers pins the worker count (tests use 1 for determinism).
 func (s *Solver) SetWorkers(n int) { s.pool.SetWorkers(n) }
 

@@ -76,20 +76,29 @@ func TestDriftExactIntegerShift(t *testing.T) {
 }
 
 func TestDriftUniformInvariant(t *testing.T) {
-	// A spatially uniform f is a fixed point of the drift operators.
-	g := testGrid(t)
-	s, _ := New(g, "slmpp5")
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
-		return math.Exp(-(ux*ux + uy*uy + uz*uz) / (2 * 1000 * 1000))
-	})
-	before := append([]float32(nil), g.Data...)
-	if err := s.Drift(0.001, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	for i := range g.Data {
-		if math.Abs(float64(g.Data[i]-before[i])) > 1e-6 {
-			t.Fatalf("uniform f changed at %d: %v -> %v", i, before[i], g.Data[i])
-		}
+	// A spatially uniform f is a fixed point of the drift operators, for
+	// every scheme: the comparison schemes drift through StepLines' per-line
+	// path, SL-MPP5 through its batched kernel.
+	for _, scheme := range advect.Names() {
+		t.Run(scheme, func(t *testing.T) {
+			g := testGrid(t)
+			s, err := New(g, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+				return math.Exp(-(ux*ux + uy*uy + uz*uz) / (2 * 1000 * 1000))
+			})
+			before := append([]float32(nil), g.Data...)
+			if err := s.Drift(0.001, 1.0); err != nil {
+				t.Fatal(err)
+			}
+			for i := range g.Data {
+				if math.Abs(float64(g.Data[i]-before[i])) > 1e-6 {
+					t.Fatalf("uniform f changed at %d: %v -> %v", i, before[i], g.Data[i])
+				}
+			}
+		})
 	}
 }
 
@@ -123,28 +132,35 @@ func TestKickShiftsVelocity(t *testing.T) {
 }
 
 func TestMassConservationFullStep(t *testing.T) {
-	g := testGrid(t)
-	s, _ := New(g, "slmpp5")
-	// Compact Maxwellian well inside the velocity boundary plus a density
-	// wave in x.
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
-		w := 1 + 0.3*math.Sin(2*math.Pi*x/100)
-		return w * math.Exp(-(ux*ux+uy*uy+uz*uz)/(2*800*800))
-	})
-	m0 := g.TotalMass()
-	acc := zeroAcc(g.NCells())
-	for c := range acc[0] {
-		acc[0][c] = 50 // mild kick, support stays inside the grid
-		acc[1][c] = -30
-	}
-	for step := 0; step < 5; step++ {
-		if err := s.Step(0.002, 1.0, acc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m1 := g.TotalMass()
-	if rel := math.Abs(m1+s.BoundaryLoss-m0) / m0; rel > 2e-5 {
-		t.Fatalf("mass drift %v (m0=%v m1=%v loss=%v)", rel, m0, m1, s.BoundaryLoss)
+	for _, scheme := range advect.Names() {
+		t.Run(scheme, func(t *testing.T) {
+			g := testGrid(t)
+			s, err := New(g, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Compact Maxwellian well inside the velocity boundary plus a
+			// density wave in x.
+			g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+				w := 1 + 0.3*math.Sin(2*math.Pi*x/100)
+				return w * math.Exp(-(ux*ux+uy*uy+uz*uz)/(2*800*800))
+			})
+			m0 := g.TotalMass()
+			acc := zeroAcc(g.NCells())
+			for c := range acc[0] {
+				acc[0][c] = 50 // mild kick, support stays inside the grid
+				acc[1][c] = -30
+			}
+			for step := 0; step < 5; step++ {
+				if err := s.Step(0.002, 1.0, acc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m1 := g.TotalMass()
+			if rel := math.Abs(m1+s.BoundaryLoss-m0) / m0; rel > 2e-5 {
+				t.Fatalf("mass drift %v (m0=%v m1=%v loss=%v)", rel, m0, m1, s.BoundaryLoss)
+			}
+		})
 	}
 }
 
