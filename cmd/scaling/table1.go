@@ -21,25 +21,24 @@ var table1Dirs = [6]struct {
 // shows.
 var table1Extents = [6]int{8, 8, 8, 24, 24, 24}
 
-// batchLines bounds the float64 gather buffer.
-const batchLines = 64
+// blockLines is the number of lines one StepStrided call advances.
+const blockLines = 64
 
 // brick is a 6D float32 distribution function swept with the production
-// SL-MPP5 kernel: gather lines into a float64 batch, StepLines, scatter.
+// SL-MPP5 kernel, which reads and writes each line at its stride.
 type brick struct {
 	n      [6]int
 	f      []float32
-	batch  []float64
+	offs   []int // the first cells of one block of lines
 	scheme *advect.SLMPP5
 }
 
 func newBrick(n [6]int) *brick {
-	cells, longest := 1, 0
+	cells := 1
 	for _, e := range n {
 		cells *= e
-		longest = max(longest, e)
 	}
-	b := &brick{n: n, f: make([]float32, cells), batch: make([]float64, batchLines*longest), scheme: advect.NewSLMPP5()}
+	b := &brick{n: n, f: make([]float32, cells), offs: make([]int, blockLines), scheme: advect.NewSLMPP5()}
 	for i := range b.f {
 		b.f[i] = 1 + 0.5*float32(i%17)/17
 	}
@@ -56,28 +55,19 @@ func (b *brick) stride(axis int) int {
 	return s
 }
 
-// sweep advances every line along axis by CFL number c, periodically. Line m
-// of the len(f)/n lines starts at cell (m/stride)·n·stride + m%stride.
+// sweep advances every line along axis by CFL number c, periodically, in
+// blocks of blockLines lines. Line m of the len(f)/n lines starts at cell
+// (m/stride)·n·stride + m%stride.
 func (b *brick) sweep(axis int, c float64) error {
 	n, stride := b.n[axis], b.stride(axis)
-	start := func(m int) int { return m/stride*n*stride + m%stride }
-	for m0, lines := 0, len(b.f)/n; m0 < lines; m0 += batchLines {
-		nl := min(batchLines, lines-m0)
-		batch := b.batch[:nl*n]
-		for l := 0; l < nl; l++ {
-			src, line := b.f[start(m0+l):], batch[l*n:(l+1)*n]
-			for i := range line {
-				line[i] = float64(src[i*stride])
-			}
+	for m0, lines := 0, len(b.f)/n; m0 < lines; m0 += blockLines {
+		offs := b.offs[:min(blockLines, lines-m0)]
+		for l := range offs {
+			m := m0 + l
+			offs[l] = m/stride*n*stride + m%stride
 		}
-		if err := b.scheme.StepLines(batch, n, c); err != nil {
+		if _, err := b.scheme.StepStrided(b.f, offs, stride, n, c, false); err != nil {
 			return err
-		}
-		for l := 0; l < nl; l++ {
-			dst := b.f[start(m0+l):]
-			for i, v := range batch[l*n : (l+1)*n] {
-				dst[i*stride] = float32(v)
-			}
 		}
 	}
 	return nil

@@ -69,9 +69,10 @@ func TestSweepConservesMassOnEveryAxis(t *testing.T) {
 	}
 }
 
-// The batched sweep is the production kernel and nothing else: every line
-// equals StepLines on that line alone, bit for bit.
-func TestSweepMatchesStepLinesLineByLine(t *testing.T) {
+// The strided sweep is the production kernel and nothing else: every line
+// equals Step on that line alone, widened to float64 and rounded back, bit
+// for bit.
+func TestSweepMatchesStepLineByLine(t *testing.T) {
 	const axis, c = 1, 0.3
 	b := newBrick(testExtents)
 	want := slices.Clone(b.f)
@@ -82,7 +83,7 @@ func TestSweepMatchesStepLinesLineByLine(t *testing.T) {
 			for i := range line {
 				line[i] = float64(want[off+i*stride])
 			}
-			if err := s.StepLines(line, n, c); err != nil {
+			if err := s.Step(line, c); err != nil {
 				t.Fatal(err)
 			}
 			for i, v := range line {

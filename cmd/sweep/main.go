@@ -9,9 +9,9 @@
 //
 // Small grids carry higher priority so the table fills coarse-to-fine, transient failures retry with backoff (-retries),
 // and with -resume-dir every job checkpoints into its own directory and a
-// re-invoked sweep resumes each job from its newest snapshot — kill a
-// campaign with Ctrl-C and run the same command again to continue it
-// instead of recomputing.
+// re-invoked sweep resumes each job from its newest snapshot of the same
+// scheme, grid and box — kill a campaign with Ctrl-C and run the same
+// command again to continue it instead of recomputing.
 //
 // Example:
 //
@@ -48,6 +48,8 @@ import (
 
 	"vlasov6d"
 	"vlasov6d/internal/analysis"
+	"vlasov6d/internal/catalog"
+	"vlasov6d/internal/runner"
 )
 
 // cell is one point of the scheme × resolution grid plus the damping-rate
@@ -119,10 +121,6 @@ func run(args []string, stdout io.Writer) error {
 		return errors.New("empty sweep: no schemes or resolutions")
 	}
 
-	theory := vlasov6d.LandauDampingRate(*k, 1)
-	fmt.Fprintf(stdout, "Landau sweep: %d jobs (%s × %s), k·λ_D = %.2f, theory γ = %.4f\n",
-		len(grid), *schemes, *res, *k, theory)
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -168,55 +166,44 @@ func run(args []string, stdout io.Writer) error {
 			vlasov6d.WithJobCheckpointEvery(*ckptEvery))
 	}
 
+	// Each cell is the catalog's landau scenario, so a snapshot resumes only
+	// under the scheme, grid and box (k, vmax) it was taken in.
+	cat := catalog.Default()
 	jobs := make([]vlasov6d.BatchJob, len(grid))
 	for i, c := range grid {
-		job := vlasov6d.BatchJob{
-			Name:  c.name(),
-			Until: *until,
+		job, err := cat.Job(catalog.JobSpec{
+			Scenario: "landau",
+			Name:     c.name(),
+			Params:   map[string]any{"scheme": c.scheme, "nx": c.nx, "nv": c.nv, "k": *k, "alpha": *alpha},
+			Until:    *until,
 			// Smaller grids first: the table fills coarse-to-fine, so a
 			// budgeted (or killed) sweep still delivers the cheap cells.
 			Priority: -c.nx * c.nv,
-			New: func() (vlasov6d.Solver, error) {
-				// A retried attempt restarts the time series; the fit must
-				// not mix it with the failed attempt's samples (DecayFit
-				// requires monotone t).
-				c.fit = analysis.DecayFit{}
-				s, err := vlasov6d.NewPlasmaSolverWithScheme(c.nx, c.nv, 2*math.Pi/(*k), 8, c.scheme)
-				if err != nil {
-					return nil, err
-				}
-				s.LandauInit(*alpha, *k, 1)
-				return s, nil
-			},
-			Opts: []vlasov6d.RunOption{
-				vlasov6d.WithObserver(c.observe),
-			},
+		})
+		if err != nil {
+			return err
 		}
-		if *resumeDir != "" {
-			job.Restore = func(path string) (vlasov6d.Solver, error) {
-				// The fit state lives in this process, not the snapshot: a
-				// resumed job refits γ over the remaining time window only
-				// (resumed near the target it reports "—", never a number
-				// fitted on a broken series).
-				c.fit = analysis.DecayFit{}
-				f, err := os.Open(path)
-				if err != nil {
-					return nil, err
-				}
-				defer f.Close()
-				s, err := vlasov6d.RestorePlasmaSolver(f)
-				if err != nil {
-					return nil, err
-				}
-				if s.NX != c.nx || s.NV != c.nv || s.Scheme() != c.scheme {
-					return nil, fmt.Errorf("snapshot %s is %s@%dx%d, job wants %s",
-						path, s.Scheme(), s.NX, s.NV, c.name())
-				}
-				return s, nil
-			}
+		// The fit state lives in this process, not the solver: a retried
+		// attempt restarts the time series (DecayFit requires monotone t),
+		// and a resumed job refits γ over the remaining time window only
+		// (resumed near the target it reports "—", never a number fitted on
+		// a broken series).
+		build, restore := job.NewBudgeted, job.Restore
+		job.NewBudgeted = func(lease runner.WorkerLease) (vlasov6d.Solver, error) {
+			c.fit = analysis.DecayFit{}
+			return build(lease)
 		}
+		job.Restore = func(path string) (vlasov6d.Solver, error) {
+			c.fit = analysis.DecayFit{}
+			return restore(path)
+		}
+		job.Opts = append(job.Opts, vlasov6d.WithObserver(c.observe))
 		jobs[i] = job
 	}
+	theory := vlasov6d.LandauDampingRate(*k, 1)
+	fmt.Fprintf(stdout, "Landau sweep: %d jobs (%s × %s), k·λ_D = %.2f, theory γ = %.4f\n",
+		len(grid), *schemes, *res, *k, theory)
+
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		return err

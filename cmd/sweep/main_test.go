@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"math"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"vlasov6d"
 )
 
 // tableRows returns the sweep table's rows, keyed by scheme, as their
@@ -70,6 +74,41 @@ func TestSweepFitsLandauAndResumes(t *testing.T) {
 		if row := rows[scheme]; len(row) == 0 || row[2] != "—" || row[6] != "done" {
 			t.Errorf("resumed %s row %q in:\n%s", scheme, row, out.String())
 		}
+	}
+}
+
+// TestSweepResumesOnlyItsOwnBox: a snapshot of the same scheme and grid
+// under another wavenumber is another box (L = 2π/k). A sweep re-run with a
+// new -k must not continue it: the job starts afresh, and its newest
+// snapshot holds the box the flags ask for.
+func TestSweepResumesOnlyItsOwnBox(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-schemes", "slmpp5", "-res", "16x32", "-resume-dir", dir, "-ckpt-every", "5"}
+	if err := run(append([]string{"-k", "0.5", "-until", "2"}, args...), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(append([]string{"-k", "0.3", "-until", "4"}, args...), &out); err != nil {
+		t.Fatal(err)
+	}
+	if row := tableRows(out.String())["slmpp5"]; len(row) == 0 || row[6] != "done" {
+		t.Fatalf("second run's row %q in:\n%s", row, out.String())
+	}
+	ckpts, _ := filepath.Glob(filepath.Join(dir, "slmpp5_16x32", "ckpt_*.v6d"))
+	if len(ckpts) == 0 {
+		t.Fatal("the second run left no snapshot")
+	}
+	f, err := os.Open(ckpts[len(ckpts)-1]) // clock-keyed names sort by clock
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := vlasov6d.RestorePlasmaSolver(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * math.Pi / 0.3; s.L != want {
+		t.Fatalf("newest snapshot %s has L = %v, want 2π/0.3 = %v", ckpts[len(ckpts)-1], s.L, want)
 	}
 }
 

@@ -16,9 +16,10 @@
 //     per step, CFL ≤ 1).
 //   - Upwind1, LaxWendroff2 — first- and second-order baselines.
 //
-// All schemes advance periodic lines in place. SL-MPP5 also advances open
-// (vacuum-bounded) lines, and batches of lines sharing one CFL number, all
-// through one kernel.
+// All schemes advance periodic float64 lines in place. SL-MPP5 also
+// advances open (vacuum-bounded) lines, and sets of strided lines of the
+// float32 grid that share one CFL number, all through one kernel;
+// StepStrided gives every scheme that strided form.
 package advect
 
 import (
@@ -56,23 +57,31 @@ func New(name string) (Scheme, error) {
 	return nil, fmt.Errorf("advect: unknown scheme %q", name)
 }
 
-// StepLines advances len(lines)/n periodic lines of n cells, stored back to
-// back, by the same CFL number c — the shape of a sweep, where every line
-// sharing a velocity index shares c. A scheme with a batched form (SL-MPP5
-// derives its coefficients once per call) takes the whole batch; the
-// comparison schemes step line by line.
-func StepLines(s Scheme, lines []float64, n int, c float64) error {
-	if b, ok := s.(interface {
-		StepLines(lines []float64, n int, c float64) error
-	}); ok {
-		return b.StepLines(lines, n, c)
+// StepStrided advances every line of n cells whose cell i is
+// data[off+i·stride], for each off in offs, periodically by the same CFL
+// number c — the shape of a drift, where every line sharing a velocity
+// index shares c. SL-MPP5 reads and writes the float32 storage directly
+// (see (*SLMPP5).StepStrided); the comparison schemes step each line
+// through the caller's buffer line, of at least n values.
+func StepStrided(s Scheme, line []float64, data []float32, offs []int, stride, n int, c float64) error {
+	if sl, ok := s.(*SLMPP5); ok {
+		_, err := sl.StepStrided(data, offs, stride, n, c, false)
+		return err
 	}
-	if n < 1 || len(lines)%n != 0 {
-		return fmt.Errorf("advect: batch of %d values is not whole lines of %d", len(lines), n)
+	if n < 1 || len(line) < n {
+		return fmt.Errorf("advect: %d-value line buffer for lines of %d", len(line), n)
 	}
-	for ; len(lines) > 0; lines = lines[n:] {
-		if err := s.Step(lines[:n], c); err != nil {
+	line = line[:n]
+	for _, off := range offs {
+		cells := data[off : off+(n-1)*stride+1]
+		for i := range line {
+			line[i] = float64(cells[i*stride])
+		}
+		if err := s.Step(line, c); err != nil {
 			return err
+		}
+		for i, v := range line {
+			cells[i*stride] = float32(v)
 		}
 	}
 	return nil

@@ -41,9 +41,11 @@ import (
 // Leftward transport (c < 0) mirrors the line into the pad, so only the
 // rightward form exists. Everything that depends on c alone — s, ξ, the five
 // swept-average weights, the limiter steepness — is derived once per call,
-// i.e. once per line in Step/StepOpen and once per batch in StepLines.
+// i.e. once per line in Step/StepOpen and once per set of lines in
+// StepStrided.
 type SLMPP5 struct {
 	pad []float64 // ghost-padded line, upwind-ordered
+	out []float64 // StepStrided's result line, before rounding to float32
 }
 
 // NewSLMPP5 returns the scheme; it always limits and always clips.
@@ -61,63 +63,101 @@ func (s *SLMPP5) Clone() Scheme { return &SLMPP5{} }
 
 // Step advances a periodic line by CFL number c (any magnitude, any sign).
 func (s *SLMPP5) Step(f []float64, c float64) error {
-	return s.StepLines(f, len(f), c)
+	return s.step(f, c, false)
 }
 
 // StepOpen advances a line with vacuum (zero-inflow) boundaries, as used
 // along the velocity axes: f has compact support and mass leaving the grid
 // through the boundary is lost (and accounted by the caller).
 func (s *SLMPP5) StepOpen(f []float64, c float64) error {
-	return s.StepLinesOpen(f, len(f), c)
+	return s.step(f, c, true)
 }
 
-// StepLines advances len(lines)/n periodic lines of n cells, stored back to
-// back, by the same CFL number c: the batched form the sweeps use for lines
-// that share a velocity index. Each line's result is bit-identical to Step.
-func (s *SLMPP5) StepLines(lines []float64, n int, c float64) error {
-	return s.stepLines(lines, n, c, periodic)
-}
-
-// StepLinesOpen is StepLines with vacuum boundaries (see StepOpen): the
-// batched form for the lines of one velocity cube, which share the cell's
-// acceleration.
-func (s *SLMPP5) StepLinesOpen(lines []float64, n int, c float64) error {
-	return s.stepLines(lines, n, c, vacuum)
-}
-
-func (s *SLMPP5) stepLines(lines []float64, n int, c float64, b boundary) error {
-	k, err := s.prepare(n, c, b)
-	if err != nil {
+func (s *SLMPP5) step(f []float64, c float64, open bool) error {
+	n := len(f)
+	k, err := s.prepare(n, c, open)
+	if err != nil || k.sh == 0 && k.xi == 0 {
 		return err
 	}
-	if len(lines)%n != 0 {
-		return fmt.Errorf("slmpp5: batch of %d values is not whole lines of %d", len(lines), n)
+	q, lo := s.pad[:n+k.sh+5], k.sh+3
+	in := q[lo : lo+n]
+	if k.neg {
+		for i, v := range f {
+			in[n-1-i] = v
+		}
+	} else {
+		copy(in, f)
+	}
+	if open {
+		clear(q[:lo])
+		clear(q[lo+n:])
+	} else {
+		wrapGhosts(q, lo, n)
+	}
+	k.advance(q, f)
+	return nil
+}
+
+// StepStrided advances, by the same CFL number c, every line of n cells
+// whose cell i is data[off+i·stride], for each off in offs: the lines of a
+// velocity cube in a kick, the lines of one velocity index in a drift. Each
+// line is read from the float32 storage straight into the pad and its
+// result written straight back, rounded once: bit for bit Step's (with
+// open, StepOpen's) on the line widened to float64. With open, lost is
+// Σbefore − Σafter over all the lines, each sum taken in offs order, then
+// cell order, with the values after the step summed before rounding.
+func (s *SLMPP5) StepStrided(data []float32, offs []int, stride, n int, c float64, open bool) (lost float64, err error) {
+	k, err := s.prepare(n, c, open)
+	if err != nil {
+		return 0, err
+	}
+	for _, off := range offs {
+		if stride < 1 || off < 0 || off+(n-1)*stride >= len(data) {
+			return 0, fmt.Errorf("slmpp5: line at %d, stride %d, is outside %d values", off, stride, len(data))
+		}
 	}
 	if k.sh == 0 && k.xi == 0 {
-		return nil
+		return 0, nil
 	}
-	q := s.pad[:n+k.sh+5]
-	lo := k.sh + 3
-	if b == vacuum { // zero ghosts are shared by every line of the batch
+	if cap(s.out) < n {
+		s.out = make([]float64, n)
+	}
+	out := s.out[:n]
+	q, lo := s.pad[:n+k.sh+5], k.sh+3
+	in := q[lo : lo+n]
+	if open { // zero ghosts are shared by every line
 		clear(q[:lo])
 		clear(q[lo+n:])
 	}
-	for ; len(lines) >= n; lines = lines[n:] {
-		f := lines[:n:n]
-		in := q[lo : lo+n]
+	var before, after float64
+	for _, off := range offs {
+		line := data[off : off+(n-1)*stride+1]
 		if k.neg {
-			for i, v := range f {
+			for i := range in {
+				v := float64(line[i*stride])
 				in[n-1-i] = v
+				before += v
 			}
 		} else {
-			copy(in, f)
+			for i := range in {
+				v := float64(line[i*stride])
+				in[i] = v
+				before += v
+			}
 		}
-		if b == periodic {
+		if !open {
 			wrapGhosts(q, lo, n)
 		}
-		k.advance(q, f)
+		k.advance(q, out)
+		for i, v := range out {
+			line[i*stride] = float32(v)
+			after += v
+		}
 	}
-	return nil
+	if open {
+		lost = before - after
+	}
+	return lost, nil
 }
 
 // wrapGhosts fills the ghosts of the padded line q, whose n interior cells
@@ -138,14 +178,6 @@ func wrapGhosts(q []float64, lo, n int) {
 	}
 }
 
-// boundary says where a line's ghost cells come from.
-type boundary int
-
-const (
-	periodic boundary = iota // the line's own cells, wrapped
-	vacuum                   // zeros: nothing flows in
-)
-
 // sweep holds everything the kernel derives from the CFL number alone.
 type sweep struct {
 	sh    int        // whole-cell shift ⌊|c|⌋, bounded by the line length
@@ -155,12 +187,12 @@ type sweep struct {
 	alpha float64    // CFL-adaptive Suresh–Huynh steepness
 }
 
-// prepare is the one validating entry of every step: it rejects lines
+// prepare is the validating entry of every step: it rejects lines
 // shorter than the stencil and non-finite CFL numbers, bounds the whole-cell
 // shift by the line length (a periodic line drops whole rotations; a vacuum
 // line is empty once it has moved n+3 cells) so that the pad is O(n) for any
 // finite c, derives the per-CFL constants and sizes the pad.
-func (s *SLMPP5) prepare(n int, c float64, b boundary) (sweep, error) {
+func (s *SLMPP5) prepare(n int, c float64, open bool) (sweep, error) {
 	if n < 6 {
 		return sweep{}, fmt.Errorf("slmpp5: line length %d < 6", n)
 	}
@@ -170,13 +202,10 @@ func (s *SLMPP5) prepare(n int, c float64, b boundary) (sweep, error) {
 	a := math.Abs(c)
 	whole := math.Floor(a)
 	k := sweep{xi: a - whole, neg: c < 0}
-	switch b {
-	case periodic:
+	if !open {
 		whole = math.Mod(whole, float64(n))
-	case vacuum:
-		if limit := float64(n + 3); whole >= limit {
-			whole, k.xi = limit, 0
-		}
+	} else if limit := float64(n + 3); whole >= limit {
+		whole, k.xi = limit, 0
 	}
 	k.sh = int(whole)
 	if k.xi != 0 {

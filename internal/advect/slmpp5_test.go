@@ -111,49 +111,180 @@ func TestSweptWeightsAreTheLagrangeForm(t *testing.T) {
 	}
 }
 
-func TestStepLinesBitIdenticalToPerLine(t *testing.T) {
+// checkStrided runs StepStrided on data and requires every line to equal
+// Step (StepOpen with open) on that line widened to float64, rounded back
+// to float32, bit for bit, and lost to equal Σbefore − Σafter summed in
+// offs order, then cell order, over the unrounded results.
+func checkStrided(t *testing.T, data []float32, offs []int, stride, n int, c float64, open bool) {
+	t.Helper()
+	want := append([]float32(nil), data...)
+	one := NewSLMPP5()
+	line := make([]float64, n)
+	var before, after float64
+	for _, off := range offs {
+		for i := range line {
+			line[i] = float64(want[off+i*stride])
+			before += line[i]
+		}
+		step := one.Step
+		if open {
+			step = one.StepOpen
+		}
+		if err := step(line, c); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range line {
+			want[off+i*stride] = float32(v)
+			after += v
+		}
+	}
+	wantLost := 0.0
+	if open {
+		wantLost = before - after
+	}
+	lost, err := NewSLMPP5().StepStrided(data, offs, stride, n, c, open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		if math.Float32bits(data[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("n=%d stride=%d c=%v open=%v: value %d = %v, per line %v", n, stride, c, open, i, data[i], want[i])
+		}
+	}
+	if math.Float64bits(lost) != math.Float64bits(wantLost) {
+		t.Fatalf("n=%d stride=%d c=%v open=%v: lost %v, per line %v", n, stride, c, open, lost, wantLost)
+	}
+}
+
+// stridedLines lays out nLines lines of n cells at the given stride the way
+// the 6D grid does: stride interleaved lines per block of n·stride values.
+// It returns the data, drawn by randomLine, and the lines' first cells in a
+// shuffled order.
+func stridedLines(rng *rand.Rand, n, nLines, stride int) ([]float32, []int) {
+	blocks := (nLines + stride - 1) / stride
+	data := make([]float32, blocks*n*stride)
+	for i, v := range randomLine(rng, len(data)) {
+		data[i] = float32(v)
+	}
+	offs := make([]int, 0, nLines)
+	for _, m := range rng.Perm(blocks * stride)[:nLines] {
+		offs = append(offs, m/stride*n*stride+m%stride)
+	}
+	return data, offs
+}
+
+func TestStepStridedBitIdenticalToPerLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for it := 0; it < 300; it++ {
 		n := 6 + rng.Intn(30)
 		nLines := 1 + rng.Intn(12)
+		stride := 1 + rng.Intn(5)
 		c := randomCFL(rng)
-		batch := make([]float64, 0, n*nLines)
-		for l := 0; l < nLines; l++ {
-			batch = append(batch, randomLine(rng, n)...)
-		}
+		data, offs := stridedLines(rng, n, nLines, stride)
 		for _, open := range []bool{false, true} {
-			got := append([]float64(nil), batch...)
-			want := append([]float64(nil), batch...)
-			one, many := NewSLMPP5(), NewSLMPP5()
-			var err error
-			if open {
-				err = many.StepLinesOpen(got, n, c)
-			} else {
-				err = many.StepLines(got, n, c)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for l := 0; l < nLines; l++ {
-				line := want[l*n : (l+1)*n]
-				if open {
-					err = one.StepOpen(line, c)
-				} else {
-					err = one.Step(line, c)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d c=%v open=%v: batched value %d = %v, per line %v", n, c, open, i, got[i], want[i])
-				}
-			}
+			checkStrided(t, append([]float32(nil), data...), offs, stride, n, c, open)
 		}
 	}
-	if err := NewSLMPP5().StepLines(make([]float64, 25), 8, 0.3); err == nil {
-		t.Fatal("a batch that is not whole lines was accepted")
+	s := NewSLMPP5()
+	for _, bad := range []struct {
+		offs   []int
+		stride int
+	}{{[]int{0, 18}, 3}, {[]int{-1}, 3}, {[]int{0}, 0}} {
+		data := make([]float32, 24)
+		data[0] = 1
+		if _, err := s.StepStrided(data, bad.offs, bad.stride, 8, 0.3, false); err == nil {
+			t.Fatalf("lines at %v, stride %d, accepted in %d values", bad.offs, bad.stride, len(data))
+		}
+		if data[0] != 1 {
+			t.Fatal("a rejected call modified the data")
+		}
+	}
+}
+
+// FuzzStepStrided holds the strided entry to the per-line one: from the
+// fuzz input it lays out 1–16 disjoint lines of 6–40 cells at stride 1–8,
+// steps them by a finite CFL number of any sign and magnitude, periodic or
+// open, and checkStrided requires the per-line results bit for bit and the
+// exact loss.
+func FuzzStepStrided(f *testing.F) {
+	f.Add(uint8(4), uint8(9), uint8(2), 0.37, true, int64(1))
+	f.Add(uint8(0), uint8(0), uint8(0), -2.0, false, int64(2))
+	f.Add(uint8(34), uint8(15), uint8(7), -1e9-0.5, true, int64(3))
+	f.Fuzz(func(t *testing.T, nb, lines, sb uint8, c float64, open bool, seed int64) {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return
+		}
+		n, nLines, stride := 6+int(nb)%35, 1+int(lines)%16, 1+int(sb)%8
+		data, offs := stridedLines(rand.New(rand.NewSource(seed)), n, nLines, stride)
+		checkStrided(t, data, offs, stride, n, c, open)
+	})
+}
+
+// sineAverages returns the exact averages of 1 + ½·sin(2πx/n) over the n
+// unit cells [i − shift, i + 1 − shift).
+func sineAverages(n int, shift float64) []float64 {
+	f := make([]float64, n)
+	k := 2 * math.Pi / float64(n)
+	for i := range f {
+		x := float64(i) - shift
+		f[i] = 1 + 0.5*(math.Cos(k*x)-math.Cos(k*(x+1)))/k
+	}
+	return f
+}
+
+// TestShiftMatchesExactCellAverages is the kernel's accuracy referee: a
+// smooth periodic line shifted by 0.8 cells in N equal steps, against the
+// exact cell averages of the shifted profile. Each step adds its own
+// reconstruction error, so the error grows with N; the bounds pin that
+// growth (a kernel change that adds diffusion per step fails them) and the
+// fifth-order fall with resolution. The n = 10 line also runs through
+// StepStrided on float32 storage, as the 6D sweeps hold it.
+func TestShiftMatchesExactCellAverages(t *testing.T) {
+	newScheme := func() Scheme { return NewSLMPP5() }
+	const shift = 0.8
+	maxErr := func(n, steps int, f32 bool) float64 {
+		f, s := sineAverages(n, 0), newScheme()
+		step := func(c float64) error { return s.Step(f, c) }
+		data, line := make([]float32, n), make([]float64, n)
+		if f32 {
+			for i, v := range f {
+				data[i] = float32(v)
+			}
+			step = func(c float64) error { return StepStrided(s, line, data, []int{0}, 1, n, c) }
+		}
+		for k := 0; k < steps; k++ {
+			if err := step(shift / float64(steps)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := 0.0
+		for i, want := range sineAverages(n, shift) {
+			got := f[i]
+			if f32 {
+				got = float64(data[i])
+			}
+			e = max(e, math.Abs(got-want))
+		}
+		return e
+	}
+	for _, f32 := range []bool{false, true} {
+		e1, e64 := maxErr(10, 1, f32), maxErr(10, 64, f32)
+		t.Logf("float32=%v n=10: max error %.3g at N=1, %.3g at N=64", f32, e1, e64)
+		if e64 > 4e-4 {
+			t.Errorf("float32=%v n=10 N=64: max error %.3g > 4e-4", f32, e64)
+		}
+		if e64 > 5*e1 {
+			t.Errorf("float32=%v n=10: N=64 error %.3g > 5× the N=1 error %.3g", f32, e64, e1)
+		}
+	}
+	prev := maxErr(10, 64, false)
+	for _, n := range []int{20, 40} {
+		e := maxErr(n, 64, false)
+		t.Logf("n=%d N=64: max error %.3g", n, e)
+		if prev < 32*e {
+			t.Errorf("n=%d N=64: max error %.3g, only %.1f× below n=%d's", n, e, prev/e, n/2)
+		}
+		prev = e
 	}
 }
 
@@ -233,17 +364,25 @@ func TestHugeCFLIsBoundedByTheLine(t *testing.T) {
 }
 
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	s := NewSLMPP5()
+	s, up := NewSLMPP5(), NewUpwind1()
 	line := sineLine(32)
-	batch := make([]float64, 0, 8*32)
-	for l := 0; l < 8; l++ {
-		batch = append(batch, sineLine(32)...)
+	// Eight lines of 32 cells at stride 8, as a velocity cube holds them.
+	data, offs := make([]float32, 8*32), []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for i, v := range sineLine(len(data)) {
+		data[i] = float32(v)
 	}
 	calls := map[string]func() error{
-		"Step":          func() error { return s.Step(line, -1.7) },
-		"StepOpen":      func() error { return s.StepOpen(line, 0.4) },
-		"StepLines":     func() error { return s.StepLines(batch, 32, 2.3) },
-		"StepLinesOpen": func() error { return s.StepLinesOpen(batch, 32, -0.6) },
+		"Step":     func() error { return s.Step(line, -1.7) },
+		"StepOpen": func() error { return s.StepOpen(line, 0.4) },
+		"StepStrided": func() error {
+			_, err := s.StepStrided(data, offs, 8, 32, 2.3, false)
+			return err
+		},
+		"StepStrided open": func() error {
+			_, err := s.StepStrided(data, offs, 8, 32, -0.6, true)
+			return err
+		},
+		"advect.StepStrided upwind1": func() error { return StepStrided(up, line, data, offs, 8, 32, 0.6) },
 	}
 	for name, call := range calls {
 		if err := call(); err != nil { // warm-up sizes the pad
@@ -288,18 +427,22 @@ func BenchmarkStep10(b *testing.B) {
 	}
 }
 
-func BenchmarkStepLinesOpen100x10(b *testing.B) {
+// A kick's shape: the 100 lines of a 10³ velocity cube along ux.
+func BenchmarkStepStridedOpen100x10(b *testing.B) {
 	s := NewSLMPP5()
-	batch := make([]float64, 0, 1000)
-	for l := 0; l < 100; l++ {
-		batch = append(batch, sineLine(10)...)
+	cube, offs := make([]float32, 1000), make([]int, 100)
+	for i, v := range sineLine(len(cube)) {
+		cube[i] = float32(v)
+	}
+	for l := range offs {
+		offs[l] = l
 	}
 	for i := 0; i < b.N; i++ {
 		c := 0.37
 		if i&1 == 1 {
 			c = -0.37
 		}
-		if err := s.StepLinesOpen(batch, 10, c); err != nil {
+		if _, err := s.StepStrided(cube, offs, 100, 10, c, true); err != nil {
 			b.Fatal(err)
 		}
 	}

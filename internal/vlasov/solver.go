@@ -14,13 +14,14 @@
 //     acceleration; lines are open (vacuum) at the velocity boundary, and
 //     mass crossing it is recorded as BoundaryLoss.
 //
-// Lines are gathered from the List-1 layout into per-worker float64 buffers
-// (the arithmetic runs in double precision, storage is float32 as in the
-// paper's mixed-precision design) and scattered back. They go to the scheme
-// in batches that share one CFL number — the lines of a velocity cube in a
-// kick, the lines of one velocity index in a drift — so that what the scheme
-// derives from the CFL number is computed once per batch. Work is
-// parallelised over independent batches with one scheme clone per worker.
+// Storage is float32 and the arithmetic float64, as in the paper's
+// mixed-precision design: the scheme reads each line of the List-1 layout
+// at its stride straight into its own float64 scratch and writes the result
+// straight back (advect's StepStrided). Lines that share one CFL number —
+// the lines of a velocity cube in a kick, the lines of one velocity index
+// in a drift — go to the scheme in one call, so that what it derives from
+// the CFL number is computed once per call. Work is parallelised over
+// independent calls with one scheme clone per worker.
 package vlasov
 
 import (
@@ -42,7 +43,7 @@ type Solver struct {
 	// choosing UMax.
 	BoundaryLoss float64
 
-	// pool holds per-worker sweep scratch (gather line + scheme clones),
+	// pool holds per-worker sweep scratch (a line buffer + scheme clones),
 	// grown on demand and reused across steps so steady-state stepping
 	// allocates nothing.
 	pool *par.Pool[worker]
@@ -77,8 +78,9 @@ type driftGeom struct {
 // cubeAxis is the geometry of a velocity cube around one velocity axis d:
 // the cube offsets of the elements with index 0 along d, and the stride
 // between consecutive indices. Each offset starts one line along d (a kick
-// batch is all of them); adding j·stride gives the elements that share the
-// velocity index j, whose CFL number a drift along spatial axis d shares.
+// sweeps all of them in one call); adding j·stride gives the elements that
+// share the velocity index j, whose CFL number a drift along spatial axis d
+// shares.
 type cubeAxis struct {
 	offs   []int
 	stride int
@@ -218,39 +220,22 @@ func (s *Solver) kickAxis(d int, dt float64, accD []float64) error {
 
 // kickRange advects the velocity cubes of spatial cells [lo, hi) along the
 // axis described by s.kg. All lines of a cube share the cell's acceleration
-// and go through the scheme as one batch.
+// and go through the scheme in one call.
 func (s *Solver) kickRange(w *worker, lo, hi int) error {
 	g := s.g
 	kg := &s.kg
 	offs, stride := s.axes[kg.d].offs, s.axes[kg.d].stride
 	n := g.NU[kg.d]
-	lines := w.lines[:g.NCube()]
 	for cell := lo; cell < hi; cell++ {
 		c := kg.acc[cell] * kg.dt / kg.du
 		if c == 0 {
 			continue
 		}
-		cube := g.CubeAt(cell)
-		// Gather the cube line by line, summing it on the way.
-		var before, after float64
-		for l, off := range offs {
-			line := lines[l*n : l*n+n]
-			for i := range line {
-				v := float64(cube[off+i*stride])
-				line[i] = v
-				before += v
-			}
-		}
-		if err := w.open.StepLinesOpen(lines, n, c); err != nil {
+		lost, err := w.open.StepStrided(g.CubeAt(cell), offs, stride, n, c, true)
+		if err != nil {
 			return err
 		}
-		for l, off := range offs {
-			for i, v := range lines[l*n : l*n+n] {
-				cube[off+i*stride] = float32(v)
-				after += v
-			}
-		}
-		w.loss += before - after // raw Σf; converted to mass units in addLoss
+		w.loss += lost // raw Σf; converted to mass units in addLoss
 	}
 	return nil
 }
@@ -292,34 +277,20 @@ func (s *Solver) driftAxis(d int, dt, a float64) error {
 // driftRange advects perpendicular spatial columns [lo, hi) along the axis
 // described by s.dg. Within a column, the cube elements that share the
 // velocity index along the axis share the CFL number; their lines go through
-// the scheme as one batch.
+// the scheme in one call.
 func (s *Solver) driftRange(w *worker, lo, hi int) error {
 	g := s.g
 	dg := &s.dg
 	offs, stride := s.axes[dg.d].offs, s.axes[dg.d].stride
-	n := dg.nLine
 	str := dg.cellStride * dg.ncube
-	lines := w.lines[:len(offs)*n]
 	for p := lo; p < hi; p++ {
 		col := g.Data[spatialPerpOffset(dg.d, p, g)*dg.ncube:]
 		for j, c := range dg.cfl {
 			if c == 0 {
 				continue
 			}
-			elems := col[j*stride:]
-			for l, off := range offs {
-				line := lines[l*n : l*n+n]
-				for i := range line {
-					line[i] = float64(elems[off+i*str])
-				}
-			}
-			if err := advect.StepLines(w.per, lines, n, c); err != nil {
+			if err := advect.StepStrided(w.per, w.line, col[j*stride:], offs, str, dg.nLine, c); err != nil {
 				return err
-			}
-			for l, off := range offs {
-				for i, v := range lines[l*n : l*n+n] {
-					elems[off+i*str] = float32(v)
-				}
 			}
 		}
 	}
@@ -342,26 +313,18 @@ func spatialPerpOffset(d, p int, g *phase.Grid) int {
 
 // worker carries per-goroutine scratch.
 type worker struct {
-	lines []float64     // one batch of gathered lines, back to back
-	per   advect.Scheme // periodic stepper
-	open  *advect.SLMPP5
-	loss  float64
+	line []float64     // one spatial line, for a comparison scheme's drift
+	per  advect.Scheme // periodic stepper
+	open *advect.SLMPP5
+	loss float64
 }
 
 func (s *Solver) newWorker() *worker {
 	g := s.g
-	// The largest batch: a whole cube in a kick, or along spatial axis d the
-	// lines of the cube elements sharing one velocity index.
-	size := g.NCube()
-	for d, n := range [3]int{g.NX, g.NY, g.NZ} {
-		if b := g.NCube() / g.NU[d] * n; b > size {
-			size = b
-		}
-	}
 	return &worker{
-		lines: make([]float64, size),
-		per:   s.proto.Clone(),
-		open:  advect.NewSLMPP5(),
+		line: make([]float64, max(g.NX, g.NY, g.NZ)),
+		per:  s.proto.Clone(),
+		open: advect.NewSLMPP5(),
 	}
 }
 

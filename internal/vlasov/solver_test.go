@@ -77,8 +77,8 @@ func TestDriftExactIntegerShift(t *testing.T) {
 
 func TestDriftUniformInvariant(t *testing.T) {
 	// A spatially uniform f is a fixed point of the drift operators, for
-	// every scheme: the comparison schemes drift through StepLines' per-line
-	// path, SL-MPP5 through its batched kernel.
+	// every scheme: the comparison schemes drift through StepStrided's
+	// per-line path, SL-MPP5 through its strided kernel.
 	for _, scheme := range advect.Names() {
 		t.Run(scheme, func(t *testing.T) {
 			g := testGrid(t)
@@ -365,7 +365,7 @@ func TestDiagnosticsInvariants(t *testing.T) {
 	}
 }
 
-// TestSweepsMatchPerLineReference pins the batched gather/scatter geometry on
+// TestSweepsMatchPerLineReference pins the strided line geometry on
 // a grid with six different extents: every sweep must equal, bit for bit,
 // stepping each of its lines on its own through the per-line scheme entry.
 func TestSweepsMatchPerLineReference(t *testing.T) {
