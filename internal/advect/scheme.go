@@ -17,9 +17,11 @@
 //   - Upwind1, LaxWendroff2 — first- and second-order baselines.
 //
 // All schemes advance periodic float64 lines in place. SL-MPP5 also
-// advances open (vacuum-bounded) lines, and sets of strided lines of the
-// float32 grid that share one CFL number, all through one kernel;
-// StepStrided gives every scheme that strided form.
+// advances open (vacuum-bounded) lines, sets of strided lines of the
+// float32 grid that share one CFL number, all through one kernel, and four
+// float64 lines with four CFL numbers at once (StepLanes), through an AVX2
+// copy of that kernel, one line per vector lane, that equals it bit for
+// bit; StepStrided gives every scheme the strided form.
 package advect
 
 import (

@@ -42,10 +42,14 @@ import (
 // rightward form exists. Everything that depends on c alone — s, ξ, the five
 // swept-average weights, the limiter steepness — is derived once per call,
 // i.e. once per line in Step/StepOpen and once per set of lines in
-// StepStrided.
+// StepStrided. StepLanes pads four lines side by side and runs advance's
+// operations on all four in one AVX2 kernel (lanes_amd64.s), where the
+// CPU has it; the per-line advance stays its oracle, bit for bit.
 type SLMPP5 struct {
-	pad []float64 // ghost-padded line, upwind-ordered
-	out []float64 // StepStrided's result line, before rounding to float32
+	pad    []float64    // ghost-padded line, upwind-ordered
+	out    []float64    // StepStrided's result line, before rounding to float32
+	lanes  [][4]float64 // StepLanes' lane-interleaved pad, then its swept averages and results
+	reject []uint8      // StepLanes' per-interface mask of lanes the accept test rejected
 }
 
 // NewSLMPP5 returns the scheme; it always limits and always clips.
@@ -162,7 +166,8 @@ func (s *SLMPP5) StepStrided(data []float32, offs []int, stride, n int, c float6
 
 // wrapGhosts fills the ghosts of the padded line q, whose n interior cells
 // start at q[lo], by periodic continuation (the pad may exceed one period).
-func wrapGhosts(q []float64, lo, n int) {
+// A cell is a value, or in StepLanes' pad a row of four lanes.
+func wrapGhosts[T any](q []T, lo, n int) {
 	in := q[lo : lo+n]
 	for j, src := lo-1, n-1; j >= 0; j-- {
 		q[j] = in[src]

@@ -1,0 +1,6 @@
+//go:build !amd64
+
+package cpuid
+
+// AVX2 reports whether the CPU and the OS run AVX2 code: off amd64, never.
+func AVX2() bool { return false }

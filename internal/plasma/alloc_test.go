@@ -7,26 +7,30 @@ import (
 
 // TestStepSteadyStateZeroAlloc asserts the hot-loop contract: with one
 // worker, a warmed-up solver advances whole split steps (field solve
-// included) without allocating.
+// included) without allocating — on a 64×64 grid, whose lines all go four
+// at a time through StepLanes, and on 66×66, which leaves two drift lines
+// and two kick rows to the per-line kernel.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
-	s, err := NewWithScheme(64, 64, 4*math.Pi, 8, "slmpp5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.LandauInit(0.01, 0.5, 1)
-	s.SetWorkers(1)
-	for i := 0; i < 3; i++ { // warm every cached buffer
-		if err := s.Step(0.05); err != nil {
+	for _, n := range []int{64, 66} {
+		s, err := NewWithScheme(n, n, 4*math.Pi, 8, "slmpp5")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := s.Step(0.05); err != nil {
-			t.Fatal(err)
+		s.LandauInit(0.01, 0.5, 1)
+		s.SetWorkers(1)
+		for i := 0; i < 3; i++ { // warm every cached buffer
+			if err := s.Step(0.05); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Step allocates %.1f allocs/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := s.Step(0.05); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%d×%d: steady-state Step allocates %.1f allocs/op, want 0", n, n, allocs)
+		}
 	}
 }
 
@@ -60,6 +64,46 @@ func TestParallelWorkerPoolReused(t *testing.T) {
 	for i := range ref.F {
 		if ref.F[i] != par.F[i] {
 			t.Fatalf("F[%d] differs between 1 and 3 workers: %v vs %v", i, ref.F[i], par.F[i])
+		}
+	}
+}
+
+// landauState is the benchmark's Landau shape (64×256, k = 0.5, vmax = 8)
+// after a few steps, with one worker.
+func landauState(b *testing.B) (*Solver, float64) {
+	s, err := NewWithScheme(64, 256, 4*math.Pi, 8, "slmpp5")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.LandauInit(0.01, 0.5, 1)
+	s.SetWorkers(1)
+	for i := 0; i < 3; i++ {
+		if err := s.Step(s.SuggestDT()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s, s.SuggestDT()
+}
+
+// BenchmarkDrift64x256 is one x-drift of the Landau state: 256 periodic
+// lines of 64 cells, adjacent in memory across lines.
+func BenchmarkDrift64x256(b *testing.B) {
+	s, dt := landauState(b)
+	for b.Loop() {
+		if err := s.drift(dt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKick64x256 is one v-kick of the Landau state: 64 open rows of
+// 256 cells under the cached field.
+func BenchmarkKick64x256(b *testing.B) {
+	s, dt := landauState(b)
+	e := s.currentField()
+	for b.Loop() {
+		if err := s.kick(dt, e); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

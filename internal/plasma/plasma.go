@@ -22,6 +22,12 @@
 // owed kick (to the rounding of a conservative sweep); the velocity
 // structure of F lags by it. Checkpoint and CaptureCheckpoint synchronise
 // first, and so does runner.Run on every exit.
+//
+// Both sweeps hand SL-MPP5 four lines per call (advect's StepLanes), which
+// runs them in the lanes of one AVX2 vector kernel where the CPU has it: the
+// drift four adjacent velocity indices, the kick four adjacent rows. Every
+// line ends bit for bit as the per-line Step/StepOpen leaves it, so neither
+// the CPU nor the worker count changes the physics.
 package plasma
 
 import (
@@ -327,8 +333,24 @@ func (s *Solver) drift(dt float64) error {
 	})
 }
 
+// driftRange sweeps velocity indices lo..hi−1. SL-MPP5 takes them four at a
+// time through StepLanes (the lanes are adjacent values of F, a line's
+// cells NV apart); the NV % 4 left over, and every other scheme, go line by
+// line through the worker's gather buffer.
 func (s *Solver) driftRange(w *pworker, lo, hi int, dt, dx float64) error {
-	for j := lo; j < hi; j++ {
+	j := lo
+	if sl, ok := w.per.(*advect.SLMPP5); ok {
+		var c [4]float64
+		for ; j+4 <= hi; j += 4 {
+			for k := range c {
+				c[k] = s.V(j+k) * dt / dx
+			}
+			if err := sl.StepLanes(s.F, j, 1, s.NV, s.NX, &c, false); err != nil {
+				return err
+			}
+		}
+	}
+	for ; j < hi; j++ {
 		c := s.V(j) * dt / dx
 		if c == 0 {
 			continue
@@ -361,8 +383,20 @@ func (s *Solver) kick(dt float64, e []float64) error {
 	})
 }
 
+// kickRange sweeps rows lo..hi−1, four at a time through StepLanes (the
+// lanes are rows NV apart, a line's cells adjacent), the rest one by one.
 func (s *Solver) kickRange(w *pworker, lo, hi int, dt, dv float64, e []float64) error {
-	for i := lo; i < hi; i++ {
+	i := lo
+	var c [4]float64
+	for ; i+4 <= hi; i += 4 {
+		for k := range c {
+			c[k] = -e[i+k] * dt / dv
+		}
+		if err := w.open.StepLanes(s.F, i*s.NV, s.NV, 1, s.NV, &c, true); err != nil {
+			return err
+		}
+	}
+	for ; i < hi; i++ {
 		c := -e[i] * dt / dv
 		if c == 0 {
 			continue

@@ -1,9 +1,9 @@
 package tree
 
-// haveAVX2 says the CPU and OS run the AVX2 block kernel.
-var haveAVX2 = cpuHasAVX2()
+import "vlasov6d/internal/cpuid"
 
-func cpuHasAVX2() bool
+// haveAVX2 says the CPU and OS run the AVX2 block kernel.
+var haveAVX2 = cpuid.AVX2()
 
 // kernelBlock is kernelBatched on four targets at once, one per AVX2 lane,
 // bit-identical to four kernelBatched calls wherever e2·invRs2 ≥
