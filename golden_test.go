@@ -20,13 +20,18 @@ import (
 // sweeps or the force fails it; a change that moves bits on purpose updates
 // the constants and says why. amd64 only: other targets may fuse
 // multiply-adds and round differently.
+//
+// hybridPos last moved when the initial conditions went from the full
+// complex transform to the real-to-half-spectrum pair: the same fields to
+// ≈ 1e-15, so the particle positions differ in their last bits. The ν grid
+// stores f in float32, and hybridF did not move.
 func TestGoldenStateFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("fingerprints are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	const (
 		hybridF    uint64 = 0x6b6880dc4bbd7ffe
-		hybridPos  uint64 = 0x9968eb423f6450d1
+		hybridPos  uint64 = 0xdd6d0cbe35012cdc
 		hybridLoss        = 34.180409840173652
 		landauF    uint64 = 0xe9de87e97370d51a
 	)

@@ -37,15 +37,16 @@ func PowerSpectrum(rho []float64, n int, boxL float64, nbins int) (ks, pk, count
 	if mean == 0 {
 		return nil, nil, nil, fmt.Errorf("analysis: zero mean density")
 	}
-	data := make([]complex128, len(rho))
+	delta := make([]float64, len(rho))
 	for i, v := range rho {
-		data[i] = complex(v/mean-1, 0)
+		delta[i] = v/mean - 1
 	}
 	f3, err := fft.NewFFT3(n, n, n)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := f3.Forward(data); err != nil {
+	data := make([]complex128, f3.HalfLen())
+	if err := f3.ForwardReal(delta, data); err != nil {
 		return nil, nil, nil, err
 	}
 	kf := 2 * math.Pi / boxL
@@ -58,18 +59,22 @@ func PowerSpectrum(rho []float64, n int, boxL float64, nbins int) (ks, pk, count
 	norm := vol / math.Pow(float64(n), 6)
 	idx := 0
 	for ix := 0; ix < n; ix++ {
-		mx := modeIdx(ix, n)
+		mx := fft.Freq(ix, n)
 		for iy := 0; iy < n; iy++ {
-			my := modeIdx(iy, n)
-			for iz := 0; iz < n; iz++ {
-				mz := modeIdx(iz, n)
+			my := fft.Freq(iy, n)
+			for mz := 0; mz <= n/2; mz++ {
+				// A mode with 0 < kz < n/2 stands for its conjugate at −kz too.
+				w := 2.0
+				if mz == 0 || 2*mz == n {
+					w = 1
+				}
 				k := kf * math.Sqrt(float64(mx*mx+my*my+mz*mz))
 				if k > 0 {
 					b := int((math.Log(k) - lkMin) / dlk)
 					if b >= 0 && b < nbins {
 						p := cmplx.Abs(data[idx])
-						sum[b] += p * p * norm
-						cnt[b]++
+						sum[b] += w * p * p * norm
+						cnt[b] += w
 					}
 				}
 				idx++
@@ -85,13 +90,6 @@ func PowerSpectrum(rho []float64, n int, boxL float64, nbins int) (ks, pk, count
 		}
 	}
 	return ks, pk, counts, nil
-}
-
-func modeIdx(i, n int) int {
-	if i > n/2 {
-		return i - n
-	}
-	return i
 }
 
 // Project collapses a 3D field (shape n, row-major) along axis into a 2D

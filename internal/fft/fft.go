@@ -6,7 +6,8 @@
 // above 5 is evaluated as a Bluestein chirp convolution whose inner transform
 // is the same kernel on the next 2ᵃ3ᵇ5ᶜ length ≥ 2n−1. FFT3 builds the 3D
 // complex transform and the real-input / real-output pair over the Hermitian
-// half spectrum (what the Poisson solver uses) from lines of Plans.
+// half spectrum (what the Poisson solver, the initial conditions and the
+// power spectrum use) from lines of Plans.
 //
 // The paper offloads this to the Fujitsu SSL II 2D-decomposed FFT; here the
 // transform is our own.
@@ -153,6 +154,15 @@ func (p *Plan) Inverse(x []complex128) {
 	p.checkLen(x)
 	p.run(x, true)
 	scale(x, 1/float64(p.n))
+}
+
+// Freq returns the signed mode number of index i of an n-point transform:
+// i up to n/2, i − n above it.
+func Freq(i, n int) int {
+	if i > n/2 {
+		return i - n
+	}
+	return i
 }
 
 func (p *Plan) checkLen(x []complex128) {

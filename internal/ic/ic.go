@@ -10,9 +10,11 @@
 //     homogeneous relativistic Fermi-Dirac velocity distribution modulated
 //     by the (free-streaming-suppressed) neutrino density perturbation.
 //
-// The CDM and neutrino fields are generated from the SAME white-noise
-// realisation, so the two components are phase-coherent exactly as the
-// physical adiabatic perturbations are.
+// Both components colour the same white noise per mesh size: whiteNoise(n)
+// lays the seed's one random stream onto the n³ mesh. On a shared mesh the
+// CDM and neutrino fields are therefore phase-coherent, as the physical
+// adiabatic perturbations are; on different meshes (a hybrid run whose NGrid
+// differs from its NPartSide) the same stream gives unrelated phases.
 package ic
 
 import (
@@ -56,7 +58,7 @@ const (
 )
 
 // whiteNoise returns the deterministic unit-variance real white-noise field
-// for mesh size n (shared across components for phase coherence).
+// for mesh size n (the same for both components on that mesh).
 func (g *Generator) whiteNoise(n int) []float64 {
 	rng := rand.New(rand.NewSource(g.Seed))
 	w := make([]float64, n*n*n)
@@ -67,128 +69,98 @@ func (g *Generator) whiteNoise(n int) []float64 {
 }
 
 // DeltaField returns the linear overdensity field δ(x) for the component on
-// an n³ mesh at scale factor a. The normalisation follows the standard
-// estimator P(k) = V·⟨|δ̂_k|²⟩/N⁶: white noise is coloured with
-// A(k) = sqrt(P(k)/V_cell).
+// an n³ mesh at scale factor a.
 func (g *Generator) DeltaField(n int, a float64, comp Component) ([]float64, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("ic: mesh %d too small", n)
-	}
-	w := g.whiteNoise(n)
-	data := make([]complex128, len(w))
-	for i, v := range w {
-		data[i] = complex(v, 0)
-	}
-	f3, err := fft.NewFFT3(n, n, n)
+	spec, f3, err := g.spectrum(n, a, comp)
 	if err != nil {
 		return nil, err
 	}
-	if err := f3.Forward(data); err != nil {
+	out := make([]float64, n*n*n)
+	if err := f3.InverseReal(spec, out); err != nil {
 		return nil, err
-	}
-	vcell := math.Pow(g.Box/float64(n), 3)
-	growth := g.Par.GrowthFactor(a)
-	pk := func(k float64) float64 {
-		switch comp {
-		case Neutrino:
-			return g.PS.Nu(k)
-		default:
-			return g.PS.CB(k)
-		}
-	}
-	g.colour(data, n, func(k float64) float64 {
-		return growth * math.Sqrt(pk(k)/vcell)
-	})
-	if err := f3.Inverse(data); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(w))
-	for i := range out {
-		out[i] = real(data[i])
 	}
 	return out, nil
 }
 
-// colour multiplies each Fourier mode by amp(|k|), zeroing the DC mode.
-func (g *Generator) colour(data []complex128, n int, amp func(k float64) float64) {
+// spectrum returns the half spectrum of whiteNoise(n) coloured for the
+// component at scale factor a, and the transform that took it. The
+// normalisation follows the standard estimator P(k) = V·⟨|δ̂_k|²⟩/N⁶: each
+// mode is multiplied by growth·sqrt(P(k)/V_cell), and the DC mode is zero.
+func (g *Generator) spectrum(n int, a float64, comp Component) ([]complex128, *fft.FFT3, error) {
+	if n < 2 {
+		return nil, nil, fmt.Errorf("ic: mesh %d too small", n)
+	}
+	f3, err := fft.NewFFT3(n, n, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	spec := make([]complex128, f3.HalfLen())
+	if err := f3.ForwardReal(g.whiteNoise(n), spec); err != nil {
+		return nil, nil, err
+	}
+	pk := g.PS.CB
+	if comp == Neutrino {
+		pk = g.PS.Nu
+	}
+	vcell := math.Pow(g.Box/float64(n), 3)
+	growth := g.Par.GrowthFactor(a)
 	kf := 2 * math.Pi / g.Box
 	idx := 0
 	for ix := 0; ix < n; ix++ {
-		mx := modeIndex(ix, n)
+		mx := fft.Freq(ix, n)
 		for iy := 0; iy < n; iy++ {
-			my := modeIndex(iy, n)
-			for iz := 0; iz < n; iz++ {
-				mz := modeIndex(iz, n)
+			my := fft.Freq(iy, n)
+			for mz := 0; mz <= n/2; mz++ {
 				k := kf * math.Sqrt(float64(mx*mx+my*my+mz*mz))
 				if k == 0 {
-					data[idx] = 0
+					spec[idx] = 0
 				} else {
-					data[idx] *= complex(amp(k), 0)
+					spec[idx] *= complex(growth*math.Sqrt(pk(k)/vcell), 0)
 				}
 				idx++
 			}
 		}
 	}
-}
-
-func modeIndex(i, n int) int {
-	if i > n/2 {
-		return i - n
-	}
-	return i
+	return spec, f3, nil
 }
 
 // displacementField returns the three Zel'dovich displacement component
 // fields Ψ = ∇∇⁻²δ on the n³ mesh for the CDM component at scale factor a.
 func (g *Generator) displacementField(n int, a float64) ([3][]float64, error) {
 	var psi [3][]float64
-	w := g.whiteNoise(n)
-	f3, err := fft.NewFFT3(n, n, n)
+	base, f3, err := g.spectrum(n, a, CDM)
 	if err != nil {
 		return psi, err
 	}
-	vcell := math.Pow(g.Box/float64(n), 3)
-	growth := g.Par.GrowthFactor(a)
-	base := make([]complex128, len(w))
-	for i, v := range w {
-		base[i] = complex(v, 0)
-	}
-	if err := f3.Forward(base); err != nil {
-		return psi, err
-	}
-	g.colour(base, n, func(k float64) float64 {
-		return growth * math.Sqrt(g.PS.CB(k)/vcell)
-	})
 	kf := 2 * math.Pi / g.Box
+	comp := make([]complex128, len(base))
 	for d := 0; d < 3; d++ {
-		comp := append([]complex128(nil), base...)
 		idx := 0
 		for ix := 0; ix < n; ix++ {
 			for iy := 0; iy < n; iy++ {
-				for iz := 0; iz < n; iz++ {
-					m := [3]int{modeIndex(ix, n), modeIndex(iy, n), modeIndex(iz, n)}
+				for iz := 0; iz <= n/2; iz++ {
+					m := [3]int{fft.Freq(ix, n), fft.Freq(iy, n), iz}
 					k2 := 0.0
 					for dd := 0; dd < 3; dd++ {
 						kk := kf * float64(m[dd])
 						k2 += kk * kk
 					}
-					if k2 == 0 {
+					// The derivative of a real field has no Nyquist term
+					// along its own axis: i·k_d is odd in k_d, and there
+					// k_d is its own alias.
+					if k2 == 0 || 2*m[d] == n {
 						comp[idx] = 0
 					} else {
-						kd := kf * float64(m[d])
 						// Ψ̂ = i k δ̂ / k².
-						comp[idx] *= complex(0, kd/k2)
+						comp[idx] = base[idx] * complex(0, kf*float64(m[d])/k2)
 					}
 					idx++
 				}
 			}
 		}
-		if err := f3.Inverse(comp); err != nil {
+		psi[d] = make([]float64, n*n*n)
+		if err := f3.InverseReal(comp, psi[d]); err != nil {
 			return psi, err
-		}
-		psi[d] = make([]float64, len(w))
-		for i := range psi[d] {
-			psi[d][i] = real(comp[i])
 		}
 	}
 	return psi, nil
@@ -235,16 +207,16 @@ func (g *Generator) CDMParticles(nside int, a float64) (*nbody.Particles, error)
 }
 
 // NeutrinoParticles samples the neutrino component with particles (the
-// TianNu-style baseline of §5.4): lattice positions perturbed by the
-// neutrino displacement field, plus a thermal velocity drawn from the
+// TianNu-style baseline of §5.4): lattice positions perturbed by the CDM's
+// Zel'dovich displacement field, plus a thermal velocity drawn from the
 // relativistic Fermi-Dirac distribution. The thermal sampling is the source
 // of the shot noise the Vlasov method eliminates.
 func (g *Generator) NeutrinoParticles(nside int, a float64) (*nbody.Particles, error) {
 	if nside < 2 {
 		return nil, fmt.Errorf("ic: nside %d too small", nside)
 	}
-	// Reuse the CDM displacement machinery but colour with the ν spectrum:
-	// approximate Ψν = Ψ_cb·(δν/δ_cb) ratio at the box's fundamental mode.
+	// The CDM displacement, unchanged: the particles start with the CDM's
+	// clustering, not the free-streaming-suppressed ν spectrum.
 	psi, err := g.displacementField(nside, a)
 	if err != nil {
 		return nil, err

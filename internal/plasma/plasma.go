@@ -187,10 +187,7 @@ func (s *Solver) ElectricField() []float64 {
 	s.plan.Forward(data)
 	kf := 2 * math.Pi / s.L
 	for m := range data {
-		mm := m
-		if mm > s.NX/2 {
-			mm -= s.NX
-		}
+		mm := fft.Freq(m, s.NX)
 		if mm == 0 {
 			data[m] = 0
 			continue

@@ -59,11 +59,7 @@ func NewSolver(n [3]int, box [3]float64) (*Solver, error) {
 		s.kfac[d] = make([]float64, n[d])
 		s.filt[d] = make([]float64, n[d])
 		for i := 0; i < n[d]; i++ {
-			m := i
-			if m > n[d]/2 {
-				m -= n[d]
-			}
-			k := 2 * math.Pi * float64(m) / box[d]
+			k := 2 * math.Pi * float64(fft.Freq(i, n[d])) / box[d]
 			s.kfac[d][i] = k * k
 		}
 	}
