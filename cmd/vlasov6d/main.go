@@ -144,9 +144,6 @@ func run(args []string, stdout io.Writer) error {
 		if *ckptKeep > 0 {
 			runOpts = append(runOpts, vlasov6d.WithCheckpointKeep(*ckptKeep))
 		}
-		// Snapshot I/O overlaps compute: the hot loop captures state and the
-		// async pipeline writes it (a nil observer routes only checkpoints).
-		runOpts = append(runOpts, vlasov6d.WithAsyncObserver(nil))
 	}
 	rep, err := vlasov6d.Run(ctx, sim, aEnd, runOpts...)
 	if err != nil {

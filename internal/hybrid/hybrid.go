@@ -17,11 +17,11 @@
 // two — and Synchronize pays the debt on demand. While a half kick is owed,
 // positions, the ν density, masses and the boundary-loss total are those of
 // the step's end; velocities and the velocity structure of f lag by the owed
-// kick. Every snapshot is taken of a synchronised state (Checkpoint and
-// CaptureCheckpoint call Synchronize first, which also leaves the live state
-// synchronised with the file), and runner.Run synchronises on every exit, so
-// the state a caller finds after Run, and the state any checkpoint restores,
-// is the kick-drift-kick state. The last bits of a run depend on where it
+// kick. Every snapshot is taken of a synchronised state (Checkpoint calls
+// Synchronize first, which also leaves the live state synchronised with the
+// file), and runner.Run synchronises on every exit, so the state a caller
+// finds after Run, and the state any checkpoint restores, is the
+// kick-drift-kick state. The last bits of a run depend on where it
 // was synchronised — each synchronisation rounds the float32 f once more —
 // while a run restored from any checkpoint continues bit for bit like the
 // live run that wrote it.
@@ -781,37 +781,7 @@ func (s *Simulation) Checkpoint(w io.Writer) (int64, error) {
 	if err := s.Synchronize(); err != nil {
 		return 0, err
 	}
-	return snapio.Write(w, s.snapshot(false))
-}
-
-// CaptureCheckpoint is the runner's async-checkpointing capability: it
-// synchronises the simulation, deep-copies the evolving state (an O(state)
-// memcpy) on the calling goroutine and returns a write function the I/O
-// pipeline can run concurrently with the next Steps, so the expensive encode
-// + checksum + write overlaps compute.
-func (s *Simulation) CaptureCheckpoint() (func(w io.Writer) (int64, error), error) {
-	if err := s.Synchronize(); err != nil {
-		return nil, err
-	}
-	snap := s.snapshot(true)
-	return func(w io.Writer) (int64, error) {
-		return snapio.Write(w, snap)
-	}, nil
-}
-
-// snapshot bundles the current state, deep-copied when clone is set.
-func (s *Simulation) snapshot(clone bool) *snapio.Snapshot {
-	snap := &snapio.Snapshot{A: s.A, Time: s.Time, Part: s.Part, Grid: s.Grid, NuPart: s.NuPart}
-	if clone {
-		snap.Part = snap.Part.Clone()
-		if snap.Grid != nil {
-			snap.Grid = snap.Grid.Clone()
-		}
-		if snap.NuPart != nil {
-			snap.NuPart = snap.NuPart.Clone()
-		}
-	}
-	return snap
+	return snapio.Write(w, &snapio.Snapshot{A: s.A, Time: s.Time, Part: s.Part, Grid: s.Grid, NuPart: s.NuPart})
 }
 
 // TotalMass returns (ν mass, CDM mass) for conservation checks.

@@ -44,8 +44,8 @@ func NewParticles(n int, mass float64, box [3]float64) (*Particles, error) {
 	return p, nil
 }
 
-// Clone returns a deep copy sharing no storage with p — the value snapshot
-// asynchronous checkpointing serialises while the original keeps evolving.
+// Clone returns a deep copy sharing no storage with p: a scratch particle
+// set to kick, drift or deposit without touching the original.
 func (p *Particles) Clone() *Particles {
 	c := &Particles{N: p.N, Mass: p.Mass, Box: p.Box}
 	for d := 0; d < 3; d++ {

@@ -35,6 +35,22 @@ func TestNewParticlesValidation(t *testing.T) {
 	}
 }
 
+// TestCloneSharesNoStorage: a clone starts equal to its original, and
+// stepping it leaves the original as it was.
+func TestCloneSharesNoStorage(t *testing.T) {
+	p := randomParticles(t, 16, 3)
+	c := p.Clone()
+	if c.N != p.N || c.Mass != p.Mass || c.Box != p.Box || c.Pos[2][15] != p.Pos[2][15] || c.Vel[0][0] != p.Vel[0][0] {
+		t.Fatal("clone differs from its original")
+	}
+	x, u := p.Pos[0][0], p.Vel[0][0]
+	c.Drift(1, 1)
+	c.Vel[0][0]++
+	if p.Pos[0][0] != x || p.Vel[0][0] != u {
+		t.Fatal("stepping the clone moved the original")
+	}
+}
+
 func TestDriftWrapsPeriodically(t *testing.T) {
 	p, _ := NewParticles(1, 1, [3]float64{10, 10, 10})
 	p.Pos[0][0] = 9.5

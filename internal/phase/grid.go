@@ -86,8 +86,8 @@ func New(nx, ny, nz int, nu [3]int, box [3]float64, umax float64) (*Grid, error)
 	}, nil
 }
 
-// Clone returns a deep copy sharing no storage with g — the value snapshot
-// asynchronous checkpointing serialises while the original keeps evolving.
+// Clone returns a deep copy sharing no storage with g: a scratch grid to
+// sweep or time without touching the original.
 func (g *Grid) Clone() *Grid {
 	c := *g
 	c.Data = append([]float32(nil), g.Data...)

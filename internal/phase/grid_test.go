@@ -223,8 +223,8 @@ func TestParallelCellsWorkerInvariance(t *testing.T) {
 			t.Fatalf("moments differ at cell %d across worker counts", i)
 		}
 	}
-	// Clone carries the pinned count (a budgeted snapshot restores
-	// budgeted); a fresh grid stays on the GOMAXPROCS default.
+	// Clone carries the pinned count; a fresh grid stays on the GOMAXPROCS
+	// default.
 	if c := g1.Clone(); c.workers != 1 {
 		t.Fatalf("clone workers %d, want 1", c.workers)
 	}

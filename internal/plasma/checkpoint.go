@@ -19,8 +19,9 @@ import (
 // ckptMagic identifies a plasma checkpoint ("V6DP").
 const ckptMagic = 0x56364450
 
-// snapState is the deep-copied state a checkpoint serialises; captured on
-// the step path, written off it (see CaptureCheckpoint).
+// snapState is what a checkpoint serialises, in file order. Checkpoint
+// fills it from the live solver, f aliasing F: the encoder streams F to the
+// writer in chunks and copies none of it.
 type snapState struct {
 	nx, nv  int
 	l, vmax float64
@@ -30,15 +31,6 @@ type snapState struct {
 	f       []float64
 }
 
-func (s *Solver) captureState() snapState {
-	f := make([]float64, len(s.F))
-	copy(f, s.F)
-	return snapState{
-		nx: s.NX, nv: s.NV, l: s.L, vmax: s.VMax,
-		time: s.Time, cfl: s.CFL, scheme: s.scheme, f: f,
-	}
-}
-
 // Checkpoint synchronises the solver and writes a restorable snapshot of its
 // state, implementing runner.Checkpointer. It returns the number of bytes
 // written.
@@ -46,20 +38,10 @@ func (s *Solver) Checkpoint(w io.Writer) (int64, error) {
 	if err := s.Synchronize(); err != nil {
 		return 0, err
 	}
-	return writeState(w, s.captureState())
-}
-
-// CaptureCheckpoint synchronises the solver, deep-copies the state and
-// returns a write closure over the copy, implementing
-// runner.CheckpointCapturer: the async observer pipeline calls the closure
-// while the solver keeps stepping, so the encode + checksum + write overlaps
-// compute and only the O(state) copy stays on the step path.
-func (s *Solver) CaptureCheckpoint() (func(w io.Writer) (int64, error), error) {
-	if err := s.Synchronize(); err != nil {
-		return nil, err
-	}
-	st := s.captureState()
-	return func(w io.Writer) (int64, error) { return writeState(w, st) }, nil
+	return writeState(w, snapState{
+		nx: s.NX, nv: s.NV, l: s.L, vmax: s.VMax,
+		time: s.Time, cfl: s.CFL, scheme: s.scheme, f: s.F,
+	})
 }
 
 // writeState encodes the layout above.

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"vlasov6d/internal/runner"
@@ -108,27 +110,30 @@ func TestRestoreRejectsImplausibleGridWithoutAllocating(t *testing.T) {
 	}
 }
 
-func TestCaptureCheckpointIsolatesState(t *testing.T) {
-	// The captured write closure must serialise the state at capture time,
-	// not whatever the live solver holds when the async pipeline finally
-	// writes it.
-	s := landauSolver(t, "slmpp5")
-	stepN(t, s, 4, 0.05)
-	var want bytes.Buffer
-	if _, err := s.Checkpoint(&want); err != nil {
-		t.Fatal(err)
-	}
-	write, err := s.CaptureCheckpoint()
+// TestCheckpointCopiesNoState: a checkpoint streams F to the writer;
+// writing one of a synchronised 256×1024 state (2 MiB of F, against the
+// encoder's 64 KiB chunk) allocates less than a quarter of F's bytes, so no
+// copy of it is made.
+func TestCheckpointCopiesNoState(t *testing.T) {
+	s, err := NewWithScheme(256, 1024, 4*math.Pi, 6, "slmpp5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepN(t, s, 5, 0.05) // mutate after capture
-	var got bytes.Buffer
-	if _, err := write(&got); err != nil {
+	s.LandauInit(0.01, 0.5, 1)
+	stepN(t, s, 1, 0.05)
+	if err := s.Synchronize(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("captured checkpoint drifted with the live solver")
+	state := 8 * uint64(len(s.F))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := s.Checkpoint(io.Discard)
+	runtime.ReadMemStats(&after)
+	if err != nil || uint64(n) < state {
+		t.Fatalf("wrote %d bytes (%v) of a %d-byte state", n, err, state)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= state/4 {
+		t.Fatalf("checkpoint allocated %d bytes for a %d-byte state (limit %d)", got, state, state/4)
 	}
 }
 

@@ -20,8 +20,8 @@
 // Diagnostics and the next kick — and leaves the closing half kick owed;
 // Synchronize pays it. Mass, density and field energy are unchanged by the
 // owed kick (to the rounding of a conservative sweep); the velocity
-// structure of F lags by it. Checkpoint and CaptureCheckpoint synchronise
-// first, and so does runner.Run on every exit.
+// structure of F lags by it. Checkpoint synchronises first, and so does
+// runner.Run on every exit.
 //
 // Both sweeps hand SL-MPP5 four lines per call (advect's StepLanes), which
 // runs them in the lanes of one AVX2 vector kernel where the CPU has it: the

@@ -29,7 +29,7 @@ func checkpointBytes(tb testing.TB, nx, nv int, scheme string) []byte {
 	}
 	s.LandauInit(0.01, 0.5, 1)
 	var buf bytes.Buffer
-	if _, err := writeState(&buf, s.captureState()); err != nil {
+	if _, err := s.Checkpoint(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -97,7 +97,7 @@ func FuzzPlasmaRestore(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if _, err := writeState(&buf, s.captureState()); err != nil {
+		if _, err := s.Checkpoint(&buf); err != nil {
 			t.Fatalf("restored solver does not checkpoint: %v", err)
 		}
 		if !bytes.HasPrefix(data, buf.Bytes()) {

@@ -3,9 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -31,18 +28,6 @@ func (l *obsLog) snapshot() []int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]int(nil), l.steps...)
-}
-
-// capFake is a ckptFake whose state can be captured for off-thread
-// serialisation: the capture closes over the clock value at capture time.
-type capFake struct{ ckptFake }
-
-func (c *capFake) CaptureCheckpoint() (func(io.Writer) (int64, error), error) {
-	t := c.t
-	return func(w io.Writer) (int64, error) {
-		n, err := fmt.Fprintf(w, "%8.5f", t)
-		return int64(n), err
-	}, nil
 }
 
 func TestAsyncObserverDrainsOnNormalExit(t *testing.T) {
@@ -204,71 +189,6 @@ func TestAsyncDropOldestKeepsOrder(t *testing.T) {
 	}
 }
 
-func TestAsyncCheckpointRidesPipeline(t *testing.T) {
-	dir := t.TempDir()
-	f := &capFake{ckptFake{fake{dt: 0.1}}}
-	rep, err := Run(context.Background(), f, 100, WithMaxSteps(6),
-		WithCheckpoint(dir, 2),
-		WithAsyncObserver(nil)) // checkpoint-only pipeline
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Checkpoints) != 3 {
-		t.Fatalf("checkpoints %v, want 3 at cadence 2 over 6 steps", rep.Checkpoints)
-	}
-	// Capture semantics: each file holds the clock at enqueue time, even
-	// though the solver kept stepping while the pipeline wrote.
-	for i, p := range rep.Checkpoints {
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fmt.Sprintf("%8.5f", 0.2*float64(i+1))
-		if string(raw) != want {
-			t.Fatalf("checkpoint %d holds %q, want %q", i, raw, want)
-		}
-	}
-	if rep.CheckpointBytes != 24 {
-		t.Fatalf("checkpoint bytes %d", rep.CheckpointBytes)
-	}
-	if matches, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(matches) != 0 {
-		t.Fatalf("leftover temp files %v", matches)
-	}
-}
-
-func TestAsyncCheckpointNeverDropped(t *testing.T) {
-	const steps, every = 2 * asyncBuffer, 8
-	dir := t.TempDir()
-	block := make(chan struct{})
-	var once sync.Once
-	f := &capFake{ckptFake{fake{dt: 0.1}}}
-	rep, err := Run(context.Background(), f, 1e9, WithMaxSteps(steps),
-		WithCheckpoint(dir, every),
-		// Release the pipeline from the hot loop once the queue has
-		// overflowed with a checkpoint/observation mix; at cadence 8 at
-		// most 40 checkpoints are pinned by then, so the step loop itself
-		// cannot stall on an all-checkpoint queue.
-		WithObserver(func(step int, _ Solver) error {
-			if step == asyncBuffer+64 {
-				close(block)
-			}
-			return nil
-		}),
-		WithAsyncObserver(func(int, Diagnostics) error {
-			once.Do(func() { <-block }) // hold the pipeline: queue fills with a mix
-			return nil
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Checkpoints) != steps/every {
-		t.Fatalf("%d checkpoints survived, want all %d (never dropped)", len(rep.Checkpoints), steps/every)
-	}
-	if rep.DroppedObservations == 0 {
-		t.Fatal("expected observation drops while checkpoints were pinned")
-	}
-}
-
 func TestCheckpointKeepPrunesSyncPath(t *testing.T) {
 	dir := t.TempDir()
 	f := &ckptFake{fake{dt: 0.1}}
@@ -296,24 +216,6 @@ func TestCheckpointKeepPrunesSyncPath(t *testing.T) {
 		if p != want[i] {
 			t.Fatalf("retained %v, want %v", rep.Checkpoints, want)
 		}
-	}
-}
-
-func TestCheckpointKeepPrunesAsyncPath(t *testing.T) {
-	dir := t.TempDir()
-	f := &capFake{ckptFake{fake{dt: 0.1}}}
-	rep, err := Run(context.Background(), f, 100, WithMaxSteps(10),
-		WithCheckpoint(dir, 2), WithCheckpointKeep(2),
-		WithAsyncObserver(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Checkpoints) != 2 {
-		t.Fatalf("report retains %v, want the newest 2", rep.Checkpoints)
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "ckpt_*.v6d"))
-	if len(matches) != 2 {
-		t.Fatalf("on disk: %v", matches)
 	}
 }
 
@@ -346,28 +248,30 @@ func TestAsyncValidation(t *testing.T) {
 	}
 }
 
+// withPipeline starts the async pipeline with an observer that discards
+// every observation.
+func withPipeline() Option {
+	return WithAsyncObserver(func(int, Diagnostics) error { return nil })
+}
+
 func TestCheckpointNotifyBothPaths(t *testing.T) {
 	// One WithCheckpointTimer call per durable file, after the rename — the
 	// file is already listed under its final name — carrying the clock it
-	// captures, on the sync step-loop path and on the async pipeline.
+	// captures, on the step loop, with and without the async pipeline
+	// running beside it.
 	type note struct {
 		path  string
 		clock float64
 	}
-	for name, run := range map[string]func(opts ...Option) (*Report, error){
-		"sync": func(opts ...Option) (*Report, error) {
-			return Run(context.Background(), &ckptFake{fake{dt: 0.1}}, 100, opts...)
-		},
-		"async": func(opts ...Option) (*Report, error) {
-			return Run(context.Background(), &capFake{ckptFake{fake{dt: 0.1}}}, 100,
-				append(opts, WithAsyncObserver(nil))...)
-		},
+	for name, opts := range map[string][]Option{
+		"sync":  nil,
+		"async": {withPipeline()},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			var mu sync.Mutex
 			var notes []note
-			rep, err := run(WithMaxSteps(6), WithCheckpoint(dir, 2),
+			rep, err := Run(context.Background(), &ckptFake{fake{dt: 0.1}}, 100, append(opts, WithMaxSteps(6), WithCheckpoint(dir, 2),
 				WithCheckpointTimer(func(clock float64, d time.Duration) {
 					newest, err := LatestCheckpoint(dir)
 					if err != nil || d < 0 {
@@ -376,7 +280,7 @@ func TestCheckpointNotifyBothPaths(t *testing.T) {
 					mu.Lock()
 					notes = append(notes, note{newest, clock})
 					mu.Unlock()
-				}))
+				}))...)
 			if err != nil {
 				t.Fatal(err)
 			}

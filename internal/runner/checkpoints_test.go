@@ -53,7 +53,7 @@ func TestListCheckpointsMissingDirEmpty(t *testing.T) {
 
 // TestCheckpointDirAppearsWithFirstSnapshot: the directory is made by the
 // write that first needs it — not before the cadence fires, and never for a
-// run that stops short of it — on the step-loop path and on the pipeline.
+// run that stops short of it — with and without the async pipeline running.
 func TestCheckpointDirAppearsWithFirstSnapshot(t *testing.T) {
 	exists := func(dir string) bool {
 		_, err := os.Stat(dir)
@@ -64,7 +64,7 @@ func TestCheckpointDirAppearsWithFirstSnapshot(t *testing.T) {
 		opts   []Option
 	}{
 		"sync":  {func() Solver { return &ckptFake{fake{dt: 0.1}} }, nil},
-		"async": {func() Solver { return &capFake{ckptFake{fake{dt: 0.1}}} }, []Option{WithAsyncObserver(nil)}},
+		"async": {func() Solver { return &ckptFake{fake{dt: 0.1}} }, []Option{withPipeline()}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "tenant", "job")
@@ -113,7 +113,7 @@ func TestCheckpointDirUncreatable(t *testing.T) {
 		opts   []Option
 	}{
 		"sync":  {&ckptFake{fake{dt: 0.1}}, nil},
-		"async": {&capFake{ckptFake{fake{dt: 0.1}}}, []Option{WithAsyncObserver(nil)}},
+		"async": {&ckptFake{fake{dt: 0.1}}, []Option{withPipeline()}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			rep, err := Run(context.Background(), c.solver, 100,

@@ -96,7 +96,7 @@ type Checkpointer interface {
 // is idempotent and costs nothing when nothing is owed. Run calls it once on
 // every exit that follows a valid call, so the solver a caller gets back is
 // synchronised. A Checkpointer that is a Synchronizer synchronises itself
-// before it captures a snapshot: wrapping it without forwarding Synchronize
+// before it writes a snapshot: wrapping it without forwarding Synchronize
 // costs the exit-time call, never a checkpoint's integrity.
 type Synchronizer interface {
 	Synchronize() error
@@ -207,7 +207,6 @@ type options struct {
 	fixedDT    float64
 	fixedDTSet bool
 	lease      WorkerLease
-	async      bool
 	asyncObs   AsyncObserver
 }
 
@@ -265,11 +264,10 @@ func WithStepTimer(fn func(d time.Duration)) Option {
 // WithCheckpointTimer calls fn after every successfully written snapshot —
 // one call per file, after the atomic rename — with the solver clock it
 // captures and the wall-clock duration of the write (serialisation through
-// rename). It fires on whichever goroutine performed the write — the step
-// loop synchronously, the pipeline under WithAsync — so fn must be
-// goroutine-safe and must not block for long (it stalls stepping or
-// checkpoint draining). A durable control plane hangs its journal here: the
-// call is the ground truth that a restart can resume from that clock.
+// rename). It fires on the step loop's goroutine, which writes every
+// snapshot, so fn must not block for long: it stalls stepping. A durable
+// control plane hangs its journal here: the call is the ground truth that a
+// restart can resume from that clock.
 func WithCheckpointTimer(fn func(clock float64, d time.Duration)) Option {
 	return func(o *options) { o.ckptTimer = fn }
 }
@@ -356,20 +354,15 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 		rep.Reason = ReasonUntil
 		err := synchronize(nil)
 		if err == nil && ckpt != nil {
-			err = o.writeCheckpoint(rep.Steps, rep.Clock, ckpt.Checkpoint, &rep.Checkpoints, &rep.CheckpointBytes)
+			err = o.writeCheckpoint(rep, ckpt)
 		}
 		return rep, err
 	}
 	// Async pipeline: started after validation so every early return above
-	// leaves no goroutine behind. Checkpoints ride the pipeline only when
-	// the solver can capture value snapshots of its state.
+	// leaves no goroutine behind.
 	var pipe *pipeline
-	var capturer CheckpointCapturer
-	if o.async {
-		pipe = newPipeline(&o)
-		if ckpt != nil {
-			capturer, _ = s.(CheckpointCapturer)
-		}
+	if o.asyncObs != nil {
+		pipe = newPipeline(o.asyncObs)
 	}
 
 	// Worker budget: resolved once; the lease is polled every iteration
@@ -386,11 +379,8 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 		err = synchronize(err)
 		if pipe != nil {
 			// Drain on every exit path: each enqueued observation is
-			// delivered and each enqueued checkpoint is on disk before Run
-			// returns.
+			// delivered before Run returns.
 			pipe.close()
-			rep.Checkpoints = append(rep.Checkpoints, pipe.written...)
-			rep.CheckpointBytes += pipe.bytes
 			rep.DroppedObservations = pipe.dropped
 			if err == nil && pipe.err != nil {
 				err = pipe.err
@@ -407,8 +397,8 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 				rep.Steps, s.Clock(), err))
 		}
 		if pipe != nil {
-			// An async observer or checkpoint error aborts the run within
-			// one step, mirroring the synchronous contract.
+			// An async observer error aborts the run within one step,
+			// mirroring the synchronous contract.
 			if err := pipe.failed(); err != nil {
 				return finish(err)
 			}
@@ -464,24 +454,14 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 				return finish(err)
 			}
 		}
-		if pipe != nil && o.asyncObs != nil {
+		if pipe != nil {
 			// Value snapshot on the step path, delivery off it. Diagnostics
 			// implementations return freshly built values (see the Solver
 			// contract), so the pipeline goroutine reads them race-free.
-			if err := pipe.enqueue(event{step: step, diag: s.Diagnostics()}); err != nil {
-				return finish(err)
-			}
+			pipe.enqueue(event{step: step, diag: s.Diagnostics()})
 		}
 		if ckpt != nil && rep.Steps%o.ckptEvery == 0 {
-			if capturer != nil {
-				write, err := capturer.CaptureCheckpoint()
-				if err != nil {
-					return finish(fmt.Errorf("runner: checkpoint capture at step %d: %w", rep.Steps, err))
-				}
-				if err := pipe.enqueue(event{step: step, clock: rep.Clock, ckpt: write}); err != nil {
-					return finish(err)
-				}
-			} else if err := o.writeCheckpoint(rep.Steps, rep.Clock, ckpt.Checkpoint, &rep.Checkpoints, &rep.CheckpointBytes); err != nil {
+			if err := o.writeCheckpoint(rep, ckpt); err != nil {
 				return finish(err)
 			}
 		}
@@ -489,26 +469,25 @@ func Run(ctx context.Context, s Solver, until float64, opts ...Option) (*Report,
 	return finish(nil)
 }
 
-// writeCheckpoint writes one snapshot taken after steps steps at clock, on
-// the calling goroutine — the step loop's, or the async pipeline's for a
-// captured snapshot — records it in files and bytes, and applies the timer
-// and retention options. Snapshot I/O failures are marked retryable
-// (see writeCheckpointFile).
-func (o *options) writeCheckpoint(steps int, clock float64, write func(io.Writer) (int64, error), files *[]string, bytes *int64) error {
+// writeCheckpoint writes one snapshot of ckpt, taken after rep.Steps steps
+// at rep.Clock, on the step loop, records it in rep, and applies the timer
+// and retention options. Snapshot I/O failures are marked retryable (see
+// writeCheckpointFile).
+func (o *options) writeCheckpoint(rep *Report, ckpt Checkpointer) error {
 	writeStart := time.Now()
-	path, n, err := writeCheckpointFile(o.ckptDir, clock, write)
+	path, n, err := writeCheckpointFile(o.ckptDir, rep.Clock, ckpt.Checkpoint)
 	if err != nil {
-		return MarkRetryable(fmt.Errorf("runner: checkpoint at step %d: %w", steps, err))
+		return MarkRetryable(fmt.Errorf("runner: checkpoint at step %d: %w", rep.Steps, err))
 	}
 	if o.ckptTimer != nil {
-		o.ckptTimer(clock, time.Since(writeStart))
+		o.ckptTimer(rep.Clock, time.Since(writeStart))
 	}
-	*files = append(*files, path)
-	*bytes += n
+	rep.Checkpoints = append(rep.Checkpoints, path)
+	rep.CheckpointBytes += n
 	if o.ckptKeep > 0 {
-		*files, err = pruneCheckpoints(o.ckptDir, o.ckptKeep, *files)
+		rep.Checkpoints, err = pruneCheckpoints(o.ckptDir, o.ckptKeep, rep.Checkpoints)
 		if err != nil {
-			return MarkRetryable(fmt.Errorf("runner: checkpoint retention at step %d: %w", steps, err))
+			return MarkRetryable(fmt.Errorf("runner: checkpoint retention at step %d: %w", rep.Steps, err))
 		}
 	}
 	return nil

@@ -79,9 +79,9 @@
 //
 // Jobs combine freely with the runner's async observer pipeline
 // (runner.WithAsyncObserver in a job's Opts): each job then gets its own
-// bounded diagnostics/checkpoint queue, which drops its oldest observation
-// rather than stall the step loop, so a sweep's per-job I/O stays off every
-// worker's hot loop. A job whose observer must see every step uses the
+// bounded diagnostics queue, which drops its oldest observation rather than
+// stall the step loop, so a sweep's per-job diagnostics stay off every
+// worker's hot loop; its snapshots are written on the step loop. A job whose observer must see every step uses the
 // synchronous runner.WithObserver instead.
 package sched
 

@@ -167,8 +167,8 @@ func scanCheckpointBytes(dir string) int64 {
 	return total
 }
 
-// noteCheckpoint runs on the goroutine that wrote a checkpoint, after the
-// write is journaled: re-measure the job's directory (the runner
+// noteCheckpoint runs on the job's step loop after each checkpoint, once
+// the write is journaled: re-measure the job's directory (the runner
 // prunes its own keep-N window, so measuring self-corrects where delta
 // bookkeeping would drift), fold the change into the tenant's tracked
 // total, and enforce the tenant's storage quota when one is set.
@@ -290,7 +290,7 @@ func (s *Server) enforceStorageQuota(trigger *jobEntry, tn *tenant.Tenant) {
 	}
 	s.mu.Unlock()
 	// The eviction lands in the triggering job's trace: quota enforcement
-	// is wall time the tenant's snapshot pressure cost this job's pipeline.
+	// is wall time the tenant's snapshot pressure cost this job's step loop.
 	trigger.trace.Observe("quota_eviction", evictStart, time.Now(), map[string]string{
 		"freed_bytes": strconv.FormatInt(freed, 10),
 		"failed":      strconv.FormatBool(failNow),

@@ -387,6 +387,12 @@ func resumeCursor(r *http.Request) (int64, bool) {
 	return n, true
 }
 
+// sseWriteTimeout bounds each write and flush of an SSE stream: a client
+// that stops reading holds its handler, and the handler's subscription, for
+// at most this long once the socket buffers fill. A variable only so tests
+// can shorten it.
+var sseWriteTimeout = 5 * time.Second
+
 // handleDiagnostics streams a job's events as server-sent events: "status"
 // on every scheduler transition, "diag" per observed step, "gap" when
 // events were lost (observer back-pressure, ring eviction, or an
@@ -398,6 +404,9 @@ func resumeCursor(r *http.Request) (int64, bool) {
 // the retained window; a window that has been evicted is reported as an
 // explicit "gap" with the missed count, never silently skipped. A job
 // already terminal replays its retained tail and closes after "done".
+// Every write and flush runs under sseWriteTimeout, so a stalled client
+// costs the daemon a bounded wait, not a goroutine for the life of its
+// connection.
 func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	e, ie, ok := s.lookup(w, r)
 	if !ok {
@@ -408,12 +417,24 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 			"serve: job %d has been evicted from live history and its diagnostics ring is gone; status and checkpoints remain at /v1/jobs/%d", ie.ID, ie.ID))
 		return
 	}
-	fl, canFlush := w.(http.Flusher)
-	if !canFlush {
+	if _, canFlush := w.(http.Flusher); !canFlush {
 		writeErr(w, http.StatusNotImplemented, fmt.Errorf("serve: response writer cannot stream"))
 		return
 	}
 	cursor, resuming := resumeCursor(r)
+
+	// send and flush arm the write deadline before they touch the socket.
+	// A writer that cannot take one (a test recorder) streams without it.
+	rc := http.NewResponseController(w)
+	arm := func() { _ = rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout)) }
+	send := func(id int64, typ string, data []byte) error {
+		arm()
+		return writeSSE(w, id, typ, data)
+	}
+	flush := func() error {
+		arm()
+		return rc.Flush()
+	}
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -421,7 +442,9 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	// Flush the headers now: a subscriber to a still-queued job must see
 	// the stream open immediately, not block header-less until the first
 	// event fires.
-	fl.Flush()
+	if flush() != nil {
+		return
+	}
 
 	// Register the wake-up channel before the first flush: an event landing
 	// between flush and registration would otherwise be announced to
@@ -436,7 +459,7 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 		cursor = head
 		t, data := marshalEvent("gap", map[string]any{"source": "reset"})
 		s.mu.Unlock()
-		if writeSSE(w, 0, t, data) != nil {
+		if send(0, t, data) != nil {
 			return
 		}
 		s.mu.Lock()
@@ -450,10 +473,10 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	firstFlush := true
-	// flush drains the ring from the cursor: a gap notice if part of the
+	// drain writes the ring from the cursor: a gap notice if part of the
 	// window was evicted, then every retained event past the cursor. It
 	// reports done=true when the terminal event went out.
-	flush := func() (done bool, err error) {
+	drain := func() (done bool, err error) {
 		s.mu.Lock()
 		evs, missed := e.ring.since(cursor)
 		if len(evs) > 0 {
@@ -477,19 +500,19 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 		firstFlush = false
 		wrote := false
 		defer func() {
-			if wrote {
-				fl.Flush()
+			if wrote && err == nil {
+				err = flush()
 			}
 		}()
 		if missed > 0 {
 			t, data := marshalEvent("gap", map[string]any{"missed": missed, "source": "ring"})
-			if err := writeSSE(w, 0, t, data); err != nil {
+			if err := send(0, t, data); err != nil {
 				return false, err
 			}
 			wrote = true
 		}
 		for _, ev := range evs {
-			if err := writeSSE(w, ev.seq, ev.typ, ev.data); err != nil {
+			if err := send(ev.seq, ev.typ, ev.data); err != nil {
 				return false, err
 			}
 			wrote = true
@@ -499,7 +522,7 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 		}
 		if synth != nil {
 			t, data := marshalEvent("done", synth)
-			if err := writeSSE(w, 0, t, data); err != nil {
+			if err := send(0, t, data); err != nil {
 				return false, err
 			}
 			wrote = true
@@ -513,7 +536,7 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	tick := time.NewTicker(500 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		if done, err := flush(); done || err != nil {
+		if done, err := drain(); done || err != nil {
 			return
 		}
 		select {

@@ -149,9 +149,11 @@ func (s *Server) allocIDLocked() int {
 // checkpoint timers, and the async diagnostics pipeline every submission
 // gets. The pipeline drops its oldest observation when its queue is full —
 // diagnostics are a monitoring surface, not the science record — and
-// observe turns each drop into a "gap" event. When the server is durable
-// the checkpoint timer also journals each snapshot's clock, which is what a
-// restart consults to promise "resumes from the newest checkpoint".
+// observe turns each drop into a "gap" event. Snapshots are written on the
+// job's step loop, and the checkpoint timer runs there after each one: when
+// the server is durable it journals the snapshot's clock, which is what a
+// restart consults to promise "resumes from the newest checkpoint", and it
+// re-measures the tenant's storage against its quota.
 func (s *Server) attach(job *sched.Job, entry *jobEntry) {
 	job.Opts = append(job.Opts,
 		// The step timer feeds the histogram only — per-step spans would
@@ -160,8 +162,8 @@ func (s *Server) attach(job *sched.Job, entry *jobEntry) {
 			s.histStep.ObserveDuration(d)
 		}),
 		// Checkpoint writes are rare enough to trace per job AND cheap to
-		// histogram. The callback runs on the writing goroutine (step loop
-		// or async pipeline), once per durable file.
+		// histogram. The callback runs on the job's step loop, once per
+		// durable file.
 		runner.WithCheckpointTimer(func(clock float64, d time.Duration) {
 			s.histCheckpoint.ObserveDuration(d)
 			end := time.Now()

@@ -30,12 +30,6 @@
 // newest tried; a cold start through the factory is the last resort. The
 // job name is the resume key, so names must be unique per checkpoint root
 // (per tenant, for jobs that carry one).
-//
-// Orthogonally, WithAsyncObserver (internal/runner) moves diagnostics
-// delivery and checkpoint I/O off the hot step loop onto a bounded
-// pipeline: a slow observer loses its oldest queued observations instead
-// of stalling the solver, and the solver waits on a disk write only once
-// the queue holds nothing but checkpoints.
 package vlasov6d
 
 import (
@@ -110,22 +104,6 @@ func WithCheckpoint(dir string, everyN int) RunOption { return runner.WithCheckp
 // WithCheckpointKeep prunes the checkpoint directory to the newest n
 // snapshots after every write (0 keeps everything).
 func WithCheckpointKeep(n int) RunOption { return runner.WithCheckpointKeep(n) }
-
-// AsyncRunObserver is the off-thread diagnostics callback of
-// WithAsyncObserver: it receives a value snapshot of the solver's
-// Diagnostics, never the live solver, so it can run concurrently with the
-// next steps.
-type AsyncRunObserver = runner.AsyncObserver
-
-// WithAsyncObserver delivers per-step diagnostics (and, for solvers that
-// support state capture, checkpoint I/O) through a bounded pipeline off
-// the hot step loop. The step loop never waits on obs: when the queue is
-// full the oldest observation is dropped, which obs sees as a jump in its
-// step numbers and RunReport.DroppedObservations counts. Checkpoints are
-// never dropped. obs may be nil to route only checkpoint traffic.
-func WithAsyncObserver(obs AsyncRunObserver) RunOption {
-	return runner.WithAsyncObserver(obs)
-}
 
 // ResumeLatest reads the newest checkpoint in dir and returns the snapshot
 // together with the file it came from; rebuild the simulation with
@@ -230,21 +208,18 @@ func NewStream(ctx context.Context, opts ...BatchOption) (*Stream, error) {
 }
 
 // Compile-time checks: every advertised workload drives through Run, and
-// both the hybrid simulation and the plasma solver support the full
-// checkpoint surface (snapshots, async capture) — the latter is what makes
-// scheduler-level resume work for sweep campaigns. Both leave a half kick
-// owed between steps; were Synchronize renamed, Run would silently stop
-// settling it on exit.
+// both the hybrid simulation and the plasma solver write restorable
+// snapshots — what makes scheduler-level resume work for sweep campaigns.
+// Both leave a half kick owed between steps; were Synchronize renamed, Run
+// would silently stop settling it on exit.
 var (
-	_ Solver                    = (*Simulation)(nil)
-	_ Solver                    = (*PlasmaSolver)(nil)
-	_ runner.DTClamper          = (*Simulation)(nil)
-	_ runner.Checkpointer       = (*Simulation)(nil)
-	_ runner.CheckpointCapturer = (*Simulation)(nil)
-	_ runner.Checkpointer       = (*PlasmaSolver)(nil)
-	_ runner.CheckpointCapturer = (*PlasmaSolver)(nil)
-	_ runner.WorkerBudgeted     = (*Simulation)(nil)
-	_ runner.WorkerBudgeted     = (*PlasmaSolver)(nil)
-	_ runner.Synchronizer       = (*Simulation)(nil)
-	_ runner.Synchronizer       = (*PlasmaSolver)(nil)
+	_ Solver                = (*Simulation)(nil)
+	_ Solver                = (*PlasmaSolver)(nil)
+	_ runner.DTClamper      = (*Simulation)(nil)
+	_ runner.Checkpointer   = (*Simulation)(nil)
+	_ runner.Checkpointer   = (*PlasmaSolver)(nil)
+	_ runner.WorkerBudgeted = (*Simulation)(nil)
+	_ runner.WorkerBudgeted = (*PlasmaSolver)(nil)
+	_ runner.Synchronizer   = (*Simulation)(nil)
+	_ runner.Synchronizer   = (*PlasmaSolver)(nil)
 )
