@@ -31,7 +31,9 @@ import "sync"
 // notices before its next step).
 type AsyncObserver func(step int, d Diagnostics) error
 
-// asyncBuffer is the pipeline's queue capacity, in events.
+// asyncBuffer is the pipeline's queue capacity, in events: deep enough
+// that an observer stalled for a few hundred steps loses nothing, small
+// enough that a stuck one holds only that many Diagnostics values.
 const asyncBuffer = 256
 
 // WithAsyncObserver starts the async pipeline for the run and delivers a
