@@ -29,12 +29,14 @@ type laneCoef struct {
 // lane: each lane is padded as Step pads its line (own shift, own mirror,
 // own periodic or zero ghosts) into a lane-interleaved pad, so that row r
 // holds position r of all four padded lines, and the kernel does advance's
-// operations in advance's order on all four at once. When the lanes share
-// their shift and direction and laneStride is 1, a pad row's interior
-// cells, and a result row, are four adjacent values of data. Only a lane
-// whose CFL number is an integer (an exact shift, zero included), and
-// every CPU without AVX2, falls back: then all four lines take
-// Step/StepOpen one by one.
+// operations in advance's order on all four at once, mpBound's on the
+// lanes the limiter rejects. When the lanes share their shift and
+// direction, a pad row's interior cells, and a result row, are four
+// adjacent values of data where laneStride is 1 (the plasma drift), and a
+// block of four rows is four loads of four adjacent cells and one 4×4
+// transpose where cellStride is 1 (the kick). Only a lane whose CFL number is an integer (an exact shift,
+// zero included), and every CPU without AVX2, falls back: then all four
+// lines take Step/StepOpen one by one.
 func (s *SLMPP5) StepLanes(data []float64, off, laneStride, cellStride, n int, c *[4]float64, open bool) error {
 	if laneStride < 1 || cellStride < 1 || off < 0 || off+3*laneStride+(n-1)*cellStride >= len(data) {
 		return fmt.Errorf("slmpp5: 4 lanes at %d, lane stride %d, cell stride %d, n %d, are outside %d values",
@@ -65,9 +67,8 @@ func (s *SLMPP5) StepLanes(data []float64, off, laneStride, cellStride, n int, c
 	// bounded shift (2n+8), and v, the n+1 swept averages, follows it.
 	if need := 3*n + 9; cap(s.lanes) < need {
 		s.lanes = make([][4]float64, need)
-		s.reject = make([]uint8, n+1)
 	}
-	pad, v, reject := s.lanes[:2*n+8], s.lanes[2*n+8:3*n+9], s.reject[:n+1]
+	pad, v := s.lanes[:2*n+8], s.lanes[2*n+8:3*n+9]
 	var lc laneCoef
 	// Lanes that share shift and direction share their pad rows' cells:
 	// interior row m of lane k is data[first+m·step+k·laneStride], cell m,
@@ -122,22 +123,9 @@ func (s *SLMPP5) StepLanes(data []float64, off, laneStride, cellStride, n int, c
 		}
 	}
 
-	// The swept averages and the limiter's accept test, vectorised; the
-	// values that fail it take mpBound, as in advance; then the clipped
-	// fluxes and the updated cells, which overwrite v's first n rows.
-	if laneLimit(q, v, reject, &lc) {
-		for i, m := range reject {
-			if m == 0 {
-				continue
-			}
-			st := q[i : i+5]
-			for k := range ks {
-				if m&(1<<k) != 0 {
-					v[i][k] = mpBound(v[i][k], st[0][k], st[1][k], st[2][k], st[3][k], st[4][k], ks[k].alpha)
-				}
-			}
-		}
-	}
+	// The limited swept averages, then the clipped fluxes and the updated
+	// cells, which overwrite v's first n rows.
+	laneLimit(q, v, &lc)
 	laneFlux(q, v, &lc)
 
 	// Row m of the result is the line's interior cell m.
@@ -160,8 +148,9 @@ func (s *SLMPP5) StepLanes(data []float64, off, laneStride, cellStride, n int, c
 }
 
 // loadRows sets rows[m][k] = data[at+m·step+k·laneStride] for every m
-// and k, one copy of four values per row where the lanes are adjacent.
-// Every index must lie inside data (step may be negative).
+// and k: one copy of four values per row where the lanes are adjacent, one
+// 4×4 transpose per four rows where a lane's cells are (step ±1). Every
+// index must lie inside data (step may be negative).
 func loadRows(rows [][4]float64, data []float64, at, step, laneStride int) {
 	if laneStride == 1 {
 		for m := range rows {
@@ -169,6 +158,11 @@ func loadRows(rows [][4]float64, data []float64, at, step, laneStride int) {
 			at += step
 		}
 		return
+	}
+	if b := len(rows) &^ 3; b > 0 && (step == 1 || step == -1) {
+		lo := min(at, at+(b-1)*step)
+		laneIn(rows[:b], data[lo:lo+b+3*laneStride], laneStride, step < 0)
+		rows, at = rows[b:], at+b*step
 	}
 	for m := range rows {
 		rows[m] = [4]float64{data[at], data[at+laneStride], data[at+2*laneStride], data[at+3*laneStride]}
@@ -185,6 +179,11 @@ func storeRows(data []float64, at, step, laneStride int, rows [][4]float64) {
 			at += step
 		}
 		return
+	}
+	if b := len(rows) &^ 3; b > 0 && (step == 1 || step == -1) {
+		lo := min(at, at+(b-1)*step)
+		laneOut(data[lo:lo+b+3*laneStride], laneStride, step < 0, rows[:b])
+		rows, at = rows[b:], at+b*step
 	}
 	for _, row := range rows {
 		data[at], data[at+laneStride], data[at+2*laneStride], data[at+3*laneStride] = row[0], row[1], row[2], row[3]

@@ -1,98 +1,201 @@
 #include "textflag.h"
 
 // The SL-MPP5 kernel (advance, slmpp5.go) on four lines at once, one line
-// per AVX2 lane, in two passes around the Go limiter. Per lane the
-// operations, and their order, are advance's, with no FMA, so each lane
-// rounds exactly as the Go kernel does:
+// per AVX2 lane, limiter included. Per lane the operations, and their
+// order, are advance's and mpBound's, with no FMA, so each lane rounds
+// exactly as the Go kernel does. laneLimit makes one pass over the
+// interfaces:
 //
 //	v   = (((w0·m2 + w1·m1) + w2·c0) + w3·p1) + w4·p2
 //	fMP = c0 + minmod2(p1 − c0, α·(c0 − m1))
 //	reject where (v − c0)·(v − fMP) > mpEps   (GT_OQ: false on NaN, as in Go)
 //
-// minmod2 is its integer form: |a|, |b| are a, b with the sign bit cleared,
-// below 2⁶³, so a signed 64-bit compare orders them exactly; the smaller
-// takes a's sign and is zeroed where a and b differ in sign. The Go code
-// then replaces a rejected v by mpBound, and the second pass clips:
+// and, on an interface where any lane rejects, computes mpBound for all
+// four lanes and blends it in under the compare's lane mask, so a lane
+// that accepts keeps the bits of v. minmod2 is its integer form: |a|, |b|
+// are a, b with the sign bit cleared, below 2⁶³, so a signed 64-bit compare
+// orders them exactly; the smaller takes a's sign and is zeroed where a and
+// b differ in sign. 2·x and 4·x are x + x and 2x + 2x, which round alike.
+// Go's min and max return their first operand's bits, or on a ±0 tie or a
+// NaN the OR of both (min) or that OR with the AND of their signs (max);
+// MINPD and MAXPD return their second source there, so GOMIN and GOMAX take
+// both operand orders and combine them the same way. laneFlux then clips:
 //
 //	flx = min(c0, max(0, v·ξ))   (MAXPD/MINPD return their second source
 //	                              on ±0 ties and NaN: Go's two ifs)
 //	out[i−1] = c0 − (flx − prev)
 //
 // Offsets into laneCoef: w 0 (w_r at 32r), xi 160, alpha 192, eps 224.
+// Every instruction that names an X or Y register is VEX-encoded: one
+// legacy SSE instruction costs an SSE/AVX transition where it runs.
 
-// func laneLimit(q, v [][4]float64, reject []uint8, k *laneCoef) bool
-TEXT ·laneLimit(SB), NOSPLIT, $0-81
+// 0.5 and 4/3 in every lane.
+DATA boundK<>+0(SB)/8, $0x3FE0000000000000
+DATA boundK<>+8(SB)/8, $0x3FE0000000000000
+DATA boundK<>+16(SB)/8, $0x3FE0000000000000
+DATA boundK<>+24(SB)/8, $0x3FE0000000000000
+DATA boundK<>+32(SB)/8, $0x3FF5555555555555
+DATA boundK<>+40(SB)/8, $0x3FF5555555555555
+DATA boundK<>+48(SB)/8, $0x3FF5555555555555
+DATA boundK<>+56(SB)/8, $0x3FF5555555555555
+GLOBL boundK<>(SB), RODATA|NOPTR, $64
+
+// MINMOD2 sets d = minmod2(a, b): d = |a|, t = |b|, u = |a| > |b|, d =
+// min(|a|, |b|) with a's sign, zeroed where a ^ b has its sign bit set. t
+// and u are scratch; d, t and u differ from a and b. Y14 holds the sign
+// bits, Y15 zero.
+#define MINMOD2(a, b, d, t, u) \
+	VANDNPD   a, Y14, d;  \
+	VANDNPD   b, Y14, t;  \
+	VPCMPGTQ  t, d, u;    \
+	VBLENDVPD u, t, d, d; \
+	VANDPD    Y14, a, t;  \
+	VORPD     t, d, d;    \
+	VXORPD    b, a, t;    \
+	VBLENDVPD t, Y15, d, d
+
+// GOMIN sets d = min(a, b) as Go rounds it: min(b, a), which is a on a tie
+// or NaN, OR min(a, b), which is b there. t is scratch; d and t differ from
+// a and b.
+#define GOMIN(a, b, d, t) \
+	VMINPD a, b, d; \
+	VMINPD b, a, t; \
+	VORPD  t, d, d
+
+// GOMAX sets d = max(a, b) as Go rounds it: the OR of both operand orders,
+// with the sign bit cleared where their signs differ (the AND of the
+// signs). t and u are scratch; d, t and u differ from a and b.
+#define GOMAX(a, b, d, t, u) \
+	VMAXPD a, b, d;   \
+	VMAXPD b, a, t;   \
+	VXORPD t, d, u;   \
+	VANDPD Y14, u, u; \
+	VORPD  t, d, d;   \
+	VXORPD u, d, d
+
+// func laneLimit(q, v [][4]float64, k *laneCoef)
+TEXT ·laneLimit(SB), NOSPLIT, $0-56
 	MOVQ q_base+0(FP), SI
 	MOVQ v_base+24(FP), DI
-	MOVQ reject_base+48(FP), R8
-	MOVQ reject_len+56(FP), CX
-	MOVQ k+72(FP), R9
+	MOVQ v_len+32(FP), CX // interfaces
+	MOVQ k+48(FP), R9
+	TESTQ CX, CX
+	JZ    done
 
-	VMOVUPD      0(R9), Y0   // w0
-	VMOVUPD      32(R9), Y1  // w1
-	VMOVUPD      64(R9), Y2  // w2
-	VMOVUPD      96(R9), Y3  // w3
-	VMOVUPD      128(R9), Y4 // w4
-	VMOVUPD      192(R9), Y5 // alpha
-	VBROADCASTSD 224(R9), Y6 // mpEps
-	VPCMPEQQ     Y7, Y7, Y7
-	VPSLLQ       $63, Y7, Y7 // sign bits
+	VBROADCASTSD 224(R9), Y13 // mpEps
+	VPCMPEQQ     Y14, Y14, Y14
+	VPSLLQ       $63, Y14, Y14 // sign bits
 	VXORPD       Y15, Y15, Y15
-	XORQ         AX, AX
-	XORL         BX, BX
-	TESTQ        CX, CX
-	JZ           done
 
 loop:
-	VMOVUPD 0(SI), Y8    // m2
-	VMOVUPD 32(SI), Y9   // m1
-	VMOVUPD 64(SI), Y10  // c0
-	VMOVUPD 96(SI), Y11  // p1
-	VMOVUPD 128(SI), Y12 // p2
+	VMOVUPD 0(SI), Y0    // m2
+	VMOVUPD 32(SI), Y1   // m1
+	VMOVUPD 64(SI), Y2   // c0
+	VMOVUPD 96(SI), Y3   // p1
+	VMOVUPD 128(SI), Y4  // p2
 
-	VMULPD  Y8, Y0, Y13
-	VMULPD  Y9, Y1, Y14
-	VADDPD  Y14, Y13, Y13
-	VMULPD  Y10, Y2, Y14
-	VADDPD  Y14, Y13, Y13
-	VMULPD  Y11, Y3, Y14
-	VADDPD  Y14, Y13, Y13
-	VMULPD  Y12, Y4, Y14
-	VADDPD  Y14, Y13, Y13 // v
-	VMOVUPD Y13, (DI)
+	VMULPD 0(R9), Y0, Y5
+	VMULPD 32(R9), Y1, Y6
+	VADDPD Y6, Y5, Y5
+	VMULPD 64(R9), Y2, Y6
+	VADDPD Y6, Y5, Y5
+	VMULPD 96(R9), Y3, Y6
+	VADDPD Y6, Y5, Y5
+	VMULPD 128(R9), Y4, Y6
+	VADDPD Y6, Y5, Y5 // v
 
-	VSUBPD    Y10, Y11, Y8      // a = p1 − c0
-	VSUBPD    Y9, Y10, Y9
-	VMULPD    Y9, Y5, Y9        // b = α·(c0 − m1)
-	VANDNPD   Y8, Y7, Y11       // |a|
-	VANDNPD   Y9, Y7, Y12       // |b|
-	VPCMPGTQ  Y12, Y11, Y14     // |a| > |b|
-	VBLENDVPD Y14, Y12, Y11, Y11 // min(|a|, |b|)
-	VANDPD    Y7, Y8, Y14
-	VORPD     Y14, Y11, Y11     // with a's sign
-	VXORPD    Y9, Y8, Y14
-	VBLENDVPD Y14, Y15, Y11, Y11 // zero where the signs differ: minmod2(a, b)
-	VADDPD    Y11, Y10, Y11     // fMP
+	VSUBPD  Y2, Y3, Y6     // p1 − c0
+	VSUBPD  Y1, Y2, Y7
+	VMULPD  192(R9), Y7, Y7 // α·(c0 − m1)
+	MINMOD2(Y6, Y7, Y8, Y10, Y11)
+	VADDPD  Y8, Y2, Y8     // fMP
 
-	VSUBPD    Y10, Y13, Y12     // v − c0
-	VSUBPD    Y11, Y13, Y11     // v − fMP
-	VMULPD    Y11, Y12, Y12
-	VCMPPD    $0x1e, Y6, Y12, Y12 // > mpEps, GT_OQ
-	VMOVMSKPD Y12, DX
-	MOVB      DX, (R8)(AX*1)
-	ORL       DX, BX
+	VSUBPD    Y2, Y5, Y9   // v − c0
+	VSUBPD    Y8, Y5, Y10  // v − fMP
+	VMULPD    Y10, Y9, Y9
+	VCMPPD    $0x1e, Y13, Y9, Y9 // > mpEps, GT_OQ: the lanes that reject
+	VMOVMSKPD Y9, DX
+	TESTL     DX, DX
+	JNZ       bound
 
-	ADDQ $32, SI
-	ADDQ $32, DI
-	INCQ AX
-	CMPQ AX, CX
-	JLT  loop
+store:
+	VMOVUPD Y5, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     loop
 
 done:
-	TESTL BX, BX
-	SETNE ret+80(FP)
 	VZEROUPPER
 	RET
+
+// mpBound on all four lanes. Live: m2 Y0, m1 Y1, c0 Y2, p1 Y3, p2 Y4, v
+// Y5, α·(c0 − m1) Y7 and the reject mask Y9; Y13 is scratch here and
+// takes mpEps again on the way back.
+bound:
+	VADDPD Y1, Y1, Y6
+	VSUBPD Y6, Y0, Y6
+	VADDPD Y2, Y6, Y6 // dm1 = m2 − 2·m1 + c0
+	VADDPD Y3, Y3, Y0
+	VSUBPD Y0, Y2, Y0
+	VADDPD Y4, Y0, Y0 // dp1 = c0 − 2·p1 + p2
+	VADDPD Y2, Y2, Y4
+	VSUBPD Y4, Y1, Y4
+	VADDPD Y3, Y4, Y4 // d0 = m1 − 2·c0 + p1
+
+	// dMp = minmod4(4·d0 − dp1, 4·dp1 − d0, d0, dp1)
+	VADDPD Y4, Y4, Y8
+	VADDPD Y8, Y8, Y8
+	VSUBPD Y0, Y8, Y8
+	VADDPD Y0, Y0, Y10
+	VADDPD Y10, Y10, Y10
+	VSUBPD Y4, Y10, Y10
+	MINMOD2(Y8, Y10, Y11, Y12, Y13)
+	MINMOD2(Y4, Y0, Y8, Y10, Y12)
+	MINMOD2(Y11, Y8, Y0, Y10, Y12)
+
+	// dMm = minmod4(4·d0 − dm1, 4·dm1 − d0, d0, dm1)
+	VADDPD Y4, Y4, Y8
+	VADDPD Y8, Y8, Y8
+	VSUBPD Y6, Y8, Y8
+	VADDPD Y6, Y6, Y10
+	VADDPD Y10, Y10, Y10
+	VSUBPD Y4, Y10, Y10
+	MINMOD2(Y8, Y10, Y11, Y12, Y13)
+	MINMOD2(Y4, Y6, Y8, Y10, Y12)
+	MINMOD2(Y11, Y8, Y4, Y10, Y12)
+
+	VADDPD Y7, Y2, Y7                // fUL = c0 + α·(c0 − m1)
+	VADDPD Y3, Y2, Y6
+	VMULPD boundK<>+0(SB), Y6, Y6    // fAV = 0.5·(c0 + p1)
+	VMULPD boundK<>+0(SB), Y0, Y0
+	VSUBPD Y0, Y6, Y6                // fMD = fAV − 0.5·dMp
+	VSUBPD Y1, Y2, Y0
+	VMULPD boundK<>+0(SB), Y0, Y0
+	VADDPD Y0, Y2, Y0
+	VMULPD boundK<>+32(SB), Y4, Y4
+	VADDPD Y4, Y0, Y0                // fLC = c0 + 0.5·(c0 − m1) + (4/3)·dMm
+
+	GOMIN(Y2, Y3, Y1, Y4)
+	GOMIN(Y1, Y6, Y8, Y4)       // min(c0, p1, fMD)
+	GOMIN(Y2, Y7, Y1, Y4)
+	GOMIN(Y1, Y0, Y10, Y4)      // min(c0, fUL, fLC)
+	GOMAX(Y8, Y10, Y11, Y1, Y4) // fmin
+	GOMAX(Y2, Y3, Y1, Y4, Y8)
+	GOMAX(Y1, Y6, Y3, Y4, Y8)   // max(c0, p1, fMD)
+	GOMAX(Y2, Y7, Y1, Y4, Y8)
+	GOMAX(Y1, Y0, Y6, Y4, Y8)   // max(c0, fUL, fLC)
+	GOMIN(Y3, Y6, Y10, Y4)      // fmax
+
+	// median(v, fmin, fmax) = v + minmod2(fmin − v, fmax − v)
+	VSUBPD  Y5, Y11, Y11
+	VSUBPD  Y5, Y10, Y10
+	MINMOD2(Y11, Y10, Y0, Y1, Y4)
+	VADDPD  Y0, Y5, Y0
+
+	VBLENDVPD    Y9, Y0, Y5, Y5 // the rejecting lanes take the bound
+	VBROADCASTSD 224(R9), Y13
+	JMP          store
 
 // func laneFlux(q, v [][4]float64, k *laneCoef)
 TEXT ·laneFlux(SB), NOSPLIT, $0-56
@@ -131,5 +234,133 @@ loop:
 	JLT  loop
 
 done:
+	VZEROUPPER
+	RET
+
+// The kick's rows: four lanes laneStride apart, four cells of a lane
+// adjacent. A block of four rows is four loads of four cells, one per lane,
+// and one 4×4 transpose (VUNPCKLPD/VUNPCKHPD, then VPERM2F128), or the
+// same the other way: with the lanes a, b, c, d in Y0..Y3, the unpacks
+// give [a0 b0 a2 b2], [a1 b1 a3 b3], [c0 d0 c2 d2], [c1 d1 c3 d3] and the
+// permutes join their halves into [a0 b0 c0 d0] … [a3 b3 c3 d3], Y0..Y3.
+// Mirrored lines run down memory: a block's four cells, loaded from the
+// lowest, are its rows 3, 2, 1, 0, so the rows go in and out reversed.
+#define TRANSPOSE \
+	VUNPCKLPD  Y1, Y0, Y4;        \
+	VUNPCKHPD  Y1, Y0, Y5;        \
+	VUNPCKLPD  Y3, Y2, Y6;        \
+	VUNPCKHPD  Y3, Y2, Y7;        \
+	VPERM2F128 $0x20, Y6, Y4, Y0; \
+	VPERM2F128 $0x20, Y7, Y5, Y1; \
+	VPERM2F128 $0x31, Y6, Y4, Y2; \
+	VPERM2F128 $0x31, Y7, Y5, Y3
+
+// func laneIn(rows [][4]float64, w []float64, laneStride int, mirrored bool)
+TEXT ·laneIn(SB), NOSPLIT, $0-57
+	MOVQ    rows_base+0(FP), DI
+	MOVQ    rows_len+8(FP), CX
+	MOVQ    w_base+24(FP), SI
+	MOVQ    laneStride+48(FP), BX
+	MOVBLZX mirrored+56(FP), AX
+	SHLQ    $3, BX
+	SHRQ    $2, CX // blocks
+	JZ      indone
+	TESTL   AX, AX
+	JNZ     inrev
+
+in:
+	LEAQ    (SI)(BX*2), R8
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(BX*1), Y1
+	VMOVUPD (R8), Y2
+	VMOVUPD (R8)(BX*1), Y3
+	TRANSPOSE
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $32, SI
+	ADDQ    $128, DI
+	DECQ    CX
+	JNZ     in
+	JMP     indone
+
+inrev:
+	MOVQ CX, R8
+	SHLQ $5, R8
+	LEAQ -32(SI)(R8*1), SI // the lowest cells of block 0
+
+inrevloop:
+	LEAQ    (SI)(BX*2), R8
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(BX*1), Y1
+	VMOVUPD (R8), Y2
+	VMOVUPD (R8)(BX*1), Y3
+	TRANSPOSE
+	VMOVUPD Y3, 0(DI)
+	VMOVUPD Y2, 32(DI)
+	VMOVUPD Y1, 64(DI)
+	VMOVUPD Y0, 96(DI)
+	SUBQ    $32, SI
+	ADDQ    $128, DI
+	DECQ    CX
+	JNZ     inrevloop
+
+indone:
+	VZEROUPPER
+	RET
+
+// func laneOut(w []float64, laneStride int, mirrored bool, rows [][4]float64)
+TEXT ·laneOut(SB), NOSPLIT, $0-64
+	MOVQ    w_base+0(FP), DI
+	MOVQ    laneStride+24(FP), BX
+	MOVBLZX mirrored+32(FP), AX
+	MOVQ    rows_base+40(FP), SI
+	MOVQ    rows_len+48(FP), CX
+	SHLQ    $3, BX
+	SHRQ    $2, CX // blocks
+	JZ      outdone
+	TESTL   AX, AX
+	JNZ     outrev
+
+out:
+	VMOVUPD 0(SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	TRANSPOSE
+	LEAQ    (DI)(BX*2), R8
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(BX*1)
+	VMOVUPD Y2, (R8)
+	VMOVUPD Y3, (R8)(BX*1)
+	ADDQ    $128, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     out
+	JMP     outdone
+
+outrev:
+	MOVQ CX, R8
+	SHLQ $5, R8
+	LEAQ -32(DI)(R8*1), DI
+
+outrevloop:
+	VMOVUPD 96(SI), Y0
+	VMOVUPD 64(SI), Y1
+	VMOVUPD 32(SI), Y2
+	VMOVUPD 0(SI), Y3
+	TRANSPOSE
+	LEAQ    (DI)(BX*2), R8
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(BX*1)
+	VMOVUPD Y2, (R8)
+	VMOVUPD Y3, (R8)(BX*1)
+	ADDQ    $128, SI
+	SUBQ    $32, DI
+	DECQ    CX
+	JNZ     outrevloop
+
+outdone:
 	VZEROUPPER
 	RET

@@ -103,7 +103,10 @@ func withLaneKernel(t *testing.T, fn func(t *testing.T)) {
 // adjacent, cells strided) and the kick's (lanes strided, cells adjacent),
 // with lanes that share shift and direction and lanes that do not, whole
 // and zero CFL numbers among them, periodic and open; one scheme serves
-// every case, so its scratch is reused across line lengths.
+// every case, so its scratch is reused across line lengths. The kick's
+// layout moves its rows four at a time by a 4×4 transpose and the n % 4
+// left over one by one: n = 64, 65, 6 and 7 leave 0, 1, 2 and 3 rows, in
+// both directions (the rightward and the mirrored shared shifts).
 func TestStepLanesMatchesPerLine(t *testing.T) {
 	cfls := [][4]float64{
 		{0.3, 0.31, 0.32, 0.33},     // one shift, rightward: one copy per pad row
@@ -181,11 +184,25 @@ func FuzzStepLanes(f *testing.F) {
 	})
 }
 
+// limitedV is advance's swept average of lane k at interface i of the
+// lane pad q, limiter included: the Go form each lane of laneLimit must
+// equal bit for bit.
+func limitedV(q [][4]float64, lc *laneCoef, i, k int) float64 {
+	m2, m1, c0, p1, p2 := q[i][k], q[i+1][k], q[i+2][k], q[i+3][k], q[i+4][k]
+	v := lc.w[0][k]*m2 + lc.w[1][k]*m1 + lc.w[2][k]*c0 + lc.w[3][k]*p1 + lc.w[4][k]*p2
+	if fMP := c0 + minmod2(p1-c0, lc.alpha[k]*(c0-m1)); (v-c0)*(v-fMP) > mpEps {
+		v = mpBound(v, m2, m1, c0, p1, p2, lc.alpha[k])
+	}
+	return v
+}
+
 // TestLaneLimitAcceptBoundary pins the vector accept test to advance's
 // (v−c0)·(v−fMP) > mpEps at the boundary no random line reaches: with
 // weights (1, 0, 0, 0, 0), v = m2, and the stencil (m2, 1, 0, −1, 0) at
 // α = 1 gives fMP = −1, so the product is m2·(m2+1), exactly mpEps for
-// lane 0, just above it for lane 1.
+// lane 0, just above it for lane 1. Lanes 1 and 3 reject and leave with
+// mpBound's value, lanes 0 and 2 accept and leave with v; on lanes 0 and
+// 1 the two differ.
 func TestLaneLimitAcceptBoundary(t *testing.T) {
 	if !cpuid.AVX2() {
 		t.Skip("no AVX2 on this CPU: no vector kernel to test")
@@ -198,23 +215,140 @@ func TestLaneLimitAcceptBoundary(t *testing.T) {
 		q[0][k], q[1][k], q[2][k], q[3][k], q[4][k] = m2[k], 1, 0, -1, 0
 		lc.w[0][k], lc.alpha[k] = 1, 1
 	}
-	v, reject := make([][4]float64, 1), make([]uint8, 1)
-	rejected := laneLimit(q, v, reject, &lc)
-	var want uint8
+	v := make([][4]float64, 1)
+	laneLimit(q, v, &lc)
+	var rejected uint8
 	for k := range m2 {
-		w0, w1, w2, w3, w4 := lc.w[0][k], lc.w[1][k], lc.w[2][k], lc.w[3][k], lc.w[4][k]
-		s := [5]float64{q[0][k], q[1][k], q[2][k], q[3][k], q[4][k]}
-		vk := w0*s[0] + w1*s[1] + w2*s[2] + w3*s[3] + w4*s[4]
-		if math.Float64bits(v[0][k]) != math.Float64bits(vk) {
-			t.Errorf("lane %d: v = %v, advance's %v", k, v[0][k], vk)
+		want := limitedV(q, &lc, 0, k)
+		if bound := mpBound(m2[k], m2[k], 1, 0, -1, 0, 1); k < 2 && bound == m2[k] {
+			t.Fatalf("lane %d: mpBound leaves v = %v: the test cannot tell accept from reject", k, bound)
 		}
-		if fMP := s[2] + minmod2(s[3]-s[2], lc.alpha[k]*(s[2]-s[1])); (vk-s[2])*(vk-fMP) > mpEps {
-			want |= 1 << k
+		if want != m2[k] {
+			rejected |= 1 << k
+		}
+		if math.Float64bits(v[0][k]) != math.Float64bits(want) {
+			t.Errorf("lane %d: v = %v, advance's %v", k, v[0][k], want)
 		}
 	}
-	if want != 0b1010 || reject[0] != want || !rejected {
-		t.Fatalf("reject mask %04b (reported %v), advance's test gives %04b; want 1010", reject[0], rejected, want)
+	if rejected != 0b1010 {
+		t.Fatalf("advance's test rejects lanes %04b, want 1010", rejected)
 	}
+}
+
+// boundValue draws one stencil value for TestLaneLimitMatchesMPBound:
+// ±0, small integers (ties), subnormals, negatives, and values near the
+// largest float, whose differences overflow inside mpBound and reach its
+// minmods, mins and maxes as ±Inf and NaN.
+func boundValue(rng *rand.Rand) float64 {
+	switch rng.Intn(10) {
+	case 0, 1:
+		return math.Copysign(0, float64(rng.Intn(2)*2-1))
+	case 2, 3:
+		return float64(rng.Intn(5) - 2)
+	case 4:
+		return math.Copysign(math.Float64frombits(1+rng.Uint64()&(1<<52-2)), float64(rng.Intn(2)*2-1))
+	case 5:
+		return math.Copysign(math.MaxFloat64*(0.25+0.75*rng.Float64()), float64(rng.Intn(2)*2-1))
+	default:
+		return laneValue(rng)
+	}
+}
+
+// TestLaneLimitMatchesMPBound holds every lane of laneLimit to advance's
+// limited swept average bit for bit, NaN included, with mpBound reached on
+// any subset of the four lanes: a lane that accepts must keep v's bits
+// while its neighbours take the bound. The stencils are hand-built signed
+// zeros around v = ±1 (every min and max of mpBound meets a ±0 tie) and
+// random draws of boundValue at α ∈ {4, 1, 0.25}; weights are (1, 0, 0,
+// 0, 0), which makes v = m2 free, or SweptWeights of a random ξ.
+//
+// A ±0 tie in mpBound's mins and maxes cannot change its result: the
+// bounds enter only as fmin − v and fmax − v, and v + (±0 − v) is +0 for
+// either zero. The overflowing stencils are what tell Go's min and max
+// from a bare MINPD/MAXPD, which return their second source on a NaN.
+func TestLaneLimitMatchesMPBound(t *testing.T) {
+	if !cpuid.AVX2() {
+		t.Skip("no AVX2 on this CPU: no vector kernel to test")
+	}
+	rng := rand.New(rand.NewSource(50))
+	const rows = 64
+	q, v := make([][4]float64, rows+4), make([][4]float64, rows)
+	var lc laneCoef
+	lc.eps = mpEps
+	var mixed, bounded, nan int
+	check := func(name string) {
+		t.Helper()
+		laneLimit(q, v, &lc)
+		for i := range v {
+			var m uint8
+			for k := range 4 {
+				want := limitedV(q, &lc, i, k)
+				got := v[i][k]
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: interface %d lane %d: %v (%#x), advance's %v (%#x); stencil %v %v %v %v %v, α %v",
+						name, i, k, got, math.Float64bits(got), want, math.Float64bits(want),
+						q[i][k], q[i+1][k], q[i+2][k], q[i+3][k], q[i+4][k], lc.alpha[k])
+				}
+				if x := lc.w[0][k]*q[i][k] + lc.w[1][k]*q[i+1][k] + lc.w[2][k]*q[i+2][k] + lc.w[3][k]*q[i+3][k] + lc.w[4][k]*q[i+4][k]; math.Float64bits(x) != math.Float64bits(want) {
+					m |= 1 << k
+					if math.IsNaN(want) {
+						nan++
+					}
+				}
+			}
+			if m != 0 {
+				bounded++
+				if m != 0b1111 {
+					mixed++
+				}
+			}
+		}
+	}
+
+	// Signed zeros: lane k of row r holds one of the 16 sign patterns of
+	// (m1, c0, p1, p2), v = m2 = ±1 or a subnormal.
+	for k := range 4 {
+		lc.w[0][k], lc.w[1][k], lc.w[2][k], lc.w[3][k], lc.w[4][k] = 1, 0, 0, 0, 0
+		lc.alpha[k] = []float64{4, 1, 0.25, 1}[k]
+	}
+	for i := range v {
+		for k := range 4 {
+			pattern := (i*4 + k) % 16
+			for j := 1; j < 5; j++ {
+				q[i+j][k] = math.Copysign(0, float64(pattern>>(j-1)&1*2-1))
+			}
+			q[i][k] = []float64{1, -1, 0x1p-1070, -0x1p-1070}[(i/4+k)%4]
+		}
+		laneLimit(q[i:i+5], v[i:i+1], &lc)
+		for k := range 4 {
+			if want := limitedV(q, &lc, i, k); math.Float64bits(v[i][k]) != math.Float64bits(want) {
+				t.Fatalf("signed zeros, row %d lane %d: %v, advance's %v", i, k, v[i][k], want)
+			}
+		}
+	}
+
+	for trial := range 400 {
+		for k := range 4 {
+			lc.alpha[k] = []float64{4, 1, 0.25}[rng.Intn(3)]
+			w := [5]float64{1, 0, 0, 0, 0}
+			if trial%2 == 1 {
+				w = SweptWeights(rng.Float64())
+			}
+			for r := range w {
+				lc.w[r][k] = w[r]
+			}
+		}
+		for i := range q {
+			for k := range 4 {
+				q[i][k] = boundValue(rng)
+			}
+		}
+		check("random")
+	}
+	if mixed == 0 || bounded == 0 || nan == 0 {
+		t.Fatalf("coverage: %d interfaces bounded, %d on some lanes only, %d NaN bounds; want each > 0", bounded, mixed, nan)
+	}
+	t.Logf("%d interfaces bounded, %d on some lanes only, %d NaN bounds", bounded, mixed, nan)
 }
 
 // TestLaneCoefLayout holds laneCoef to the offsets lanes_amd64.s reads.

@@ -46,10 +46,9 @@ import (
 // operations on all four in one AVX2 kernel (lanes_amd64.s), where the
 // CPU has it; the per-line advance stays its oracle, bit for bit.
 type SLMPP5 struct {
-	pad    []float64    // ghost-padded line, upwind-ordered
-	out    []float64    // StepStrided's result line, before rounding to float32
-	lanes  [][4]float64 // StepLanes' lane-interleaved pad, then its swept averages and results
-	reject []uint8      // StepLanes' per-interface mask of lanes the accept test rejected
+	pad   []float64    // ghost-padded line, upwind-ordered
+	out   []float64    // StepStrided's result line, before rounding to float32
+	lanes [][4]float64 // StepLanes' lane-interleaved pad, then its swept averages and results
 }
 
 // NewSLMPP5 returns the scheme; it always limits and always clips.
@@ -321,6 +320,8 @@ func mpLimitAlpha(v, fm2, fm1, f0, fp1, fp2, alpha float64) float64 {
 
 // mpBound is the limiter proper, reached when v lies outside [f0, fMP]: the
 // median of v and the Suresh–Huynh bounds that still admit smooth extrema.
+// lanes_amd64.s computes it on four lanes in this operation order; a change
+// here changes it there (TestLaneLimitMatchesMPBound holds the two equal).
 func mpBound(v, fm2, fm1, f0, fp1, fp2, alpha float64) float64 {
 	dm1 := fm2 - 2*fm1 + f0
 	d0 := fm1 - 2*f0 + fp1

@@ -85,6 +85,17 @@ func landauState(b *testing.B) (*Solver, float64) {
 	return s, s.SuggestDT()
 }
 
+// BenchmarkStep64x256 is one split step of the Landau state with one
+// worker, at the step SuggestDT gives: the op landau_batch times.
+func BenchmarkStep64x256(b *testing.B) {
+	s, _ := landauState(b)
+	for b.Loop() {
+		if err := s.Step(s.SuggestDT()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDrift64x256 is one x-drift of the Landau state: 256 periodic
 // lines of 64 cells, adjacent in memory across lines.
 func BenchmarkDrift64x256(b *testing.B) {

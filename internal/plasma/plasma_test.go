@@ -3,6 +3,7 @@ package plasma
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 )
 
@@ -129,6 +130,32 @@ func TestMassConservation(t *testing.T) {
 	}
 	if rel := math.Abs(s.TotalMass()-m0) / m0; rel > 1e-8 {
 		t.Fatalf("mass drift %v", rel)
+	}
+}
+
+// TestDensityMatchesRowSums: Density, which sums four rows at a time,
+// gives each ρ bit for bit as the serial sum of its row in cell order, at
+// NX = 6, 7, 9, 10 and 64, which leave every NX % 4 to the row-by-row tail.
+func TestDensityMatchesRowSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for _, nx := range []int{6, 7, 9, 10, 64} {
+		s, err := NewWithScheme(nx, 37, 4*math.Pi, 6, "slmpp5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range s.F {
+			s.F[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+		}
+		rho, dv := s.Density(), s.DV()
+		for i := 0; i < nx; i++ {
+			sum := 0.0
+			for _, v := range s.F[i*s.NV : (i+1)*s.NV] {
+				sum += v
+			}
+			if want := sum * dv; math.Float64bits(rho[i]) != math.Float64bits(want) {
+				t.Fatalf("NX %d: ρ[%d] = %v, the row's serial sum gives %v", nx, i, rho[i], want)
+			}
+		}
 	}
 }
 
