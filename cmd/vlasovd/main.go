@@ -25,7 +25,7 @@
 // Every job carries a lifecycle trace — admission, queue wait, dispatch
 // attempts, running segments, checkpoint writes — served live at
 // /v1/jobs/{id}/trace and archived into the artifact index at terminal
-// time; -trace-spans bounds the per-job buffer. The same measurements
+// time; the newest 256 spans of each job are kept. The same measurements
 // feed the latency histograms on /metrics. Admin tenants get runtime
 // profiles at /v1/admin/pprof/ (heap, profile, goroutine, trace, …).
 //
@@ -87,9 +87,7 @@ func main() {
 		storeDir  = flag.String("store-dir", "", "durable job-journal directory (empty = in-memory only; with it, restarts recover unfinished jobs)")
 		keys      = flag.String("keys", "", "tenant key file enabling bearer-key auth and per-tenant quotas (empty = open access; SIGHUP or POST /v1/admin/reload re-reads it live)")
 		diagRing  = flag.Int("diag-ring", 0, "per-job diagnostics replay ring size (0 = 512): how far back an SSE client can resume with Last-Event-ID before hitting an explicit gap")
-		compactB  = flag.Int64("journal-compact-bytes", 0, "journal size that triggers online compaction (0 = 1 MiB default, negative disables)")
-		compactN  = flag.Int("journal-compact-records", 0, "journal record count that triggers online compaction (0 = 4096 default, negative disables)")
-		traceSpan = flag.Int("trace-spans", 0, "per-job lifecycle-trace span buffer (0 = 256): oldest spans are evicted, counted, and reported by /v1/jobs/{id}/trace")
+		compactN  = flag.Int("journal-compact-records", 0, "journal record count that triggers online compaction (0 = 4096 default, negative disables; the journal also compacts past 1 MiB)")
 	)
 	flag.Parse()
 
@@ -113,9 +111,7 @@ func main() {
 		StoreDir:              *storeDir,
 		Tenants:               reg,
 		KeysPath:              *keys,
-		JournalCompactBytes:   *compactB,
 		JournalCompactRecords: *compactN,
-		TraceSpans:            *traceSpan,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -25,7 +25,6 @@ var declarationOracles = map[string]string{
 	"internal/poisson.Solver.idx3":           "poisson.TestAccelIntoMatchesGradient",
 	"internal/vlasov.ComputeDiagnostics":     "vlasov.TestDiagnosticsInvariants",
 	"internal/store.ReadAuditLog":            "serve.TestAdmissionAudit",
-	"internal/sched.WithRetryBackoff":        "sched.TestStreamRetryThenSucceed",
 }
 
 // stdlibMethods are method names a standard-library interface calls; a

@@ -206,10 +206,6 @@ type JobSpec struct {
 	// Retries overrides the scheduler's retry policy for this job
 	// (null = scheduler default, 0 = never retry).
 	Retries *int `json:"retries,omitempty"`
-	// MinWorkers/MaxWorkers bound the job's share of the service's core
-	// budget (sched.Job bounds; 0 = unbounded).
-	MinWorkers int `json:"min_workers,omitempty"`
-	MaxWorkers int `json:"max_workers,omitempty"`
 	// MaxSteps caps the run's step count (0 = unlimited).
 	MaxSteps int `json:"max_steps,omitempty"`
 	// FixedDT disables adaptive stepping and uses this dt, in the solver's
@@ -273,16 +269,6 @@ func (c *Catalog) Validate(spec JobSpec) (Values, *Scenario, error) {
 	if spec.FixedDT < 0 {
 		return nil, nil, fmt.Errorf("catalog: %s: fixed_dt %g must be non-negative", sc.Name, spec.FixedDT)
 	}
-	// The scheduler re-checks these at submission, but a malformed spec is
-	// a bad request, not a submission conflict — reject it here.
-	if spec.MinWorkers < 0 || spec.MaxWorkers < 0 {
-		return nil, nil, fmt.Errorf("catalog: %s: negative worker bound min=%d max=%d",
-			sc.Name, spec.MinWorkers, spec.MaxWorkers)
-	}
-	if spec.MaxWorkers > 0 && spec.MaxWorkers < spec.MinWorkers {
-		return nil, nil, fmt.Errorf("catalog: %s: max_workers %d below min_workers %d",
-			sc.Name, spec.MaxWorkers, spec.MinWorkers)
-	}
 	if spec.Retries != nil && *spec.Retries < 0 {
 		return nil, nil, fmt.Errorf("catalog: %s: retries %d must be non-negative", sc.Name, *spec.Retries)
 	}
@@ -297,7 +283,7 @@ func (c *Catalog) Validate(spec JobSpec) (Values, *Scenario, error) {
 // Job resolves a spec into a runnable sched.Job: validated parameters,
 // defaulted name and clock target, the budget-aware factory, and the
 // restore hook when the scenario supports resume. The scheduler's own
-// validation (worker bounds, retry override) still applies at submission.
+// validation (retry override) still applies at submission.
 func (c *Catalog) Job(spec JobSpec) (sched.Job, error) {
 	vals, sc, err := c.Validate(spec)
 	if err != nil {
@@ -319,13 +305,11 @@ func (c *Catalog) Job(spec JobSpec) (sched.Job, error) {
 		opts = append(opts, runner.WithFixedDT(spec.FixedDT))
 	}
 	job := sched.Job{
-		Name:       name,
-		Until:      until,
-		Priority:   spec.Priority,
-		MinWorkers: spec.MinWorkers,
-		MaxWorkers: spec.MaxWorkers,
-		Retries:    spec.Retries,
-		Opts:       opts,
+		Name:     name,
+		Until:    until,
+		Priority: spec.Priority,
+		Retries:  spec.Retries,
+		Opts:     opts,
 		NewBudgeted: func(lease runner.WorkerLease) (runner.Solver, error) {
 			return sc.Build(vals, leaseWorkers(lease))
 		},

@@ -74,8 +74,6 @@ func TestValidateRejects(t *testing.T) {
 		{"bad enum", JobSpec{Scenario: "landau", Params: map[string]any{"scheme": "psychic"}}, "not one of"},
 		{"negative until", JobSpec{Scenario: "landau", Until: -1}, "until"},
 		{"negative steps", JobSpec{Scenario: "landau", MaxSteps: -1}, "max_steps"},
-		{"negative min workers", JobSpec{Scenario: "landau", MinWorkers: -1}, "worker bound"},
-		{"max below min workers", JobSpec{Scenario: "landau", MinWorkers: 3, MaxWorkers: 2}, "max_workers"},
 		{"negative retries", JobSpec{Scenario: "landau", Retries: &minusOne}, "retries"},
 		{"nnuside of one", JobSpec{Scenario: "shotnoise", Params: map[string]any{"nnuside": 1.0}}, "nnuside"},
 	}
@@ -120,12 +118,11 @@ func TestJobNameDerivation(t *testing.T) {
 func TestJobCarriesSpecOptions(t *testing.T) {
 	c := Default()
 	two := 2
-	job, err := c.Job(JobSpec{Scenario: "landau", Priority: 5, Retries: &two,
-		MinWorkers: 1, MaxWorkers: 3, Until: 7})
+	job, err := c.Job(JobSpec{Scenario: "landau", Priority: 5, Retries: &two, Until: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Priority != 5 || job.MinWorkers != 1 || job.MaxWorkers != 3 || job.Until != 7 {
+	if job.Priority != 5 || job.Until != 7 {
 		t.Fatalf("spec options lost: %+v", job)
 	}
 	if job.Retries == nil || *job.Retries != 2 {

@@ -111,9 +111,11 @@ func (b *CoreBudget) HeldByTenant() map[string]int {
 }
 
 // Claim describes one lease acquisition: who is asking (the tenant tag and
-// its collective cap), how urgent it is within its tenant, and the per-
-// lease share bounds. The zero Claim is a plain untenanted, unbounded
-// acquire.
+// its collective cap) and how urgent it is within its tenant. The zero
+// Claim is a plain untenanted acquire. No claim bounds its own lease's
+// share: every lease has the floor of one core and may grow to whatever
+// the division gives it, as each process of the paper's runs has the same
+// thread count.
 type Claim struct {
 	// Tenant groups this lease for the two-level division: cores are
 	// fair-shared across tenant groups before priority splits a group's
@@ -125,18 +127,6 @@ type Claim struct {
 	TenantCores int
 	// Priority orders the within-group remainder (higher first).
 	Priority int
-	// Min/Max bound this lease's share (0 leaves a bound unset): the
-	// rebalancer never targets it below Min cores or above Max. Bounds
-	// reshape the division, they do not reserve capacity: a Min larger than
-	// the equal share is met by shrinking the other live leases' targets
-	// (they keep their floor of one), and a Min is only guaranteed while the
-	// budget can cover every live lease's floor — when it cannot (Mins
-	// summing past the budget, or more live jobs than cores) every Min
-	// degrades to the universal floor of one until the live set shrinks
-	// enough to cover the Mins again, so no single Min-heavy lease can
-	// monopolise the budget and stall later acquires. Min is clamped to the
-	// budget total; Max must be 0 or ≥ max(Min, 1).
-	Min, Max int
 }
 
 // AcquireClaim registers a live job under claim c and blocks until the
@@ -144,25 +134,13 @@ type Claim struct {
 // rules). It returns the context's error if ctx is cancelled while waiting,
 // with the registration undone.
 func (b *CoreBudget) AcquireClaim(ctx context.Context, c Claim) (*Lease, error) {
-	if c.Min < 0 || c.Max < 0 {
-		return nil, fmt.Errorf("sched: negative worker bound min=%d max=%d", c.Min, c.Max)
-	}
-	if c.Max > 0 && (c.Max < c.Min || c.Max < 1) {
-		return nil, fmt.Errorf("sched: worker bound max=%d below min=%d", c.Max, c.Min)
-	}
 	if c.TenantCores < 0 {
 		return nil, fmt.Errorf("sched: negative tenant core cap %d", c.TenantCores)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if c.Min > b.total {
-		// A floor the machine cannot supply degrades to the machine: the
-		// lease simply always holds every core it can get.
-		c.Min = b.total
-	}
 	l := &Lease{
 		b: b, priority: c.Priority, seq: b.seq,
-		min: c.Min, max: c.Max,
 		tenant: c.Tenant, tenantCap: c.TenantCores,
 	}
 	b.seq++
@@ -226,30 +204,18 @@ type tenantGroup struct {
 }
 
 // growable reports whether the across-group water-fill may give this group
-// another core: the group cap is not reached and some member can still grow.
+// another core: the group cap is not reached.
 func (g *tenantGroup) growable() bool {
-	if g.cap > 0 && g.total >= g.cap {
-		return false
-	}
-	for _, l := range g.members {
-		if l.max == 0 || l.target < l.max {
-			return true
-		}
-	}
-	return false
+	return g.cap == 0 || g.total < g.cap
 }
 
 // grow gives the group one more core, targeting the member with the lowest
-// current target that is still below its max, ties broken by priority
-// (higher first) then acquisition order — the member list is pre-sorted so
-// the first strictly-lowest wins.
+// current target, ties broken by priority (higher first) then acquisition
+// order — the member list is pre-sorted so the first strictly-lowest wins.
 func (g *tenantGroup) grow() {
-	var pick *Lease
-	for _, l := range g.members {
-		if l.max > 0 && l.target >= l.max {
-			continue
-		}
-		if pick == nil || l.target < pick.target {
+	pick := g.members[0]
+	for _, l := range g.members[1:] {
+		if l.target < pick.target {
 			pick = l
 		}
 	}
@@ -258,24 +224,21 @@ func (g *tenantGroup) grow() {
 }
 
 // rebalanceLocked recomputes every live lease's target share by two-level
-// bounded water-filling. Each lease starts at its floor (max(1, min));
-// the remaining cores are then granted one at a time, first choosing the
-// tenant group with the lowest running total (ties to the earliest-
-// acquired group) — cores divide FAIRLY across tenants no matter how many
-// jobs each tenant runs — and within the chosen group choosing the member
-// with the lowest current target that is still below its max, ties broken
-// by priority (higher first) then acquisition order. A group stops
-// receiving once its tenant cap (or every member's max) is reached; the
+// water-filling. Each lease starts at the floor of one core; the remaining
+// cores are then granted one at a time, first choosing the tenant group
+// with the lowest running total (ties to the earliest-acquired group) —
+// cores divide FAIRLY across tenants no matter how many jobs each tenant
+// runs — and within the chosen group choosing the member with the lowest
+// current target, ties broken by priority (higher first) then acquisition
+// order. A group stops receiving once its tenant cap is reached; the
 // surplus flows to the other groups. With a single group — all leases
 // untagged, the pre-tenancy world — the group choice is vacuous and this
 // reproduces the original arithmetic exactly: total/n each, floor one,
 // remainder to the higher-priority (then earlier) leases, because
-// water-filling from a uniform floor is equal division. When the floors
-// alone exceed the budget the min bounds degrade to one (see below); only
-// when the live jobs themselves outnumber the cores does the sum
-// overshoot — one core each, the documented caller-oversubscribed regime.
-// Targets take effect as jobs poll Workers between steps. Callers hold
-// b.mu.
+// water-filling from a uniform floor is equal division. Only when the live
+// jobs outnumber the cores does the sum overshoot — one core each, the
+// documented caller-oversubscribed regime. Targets take effect as jobs
+// poll Workers between steps. Callers hold b.mu.
 func (b *CoreBudget) rebalanceLocked() {
 	n := len(b.leases)
 	if n == 0 {
@@ -306,36 +269,14 @@ func (b *CoreBudget) rebalanceLocked() {
 			}
 			return g.members[i].seq < g.members[j].seq
 		})
-	}
-	// When the floors alone cannot all be covered, min bounds degrade to
-	// the universal floor of one for this division — otherwise a single
-	// min-equal-to-budget lease would keep its full target and every
-	// later acquire would block for that holder's whole run, breaking the
-	// one-step bounded-wait invariant. Mins come back the moment the live
-	// set shrinks enough to cover them again. The degradation is global,
-	// not per-group: floors are a liveness guarantee, and liveness is a
-	// whole-budget property.
-	sumFloors := 0
-	for _, l := range b.leases {
-		sumFloors += l.floor()
-	}
-	degradeMins := sumFloors > b.total
-	remaining := b.total
-	for _, g := range groups {
-		g.total = 0
+		g.total = len(g.members)
 		for _, l := range g.members {
-			if degradeMins {
-				l.target = 1
-			} else {
-				l.target = l.floor()
-			}
-			g.total += l.target
-			remaining -= l.target
+			l.target = 1
 		}
 	}
 	// In the live-jobs-past-budget regime remaining is ≤ 0 and everyone
 	// stays at one core; otherwise water-fill the surplus across groups.
-	for remaining > 0 {
+	for remaining := b.total - n; remaining > 0; remaining-- {
 		var pick *tenantGroup
 		for _, g := range groups {
 			if !g.growable() {
@@ -349,7 +290,6 @@ func (b *CoreBudget) rebalanceLocked() {
 			break // every group is capped; surplus cores stay idle
 		}
 		pick.grow()
-		remaining--
 	}
 	// Shrunk targets free cores only when their holders next poll, but
 	// waiters must also re-check after, e.g., a release changed the regime.
@@ -363,21 +303,11 @@ type Lease struct {
 	b         *CoreBudget
 	priority  int
 	seq       int
-	min, max  int    // per-lease share bounds (0 = unset); see Claim.Min
 	tenant    string // fair-share group tag ("" = implicit default group)
 	tenantCap int    // collective group cap carried by this lease (0 = none)
 	target    int    // allocator's goal share, set by rebalance
 	held      int    // claimed share — what Workers reports
 	released  bool
-}
-
-// floor is the smallest target the rebalancer may assign this lease: one
-// core, or the lease's min bound when set.
-func (l *Lease) floor() int {
-	if l.min > 1 {
-		return l.min
-	}
-	return 1
 }
 
 // Workers returns the lease's current share, committing any pending

@@ -338,6 +338,7 @@ func TestStreamBudgetRebalanceDuringDispatch(t *testing.T) {
 // it observes the full budget — termination is the assertion (the flaky
 // job's lease exists only during its instant factory attempts).
 func TestBudgetRetryReleasesCores(t *testing.T) {
+	shortBackoff(t, 20*time.Millisecond)
 	const total = 4
 	fails := 0
 	jobs := []Job{
@@ -373,7 +374,7 @@ func TestBudgetRetryReleasesCores(t *testing.T) {
 	}
 	results, err := RunBatch(context.Background(), jobs,
 		WithWorkers(2), WithCoreBudget(total),
-		WithRetries(3), WithRetryBackoff(20*time.Millisecond))
+		WithRetries(3))
 	if err != nil {
 		t.Fatal(err)
 	}

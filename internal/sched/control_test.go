@@ -1,8 +1,7 @@
 package sched
 
 // Tests for the control-plane surface of the scheduler: per-submission
-// cancellation, bounded core shares and budgeted
-// construction — the hooks the HTTP service layer (internal/serve) is built
+// cancellation, per-job retry overrides and budgeted construction — the hooks the HTTP service layer (internal/serve) is built
 // on. Everything here runs in milliseconds and under -race in CI.
 
 import (
@@ -16,126 +15,6 @@ import (
 	"vlasov6d/internal/runner"
 )
 
-// acquireBoundedPolled acquires a bounded lease while a background
-// goroutine polls the already-held leases' Workers() — the runner's
-// between-step poll, without which holders never commit shrunk shares and
-// a fresh acquire would block forever (the documented contract).
-func acquireBoundedPolled(t *testing.T, b *CoreBudget, priority, min, max int, held ...*Lease) *Lease {
-	t.Helper()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				for _, l := range held {
-					l.Workers()
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-	l, err := b.AcquireClaim(context.Background(), Claim{Priority: priority, Min: min, Max: max})
-	close(stop)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
-
-func TestCoreBudgetBoundedSharesMax(t *testing.T) {
-	b := NewCoreBudget(8)
-	// A capped lease keeps only its max; the surplus water-fills the rest.
-	capped := acquireBoundedPolled(t, b, 0, 0, 1)
-	l1 := acquireBoundedPolled(t, b, 0, 0, 0, capped)
-	l2 := acquireBoundedPolled(t, b, 0, 0, 0, capped, l1)
-	all := []*Lease{capped, l1, l2}
-	settle(all)
-	// 7 cores left for two unbounded leases: 4 + 3 (earlier lease first).
-	if got := shares(all); got[0] != 1 || got[1] != 4 || got[2] != 3 {
-		t.Fatalf("settled shares %v, want [1 4 3]", got)
-	}
-	for _, l := range all {
-		l.Release()
-	}
-}
-
-func TestCoreBudgetBoundedSharesMin(t *testing.T) {
-	b := NewCoreBudget(8)
-	heavy := acquireBoundedPolled(t, b, 0, 6, 0)
-	l1 := acquireBoundedPolled(t, b, 0, 0, 0, heavy)
-	l2 := acquireBoundedPolled(t, b, 0, 0, 0, heavy, l1)
-	all := []*Lease{heavy, l1, l2}
-	settle(all)
-	// The min floor is met by shrinking the others to their floor of one.
-	if got := shares(all); got[0] != 6 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("settled shares %v, want [6 1 1]", got)
-	}
-	// Releasing the heavy job re-expands the small ones.
-	heavy.Release()
-	rest := []*Lease{l1, l2}
-	settle(rest)
-	if got := shares(rest); got[0] != 4 || got[1] != 4 {
-		t.Fatalf("shares after release %v, want [4 4]", got)
-	}
-	l1.Release()
-	l2.Release()
-}
-
-func TestCoreBudgetMinsDegradeWhenUncoverable(t *testing.T) {
-	// A min equal to the whole budget must not monopolise it: when a
-	// second lease arrives the floors (4+1) exceed the budget, the min
-	// degrades to the universal floor of one, and both jobs settle at an
-	// equal split within one polling round — the second acquire never
-	// blocks for the first job's whole run.
-	b := NewCoreBudget(4)
-	greedy := acquireBoundedPolled(t, b, 0, 4, 0)
-	other := acquireBoundedPolled(t, b, 0, 0, 0, greedy)
-	all := []*Lease{greedy, other}
-	settle(all)
-	if got := shares(all); got[0] != 2 || got[1] != 2 {
-		t.Fatalf("settled shares %v, want [2 2] (degraded min)", got)
-	}
-	// The min comes back when the live set shrinks enough to cover it.
-	other.Release()
-	settle(all[:1])
-	if w := greedy.Workers(); w != 4 {
-		t.Fatalf("solo share %d, want the min of 4 restored", w)
-	}
-	greedy.Release()
-}
-
-func TestCoreBudgetMinClampedToTotal(t *testing.T) {
-	b := NewCoreBudget(4)
-	l, err := b.AcquireClaim(context.Background(), Claim{Min: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Release()
-	if w := l.Workers(); w != 4 {
-		t.Fatalf("over-min lease holds %d, want the whole budget 4", w)
-	}
-}
-
-func TestCoreBudgetBoundsValidation(t *testing.T) {
-	b := NewCoreBudget(4)
-	ctx := context.Background()
-	if _, err := b.AcquireClaim(ctx, Claim{Min: -1}); err == nil {
-		t.Fatal("negative min accepted")
-	}
-	if _, err := b.AcquireClaim(ctx, Claim{Min: 3, Max: 2}); err == nil {
-		t.Fatal("max below min accepted")
-	}
-	if b.Live() != 0 {
-		t.Fatalf("rejected acquires left %d live leases", b.Live())
-	}
-}
-
 func TestJobValidate(t *testing.T) {
 	mk := func() (runner.Solver, error) { return &fake{dt: 1}, nil }
 	mkB := func(runner.WorkerLease) (runner.Solver, error) { return &fake{dt: 1}, nil }
@@ -148,8 +27,6 @@ func TestJobValidate(t *testing.T) {
 		{"no factory", Job{Name: "a"}, false},
 		{"both factories", Job{Name: "a", New: mk, NewBudgeted: mkB}, false},
 		{"budgeted only", Job{Name: "a", NewBudgeted: mkB}, true},
-		{"negative min", Job{Name: "a", New: mk, MinWorkers: -1}, false},
-		{"max below min", Job{Name: "a", New: mk, MinWorkers: 3, MaxWorkers: 2}, false},
 		{"negative retries", Job{Name: "a", New: mk, Retries: &neg}, false},
 		{"plain", Job{Name: "a", New: mk}, true},
 	}
@@ -406,6 +283,7 @@ func TestStreamCancelDoesNotTouchSiblings(t *testing.T) {
 }
 
 func TestJobRetriesOverride(t *testing.T) {
+	shortBackoff(t, time.Millisecond)
 	// Stream default: no retries. The override job asks for 2 and succeeds
 	// on its third attempt; a sibling without the override fails fast.
 	var overrideAttempts, plainAttempts int
@@ -418,7 +296,7 @@ func TestJobRetriesOverride(t *testing.T) {
 			return &fake{dt: 1}, nil
 		}
 	}
-	s, err := NewStream(context.Background(), WithWorkers(1), WithRetryBackoff(time.Millisecond))
+	s, err := NewStream(context.Background(), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +320,7 @@ func TestJobRetriesOverride(t *testing.T) {
 	}
 	// The reverse: a scheduler-wide retry policy silenced per-job.
 	s2, err := NewStream(context.Background(), WithWorkers(1),
-		WithRetries(5), WithRetryBackoff(time.Millisecond))
+		WithRetries(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,29 +384,5 @@ func TestNewBudgetedFactoryReceivesLease(t *testing.T) {
 	drainAll(s2)
 	if !sawNil {
 		t.Fatal("factory did not see a nil lease without a budget")
-	}
-}
-
-func TestStreamWorkerBoundsWired(t *testing.T) {
-	// A MaxWorkers-1 job never sees more than one core even as the only
-	// live job of a 4-core budget.
-	var share int
-	s, err := NewStream(context.Background(), WithWorkers(1), WithCoreBudget(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Submit(Job{
-		Name:       "capped",
-		Until:      1,
-		MaxWorkers: 1,
-		NewBudgeted: func(lease runner.WorkerLease) (runner.Solver, error) {
-			share = lease.Workers()
-			return &fake{dt: 1}, nil
-		},
-	})
-	s.Close()
-	drainAll(s)
-	if share != 1 {
-		t.Fatalf("capped job saw share %d, want 1", share)
 	}
 }

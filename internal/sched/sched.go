@@ -49,8 +49,8 @@
 // Retries: a job whose factory or Run call fails with an error marked
 // retryable (runner.MarkRetryable, or any error implementing
 // `Retryable() bool`) is re-run up to WithRetries times with doubling
-// backoff (WithRetryBackoff), transitioning through Retrying between
-// attempts. Deterministic failures — a diverging configuration fails
+// backoff (100 ms before the first retry), transitioning through Retrying
+// between attempts. Deterministic failures — a diverging configuration fails
 // identically every time — are never retried, and neither is cancellation.
 //
 // Checkpoint-aware resume: WithJobCheckpoints(dir) gives every job its own
@@ -133,15 +133,6 @@ type Job struct {
 	// Priority orders dispatch: higher runs first, equal priorities run in
 	// submission (for a batch: slice) order.
 	Priority int
-	// MinWorkers / MaxWorkers bound this job's share of a scheduler core
-	// budget (0 = unbounded): a memory-bandwidth-bound 6D job sets
-	// MinWorkers to out-lease the tiny control runs sharing the stream, a
-	// serial-ish diagnostics job sets MaxWorkers 1 so its surplus cores go
-	// to jobs that can use them. Bounds reshape the division, they do not
-	// reserve capacity; see Claim.Min for the exact semantics. Ignored
-	// without WithCoreBudget.
-	MinWorkers int
-	MaxWorkers int
 	// Tenant names the job's owner. It scopes the checkpoint key (see
 	// JobCheckpointDir) and, under WithCoreBudget, tags the job's core lease
 	// with a fair-share group: the budget divides cores fairly across
@@ -168,14 +159,6 @@ func (j *Job) validate() error {
 			return fmt.Errorf("sched: job %q has no solver factory", j.Name)
 		}
 		return fmt.Errorf("sched: job %q sets both New and NewBudgeted", j.Name)
-	}
-	if j.MinWorkers < 0 || j.MaxWorkers < 0 {
-		return fmt.Errorf("sched: job %q: negative worker bound min=%d max=%d",
-			j.Name, j.MinWorkers, j.MaxWorkers)
-	}
-	if j.MaxWorkers > 0 && j.MaxWorkers < j.MinWorkers {
-		return fmt.Errorf("sched: job %q: MaxWorkers %d below MinWorkers %d",
-			j.Name, j.MaxWorkers, j.MinWorkers)
 	}
 	if j.TenantCores < 0 {
 		return fmt.Errorf("sched: job %q: negative tenant core cap %d", j.Name, j.TenantCores)
@@ -339,13 +322,6 @@ func WithRetries(n int) Option {
 	return func(o *options) { o.retries = n }
 }
 
-// WithRetryBackoff sets the delay before the first retry (default 100 ms);
-// each further retry doubles it. The backoff sleep is cancellable: a
-// context cancellation during backoff reports the job Cancelled.
-func WithRetryBackoff(d time.Duration) Option {
-	return func(o *options) { o.backoff = d }
-}
-
 // WithCoreBudget hands the scheduler ownership of intra-step parallelism: a
 // CoreBudget of total cores (0 = GOMAXPROCS) is divided among the live jobs
 // — integer shares, floor one, remainder to the higher-priority (then
@@ -388,9 +364,16 @@ func WithJobCheckpointEvery(n int) Option {
 // directory retains under WithJobCheckpoints.
 const jobCheckpointKeep = 3
 
+// retryBackoff is the delay before a job's first retry; each further retry
+// doubles it. The backoff sleep is cancellable: a context cancellation
+// during backoff reports the job Cancelled. A variable only so tests can
+// shorten it; buildOptions copies it once, so a stream never reads it
+// while it runs.
+var retryBackoff = 100 * time.Millisecond
+
 // buildOptions applies opts over defaults and validates the result.
 func buildOptions(opts []Option) (options, error) {
-	o := options{ckptEvery: 10, backoff: 100 * time.Millisecond}
+	o := options{ckptEvery: 10, backoff: retryBackoff}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -405,9 +388,6 @@ func buildOptions(opts []Option) (options, error) {
 	}
 	if o.retries < 0 {
 		return o, fmt.Errorf("sched: retry count %d must be non-negative", o.retries)
-	}
-	if o.backoff < 0 {
-		return o, fmt.Errorf("sched: retry backoff %v must be non-negative", o.backoff)
 	}
 	if o.ckptEvery < 1 {
 		return o, fmt.Errorf("sched: checkpoint cadence %d must be ≥ 1 step", o.ckptEvery)
@@ -538,13 +518,11 @@ func attemptJob(ctx context.Context, o *options, budget *CoreBudget, job Job, de
 		// Acquire before the factory runs, so a heavy construction (IC
 		// generation) does not start until the job holds cores; the wait is
 		// cancellable and bounded by one step of a running job. The job's
-		// worker bounds and tenant tag ride into the allocator here.
+		// priority and tenant tag ride into the allocator here.
 		l, err := budget.AcquireClaim(ctx, Claim{
 			Tenant:      job.Tenant,
 			TenantCores: job.TenantCores,
 			Priority:    job.Priority,
-			Min:         job.MinWorkers,
-			Max:         job.MaxWorkers,
 		})
 		if err != nil {
 			return nil, err

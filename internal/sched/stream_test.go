@@ -147,12 +147,21 @@ func TestStreamPriorityOrdering(t *testing.T) {
 	}
 }
 
+// shortBackoff lowers the retry backoff for one test. No test here runs in
+// parallel, and a stream copies the value when it is built.
+func shortBackoff(t *testing.T, d time.Duration) {
+	saved := retryBackoff
+	retryBackoff = d
+	t.Cleanup(func() { retryBackoff = saved })
+}
+
 func TestStreamRetryThenSucceed(t *testing.T) {
+	shortBackoff(t, time.Millisecond)
 	var attempts atomic.Int64
 	var mu sync.Mutex
 	var seen []Status
 	s, err := NewStream(context.Background(), WithWorkers(1),
-		WithRetries(3), WithRetryBackoff(time.Millisecond),
+		WithRetries(3),
 		WithNotify(func(u Update) {
 			mu.Lock()
 			seen = append(seen, u.Status)
@@ -191,10 +200,10 @@ func TestStreamRetryThenSucceed(t *testing.T) {
 }
 
 func TestStreamRetryExhaustion(t *testing.T) {
+	shortBackoff(t, time.Millisecond)
 	sentinel := errors.New("disk still full")
 	var attempts atomic.Int64
-	s, err := NewStream(context.Background(), WithWorkers(1),
-		WithRetries(2), WithRetryBackoff(time.Millisecond))
+	s, err := NewStream(context.Background(), WithWorkers(1), WithRetries(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +228,10 @@ func TestStreamRetryExhaustion(t *testing.T) {
 }
 
 func TestStreamNonRetryableFailsFast(t *testing.T) {
+	shortBackoff(t, time.Millisecond)
 	sentinel := errors.New("deterministic divergence")
 	var attempts atomic.Int64
-	s, err := NewStream(context.Background(), WithWorkers(1),
-		WithRetries(5), WithRetryBackoff(time.Millisecond))
+	s, err := NewStream(context.Background(), WithWorkers(1), WithRetries(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,9 +722,6 @@ func TestStreamOptionValidation(t *testing.T) {
 	}
 	if _, err := NewStream(context.Background(), WithRetries(-1)); err == nil {
 		t.Fatal("negative retries accepted")
-	}
-	if _, err := NewStream(context.Background(), WithRetryBackoff(-time.Second)); err == nil {
-		t.Fatal("negative backoff accepted")
 	}
 	if _, err := NewStream(context.Background(), WithJobCheckpointEvery(0)); err == nil {
 		t.Fatal("zero checkpoint cadence accepted")

@@ -167,8 +167,8 @@ func scanCheckpointBytes(dir string) int64 {
 	return total
 }
 
-// noteCheckpoint runs on the job's step loop after each checkpoint, once
-// the write is journaled: re-measure the job's directory (the runner
+// noteCheckpoint runs on the job's step loop after each checkpoint, with
+// or without a journal: re-measure the job's directory (the runner
 // prunes its own keep-N window, so measuring self-corrects where delta
 // bookkeeping would drift), fold the change into the tenant's tracked
 // total, and enforce the tenant's storage quota when one is set.

@@ -367,6 +367,50 @@ func TestStorageQuotaFailsJob(t *testing.T) {
 	}
 }
 
+// TestStorageQuotaWithoutStore: the quota is a tenant setting, not a
+// journal one. A daemon with tenants and a checkpoint directory but no
+// store still measures each snapshot: a job whose second snapshot takes the
+// tenant past a quota of one and a half snapshots has the older one
+// evicted after every write, finishes done, and the gauge reads the one
+// file it leaves.
+func TestStorageQuotaWithoutStore(t *testing.T) {
+	const nx, nv = 16, 32
+	quota := nx * nv * 8 * 3 / 2 // 1.5 × the distribution function's bytes
+	reg, err := tenant.Parse(strings.NewReader(fmt.Sprintf(
+		`{"tenants": [{"name": "erin", "key": "erin-key", "max_storage_bytes": %d}]}`, quota)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckptDir := t.TempDir()
+	srv, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: ckptDir, CheckpointEvery: 2, Tenants: reg})
+	defer srv.Close()
+
+	code, _, body := authJSON(t, http.MethodPost, ts.URL+"/v1/jobs", "erin-key", fmt.Sprintf(
+		`{"scenario":"landau","name":"tidy","params":{"nx":%d,"nv":%d},"until":0.1,"fixed_dt":0.01}`, nx, nv))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", code, body)
+	}
+	pollStatusAuth(t, ts.URL, int(body["id"].(float64)), "erin-key", "done")
+	files, err := filepath.Glob(filepath.Join(ckptDir, "erin", "tidy", "ckpt_*.v6d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 {
+		t.Fatalf("%d snapshots left under a quota of 1.5 snapshots, want the newest alone: %v", len(files), files)
+	}
+	st, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() > int64(quota) {
+		t.Fatalf("one snapshot is %d bytes, over the %d-byte quota: the test's sizes are wrong", st.Size(), quota)
+	}
+	gauge := fmt.Sprintf("vlasovd_tenant_storage_bytes{tenant=\"erin\"} %d\n", st.Size())
+	if metrics := scrapeMetrics(t, ts.URL); !strings.Contains(metrics, gauge) {
+		t.Fatalf("want %q in:\n%s", gauge, metrics)
+	}
+}
+
 // TestRecoveryAfterCompactionCrash is the crash-consistency proof for
 // online compaction at the serve layer: a daemon with aggressive
 // compaction thresholds churns jobs (forcing live rewrites), dies the

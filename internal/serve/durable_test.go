@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -178,6 +181,48 @@ func TestRestartRecovery(t *testing.T) {
 	defer srv3.Close()
 	if m := scrapeMetrics(t, ts3.URL); !strings.Contains(m, "vlasovd_jobs_recovered_total 0") {
 		t.Fatalf("finished job recovered again:\n%s", m)
+	}
+}
+
+// TestUpgradeOverOldJournal boots over a journal an older daemon wrote:
+// its pending spec carries the retired min_workers/max_workers bounds and
+// it holds the retired checkpoint records. The job still recovers under its
+// id and finishes, boot compaction drops the checkpoint frames, and a new
+// submission naming a retired field is a bad request.
+func TestUpgradeOverOldJournal(t *testing.T) {
+	storeDir := t.TempDir()
+	var journal []byte
+	for _, rec := range []string{
+		`{"type":"submitted","id":7,"spec":{"scenario":"landau","name":"veteran","params":{"nv":32,"nx":16},"until":0.1,"min_workers":2,"max_workers":4,"fixed_dt":0.01},"unix_nano":1700000000000000000,"seq":4096}`,
+		`{"type":"started","id":7,"attempt":1}`,
+		`{"type":"checkpoint","id":7,"clock":0.02}`,
+		`{"type":"checkpoint","id":7,"clock":0.04}`,
+	} {
+		journal = binary.LittleEndian.AppendUint32(journal, uint32(len(rec)))
+		journal = binary.LittleEndian.AppendUint32(journal, crc32.ChecksumIEEE([]byte(rec)))
+		journal = append(journal, rec...)
+	}
+	journalPath := filepath.Join(storeDir, "journal.v6dj")
+	if err := os.WriteFile(journalPath, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: t.TempDir(), StoreDir: storeDir})
+	defer srv.Close()
+	raw, err := os.ReadFile(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"checkpoint"`)) {
+		t.Fatalf("boot compaction kept a checkpoint record:\n%s", raw)
+	}
+	if st := pollStatus(t, ts.URL, 7, "done", "failed"); st["status"] != "done" || st["name"] != "veteran" {
+		t.Fatalf("recovered job: %v", st)
+	}
+
+	code, body := postJSON(t, ts.URL+"/v1/jobs", `{"scenario":"landau","min_workers":2}`)
+	if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "min_workers") {
+		t.Fatalf("spec with min_workers: %d %v, want 400 naming the field", code, body)
 	}
 }
 

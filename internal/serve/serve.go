@@ -44,12 +44,13 @@
 //
 // Durability (Config.StoreDir) journals every submission's lifecycle into
 // an append-only store: the canonical spec bytes at submission, each
-// attempt start, each checkpoint write, and the terminal outcome. On the
-// next start the server replays the journal and re-queues every unfinished
-// job under its original id; because a recovered job's name — and so its
-// checkpoint directory — derives from the same canonical spec, the
-// scheduler's restore path resumes it from its newest snapshot instead of
-// re-running it. Recovery resolves journaled specs concurrently (bounded
+// attempt start, the event-number reservations, and the terminal outcome.
+// Snapshots are not journaled: the directory they land in is their record.
+// On the next start the server replays the journal and re-queues every
+// unfinished job under its original id; because a recovered job's name —
+// and so its checkpoint directory — derives from the same canonical spec,
+// the scheduler's restore path resumes it from its newest snapshot instead
+// of re-running it. Recovery resolves journaled specs concurrently (bounded
 // by the core budget) so a large journal does not stall startup, then
 // submits in journal order so priorities and FIFO ties replay
 // deterministically. A shutdown cancellation is deliberately NOT journaled
@@ -74,7 +75,7 @@
 // atomic pointer (SIGHUP or POST /v1/admin/reload), every admission
 // decision is audited to the store's append-only audit.v6da and counted
 // in vlasovd_admission_total{tenant,outcome}, the journal compacts itself
-// online past Config.JournalCompact* thresholds, and per-tenant
+// online past its size and record-count thresholds, and per-tenant
 // max_storage_bytes quotas are enforced as each checkpoint is written.
 package serve
 
@@ -136,26 +137,20 @@ type Config struct {
 	// reload re-reads this path and swaps the registry atomically; empty
 	// means the registry is fixed for the server's lifetime.
 	KeysPath string
-	// JournalCompactBytes / JournalCompactRecords arm online journal
-	// compaction: when the journal file crosses either threshold (and has
-	// terminal records to drop), it is rewritten in place — under the
-	// store's own lock, safe against concurrent appends. 0 picks the
-	// defaults (1 MiB / 4096 records); negative disables that threshold.
-	JournalCompactBytes   int64
+	// JournalCompactRecords arms online journal compaction by record
+	// count: when the journal crosses it, or 1 MiB, and has terminal
+	// records to drop, it is rewritten in place — under the store's own
+	// lock, safe against concurrent appends. 0 picks
+	// DefaultJournalCompactRecords; negative disables the record threshold.
 	JournalCompactRecords int
-	// TraceSpans bounds each job's lifecycle span buffer
-	// (0 = obs.DefaultTraceSpans). When full the oldest span is evicted and
-	// the trace document reports the drop count — same never-silent
-	// contract as the SSE ring.
-	TraceSpans int
 }
 
-// Default online journal-compaction thresholds: crossing either triggers
-// a live rewrite. Both are far above a healthy journal's steady state —
-// boot compaction already drops terminal jobs — so the online pass only
-// fires on long uptimes, which is exactly when it is needed.
+// Online journal-compaction thresholds: crossing either triggers a live
+// rewrite. Both are far above a healthy journal's steady state — boot
+// compaction already drops terminal jobs — so the online pass only fires
+// on long uptimes, which is exactly when it is needed.
 const (
-	DefaultJournalCompactBytes   = 1 << 20
+	journalCompactBytes          = 1 << 20
 	DefaultJournalCompactRecords = 4096
 )
 
@@ -274,15 +269,12 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 			s.closeStore()
 			return nil, err
 		}
-		compactBytes, compactRecords := cfg.JournalCompactBytes, cfg.JournalCompactRecords
-		if compactBytes == 0 {
-			compactBytes = DefaultJournalCompactBytes
-		}
+		compactRecords := cfg.JournalCompactRecords
 		if compactRecords == 0 {
 			compactRecords = DefaultJournalCompactRecords
 		}
-		// Negative disables a threshold, which the store spells 0.
-		s.store.SetAutoCompact(max(compactBytes, 0), max(compactRecords, 0))
+		// Negative disables the threshold, which the store spells 0.
+		s.store.SetAutoCompact(journalCompactBytes, max(compactRecords, 0))
 	}
 	opts := []sched.Option{
 		sched.WithNotify(s.onUpdate),
@@ -335,7 +327,7 @@ func (s *Server) closeStore() {
 
 // storeOps are the durable-layer operations storeErr counts, in /metrics
 // order.
-var storeOps = []string{"audit", "checkpoint", "events", "index", "started", "terminal"}
+var storeOps = []string{"audit", "events", "index", "started", "terminal"}
 
 // storeErr counts a failed durable-layer call in
 // vlasovd_store_errors_total{op=...}. Only the submitted record fails

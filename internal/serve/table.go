@@ -108,7 +108,7 @@ func (s *Server) newEntry(job *sched.Job, spec catalog.JobSpec, tenantName strin
 		seqReserved: seqReserved,
 		subs:        make(map[chan struct{}]struct{}),
 		eta:         machine.NewETAEstimator(job.Until),
-		trace:       obs.NewTrace(s.cfg.TraceSpans),
+		trace:       obs.NewTrace(obs.DefaultTraceSpans),
 	}
 	if s.cfg.CheckpointDir != "" {
 		e.ckptDir = sched.JobCheckpointDir(s.cfg.CheckpointDir, tenantName, job.Name)
@@ -150,10 +150,9 @@ func (s *Server) allocIDLocked() int {
 // gets. The pipeline drops its oldest observation when its queue is full —
 // diagnostics are a monitoring surface, not the science record — and
 // observe turns each drop into a "gap" event. Snapshots are written on the
-// job's step loop, and the checkpoint timer runs there after each one: when
-// the server is durable it journals the snapshot's clock, which is what a
-// restart consults to promise "resumes from the newest checkpoint", and it
-// re-measures the tenant's storage against its quota.
+// job's step loop, and the checkpoint timer runs there after each one: it
+// traces the write and re-measures the tenant's storage against its quota,
+// with or without a journal.
 func (s *Server) attach(job *sched.Job, entry *jobEntry) {
 	job.Opts = append(job.Opts,
 		// The step timer feeds the histogram only — per-step spans would
@@ -169,17 +168,6 @@ func (s *Server) attach(job *sched.Job, entry *jobEntry) {
 			end := time.Now()
 			entry.trace.Observe("checkpoint", end.Add(-d), end,
 				map[string]string{"clock": strconv.FormatFloat(clock, 'g', -1, 64)})
-			if s.store == nil {
-				return
-			}
-			// entry.id is assigned under s.mu during registration; a
-			// checkpoint cannot fire before the job starts, but take the
-			// lock anyway so the read is ordered after the write.
-			s.mu.Lock()
-			id := entry.id
-			s.mu.Unlock()
-			s.storeErr("checkpoint", s.store.CheckpointWritten(id, clock))
-			// Storage accounting and quota enforcement ride the same call.
 			s.noteCheckpoint(entry)
 		}),
 		runner.WithAsyncObserver(func(step int, d runner.Diagnostics) error {

@@ -113,8 +113,7 @@ func TestFailedAppendLeavesNoTornFrame(t *testing.T) {
 }
 
 // TestJobCostsTwoSyncs counts the journal fsyncs on a job's path: submitted
-// and terminal, with the started and checkpoint hints between them riding
-// the terminal's. A trailing hint is made durable by Close.
+// and terminal, with the started hint between them riding the terminal's. A trailing hint is made durable by Close.
 func TestJobCostsTwoSyncs(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -122,7 +121,6 @@ func TestJobCostsTwoSyncs(t *testing.T) {
 	for _, err := range []error{
 		s.Submitted(1, "a", protocolSpec, time.Unix(0, 1)),
 		s.Started(1, 1),
-		s.CheckpointWritten(1, 0.5),
 		s.Terminal(1, "done", ""),
 	} {
 		if err != nil {
@@ -130,7 +128,7 @@ func TestJobCostsTwoSyncs(t *testing.T) {
 		}
 	}
 	if tf.syncs != 2 {
-		t.Fatalf("submitted + started + checkpoint + terminal cost %d journal fsyncs, want 2", tf.syncs)
+		t.Fatalf("submitted + started + terminal cost %d journal fsyncs, want 2", tf.syncs)
 	}
 	if s.log.synced != s.log.size {
 		t.Fatalf("synced %d of %d bytes after the terminal record", s.log.synced, s.log.size)
@@ -162,25 +160,23 @@ func TestJobCostsTwoSyncs(t *testing.T) {
 // could: anywhere from the last fsync to the end of the file. Whatever the
 // cut, every acknowledged record replays — a submitted job is there, a
 // terminal job is terminal, a reservation is reserved — and the only things
-// that may be missing are hints (started, checkpoint) written since that
-// fsync.
+// that may be missing are hints (started) written since that fsync.
 //
 // A step is a letter and a job: S submitted, A started (the job's next
-// attempt), C checkpoint written, E the next event block reserved,
-// T terminal.
+// attempt), E the next event block reserved, T terminal.
 func TestAcknowledgedStateIsAPrefix(t *testing.T) {
 	type model struct {
-		attempts, checkpoints int
-		reserved              int64
-		terminal              bool
+		attempts int
+		reserved int64
+		terminal bool
 	}
 	for _, steps := range []string{
-		"S1 A1 C1 T1",             // the 2-step service job
-		"S1 S2 A1 A2 C1 C2 T1 T2", // both jobs' hints in flight together
-		"S1 A1 S2 A2 T2 C1 E1 T1", // one job's acknowledged record carries the other's hints
-		"S1 A1 E1 C1 C1 A1 E1 T1", // reservations and a retry mid-run
-		"S1 A1 C1 S2 A2 C2",       // ends with hints in flight and nobody terminal
-		"S1 T1 S2 A2 C2 E2 A2 C2", // cancelled before it started; a long unsynced tail
+		"S1 A1 T1",             // the 2-step service job
+		"S1 S2 A1 A2 T1 T2",    // both jobs' hints in flight together
+		"S1 A1 S2 A2 T2 E1 T1", // one job's acknowledged record carries the other's hint
+		"S1 A1 E1 A1 E1 T1",    // reservations and a retry mid-run
+		"S1 A1 S2 A2",          // ends with hints in flight and nobody terminal
+		"S1 T1 S2 A2 E2 A2",    // cancelled before it started; an unsynced tail
 	} {
 		t.Run(steps, func(t *testing.T) {
 			dir, cutDir := t.TempDir(), t.TempDir()
@@ -198,9 +194,6 @@ func TestAcknowledgedStateIsAPrefix(t *testing.T) {
 				case 'A':
 					m.attempts++
 					err = s.Started(id, m.attempts)
-				case 'C':
-					m.checkpoints++
-					err = s.CheckpointWritten(id, float64(m.checkpoints))
 				case 'E':
 					m.reserved += EventSeqBlock
 					err = s.EventSeqReserve(id, m.reserved)
@@ -211,7 +204,7 @@ func TestAcknowledgedStateIsAPrefix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d (%s): %v", i, step, err)
 				}
-				if hint := step[0] == 'A' || step[0] == 'C'; !hint && s.log.synced != s.log.size {
+				if hint := step[0] == 'A'; !hint && s.log.synced != s.log.size {
 					t.Fatalf("step %d (%s) returned with %d of %d bytes synced", i, step, s.log.synced, s.log.size)
 				}
 				raw, err := os.ReadFile(filepath.Join(dir, journalName))
@@ -240,12 +233,11 @@ func TestAcknowledgedStateIsAPrefix(t *testing.T) {
 							t.Fatalf("%s: job %d replayed terminal=%v reserved=%d, acknowledged terminal=%v reserved=%d",
 								at, id, j.Terminal, j.EventSeqReserved, m.terminal, m.reserved)
 						}
-						if j.Attempts > m.attempts || j.Checkpoints > m.checkpoints {
+						if j.Attempts > m.attempts {
 							t.Fatalf("%s: job %d replayed hints nobody wrote: %+v", at, id, j)
 						}
-						if cut == s.log.size && (j.Attempts != m.attempts || j.Checkpoints != m.checkpoints) {
-							t.Fatalf("%s: whole file replayed attempts=%d checkpoints=%d, wrote %d and %d",
-								at, j.Attempts, j.Checkpoints, m.attempts, m.checkpoints)
+						if cut == s.log.size && j.Attempts != m.attempts {
+							t.Fatalf("%s: whole file replayed attempts=%d, wrote %d", at, j.Attempts, m.attempts)
 						}
 						if !m.terminal {
 							pending = append(pending, id)

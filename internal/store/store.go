@@ -25,7 +25,7 @@
 //	audit.v6da    admission decisions  never                       nothing; opening
 //	              (audit.go)                                       it deletes no file
 //
-// The journal records five event kinds per job, keyed by a persistent job
+// The journal records four event kinds per job, keyed by a persistent job
 // id that outlives any single process. Each kind has one of two durability
 // classes, fixed here (record.hint), not configurable. An acknowledged
 // record is fsynced before the call that journals it returns, because
@@ -34,12 +34,11 @@
 // the journal (so always before its job's terminal record is
 // acknowledged), with every rewrite (compaction emits the folded state)
 // and with Close, and a power loss before that may drop it. Nothing is
-// told a hint happened, and nothing outside this package reads what hints
-// feed — JobState.Attempts, Checkpoints and LastCheckpointClock have no
-// reader in internal/serve: recovery re-queues a job from its id, tenant,
-// spec, submission time and event reservation, and resumes it from the
-// newest snapshot file it finds on disk, not from the journal's say-so
-// (the snapshot a checkpoint record vouches for is not itself fsynced).
+// told a hint happened, and nothing outside this package reads what the
+// one hint feeds — JobState.Attempts has no reader in internal/serve:
+// recovery re-queues a job from its id, tenant, spec, submission time and
+// event reservation, and resumes it from the newest snapshot file it finds
+// on disk. Snapshots are not journaled at all.
 //
 //	record      class         carries                      who is told          a crash may lose
 //	submitted   acknowledged  tenant, canonical spec JSON  the client's 202     nothing
@@ -47,7 +46,6 @@
 //	                          job's first EventSeqBlock
 //	                          event sequence numbers
 //	started     hint          1-based attempt number       nobody               the attempt count
-//	checkpoint  hint          the snapshot's clock         nobody               the count and clock
 //	events      acknowledged  the next block of SSE event  SSE clients, by ids  nothing
 //	                          sequence numbers reserved    inside the block
 //	terminal    acknowledged  done, failed or              SSE done event, the  nothing
@@ -55,7 +53,10 @@
 //	(every index and audit append is acknowledged)
 //
 // A lost hint changes no decision: the job it belongs to is still pending
-// in the journal, which is what makes a restart run it again.
+// in the journal, which is what makes a restart run it again. Journals
+// written before snapshots left the journal also hold "checkpoint" records;
+// replay skips them like any unknown kind, and the next compaction drops
+// them.
 //
 // Shutdown-driven cancellation is deliberately NOT journaled as terminal —
 // a job cancelled because the daemon died is unfinished work, and
@@ -89,8 +90,8 @@ const journalName = "journal.v6dj"
 
 // record is the on-disk payload of one journal frame.
 type record struct {
-	// Type is the event kind: "seq", "submitted", "started", "checkpoint"
-	// or "terminal".
+	// Type is the event kind: "seq", "submitted", "started", "events" or
+	// "terminal".
 	Type string `json:"type"`
 	// ID is the persistent job id the event belongs to (all but "seq").
 	ID int `json:"id,omitempty"`
@@ -103,8 +104,6 @@ type record struct {
 	UnixNano int64 `json:"unix_nano,omitempty"`
 	// Attempt accompanies "started".
 	Attempt int `json:"attempt,omitempty"`
-	// Clock accompanies "checkpoint".
-	Clock float64 `json:"clock,omitempty"`
 	// Status and Error accompany "terminal".
 	Status string `json:"status,omitempty"`
 	Error  string `json:"error,omitempty"`
@@ -117,7 +116,7 @@ type record struct {
 // hint reports the record's durability class (the package comment's table):
 // a hint rides the next fsync, every other kind is acknowledged — fsynced
 // before the call that journals it returns.
-func (r record) hint() bool { return r.Type == "started" || r.Type == "checkpoint" }
+func (r record) hint() bool { return r.Type == "started" }
 
 // EventSeqBlock is how many SSE event sequence numbers one reservation
 // claims. A job's submitted record carries its first block, so the journal
@@ -140,10 +139,6 @@ type JobState struct {
 	Submitted time.Time
 	// Attempts is the highest started attempt (0 = never dispatched).
 	Attempts int
-	// Checkpoints counts journaled snapshot writes; LastCheckpointClock is
-	// the newest one's clock.
-	Checkpoints         int
-	LastCheckpointClock float64
 	// Terminal reports whether the job reached a journaled final state;
 	// Status/Error describe it ("done", "failed", "cancelled").
 	Terminal bool
@@ -251,13 +246,6 @@ func (s *Store) apply(rec record) {
 		if j := s.jobs[rec.ID]; j != nil && rec.Attempt > j.Attempts {
 			j.Attempts = rec.Attempt
 		}
-	case "checkpoint":
-		if j := s.jobs[rec.ID]; j != nil {
-			j.Checkpoints++
-			if rec.Clock > j.LastCheckpointClock {
-				j.LastCheckpointClock = rec.Clock
-			}
-		}
 	case "terminal":
 		if j := s.jobs[rec.ID]; j != nil {
 			if !j.Terminal {
@@ -311,9 +299,6 @@ func (s *Store) compactLocked() error {
 			if err == nil && j.Attempts > 0 {
 				err = put(record{Type: "started", ID: j.ID, Attempt: j.Attempts})
 			}
-			if err == nil && j.Checkpoints > 0 {
-				err = put(record{Type: "checkpoint", ID: j.ID, Clock: j.LastCheckpointClock})
-			}
 		}
 		return err
 	})
@@ -324,13 +309,6 @@ func (s *Store) compactLocked() error {
 	for id, j := range s.jobs {
 		if j.Terminal {
 			delete(s.jobs, id)
-		}
-	}
-	// The compacted replay state folded multiple checkpoint events into
-	// one; keep the count consistent with what the rewritten journal holds.
-	for _, j := range s.jobs {
-		if j.Checkpoints > 1 {
-			j.Checkpoints = 1
 		}
 	}
 	return nil
@@ -391,14 +369,6 @@ func (s *Store) Started(id, attempt int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.journalLocked(record{Type: "started", ID: id, Attempt: attempt})
-}
-
-// CheckpointWritten journals a snapshot reaching disk at the given clock (a
-// hint: see record.hint).
-func (s *Store) CheckpointWritten(id int, clock float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journalLocked(record{Type: "checkpoint", ID: id, Clock: clock})
 }
 
 // EventSeqReserve journals that event sequence numbers up to and including
