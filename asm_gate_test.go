@@ -10,14 +10,16 @@ import (
 	"testing"
 )
 
-// vectorRegister matches an X or Y register operand of Go's amd64 assembler.
-var vectorRegister = regexp.MustCompile(`\b[XY](1[0-5]|[0-9])\b`)
+// vectorRegister matches an X, Y or Z register operand of Go's amd64
+// assembler, X0–X31 and the like: AVX-512 names sixteen more of each and
+// the Z registers.
+var vectorRegister = regexp.MustCompile(`\b[XYZ]([12][0-9]|3[01]|[0-9])\b`)
 
 // TestAssemblyIsVEXOnly fails on any instruction of an internal/**/*_amd64.s
-// file that names an X or Y register but is not VEX-encoded (its mnemonic
-// does not start with V): MOVQ DX, X0, MOVSD, PXOR and the like. A kernel
-// that uses the upper halves of the Y registers pays an SSE/AVX transition
-// on every legacy SSE instruction it runs: one MOVQ DX, X9 in a pass over
+// file that names an X, Y or Z register but is not VEX- or EVEX-encoded
+// (its mnemonic does not start with V): MOVQ DX, X0, MOVSD, PXOR and the
+// like. A kernel that uses the upper halves of the Y or Z registers pays
+// an SSE/AVX transition on every legacy SSE instruction it runs: one MOVQ DX, X9 in a pass over
 // the limiter's rejected interfaces doubled the time of a 64×256 plasma
 // step, where VMOVQ costs nothing. Macro bodies (#define lines and their
 // continuations) are checked too, one instruction per ';'-separated

@@ -364,3 +364,95 @@ outrevloop:
 outdone:
 	VZEROUPPER
 	RET
+
+// SweptWeights' and steepness's constants: 1, 2, 3, 4, 9, 13, 94, 75, −40,
+// −15, 6, 120, 1e-12 and the sign bit, at 8·i.
+DATA sweepK<>+0(SB)/8, $1.0
+DATA sweepK<>+8(SB)/8, $2.0
+DATA sweepK<>+16(SB)/8, $3.0
+DATA sweepK<>+24(SB)/8, $4.0
+DATA sweepK<>+32(SB)/8, $9.0
+DATA sweepK<>+40(SB)/8, $13.0
+DATA sweepK<>+48(SB)/8, $94.0
+DATA sweepK<>+56(SB)/8, $75.0
+DATA sweepK<>+64(SB)/8, $-40.0
+DATA sweepK<>+72(SB)/8, $-15.0
+DATA sweepK<>+80(SB)/8, $6.0
+DATA sweepK<>+88(SB)/8, $120.0
+DATA sweepK<>+96(SB)/8, $1e-12
+DATA sweepK<>+104(SB)/8, $0x8000000000000000
+GLOBL sweepK<>(SB), RODATA|NOPTR, $112
+
+// func laneSweep(k *laneCoef[[4]float64])
+//
+// laneSweep sets the weights w and the steepness alpha of k from its
+// fractions xi ∈ (0, 1): SweptWeights and steepness on four lanes, their
+// operations in their order, with no FMA.
+TEXT ·laneSweep(SB), NOSPLIT, $0-8
+	MOVQ         k+0(FP), R9
+	VMOVUPD      160(R9), Y0        // xi
+	VBROADCASTSD sweepK<>+0(SB), Y15 // 1
+	VBROADCASTSD sweepK<>+88(SB), Y14 // 120
+	VMULPD       Y0, Y0, Y1          // x2 = xi·xi
+	VSUBPD       Y0, Y15, Y2         // 1 − xi
+	VBROADCASTSD sweepK<>+8(SB), Y3
+	VSUBPD       Y0, Y3, Y3          // 2 − xi
+	VMULPD       Y3, Y2, Y2
+	VBROADCASTSD sweepK<>+16(SB), Y3
+	VSUBPD       Y0, Y3, Y3          // 3 − xi
+	VMULPD       Y3, Y2, Y2          // down = (1 − xi)·(2 − xi)·(3 − xi)
+	VSUBPD       Y1, Y15, Y5         // 1 − x2
+	VBROADCASTSD sweepK<>+24(SB), Y13 // 4
+
+	VSUBPD  Y1, Y13, Y6
+	VMULPD  Y6, Y5, Y6
+	VDIVPD  Y14, Y6, Y6 // w0 = (1 − x2)·(4 − x2)/120
+	VMOVUPD Y6, 0(R9)
+
+	VBROADCASTSD sweepK<>+8(SB), Y6
+	VADDPD       Y0, Y6, Y6 // 2 + xi
+	VMULPD       Y6, Y5, Y6
+	VMULPD       Y13, Y0, Y7 // 4·xi
+	VBROADCASTSD sweepK<>+40(SB), Y8
+	VSUBPD       Y8, Y7, Y8  // 4·xi − 13
+	VMULPD       Y8, Y6, Y6
+	VDIVPD       Y14, Y6, Y6 // w1 = (1 − x2)·(2 + xi)·(4·xi − 13)/120
+	VMOVUPD      Y6, 32(R9)
+
+	VBROADCASTSD sweepK<>+80(SB), Y6
+	VMULPD       Y0, Y6, Y6 // 6·xi
+	VBROADCASTSD sweepK<>+72(SB), Y8
+	VADDPD       Y8, Y6, Y6
+	VMULPD       Y6, Y0, Y6
+	VBROADCASTSD sweepK<>+64(SB), Y8
+	VADDPD       Y8, Y6, Y6
+	VMULPD       Y6, Y0, Y6
+	VBROADCASTSD sweepK<>+56(SB), Y8
+	VADDPD       Y8, Y6, Y6
+	VMULPD       Y6, Y0, Y6
+	VBROADCASTSD sweepK<>+48(SB), Y8
+	VADDPD       Y8, Y6, Y6
+	VDIVPD       Y14, Y6, Y6 // w2 = (94 + xi·(75 + xi·(−40 + xi·(−15 + 6·xi))))/120
+	VMOVUPD      Y6, 64(R9)
+
+	VBROADCASTSD sweepK<>+32(SB), Y6
+	VADDPD       Y7, Y6, Y6 // 9 + 4·xi
+	VMULPD       Y6, Y2, Y6
+	VDIVPD       Y14, Y6, Y6 // w3 = down·(9 + 4·xi)/120
+	VMOVUPD      Y6, 96(R9)
+
+	VBROADCASTSD sweepK<>+104(SB), Y6
+	VXORPD       Y6, Y2, Y2 // −down
+	VADDPD       Y0, Y15, Y6 // 1 + xi
+	VMULPD       Y6, Y2, Y6
+	VDIVPD       Y14, Y6, Y6 // w4 = −down·(1 + xi)/120
+	VMOVUPD      Y6, 128(R9)
+
+	VSUBPD       Y0, Y15, Y6 // 1 − xi
+	VBROADCASTSD sweepK<>+96(SB), Y8
+	VMAXPD       Y8, Y0, Y8  // max(xi, 1e-12)
+	VDIVPD       Y8, Y6, Y6
+	VMINPD       Y6, Y13, Y6 // alpha > 4 takes 4
+	VMOVUPD      Y6, 192(R9)
+	VZEROUPPER
+	RET

@@ -2,14 +2,14 @@
 
 package advect
 
-// There is no vector kernel off amd64: laneKernel is false there, so
+// There is no vector kernel off amd64: laneWidth is 0 there, so
 // StepLanes steps every line through Step/StepOpen.
 
-func laneLimit(q, v [][4]float64, k *laneCoef) {
+func laneLimit(q, v [][4]float64, k *laneCoef[[4]float64]) {
 	panic("advect: no vector kernel on this architecture")
 }
 
-func laneFlux(q, v [][4]float64, k *laneCoef) {
+func laneFlux(q, v [][4]float64, k *laneCoef[[4]float64]) {
 	panic("advect: no vector kernel on this architecture")
 }
 
@@ -18,5 +18,29 @@ func laneIn(rows [][4]float64, w []float64, laneStride int, mirrored bool) {
 }
 
 func laneOut(w []float64, laneStride int, mirrored bool, rows [][4]float64) {
+	panic("advect: no vector kernel on this architecture")
+}
+
+func laneLimit8(q, v [][8]float64, k *laneCoef[[8]float64]) {
+	panic("advect: no vector kernel on this architecture")
+}
+
+func laneFlux8(q, v [][8]float64, k *laneCoef[[8]float64]) {
+	panic("advect: no vector kernel on this architecture")
+}
+
+func laneIn8(rows [][8]float64, w []float64, laneStride int, mirrored bool) {
+	panic("advect: no vector kernel on this architecture")
+}
+
+func laneOut8(w []float64, laneStride int, mirrored bool, rows [][8]float64) {
+	panic("advect: no vector kernel on this architecture")
+}
+
+func laneSweep(k *laneCoef[[4]float64]) {
+	panic("advect: no vector kernel on this architecture")
+}
+
+func laneSweep8(k *laneCoef[[8]float64]) {
 	panic("advect: no vector kernel on this architecture")
 }

@@ -32,23 +32,23 @@ func laneValue(rng *rand.Rand) float64 {
 	}
 }
 
-// laneLayout is where StepLanes finds its four lines in data.
+// laneLayout is where StepLanes finds its lines in data.
 type laneLayout struct{ off, laneStride, cellStride int }
 
-// laneData fills a slice that holds the layout's four lines of n cells,
+// laneData fills a slice that holds the layout's lanes lines of n cells,
 // and values between and after them.
-func laneData(rng *rand.Rand, l laneLayout, n int) []float64 {
-	data := make([]float64, l.off+3*l.laneStride+(n-1)*l.cellStride+3)
+func laneData(rng *rand.Rand, l laneLayout, lanes, n int) []float64 {
+	data := make([]float64, l.off+(lanes-1)*l.laneStride+(n-1)*l.cellStride+3)
 	for i := range data {
 		data[i] = laneValue(rng)
 	}
 	return data
 }
 
-// checkLanes steps the four lines of data through s.StepLanes and, on a
+// checkLanes steps the len(c) lines of data through s.StepLanes and, on a
 // copy, each line through Step or StepOpen, and fails on any value whose
 // bits differ, the values of data outside the lines included.
-func checkLanes(t testing.TB, s *SLMPP5, data []float64, l laneLayout, n int, c [4]float64, open bool) {
+func checkLanes(t testing.TB, s *SLMPP5, data []float64, l laneLayout, n int, c []float64, open bool) {
 	t.Helper()
 	want := append([]float64(nil), data...)
 	ref, line := NewSLMPP5(), make([]float64, n)
@@ -68,65 +68,91 @@ func checkLanes(t testing.TB, s *SLMPP5, data []float64, l laneLayout, n int, c 
 			want[base+i*l.cellStride] = v
 		}
 	}
-	if err := s.StepLanes(data, l.off, l.laneStride, l.cellStride, n, &c, open); err != nil {
+	if err := s.StepLanes(data, l.off, l.laneStride, l.cellStride, n, c, open); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
 		if math.Float64bits(data[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("n=%d %+v c=%v open=%v: value %d = %v (%#x), per-line %v (%#x)",
-				n, l, c, open, i, data[i], math.Float64bits(data[i]), want[i], math.Float64bits(want[i]))
+			t.Fatalf("width %d, n=%d %+v c=%v open=%v: value %d = %v (%#x), per-line %v (%#x)",
+				laneWidth, n, l, c, open, i, data[i], math.Float64bits(data[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
 
-// withLaneKernel runs fn with the vector kernel off and, where the CPU has
-// AVX2, on.
-func withLaneKernel(t *testing.T, fn func(t *testing.T)) {
-	saved := laneKernel
-	defer func() { laneKernel = saved }()
-	for _, on := range []bool{false, true} {
-		if on && !cpuid.AVX2() {
-			t.Log("no AVX2 on this CPU: only the per-line path ran")
-			continue
-		}
-		laneKernel = on
-		name := "go"
-		if on {
-			name = "avx2"
-		}
-		t.Run(name, fn)
+// laneWidths are the widths laneWidth may take on this CPU: 0 (every line
+// per line) always, 4 with AVX2, 8 with AVX-512.
+func laneWidths(t testing.TB) []int {
+	widths := []int{0}
+	if cpuid.AVX2() {
+		widths = append(widths, 4)
+	} else {
+		t.Log("no AVX2 on this CPU: the four-lane kernel did not run")
 	}
+	if cpuid.AVX512() {
+		widths = append(widths, 8)
+	} else {
+		t.Log("no AVX-512 on this CPU: the eight-lane kernel did not run")
+	}
+	return widths
+}
+
+// withLaneKernel runs fn at every lane width the CPU has: per line (go),
+// four lanes (avx2) and eight (avx512).
+func withLaneKernel(t *testing.T, fn func(t *testing.T)) {
+	saved := laneWidth
+	defer func() { laneWidth = saved }()
+	for _, w := range laneWidths(t) {
+		laneWidth = w
+		t.Run(map[int]string{0: "go", 4: "avx2", 8: "avx512"}[w], fn)
+	}
+}
+
+// laneCFLs spreads the CFL pattern p over lanes lines: lane k takes p[k %
+// len(p)] nudged by k/len(p) thousandths of its fraction, so lanes of one
+// pattern entry keep its shift and direction (whole numbers stay whole).
+func laneCFLs(p []float64, lanes int) []float64 {
+	c := make([]float64, lanes)
+	for k := range c {
+		ck := p[k%len(p)]
+		whole := math.Trunc(ck)
+		c[k] = whole + (ck-whole)*(1-float64(k/len(p))*1e-3)
+	}
+	return c
 }
 
 // TestStepLanesMatchesPerLine: every line StepLanes advances ends bit for
-// bit as Step/StepOpen leaves it, on the plasma drift's layout (lanes
-// adjacent, cells strided) and the kick's (lanes strided, cells adjacent),
-// with lanes that share shift and direction and lanes that do not, whole
-// and zero CFL numbers among them, periodic and open; one scheme serves
-// every case, so its scratch is reused across line lengths. The kick's
-// layout moves its rows four at a time by a 4×4 transpose and the n % 4
-// left over one by one: n = 64, 65, 6 and 7 leave 0, 1, 2 and 3 rows, in
-// both directions (the rightward and the mirrored shared shifts).
+// bit as Step/StepOpen leaves it, at every lane width, on the plasma
+// drift's layout (lanes adjacent, cells strided) and the kick's (lanes
+// strided, cells adjacent), with lanes that share shift and direction and
+// lanes that do not, whole and zero CFL numbers among them, periodic and
+// open; one scheme serves every case, so its scratch is reused across line
+// lengths. 1–7, 9–15 and 19 lanes leave every count of one to seven lines
+// past the eight- and four-lane groups. The kick's layout moves its rows
+// a block at a time by a 4×4 or 8×8 transpose and the n % 4 or n % 8 left
+// over one by one: n = 64, 65, 6, 7, 10, 71 leave 0 to 7 rows, in both
+// directions (the rightward and the mirrored shared shifts).
 func TestStepLanesMatchesPerLine(t *testing.T) {
-	cfls := [][4]float64{
+	cfls := [][]float64{
 		{0.3, 0.31, 0.32, 0.33},     // one shift, rightward: one copy per pad row
 		{-2.3, -2.4, -2.5, -2.6},    // one shift, mirrored
 		{3.3, 3.4, 3.5, 3.6},        // one shift of three: the interior starts past row n+2
 		{-4.2, -4.4, -4.6, -4.8},    // one shift of four, mirrored
 		{-0.4, 0.2, -1.7, 2.3},      // mixed shifts and directions
 		{-130.6, 5.5, 64.25, -0.01}, // shifts beyond the line
-		{1, 0.5, 0.5, 0.5},          // an exact shift: all four per line
-		{0, 0.3, 0.3, 0.3},          // a zero CFL: all four per line
+		{1, 0.5, 0.5, 0.5},          // an exact shift: the group goes per line
+		{0, 0.3, 0.3, 0.3},          // a zero CFL: the group goes per line
 	}
 	withLaneKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
 		s := NewSLMPP5()
-		for _, n := range []int{64, 6, 7, 10, 65} {
-			layouts := []laneLayout{{0, 1, 4}, {3, 1, 9}, {0, n, 1}, {2, n + 2, 1}}
-			for _, l := range layouts {
-				for _, c := range cfls {
-					for _, open := range []bool{false, true} {
-						checkLanes(t, s, laneData(rng, l, n), l, n, c, open)
+		for _, n := range []int{64, 6, 7, 10, 65, 71} {
+			for _, lanes := range []int{8, 4, 1, 2, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 19} {
+				layouts := []laneLayout{{0, 1, lanes}, {3, 1, lanes + 5}, {0, n, 1}, {2, n + 2, 1}}
+				for _, l := range layouts {
+					for _, p := range cfls {
+						for _, open := range []bool{false, true} {
+							checkLanes(t, s, laneData(rng, l, lanes, n), l, n, laneCFLs(p, lanes), open)
+						}
 					}
 				}
 			}
@@ -135,7 +161,7 @@ func TestStepLanesMatchesPerLine(t *testing.T) {
 }
 
 func TestStepLanesRejectsBadLayouts(t *testing.T) {
-	s, data, c := NewSLMPP5(), make([]float64, 64), [4]float64{0.3, 0.3, 0.3, 0.3}
+	s, data, c := NewSLMPP5(), make([]float64, 64), []float64{0.3, 0.3, 0.3, 0.3}
 	for _, l := range []struct {
 		laneLayout
 		n int
@@ -147,47 +173,58 @@ func TestStepLanesRejectsBadLayouts(t *testing.T) {
 		{laneLayout{0, 2, 1}, 8},  // lanes overlap
 		{laneLayout{0, 3, 2}, 8},  // lanes 2 apart share a cell
 		{laneLayout{0, 1, 4}, 5},  // shorter than the stencil
+		{laneLayout{0, 6, 4}, 8},  // lanes 2 apart share a cell
+		{laneLayout{0, 1, 3}, 8},  // lanes 3 apart share a cell
 	} {
-		if err := s.StepLanes(data, l.off, l.laneStride, l.cellStride, l.n, &c, false); err == nil {
+		if err := s.StepLanes(data, l.off, l.laneStride, l.cellStride, l.n, c, false); err == nil {
 			t.Errorf("%+v, n %d: no error", l.laneLayout, l.n)
 		}
 	}
-	if err := s.StepLanes(data, 0, 1, 4, 8, &[4]float64{0.3, math.NaN(), 0.3, 0.3}, true); err == nil {
+	if err := s.StepLanes(data, 0, 1, 4, 8, []float64{0.3, math.NaN(), 0.3, 0.3}, true); err == nil {
 		t.Error("a NaN CFL number: no error")
+	}
+	if err := s.StepLanes(data, 0, 1, 8, 8, []float64{0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, math.Inf(1)}, false); err == nil {
+		t.Error("an infinite CFL number past the eighth lane: no error")
 	}
 }
 
-// FuzzStepLanes holds StepLanes to per-line Step/StepOpen bit for bit on
-// lines of 6–300 cells in either layout, any four finite CFL numbers and
-// values with ±0, subnormals and negatives.
+// FuzzStepLanes holds StepLanes to per-line Step/StepOpen bit for bit, at
+// every lane width the CPU has, on 1–19 lines of 6–300 cells in either
+// layout, four finite CFL patterns spread over the lanes and values with
+// ±0, subnormals and negatives.
 func FuzzStepLanes(f *testing.F) {
-	f.Add(uint16(64), uint8(0), 0.3, 0.31, 0.32, 0.33, false, int64(1))
-	f.Add(uint16(10), uint8(1), -0.4, 0.2, -1.7, 2.3, true, int64(2))
-	f.Add(uint16(300), uint8(7), -1e9-0.5, 3.0, 0.0, 17.25, false, int64(3))
-	f.Add(uint16(6), uint8(0x32), -2.3, -2.4, -2.5, -2.6, true, int64(4))
-	f.Add(uint16(58), uint8(0), 3.3, 3.4, 3.5, 3.6, true, int64(5))
-	f.Add(uint16(20), uint8(1), -4.2, -4.4, -4.6, -4.8, false, int64(6))
-	f.Fuzz(func(t *testing.T, nb uint16, layout uint8, c0, c1, c2, c3 float64, open bool, seed int64) {
-		c := [4]float64{c0, c1, c2, c3}
-		for _, ck := range c {
+	f.Add(uint16(64), uint8(0), uint8(7), 0.3, 0.31, 0.32, 0.33, false, int64(1))
+	f.Add(uint16(10), uint8(1), uint8(3), -0.4, 0.2, -1.7, 2.3, true, int64(2))
+	f.Add(uint16(300), uint8(7), uint8(11), -1e9-0.5, 3.0, 0.0, 17.25, false, int64(3))
+	f.Add(uint16(6), uint8(0x32), uint8(15), -2.3, -2.4, -2.5, -2.6, true, int64(4))
+	f.Add(uint16(58), uint8(0), uint8(18), 3.3, 3.4, 3.5, 3.6, true, int64(5))
+	f.Add(uint16(20), uint8(1), uint8(12), -4.2, -4.4, -4.6, -4.8, false, int64(6))
+	f.Fuzz(func(t *testing.T, nb uint16, layout, lb uint8, c0, c1, c2, c3 float64, open bool, seed int64) {
+		p := []float64{c0, c1, c2, c3}
+		for _, ck := range p {
 			if math.IsNaN(ck) || math.IsInf(ck, 0) {
 				return
 			}
 		}
-		n := 6 + int(nb)%295
-		l := laneLayout{off: int(layout>>4) % 3, laneStride: 1, cellStride: 4 + int(layout>>1)%5}
+		n, lanes := 6+int(nb)%295, 1+int(lb)%19
+		l := laneLayout{off: int(layout>>4) % 3, laneStride: 1, cellStride: lanes + int(layout>>1)%5}
 		if layout&1 == 1 {
 			l.laneStride, l.cellStride = n+int(layout>>1)%3, 1
 		}
-		rng := rand.New(rand.NewSource(seed))
-		checkLanes(t, NewSLMPP5(), laneData(rng, l, n), l, n, c, open)
+		saved := laneWidth
+		defer func() { laneWidth = saved }()
+		for _, w := range laneWidths(t) {
+			laneWidth = w
+			rng := rand.New(rand.NewSource(seed))
+			checkLanes(t, NewSLMPP5(), laneData(rng, l, lanes, n), l, n, laneCFLs(p, lanes), open)
+		}
 	})
 }
 
 // limitedV is advance's swept average of lane k at interface i of the
-// lane pad q, limiter included: the Go form each lane of laneLimit must
-// equal bit for bit.
-func limitedV(q [][4]float64, lc *laneCoef, i, k int) float64 {
+// lane pad q, limiter included: the Go form each lane of a width's limit
+// kernel must equal bit for bit.
+func limitedV[R laneRow](q []R, lc *laneCoef[R], i, k int) float64 {
 	m2, m1, c0, p1, p2 := q[i][k], q[i+1][k], q[i+2][k], q[i+3][k], q[i+4][k]
 	v := lc.w[0][k]*m2 + lc.w[1][k]*m1 + lc.w[2][k]*c0 + lc.w[3][k]*p1 + lc.w[4][k]*p2
 	if fMP := c0 + minmod2(p1-c0, lc.alpha[k]*(c0-m1)); (v-c0)*(v-fMP) > mpEps {
@@ -196,42 +233,61 @@ func limitedV(q [][4]float64, lc *laneCoef, i, k int) float64 {
 	return v
 }
 
-// TestLaneLimitAcceptBoundary pins the vector accept test to advance's
+// withLimitKernel runs fn on the limit kernel of every vector width the
+// CPU has: laneLimit (avx2) and laneLimit8 (avx512).
+func withLimitKernel(t *testing.T, fn4 func(t *testing.T), fn8 func(t *testing.T)) {
+	for _, w := range laneWidths(t) {
+		switch w {
+		case 4:
+			t.Run("avx2", fn4)
+		case 8:
+			t.Run("avx512", fn8)
+		}
+	}
+}
+
+// TestLaneLimitAcceptBoundary pins each vector accept test to advance's
 // (v−c0)·(v−fMP) > mpEps at the boundary no random line reaches: with
 // weights (1, 0, 0, 0, 0), v = m2, and the stencil (m2, 1, 0, −1, 0) at
 // α = 1 gives fMP = −1, so the product is m2·(m2+1), exactly mpEps for
-// lane 0, just above it for lane 1. Lanes 1 and 3 reject and leave with
-// mpBound's value, lanes 0 and 2 accept and leave with v; on lanes 0 and
-// 1 the two differ.
+// lane 0, just above it for lane 1. Lanes 1 and 3 (and 5 and 7) reject and
+// leave with mpBound's value, lanes 0 and 2 (4 and 6) accept and leave
+// with v; on lanes 0 and 1 (4 and 5) the two differ.
 func TestLaneLimitAcceptBoundary(t *testing.T) {
-	if !cpuid.AVX2() {
-		t.Skip("no AVX2 on this CPU: no vector kernel to test")
-	}
-	m2 := [4]float64{mpEps, math.Nextafter(mpEps, 1), -mpEps, 2}
-	q := make([][4]float64, 5)
-	var lc laneCoef
+	withLimitKernel(t,
+		func(t *testing.T) { checkAcceptBoundary(t, avx2Lanes.limit) },
+		func(t *testing.T) { checkAcceptBoundary(t, avx512Lanes.limit) })
+}
+
+func checkAcceptBoundary[R laneRow](t *testing.T, limit func(q, v []R, k *laneCoef[R])) {
+	pattern := [4]float64{mpEps, math.Nextafter(mpEps, 1), -mpEps, 2}
+	q := make([]R, 5)
+	var lc laneCoef[R]
 	lc.eps = mpEps
-	for k := range m2 {
-		q[0][k], q[1][k], q[2][k], q[3][k], q[4][k] = m2[k], 1, 0, -1, 0
+	width := len(lc.xi)
+	for k := range width {
+		m2 := pattern[k%4]
+		q[0][k], q[1][k], q[2][k], q[3][k], q[4][k] = m2, 1, 0, -1, 0
 		lc.w[0][k], lc.alpha[k] = 1, 1
 	}
-	v := make([][4]float64, 1)
-	laneLimit(q, v, &lc)
+	v := make([]R, 1)
+	limit(q, v, &lc)
 	var rejected uint8
-	for k := range m2 {
+	for k := range width {
+		m2 := pattern[k%4]
 		want := limitedV(q, &lc, 0, k)
-		if bound := mpBound(m2[k], m2[k], 1, 0, -1, 0, 1); k < 2 && bound == m2[k] {
+		if bound := mpBound(m2, m2, 1, 0, -1, 0, 1); k%4 < 2 && bound == m2 {
 			t.Fatalf("lane %d: mpBound leaves v = %v: the test cannot tell accept from reject", k, bound)
 		}
-		if want != m2[k] {
+		if want != m2 {
 			rejected |= 1 << k
 		}
 		if math.Float64bits(v[0][k]) != math.Float64bits(want) {
 			t.Errorf("lane %d: v = %v, advance's %v", k, v[0][k], want)
 		}
 	}
-	if rejected != 0b1010 {
-		t.Fatalf("advance's test rejects lanes %04b, want 1010", rejected)
+	if want := uint8(0b10101010) >> (8 - width); rejected != want {
+		t.Fatalf("advance's test rejects lanes %08b, want %08b", rejected, want)
 	}
 }
 
@@ -254,34 +310,40 @@ func boundValue(rng *rand.Rand) float64 {
 	}
 }
 
-// TestLaneLimitMatchesMPBound holds every lane of laneLimit to advance's
-// limited swept average bit for bit, NaN included, with mpBound reached on
-// any subset of the four lanes: a lane that accepts must keep v's bits
-// while its neighbours take the bound. The stencils are hand-built signed
-// zeros around v = ±1 (every min and max of mpBound meets a ±0 tie) and
-// random draws of boundValue at α ∈ {4, 1, 0.25}; weights are (1, 0, 0,
-// 0, 0), which makes v = m2 free, or SweptWeights of a random ξ.
+// TestLaneLimitMatchesMPBound holds every lane of each width's limit
+// kernel to advance's limited swept average bit for bit, NaN included,
+// with mpBound reached on any subset of the lanes: a lane that accepts
+// must keep v's bits while its neighbours take the bound. The stencils are
+// hand-built signed zeros around v = ±1 (every min and max of mpBound
+// meets a ±0 tie) and random draws of boundValue at α ∈ {4, 1, 0.25};
+// weights are (1, 0, 0, 0, 0), which makes v = m2 free, or SweptWeights of
+// a random ξ.
 //
 // A ±0 tie in mpBound's mins and maxes cannot change its result: the
 // bounds enter only as fmin − v and fmax − v, and v + (±0 − v) is +0 for
 // either zero. The overflowing stencils are what tell Go's min and max
 // from a bare MINPD/MAXPD, which return their second source on a NaN.
 func TestLaneLimitMatchesMPBound(t *testing.T) {
-	if !cpuid.AVX2() {
-		t.Skip("no AVX2 on this CPU: no vector kernel to test")
-	}
+	withLimitKernel(t,
+		func(t *testing.T) { checkLimitMatchesMPBound(t, avx2Lanes.limit) },
+		func(t *testing.T) { checkLimitMatchesMPBound(t, avx512Lanes.limit) })
+}
+
+func checkLimitMatchesMPBound[R laneRow](t *testing.T, limit func(q, v []R, k *laneCoef[R])) {
 	rng := rand.New(rand.NewSource(50))
 	const rows = 64
-	q, v := make([][4]float64, rows+4), make([][4]float64, rows)
-	var lc laneCoef
+	q, v := make([]R, rows+4), make([]R, rows)
+	var lc laneCoef[R]
 	lc.eps = mpEps
+	width := len(lc.xi)
+	all := uint8(1<<width - 1)
 	var mixed, bounded, nan int
 	check := func(name string) {
 		t.Helper()
-		laneLimit(q, v, &lc)
+		limit(q, v, &lc)
 		for i := range v {
 			var m uint8
-			for k := range 4 {
+			for k := range width {
 				want := limitedV(q, &lc, i, k)
 				got := v[i][k]
 				if math.Float64bits(got) != math.Float64bits(want) {
@@ -298,7 +360,7 @@ func TestLaneLimitMatchesMPBound(t *testing.T) {
 			}
 			if m != 0 {
 				bounded++
-				if m != 0b1111 {
+				if m != all {
 					mixed++
 				}
 			}
@@ -307,20 +369,20 @@ func TestLaneLimitMatchesMPBound(t *testing.T) {
 
 	// Signed zeros: lane k of row r holds one of the 16 sign patterns of
 	// (m1, c0, p1, p2), v = m2 = ±1 or a subnormal.
-	for k := range 4 {
+	for k := range width {
 		lc.w[0][k], lc.w[1][k], lc.w[2][k], lc.w[3][k], lc.w[4][k] = 1, 0, 0, 0, 0
-		lc.alpha[k] = []float64{4, 1, 0.25, 1}[k]
+		lc.alpha[k] = []float64{4, 1, 0.25, 1}[k%4]
 	}
 	for i := range v {
-		for k := range 4 {
-			pattern := (i*4 + k) % 16
+		for k := range width {
+			pattern := (i*width + k) % 16
 			for j := 1; j < 5; j++ {
 				q[i+j][k] = math.Copysign(0, float64(pattern>>(j-1)&1*2-1))
 			}
 			q[i][k] = []float64{1, -1, 0x1p-1070, -0x1p-1070}[(i/4+k)%4]
 		}
-		laneLimit(q[i:i+5], v[i:i+1], &lc)
-		for k := range 4 {
+		limit(q[i:i+5], v[i:i+1], &lc)
+		for k := range width {
 			if want := limitedV(q, &lc, i, k); math.Float64bits(v[i][k]) != math.Float64bits(want) {
 				t.Fatalf("signed zeros, row %d lane %d: %v, advance's %v", i, k, v[i][k], want)
 			}
@@ -328,7 +390,7 @@ func TestLaneLimitMatchesMPBound(t *testing.T) {
 	}
 
 	for trial := range 400 {
-		for k := range 4 {
+		for k := range width {
 			lc.alpha[k] = []float64{4, 1, 0.25}[rng.Intn(3)]
 			w := [5]float64{1, 0, 0, 0, 0}
 			if trial%2 == 1 {
@@ -339,7 +401,7 @@ func TestLaneLimitMatchesMPBound(t *testing.T) {
 			}
 		}
 		for i := range q {
-			for k := range 4 {
+			for k := range width {
 				q[i][k] = boundValue(rng)
 			}
 		}
@@ -351,11 +413,53 @@ func TestLaneLimitMatchesMPBound(t *testing.T) {
 	t.Logf("%d interfaces bounded, %d on some lanes only, %d NaN bounds", bounded, mixed, nan)
 }
 
-// TestLaneCoefLayout holds laneCoef to the offsets lanes_amd64.s reads.
+// TestLaneSweepMatchesSweptWeights holds every lane of each width's sweep
+// kernel to SweptWeights and steepness bit for bit, on fractions from a
+// few ulps above 0 to a few below 1, ξ = 0.2 (where α reaches 4) and
+// random draws.
+func TestLaneSweepMatchesSweptWeights(t *testing.T) {
+	withLimitKernel(t,
+		func(t *testing.T) { checkSweep(t, avx2Lanes.sweep) },
+		func(t *testing.T) { checkSweep(t, avx512Lanes.sweep) })
+}
+
+func checkSweep[R laneRow](t *testing.T, sweep func(k *laneCoef[R])) {
+	rng := rand.New(rand.NewSource(55))
+	xis := []float64{0x1p-1074, 1e-300, 1e-13, 1e-12, 1e-9, 0.2, math.Nextafter(0.2, 1), math.Nextafter(0.2, 0), 0.5, 0.75,
+		math.Nextafter(1, 0), 1 - 0x1p-40, 0.3, 0.01}
+	for range 4000 {
+		xis = append(xis, rng.Float64())
+	}
+	var lc laneCoef[R]
+	width := len(lc.xi)
+	for at := 0; at < len(xis); at += width {
+		for k := range width {
+			lc.xi[k] = xis[(at+k)%len(xis)]
+		}
+		sweep(&lc)
+		for k := range width {
+			xi := lc.xi[k]
+			w, alpha := SweptWeights(xi), steepness(xi)
+			for r := range w {
+				if math.Float64bits(lc.w[r][k]) != math.Float64bits(w[r]) {
+					t.Fatalf("ξ = %v: w%d = %v, SweptWeights gives %v", xi, r, lc.w[r][k], w[r])
+				}
+			}
+			if math.Float64bits(lc.alpha[k]) != math.Float64bits(alpha) {
+				t.Fatalf("ξ = %v: α = %v, steepness gives %v", xi, lc.alpha[k], alpha)
+			}
+		}
+	}
+}
+
+// TestLaneCoefLayout holds laneCoef to the offsets lanes_amd64.s and
+// lanes8_amd64.s read.
 func TestLaneCoefLayout(t *testing.T) {
-	var lc laneCoef
-	got := [4]uintptr{unsafe.Offsetof(lc.w), unsafe.Offsetof(lc.xi), unsafe.Offsetof(lc.alpha), unsafe.Offsetof(lc.eps)}
-	if got != [4]uintptr{0, 160, 192, 224} {
-		t.Fatalf("laneCoef offsets w, xi, alpha, eps = %v, want [0 160 192 224]", got)
+	var l4 laneCoef[[4]float64]
+	var l8 laneCoef[[8]float64]
+	got4 := [4]uintptr{unsafe.Offsetof(l4.w), unsafe.Offsetof(l4.xi), unsafe.Offsetof(l4.alpha), unsafe.Offsetof(l4.eps)}
+	got8 := [4]uintptr{unsafe.Offsetof(l8.w), unsafe.Offsetof(l8.xi), unsafe.Offsetof(l8.alpha), unsafe.Offsetof(l8.eps)}
+	if got4 != [4]uintptr{0, 160, 192, 224} || got8 != [4]uintptr{0, 320, 384, 448} {
+		t.Fatalf("laneCoef offsets w, xi, alpha, eps = %v and %v, want [0 160 192 224] and [0 320 384 448]", got4, got8)
 	}
 }

@@ -18,10 +18,11 @@
 //
 // All schemes advance periodic float64 lines in place. SL-MPP5 also
 // advances open (vacuum-bounded) lines, sets of strided lines of the
-// float32 grid that share one CFL number, all through one kernel, and four
-// float64 lines with four CFL numbers at once (StepLanes), through an AVX2
-// copy of that kernel, one line per vector lane, that equals it bit for
-// bit; StepStrided gives every scheme the strided form.
+// float32 grid that share one CFL number, all through one kernel, and
+// float64 lines each with its own CFL number (StepLanes), eight or four at
+// once through AVX-512 and AVX2 copies of that kernel, one line per vector
+// lane, that equal it bit for bit; StepStrided gives every scheme the
+// strided form.
 package advect
 
 import (

@@ -42,13 +42,15 @@ import (
 // rightward form exists. Everything that depends on c alone — s, ξ, the five
 // swept-average weights, the limiter steepness — is derived once per call,
 // i.e. once per line in Step/StepOpen and once per set of lines in
-// StepStrided. StepLanes pads four lines side by side and runs advance's
-// operations on all four in one AVX2 kernel (lanes_amd64.s), where the
-// CPU has it; the per-line advance stays its oracle, bit for bit.
+// StepStrided. StepLanes pads eight or four lines side by side and runs
+// advance's operations on all of them in one AVX-512 or AVX2 kernel
+// (lanes8_amd64.s, lanes_amd64.s), where the CPU has it; the per-line
+// advance stays their oracle, bit for bit.
 type SLMPP5 struct {
-	pad   []float64    // ghost-padded line, upwind-ordered
-	out   []float64    // StepStrided's result line, before rounding to float32
-	lanes [][4]float64 // StepLanes' lane-interleaved pad, then its swept averages and results
+	pad  []float64           // ghost-padded line, upwind-ordered
+	out  []float64           // StepStrided's result line, before rounding to float32
+	pad4 lanePad[[4]float64] // StepLanes' scratch for four lanes
+	pad8 lanePad[[8]float64] // and for eight
 }
 
 // NewSLMPP5 returns the scheme; it always limits and always clips.
@@ -165,7 +167,7 @@ func (s *SLMPP5) StepStrided(data []float32, offs []int, stride, n int, c float6
 
 // wrapGhosts fills the ghosts of the padded line q, whose n interior cells
 // start at q[lo], by periodic continuation (the pad may exceed one period).
-// A cell is a value, or in StepLanes' pad a row of four lanes.
+// A cell is a value, or in StepLanes' pad a row of four or eight lanes.
 func wrapGhosts[T any](q []T, lo, n int) {
 	in := q[lo : lo+n]
 	for j, src := lo-1, n-1; j >= 0; j-- {
@@ -192,10 +194,8 @@ type sweep struct {
 }
 
 // prepare is the validating entry of every step: it rejects lines
-// shorter than the stencil and non-finite CFL numbers, bounds the whole-cell
-// shift by the line length (a periodic line drops whole rotations; a vacuum
-// line is empty once it has moved n+3 cells) so that the pad is O(n) for any
-// finite c, derives the per-CFL constants and sizes the pad.
+// shorter than the stencil and non-finite CFL numbers, derives the per-CFL
+// constants (sweepOf) and sizes the pad.
 func (s *SLMPP5) prepare(n int, c float64, open bool) (sweep, error) {
 	if n < 6 {
 		return sweep{}, fmt.Errorf("slmpp5: line length %d < 6", n)
@@ -203,33 +203,58 @@ func (s *SLMPP5) prepare(n int, c float64, open bool) (sweep, error) {
 	if math.IsNaN(c) || math.IsInf(c, 0) {
 		return sweep{}, fmt.Errorf("slmpp5: invalid CFL %v", c)
 	}
-	a := math.Abs(c)
-	whole := math.Floor(a)
-	k := sweep{xi: a - whole, neg: c < 0}
-	if !open {
-		whole = math.Mod(whole, float64(n))
-	} else if limit := float64(n + 3); whole >= limit {
-		whole, k.xi = limit, 0
-	}
-	k.sh = int(whole)
-	if k.xi != 0 {
-		k.w = SweptWeights(k.xi)
-		// Fully-discrete monotonicity requires the Suresh–Huynh steepness
-		// parameter to honour α·ξ ≤ 1−ξ (for RK method-of-lines SH use the
-		// equivalent CFL ≤ 1/(1+α)); with the fixed α = 4 a single-stage
-		// update overshoots by O(1%) on steps. This CFL-adaptive α is the
-		// single-stage modification of Tanaka et al. (2017).
-		k.alpha = (1 - k.xi) / math.Max(k.xi, 1e-12)
-		if k.alpha > 4 {
-			k.alpha = 4
-		}
-	}
 	// Sized for the largest bounded shift, so a later, larger c on lines of
 	// this length does not reallocate.
 	if need := 2*n + 8; cap(s.pad) < need {
 		s.pad = make([]float64, need)
 	}
-	return k, nil
+	return sweepOf(n, c, open), nil
+}
+
+// sweepOf derives the constants of a finite CFL number c on lines of n ≥ 6
+// cells: the shift (shiftOf) and, for a fractional one, the swept-average
+// weights and the limiter's steepness.
+func sweepOf(n int, c float64, open bool) sweep {
+	var k sweep
+	k.sh, k.xi, k.neg = shiftOf(n, c, open)
+	if k.xi != 0 {
+		k.w = SweptWeights(k.xi)
+		k.alpha = steepness(k.xi)
+	}
+	return k
+}
+
+// shiftOf splits a finite CFL number c on lines of n ≥ 6 cells into the
+// whole-cell shift sh, the fraction xi and the direction. It bounds sh by
+// the line length (a periodic line drops whole rotations; a vacuum line is
+// empty once it has moved n+3 cells, and then xi is 0) so that the pad is
+// O(n) for any finite c.
+func shiftOf(n int, c float64, open bool) (sh int, xi float64, neg bool) {
+	a := math.Abs(c)
+	whole := math.Floor(a)
+	xi = a - whole
+	if open {
+		if limit := float64(n + 3); whole >= limit {
+			whole, xi = limit, 0
+		}
+	} else if whole >= float64(n) {
+		whole = math.Mod(whole, float64(n))
+	}
+	return int(whole), xi, c < 0
+}
+
+// steepness is the CFL-adaptive Suresh–Huynh steepness α of a fraction
+// xi ∈ (0, 1). Fully-discrete monotonicity requires the steepness parameter
+// to honour α·ξ ≤ 1−ξ (for RK method-of-lines SH use the equivalent CFL ≤
+// 1/(1+α)); with the fixed α = 4 a single-stage update overshoots by O(1%)
+// on steps. This α is the single-stage modification of Tanaka et al.
+// (2017). The lane kernels' laneSweep computes it in this operation order.
+func steepness(xi float64) float64 {
+	alpha := (1 - xi) / max(xi, 1e-12) // xi > 0: the builtin is math.Max
+	if alpha > 4 {
+		alpha = 4
+	}
+	return alpha
 }
 
 // SweptWeights returns the five weights b_r(ξ) of the fifth-order conservative
@@ -238,7 +263,8 @@ func (s *SLMPP5) prepare(n int, c float64, open bool) (sweep, error) {
 // mass swept across the interface is ξ times that. They are the closed form
 // of a_r(ξ)/ξ with a_r = [r ≤ 2] − Σ_{m>r} ℓ_m(3−ξ), ℓ_m the quintic Lagrange
 // basis on the primitive function's six interface nodes; at ξ → 0 they reduce
-// to the upwind-biased interface value (2, −13, 47, 27, −3)/60.
+// to the upwind-biased interface value (2, −13, 47, 27, −3)/60. The lane
+// kernels' laneSweep computes them in this operation order.
 func SweptWeights(xi float64) [5]float64 {
 	x2 := xi * xi
 	down := (1 - xi) * (2 - xi) * (3 - xi)

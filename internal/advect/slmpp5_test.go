@@ -371,7 +371,13 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	for i, v := range sineLine(len(data)) {
 		data[i] = float32(v)
 	}
-	lanes := sineLine(4 * 32)
+	lanes := sineLine(15 * 32)
+	drift, kick, mixed := make([]float64, 15), make([]float64, 15), make([]float64, 15)
+	for k := range drift {
+		drift[k] = 0.3 + 0.01*float64(k)
+		kick[k] = -0.2 - 0.01*float64(k)
+		mixed[k] = []float64{-2.3, 0.4, 1.5, 0.1}[k%4]
+	}
 	calls := map[string]func() error{
 		"Step":     func() error { return s.Step(line, -1.7) },
 		"StepOpen": func() error { return s.StepOpen(line, 0.4) },
@@ -384,13 +390,12 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			return err
 		},
 		"advect.StepStrided upwind1": func() error { return StepStrided(up, line, data, offs, 8, 32, 0.6) },
-		// Four lines of 32 cells, as the plasma drift (lanes adjacent) and
-		// kick (cells adjacent) hand them over.
-		"StepLanes": func() error { return s.StepLanes(lanes, 0, 1, 4, 32, &[4]float64{0.3, 0.35, 0.4, 0.45}, false) },
-		"StepLanes open": func() error {
-			return s.StepLanes(lanes, 0, 32, 1, 32, &[4]float64{-0.2, -0.25, -0.3, -0.35}, true)
-		},
-		"StepLanes mixed": func() error { return s.StepLanes(lanes, 0, 1, 4, 32, &[4]float64{-2.3, 0.4, 1.5, 0.1}, false) },
+		// Fifteen lines of 32 cells (a group of eight, one of four and three
+		// left over at eight lanes), as the plasma drift (lanes adjacent)
+		// and kick (cells adjacent) hand them over.
+		"StepLanes":       func() error { return s.StepLanes(lanes, 0, 1, 15, 32, drift, false) },
+		"StepLanes open":  func() error { return s.StepLanes(lanes, 0, 32, 1, 32, kick, true) },
+		"StepLanes mixed": func() error { return s.StepLanes(lanes, 0, 1, 15, 32, mixed, false) },
 	}
 	for name, call := range calls {
 		if err := call(); err != nil { // warm-up sizes the pad

@@ -1,6 +1,7 @@
 package plasma
 
 import (
+	"io"
 	"math"
 	"testing"
 )
@@ -83,6 +84,26 @@ func landauState(b *testing.B) (*Solver, float64) {
 		}
 	}
 	return s, s.SuggestDT()
+}
+
+// BenchmarkSetup64x256 is landau_batch's set-up on the solver's side: a
+// 64×256 solver built, given the Landau state, stepped once and
+// checkpointed (to io.Discard), with one worker.
+func BenchmarkSetup64x256(b *testing.B) {
+	for b.Loop() {
+		s, err := NewWithScheme(64, 256, 4*math.Pi, 8, "slmpp5")
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.SetWorkers(1)
+		s.LandauInit(0.01, 0.5, 1)
+		if err := s.Step(s.SuggestDT()); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Checkpoint(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkStep64x256 is one split step of the Landau state with one

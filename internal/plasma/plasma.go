@@ -23,13 +23,16 @@
 // structure of F lags by it. Checkpoint synchronises first, and so does
 // runner.Run on every exit.
 //
-// Both sweeps hand SL-MPP5 four lines per call (advect's StepLanes), which
-// runs them in the lanes of one AVX2 vector kernel, limiter included, where
-// the CPU has it: the drift four adjacent velocity indices, the kick four
-// adjacent rows, moved in and out of the kernel four cells at a time by a
-// 4×4 transpose. Every line ends bit for bit as the per-line Step/StepOpen
-// leaves it, so neither the CPU nor the worker count changes the physics.
-// The density sums four rows at a time, each in its own cell order.
+// Both sweeps hand SL-MPP5 all of a worker's lines in one call (advect's
+// StepLanes), which runs them eight at a time in the lanes of one AVX-512
+// vector kernel, limiter included, where the CPU has it, and four at a time
+// in an AVX2 one where it has only that: the drift adjacent velocity
+// indices, one 64-byte row of F per pad row at eight lanes, the kick
+// adjacent rows, moved in and out of the kernel a block at a time by an
+// 8×8 or 4×4 transpose. Every line ends bit for bit as the per-line
+// Step/StepOpen leaves it, so neither the CPU nor the worker count changes
+// the physics. The density sums four rows at a time, each in its own cell
+// order (eight at a time spill an accumulator in Go and run slower).
 package plasma
 
 import (
@@ -108,7 +111,7 @@ func NewWithScheme(nx, nv int, boxL, vmax float64, scheme string) (*Solver, erro
 		e:      make([]float64, nx),
 		fieldC: make([]complex128, nx),
 		pool: par.NewPool(func() *pworker {
-			return &pworker{line: make([]float64, nx), per: per.Clone(), open: advect.NewSLMPP5()}
+			return &pworker{line: make([]float64, nx), cfl: make([]float64, max(nx, nv)), per: per.Clone(), open: advect.NewSLMPP5()}
 		}),
 	}, nil
 }
@@ -123,11 +126,12 @@ func (s *Solver) Scheme() string { return s.scheme }
 // bit-identical for any worker count — the budget trades only wall-clock.
 func (s *Solver) SetWorkers(n int) { s.pool.SetWorkers(n) }
 
-// pworker carries per-goroutine sweep scratch: a gather buffer and private
-// scheme instances (schemes hold scratch state and are not safe for
-// concurrent use).
+// pworker carries per-goroutine sweep scratch: a gather buffer, the CFL
+// numbers of its lines and private scheme instances (schemes hold scratch
+// state and are not safe for concurrent use).
 type pworker struct {
 	line []float64
+	cfl  []float64
 	per  advect.Scheme
 	open *advect.SLMPP5
 }
@@ -144,14 +148,20 @@ func (s *Solver) X(i int) float64 { return (float64(i) + 0.5) * s.DX() }
 // V returns the cell-centre velocity of index j.
 func (s *Solver) V(j int) float64 { return -s.VMax + (float64(j)+0.5)*s.DV() }
 
-// Fill evaluates f(x, v) at every cell centre. The new state is a
-// synchronised one: nothing of the old field or of an owed kick carries over.
-func (s *Solver) Fill(f func(x, v float64) float64) {
+// Fill sets the separable f(x_i, v_j) = a(x_i)·b(v_j) at every cell
+// centre, each factor evaluated once per row or column. The new state is a
+// synchronised one: nothing of the old field or of an owed kick carries
+// over.
+func (s *Solver) Fill(a, b func(float64) float64) {
 	s.fieldValid, s.owed = false, 0
+	col := make([]float64, s.NV)
+	for j := range col {
+		col[j] = b(s.V(j))
+	}
 	for i := 0; i < s.NX; i++ {
-		x := s.X(i)
-		for j := 0; j < s.NV; j++ {
-			s.F[i*s.NV+j] = f(x, s.V(j))
+		ai := a(s.X(i))
+		for j, bj := range col {
+			s.F[i*s.NV+j] = ai * bj
 		}
 	}
 }
@@ -348,24 +358,19 @@ func (s *Solver) drift(dt float64) error {
 	})
 }
 
-// driftRange sweeps velocity indices lo..hi−1. SL-MPP5 takes them four at a
-// time through StepLanes (the lanes are adjacent values of F, a line's
-// cells NV apart); the NV % 4 left over, and every other scheme, go line by
-// line through the worker's gather buffer.
+// driftRange sweeps velocity indices lo..hi−1. SL-MPP5 takes them all in
+// one StepLanes call (the lanes are adjacent values of F, a line's cells NV
+// apart), which steps them eight or four at a time; every other scheme goes
+// line by line through the worker's gather buffer.
 func (s *Solver) driftRange(w *pworker, lo, hi int, dt, dx float64) error {
-	j := lo
 	if sl, ok := w.per.(*advect.SLMPP5); ok {
-		var c [4]float64
-		for ; j+4 <= hi; j += 4 {
-			for k := range c {
-				c[k] = s.V(j+k) * dt / dx
-			}
-			if err := sl.StepLanes(s.F, j, 1, s.NV, s.NX, &c, false); err != nil {
-				return err
-			}
+		c := w.cfl[:hi-lo]
+		for k := range c {
+			c[k] = s.V(lo+k) * dt / dx
 		}
+		return sl.StepLanes(s.F, lo, 1, s.NV, s.NX, c, false)
 	}
-	for ; j < hi; j++ {
+	for j := lo; j < hi; j++ {
 		c := s.V(j) * dt / dx
 		if c == 0 {
 			continue
@@ -398,30 +403,14 @@ func (s *Solver) kick(dt float64, e []float64) error {
 	})
 }
 
-// kickRange sweeps rows lo..hi−1, four at a time through StepLanes (the
-// lanes are rows NV apart, a line's cells adjacent), the rest one by one.
+// kickRange sweeps rows lo..hi−1 in one StepLanes call (the lanes are
+// rows NV apart, a line's cells adjacent).
 func (s *Solver) kickRange(w *pworker, lo, hi int, dt, dv float64, e []float64) error {
-	i := lo
-	var c [4]float64
-	for ; i+4 <= hi; i += 4 {
-		for k := range c {
-			c[k] = -e[i+k] * dt / dv
-		}
-		if err := w.open.StepLanes(s.F, i*s.NV, s.NV, 1, s.NV, &c, true); err != nil {
-			return err
-		}
+	c := w.cfl[:hi-lo]
+	for k := range c {
+		c[k] = -e[lo+k] * dt / dv
 	}
-	for ; i < hi; i++ {
-		c := -e[i] * dt / dv
-		if c == 0 {
-			continue
-		}
-		row := s.F[i*s.NV : (i+1)*s.NV]
-		if err := w.open.StepOpen(row, c); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.open.StepLanes(s.F, lo*s.NV, s.NV, 1, s.NV, c, true)
 }
 
 // DriftStep applies one full x-drift sweep and KickStep one full v-kick
@@ -433,21 +422,26 @@ func (s *Solver) DriftStep(dt float64) error { return s.drift(dt) }
 func (s *Solver) KickStep(dt float64) error { return s.kick(dt, s.ElectricField()) }
 
 // LandauInit sets the standard Landau-damping initial condition
-// f = (1 + α·cos(kx))·Maxwellian(v; vth).
+// f = (1 + α·cos(kx))·Maxwellian(v; vth). Go rounds the product as
+// ((1 + α·cos(kx))·norm)·exp(−v²/2vth²), so the factors' product is the
+// cell's value bit for bit.
 func (s *Solver) LandauInit(alpha, k, vth float64) {
 	norm := 1 / (math.Sqrt(2*math.Pi) * vth)
-	s.Fill(func(x, v float64) float64 {
-		return (1 + alpha*math.Cos(k*x)) * norm * math.Exp(-v*v/(2*vth*vth))
+	s.Fill(func(x float64) float64 {
+		return (1 + alpha*math.Cos(k*x)) * norm
+	}, func(v float64) float64 {
+		return math.Exp(-v * v / (2 * vth * vth))
 	})
 }
 
 // TwoStreamInit sets two counter-streaming Maxwellian beams at ±v0 with a
-// seed perturbation.
+// seed perturbation, as LandauInit a product of an x and a v factor.
 func (s *Solver) TwoStreamInit(alpha, k, v0, vth float64) {
 	norm := 1 / (2 * math.Sqrt(2*math.Pi) * vth)
-	s.Fill(func(x, v float64) float64 {
-		b := math.Exp(-(v-v0)*(v-v0)/(2*vth*vth)) + math.Exp(-(v+v0)*(v+v0)/(2*vth*vth))
-		return (1 + alpha*math.Cos(k*x)) * norm * b
+	s.Fill(func(x float64) float64 {
+		return (1 + alpha*math.Cos(k*x)) * norm
+	}, func(v float64) float64 {
+		return math.Exp(-(v-v0)*(v-v0)/(2*vth*vth)) + math.Exp(-(v+v0)*(v+v0)/(2*vth*vth))
 	})
 }
 

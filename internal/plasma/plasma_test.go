@@ -135,10 +135,11 @@ func TestMassConservation(t *testing.T) {
 
 // TestDensityMatchesRowSums: Density, which sums four rows at a time,
 // gives each ρ bit for bit as the serial sum of its row in cell order, at
-// NX = 6, 7, 9, 10 and 64, which leave every NX % 4 to the row-by-row tail.
+// NX = 6, 7, 9, 10, 64 and 65–71, which leave every NX % 4 to the
+// row-by-row tail and every NX % 8 (the lane groups of the sweeps) once.
 func TestDensityMatchesRowSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	for _, nx := range []int{6, 7, 9, 10, 64} {
+	for _, nx := range []int{6, 7, 9, 10, 64, 65, 66, 67, 68, 69, 70, 71} {
 		s, err := NewWithScheme(nx, 37, 4*math.Pi, 6, "slmpp5")
 		if err != nil {
 			t.Fatal(err)
@@ -386,5 +387,49 @@ func TestSetWorkersFloor(t *testing.T) {
 	s.SetWorkers(-3)
 	if nw := s.pool.Workers(s.NX); nw != 1 {
 		t.Fatalf("workers %d after SetWorkers(-3), want 1", nw)
+	}
+}
+
+// TestInitsMatchPerCellClosures: LandauInit and TwoStreamInit, which
+// multiply an x factor by a v factor, give every cell bit for bit the
+// value of the per-cell closure they replaced, on grids with NX and NV
+// multiples of 8 and not, and for several amplitudes, wavenumbers and
+// thermal speeds.
+func TestInitsMatchPerCellClosures(t *testing.T) {
+	landau := func(alpha, k, vth float64) func(x, v float64) float64 {
+		norm := 1 / (math.Sqrt(2*math.Pi) * vth)
+		return func(x, v float64) float64 {
+			return (1 + alpha*math.Cos(k*x)) * norm * math.Exp(-v*v/(2*vth*vth))
+		}
+	}
+	twoStream := func(alpha, k, v0, vth float64) func(x, v float64) float64 {
+		norm := 1 / (2 * math.Sqrt(2*math.Pi) * vth)
+		return func(x, v float64) float64 {
+			b := math.Exp(-(v-v0)*(v-v0)/(2*vth*vth)) + math.Exp(-(v+v0)*(v+v0)/(2*vth*vth))
+			return (1 + alpha*math.Cos(k*x)) * norm * b
+		}
+	}
+	check := func(s *Solver, name string, f func(x, v float64) float64) {
+		t.Helper()
+		for i := 0; i < s.NX; i++ {
+			for j := 0; j < s.NV; j++ {
+				if got, want := s.F[i*s.NV+j], f(s.X(i), s.V(j)); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %dx%d: f[%d][%d] = %v, the per-cell closure gives %v", name, s.NX, s.NV, i, j, got, want)
+				}
+			}
+		}
+	}
+	for _, g := range [][2]int{{64, 256}, {32, 64}, {6, 7}, {13, 37}, {67, 259}} {
+		for _, p := range [][3]float64{{0.01, 0.5, 1}, {0.0093, 0.4, 1}, {0.0117, 0.3, 0.8}, {0.5, 1.3, 2}} {
+			alpha, k, vth := p[0], p[1], p[2]
+			s, err := NewWithScheme(g[0], g[1], 2*math.Pi/k, 6, "slmpp5")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.LandauInit(alpha, k, vth)
+			check(s, "LandauInit", landau(alpha, k, vth))
+			s.TwoStreamInit(alpha, k, 2.4, vth/3)
+			check(s, "TwoStreamInit", twoStream(alpha, k, 2.4, vth/3))
+		}
 	}
 }
