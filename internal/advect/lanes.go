@@ -28,13 +28,18 @@ var laneWidth = func() int {
 type laneRow interface{ [4]float64 | [8]float64 }
 
 // laneCoef holds what a vector kernel reads of its lanes' sweeps, lane k in
-// element k. Offsets (bytes) for four lanes: w 0, xi 160, alpha 192, eps
-// 224; for eight: w 0, xi 320, alpha 384, eps 448.
+// element k, and the eight-lane limiter's queue. Offsets (bytes) for four
+// lanes: w 0, xi 160, alpha 192, eps 224, queue 232; for eight: w 0, xi
+// 320, alpha 384, eps 448, queue 456.
 type laneCoef[R laneRow] struct {
 	w     [5]R // SweptWeights(xi), weight r of every lane at w[r]
 	xi    R
 	alpha R
 	eps   float64 // mpEps
+	// queue holds the indices row·8 + lane of laneLimit8's rejected values
+	// until it bounds them eight at a time; the four-lane laneLimit bounds
+	// each rejecting row in place and leaves it unused.
+	queue [16]int
 }
 
 // lanePad is one width's scratch: the lane-interleaved pad, then its swept
@@ -70,7 +75,14 @@ var (
 // shift, own mirror, own periodic or zero ghosts) into a lane-interleaved
 // pad, so that row r holds position r of the group's padded lines, and the
 // kernel does advance's operations in advance's order on all lanes at
-// once, mpBound's on the lanes the limiter rejects. When the lanes share
+// once, mpBound's on the lanes the limiter rejects: at four lanes on the
+// whole row, blended in under the reject mask; at eight, queued lane by
+// lane and bounded eight rejected values at a time, since in the plasma
+// drift a fifth of the rows hold a rejecting lane but only 2.6 % of the
+// values reject. Against bounding every rejecting row at eight lanes
+// that ran a drift of the Landau state at t = 12.5 1.19× faster and a
+// step over t = 0–25 1.15× (minima of 10 ABBA pairs at -cpu 1,
+// BenchmarkDrift64x256 and BenchmarkStep64x256). When the lanes share
 // their shift and direction, a pad row's interior cells, and a result row,
 // are adjacent values of data where laneStride is 1 (the plasma drift: at
 // eight lanes one 64-byte cache line), and a block of rows is one load of

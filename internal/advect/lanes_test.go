@@ -1,6 +1,7 @@
 package advect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -191,15 +192,20 @@ func TestStepLanesRejectsBadLayouts(t *testing.T) {
 // FuzzStepLanes holds StepLanes to per-line Step/StepOpen bit for bit, at
 // every lane width the CPU has, on 1–19 lines of 6–300 cells in either
 // layout, four finite CFL patterns spread over the lanes and values with
-// ±0, subnormals and negatives.
+// ±0, subnormals and negatives (shape 0), or O(1) top-hats (shape 1) and
+// sawtooths (shape 2), whose jumps make the limiter reject many values in
+// a call: the eight-lane kernel queues them and bounds them eight at a
+// time.
 func FuzzStepLanes(f *testing.F) {
-	f.Add(uint16(64), uint8(0), uint8(7), 0.3, 0.31, 0.32, 0.33, false, int64(1))
-	f.Add(uint16(10), uint8(1), uint8(3), -0.4, 0.2, -1.7, 2.3, true, int64(2))
-	f.Add(uint16(300), uint8(7), uint8(11), -1e9-0.5, 3.0, 0.0, 17.25, false, int64(3))
-	f.Add(uint16(6), uint8(0x32), uint8(15), -2.3, -2.4, -2.5, -2.6, true, int64(4))
-	f.Add(uint16(58), uint8(0), uint8(18), 3.3, 3.4, 3.5, 3.6, true, int64(5))
-	f.Add(uint16(20), uint8(1), uint8(12), -4.2, -4.4, -4.6, -4.8, false, int64(6))
-	f.Fuzz(func(t *testing.T, nb uint16, layout, lb uint8, c0, c1, c2, c3 float64, open bool, seed int64) {
+	f.Add(uint16(64), uint8(0), uint8(7), 0.3, 0.31, 0.32, 0.33, false, int64(1), uint8(0))
+	f.Add(uint16(10), uint8(1), uint8(3), -0.4, 0.2, -1.7, 2.3, true, int64(2), uint8(0))
+	f.Add(uint16(300), uint8(7), uint8(11), -1e9-0.5, 3.0, 0.0, 17.25, false, int64(3), uint8(0))
+	f.Add(uint16(6), uint8(0x32), uint8(15), -2.3, -2.4, -2.5, -2.6, true, int64(4), uint8(0))
+	f.Add(uint16(58), uint8(0), uint8(18), 3.3, 3.4, 3.5, 3.6, true, int64(5), uint8(0))
+	f.Add(uint16(20), uint8(1), uint8(12), -4.2, -4.4, -4.6, -4.8, false, int64(6), uint8(0))
+	f.Add(uint16(64), uint8(0), uint8(15), 0.3, 0.45, -0.6, 0.75, false, int64(7), uint8(1))
+	f.Add(uint16(37), uint8(1), uint8(7), 0.3, -0.45, 1.6, -0.75, true, int64(8), uint8(2))
+	f.Fuzz(func(t *testing.T, nb uint16, layout, lb uint8, c0, c1, c2, c3 float64, open bool, seed int64, shape uint8) {
 		p := []float64{c0, c1, c2, c3}
 		for _, ck := range p {
 			if math.IsNaN(ck) || math.IsInf(ck, 0) {
@@ -216,21 +222,72 @@ func FuzzStepLanes(f *testing.F) {
 		for _, w := range laneWidths(t) {
 			laneWidth = w
 			rng := rand.New(rand.NewSource(seed))
-			checkLanes(t, NewSLMPP5(), laneData(rng, l, lanes, n), l, n, laneCFLs(p, lanes), open)
+			data := laneData(rng, l, lanes, n)
+			if shape%3 != 0 {
+				shapeLines(data, l, lanes, n, shape%3 == 1, rng)
+			}
+			checkLanes(t, NewSLMPP5(), data, l, n, laneCFLs(p, lanes), open)
 		}
 	})
+}
+
+// shapeLines overwrites the lanes lines of data with O(1) jumps: with
+// topHat, each line is 1 on a run of its cells and 0 elsewhere, else a
+// sawtooth that climbs by 1/4 a cell and drops back every few cells; the
+// runs' starts and lengths and the teeth's periods vary with the line.
+func shapeLines(data []float64, l laneLayout, lanes, n int, topHat bool, rng *rand.Rand) {
+	for k := range lanes {
+		lo, width, period := rng.Intn(n), 1+rng.Intn(n), 2+rng.Intn(8)
+		for i := range n {
+			v := float64((i+k)%period) / 4
+			if topHat {
+				v = 0
+				if (i-lo+n)%n < width {
+					v = 1
+				}
+			}
+			data[l.off+k*l.laneStride+i*l.cellStride] = v
+		}
+	}
+}
+
+// sweptV is advance's swept average of lane k at interface i of the lane
+// pad q, before the limiter.
+func sweptV[R laneRow](q []R, lc *laneCoef[R], i, k int) float64 {
+	return lc.w[0][k]*q[i][k] + lc.w[1][k]*q[i+1][k] + lc.w[2][k]*q[i+2][k] + lc.w[3][k]*q[i+3][k] + lc.w[4][k]*q[i+4][k]
+}
+
+// rejects reports whether lane k at interface i fails advance's accept
+// test, so that the limiter bounds it.
+func rejects[R laneRow](q []R, lc *laneCoef[R], i, k int) bool {
+	v, m1, c0, p1 := sweptV(q, lc, i, k), q[i+1][k], q[i+2][k], q[i+3][k]
+	fMP := c0 + minmod2(p1-c0, lc.alpha[k]*(c0-m1))
+	return (v-c0)*(v-fMP) > mpEps
 }
 
 // limitedV is advance's swept average of lane k at interface i of the
 // lane pad q, limiter included: the Go form each lane of a width's limit
 // kernel must equal bit for bit.
 func limitedV[R laneRow](q []R, lc *laneCoef[R], i, k int) float64 {
-	m2, m1, c0, p1, p2 := q[i][k], q[i+1][k], q[i+2][k], q[i+3][k], q[i+4][k]
-	v := lc.w[0][k]*m2 + lc.w[1][k]*m1 + lc.w[2][k]*c0 + lc.w[3][k]*p1 + lc.w[4][k]*p2
-	if fMP := c0 + minmod2(p1-c0, lc.alpha[k]*(c0-m1)); (v-c0)*(v-fMP) > mpEps {
-		v = mpBound(v, m2, m1, c0, p1, p2, lc.alpha[k])
+	v := sweptV(q, lc, i, k)
+	if rejects(q, lc, i, k) {
+		v = mpBound(v, q[i][k], q[i+1][k], q[i+2][k], q[i+3][k], q[i+4][k], lc.alpha[k])
 	}
 	return v
+}
+
+// rejectCount counts the values of interfaces 0..rows−1 that advance's
+// accept test rejects.
+func rejectCount[R laneRow](q []R, lc *laneCoef[R], rows int) int {
+	n := 0
+	for i := range rows {
+		for k := range len(lc.xi) {
+			if rejects(q, lc, i, k) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // withLimitKernel runs fn on the limit kernel of every vector width the
@@ -252,7 +309,11 @@ func withLimitKernel(t *testing.T, fn4 func(t *testing.T), fn8 func(t *testing.T
 // α = 1 gives fMP = −1, so the product is m2·(m2+1), exactly mpEps for
 // lane 0, just above it for lane 1. Lanes 1 and 3 (and 5 and 7) reject and
 // leave with mpBound's value, lanes 0 and 2 (4 and 6) accept and leave
-// with v; on lanes 0 and 1 (4 and 5) the two differ.
+// with v; on lanes 0 and 1 (4 and 5) the two differ. The boundary row
+// comes alone, then last of a call after 1 to 20 rows of falling ramps
+// in one to all lanes, most of whose values reject: the eight-lane kernel queues
+// rejected values and bounds them eight at a time, and the boundary row's
+// rejects land at every place in a batch, the last partial one included.
 func TestLaneLimitAcceptBoundary(t *testing.T) {
 	withLimitKernel(t,
 		func(t *testing.T) { checkAcceptBoundary(t, avx2Lanes.limit) },
@@ -261,33 +322,52 @@ func TestLaneLimitAcceptBoundary(t *testing.T) {
 
 func checkAcceptBoundary[R laneRow](t *testing.T, limit func(q, v []R, k *laneCoef[R])) {
 	pattern := [4]float64{mpEps, math.Nextafter(mpEps, 1), -mpEps, 2}
-	q := make([]R, 5)
 	var lc laneCoef[R]
 	lc.eps = mpEps
 	width := len(lc.xi)
 	for k := range width {
-		m2 := pattern[k%4]
-		q[0][k], q[1][k], q[2][k], q[3][k], q[4][k] = m2, 1, 0, -1, 0
 		lc.w[0][k], lc.alpha[k] = 1, 1
 	}
-	v := make([]R, 1)
-	limit(q, v, &lc)
-	var rejected uint8
-	for k := range width {
-		m2 := pattern[k%4]
-		want := limitedV(q, &lc, 0, k)
-		if bound := mpBound(m2, m2, 1, 0, -1, 0, 1); k%4 < 2 && bound == m2 {
-			t.Fatalf("lane %d: mpBound leaves v = %v: the test cannot tell accept from reject", k, bound)
+	var at [8]bool // the boundary row's first reject landed at place j of a batch
+	for call := range 21 * width {
+		// Rows 0..pre−1 are ramps falling by k+1 a row in lanes k < ramps,
+		// zero in the others; the boundary stencil is q[pre..pre+4].
+		pre, ramps := call/width, call%width+1
+		q := make([]R, pre+5)
+		for i := range pre {
+			for k := range ramps {
+				q[i][k] = float64((pre - i) * (k + 1))
+			}
 		}
-		if want != m2 {
-			rejected |= 1 << k
+		for k := range width {
+			q[pre][k], q[pre+1][k], q[pre+2][k], q[pre+3][k], q[pre+4][k] = pattern[k%4], 1, 0, -1, 0
 		}
-		if math.Float64bits(v[0][k]) != math.Float64bits(want) {
-			t.Errorf("lane %d: v = %v, advance's %v", k, v[0][k], want)
+		v := make([]R, pre+1)
+		limit(q, v, &lc)
+		for i := range v {
+			for k := range width {
+				if want := limitedV(q, &lc, i, k); math.Float64bits(v[i][k]) != math.Float64bits(want) {
+					t.Fatalf("%d ramp rows: row %d lane %d: v = %v, advance's %v", pre, i, k, v[i][k], want)
+				}
+			}
+		}
+		at[rejectCount(q, &lc, pre)%8] = true
+		var rejected uint8
+		for k := range width {
+			m2 := pattern[k%4]
+			if bound := mpBound(m2, m2, 1, 0, -1, 0, 1); k%4 < 2 && bound == m2 {
+				t.Fatalf("lane %d: mpBound leaves v = %v: the test cannot tell accept from reject", k, bound)
+			}
+			if rejects(q, &lc, pre, k) {
+				rejected |= 1 << k
+			}
+		}
+		if want := uint8(0b10101010) >> (8 - width); rejected != want {
+			t.Fatalf("%d ramp rows: advance's test rejects lanes %08b of the boundary row, want %08b", pre, rejected, want)
 		}
 	}
-	if want := uint8(0b10101010) >> (8 - width); rejected != want {
-		t.Fatalf("advance's test rejects lanes %08b, want %08b", rejected, want)
+	if at != [8]bool{true, true, true, true, true, true, true, true} {
+		t.Fatalf("the boundary row's rejects start at places %v of a batch of eight; want all eight", at)
 	}
 }
 
@@ -351,7 +431,7 @@ func checkLimitMatchesMPBound[R laneRow](t *testing.T, limit func(q, v []R, k *l
 						name, i, k, got, math.Float64bits(got), want, math.Float64bits(want),
 						q[i][k], q[i+1][k], q[i+2][k], q[i+3][k], q[i+4][k], lc.alpha[k])
 				}
-				if x := lc.w[0][k]*q[i][k] + lc.w[1][k]*q[i+1][k] + lc.w[2][k]*q[i+2][k] + lc.w[3][k]*q[i+3][k] + lc.w[4][k]*q[i+4][k]; math.Float64bits(x) != math.Float64bits(want) {
+				if x := sweptV(q, &lc, i, k); math.Float64bits(x) != math.Float64bits(want) {
 					m |= 1 << k
 					if math.IsNaN(want) {
 						nan++
@@ -407,6 +487,62 @@ func checkLimitMatchesMPBound[R laneRow](t *testing.T, limit func(q, v []R, k *l
 		}
 		check("random")
 	}
+	// The eight-lane kernel queues rejected values and bounds them eight at
+	// a time. With weights (1, 0, 0, 0, 0), v = m2: falling ramps reject
+	// every value of the call, lines of period two none. On signed zeros,
+	// a spike s at row r rejects interface r (v = s, c0 = 0) and r − 2
+	// (v = 0, c0 = s); spikes of ±1, ±MaxFloat64 (whose bounds overflow)
+	// and 3, kept only while the count stays in reach, make calls of 7,
+	// 8, 9, 15, 16 and 17 rejected values: one short of, at and one past
+	// one and two batches.
+	for k := range width {
+		lc.w[0][k], lc.w[1][k], lc.w[2][k], lc.w[3][k], lc.w[4][k] = 1, 0, 0, 0, 0
+		lc.alpha[k] = []float64{4, 1, 0.25, 1}[k%4]
+	}
+	calls := func(name string, want int) {
+		t.Helper()
+		if got := rejectCount(q, &lc, rows); got != want {
+			t.Fatalf("%s: advance rejects %d values, want %d", name, got, want)
+		}
+		check(name)
+	}
+	for i := range q {
+		for k := range width {
+			q[i][k] = -float64(i*(k+1)) - 0.5
+		}
+	}
+	calls("every value rejected", rows*width)
+	for i := range q {
+		for k := range width {
+			q[i][k] = []float64{0.25, -3}[(i+k)%2] * float64(k+1)
+		}
+	}
+	calls("no value rejected", 0)
+	spikes := []float64{1, math.MaxFloat64, -1, -math.MaxFloat64, 3}
+	for _, want := range []int{7, 8, 9, 15, 16, 17} {
+		for i := range q {
+			for k := range width {
+				q[i][k] = math.Copysign(0, float64((i+k)%2*2-1))
+			}
+		}
+		// Rows 7, 12, 17, … then row 0, which has no interface r − 2 and
+		// is far enough from row 7 to reject alone.
+		got := 0
+		for j := 0; got < want && j < (rows/5+1)*width; j++ {
+			r, k := 5*(j/width)+7, j%width
+			if r >= rows {
+				r = 0
+			}
+			q[r][k] = spikes[j%len(spikes)]
+			if n := rejectCount(q, &lc, rows); n > want {
+				q[r][k] = math.Copysign(0, float64((r+k)%2*2-1))
+			} else {
+				got = n
+			}
+		}
+		calls(fmt.Sprintf("%d values rejected", want), want)
+	}
+
 	if mixed == 0 || bounded == 0 || nan == 0 {
 		t.Fatalf("coverage: %d interfaces bounded, %d on some lanes only, %d NaN bounds; want each > 0", bounded, mixed, nan)
 	}
@@ -453,13 +589,84 @@ func checkSweep[R laneRow](t *testing.T, sweep func(k *laneCoef[R])) {
 }
 
 // TestLaneCoefLayout holds laneCoef to the offsets lanes_amd64.s and
-// lanes8_amd64.s read.
+// lanes8_amd64.s read, and the eight-lane queue to the 16 entries
+// laneLimit8 writes: w, xi, alpha, eps, queue.
 func TestLaneCoefLayout(t *testing.T) {
 	var l4 laneCoef[[4]float64]
 	var l8 laneCoef[[8]float64]
-	got4 := [4]uintptr{unsafe.Offsetof(l4.w), unsafe.Offsetof(l4.xi), unsafe.Offsetof(l4.alpha), unsafe.Offsetof(l4.eps)}
-	got8 := [4]uintptr{unsafe.Offsetof(l8.w), unsafe.Offsetof(l8.xi), unsafe.Offsetof(l8.alpha), unsafe.Offsetof(l8.eps)}
-	if got4 != [4]uintptr{0, 160, 192, 224} || got8 != [4]uintptr{0, 320, 384, 448} {
-		t.Fatalf("laneCoef offsets w, xi, alpha, eps = %v and %v, want [0 160 192 224] and [0 320 384 448]", got4, got8)
+	got4 := [5]uintptr{unsafe.Offsetof(l4.w), unsafe.Offsetof(l4.xi), unsafe.Offsetof(l4.alpha), unsafe.Offsetof(l4.eps), unsafe.Offsetof(l4.queue)}
+	got8 := [5]uintptr{unsafe.Offsetof(l8.w), unsafe.Offsetof(l8.xi), unsafe.Offsetof(l8.alpha), unsafe.Offsetof(l8.eps), unsafe.Offsetof(l8.queue)}
+	if got4 != [5]uintptr{0, 160, 192, 224, 232} || got8 != [5]uintptr{0, 320, 384, 448, 456} {
+		t.Fatalf("laneCoef offsets w, xi, alpha, eps, queue = %v and %v, want [0 160 192 224 232] and [0 320 384 448 456]", got4, got8)
 	}
+	if unsafe.Sizeof(l8.queue) != 16*8 {
+		t.Fatalf("the queue is %d bytes, want 16 entries of 8", unsafe.Sizeof(l8.queue))
+	}
+}
+
+// LaneRejects counts the limiter's rejects on the len(c) lines of a
+// StepLanes call (same arguments), grouped eight lines to a lane group as
+// the eight-lane kernel groups them: of the values, v at an interface of
+// one line, how many fail advance's accept test, and of the rows, one
+// interface of a group of eight lines, how many hold at least one such
+// value. Each line is padded as step pads it and runs advance's v and
+// accept test; a line with an integer CFL number is not limited and
+// counts for nothing. Lines past the last whole group are ignored.
+// TestLimiterRejectRates (package advect_test) reads it.
+func LaneRejects(data []float64, off, laneStride, cellStride, n int, c []float64, open bool) (values, rejected, rows, rejectedRows int) {
+	s, line := NewSLMPP5(), make([]float64, n)
+	reject := make([][8]bool, n+1)
+	for g := 0; g+8 <= len(c); g += 8 {
+		for k := range 8 {
+			base := off + (g+k)*laneStride
+			for i := range line {
+				line[i] = data[base+i*cellStride]
+			}
+			sw, err := s.prepare(n, c[g+k], open)
+			if err != nil {
+				panic(err)
+			}
+			for i := range reject {
+				reject[i][k] = false
+			}
+			if sw.xi == 0 {
+				continue
+			}
+			q, lo := s.pad[:n+sw.sh+5], sw.sh+3
+			in := q[lo : lo+n]
+			if sw.neg {
+				for i, v := range line {
+					in[n-1-i] = v
+				}
+			} else {
+				copy(in, line)
+			}
+			if open {
+				clear(q[:lo])
+				clear(q[lo+n:])
+			} else {
+				wrapGhosts(q, lo, n)
+			}
+			w := sw.w
+			for i := range reject {
+				m2, m1, c0, p1, p2 := q[i], q[i+1], q[i+2], q[i+3], q[i+4]
+				v := w[0]*m2 + w[1]*m1 + w[2]*c0 + w[3]*p1 + w[4]*p2
+				fMP := c0 + minmod2(p1-c0, sw.alpha*(c0-m1))
+				reject[i][k] = (v-c0)*(v-fMP) > mpEps
+				values++
+			}
+		}
+		for _, r := range reject {
+			rows++
+			if r != [8]bool{} {
+				rejectedRows++
+			}
+			for _, x := range r {
+				if x {
+					rejected++
+				}
+			}
+		}
+	}
+	return values, rejected, rows, rejectedRows
 }
