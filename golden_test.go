@@ -78,7 +78,12 @@ func TestGoldenStateFingerprint(t *testing.T) {
 	if _, err := Run(ctx, ps, 1e9, WithMaxSteps(300)); err != nil {
 		t.Fatal(err)
 	}
-	if got := fingerprint(ps.F); got != landauF {
+	// The NX·NV cells row by row, without F's row padding.
+	rows := make([]any, ps.NX)
+	for i := range rows {
+		rows[i] = ps.Row(i)
+	}
+	if got := fingerprint(rows...); got != landauF {
 		t.Errorf("Landau f fingerprint %#x, want %#x", got, landauF)
 	}
 }

@@ -3,7 +3,6 @@ package advect
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"vlasov6d/internal/cpuid"
 )
@@ -57,11 +56,13 @@ type laneKernels[R laneRow] struct {
 	flux  func(q, v []R, k *laneCoef[R])
 	in    func(rows []R, w []float64, laneStride int, mirrored bool)
 	out   func(w []float64, laneStride int, mirrored bool, rows []R)
+	load  func(rows []R, src *float64, step int)
+	store func(dst *float64, step int, rows []R)
 }
 
 var (
-	avx2Lanes   = laneKernels[[4]float64]{laneSweep, laneLimit, laneFlux, laneIn, laneOut}
-	avx512Lanes = laneKernels[[8]float64]{laneSweep8, laneLimit8, laneFlux8, laneIn8, laneOut8}
+	avx2Lanes   = laneKernels[[4]float64]{laneSweep, laneLimit, laneFlux, laneIn, laneOut, laneLoad, laneStore}
+	avx512Lanes = laneKernels[[8]float64]{laneSweep8, laneLimit8, laneFlux8, laneIn8, laneOut8, laneLoad8, laneStore8}
 )
 
 // StepLanes advances the len(c) lines of n cells, line k by its own CFL
@@ -85,14 +86,21 @@ var (
 // BenchmarkDrift64x256 and BenchmarkStep64x256). When the lanes share
 // their shift and direction, a pad row's interior cells, and a result row,
 // are adjacent values of data where laneStride is 1 (the plasma drift: at
-// eight lanes one 64-byte cache line), and a block of rows is one load of
+// eight lanes one 64-byte cache line), moved in and out by one VMOVUPD
+// each (laneLoad8/laneStore8, laneLoad/laneStore at four) once Go has
+// checked the rows' span against data; and a block of rows is one load of
 // adjacent cells per lane and one 4×4 or 8×8 transpose where cellStride is
-// 1 (the kick). A group with a lane whose CFL number is an integer (an
-// exact shift, zero included), the fewer than four lines left over, and
-// every line on a CPU without AVX2, take Step/StepOpen one by one.
+// 1 (the kick). The drift's rows are cellStride apart: a cellStride that
+// is an even number of 64-byte lines puts a group's rows in few L1 sets
+// (the plasma solver pads its rows to an odd number of lines for this). A
+// group with a lane whose CFL number is an integer (an exact shift, zero
+// included), the fewer than four lines left over, and every line on a CPU
+// without AVX2, take Step/StepOpen one by one. The lines' extent is
+// checked without overflow, so any off, strides and n either fit in data
+// or return an error.
 func (s *SLMPP5) StepLanes(data []float64, off, laneStride, cellStride, n int, c []float64, open bool) error {
 	lanes := len(c)
-	if laneStride < 1 || cellStride < 1 || off < 0 || off+(lanes-1)*laneStride+(n-1)*cellStride >= len(data) {
+	if laneStride < 1 || cellStride < 1 || !inside(len(data), off, lanes, laneStride, n, cellStride) {
 		return fmt.Errorf("slmpp5: %d lanes at %d, lane stride %d, cell stride %d, n %d, are outside %d values",
 			lanes, off, laneStride, cellStride, n, len(data))
 	}
@@ -126,6 +134,24 @@ func (s *SLMPP5) StepLanes(data []float64, off, laneStride, cellStride, n int, c
 		}
 	}
 	return s.stepLinesOneByOne(data, off+k*laneStride, laneStride, cellStride, n, c[k:], open)
+}
+
+// inside reports whether the lines' first cell, data[off], and their last,
+// data[off+(lanes−1)·laneStride+(n−1)·cellStride], lie inside size values,
+// for strides ≥ 1: each term is bounded by the room the ones before it
+// leave, so no product or sum overflows.
+func inside(size, off, lanes, laneStride, n, cellStride int) bool {
+	room := size - 1 - off
+	if off < 0 || room < 0 {
+		return false
+	}
+	if lanes > 1 {
+		if lanes-1 > room/laneStride {
+			return false
+		}
+		room -= (lanes - 1) * laneStride
+	}
+	return n <= 1 || n-1 <= room/cellStride
 }
 
 // gcd returns the greatest common divisor of a, b > 0.
@@ -245,18 +271,18 @@ func fillLane[R laneRow](q []R, k int, data []float64, base, cellStride, n, sh i
 }
 
 // loadRows sets rows[m][k] = data[at+m·step+k·laneStride] for every m
-// and lane k: one copy of a row's values where the lanes are adjacent, one
-// transpose (kern.in) per block of as many rows as lanes where a lane's
-// cells are (step ±1). Every index must lie inside data (step may be
-// negative).
+// and lane k: one move of a row's values (kern.load) where the lanes are
+// adjacent, one transpose (kern.in) per block of as many rows as lanes
+// where a lane's cells are (step ±1). rows is not empty, and every index
+// must lie inside data (step may be negative); the adjacent rows' span is
+// checked here before kern.load takes the pointer.
 func loadRows[R laneRow](kern *laneKernels[R], rows []R, data []float64, at, step, laneStride int) {
 	var r R
 	width := len(r)
 	if laneStride == 1 {
-		for m := range rows {
-			rows[m] = R(data[at : at+width])
-			at += step
-		}
+		end := at + (len(rows)-1)*step
+		_ = data[min(at, end) : max(at, end)+width]
+		kern.load(rows, &data[at], step)
 		return
 	}
 	if b := len(rows) / width * width; b > 0 && (step == 1 || step == -1) {
@@ -278,12 +304,9 @@ func storeRows[R laneRow](kern *laneKernels[R], data []float64, at, step, laneSt
 	var r R
 	width := len(r)
 	if laneStride == 1 {
-		for m := range rows {
-			// Go converts a slice to an array but not to a pointer to a type
-			// parameter: the slice expression checks the bounds.
-			*(*R)(unsafe.Pointer(unsafe.SliceData(data[at : at+width]))) = rows[m]
-			at += step
-		}
+		end := at + (len(rows)-1)*step
+		_ = data[min(at, end) : max(at, end)+width]
+		kern.store(&data[at], step, rows)
 		return
 	}
 	if b := len(rows) / width * width; b > 0 && (step == 1 || step == -1) {

@@ -481,6 +481,55 @@ done:
 	VZEROUPPER
 	RET
 
+// The drift's rows at eight lanes: a pad row is one 64-byte line of eight
+// adjacent values, one VMOVUPD in and one out, and successive rows are
+// step values apart (negative on mirrored lines). Go has checked every row
+// against the slice.
+
+// func laneLoad8(rows [][8]float64, src *float64, step int)
+TEXT ·laneLoad8(SB), NOSPLIT, $0-40
+	MOVQ  rows_base+0(FP), DI
+	MOVQ  rows_len+8(FP), CX
+	MOVQ  src+24(FP), SI
+	MOVQ  step+32(FP), BX
+	SHLQ  $3, BX
+	TESTQ CX, CX
+	JZ    done
+
+loop:
+	VMOVUPD (SI), Z0
+	VMOVUPD Z0, (DI)
+	ADDQ    BX, SI
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     loop
+
+done:
+	VZEROUPPER
+	RET
+
+// func laneStore8(dst *float64, step int, rows [][8]float64)
+TEXT ·laneStore8(SB), NOSPLIT, $0-40
+	MOVQ  dst+0(FP), DI
+	MOVQ  step+8(FP), BX
+	MOVQ  rows_base+16(FP), SI
+	MOVQ  rows_len+24(FP), CX
+	SHLQ  $3, BX
+	TESTQ CX, CX
+	JZ    done
+
+loop:
+	VMOVUPD (SI), Z0
+	VMOVUPD Z0, (DI)
+	ADDQ    $64, SI
+	ADDQ    BX, DI
+	DECQ    CX
+	JNZ     loop
+
+done:
+	VZEROUPPER
+	RET
+
 // SweptWeights' and steepness's constants: 1, 2, 3, 4, 9, 13, 94, 75, −40,
 // −15, 6, 120, 1e-12 and the sign bit, at 8·i.
 DATA sweepK<>+0(SB)/8, $1.0

@@ -29,6 +29,19 @@ func laneIn(rows [][4]float64, w []float64, laneStride int, mirrored bool)
 //go:noescape
 func laneOut(w []float64, laneStride int, mirrored bool, rows [][4]float64)
 
+// laneLoad sets rows[m] to the four values at src + m·step, a pad row per
+// 32-byte move; step (in values) may be negative. Every row must lie
+// inside src's slice. See lanes_amd64.s.
+//
+//go:noescape
+func laneLoad(rows [][4]float64, src *float64, step int)
+
+// laneStore is laneLoad the other way: the four values at dst + m·step =
+// rows[m].
+//
+//go:noescape
+func laneStore(dst *float64, step int, rows [][4]float64)
+
 // laneLimit8 is laneLimit on eight lanes, one line per AVX-512 lane. See
 // lanes8_amd64.s.
 //
@@ -50,6 +63,17 @@ func laneIn8(rows [][8]float64, w []float64, laneStride int, mirrored bool)
 //
 //go:noescape
 func laneOut8(w []float64, laneStride int, mirrored bool, rows [][8]float64)
+
+// laneLoad8 is laneLoad on eight lanes, a pad row per 64-byte move. See
+// lanes8_amd64.s.
+//
+//go:noescape
+func laneLoad8(rows [][8]float64, src *float64, step int)
+
+// laneStore8 is laneLoad8 the other way.
+//
+//go:noescape
+func laneStore8(dst *float64, step int, rows [][8]float64)
 
 // laneSweep sets k's swept-average weights and steepness from its
 // fractions xi, each lane as SweptWeights and steepness do. See

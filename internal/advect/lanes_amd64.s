@@ -365,6 +365,54 @@ outdone:
 	VZEROUPPER
 	RET
 
+// The drift's rows: the four lanes are adjacent values, so a pad row is
+// one 32-byte move, and successive rows are step values apart (negative on
+// mirrored lines). Go has checked every row against the slice.
+
+// func laneLoad(rows [][4]float64, src *float64, step int)
+TEXT ·laneLoad(SB), NOSPLIT, $0-40
+	MOVQ  rows_base+0(FP), DI
+	MOVQ  rows_len+8(FP), CX
+	MOVQ  src+24(FP), SI
+	MOVQ  step+32(FP), BX
+	SHLQ  $3, BX
+	TESTQ CX, CX
+	JZ    loaddone
+
+load:
+	VMOVUPD (SI), Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    BX, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     load
+
+loaddone:
+	VZEROUPPER
+	RET
+
+// func laneStore(dst *float64, step int, rows [][4]float64)
+TEXT ·laneStore(SB), NOSPLIT, $0-40
+	MOVQ  dst+0(FP), DI
+	MOVQ  step+8(FP), BX
+	MOVQ  rows_base+16(FP), SI
+	MOVQ  rows_len+24(FP), CX
+	SHLQ  $3, BX
+	TESTQ CX, CX
+	JZ    storedone
+
+store:
+	VMOVUPD (SI), Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    BX, DI
+	DECQ    CX
+	JNZ     store
+
+storedone:
+	VZEROUPPER
+	RET
+
 // SweptWeights' and steepness's constants: 1, 2, 3, 4, 9, 13, 94, 75, −40,
 // −15, 6, 120, 1e-12 and the sign bit, at 8·i.
 DATA sweepK<>+0(SB)/8, $1.0

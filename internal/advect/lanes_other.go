@@ -21,6 +21,14 @@ func laneOut(w []float64, laneStride int, mirrored bool, rows [][4]float64) {
 	panic("advect: no vector kernel on this architecture")
 }
 
+func laneLoad(rows [][4]float64, src *float64, step int) {
+	panic("advect: no vector kernel on this architecture")
+}
+
+func laneStore(dst *float64, step int, rows [][4]float64) {
+	panic("advect: no vector kernel on this architecture")
+}
+
 func laneLimit8(q, v [][8]float64, k *laneCoef[[8]float64]) {
 	panic("advect: no vector kernel on this architecture")
 }
@@ -34,6 +42,14 @@ func laneIn8(rows [][8]float64, w []float64, laneStride int, mirrored bool) {
 }
 
 func laneOut8(w []float64, laneStride int, mirrored bool, rows [][8]float64) {
+	panic("advect: no vector kernel on this architecture")
+}
+
+func laneLoad8(rows [][8]float64, src *float64, step int) {
+	panic("advect: no vector kernel on this architecture")
+}
+
+func laneStore8(dst *float64, step int, rows [][8]float64) {
 	panic("advect: no vector kernel on this architecture")
 }
 

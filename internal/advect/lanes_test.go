@@ -189,6 +189,136 @@ func TestStepLanesRejectsBadLayouts(t *testing.T) {
 	}
 }
 
+// TestStepLanesRejectsHugeLayouts: offsets, strides and line lengths whose
+// last cell, off + (lanes−1)·laneStride + (n−1)·cellStride, overflows an
+// int (or is merely far past the data) return an error; none panics.
+func TestStepLanesRejectsHugeLayouts(t *testing.T) {
+	s, data := NewSLMPP5(), make([]float64, 4096)
+	c := []float64{0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3}
+	for _, l := range []struct {
+		laneLayout
+		n int
+	}{
+		{laneLayout{0, 1 << 61, 1}, 64},                      // 7·2⁶¹ wraps negative
+		{laneLayout{0, 1 << 62, 1}, 64},                      // wraps to a small positive extent
+		{laneLayout{0, 1, 1 << 61}, 64},                      // 63·2⁶¹ wraps
+		{laneLayout{0, 1, 1 << 62}, 6},                       // 5·2⁶² wraps
+		{laneLayout{0, 8, 1}, math.MaxInt},                   // n − 1 past the data
+		{laneLayout{0, 1, 8}, math.MaxInt / 8},               // (n − 1)·8 just inside an int, past the data
+		{laneLayout{math.MaxInt, 1, 8}, 64},                  // off past the data, off + … wraps
+		{laneLayout{math.MaxInt - 7, 1, 1 << 40}, 64},        // the same, nearer the top
+		{laneLayout{4000, math.MaxInt, math.MaxInt}, 64},     // every term overflows
+		{laneLayout{1 << 62, 1 << 62, 1 << 62}, 1 << 62},     // so does every product
+		{laneLayout{0, math.MaxInt / 7, 8}, math.MaxInt / 8}, // each term alone fits
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%+v, n %d: panic %v", l.laneLayout, l.n, r)
+				}
+			}()
+			if err := s.StepLanes(data, l.off, l.laneStride, l.cellStride, l.n, c, false); err == nil {
+				t.Errorf("%+v, n %d: no error", l.laneLayout, l.n)
+			}
+		}()
+	}
+}
+
+// TestStepLanesPlasmaLayouts steps the plasma solver's two layouts at
+// every lane width, per line, four lanes and eight, against per-line
+// Step/StepOpen (checkLanes, which also holds every value between the
+// lines to its bits): the drift's 256 lines of 64 cells, lanes adjacent
+// and cells a row stride apart, periodic, with c from −2.7 to 2.7 (a
+// group of mixed directions at the sign change in the middle); and the
+// kick's 64 open lines of 256 cells, lanes a row stride apart and cells
+// adjacent, with c of a sine field, both signs. The row stride is the
+// unpadded 256 and the solver's 264; FuzzStepLanes' strides stay far
+// below either.
+func TestStepLanesPlasmaLayouts(t *testing.T) {
+	const nx, nv = 64, 256
+	withLaneKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(57))
+		s := NewSLMPP5()
+		for _, stride := range []int{256, 264} {
+			drift, kick := make([]float64, nv), make([]float64, nx)
+			for _, sign := range []float64{1, -1} {
+				for j := range drift {
+					drift[j] = sign * 2.7 * (float64(j) + 0.5 - nv/2) / (nv / 2)
+				}
+				for i := range kick {
+					kick[i] = sign * 1.9 * math.Sin(2*math.Pi*(float64(i)+0.5)/nx)
+				}
+				l := laneLayout{0, 1, stride}
+				checkLanes(t, s, laneData(rng, l, nv, nx), l, nx, drift, false)
+				l = laneLayout{0, stride, 1}
+				checkLanes(t, s, laneData(rng, l, nx, nv), l, nv, kick, true)
+			}
+		}
+	})
+}
+
+// TestLaneRowCopiesCheckBounds: loadRows and storeRows with adjacent lanes
+// hand the assembly copies a raw pointer, so a span that reaches one value
+// past either end of data must panic in Go before any copy, in both
+// directions, and one that fits must copy every row there and back.
+func TestLaneRowCopiesCheckBounds(t *testing.T) {
+	withLimitKernel(t,
+		func(t *testing.T) { checkRowCopyBounds(t, &avx2Lanes) },
+		func(t *testing.T) { checkRowCopyBounds(t, &avx512Lanes) })
+}
+
+func checkRowCopyBounds[R laneRow](t *testing.T, kern *laneKernels[R]) {
+	var r R
+	width, step := len(r), 11
+	rows := make([]R, 5)
+	span := 4*step + width // the values rows reach from their first
+	for _, tc := range []struct {
+		size, at, step int
+		ok             bool
+	}{
+		{span, 0, step, true},
+		{span, span - width, -step, true},
+		{span - 1, 0, step, false},             // the last row ends past data
+		{span, span - width - 1, -step, false}, // the last row starts before it
+		{span, 1, step, false},
+	} {
+		data := make([]float64, tc.size)
+		for i := range data {
+			data[i] = float64(i)
+		}
+		for _, store := range []bool{false, true} {
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				if store { // the rows loadRows left, into zeroed data
+					clear(data)
+					storeRows(kern, data, tc.at, tc.step, 1, rows)
+				} else {
+					loadRows(kern, rows, data, tc.at, tc.step, 1)
+				}
+				return false
+			}()
+			if panicked == tc.ok {
+				t.Fatalf("size %d, at %d, step %d, store %v: panicked %v", tc.size, tc.at, tc.step, store, panicked)
+			}
+			if !tc.ok {
+				continue
+			}
+			for m := range rows {
+				for k := range width {
+					if at := tc.at + m*tc.step + k; rows[m][k] != data[at] {
+						t.Fatalf("step %d, store %v: row %d lane %d = %v, data[%d] = %v", tc.step, store, m, k, rows[m][k], at, data[at])
+					}
+				}
+			}
+		}
+	}
+}
+
+// WithLaneWidths runs fn at every lane width the CPU has, per line (go),
+// four lanes (avx2) and eight (avx512), for the tests of package
+// advect_test.
+func WithLaneWidths(t *testing.T, fn func(t *testing.T)) { withLaneKernel(t, fn) }
+
 // FuzzStepLanes holds StepLanes to per-line Step/StepOpen bit for bit, at
 // every lane width the CPU has, on 1–19 lines of 6–300 cells in either
 // layout, four finite CFL patterns spread over the lanes and values with

@@ -42,6 +42,7 @@ func TestLimiterRejectRates(t *testing.T) {
 	s.SetWorkers(1)
 	var drift, kick rejectRate
 	cx, cv := make([]float64, s.NV), make([]float64, s.NX)
+	stride := len(s.F) / s.NX // F's rows are padded past NV
 	owed, steps := 0.0, 0
 	for ; s.Time < 25; steps++ {
 		// Step's kick of the owed half and dt/2 under the field of the
@@ -51,14 +52,14 @@ func TestLimiterRejectRates(t *testing.T) {
 		for i, e := range s.ElectricField() {
 			cv[i] = -e * h / s.DV()
 		}
-		kick.add(advect.LaneRejects(s.F, 0, s.NV, 1, s.NV, cv, true))
+		kick.add(advect.LaneRejects(s.F, 0, stride, 1, s.NV, cv, true))
 		if err := s.KickStep(h); err != nil {
 			t.Fatal(err)
 		}
 		for j := range cx {
 			cx[j] = s.V(j) * dt / s.DX()
 		}
-		drift.add(advect.LaneRejects(s.F, 0, 1, s.NV, s.NX, cx, false))
+		drift.add(advect.LaneRejects(s.F, 0, 1, stride, s.NX, cx, false))
 		if err := s.DriftStep(dt); err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,10 @@
 // survives a restart mid-campaign.
 //
 // Layout: one snapio section (magic "V6DP", scheme-name length + bytes, NX,
-// NV as uint64, then L, VMax, Time, CFL and the F array as float64 bits)
-// and its CRC word. The decoder's byte budget alone bounds the name and the
-// grid a header may claim.
+// NV as uint64, then L, VMax, Time, CFL and the NX·NV cells of F, row by
+// row, as float64 bits) and its CRC word; F's row padding is not written.
+// The decoder's byte budget alone bounds the name and the grid a header
+// may claim.
 package plasma
 
 import (
@@ -20,15 +21,16 @@ import (
 const ckptMagic = 0x56364450
 
 // snapState is what a checkpoint serialises, in file order. Checkpoint
-// fills it from the live solver, f aliasing F: the encoder streams F to the
-// writer in chunks and copies none of it.
+// fills it from the live solver, f aliasing F: the encoder streams F's
+// rows to the writer in chunks and copies none of it.
 type snapState struct {
 	nx, nv  int
 	l, vmax float64
 	time    float64
 	cfl     float64
 	scheme  string
-	f       []float64
+	f       []float64 // the nx rows, or none for a header alone
+	stride  int       // row i of f is f[i·stride : i·stride+nv]
 }
 
 // Checkpoint synchronises the solver and writes a restorable snapshot of its
@@ -40,11 +42,12 @@ func (s *Solver) Checkpoint(w io.Writer) (int64, error) {
 	}
 	return writeState(w, snapState{
 		nx: s.NX, nv: s.NV, l: s.L, vmax: s.VMax,
-		time: s.Time, cfl: s.CFL, scheme: s.scheme, f: s.F,
+		time: s.Time, cfl: s.CFL, scheme: s.scheme, f: s.F, stride: s.stride,
 	})
 }
 
-// writeState encodes the layout above.
+// writeState encodes the layout above: the NX·NV cells row by row, with
+// none of the padding between a row's NV values and the stride.
 func writeState(w io.Writer, st snapState) (int64, error) {
 	e := snapio.NewEncoder(w)
 	e.U64(ckptMagic)
@@ -53,7 +56,9 @@ func writeState(w io.Writer, st snapState) (int64, error) {
 	e.U64(uint64(st.nx))
 	e.U64(uint64(st.nv))
 	e.F64s([]float64{st.l, st.vmax, st.time, st.cfl})
-	e.F64s(st.f)
+	for at := 0; at < len(st.f); at += st.stride {
+		e.F64s(st.f[at : at+st.nv])
+	}
 	e.EndSection()
 	return e.Result()
 }
@@ -85,7 +90,9 @@ func Restore(r io.Reader) (*Solver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plasma: checkpoint rebuild: %w", err)
 	}
-	d.F64s(s.F)
+	for i := range s.NX {
+		d.F64s(s.Row(i))
+	}
 	d.EndSection()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("plasma: checkpoint: %w", err)

@@ -124,7 +124,7 @@ func TestCheckpointCopiesNoState(t *testing.T) {
 	if err := s.Synchronize(); err != nil {
 		t.Fatal(err)
 	}
-	state := 8 * uint64(len(s.F))
+	state := 8 * uint64(s.NX*s.NV)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	n, err := s.Checkpoint(io.Discard)
@@ -196,8 +196,10 @@ func wordAtATimeState(st snapState) []byte {
 	for _, v := range []float64{st.l, st.vmax, st.time, st.cfl} {
 		word(math.Float64bits(v))
 	}
-	for _, v := range st.f {
-		word(math.Float64bits(v))
+	for i := range st.nx {
+		for _, v := range st.f[i*st.stride : i*st.stride+st.nv] {
+			word(math.Float64bits(v))
+		}
 	}
 	word(uint64(crc32.ChecksumIEEE(out)))
 	return out
@@ -232,16 +234,21 @@ func TestCheckpointBytesAreStable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden file no longer restores: %v", err)
 	}
-	if r.NX != 6 || r.NV != 8 || r.Scheme() != "mp5" || r.Time != 0.375 || r.CFL != 0.3 || r.F[47] != 4.875 {
-		t.Fatalf("golden file restored as %dx%d %s t=%v cfl=%v F[47]=%v", r.NX, r.NV, r.Scheme(), r.Time, r.CFL, r.F[47])
+	if r.NX != 6 || r.NV != 8 || r.Scheme() != "mp5" || r.Time != 0.375 || r.CFL != 0.3 || r.Row(5)[7] != 4.875 {
+		t.Fatalf("golden file restored as %dx%d %s t=%v cfl=%v f[5][7]=%v", r.NX, r.NV, r.Scheme(), r.Time, r.CFL, r.Row(5)[7])
 	}
 
 	for _, scheme := range []string{"slmpp5", "mp5", "upwind1", "laxwendroff2"} {
 		for _, nx := range []int{6, 127, 128, 130} { // × 64 × 8 B: 3 KiB, then around one chunk
+			// Rows padded to 72 values, the padding a value no cell holds:
+			// the writer must skip it.
 			st := snapState{nx: nx, nv: 64, l: 4 * math.Pi, vmax: 6, time: 1.25, cfl: 0.4, scheme: scheme,
-				f: make([]float64, nx*64)}
+				f: make([]float64, nx*72), stride: 72}
 			for i := range st.f {
 				st.f[i] = math.Sin(float64(i))
+				if i%72 >= 64 {
+					st.f[i] = math.NaN()
+				}
 			}
 			var got bytes.Buffer
 			n, err := writeState(&got, st)
@@ -250,5 +257,58 @@ func TestCheckpointBytesAreStable(t *testing.T) {
 				t.Fatalf("%s %dx64: %d bytes (%v), reference has %d or differs", scheme, nx, n, err, len(want))
 			}
 		}
+	}
+}
+
+// TestRowStride: for NV from 6 to 1024, F's row stride is at least NV, a
+// multiple of 8 values and an odd number of 64-byte lines, and the
+// smallest such: the odd line count below it holds fewer than NV values.
+func TestRowStride(t *testing.T) {
+	for nv := 6; nv <= 1024; nv++ {
+		st := rowStride(nv)
+		if st < nv || st%8 != 0 || st/8%2 != 1 || st-16 >= nv {
+			t.Fatalf("NV %d: stride %d", nv, st)
+		}
+	}
+	for nv, want := range map[int]int{8: 8, 20: 24, 64: 72, 256: 264} {
+		if got := rowStride(nv); got != want {
+			t.Errorf("NV %d: stride %d, want %d", nv, got, want)
+		}
+	}
+}
+
+// TestPaddedCheckpointRoundTrip: at 8×20, whose rows are padded to 24
+// values, a stepped state's checkpoint is the header and CRC plus its
+// 8·NX·NV cell bytes, none of the padding, and Restore → Checkpoint
+// reproduces it byte for byte.
+func TestPaddedCheckpointRoundTrip(t *testing.T) {
+	s, err := NewWithScheme(8, 20, 4*math.Pi, 6, "slmpp5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.stride != 24 {
+		t.Fatalf("8×20: stride %d, want 24", s.stride)
+	}
+	s.LandauInit(0.01, 0.5, 1)
+	stepN(t, s, 3, 0.05)
+	var first bytes.Buffer
+	if _, err := s.Checkpoint(&first); err != nil {
+		t.Fatal(err)
+	}
+	// magic, name length, name, NX, NV, L, VMax, Time, CFL, then the CRC.
+	header := 8 + 8 + len("slmpp5") + 2*8 + 4*8 + 8
+	if want := header + 8*s.NX*s.NV; first.Len() != want {
+		t.Fatalf("checkpoint of %d bytes, want %d header and CRC bytes + %d cell bytes", first.Len(), header, 8*s.NX*s.NV)
+	}
+	r, err := Restore(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if _, err := r.Checkpoint(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("Restore → Checkpoint changed the bytes")
 	}
 }

@@ -27,12 +27,22 @@
 // StepLanes), which runs them eight at a time in the lanes of one AVX-512
 // vector kernel, limiter included, where the CPU has it, and four at a time
 // in an AVX2 one where it has only that: the drift adjacent velocity
-// indices, one 64-byte row of F per pad row at eight lanes, the kick
-// adjacent rows, moved in and out of the kernel a block at a time by an
-// 8×8 or 4×4 transpose. Every line ends bit for bit as the per-line
-// Step/StepOpen leaves it, so neither the CPU nor the worker count changes
-// the physics. The density sums four rows at a time, each in its own cell
-// order (eight at a time spill an accumulator in Go and run slower).
+// indices, one 64-byte line of F per pad row at eight lanes, moved by one
+// vector load and store, the kick adjacent rows, moved in and out of the
+// kernel a block at a time by an 8×8 or 4×4 transpose. Every line ends bit
+// for bit as the per-line Step/StepOpen leaves it, so neither the CPU nor
+// the worker count changes the physics. The density sums four rows at a
+// time, each in its own cell order (eight at a time spill an accumulator in
+// Go and run slower).
+//
+// F's rows are a row stride apart, not NV: the smallest multiple of 8
+// values at least NV that is an odd number of 64-byte lines (264 at
+// NV = 256, 72 at 64, 8 at 8). An eight-lane drift group reads and writes
+// one line in each of F's NX rows; at a stride of 2 KiB (NV = 256) those
+// 64 lines fall in 2 of the L1's 64 sets, which hold 24 of them, so each
+// line came from L2 on the load and again on the store. At an odd number
+// of lines they spread over every set. The values between NV and the
+// stride stay +0; a checkpoint holds only the NX·NV cells.
 package plasma
 
 import (
@@ -51,7 +61,10 @@ type Solver struct {
 	NX, NV int
 	L      float64
 	VMax   float64
-	// F is the distribution, row-major [NX][NV].
+	// F is the distribution: row i, f(x_i, ·), is the NV values from
+	// i·stride, len(F)/NX values apart, with +0 between NV and the stride
+	// (see the package comment for why the rows are padded). Code outside
+	// the sweeps reads a row through Row.
 	F []float64
 	// Time is the elapsed plasma time ω_p·t, advanced by Step. It doubles
 	// as the runner clock, so Run(ctx, s, T) integrates to t = T.
@@ -60,6 +73,7 @@ type Solver struct {
 	// semi-Lagrangian scheme tolerates larger values at reduced accuracy).
 	CFL float64
 
+	stride int           // F's row stride, rowStride(NV)
 	per    advect.Scheme // the prototype each pool worker clones
 	scheme string
 	plan   *fft.Plan
@@ -100,10 +114,12 @@ func NewWithScheme(nx, nv int, boxL, vmax float64, scheme string) (*Solver, erro
 	if err != nil {
 		return nil, err
 	}
+	stride := rowStride(nv)
 	return &Solver{
 		NX: nx, NV: nv, L: boxL, VMax: vmax,
 		CFL:    0.4,
-		F:      make([]float64, nx*nv),
+		F:      make([]float64, nx*stride),
+		stride: stride,
 		per:    per,
 		scheme: scheme,
 		plan:   plan,
@@ -114,6 +130,20 @@ func NewWithScheme(nx, nv int, boxL, vmax float64, scheme string) (*Solver, erro
 			return &pworker{line: make([]float64, nx), cfl: make([]float64, max(nx, nv)), per: per.Clone(), open: advect.NewSLMPP5()}
 		}),
 	}, nil
+}
+
+// rowStride is F's row stride for nv values a row: the smallest multiple of
+// 8 values (one 64-byte line) at least nv that is an odd number of lines.
+func rowStride(nv int) int {
+	lines := (nv + 7) / 8
+	return (lines | 1) * 8
+}
+
+// Row returns row i of F, f(x_i, v_j) for j = 0..NV−1, as a slice of F
+// capped at NV values.
+func (s *Solver) Row(i int) []float64 {
+	at := i * s.stride
+	return s.F[at : at+s.NV : at+s.NV]
 }
 
 // Scheme returns the name of the periodic x-drift advection scheme.
@@ -160,8 +190,9 @@ func (s *Solver) Fill(a, b func(float64) float64) {
 	}
 	for i := 0; i < s.NX; i++ {
 		ai := a(s.X(i))
+		row := s.Row(i)[:len(col)]
 		for j, bj := range col {
-			s.F[i*s.NV+j] = ai * bj
+			row[j] = ai * bj
 		}
 	}
 }
@@ -170,13 +201,13 @@ func (s *Solver) Fill(a, b func(float64) float64) {
 // rows at a time, each into its own accumulator, so the four add chains
 // run side by side and every ρ is the serial row sum.
 func (s *Solver) Density() []float64 {
-	dv, nv := s.DV(), s.NV
+	dv := s.DV()
 	i := 0
 	for ; i+4 <= s.NX; i += 4 {
-		r0 := s.F[i*nv : (i+1)*nv]
-		r1 := s.F[(i+1)*nv : (i+2)*nv][:len(r0)]
-		r2 := s.F[(i+2)*nv : (i+3)*nv][:len(r0)]
-		r3 := s.F[(i+3)*nv : (i+4)*nv][:len(r0)]
+		r0 := s.Row(i)
+		r1 := s.Row(i + 1)[:len(r0)]
+		r2 := s.Row(i + 2)[:len(r0)]
+		r3 := s.Row(i + 3)[:len(r0)]
 		var a0, a1, a2, a3 float64
 		for j, v := range r0 {
 			a0 += v
@@ -188,7 +219,7 @@ func (s *Solver) Density() []float64 {
 	}
 	for ; i < s.NX; i++ {
 		sum := 0.0
-		for _, v := range s.F[i*nv : (i+1)*nv] {
+		for _, v := range s.Row(i) {
 			sum += v
 		}
 		s.rho[i] = sum * dv
@@ -254,11 +285,14 @@ func (s *Solver) currentField() []float64 {
 	return s.e
 }
 
-// TotalMass returns ∫f dx dv.
+// TotalMass returns ∫f dx dv: one sum over the cells, row after row in
+// cell order.
 func (s *Solver) TotalMass() float64 {
 	sum := 0.0
-	for _, v := range s.F {
-		sum += v
+	for i := 0; i < s.NX; i++ {
+		for _, v := range s.Row(i) {
+			sum += v
+		}
 	}
 	return sum * s.DX() * s.DV()
 }
@@ -359,16 +393,16 @@ func (s *Solver) drift(dt float64) error {
 }
 
 // driftRange sweeps velocity indices lo..hi−1. SL-MPP5 takes them all in
-// one StepLanes call (the lanes are adjacent values of F, a line's cells NV
-// apart), which steps them eight or four at a time; every other scheme goes
-// line by line through the worker's gather buffer.
+// one StepLanes call (the lanes are adjacent values of F, a line's cells
+// the row stride apart), which steps them eight or four at a time; every
+// other scheme goes line by line through the worker's gather buffer.
 func (s *Solver) driftRange(w *pworker, lo, hi int, dt, dx float64) error {
 	if sl, ok := w.per.(*advect.SLMPP5); ok {
 		c := w.cfl[:hi-lo]
 		for k := range c {
 			c[k] = s.V(lo+k) * dt / dx
 		}
-		return sl.StepLanes(s.F, lo, 1, s.NV, s.NX, c, false)
+		return sl.StepLanes(s.F, lo, 1, s.stride, s.NX, c, false)
 	}
 	for j := lo; j < hi; j++ {
 		c := s.V(j) * dt / dx
@@ -376,14 +410,14 @@ func (s *Solver) driftRange(w *pworker, lo, hi int, dt, dx float64) error {
 			continue
 		}
 		line := w.line[:s.NX]
-		for i := 0; i < s.NX; i++ {
-			line[i] = s.F[i*s.NV+j]
+		for i := range line {
+			line[i] = s.F[i*s.stride+j]
 		}
 		if err := w.per.Step(line, c); err != nil {
 			return err
 		}
-		for i := 0; i < s.NX; i++ {
-			s.F[i*s.NV+j] = line[i]
+		for i, v := range line {
+			s.F[i*s.stride+j] = v
 		}
 	}
 	return nil
@@ -404,13 +438,13 @@ func (s *Solver) kick(dt float64, e []float64) error {
 }
 
 // kickRange sweeps rows lo..hi−1 in one StepLanes call (the lanes are
-// rows NV apart, a line's cells adjacent).
+// rows the row stride apart, a line's NV cells adjacent).
 func (s *Solver) kickRange(w *pworker, lo, hi int, dt, dv float64, e []float64) error {
 	c := w.cfl[:hi-lo]
 	for k := range c {
 		c[k] = -e[lo+k] * dt / dv
 	}
-	return w.open.StepLanes(s.F, lo*s.NV, s.NV, 1, s.NV, c, true)
+	return w.open.StepLanes(s.F, lo*s.stride, s.stride, 1, s.NV, c, true)
 }
 
 // DriftStep applies one full x-drift sweep and KickStep one full v-kick

@@ -144,13 +144,16 @@ func TestDensityMatchesRowSums(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range s.F {
-			s.F[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+		for i := range nx {
+			row := s.Row(i)
+			for j := range row {
+				row[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			}
 		}
 		rho, dv := s.Density(), s.DV()
 		for i := 0; i < nx; i++ {
 			sum := 0.0
-			for _, v := range s.F[i*s.NV : (i+1)*s.NV] {
+			for _, v := range s.Row(i) {
 				sum += v
 			}
 			if want := sum * dv; math.Float64bits(rho[i]) != math.Float64bits(want) {
@@ -413,7 +416,7 @@ func TestInitsMatchPerCellClosures(t *testing.T) {
 		t.Helper()
 		for i := 0; i < s.NX; i++ {
 			for j := 0; j < s.NV; j++ {
-				if got, want := s.F[i*s.NV+j], f(s.X(i), s.V(j)); math.Float64bits(got) != math.Float64bits(want) {
+				if got, want := s.Row(i)[j], f(s.X(i), s.V(j)); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s %dx%d: f[%d][%d] = %v, the per-cell closure gives %v", name, s.NX, s.NV, i, j, got, want)
 				}
 			}
