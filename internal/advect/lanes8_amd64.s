@@ -1,10 +1,14 @@
 #include "textflag.h"
 
-// The SL-MPP5 kernel of lanes_amd64.s on eight lines at once, one line per
-// AVX-512 lane: the same operations in the same order per lane, with no
-// FMA, so each lane rounds exactly as advance and mpBound do. What the
-// 512-bit form changes is how masks are held, bits combined and the
-// limiter's rejects bounded:
+// The SL-MPP5 kernel of lanes_amd64.s eight values at once: eight lines,
+// one per AVX-512 lane (laneLimit8, laneFlux8), or eight consecutive
+// interfaces of one line (the line mode of the plasma kick: lineLimit8,
+// one limit8 with laneLimit8 at a stencil stride of one value instead of
+// one lane row; lineFlux8, which takes prev from the lane below by VALIGNQ
+// and writes the cells straight into the line; lineIn8). A line mode has
+// no 8×8 transpose and no rows left over. The same operations in the same order per value, with no FMA, so each
+// rounds exactly as advance and mpBound do. What the 512-bit form changes
+// is how masks are held, bits combined and the limiter's rejects bounded:
 //
 //   - The reject test compares into K1 (VCMPPD, GT_OQ) and KORTESTB
 //     branches on it. A row with a rejecting lane queues only those lanes,
@@ -17,15 +21,15 @@
 //     the bound runs about seven times less often than per row.
 //   - minmod2's integer form: |a|, |b| are a, b with the sign bit cleared,
 //     below 2⁶³, so VPMINUQ orders them exactly; the smaller takes a's sign
-//     (VPTERNLOGQ) and is zeroed by VBLENDMPD under the K-mask of the lanes
-//     where a ^ b has its sign bit set (VPMOVQ2M).
+//     (VPTERNLOGQ) under a zeroing K-mask of the lanes where a ^ b has its
+//     sign bit clear (VPTESTNMQ).
 //   - GOMAX's XOR/AND/OR chain is one VPTERNLOGQ.
 //
 // Offsets into laneCoef[[8]float64]: w 0 (w_r at 64r), xi 320, alpha 384,
 // eps 448, queue 456. Z0–Z15 and K1, K3 are used as in lanes_amd64.s;
-// laneLimit8 also holds its queue's indices and constants in Z16–Z21 and
-// the batch mask in K2 (K4 is the gathers' copy of it). Every function
-// that touches a Z register ends with VZEROUPPER.
+// limit8 also holds its queue's indices and constants in Z16–Z21, the
+// weights in Z22–Z26 and the batch mask in K2 (K4 is the gathers' copy of
+// it). Every function that touches a Z register ends with VZEROUPPER.
 
 DATA half<>+0(SB)/8, $0x3FE0000000000000
 GLOBL half<>(SB), RODATA|NOPTR, $8
@@ -33,17 +37,17 @@ GLOBL half<>(SB), RODATA|NOPTR, $8
 DATA fourThirds<>+0(SB)/8, $0x3FF5555555555555
 GLOBL fourThirds<>(SB), RODATA|NOPTR, $8
 
-// MINMOD2 sets d = minmod2(a, b): d = min(|a|, |b|) | (a & sign), then 0
-// where a and b differ in sign. t is scratch; d and t differ from a and b.
-// Z14 holds the sign bits, Z15 zero; K3 is clobbered.
+// MINMOD2 sets d = minmod2(a, b): d = min(|a|, |b|) | (a & sign) where a
+// and b share their sign (K3, VPTESTNMQ of a ^ b), else 0 (the zeroing
+// mask). t is scratch; d and t differ from a and b. Z14 holds the sign
+// bits; K3 is clobbered.
 #define MINMOD2(a, b, d, t) \
-	VANDNPD    a, Z14, d;        \
-	VANDNPD    b, Z14, t;        \
-	VPMINUQ    t, d, d;          \
-	VPTERNLOGQ $0xf8, Z14, a, d; \
-	VPXORQ     b, a, t;          \
-	VPMOVQ2M   t, K3;            \
-	VBLENDMPD  Z15, d, K3, d
+	VANDNPD        a, Z14, d;            \
+	VANDNPD        b, Z14, t;            \
+	VPMINUQ        t, d, d;              \
+	VPXORQ         b, a, t;              \
+	VPTESTNMQ      Z14, t, K3;           \
+	VPTERNLOGQ.Z   $0xf8, Z14, a, K3, d
 
 // GOMIN sets d = min(a, b) as Go rounds it: min(b, a), which is a on a tie
 // or NaN, OR min(a, b), which is b there. t is scratch; d and t differ from
@@ -73,10 +77,43 @@ DATA laneIota<>+48(SB)/8, $6
 DATA laneIota<>+56(SB)/8, $7
 GLOBL laneIota<>(SB), RODATA|NOPTR, $64
 
-DATA laneEight<>+0(SB)/8, $8
-GLOBL laneEight<>(SB), RODATA|NOPTR, $8
-
 // func laneLimit8(q, v [][8]float64, k *laneCoef[[8]float64])
+//
+// A lane pad: row i, lane k at 8i + k, each lane its own line, weights
+// and α. The limit itself is limit8<>, shared with lineLimit8.
+TEXT ·laneLimit8(SB), NOSPLIT, $0-56
+	MOVQ q_base+0(FP), SI
+	MOVQ v_base+24(FP), DI
+	MOVQ v_len+32(FP), CX
+	MOVQ k+48(FP), R9
+	MOVQ $8, R8
+	MOVQ $-1, AX
+	JMP  limit8<>(SB)
+
+// func lineLimit8(q *float64, v [][8]float64, k *laneCoef[[8]float64], line int)
+//
+// One line's pad (the line mode): interface 8i + k at lane k of row i,
+// every lane with lane line's weights and α, broadcast.
+TEXT ·lineLimit8(SB), NOSPLIT, $0-48
+	MOVQ q+0(FP), SI
+	MOVQ v_base+8(FP), DI
+	MOVQ v_len+16(FP), CX
+	MOVQ k+32(FP), R9
+	MOVQ $1, R8
+	MOVQ line+40(FP), AX
+	JMP  limit8<>(SB)
+
+// limit8 takes q in SI, v's rows in DI and their count in CX, k in R9,
+// the stencil's stride in values in R8 and the lane whose weights and α
+// every lane takes in AX (all their own where AX < 0), and returns to the
+// caller of laneLimit8 or lineLimit8.
+//
+// Interface i's stencil m2 … p2 is the five values stride apart from q +
+// i·8 values' row start: stride 8 on a lane pad (row i, lane k at 8i + k),
+// stride 1 on one line's pad (interface 8i + k at lane k). Either way the
+// value of lane k of row i sits at 8i + k in v and 8i + k + r·stride in q,
+// so the queue's index row·8 + lane addresses both. The weights and α are
+// held in Z22–Z26 and Z20.
 //
 // One pass over the rows stores every row's v and queues its rejecting
 // lanes at k's queue (R10), their indices row·8 + lane into v; BX counts
@@ -88,14 +125,32 @@ GLOBL laneEight<>(SB), RODATA|NOPTR, $8
 // lanes zero (no stale memory, so no NaN and no subnormal), and the
 // scatter skips them. Each value takes mpBound's operations in mpBound's
 // order on the same inputs, so it rounds as the per-row bound did.
-TEXT ·laneLimit8(SB), NOSPLIT, $0-56
-	MOVQ  q_base+0(FP), SI
-	MOVQ  v_base+24(FP), DI
-	MOVQ  v_len+32(FP), CX // interfaces
-	MOVQ  k+48(FP), R9
+TEXT limit8<>(SB), NOSPLIT, $0
 	TESTQ CX, CX
 	JZ    done
+	SHLQ  $3, R8          // the stencil's stride in bytes
+	LEAQ  (R8)(R8*2), R11 // and three of them
 
+	TESTQ        AX, AX
+	JS           lanes
+	LEAQ         (R9)(AX*8), DX
+	VBROADCASTSD 0(DX), Z22
+	VBROADCASTSD 64(DX), Z23
+	VBROADCASTSD 128(DX), Z24
+	VBROADCASTSD 192(DX), Z25
+	VBROADCASTSD 256(DX), Z26
+	VBROADCASTSD 384(DX), Z20 // α
+	JMP          start
+
+lanes:
+	VMOVUPD 0(R9), Z22
+	VMOVUPD 64(R9), Z23
+	VMOVUPD 128(R9), Z24
+	VMOVUPD 192(R9), Z25
+	VMOVUPD 256(R9), Z26
+	VMOVUPD 384(R9), Z20 // α
+
+start:
 	MOVQ         SI, R13             // q
 	MOVQ         DI, R12             // v
 	LEAQ         456(R9), R10        // the queue
@@ -103,27 +158,23 @@ TEXT ·laneLimit8(SB), NOSPLIT, $0-56
 	VBROADCASTSD 448(R9), Z13        // mpEps
 	VPTERNLOGQ   $0xff, Z14, Z14, Z14
 	VPSLLQ       $63, Z14, Z14       // sign bits
-	VPXORQ       Z15, Z15, Z15
 	VMOVDQU64    laneIota<>(SB), Z17
-	VMOVDQU64    Z17, Z18            // row·8 + lane
-	VPBROADCASTQ laneEight<>(SB), Z19
-	VMOVUPD      384(R9), Z20        // α
 
 loop:
-	VMOVUPD 0(SI), Z0   // m2
-	VMOVUPD 64(SI), Z1  // m1
-	VMOVUPD 128(SI), Z2 // c0
-	VMOVUPD 192(SI), Z3 // p1
-	VMOVUPD 256(SI), Z4 // p2
+	VMOVUPD (SI), Z0        // m2
+	VMOVUPD (SI)(R8*1), Z1  // m1
+	VMOVUPD (SI)(R8*2), Z2  // c0
+	VMOVUPD (SI)(R11*1), Z3 // p1
+	VMOVUPD (SI)(R8*4), Z4  // p2
 
-	VMULPD 0(R9), Z0, Z5
-	VMULPD 64(R9), Z1, Z6
+	VMULPD Z22, Z0, Z5
+	VMULPD Z23, Z1, Z6
 	VADDPD Z6, Z5, Z5
-	VMULPD 128(R9), Z2, Z6
+	VMULPD Z24, Z2, Z6
 	VADDPD Z6, Z5, Z5
-	VMULPD 192(R9), Z3, Z6
+	VMULPD Z25, Z3, Z6
 	VADDPD Z6, Z5, Z5
-	VMULPD 256(R9), Z4, Z6
+	VMULPD Z26, Z4, Z6
 	VADDPD Z6, Z5, Z5 // v
 
 	VSUBPD  Z2, Z3, Z6  // p1 − c0
@@ -141,7 +192,6 @@ loop:
 	JNZ      queue
 
 next:
-	VPADDQ Z19, Z18, Z18
 	ADDQ   $64, SI
 	ADDQ   $64, DI
 	DECQ   CX
@@ -156,6 +206,11 @@ done:
 
 // Queue the rejecting lanes K1 of the row; with eight queued, bound them.
 queue:
+	MOVQ          DI, AX
+	SUBQ          R12, AX
+	SHRQ          $3, AX         // row·8
+	VPBROADCASTQ  AX, Z18
+	VPADDQ        Z17, Z18, Z18  // row·8 + lane
 	VPCOMPRESSQ.Z Z18, K1, Z16
 	VMOVDQU64     Z16, (R10)(BX*8)
 	KMOVB         K1, AX
@@ -184,15 +239,19 @@ batch:
 	VPXORQ      Z4, Z4, Z4
 	VPXORQ      Z5, Z5, Z5
 	KMOVB       K2, K4
-	VGATHERQPD  0(R13)(Z21*8), K4, Z0
+	VGATHERQPD  (R13)(Z21*8), K4, Z0
+	LEAQ        (R13)(R8*1), DX
 	KMOVB       K2, K4
-	VGATHERQPD  64(R13)(Z21*8), K4, Z1
+	VGATHERQPD  (DX)(Z21*8), K4, Z1
+	LEAQ        (R13)(R8*2), DX
 	KMOVB       K2, K4
-	VGATHERQPD  128(R13)(Z21*8), K4, Z2
+	VGATHERQPD  (DX)(Z21*8), K4, Z2
+	LEAQ        (R13)(R11*1), DX
 	KMOVB       K2, K4
-	VGATHERQPD  192(R13)(Z21*8), K4, Z3
+	VGATHERQPD  (DX)(Z21*8), K4, Z3
+	LEAQ        (R13)(R8*4), DX
 	KMOVB       K2, K4
-	VGATHERQPD  256(R13)(Z21*8), K4, Z4
+	VGATHERQPD  (DX)(Z21*8), K4, Z4
 	KMOVB       K2, K4
 	VGATHERQPD  (R12)(Z21*8), K4, Z5
 	VPERMPD     Z20, Z21, Z6 // α of each entry's lane, index & 7
@@ -308,174 +367,117 @@ done:
 	VZEROUPPER
 	RET
 
-// The kick's rows at eight lanes: a block of eight rows is one load of
-// eight adjacent cells per lane and one 8×8 transpose, or the same the
-// other way. With lane k's cells k0..k7 in Zk, VUNPCKLPD/VUNPCKHPD pair
-// lanes 2j, 2j+1 within each 128-bit block ([00 10 | 02 12 | 04 14 | 06
-// 16] and [01 11 | 03 13 | …] for lanes 0, 1), one VSHUFF64X2 round joins
-// blocks 0, 2 and 1, 3 of lane pairs (0, 1) and (2, 3) ([00 10 | 04 14 |
-// 20 30 | 24 34] …), and a second joins lane quads (0–3) and (4–7), which
-// leaves row m = [0m 1m … 7m] in Z(8+m). The transpose is its own inverse:
-// rows in Z0..Z7 leave lane k's cells in Z(8+k). Mirrored lines run down
-// memory: a block's eight cells, loaded from the lowest, are its rows 7 …
-// 0, so the rows go in and out reversed.
-#define TRANSPOSE \
-	VUNPCKLPD  Z1, Z0, Z8;         \
-	VUNPCKHPD  Z1, Z0, Z9;         \
-	VUNPCKLPD  Z3, Z2, Z10;        \
-	VUNPCKHPD  Z3, Z2, Z11;        \
-	VUNPCKLPD  Z5, Z4, Z12;        \
-	VUNPCKHPD  Z5, Z4, Z13;        \
-	VUNPCKLPD  Z7, Z6, Z14;        \
-	VUNPCKHPD  Z7, Z6, Z15;        \
-	VSHUFF64X2 $0x88, Z10, Z8, Z0; \
-	VSHUFF64X2 $0xdd, Z10, Z8, Z1; \
-	VSHUFF64X2 $0x88, Z11, Z9, Z2; \
-	VSHUFF64X2 $0xdd, Z11, Z9, Z3; \
-	VSHUFF64X2 $0x88, Z14, Z12, Z4; \
-	VSHUFF64X2 $0xdd, Z14, Z12, Z5; \
-	VSHUFF64X2 $0x88, Z15, Z13, Z6; \
-	VSHUFF64X2 $0xdd, Z15, Z13, Z7; \
-	VSHUFF64X2 $0x88, Z4, Z0, Z8;  \
-	VSHUFF64X2 $0xdd, Z4, Z0, Z12; \
-	VSHUFF64X2 $0x88, Z5, Z1, Z10; \
-	VSHUFF64X2 $0xdd, Z5, Z1, Z14; \
-	VSHUFF64X2 $0x88, Z6, Z2, Z9;  \
-	VSHUFF64X2 $0xdd, Z6, Z2, Z13; \
-	VSHUFF64X2 $0x88, Z7, Z3, Z11; \
-	VSHUFF64X2 $0xdd, Z7, Z3, Z15
+// laneReverse is 7, 6, …, 0: VPERMPD by it reverses a vector's lanes.
+DATA laneReverse<>+0(SB)/8, $7
+DATA laneReverse<>+8(SB)/8, $6
+DATA laneReverse<>+16(SB)/8, $5
+DATA laneReverse<>+24(SB)/8, $4
+DATA laneReverse<>+32(SB)/8, $3
+DATA laneReverse<>+40(SB)/8, $2
+DATA laneReverse<>+48(SB)/8, $1
+DATA laneReverse<>+56(SB)/8, $0
+GLOBL laneReverse<>(SB), RODATA|NOPTR, $64
 
-// LOADLANES loads lane k of a block, at SI + k·BX, into Zk; STORELANES
-// stores Z(8+k) at DI + k·BX. R10 holds 3·BX; R11 is scratch.
-#define LOADLANES \
-	LEAQ    (SI)(BX*4), R11;     \
-	VMOVUPD (SI), Z0;            \
-	VMOVUPD (SI)(BX*1), Z1;      \
-	VMOVUPD (SI)(BX*2), Z2;      \
-	VMOVUPD (SI)(R10*1), Z3;     \
-	VMOVUPD (R11), Z4;           \
-	VMOVUPD (R11)(BX*1), Z5;     \
-	VMOVUPD (R11)(BX*2), Z6;     \
-	VMOVUPD (R11)(R10*1), Z7
+// func lineFlux8(q, v *float64, xi float64, dst *float64, n int, mirrored bool)
+//
+// One line's clipped fluxes and cells, eight cells j … j+7 a vector: cell
+// j is c0 − (flx − prev) of interface j+1, whose flx is min(q[j+3],
+// max(0, v[j+1]·ξ)), and prev is the flx of interface j, lane 7 of the
+// vector before (VALIGNQ). The first vector's prev, and that of a last
+// vector at n − 8 that overlaps the one before it (n % 8 ≠ 0; it rewrites
+// the overlap with the same bits), is computed as a broadcast. Cell j
+// lands at dst + j, or on a mirrored line reversed, at dst + n−1−j.
+TEXT ·lineFlux8(SB), NOSPLIT, $0-41
+	MOVQ         q+0(FP), SI
+	MOVQ         v+8(FP), DI
+	VBROADCASTSD xi+16(FP), Z0
+	MOVQ         dst+24(FP), R8
+	MOVQ         n+32(FP), DX
+	MOVBLZX      mirrored+40(FP), BX
+	SUBQ         $8, DX // the last vector's first cell
+	VPXORQ       Z15, Z15, Z15
+	VMOVDQU64    laneReverse<>(SB), Z14
+	XORQ         AX, AX
 
-#define STORELANES \
-	LEAQ    (DI)(BX*4), R11;     \
-	VMOVUPD Z8, (DI);            \
-	VMOVUPD Z9, (DI)(BX*1);      \
-	VMOVUPD Z10, (DI)(BX*2);     \
-	VMOVUPD Z11, (DI)(R10*1);    \
-	VMOVUPD Z12, (R11);          \
-	VMOVUPD Z13, (R11)(BX*1);    \
-	VMOVUPD Z14, (R11)(BX*2);    \
-	VMOVUPD Z15, (R11)(R10*1)
+first:
+	VMULPD.BCST  (DI)(AX*8), Z0, Z5 // v·ξ of interface j
+	VMAXPD       Z5, Z15, Z5
+	VBROADCASTSD 16(SI)(AX*8), Z2   // its donor, q[j+2]
+	VMINPD       Z5, Z2, Z5         // its flx, in every lane
 
-// func laneIn8(rows [][8]float64, w []float64, laneStride int, mirrored bool)
-TEXT ·laneIn8(SB), NOSPLIT, $0-57
-	MOVQ    rows_base+0(FP), DI
-	MOVQ    rows_len+8(FP), CX
-	MOVQ    w_base+24(FP), SI
-	MOVQ    laneStride+48(FP), BX
-	MOVBLZX mirrored+56(FP), AX
-	SHLQ    $3, BX
-	LEAQ    (BX)(BX*2), R10
-	SHRQ    $3, CX          // blocks
-	JZ      done
-	TESTL   AX, AX
+loop:
+	VMULPD  8(DI)(AX*8), Z0, Z3 // v·ξ of interfaces j+1 … j+8
+	VMAXPD  Z3, Z15, Z3
+	VMOVUPD 24(SI)(AX*8), Z2    // their donors, c0 = q[j+3] …
+	VMINPD  Z3, Z2, Z3          // flx
+	VALIGNQ $7, Z5, Z3, Z1      // prev: the flx of interfaces j … j+7
+	VMOVAPD Z3, Z5
+	VSUBPD  Z1, Z3, Z4
+	VSUBPD  Z4, Z2, Z4          // c0 − (flx − prev)
+	TESTL   BX, BX
 	JNZ     rev
-
-fwd:
-	LOADLANES
-	TRANSPOSE
-	VMOVUPD Z8, 0(DI)
-	VMOVUPD Z9, 64(DI)
-	VMOVUPD Z10, 128(DI)
-	VMOVUPD Z11, 192(DI)
-	VMOVUPD Z12, 256(DI)
-	VMOVUPD Z13, 320(DI)
-	VMOVUPD Z14, 384(DI)
-	VMOVUPD Z15, 448(DI)
-	ADDQ    $64, SI
-	ADDQ    $512, DI
-	DECQ    CX
-	JNZ     fwd
-	JMP     done
+	VMOVUPD Z4, (R8)(AX*8)
+	JMP     next
 
 rev:
-	MOVQ CX, R8
-	SHLQ $6, R8
-	LEAQ -64(SI)(R8*1), SI // the lowest cells of block 0
+	VPERMPD Z4, Z14, Z4
+	MOVQ    DX, R11
+	SUBQ    AX, R11
+	VMOVUPD Z4, (R8)(R11*8)
 
-revloop:
-	LOADLANES
-	TRANSPOSE
-	VMOVUPD Z15, 0(DI)
-	VMOVUPD Z14, 64(DI)
-	VMOVUPD Z13, 128(DI)
-	VMOVUPD Z12, 192(DI)
-	VMOVUPD Z11, 256(DI)
-	VMOVUPD Z10, 320(DI)
-	VMOVUPD Z9, 384(DI)
-	VMOVUPD Z8, 448(DI)
-	SUBQ    $64, SI
-	ADDQ    $512, DI
-	DECQ    CX
-	JNZ     revloop
+next:
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JLE  loop
+	LEAQ 8(DX), R11
+	CMPQ AX, R11
+	JEQ  done
+	MOVQ DX, AX
+	JMP  first
 
 done:
 	VZEROUPPER
 	RET
 
-// func laneOut8(w []float64, laneStride int, mirrored bool, rows [][8]float64)
-TEXT ·laneOut8(SB), NOSPLIT, $0-64
-	MOVQ    w_base+0(FP), DI
-	MOVQ    laneStride+24(FP), BX
-	MOVBLZX mirrored+32(FP), AX
-	MOVQ    rows_base+40(FP), SI
-	MOVQ    rows_len+48(FP), CX
-	SHLQ    $3, BX
-	LEAQ    (BX)(BX*2), R10
-	SHRQ    $3, CX          // blocks
-	JZ      done
-	TESTL   AX, AX
-	JNZ     rev
+// func lineIn8(dst, src *float64, n int, mirrored bool)
+//
+// A line into its pad: dst[i] = src[i], or mirrored dst[n−1−i] = src[i],
+// for i < n ≥ 8, eight values a vector, the last vector at n − 8 as in
+// lineFlux8.
+TEXT ·lineIn8(SB), NOSPLIT, $0-25
+	MOVQ      dst+0(FP), DI
+	MOVQ      src+8(FP), SI
+	MOVQ      n+16(FP), DX
+	MOVBLZX   mirrored+24(FP), BX
+	SUBQ      $8, DX
+	VMOVDQU64 laneReverse<>(SB), Z14
+	XORQ      AX, AX
+	TESTL     BX, BX
+	JNZ       rev
 
 fwd:
-	VMOVUPD 0(SI), Z0
-	VMOVUPD 64(SI), Z1
-	VMOVUPD 128(SI), Z2
-	VMOVUPD 192(SI), Z3
-	VMOVUPD 256(SI), Z4
-	VMOVUPD 320(SI), Z5
-	VMOVUPD 384(SI), Z6
-	VMOVUPD 448(SI), Z7
-	TRANSPOSE
-	STORELANES
-	ADDQ    $512, SI
-	ADDQ    $64, DI
-	DECQ    CX
-	JNZ     fwd
-	JMP     done
+	VMOVUPD (SI)(AX*8), Z0
+	VMOVUPD Z0, (DI)(AX*8)
+	CMPQ    AX, DX
+	JEQ     done
+	ADDQ    $8, AX
+	CMPQ    AX, DX
+	JLE     fwd
+	MOVQ    DX, AX
+	JMP     fwd
 
 rev:
-	MOVQ CX, R8
-	SHLQ $6, R8
-	LEAQ -64(DI)(R8*1), DI
-
-revloop:
-	VMOVUPD 448(SI), Z0
-	VMOVUPD 384(SI), Z1
-	VMOVUPD 320(SI), Z2
-	VMOVUPD 256(SI), Z3
-	VMOVUPD 192(SI), Z4
-	VMOVUPD 128(SI), Z5
-	VMOVUPD 64(SI), Z6
-	VMOVUPD 0(SI), Z7
-	TRANSPOSE
-	STORELANES
-	ADDQ    $512, SI
-	SUBQ    $64, DI
-	DECQ    CX
-	JNZ     revloop
+	VPERMPD (SI)(AX*8), Z14, Z0
+	MOVQ    DX, R11
+	SUBQ    AX, R11
+	VMOVUPD Z0, (DI)(R11*8)
+	CMPQ    AX, DX
+	JEQ     done
+	ADDQ    $8, AX
+	CMPQ    AX, DX
+	JLE     rev
+	MOVQ    DX, AX
+	JMP     rev
 
 done:
 	VZEROUPPER

@@ -48,21 +48,34 @@ func laneStore(dst *float64, step int, rows [][4]float64)
 //go:noescape
 func laneLimit8(q, v [][8]float64, k *laneCoef[[8]float64])
 
+// lineLimit8 is laneLimit8 on one line's pad q (the line mode): value j of
+// row i of v is the swept average, limiter included, of interface 8i + j,
+// whose stencil m2…p2 is q[8i+j … 8i+j+4], and every lane takes the
+// weights and α of k's lane line. q must reach 8·len(v)+4 values. See
+// lanes8_amd64.s.
+//
+//go:noescape
+func lineLimit8(q *float64, v [][8]float64, k *laneCoef[[8]float64], line int)
+
 // laneFlux8 is laneFlux on eight lanes. See lanes8_amd64.s.
 //
 //go:noescape
 func laneFlux8(q, v [][8]float64, k *laneCoef[[8]float64])
 
-// laneIn8 is laneIn on eight lanes, eight rows per 8×8 transpose;
-// len(rows) is a multiple of 8. See lanes8_amd64.s.
+// lineFlux8 clips the fluxes v[i]·ξ of interfaces i = 0..n of one line's
+// pad q to [0, q[i+2]] and writes its n updated cells, eight a vector, to
+// dst[0..n−1], or mirrored, cell j to dst[n−1−j], as advance does; n ≥ 8.
+// See lanes8_amd64.s.
 //
 //go:noescape
-func laneIn8(rows [][8]float64, w []float64, laneStride int, mirrored bool)
+func lineFlux8(q, v *float64, xi float64, dst *float64, n int, mirrored bool)
 
-// laneOut8 is laneIn8 the other way. See lanes8_amd64.s.
+// lineIn8 sets dst[i] = src[i], or with mirrored dst[n−1−i] = src[i], for
+// i < n, eight values a vector: a line into its pad; n ≥ 8. See
+// lanes8_amd64.s.
 //
 //go:noescape
-func laneOut8(w []float64, laneStride int, mirrored bool, rows [][8]float64)
+func lineIn8(dst, src *float64, n int, mirrored bool)
 
 // laneLoad8 is laneLoad on eight lanes, a pad row per 64-byte move. See
 // lanes8_amd64.s.

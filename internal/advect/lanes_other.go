@@ -33,15 +33,19 @@ func laneLimit8(q, v [][8]float64, k *laneCoef[[8]float64]) {
 	panic("advect: no vector kernel on this architecture")
 }
 
+func lineLimit8(q *float64, v [][8]float64, k *laneCoef[[8]float64], line int) {
+	panic("advect: no vector kernel on this architecture")
+}
+
 func laneFlux8(q, v [][8]float64, k *laneCoef[[8]float64]) {
 	panic("advect: no vector kernel on this architecture")
 }
 
-func laneIn8(rows [][8]float64, w []float64, laneStride int, mirrored bool) {
+func lineFlux8(q, v *float64, xi float64, dst *float64, n int, mirrored bool) {
 	panic("advect: no vector kernel on this architecture")
 }
 
-func laneOut8(w []float64, laneStride int, mirrored bool, rows [][8]float64) {
+func lineIn8(dst, src *float64, n int, mirrored bool) {
 	panic("advect: no vector kernel on this architecture")
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -128,10 +129,12 @@ func laneCFLs(p []float64, lanes int) []float64 {
 // lanes that do not, whole and zero CFL numbers among them, periodic and
 // open; one scheme serves every case, so its scratch is reused across line
 // lengths. 1–7, 9–15 and 19 lanes leave every count of one to seven lines
-// past the eight- and four-lane groups. The kick's layout moves its rows
-// a block at a time by a 4×4 or 8×8 transpose and the n % 4 or n % 8 left
-// over one by one: n = 64, 65, 6, 7, 10, 71 leave 0 to 7 rows, in both
-// directions (the rightward and the mirrored shared shifts).
+// past the eight- and four-lane groups. The kick's layout runs the line
+// mode at eight lanes, eight interfaces of one line a vector, and four-lane
+// groups whose rows move a block at a time by a 4×4 transpose: n = 64, 65,
+// 6, 7, 10, 71 leave 0 to 7 interfaces past the last whole vector, and 0
+// to 3 rows past the last block, in both directions (TestStepLanesLineMode
+// runs every n from 6 to 40).
 func TestStepLanesMatchesPerLine(t *testing.T) {
 	cfls := [][]float64{
 		{0.3, 0.31, 0.32, 0.33},     // one shift, rightward: one copy per pad row
@@ -257,6 +260,60 @@ func TestStepLanesPlasmaLayouts(t *testing.T) {
 	})
 }
 
+// TestStepLanesLineMode holds StepLanes on lines of adjacent cells to
+// per-line Step/StepOpen bit for bit at every lane width, every value of
+// data between the lines included: at eight lanes the line mode (each line
+// alone, eight of its interfaces a vector), at four the lane groups and
+// their 4×4 transposes. n = 6…40, so every residue of n mod 8 leaves a
+// short last vector that overlaps the one before (and n = 6, 7 take four
+// lanes), and every residue mod 4 leaves rows past the last transposed
+// block; lane strides n to n+9; CFL numbers of
+// both signs, with neighbouring lines of opposite sign, zero and integer
+// ones (which take step) and shifts past short lines; values with ±0 and
+// subnormals (laneValue); and top-hat combs, 1 on runs of one to four
+// cells and 0 between, whose every jump the limiter rejects: many lines
+// queue more than two batches of eight rejected values.
+func TestStepLanesLineMode(t *testing.T) {
+	patterns := [][]float64{
+		{0.3, -0.3, 0.7, -0.7},     // neighbours of opposite sign
+		{-2.6, 3.4, -0.05, 1.5},    // shifts past the stencil, both ways
+		{0, 0.4, -1, 2},            // zero and integer CFL numbers
+		{-7.25, 6.5, -40.5, 41.75}, // shifts beyond short lines
+	}
+	withLaneKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(58))
+		s, ref := NewSLMPP5(), NewSLMPP5()
+		most := 0 // the most rejected values of one comb line
+		for n := 6; n <= 40; n++ {
+			for _, lanes := range []int{1, 3, 8, 11, 16} {
+				l := laneLayout{n % 3, n + rng.Intn(10), 1}
+				for _, p := range patterns {
+					c := laneCFLs(p, lanes)
+					for _, open := range []bool{false, true} {
+						checkLanes(t, s, laneData(rng, l, lanes, n), l, n, c, open)
+						data := laneData(rng, l, lanes, n)
+						for k, ck := range c {
+							line := data[l.off+k*l.laneStride:][:n]
+							run, phase := 1+rng.Intn(4), rng.Intn(8)
+							for i := range line {
+								line[i] = float64(1 - (i+phase)/run%2)
+							}
+							if r := rejectsOf(ref, line, ck, open); r != nil {
+								most = max(most, len(slices.DeleteFunc(r, func(x bool) bool { return !x })))
+							}
+						}
+						checkLanes(t, s, data, l, n, c, open)
+					}
+				}
+			}
+		}
+		if most <= 16 {
+			t.Fatalf("no comb line has more than 16 rejected values (most %d): the queue never runs a third batch", most)
+		}
+		t.Logf("a comb line rejects up to %d values", most)
+	})
+}
+
 // TestLaneRowCopiesCheckBounds: loadRows and storeRows with adjacent lanes
 // hand the assembly copies a raw pointer, so a span that reaches one value
 // past either end of data must panic in Go before any copy, in both
@@ -321,11 +378,15 @@ func WithLaneWidths(t *testing.T, fn func(t *testing.T)) { withLaneKernel(t, fn)
 
 // FuzzStepLanes holds StepLanes to per-line Step/StepOpen bit for bit, at
 // every lane width the CPU has, on 1–19 lines of 6–300 cells in either
-// layout, four finite CFL patterns spread over the lanes and values with
-// ±0, subnormals and negatives (shape 0), or O(1) top-hats (shape 1) and
-// sawtooths (shape 2), whose jumps make the limiter reject many values in
-// a call: the eight-lane kernel queues them and bounds them eight at a
-// time.
+// layout: half the inputs (odd layout) put a line's cells side by side,
+// lane stride n to n+2, which runs the line mode at eight lanes and the
+// transposed lane groups at four, and the others put the lanes side by
+// side, cell stride lanes to lanes+4, which runs the lane groups (and the
+// line mode where that stride is 1). Four finite CFL
+// patterns are spread over the lanes, and the values carry ±0, subnormals
+// and negatives (shape 0), or are O(1) top-hats (shape 1) and sawtooths
+// (shape 2), whose jumps make the limiter reject many values in a call:
+// the eight-lane kernel queues them and bounds them eight at a time.
 func FuzzStepLanes(f *testing.F) {
 	f.Add(uint16(64), uint8(0), uint8(7), 0.3, 0.31, 0.32, 0.33, false, int64(1), uint8(0))
 	f.Add(uint16(10), uint8(1), uint8(3), -0.4, 0.2, -1.7, 2.3, true, int64(2), uint8(0))
@@ -335,6 +396,8 @@ func FuzzStepLanes(f *testing.F) {
 	f.Add(uint16(20), uint8(1), uint8(12), -4.2, -4.4, -4.6, -4.8, false, int64(6), uint8(0))
 	f.Add(uint16(64), uint8(0), uint8(15), 0.3, 0.45, -0.6, 0.75, false, int64(7), uint8(1))
 	f.Add(uint16(37), uint8(1), uint8(7), 0.3, -0.45, 1.6, -0.75, true, int64(8), uint8(2))
+	f.Add(uint16(7), uint8(3), uint8(9), -0.3, 0.3, -0.3, 0.3, true, int64(9), uint8(1))
+	f.Add(uint16(251), uint8(5), uint8(17), 0.45, -1.45, 0.0, 2.0, true, int64(10), uint8(2))
 	f.Fuzz(func(t *testing.T, nb uint16, layout, lb uint8, c0, c1, c2, c3 float64, open bool, seed int64, shape uint8) {
 		p := []float64{c0, c1, c2, c3}
 		for _, ck := range p {
@@ -735,68 +798,97 @@ func TestLaneCoefLayout(t *testing.T) {
 }
 
 // LaneRejects counts the limiter's rejects on the len(c) lines of a
-// StepLanes call (same arguments), grouped eight lines to a lane group as
-// the eight-lane kernel groups them: of the values, v at an interface of
-// one line, how many fail advance's accept test, and of the rows, one
-// interface of a group of eight lines, how many hold at least one such
-// value. Each line is padded as step pads it and runs advance's v and
-// accept test; a line with an integer CFL number is not limited and
-// counts for nothing. Lines past the last whole group are ignored.
-// TestLimiterRejectRates (package advect_test) reads it.
+// StepLanes call (same arguments), in the rows the eight-lane kernel tests
+// one vector at a time: of the values, v at an interface of one line, how
+// many fail advance's accept test, and of the rows, how many hold at least
+// one such value. Where the lines' cells are adjacent (the line mode of
+// the plasma kick) a row is eight consecutive interfaces of one line, the
+// last of its n+1 short; otherwise a row is one interface of a group of
+// eight lines, and lines past the last whole group are ignored. A line
+// with an integer CFL number is not limited: its values count for nothing
+// (nor, in line mode, its rows). TestLimiterRejectRates (package
+// advect_test) reads it.
 func LaneRejects(data []float64, off, laneStride, cellStride, n int, c []float64, open bool) (values, rejected, rows, rejectedRows int) {
 	s, line := NewSLMPP5(), make([]float64, n)
-	reject := make([][8]bool, n+1)
-	for g := 0; g+8 <= len(c); g += 8 {
-		for k := range 8 {
-			base := off + (g+k)*laneStride
-			for i := range line {
-				line[i] = data[base+i*cellStride]
-			}
-			sw, err := s.prepare(n, c[g+k], open)
-			if err != nil {
-				panic(err)
-			}
-			for i := range reject {
-				reject[i][k] = false
-			}
-			if sw.xi == 0 {
-				continue
-			}
-			q, lo := s.pad[:n+sw.sh+5], sw.sh+3
-			in := q[lo : lo+n]
-			if sw.neg {
-				for i, v := range line {
-					in[n-1-i] = v
-				}
-			} else {
-				copy(in, line)
-			}
-			if open {
-				clear(q[:lo])
-				clear(q[lo+n:])
-			} else {
-				wrapGhosts(q, lo, n)
-			}
-			w := sw.w
-			for i := range reject {
-				m2, m1, c0, p1, p2 := q[i], q[i+1], q[i+2], q[i+3], q[i+4]
-				v := w[0]*m2 + w[1]*m1 + w[2]*c0 + w[3]*p1 + w[4]*p2
-				fMP := c0 + minmod2(p1-c0, sw.alpha*(c0-m1))
-				reject[i][k] = (v-c0)*(v-fMP) > mpEps
-				values++
+	lines := make([][]bool, len(c)) // line k's rejects by interface, nil if it is not limited
+	for k, ck := range c {
+		base := off + k*laneStride
+		for i := range line {
+			line[i] = data[base+i*cellStride]
+		}
+		lines[k] = rejectsOf(s, line, ck, open)
+	}
+	tally := func(r []bool) {
+		for _, x := range r {
+			values++
+			if x {
+				rejected++
 			}
 		}
-		for _, r := range reject {
-			rows++
-			if r != [8]bool{} {
-				rejectedRows++
+	}
+	if cellStride == 1 {
+		for _, r := range lines {
+			tally(r)
+			for i := 0; i < len(r); i += 8 {
+				rows++
+				if slices.Contains(r[i:min(i+8, len(r))], true) {
+					rejectedRows++
+				}
 			}
-			for _, x := range r {
-				if x {
-					rejected++
+		}
+		return values, rejected, rows, rejectedRows
+	}
+	for g := 0; g+8 <= len(c); g += 8 {
+		group := lines[g : g+8]
+		for _, r := range group {
+			tally(r)
+		}
+		for i := range n + 1 {
+			rows++
+			for _, r := range group {
+				if r != nil && r[i] {
+					rejectedRows++
+					break
 				}
 			}
 		}
 	}
 	return values, rejected, rows, rejectedRows
+}
+
+// rejectsOf pads line as step pads it for CFL number c and reports, for
+// each of its n+1 interfaces, whether advance's accept test rejects the
+// swept average there; nil for an integer c, which is not limited.
+func rejectsOf(s *SLMPP5, line []float64, c float64, open bool) []bool {
+	n := len(line)
+	sw, err := s.prepare(n, c, open)
+	if err != nil {
+		panic(err)
+	}
+	if sw.xi == 0 {
+		return nil
+	}
+	q, lo := s.pad[:n+sw.sh+5], sw.sh+3
+	in := q[lo : lo+n]
+	if sw.neg {
+		for i, v := range line {
+			in[n-1-i] = v
+		}
+	} else {
+		copy(in, line)
+	}
+	if open {
+		clear(q[:lo])
+		clear(q[lo+n:])
+	} else {
+		wrapGhosts(q, lo, n)
+	}
+	reject, w := make([]bool, n+1), sw.w
+	for i := range reject {
+		m2, m1, c0, p1, p2 := q[i], q[i+1], q[i+2], q[i+3], q[i+4]
+		v := w[0]*m2 + w[1]*m1 + w[2]*c0 + w[3]*p1 + w[4]*p2
+		fMP := c0 + minmod2(p1-c0, sw.alpha*(c0-m1))
+		reject[i] = (v-c0)*(v-fMP) > mpEps
+	}
+	return reject
 }

@@ -24,12 +24,14 @@ func (r rejectRate) perRow() float64   { return float64(r.rejectedRows) / float6
 // TestLimiterRejectRates counts how often the limiter bounds in the plasma
 // sweeps of landau_batch's run: the 64×256 Landau state (k = 0.5, vmax =
 // 8, one worker) stepped from t = 0 to 25 as Step steps it, each kick and
-// drift counted on the F it sweeps. The eight-lane kernel bounds dense
-// batches of rejected values, not the rows that hold one, and this is
-// why: in the drift a row of eight lanes holds a rejected value several
+// drift counted on the F it sweeps, in the rows the eight-lane kernel
+// tests: the drift's one interface of eight adjacent lines, the kick's
+// eight consecutive interfaces of one line. The eight-lane kernel bounds
+// dense batches of rejected values, not the rows that hold one, and this
+// is why: in the drift a row of eight lanes holds a rejected value several
 // times as often as a single value fails. The test checks that premise
 // loosely, the drift's rate per value in [1 %, 5 %] and its rate per row
-// at least 4× that.
+// at least 4× that, and logs both layouts' rates.
 func TestLimiterRejectRates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steps a 64×256 plasma to t = 25")
@@ -66,7 +68,7 @@ func TestLimiterRejectRates(t *testing.T) {
 		s.Time += dt
 		owed = dt / 2
 	}
-	t.Logf("%d steps to t = %.3f: drift rejects %.2f %% of values, %.2f %% of eight-lane rows; kick %.2f %%, %.2f %%",
+	t.Logf("%d steps to t = %.3f: drift rejects %.2f %% of values, %.2f %% of rows of eight lines; kick %.2f %% of values, %.2f %% of rows of eight interfaces",
 		steps, s.Time, 100*drift.perValue(), 100*drift.perRow(), 100*kick.perValue(), 100*kick.perRow())
 	if r := drift.perValue(); r < 0.01 || r > 0.05 {
 		t.Errorf("drift rejects %.2f %% of values, want 1–5 %%", 100*r)

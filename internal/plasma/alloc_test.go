@@ -1,6 +1,7 @@
 package plasma
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -162,19 +163,30 @@ func BenchmarkDrift64x256(b *testing.B) {
 	}
 }
 
-// BenchmarkKick64x256 is one v-kick of the Landau state at t = midRun: 64
-// open rows of 256 cells under the cached field. Every op kicks the same
-// F, put back with the timer stopped.
+// lateRun is the time of BenchmarkKick64x256's late state, far past
+// landau_batch's t = 25: there the decayed field changes sign inside six
+// of the 64 rows' eight groups of eight adjacent rows (and six of their
+// sixteen groups of four), which a kick in lane groups pads and stores
+// value by value, as the four-lane kick still does.
+const lateRun = 147
+
+// BenchmarkKick64x256 is one v-kick of the Landau state at t = midRun and
+// at t = lateRun: 64 open rows of 256 cells under the cached field. Every
+// op kicks the same F, put back with the timer stopped.
 func BenchmarkKick64x256(b *testing.B) {
-	s, dt := landauState(b, midRun)
-	e := s.currentField()
-	f0 := append([]float64(nil), s.F...)
-	for b.Loop() {
-		b.StopTimer()
-		copy(s.F, f0)
-		b.StartTimer()
-		if err := s.kick(dt, e); err != nil {
-			b.Fatal(err)
-		}
+	for _, until := range []float64{midRun, lateRun} {
+		b.Run(fmt.Sprintf("t=%g", until), func(b *testing.B) {
+			s, dt := landauState(b, until)
+			e := s.currentField()
+			f0 := append([]float64(nil), s.F...)
+			for b.Loop() {
+				b.StopTimer()
+				copy(s.F, f0)
+				b.StartTimer()
+				if err := s.kick(dt, e); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

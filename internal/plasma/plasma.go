@@ -24,16 +24,20 @@
 // runner.Run on every exit.
 //
 // Both sweeps hand SL-MPP5 all of a worker's lines in one call (advect's
-// StepLanes), which runs them eight at a time in the lanes of one AVX-512
-// vector kernel, limiter included, where the CPU has it, and four at a time
-// in an AVX2 one where it has only that: the drift adjacent velocity
-// indices, one 64-byte line of F per pad row at eight lanes, moved by one
-// vector load and store, the kick adjacent rows, moved in and out of the
-// kernel a block at a time by an 8×8 or 4×4 transpose. Every line ends bit
-// for bit as the per-line Step/StepOpen leaves it, so neither the CPU nor
-// the worker count changes the physics. The density sums four rows at a
-// time, each in its own cell order (eight at a time spill an accumulator in
-// Go and run slower).
+// StepLanes), which runs them through one AVX-512 vector kernel, limiter
+// included, eight values an instruction where the CPU has it, and four in
+// an AVX2 one where it has only that. The drift steps eight adjacent
+// velocity indices at a time, one per lane, one 64-byte line of F per pad
+// row at eight lanes, moved by one vector load and store. At eight lanes
+// the kick steps each row alone, eight consecutive interfaces of the row
+// per vector (the line mode): the row goes into the kernel's pad by one
+// copy, reversed where E > 0 mirrors it, and its cells straight back into
+// F. At four it steps four adjacent rows at a time, moved in and out of
+// the kernel a block at a time by a 4×4 transpose. Every line ends bit for
+// bit as the per-line Step/StepOpen leaves it, so neither the CPU nor the
+// worker count changes the physics. The density sums four rows at a time,
+// each in its own cell order (eight at a time spill an accumulator in Go
+// and run slower).
 //
 // F's rows are a row stride apart, not NV: the smallest multiple of 8
 // values at least NV that is an odd number of 64-byte lines (264 at
@@ -437,8 +441,9 @@ func (s *Solver) kick(dt float64, e []float64) error {
 	})
 }
 
-// kickRange sweeps rows lo..hi−1 in one StepLanes call (the lanes are
-// rows the row stride apart, a line's NV cells adjacent).
+// kickRange sweeps rows lo..hi−1 in one StepLanes call (the lines are
+// rows the row stride apart, a line's NV cells adjacent: at eight lanes
+// its line mode).
 func (s *Solver) kickRange(w *pworker, lo, hi int, dt, dv float64, e []float64) error {
 	c := w.cfl[:hi-lo]
 	for k := range c {
