@@ -199,9 +199,15 @@ func BenchmarkAblationSchemes(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
-				return math.Exp(-(ux*ux + uy*uy + uz*uz) / (2 * 800 * 800))
-			})
+			// The same Maxwellian in every spatial cell.
+			maxwell := g.CubeAt(0)
+			for j := range maxwell {
+				ux, uy, uz := g.U(0, j/64), g.U(1, j/8%8), g.U(2, j%8)
+				maxwell[j] = float32(math.Exp(-(ux*ux + uy*uy + uz*uz) / (2 * 800 * 800)))
+			}
+			for cell := 1; cell < g.NCells(); cell++ {
+				copy(g.CubeAt(cell), maxwell)
+			}
 			s, err := vlasov.New(g, scheme)
 			if err != nil {
 				b.Fatal(err)

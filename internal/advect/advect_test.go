@@ -1,6 +1,7 @@
 package advect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,18 +32,24 @@ func sum(f []float64) float64 {
 	return s
 }
 
-func allSchemes() []Scheme {
-	return []Scheme{NewSLMPP5(), NewMP5(), NewUpwind1(), NewLaxWendroff2()}
+// namedScheme is a scheme and the name New takes for it.
+type namedScheme struct {
+	name string
+	s    Scheme
+}
+
+func allSchemes() []namedScheme {
+	return []namedScheme{{"slmpp5", NewSLMPP5()}, {"mp5", NewMP5()}, {"upwind1", NewUpwind1()}, {"laxwendroff2", NewLaxWendroff2()}}
 }
 
 func TestNewByName(t *testing.T) {
-	for _, name := range Names() {
+	for i, name := range Names() {
 		s, err := New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Name() != name {
-			t.Fatalf("scheme %q reports name %q", name, s.Name())
+		if want := allSchemes()[i]; want.name != name || fmt.Sprintf("%T", s) != fmt.Sprintf("%T", want.s) {
+			t.Fatalf("New(%q) built a %T, want the %s scheme %T", name, s, want.name, want.s)
 		}
 	}
 	if _, err := New("nope"); err == nil {
@@ -51,17 +58,17 @@ func TestNewByName(t *testing.T) {
 }
 
 func TestMassConservationPeriodic(t *testing.T) {
-	for _, s := range allSchemes() {
+	for _, ns := range allSchemes() {
 		for _, c := range []float64{0.3, -0.3, 0.9, -0.9} {
 			f := stepLine(64)
 			m0 := sum(f)
 			for it := 0; it < 50; it++ {
-				if err := s.Step(f, c); err != nil {
-					t.Fatalf("%s: %v", s.Name(), err)
+				if err := ns.s.Step(f, c); err != nil {
+					t.Fatalf("%s: %v", ns.name, err)
 				}
 			}
 			if d := math.Abs(sum(f) - m0); d > 1e-10 {
-				t.Fatalf("%s c=%v: mass drift %v", s.Name(), c, d)
+				t.Fatalf("%s c=%v: mass drift %v", ns.name, c, d)
 			}
 		}
 	}
@@ -199,12 +206,13 @@ func TestMonotonicityOnStep(t *testing.T) {
 	// CFL regime. SL-MPP5's CFL-adaptive α makes it monotone at any CFL;
 	// classic MP5 with α = 4 guarantees monotonicity for CFL ≤ 1/(1+α).
 	cases := []struct {
-		s   Scheme
-		cfl float64
+		name string
+		s    Scheme
+		cfl  float64
 	}{
-		{NewSLMPP5(), 0.45},
-		{NewSLMPP5(), 1.37}, // beyond CFL 1, SL regime
-		{NewMP5(), 0.18},
+		{"slmpp5", NewSLMPP5(), 0.45},
+		{"slmpp5", NewSLMPP5(), 1.37}, // beyond CFL 1, SL regime
+		{"mp5", NewMP5(), 0.18},
 	}
 	for _, tc := range cases {
 		f := stepLine(64)
@@ -215,7 +223,7 @@ func TestMonotonicityOnStep(t *testing.T) {
 		}
 		for i, v := range f {
 			if v < -1e-10 || v > 1+1e-10 {
-				t.Fatalf("%s cfl=%v: overshoot at %d: %v", tc.s.Name(), tc.cfl, i, v)
+				t.Fatalf("%s cfl=%v: overshoot at %d: %v", tc.name, tc.cfl, i, v)
 			}
 		}
 	}
@@ -298,22 +306,22 @@ func TestStepOpenNoInflow(t *testing.T) {
 }
 
 func TestErrorsOnShortLines(t *testing.T) {
-	for _, s := range allSchemes() {
+	for _, ns := range allSchemes() {
 		f := []float64{1}
-		if err := s.Step(f, 0.5); err == nil {
-			t.Fatalf("%s accepted a 1-cell line", s.Name())
+		if err := ns.s.Step(f, 0.5); err == nil {
+			t.Fatalf("%s accepted a 1-cell line", ns.name)
 		}
 	}
 }
 
 func TestCFLLimitEnforced(t *testing.T) {
-	for _, s := range []Scheme{NewMP5(), NewUpwind1(), NewLaxWendroff2()} {
-		if m := s.MaxCFL(); m != 1 {
-			t.Errorf("%s: MaxCFL %v, want 1", s.Name(), m)
+	for _, ns := range allSchemes()[1:] {
+		if m := ns.s.MaxCFL(); m != 1 {
+			t.Errorf("%s: MaxCFL %v, want 1", ns.name, m)
 		}
 		f := sineLine(16)
-		if err := s.Step(f, 1.5); err == nil {
-			t.Fatalf("%s accepted CFL 1.5", s.Name())
+		if err := ns.s.Step(f, 1.5); err == nil {
+			t.Fatalf("%s accepted CFL 1.5", ns.name)
 		}
 	}
 	// SL-MPP5 has no limit and must accept it.
@@ -326,10 +334,10 @@ func TestCFLLimitEnforced(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	for _, s := range allSchemes() {
-		c := s.Clone()
-		if c.Name() != s.Name() {
-			t.Fatalf("clone of %s has name %s", s.Name(), c.Name())
+	for _, ns := range allSchemes() {
+		s, c := ns.s, ns.s.Clone()
+		if fmt.Sprintf("%T", c) != fmt.Sprintf("%T", s) {
+			t.Fatalf("clone of %s is a %T", ns.name, c)
 		}
 		f1, f2 := sineLine(32), sineLine(32)
 		if err := s.Step(f1, 0.5); err != nil {
@@ -340,7 +348,7 @@ func TestCloneIndependence(t *testing.T) {
 		}
 		for i := range f1 {
 			if f1[i] != f2[i] {
-				t.Fatalf("%s: clone diverges at %d", s.Name(), i)
+				t.Fatalf("%s: clone diverges at %d", ns.name, i)
 			}
 		}
 	}

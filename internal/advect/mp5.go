@@ -17,9 +17,6 @@ type MP5 struct {
 // NewMP5 returns a new MP5+RK3 scheme.
 func NewMP5() *MP5 { return &MP5{} }
 
-// Name implements Scheme.
-func (m *MP5) Name() string { return "mp5" }
-
 // MaxCFL implements Scheme.
 func (m *MP5) MaxCFL() float64 { return 1.0 }
 

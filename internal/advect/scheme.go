@@ -34,8 +34,6 @@ import (
 // Implementations keep private scratch buffers and are therefore not safe
 // for concurrent use; call Clone to obtain per-worker instances.
 type Scheme interface {
-	// Name identifies the scheme in tables and benchmarks.
-	Name() string
 	// MaxCFL returns the largest stable CFL number (0 means unconditional).
 	MaxCFL() float64
 	// Step advances f in place by one step with CFL number c = v·Δt/Δx.

@@ -56,9 +56,6 @@ type SLMPP5 struct {
 // NewSLMPP5 returns the scheme; it always limits and always clips.
 func NewSLMPP5() *SLMPP5 { return &SLMPP5{} }
 
-// Name implements Scheme.
-func (s *SLMPP5) Name() string { return "slmpp5" }
-
 // MaxCFL implements Scheme: the semi-Lagrangian update is unconditionally
 // stable (0 denotes no restriction).
 func (s *SLMPP5) MaxCFL() float64 { return 0 }

@@ -11,9 +11,6 @@ type Upwind1 struct{ buf []float64 }
 // NewUpwind1 returns a first-order upwind scheme.
 func NewUpwind1() *Upwind1 { return &Upwind1{} }
 
-// Name implements Scheme.
-func (u *Upwind1) Name() string { return "upwind1" }
-
 // MaxCFL implements Scheme.
 func (u *Upwind1) MaxCFL() float64 { return 1.0 }
 
@@ -53,9 +50,6 @@ type LaxWendroff2 struct{ buf []float64 }
 
 // NewLaxWendroff2 returns a Lax–Wendroff scheme.
 func NewLaxWendroff2() *LaxWendroff2 { return &LaxWendroff2{} }
-
-// Name implements Scheme.
-func (l *LaxWendroff2) Name() string { return "laxwendroff2" }
 
 // MaxCFL implements Scheme.
 func (l *LaxWendroff2) MaxCFL() float64 { return 1.0 }

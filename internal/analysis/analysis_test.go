@@ -167,9 +167,15 @@ func TestVelocityPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
-		return math.Exp(-(ux*ux + uy*uy + uz*uz))
-	})
+	// The same Maxwellian in every spatial cell.
+	maxwell := g.CubeAt(0)
+	for j := range maxwell {
+		ux, uy, uz := g.U(0, j/36), g.U(1, j/6%6), g.U(2, j%6)
+		maxwell[j] = float32(math.Exp(-(ux*ux + uy*uy + uz*uz)))
+	}
+	for cell := 1; cell < g.NCells(); cell++ {
+		copy(g.CubeAt(cell), maxwell)
+	}
 	plane, ux, uy, err := VelocityPlane(g, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)

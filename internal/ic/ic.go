@@ -293,21 +293,15 @@ func (g *Generator) FillNeutrinoGrid(grid *phase.Grid, a float64) error {
 		return err
 	}
 	uT := g.ThermalScale()
-	// Discrete normalisation of the FD profile on this velocity grid.
+	// The FD profile on this velocity grid, and its discrete normalisation.
+	profile := make([]float64, grid.NCube())
 	norm := 0.0
-	du3 := grid.DU(0) * grid.DU(1) * grid.DU(2)
-	for jx := 0; jx < grid.NU[0]; jx++ {
-		ux := grid.U(0, jx)
-		for jy := 0; jy < grid.NU[1]; jy++ {
-			uy := grid.U(1, jy)
-			for jz := 0; jz < grid.NU[2]; jz++ {
-				uz := grid.U(2, jz)
-				y := math.Sqrt(ux*ux+uy*uy+uz*uz) / uT
-				norm += units.FermiDirac(y)
-			}
-		}
+	for j := range profile {
+		ux, uy, uz := grid.U(0, j/(grid.NU[1]*grid.NU[2])), grid.U(1, j/grid.NU[2]%grid.NU[1]), grid.U(2, j%grid.NU[2])
+		profile[j] = units.FermiDirac(math.Sqrt(ux*ux+uy*uy+uz*uz) / uT)
+		norm += profile[j]
 	}
-	norm *= du3
+	norm *= grid.DU(0) * grid.DU(1) * grid.DU(2)
 	if norm <= 0 {
 		return fmt.Errorf("ic: velocity grid does not resolve the FD profile (UMax=%v, uT=%v)", grid.UMax, uT)
 	}
@@ -319,19 +313,9 @@ func (g *Generator) FillNeutrinoGrid(grid *phase.Grid, a float64) error {
 			d = -0.999 // guard against unphysical linear excursions
 		}
 		amp := rhoBar * (1 + d) / norm
-		cube := grid.Cube(ix, iy, iz)
-		idx := 0
-		for jx := 0; jx < grid.NU[0]; jx++ {
-			ux := grid.U(0, jx)
-			for jy := 0; jy < grid.NU[1]; jy++ {
-				uy := grid.U(1, jy)
-				for jz := 0; jz < grid.NU[2]; jz++ {
-					uz := grid.U(2, jz)
-					y := math.Sqrt(ux*ux+uy*uy+uz*uz) / uT
-					cube[idx] = float32(amp * units.FermiDirac(y))
-					idx++
-				}
-			}
+		cube := grid.CubeAt(cell)
+		for j := range cube {
+			cube[j] = float32(amp * profile[j])
 		}
 	})
 	return nil

@@ -94,9 +94,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of observed values so far.
 func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())

@@ -142,7 +142,7 @@ func TestHistogramDedupAndInfBounds(t *testing.T) {
 		t.Fatalf("upper = %v, want [0.5 1]", h.upper)
 	}
 	h.Observe(math.NaN()) // dropped
-	if h.Count() != 0 {
+	if h.count.Load() != 0 {
 		t.Fatalf("NaN was counted")
 	}
 }
@@ -177,7 +177,7 @@ func TestHistogramConcurrentMonotone(t *testing.T) {
 		prevCount = count
 	}
 	wg.Wait()
-	if got := h.Count(); got != goroutines*perG {
+	if got := h.count.Load(); got != goroutines*perG {
 		t.Fatalf("count = %d, want %d", got, goroutines*perG)
 	}
 	if got, want := h.Sum(), 5000*(0.0001+0.0002+0.0003+0.0004); math.Abs(got-want) > 1e-9 {

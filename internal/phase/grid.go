@@ -42,7 +42,7 @@ type Grid struct {
 }
 
 // SetWorkers pins the number of goroutines ParallelCells (and everything
-// built on it: Fill, ComputeMoments, the moment maps) parallelises over
+// built on it: ComputeMoments, the moment maps) parallelises over
 // (minimum 1). Without it the reductions read GOMAXPROCS at call time,
 // invisible to any scheduler-owned core budget. Cells are disjoint, so the
 // worker count never changes the computed values.
@@ -121,12 +121,6 @@ func (g *Grid) U(d, j int) float64 {
 	return -g.UMax + (float64(j)+0.5)*g.DU(d)
 }
 
-// X returns the cell-centre spatial coordinate of index i along dimension d
-// relative to the block origin.
-func (g *Grid) X(d, i int) float64 {
-	return (float64(i) + 0.5) * g.DX(d)
-}
-
 // CellIndex returns the flat spatial index of (ix, iy, iz).
 func (g *Grid) CellIndex(ix, iy, iz int) int {
 	return (ix*g.NY+iy)*g.NZ + iz
@@ -143,27 +137,6 @@ func (g *Grid) Cube(ix, iy, iz int) []float32 {
 func (g *Grid) CubeAt(cell int) []float32 {
 	nc := g.NCube()
 	return g.Data[cell*nc : (cell+1)*nc]
-}
-
-// Fill evaluates f(x, y, z, ux, uy, uz) at every phase-space cell centre,
-// with spatial coordinates relative to the block origin. Evaluation is
-// parallel over spatial cells.
-func (g *Grid) Fill(f func(x, y, z, ux, uy, uz float64) float64) {
-	g.ParallelCells(func(ix, iy, iz int) {
-		cube := g.Cube(ix, iy, iz)
-		x, y, z := g.X(0, ix), g.X(1, iy), g.X(2, iz)
-		idx := 0
-		for jx := 0; jx < g.NU[0]; jx++ {
-			ux := g.U(0, jx)
-			for jy := 0; jy < g.NU[1]; jy++ {
-				uy := g.U(1, jy)
-				for jz := 0; jz < g.NU[2]; jz++ {
-					cube[idx] = float32(f(x, y, z, ux, uy, g.U(2, jz)))
-					idx++
-				}
-			}
-		}
-	})
 }
 
 // runCellRanges is the parallel dispatch path of the built-in reductions:

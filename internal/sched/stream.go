@@ -284,13 +284,6 @@ func (s *Stream) Pending() int {
 	return len(s.pending)
 }
 
-// Submitted returns the number of jobs accepted by Submit so far.
-func (s *Stream) Submitted() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
 // work is one pool goroutine: pop the highest-priority job, execute it
 // (with the shared retry/checkpoint executor), deliver its result; on
 // cancellation flush the remaining queue as Cancelled.

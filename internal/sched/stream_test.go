@@ -72,8 +72,11 @@ func TestStreamRunsSubmittedJobs(t *testing.T) {
 	if len(results) != n {
 		t.Fatalf("%d results, want %d", len(results), n)
 	}
-	if s.Submitted() != n {
-		t.Fatalf("Submitted() = %d", s.Submitted())
+	s.mu.Lock()
+	submitted := s.seq
+	s.mu.Unlock()
+	if submitted != n {
+		t.Fatalf("%d jobs accepted, want %d", submitted, n)
 	}
 	for _, r := range results {
 		if r.Status != Done || r.Err != nil || r.Attempt != 1 {

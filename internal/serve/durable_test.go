@@ -440,7 +440,7 @@ func TestSubmitFailsClosedOnJournalError(t *testing.T) {
 	if v := metricValue(t, ts.URL, "vlasovd_jobs_submitted_total"); v != 0 {
 		t.Fatalf("vlasovd_jobs_submitted_total = %v, want 0", v)
 	}
-	if n := srv.stream.Submitted(); n != 0 {
+	if n := srv.stream.Pending(); n != 0 {
 		t.Fatalf("stream holds %d submissions, want 0", n)
 	}
 	srv.mu.Lock()

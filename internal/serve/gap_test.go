@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -142,15 +143,15 @@ func TestObserverGapsCoverEveryStep(t *testing.T) {
 	// while the step loop, which takes no server lock, runs on. Release it
 	// only after the loop has taken two queues' worth of steps more.
 	deadline := time.Now().Add(20 * time.Second)
-	for srv.histStep.Count() == 0 && time.Now().Before(deadline) {
+	for stepsObserved(t, srv) == 0 && time.Now().Before(deadline) {
 		time.Sleep(50 * time.Microsecond)
 	}
 	srv.mu.Lock()
-	held := srv.histStep.Count()
-	for srv.histStep.Count() < held+2*pipelineQueue+64 && time.Now().Before(deadline) {
+	held := stepsObserved(t, srv)
+	for stepsObserved(t, srv) < held+2*pipelineQueue+64 && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
-	passed := srv.histStep.Count() - held
+	passed := stepsObserved(t, srv) - held
 	srv.mu.Unlock()
 	if held == 0 || passed < 2*pipelineQueue+64 {
 		t.Fatalf("step loop took %d steps under the held lock (from %d), want ≥ %d",
@@ -330,4 +331,17 @@ func TestObserverGapsAcrossAttempts(t *testing.T) {
 	if dropped != 5 {
 		t.Fatalf("vlasovd_sse_dropped_total rose by %d, want 5", dropped)
 	}
+}
+
+// stepsObserved is the _count sample WriteProm writes for the server's
+// step-duration histogram: the steps the job loop has timed.
+func stepsObserved(t *testing.T, srv *Server) int64 {
+	var b strings.Builder
+	srv.histStep.WriteProm(&b)
+	_, count, ok := strings.Cut(b.String(), "vlasovd_step_duration_seconds_count ")
+	n, err := strconv.ParseInt(strings.TrimSpace(count), 10, 64)
+	if !ok || err != nil {
+		t.Fatalf("no _count sample in %q", b.String())
+	}
+	return n
 }

@@ -98,7 +98,7 @@ func logsUnderTest() []logUnderTest {
 						return ids
 					},
 					put:     func(i int) error { return ix.Put(IndexEntry{ID: i, Name: "n", Status: "done"}) },
-					compact: ix.Compact,
+					compact: ix.compactLocked, // OpenIndex's rewrite; nothing else holds ix.mu
 					close:   ix.Close,
 				}
 			},

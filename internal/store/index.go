@@ -125,15 +125,6 @@ func OpenIndex(dir string) (*Index, error) {
 	return ix, nil
 }
 
-// Compact rewrites the index to one entry per id (the newest),
-// atomically, under the same mutex Put holds — safe to call on a live
-// daemon.
-func (ix *Index) Compact() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.compactLocked()
-}
-
 // compactLocked rewrites the index to one entry per id (the newest),
 // atomically. A daemon that re-runs a recovered job terminal-journals it
 // twice across lives; compaction keeps the file proportional to the

@@ -20,7 +20,7 @@
 //	file          holds                rewritten                   drops
 //	journal.v6dj  unfinished jobs      at Open, on Compact and     terminal jobs
 //	              (store.go)           SetAutoCompact thresholds
-//	index.v6di    finished jobs        at OpenIndex, on Compact    all but the newest
+//	index.v6di    finished jobs        at OpenIndex                all but the newest
 //	              (index.go)                                       entry per id
 //	audit.v6da    admission decisions  never                       nothing; opening
 //	              (audit.go)                                       it deletes no file

@@ -15,7 +15,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+	fill(g, func(x, y, z, ux, uy, uz float64) float64 {
 		return math.Exp(-(ux*ux + uy*uy + uz*uz) / (2 * 800 * 800))
 	})
 	g.SetWorkers(1)
@@ -54,7 +54,7 @@ func TestMomentsIntoSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+	fill(g, func(x, y, z, ux, uy, uz float64) float64 {
 		return 1 + 0.1*math.Sin(x/10) + math.Exp(-(ux*ux+uy*uy+uz*uz)/(2*500*500))
 	})
 	g.SetWorkers(1)

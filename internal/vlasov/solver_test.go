@@ -86,7 +86,7 @@ func TestDriftUniformInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+			fill(g, func(x, y, z, ux, uy, uz float64) float64 {
 				return math.Exp(-(ux*ux + uy*uy + uz*uz) / (2 * 1000 * 1000))
 			})
 			before := append([]float32(nil), g.Data...)
@@ -141,7 +141,7 @@ func TestMassConservationFullStep(t *testing.T) {
 			}
 			// Compact Maxwellian well inside the velocity boundary plus a
 			// density wave in x.
-			g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+			fill(g, func(x, y, z, ux, uy, uz float64) float64 {
 				w := 1 + 0.3*math.Sin(2*math.Pi*x/100)
 				return w * math.Exp(-(ux*ux+uy*uy+uz*uz)/(2*800*800))
 			})
@@ -167,7 +167,7 @@ func TestMassConservationFullStep(t *testing.T) {
 func TestPositivityFullStep(t *testing.T) {
 	g := testGrid(t)
 	s, _ := New(g, "slmpp5")
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+	fill(g, func(x, y, z, ux, uy, uz float64) float64 {
 		w := 1 + 0.9*math.Sin(2*math.Pi*x/100)*math.Cos(2*math.Pi*y/100)
 		return w * math.Exp(-(ux*ux+uy*uy+uz*uz)/(2*600*600))
 	})
@@ -215,7 +215,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		g := testGrid(t)
 		s, _ := New(g, "slmpp5")
 		s.SetWorkers(workers)
-		g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+		fill(g, func(x, y, z, ux, uy, uz float64) float64 {
 			return (1 + 0.2*math.Sin(2*math.Pi*(x+y)/100)) *
 				math.Exp(-(ux*ux+uy*uy+uz*uz)/(2*900*900))
 		})
@@ -286,7 +286,7 @@ func TestFreeStreamingDampsDensityWave(t *testing.T) {
 	}
 	s, _ := New(g, "slmpp5")
 	sigma := 1000.0
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+	fill(g, func(x, y, z, ux, uy, uz float64) float64 {
 		w := 1 + 0.5*math.Sin(2*math.Pi*x/100)
 		return w * math.Exp(-(ux*ux+uy*uy+uz*uz)/(2*sigma*sigma))
 	})
@@ -321,7 +321,7 @@ func TestFreeStreamingDampsDensityWave(t *testing.T) {
 func TestDiagnosticsInvariants(t *testing.T) {
 	g := testGrid(t)
 	s, _ := New(g, "slmpp5")
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+	fill(g, func(x, y, z, ux, uy, uz float64) float64 {
 		w := 1 + 0.4*math.Sin(2*math.Pi*x/100)
 		return w * math.Exp(-(ux*ux+uy*uy+uz*uz)/(2*800*800))
 	})
@@ -373,7 +373,7 @@ func TestSweepsMatchPerLineReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 {
+	fill(g, func(x, y, z, ux, uy, uz float64) float64 {
 		return (1 + 0.3*math.Sin(2*math.Pi*(x/60+2*y/70+z/80))) *
 			math.Exp(-((ux-300)*(ux-300)+uy*uy+(uz+500)*(uz+500))/(2*1200*1200))
 	})
@@ -455,7 +455,7 @@ func TestKickRejectsNonFiniteAcceleration(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, workers := range []int{1, 2} {
 			g := testGrid(t)
-			g.Fill(func(x, y, z, ux, uy, uz float64) float64 { return 1 })
+			fill(g, func(x, y, z, ux, uy, uz float64) float64 { return 1 })
 			s, _ := New(g, "slmpp5")
 			s.SetWorkers(workers)
 			acc := zeroAcc(g.NCells())
@@ -466,7 +466,7 @@ func TestKickRejectsNonFiniteAcceleration(t *testing.T) {
 		}
 	}
 	g := testGrid(t)
-	g.Fill(func(x, y, z, ux, uy, uz float64) float64 { return 1 })
+	fill(g, func(x, y, z, ux, uy, uz float64) float64 { return 1 })
 	m0 := g.TotalMass()
 	s, _ := New(g, "slmpp5")
 	s.SetWorkers(1)
@@ -482,5 +482,19 @@ func TestKickRejectsNonFiniteAcceleration(t *testing.T) {
 	}
 	if rel := math.Abs(m0-g.TotalMass()-s.BoundaryLoss) / m0; rel > 1e-6 {
 		t.Fatalf("emptied cube not accounted: escaped %v, recorded %v", m0-g.TotalMass(), s.BoundaryLoss)
+	}
+}
+
+// fill sets f(x, y, z, ux, uy, uz) at every phase-space cell centre, with
+// x, y, z relative to the block origin.
+func fill(g *phase.Grid, f func(x, y, z, ux, uy, uz float64) float64) {
+	for cell := range g.NCells() {
+		ix, iy, iz := cell/(g.NY*g.NZ), cell/g.NZ%g.NY, cell%g.NZ
+		x, y, z := (float64(ix)+0.5)*g.DX(0), (float64(iy)+0.5)*g.DX(1), (float64(iz)+0.5)*g.DX(2)
+		cube := g.CubeAt(cell)
+		for j := range cube {
+			jx, jy, jz := j/(g.NU[1]*g.NU[2]), j/g.NU[2]%g.NU[1], j%g.NU[2]
+			cube[j] = float32(f(x, y, z, g.U(0, jx), g.U(1, jy), g.U(2, jz)))
+		}
 	}
 }
